@@ -8,9 +8,10 @@ Submodules
     with the non-Archimedean valuation convention ``nu(variable) =
     -action_step``.
 ``persistence``
-    Barcodes; bottleneck/interleaving distance (exact, via candidate
-    tolerances and bipartite matching); the shift-quotient metric; boundary
-    depth and bar-length spectra.
+    Barcodes; bottleneck/interleaving distance (exact, a threshold search
+    over once-priced bar pairs with bipartite matching); the shift-quotient
+    metric (a search over the optimum with one matching per candidate
+    shift); boundary depth and bar-length spectra; exhaustive oracles.
 ``complexes``
     Filtered chain complexes over a Novikov field; orthogonalising reduction,
     barcodes, spectral invariants, the spectral norm, and an independent
@@ -33,7 +34,8 @@ from .novikov import (LagrangianParams, NovikovScalar, NovikovSpec, Rational,
                       parse_rational)
 from .persistence import (Bar, Barcode, INF, NEG_INF, bar_length_spectrum,
                           bottleneck_distance, boundary_depth,
-                          brute_force_bottleneck, interleaving_distance,
+                          brute_force_bottleneck,
+                          brute_force_shifted_bottleneck, interleaving_distance,
                           shift_barcode, shifted_bottleneck)
 from .complexes import (FilteredComplex, Generator, barcode,
                         brute_force_barcode, complex_from_json,

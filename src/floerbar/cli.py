@@ -94,6 +94,18 @@ def _value_json(v):
     return v
 
 
+def _oracle_check(report: RunReport, cx, bc: Barcode, window=None) -> None:
+    """Cross-check ``bc`` against the rank-function oracle.  A complex past
+    the oracle's size cap fails the check ``oracle-size-cap`` instead."""
+    try:
+        oc = complexes.brute_force_barcode(cx, window)
+    except complexes.OracleSizeError as exc:
+        report.outputs["oracle_error"] = str(exc)
+        report.check("oracle-size-cap", False)
+        return
+    report.check("oracle-match", oc == bc)
+
+
 @click.group()
 def main() -> None:
     """Exact persistence toolkit: barcodes, curve diagrams, radial profiles
@@ -143,8 +155,7 @@ def cmd_barcode(complex_file, window, oracle, svg_path, fund_degree, point_degre
         report.outputs["gamma"] = None
         report.outputs["gamma_note"] = str(exc)
     if oracle:
-        oc = complexes.brute_force_barcode(cx, win)
-        report.check("oracle-match", oc == bc)
+        _oracle_check(report, cx, bc, win)
     if svg_path:
         with open(svg_path, "w", encoding="utf-8") as fh:
             fh.write(svgout.barcode_svg(bc))
@@ -192,9 +203,10 @@ def cmd_bottleneck(barcode1, barcode2, mod_shift, degree_blind):
 @main.command("combfloer")
 @click.argument("diagram_file", type=click.Path(exists=True))
 @click.option("--max-wind", type=int, default=2, show_default=True)
+@click.option("--oracle", is_flag=True, help="cross-check against the rank-function oracle")
 @click.option("--emit-complex", "emit_complex", type=click.Path(), default=None)
 @click.option("--svg", "svg_path", type=click.Path(), default=None)
-def cmd_combfloer(diagram_file, max_wind, emit_complex, svg_path):
+def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
     """Lune table, differential, boundary depth and spectral norm of a
     two-curve diagram."""
     report = RunReport("combfloer", inputs={diagram_file: _digest(diagram_file)})
@@ -226,8 +238,8 @@ def cmd_combfloer(diagram_file, max_wind, emit_complex, svg_path):
         report.check("beta-le-gamma", depth <= g)
     else:
         report.outputs["gamma"] = None
-    oc = complexes.brute_force_barcode(cx)
-    report.check("oracle-match", oc == bc)
+    if oracle:
+        _oracle_check(report, cx, bc)
     if emit_complex:
         with open(emit_complex, "w", encoding="utf-8") as fh:
             json.dump(complexes.complex_to_json(cx), fh, indent=2)
@@ -412,6 +424,28 @@ def cmd_check(seed, trials):
             ok = False
             break
     report.check("diagram-beta-bounds", ok)
+
+    ok = True
+    for trial in range(trials):
+        b1 = sampling.random_barcode(rng, max_bars=3)
+        b2 = sampling.random_barcode(rng, max_bars=3)
+        if any(persistence.bottleneck_distance(b1, b2, sensitive)
+               != persistence.brute_force_bottleneck(b1, b2, sensitive)
+               for sensitive in (True, False)):
+            ok = False
+            break
+    report.check("bottleneck-oracle-agreement", ok)
+
+    ok = True
+    for trial in range(trials):
+        b1 = sampling.random_barcode(rng, max_bars=2)
+        b2 = sampling.random_barcode(rng, max_bars=2)
+        sensitive = rng.random() < 0.5
+        if (persistence.shifted_bottleneck(b1, b2, sensitive)
+                != persistence.brute_force_shifted_bottleneck(b1, b2, sensitive)):
+            ok = False
+            break
+    report.check("shift-oracle-agreement", ok)
 
     lp = LagrangianParams(dim=1, maslov=2, disk_area=Fraction(1, 2))
     ok = True

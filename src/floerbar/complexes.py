@@ -39,6 +39,7 @@ __all__ = [
     "FilteredComplex",
     "ComplexValidationError",
     "GammaUndefinedError",
+    "OracleSizeError",
     "UZPair",
     "UZBasis",
     "uz_reduce",
@@ -57,6 +58,10 @@ class ComplexValidationError(ValueError):
 
 class GammaUndefinedError(ValueError):
     """The spectral-norm shortcut needs unique infinite bars in both designated degrees."""
+
+
+class OracleSizeError(ValueError):
+    """The complex unrolls to more generators than the rank oracle accepts."""
 
 
 @dataclass(frozen=True)
@@ -522,7 +527,7 @@ def brute_force_barcode(cx: FilteredComplex,
     win = degree_window or cx.default_degree_window()
     window = _UnrolledWindow(cx, win)
     if len(window.items) > max_unrolled:
-        raise ValueError(
+        raise OracleSizeError(
             f"oracle size cap exceeded: {len(window.items)} unrolled generators")
     bars = []
     for deg in range(window.lo, window.hi):

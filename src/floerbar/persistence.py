@@ -6,21 +6,33 @@ rationals, or rational-plus-pi values from :mod:`floerbar.exactpi`; the code
 only ever adds, subtracts, halves and compares them, so any exact linearly
 ordered type works.
 
-The bottleneck distance is computed exactly: a candidate tolerance ``delta``
-admits a matching iff, after deleting some bars of length ``<= 2*delta``, the
+The bottleneck distance is computed exactly: a tolerance ``delta`` admits a
+matching iff, after deleting some bars of length ``<= 2*delta``, the
 remaining bars biject so that matched intervals contain each other's
-``delta``-shrinkings.  Feasibility for one candidate is a maximum bipartite
-matching; the optimum is the smallest feasible value among the finitely many
-endpoint differences and half-lengths.  The shift-quotient metric minimises
-the bottleneck distance over global translations of one barcode, scanning the
-finite candidate set of endpoint differences together with all their
-pairwise midpoints (the distance is piecewise linear in the shift with slopes
--1, 0, 1, so its minimum is attained there).
+``delta``-shrinkings.  The optimum is the least admissible value among 0, the
+half-lengths and the endpoint differences of matchable pairs.  Each pair and
+each deletion is priced once per call as an int key: its cost over a common
+denominator when every endpoint is a Fraction, else its rank among all the
+costs.  Degree-sensitive, each degree is an independent subproblem.  A
+binary search over a subproblem's keys then decides each probe with one
+maximum bipartite matching whose graph is built by comparing ints.
+
+The shift-quotient metric minimises the bottleneck distance over global
+translations of one barcode.  For a fixed ``delta`` the feasible shifts are
+a union of closed intervals, each starting at ``d - delta`` for an endpoint
+difference ``d`` of a matchable pair (or the whole line when every bar is
+deletable).  So a binary search over the possible optima (0, half bar
+lengths and half differences of endpoint differences) decides each step
+with one matching per such ``d``.  The exhaustive scan over all endpoint
+differences and their pairwise midpoints is kept as an oracle, beside the
+exhaustive matcher.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
@@ -41,6 +53,7 @@ __all__ = [
     "interleaving_distance",
     "shifted_bottleneck",
     "brute_force_bottleneck",
+    "brute_force_shifted_bottleneck",
 ]
 
 
@@ -329,82 +342,179 @@ def _deletion_cost(bar: Bar):
     return INF if bar.is_infinite else _halve(bar.length)
 
 
-def _delta_feasible(bars1: Sequence[Bar], bars2: Sequence[Bar], delta,
-                    degree_sensitive: bool) -> bool:
-    n1, n2 = len(bars1), len(bars2)
-    # Left side: bars1 then n2 diagonal slots; right side: bars2 then n1 slots.
-    adjacency: List[List[int]] = []
-    deletable2 = [not (_deletion_cost(b) > delta) for b in bars2]
-    for a in bars1:
-        nbrs = []
-        for j, b in enumerate(bars2):
-            if degree_sensitive and a.degree != b.degree:
-                continue
-            if not (_bar_matching_cost(a, b) > delta):
-                nbrs.append(j)
-        if not (_deletion_cost(a) > delta):
-            nbrs.extend(range(n2, n2 + n1))
-        adjacency.append(nbrs)
-    for j in range(n2):
-        # diagonal slot for bars2[j]: absorbs it when deletable, and can
-        # always pair off with a diagonal slot on the other side
-        nbrs = [j] if deletable2[j] else []
-        nbrs.extend(range(n2, n2 + n1))
-        adjacency.append(nbrs)
-    match = max_bipartite_matching(n1 + n2, n2 + n1, adjacency)
-    return all(v != -1 for v in match)
+def _degree_groups(bars1: Sequence[Bar], bars2: Sequence[Bar],
+                   degree_sensitive: bool) -> List[Tuple[List[int], List[int]]]:
+    """Index lists of the independent subproblems, by ascending degree (one
+    group when degree-blind)."""
+    if not degree_sensitive:
+        return [(list(range(len(bars1))), list(range(len(bars2))))]
+    groups = {}
+    for i, a in enumerate(bars1):
+        groups.setdefault(a.degree, ([], []))[0].append(i)
+    for j, b in enumerate(bars2):
+        groups.setdefault(b.degree, ([], []))[1].append(j)
+    return [groups[d] for d in sorted(groups)]
 
 
-def _candidate_deltas(bars1: Sequence[Bar], bars2: Sequence[Bar],
-                      degree_sensitive: bool) -> List:
-    seen = set()
-    out = []
+def _matchable_pairs(bars1, bars2, groups) -> List[Tuple[int, int]]:
+    """Pairs ``(i, j)`` of one group whose bars are both finite or both
+    infinite; group by group, row-major."""
+    return [(i, j) for idx1, idx2 in groups for i in idx1 for j in idx2
+            if bars1[i].is_infinite == bars2[j].is_infinite]
 
-    def push(x):
-        if x is INF:
-            return
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
 
-    zero = Fraction(0)
-    push(zero)
-    for a in bars1:
-        push(_deletion_cost(a))
-    for b in bars2:
-        push(_deletion_cost(b))
-    for a in bars1:
-        for b in bars2:
-            if degree_sensitive and a.degree != b.degree:
-                continue
-            if a.is_infinite != b.is_infinite:
-                continue
-            push(_abs(a.left - b.left))
-            if not a.is_infinite:
-                push(_abs(a.right - b.right))
-    out.sort(key=_OrderToken)
-    return out
+def _infinite_mismatch(bars1, bars2, groups) -> bool:
+    """Some group has unequal infinite-bar counts: no tolerance works."""
+    return any(sum(bars1[i].is_infinite for i in idx1)
+               != sum(bars2[j].is_infinite for j in idx2) for idx1, idx2 in groups)
+
+
+def _common_denominator(bars: Sequence[Bar]):
+    """Least common denominator of the finite endpoints when all of them are
+    Fractions, else None."""
+    dens = []
+    for bar in bars:
+        for x in (bar.left, bar.right):
+            if type(x) is Fraction:
+                dens.append(x.denominator)
+            elif x is not INF:
+                return None
+    return math.lcm(*dens)
+
+
+def _rank(values: Iterable) -> Tuple[List, dict]:
+    """Distinct ``values`` in increasing order, and each one's index there.
+
+    The first of several equal values is the one kept."""
+    order = sorted(dict.fromkeys(values), key=_OrderToken)
+    return order, {v: k for k, v in enumerate(order)}
+
+
+def _price(bars1: List[Bar], bars2: List[Bar], pairs: Sequence[Tuple[int, int]]):
+    """Price every deletion and every pair in ``pairs`` once, as ints.
+
+    Returns ``(del1, del2, cost, value)``: the deletion keys of ``bars1`` and
+    ``bars2`` (None for an infinite bar), the matching key of each pair, and
+    ``value(key)``, the exact cost a key stands for.  Keys order like the
+    costs they stand for and the key of zero is 0.  When every endpoint is a
+    Fraction, a key is its cost times twice the common denominator.
+    Otherwise it is the cost's rank, and ``value`` gives the first equal
+    value in the order zero, deletions of ``bars1`` then ``bars2``, left then
+    right endpoint difference of each pair.
+    """
+    scale = _common_denominator(bars1 + bars2)
+    if scale is not None:
+        def ints(bars):
+            lefts = [b.left.numerator * (scale // b.left.denominator) for b in bars]
+            rights = [None if b.is_infinite
+                      else b.right.numerator * (scale // b.right.denominator)
+                      for b in bars]
+            return lefts, rights
+
+        (l1, r1), (l2, r2) = ints(bars1), ints(bars2)
+        del1 = [None if r is None else r - l for l, r in zip(l1, r1)]
+        del2 = [None if r is None else r - l for l, r in zip(l2, r2)]
+        cost = [2 * (abs(l1[i] - l2[j]) if r1[i] is None
+                     else max(abs(l1[i] - l2[j]), abs(r1[i] - r2[j])))
+                for i, j in pairs]
+        return del1, del2, cost, lambda key: Fraction(key, 2 * scale)
+
+    dels = [None if b.is_infinite else _deletion_cost(b) for b in bars1 + bars2]
+    values = [Fraction(0)] + [d for d in dels if d is not None]
+    cost = []
+    for i, j in pairs:
+        a, b = bars1[i], bars2[j]
+        left = _abs(a.left - b.left)
+        values.append(left)
+        if a.is_infinite:
+            cost.append(left)
+        else:
+            right = _abs(a.right - b.right)
+            values.append(right)
+            cost.append(max(left, right, key=_OrderToken))
+    order, rank = _rank(values)
+    keys = [None if d is None else rank[d] for d in dels]
+    return keys[:len(bars1)], keys[len(bars1):], [rank[c] for c in cost], order.__getitem__
+
+
+def _coverable(rows: Sequence[List[int]], deletable1: Sequence[bool],
+               deletable2: Sequence[bool]) -> bool:
+    """Can every bar be paired off, ``i`` with a ``j`` in ``rows[i]``, or
+    else be deleted when deletable?
+
+    Each side gets one diagonal slot per bar of the other side.  A deletable
+    bar may take the slot of its own diagonal copy, and the diagonal slots of
+    the two sides pair off freely.  The answer is yes iff the matching is
+    perfect.
+    """
+    n1, n2 = len(deletable1), len(deletable2)
+    pool = list(range(n2, n2 + n1))
+    adjacency = [row + [n2 + i] if deletable1[i] else row for i, row in enumerate(rows)]
+    adjacency += [[j] + pool if ok else pool for j, ok in enumerate(deletable2)]
+    return -1 not in max_bipartite_matching(n1 + n2, n2 + n1, adjacency)
+
+
+def _smallest_feasible_key(idx1: Sequence[int], idx2: Sequence[int], rows,
+                           del1, del2, floor: int) -> int:
+    """Least key ``>= floor`` at which the bars of one group can be matched.
+
+    ``rows[i]`` lists ``(key, j)`` for the pairs of ``bars1[i]``; the group
+    must have equal infinite-bar counts on both sides.
+    """
+    local = {j: n for n, j in enumerate(idx2)}
+    sorted_rows = []
+    keys = {floor}
+    for i in idx1:
+        row = sorted(rows[i])
+        sorted_rows.append(([k for k, _j in row], [local[j] for _k, j in row]))
+        keys.update(k for k, _j in row)
+    d1 = [del1[i] for i in idx1]
+    d2 = [del2[j] for j in idx2]
+    keys.update(k for k in d1 + d2 if k is not None)
+    keys = sorted(k for k in keys if k >= floor)
+
+    def feasible(key: int) -> bool:
+        return _coverable([js[:bisect.bisect_right(ks, key)] for ks, js in sorted_rows],
+                          [k is not None and k <= key for k in d1],
+                          [k is not None and k <= key for k in d2])
+
+    # the largest key admits every pair and every deletion of a finite bar
+    lo, hi = 0, len(keys) - 1
+    if floor:
+        # a later group often fits within the optimum of the earlier ones
+        if feasible(floor):
+            return floor
+        lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(keys[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return keys[lo]
 
 
 def bottleneck_distance(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
     """Exact bottleneck distance; ``INF`` when no tolerance works (mismatched
-    infinite-bar counts)."""
+    infinite-bar counts).
+
+    Degree-sensitive, each degree is its own subproblem and the distance is
+    the largest of theirs.  Each bar pair is priced once as an int key, and
+    the threshold search over a subproblem's keys compares only ints.
+    """
     bars1, bars2 = b1.expand(), b2.expand()
-    candidates = _candidate_deltas(bars1, bars2, degree_sensitive)
-    lo, hi = 0, len(candidates) - 1
-    if not candidates:
-        return Fraction(0)
-    if not _delta_feasible(bars1, bars2, candidates[hi], degree_sensitive):
+    groups = _degree_groups(bars1, bars2, degree_sensitive)
+    if _infinite_mismatch(bars1, bars2, groups):
         return INF
-    best = candidates[hi]
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if _delta_feasible(bars1, bars2, candidates[mid], degree_sensitive):
-            best = candidates[mid]
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return best
+    pairs = _matchable_pairs(bars1, bars2, groups)
+    del1, del2, cost, value = _price(bars1, bars2, pairs)
+    rows = [[] for _ in bars1]
+    for (i, j), key in zip(pairs, cost):
+        rows[i].append((key, j))
+    best = 0
+    for idx1, idx2 in groups:
+        best = _smallest_feasible_key(idx1, idx2, rows, del1, del2, best)
+    return value(best)
 
 
 def interleaving_distance(b1: Barcode, b2: Barcode):
@@ -412,6 +522,11 @@ def interleaving_distance(b1: Barcode, b2: Barcode):
     degree-sensitive bottleneck distance of their barcodes; exposed as an
     alias with its own name."""
     return bottleneck_distance(b1, b2, degree_sensitive=True)
+
+
+# ---------------------------------------------------------------------------
+# shift-quotient distance
+# ---------------------------------------------------------------------------
 
 
 def _all_endpoints(bars: Sequence[Bar]) -> List:
@@ -423,68 +538,163 @@ def _all_endpoints(bars: Sequence[Bar]) -> List:
     return out
 
 
+class _ShiftCandidates:
+    """The candidate shifts: every endpoint difference ``y - x``, every
+    midpoint of two distinct differences, and 0.
+
+    Of several equal candidates the first counts, in that order (differences
+    in ``e2``-major order, midpoints in pair order).  Queries bisect the
+    sorted differences, so the O(E^4) midpoints are listed only by
+    :meth:`ascending`.
+    """
+
+    def __init__(self, e1: Sequence, e2: Sequence) -> None:
+        self.diffs = list(dict.fromkeys(y - x for y in e2 for x in e1))
+        self.index = {d: i for i, d in enumerate(self.diffs)}
+        self.sorted_diffs = sorted(self.diffs, key=_OrderToken)
+        self.zero = e1[0] - e1[0]
+
+    def ascending(self) -> List:
+        """All candidates, in increasing order."""
+        out = dict.fromkeys(self.diffs)
+        for a, b in itertools.combinations(self.diffs, 2):
+            out.setdefault(_halve(a + b))
+        out.setdefault(self.zero)
+        return sorted(out, key=_OrderToken)
+
+    def least(self):
+        return self.first_from(min(self.sorted_diffs[0], self.zero, key=_OrderToken))
+
+    def first_from(self, t):
+        """The smallest candidate ``>= t``."""
+        ds = self.sorted_diffs
+        found = [self.zero] if not self.zero < t else []
+        k = bisect.bisect_left(ds, _OrderToken(t), key=_OrderToken)
+        if k < len(ds):
+            found.append(ds[k])
+        for i, x in enumerate(ds):
+            # the least y > x with (x + y)/2 >= t
+            j = max(i + 1, bisect.bisect_left(ds, _OrderToken(2 * t - x), key=_OrderToken))
+            if j < len(ds):
+                found.append(_halve(x + ds[j]))
+        return self._first_equal(min(found, key=_OrderToken))
+
+    def _first_equal(self, v):
+        """The first candidate equal to ``v``: a difference, else the midpoint
+        of the earliest pair, else 0."""
+        if v in self.index:
+            return self.diffs[self.index[v]]
+        for x in self.diffs:
+            j = self.index.get(2 * v - x)
+            if j is not None:
+                return _halve(x + self.diffs[j])
+        return self.zero
+
+
+def _optimal_shift(b1: Barcode, b2: Barcode, degree_sensitive: bool,
+                   bars1: List[Bar], bars2: List[Bar], pairs, shifts):
+    """``(distance, shift)`` for barcodes whose infinite bars can be matched;
+    ``bars1``/``bars2`` are their expansions and ``pairs`` the matchable
+    pairs.
+
+    A pair is within ``delta`` at shift ``c`` iff ``top - delta <= c <=
+    bottom + delta``, where ``top``/``bottom`` are the larger/smaller of its
+    left and right endpoint differences.  So the shifts feasible at
+    ``delta`` form a union of closed intervals, each starting at some ``top -
+    delta`` unless every bar is deletable, and at ``c = top_k - delta`` the
+    pair ``q`` is within ``delta`` iff ``top_q <= top_k`` and ``top_k -
+    bottom_q <= 2*delta``.  The search runs over the ranks of ``2*delta`` in
+    {0, bar lengths, ``top_k - bottom_q``}, one matching per ``top_k``.
+    """
+    tops, bottoms = [], []
+    for i, j in pairs:
+        a, b = bars1[i], bars2[j]
+        dl = b.left - a.left
+        dr = dl if a.is_infinite else b.right - a.right
+        tops.append(max(dl, dr, key=_OrderToken))
+        bottoms.append(min(dl, dr, key=_OrderToken))
+    top_values, top_rank = _rank(tops)
+    spreads = [[t - bottom for bottom in bottoms] for t in top_values]
+    zero = Fraction(0)
+    lengths = [b.length for b in bars1 + bars2 if not b.is_infinite]
+    order, rank = _rank([zero] + lengths + [s for row in spreads for s in row
+                                            if not s < zero])
+    gaps = [[-1 if s < zero else rank[s] for s in row] for row in spreads]
+    pair_top = [top_rank[t] for t in tops]
+    len1 = [None if b.is_infinite else rank[b.length] for b in bars1]
+    len2 = [None if b.is_infinite else rank[b.length] for b in bars2]
+
+    def leftmost(r):
+        """Least ``k`` whose shift ``top_k - delta`` is feasible at rank ``r``
+        of ``2*delta``; -1 when every bar is deletable, as then every shift
+        is, and None when no shift is feasible."""
+        d1 = [k is not None and k <= r for k in len1]
+        d2 = [k is not None and k <= r for k in len2]
+        if all(d1) and all(d2):
+            return -1
+        for k, gap in enumerate(gaps):
+            live = [p for p, (t, g) in enumerate(zip(pair_top, gap)) if t <= k and g <= r]
+            if not any(pair_top[p] == k for p in live):
+                continue
+            rows = [[] for _ in bars1]
+            for p in live:
+                rows[pairs[p][0]].append(pairs[p][1])
+            if _coverable(rows, d1, d2):
+                return k
+        return None
+
+    # the largest rank admits every pair at the largest top
+    lo, hi = 0, len(order) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if leftmost(mid) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    delta = _halve(order[lo])
+    k = leftmost(lo)
+    # each interval of shifts feasible at delta, [max top - delta, min bottom
+    # + delta] over its pairs, holds the candidate midpoint of its two
+    # bounds, so the first candidate after the leftmost start is optimal
+    c = shifts.least() if k == -1 else shifts.first_from(top_values[k] - delta)
+    d = bottleneck_distance(b1, shift_barcode(b2, c), degree_sensitive)
+    assert d == delta, "the reported shift misses the optimum"
+    return d, c
+
+
 def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True,
                        debug: bool = False):
     """Minimise ``bottleneck(b1, shift(b2, c))`` over shifts ``c``.
 
-    Returns ``(distance, best_shift)``; the smallest optimal shift is
-    reported.  The candidate shifts are all endpoint differences
-    ``e2 - e1`` plus every pairwise midpoint, which exhausts the kinks of the
-    piecewise linear shift-to-distance function (slopes -1, 0, 1).  With
-    ``debug`` the slope bound is asserted by sampling between consecutive
-    candidates: the distance there is 1-Lipschitz-consistent and never
-    undercuts the reported minimum.
+    Returns ``(distance, best_shift)``.  The optimum ``delta*`` is found by a
+    binary search over its finitely many possible values: 0, half bar
+    lengths and half differences of endpoint differences.  Each step asks
+    whether some shift is feasible, testing the O(E^2) shifts ``d - delta``
+    with one matching each, where ``d`` is an endpoint difference of a
+    matchable pair.  The reported shift is the smallest optimal one among the
+    endpoint differences, their pairwise midpoints and 0.  With ``debug`` the
+    result is checked against :func:`brute_force_shifted_bottleneck`, with
+    its slope assertions on.
     """
-    e1, e2 = _all_endpoints(b1.expand()), _all_endpoints(b2.expand())
+    bars1, bars2 = b1.expand(), b2.expand()
+    e1, e2 = _all_endpoints(bars1), _all_endpoints(bars2)
     if not e1 or not e2:
-        zero = Fraction(0)
-        return bottleneck_distance(b1, b2, degree_sensitive), zero
-    diffs = []
-    seen = set()
-    for y in e2:
-        for x in e1:
-            d = y - x
-            if d not in seen:
-                seen.add(d)
-                diffs.append(d)
-    candidates = list(diffs)
-    for a, b in itertools.combinations(diffs, 2):
-        m = _halve(a + b)
-        if m not in seen:
-            seen.add(m)
-            candidates.append(m)
-    zero = e1[0] - e1[0]
-    if zero not in seen:
-        candidates.append(zero)
-    candidates.sort(key=_OrderToken)
-
-    def dist_at(c):
-        return bottleneck_distance(b1, shift_barcode(b2, c), degree_sensitive)
-
-    best = None
-    best_c = None
-    values = []
-    for c in candidates:
-        d = dist_at(c)
-        values.append(d)
-        if best is None or d < best:
-            best, best_c = d, c
+        return bottleneck_distance(b1, b2, degree_sensitive), Fraction(0)
+    shifts = _ShiftCandidates(e1, e2)
+    groups = _degree_groups(bars1, bars2, degree_sensitive)
+    if _infinite_mismatch(bars1, bars2, groups):
+        found = INF, shifts.least()
+    else:
+        found = _optimal_shift(b1, b2, degree_sensitive, bars1, bars2,
+                               _matchable_pairs(bars1, bars2, groups), shifts)
     if debug:
-        for (c0, d0), (c1, d1) in zip(zip(candidates, values),
-                                      zip(candidates[1:], values[1:])):
-            mid = _halve(c0 + c1)
-            dm = dist_at(mid)
-            if dm is not INF and best is not INF:
-                assert not (dm < best), "shift candidate set missed a minimum"
-            if INF not in (d0, dm):
-                assert not (_abs(dm - d0) > _abs(mid - c0)), "slope bound violated"
-            if INF not in (d1, dm):
-                assert not (_abs(d1 - dm) > _abs(c1 - mid)), "slope bound violated"
-    return best, best_c
+        assert found == brute_force_shifted_bottleneck(
+            b1, b2, degree_sensitive, check_slopes=True), "fast shift search disagrees"
+    return found
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracle
+# exhaustive oracles
 # ---------------------------------------------------------------------------
 
 
@@ -526,3 +736,47 @@ def brute_force_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = Tr
         return best
 
     return solve(0, tuple(range(len(bars2))))
+
+
+def brute_force_shifted_bottleneck(b1: Barcode, b2: Barcode,
+                                   degree_sensitive: bool = True,
+                                   check_slopes: bool = False):
+    """Shift-quotient distance by scoring every candidate shift.
+
+    Scores each endpoint difference ``e2 - e1``, each pairwise midpoint of
+    two of them, and 0, with one full bottleneck computation, and returns
+    the minimum with the smallest shift attaining it.  These exhaust the
+    kinks of the piecewise linear shift-to-distance function (slopes -1, 0,
+    1).  With ``check_slopes`` the slope bound is asserted by sampling
+    between consecutive candidates: the distance there is
+    1-Lipschitz-consistent and never undercuts the reported minimum.
+    O(E^4) bottleneck computations for E endpoints.
+    """
+    e1, e2 = _all_endpoints(b1.expand()), _all_endpoints(b2.expand())
+    if not e1 or not e2:
+        return bottleneck_distance(b1, b2, degree_sensitive), Fraction(0)
+    candidates = _ShiftCandidates(e1, e2).ascending()
+
+    def dist_at(c):
+        return bottleneck_distance(b1, shift_barcode(b2, c), degree_sensitive)
+
+    best = None
+    best_c = None
+    values = []
+    for c in candidates:
+        d = dist_at(c)
+        values.append(d)
+        if best is None or d < best:
+            best, best_c = d, c
+    if check_slopes:
+        for (c0, d0), (c1, d1) in zip(zip(candidates, values),
+                                      zip(candidates[1:], values[1:])):
+            mid = _halve(c0 + c1)
+            dm = dist_at(mid)
+            if dm is not INF and best is not INF:
+                assert not (dm < best), "shift candidate set missed a minimum"
+            if INF not in (d0, dm):
+                assert not (_abs(dm - d0) > _abs(mid - c0)), "slope bound violated"
+            if INF not in (d1, dm):
+                assert not (_abs(d1 - dm) > _abs(c1 - mid)), "slope bound violated"
+    return best, best_c

@@ -37,7 +37,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .exactpi import PiRational
 from .novikov import LagrangianParams
-from .persistence import Bar, Barcode, INF, boundary_depth, bottleneck_distance
+from .persistence import (Bar, Barcode, INF, _OrderToken, boundary_depth,
+                          bottleneck_distance)
 
 __all__ = [
     "RadialProfile",
@@ -226,7 +227,7 @@ def generators(profile: RadialProfile, params: LagrangianParams,
         for e in base:
             entries.append(SpectrumEntry(e.degree + k * maslov,
                                          e.action + area * k, e.source, k))
-    entries.sort(key=lambda e: (e.degree, _SortKey(e.action), e.source, e.k))
+    entries.sort(key=lambda e: (e.degree, _OrderToken(e.action), e.source, e.k))
     return GeneratorSpectrum(tuple(entries), params)
 
 
@@ -249,23 +250,10 @@ def _slope_less(seg_a: Tuple[PiRational, PiRational],
     return dfa * _run_ratio(drb, dra) < dfb
 
 
-class _SortKey:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return self.value < other.value
-
-    def __eq__(self, other):
-        return self.value == other.value
-
-
 def degree_actions(spectrum: GeneratorSpectrum, degree: int) -> Tuple:
     """Action multiset of the entries of one exact degree, ascending."""
     acts = [e.action for e in spectrum.entries if e.degree == degree]
-    acts.sort(key=_SortKey)
+    acts.sort(key=_OrderToken)
     return tuple(acts)
 
 
@@ -273,7 +261,7 @@ def degree_class_actions(spectrum: GeneratorSpectrum, degree: int) -> Tuple:
     """Distinct actions over the whole degree class mod the Maslov period."""
     maslov = spectrum.params.maslov
     acts = {e.action for e in spectrum.entries if (e.degree - degree) % maslov == 0}
-    return tuple(sorted(acts, key=_SortKey))
+    return tuple(sorted(acts, key=_OrderToken))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +290,7 @@ def _orbits(spectrum: GeneratorSpectrum) -> List[_Orbit]:
             raise ValueError(f"inconsistent recap copies for source {e.source}")
         seen[e.source] = orbit
     out = list(seen.values())
-    out.sort(key=lambda o: (o.degree, _SortKey(o.action), o.source))
+    out.sort(key=lambda o: (o.degree, _OrderToken(o.action), o.source))
     return out
 
 

@@ -1,9 +1,13 @@
+import functools
 import json
+import random
 from importlib import resources
 
 from click.testing import CliRunner
 
+from floerbar import complexes
 from floerbar.cli import main
+from floerbar.sampling import random_complex
 
 
 def fixture_path(name: str) -> str:
@@ -80,6 +84,41 @@ def test_combfloer_sphere_and_annulus(tmp_path):
     assert result.exit_code == 0
     assert report["outputs"]["boundary_depth"] == "0"
     assert report["outputs"]["differential"] == {}
+
+
+def test_combfloer_oracle_is_opt_in():
+    sphere = fixture_path("equator_pair_sphere.json")
+    result, report = run("combfloer", sphere)
+    assert result.exit_code == 0
+    assert "oracle-match" not in [c["name"] for c in report["checks"]]
+    result, report = run("combfloer", sphere, "--oracle")
+    assert result.exit_code == 0
+    assert {"name": "oracle-match", "passed": True} in report["checks"]
+
+
+def test_barcode_oracle_cap_is_a_failed_check(tmp_path):
+    cx, _planted = random_complex(random.Random(3), 120)  # 240 unrolled generators
+    path = tmp_path / "big_complex.json"
+    path.write_text(json.dumps(complexes.complex_to_json(cx)))
+    result, report = run("barcode", str(path), "--oracle")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert {"name": "oracle-size-cap", "passed": False} in report["checks"]
+    assert "oracle size cap exceeded" in report["outputs"]["oracle_error"]
+
+
+def test_combfloer_oracle_cap_is_a_failed_check(monkeypatch):
+    # a diagram past the real cap needs about 50 crossings, too slow for a
+    # unit test, so the cap is lowered below the 8 unrolled generators here
+    capped = functools.partial(complexes.brute_force_barcode, max_unrolled=4)
+    monkeypatch.setattr(complexes, "brute_force_barcode", capped)
+    result, report = run("combfloer", fixture_path("equator_pair_sphere.json"), "--oracle")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert {"name": "oracle-size-cap", "passed": False} in report["checks"]
+    assert report["outputs"]["oracle_error"] == \
+        "oracle size cap exceeded: 8 unrolled generators"
+    assert report["outputs"]["boundary_depth"] == "1/5"
 
 
 def test_combfloer_rejects_inadmissible(tmp_path):

@@ -179,3 +179,196 @@ def test_shift_rigid_instances():
     # a pure translate is maximally non-rigid
     d_shift, c = shifted_bottleneck(bc(bar(0, 2)), bc(bar(10, 12)))
     assert (d_shift, c) == (0, 10)
+
+
+# ---------------------------------------------------------------------------
+# the priced threshold search against the candidate-list routine it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_bottleneck(b1, b2, degree_sensitive=True):
+    """Test-only oracle: the former bottleneck routine, which re-prices every
+    pair with exact arithmetic at each step of a binary search over the
+    sorted list of all candidate tolerances."""
+    from floerbar.matching import max_bipartite_matching
+    from floerbar.persistence import (_OrderToken, _abs, _bar_matching_cost,
+                                      _deletion_cost)
+
+    bars1, bars2 = b1.expand(), b2.expand()
+
+    def feasible(delta):
+        # left: bars1, then a diagonal slot per bar of bars2; right: bars2,
+        # then a diagonal slot per bar of bars1
+        n1, n2 = len(bars1), len(bars2)
+        pool = list(range(n2, n2 + n1))
+        adjacency = []
+        for a in bars1:
+            nbrs = [j for j, b in enumerate(bars2)
+                    if not (degree_sensitive and a.degree != b.degree)
+                    and not (_bar_matching_cost(a, b) > delta)]
+            adjacency.append(nbrs + pool if not (_deletion_cost(a) > delta) else nbrs)
+        for j, b in enumerate(bars2):
+            adjacency.append([j] + pool if not (_deletion_cost(b) > delta) else pool)
+        match = max_bipartite_matching(n1 + n2, n2 + n1, adjacency)
+        return all(v != -1 for v in match)
+
+    candidates = {F(0): None}
+    for bar in bars1 + bars2:
+        if not bar.is_infinite:
+            candidates.setdefault(_deletion_cost(bar))
+    for a in bars1:
+        for b in bars2:
+            if (degree_sensitive and a.degree != b.degree) or a.is_infinite != b.is_infinite:
+                continue
+            candidates.setdefault(_abs(a.left - b.left))
+            if not a.is_infinite:
+                candidates.setdefault(_abs(a.right - b.right))
+    candidates = sorted(candidates, key=_OrderToken)
+    if not feasible(candidates[-1]):
+        return INF
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return candidates[lo]
+
+
+def _same(x, y):
+    return type(x) is type(y) and x == y
+
+
+def test_priced_search_matches_reference_on_planted_pairs():
+    from floerbar.complexes import barcode
+    from floerbar.sampling import perturb_actions, random_complex
+    rng = random.Random(41)
+    for n in (20, 40, 80, 160):
+        cx, _planted = random_complex(rng, n)
+        pert, _used = perturb_actions(rng, cx, F(1, 10))
+        a, b = barcode(cx), barcode(pert)
+        for sensitive in (True, False):
+            assert _same(bottleneck_distance(a, b, sensitive),
+                         _reference_bottleneck(a, b, sensitive)), (n, sensitive)
+
+
+def test_priced_search_matches_reference_on_pi_fold_barcodes():
+    from floerbar.exactpi import PiRational
+    from floerbar.novikov import LagrangianParams
+    from floerbar.radial import feasible_barcodes, fold_profile, generators
+    barcodes = []
+    for area in (PiRational.pi(F(1, 7)), PiRational(F(1, 4), F(1, 13))):
+        lp = LagrangianParams(dim=1, maslov=2, disk_area=area)
+        for a in (F(3, 10), F(1, 2), F(7, 10), F(9, 10)):
+            barcodes.extend(feasible_barcodes(generators(fold_profile(a), lp),
+                                              {0: 1, 1: 1}))
+    barcodes.sort(key=repr)
+    assert any(not (bar.is_infinite or bar.right.is_rational)
+               for x in barcodes for bar in x)
+    for x in barcodes:
+        for y in barcodes:
+            for sensitive in (True, False):
+                d = bottleneck_distance(x, y, sensitive)
+                assert _same(d, _reference_bottleneck(x, y, sensitive))
+                assert d == brute_force_bottleneck(x, y, sensitive)
+
+
+def test_priced_search_matches_reference_on_random_pairs():
+    from floerbar.exactpi import PiRational
+    rng = random.Random(43)
+    for trial in range(300):
+        a = random_barcode(rng, max_bars=5)
+        b = random_barcode(rng, max_bars=5)
+        if trial % 3 == 0:
+            # rational-plus-pi endpoints, equal values of two types included
+            def to_pi(x):
+                return Barcode(Bar(PiRational(bar.left, F(trial % 2, 7)),
+                                   bar.right if bar.is_infinite
+                                   else PiRational(bar.right, F(trial % 2, 7)),
+                                   bar.degree, bar.multiplicity) for bar in x.bars)
+            a = to_pi(a)
+        for sensitive in (True, False):
+            assert _same(bottleneck_distance(a, b, sensitive),
+                         _reference_bottleneck(a, b, sensitive)), (a, b, sensitive)
+
+
+def test_bottleneck_edge_cases():
+    # a degree present on one side only is deleted on its own
+    a = bc(bar(0, 1, 0), bar(0, 3, 1))
+    b = bc(bar(0, 1, 0))
+    assert bottleneck_distance(a, b) == F(3, 2)
+    assert bottleneck_distance(b, a) == F(3, 2)
+    assert bottleneck_distance(a, b, degree_sensitive=False) == F(3, 2) == \
+        brute_force_bottleneck(a, b, degree_sensitive=False)
+    # infinite-bar counts agree overall but not in degree 1
+    a = bc(bar(0, "inf", 0), bar(0, "inf", 1), bar(0, 1, 2))
+    b = bc(bar(0, "inf", 0), bar(5, "inf", 0), bar(0, 1, 2))
+    assert bottleneck_distance(a, b) is INF
+    assert bottleneck_distance(a, b, degree_sensitive=False) == 5
+    assert shifted_bottleneck(a, b)[0] is INF
+    # empty barcodes
+    assert _same(bottleneck_distance(bc(), bc()), F(0))
+    assert _same(bottleneck_distance(bc(), bc(), degree_sensitive=False), F(0))
+    assert shifted_bottleneck(bc(), bc()) == (0, 0)
+    assert shifted_bottleneck(bc(bar(0, 2)), bc()) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the delta search over shifts against the candidate scan it replaced
+# ---------------------------------------------------------------------------
+
+
+def _endpoint_count(x):
+    return sum(1 if b.is_infinite else 2 for b in x.expand())
+
+
+def _small_shift_pair(rng, kind):
+    """A pair of barcodes with at most 7 endpoints each."""
+    while True:
+        if kind == "random":
+            a, b = random_barcode(rng, max_bars=3), random_barcode(rng, max_bars=3)
+        elif kind == "short":
+            # short bars far apart: deleting everything is often optimal
+            def short():
+                lefts = [F(rng.randint(-20, 20)) for _ in range(rng.randint(1, 3))]
+                return bc(*(bar(x, x + F(1, rng.randint(2, 9)), rng.randint(0, 1))
+                            for x in lefts))
+            a, b = short(), short()
+        else:
+            # repeated patterns: several shifts attain the optimum
+            base = [bar(0, 1), bar(4, 5), bar(8, 9)][:rng.randint(2, 3)]
+            a = bc(*base)
+            b = bc(bar(rng.randint(-3, 3), rng.randint(4, 6)))
+        if _endpoint_count(a) <= 7 and _endpoint_count(b) <= 7:
+            return a, b
+
+
+def test_shift_search_matches_candidate_scan():
+    from floerbar.persistence import brute_force_shifted_bottleneck
+    rng = random.Random(47)
+    whole_line = 0
+    for trial in range(240):
+        kind = ("random", "short", "tied")[trial % 3]
+        a, b = _small_shift_pair(rng, kind)
+        sensitive = trial % 2 == 0
+        fast = shifted_bottleneck(a, b, sensitive)
+        slow = brute_force_shifted_bottleneck(a, b, sensitive)
+        assert _same(fast[0], slow[0]) and _same(fast[1], slow[1]), (a, b, sensitive)
+        if fast[0] is not INF and all(not x.is_infinite and not (x.length > 2 * fast[0])
+                                      for x in a.expand() + b.expand()):
+            whole_line += 1
+    assert whole_line >= 10
+
+
+def test_shift_search_ties_report_the_smallest_shift():
+    from floerbar.persistence import brute_force_shifted_bottleneck
+    # the short bar must go, so every shift in [5/2, 7/2] is optimal; the
+    # least candidate shift there is the endpoint difference 3
+    a = bc(bar(0, 4), bar(10, 11))
+    b = bc(bar(3, 7))
+    assert shifted_bottleneck(a, b) == brute_force_shifted_bottleneck(a, b) == (F(1, 2), 3)
+    # everything is deletable at the optimum: the least candidate is reported
+    a = bc(bar(0, 1), bar(10, 11))
+    b = bc(bar(3, 4))
+    assert shifted_bottleneck(a, b) == brute_force_shifted_bottleneck(a, b) == (F(1, 2), -8)
