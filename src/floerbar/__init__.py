@@ -18,7 +18,9 @@ Submodules
     rank-function oracle.
 ``diagrams``
     Combinatorial two-curve diagrams on the sphere or annulus; lune
-    enumeration and the induced filtered complex.
+    enumeration (one winding solve per diagram, candidates priced by prefix
+    sums, with the per-candidate solve kept as an oracle) and the induced
+    filtered complex.
 ``radial``
     Generator spectra of piecewise linear radial Hamiltonian profiles;
     feasible-barcode enumeration, certified boundary-depth bounds, and
@@ -40,10 +42,10 @@ from .persistence import (Bar, Barcode, INF, NEG_INF, bar_length_spectrum,
 from .complexes import (FilteredComplex, Generator, barcode,
                         brute_force_barcode, complex_from_json,
                         complex_to_json, gamma, spectral_invariant, uz_reduce)
-from .diagrams import (TwoCurveDiagram, build_complex, diagram_beta,
-                       diagram_gamma, enumerate_lunes, equator_pair_annulus,
-                       equator_pair_diagram, two_circle_diagram,
-                       validate_diagram)
+from .diagrams import (TwoCurveDiagram, brute_force_lunes, build_complex,
+                       diagram_beta, diagram_gamma, enumerate_lunes,
+                       equator_pair_annulus, equator_pair_diagram,
+                       two_circle_diagram, validate_diagram)
 from .radial import (GeneratorSpectrum, RadialProfile, degree_actions,
                      degree_class_actions, feasible_barcodes, fold_profile,
                      forced_bar_bound, generators, homotopy_filter)

@@ -202,8 +202,10 @@ def cmd_bottleneck(barcode1, barcode2, mod_shift, degree_blind):
 
 @main.command("combfloer")
 @click.argument("diagram_file", type=click.Path(exists=True))
-@click.option("--max-wind", type=int, default=2, show_default=True)
-@click.option("--oracle", is_flag=True, help="cross-check against the rank-function oracle")
+@click.option("--max-wind", type=click.IntRange(min=0), default=2, show_default=True,
+              help="largest number of extra full windings of a lune's boundary")
+@click.option("--oracle", is_flag=True,
+              help="cross-check against the rank-function and lune oracles")
 @click.option("--emit-complex", "emit_complex", type=click.Path(), default=None)
 @click.option("--svg", "svg_path", type=click.Path(), default=None)
 def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
@@ -232,14 +234,17 @@ def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
     depth = persistence.boundary_depth(bc)
     report.outputs["barcode"] = bc.to_json()
     report.outputs["boundary_depth"] = _value_json(depth)
+    report.outputs["gamma"] = None
     if dg.surface == "sphere":
-        g = diagrams.diagram_gamma(dg, max_wind)
-        report.outputs["gamma"] = _value_json(g)
-        report.check("beta-le-gamma", depth <= g)
-    else:
-        report.outputs["gamma"] = None
+        try:
+            g = diagrams.diagram_gamma(dg, max_wind)
+            report.outputs["gamma"] = _value_json(g)
+            report.check("beta-le-gamma", depth <= g)
+        except complexes.GammaUndefinedError as exc:
+            report.outputs["gamma_note"] = str(exc)
     if oracle:
         _oracle_check(report, cx, bc)
+        report.check("lune-oracle-match", diagrams.brute_force_lunes(dg, max_wind) == lunes)
     if emit_complex:
         with open(emit_complex, "w", encoding="utf-8") as fh:
             json.dump(complexes.complex_to_json(cx), fh, indent=2)
@@ -446,6 +451,17 @@ def cmd_check(seed, trials):
             ok = False
             break
     report.check("shift-oracle-agreement", ok)
+
+    ok = True
+    samples = [diagrams.equator_pair_annulus(diagrams.annulus_example_areas(Fraction(1, 10)))]
+    samples += [sampling.random_sphere_diagram(rng, rng.choice([2, 4, 6, 8]))
+                for _ in range(max(trials // 10, 3))]
+    for dg in samples:
+        max_wind = rng.randint(0, 3)
+        if diagrams.enumerate_lunes(dg, max_wind) != diagrams.brute_force_lunes(dg, max_wind):
+            ok = False
+            break
+    report.check("lune-oracle-agreement", ok)
 
     lp = LagrangianParams(dim=1, maslov=2, disk_area=Fraction(1, 2))
     ok = True

@@ -7,16 +7,26 @@ arc), and an exact positive area per face.  On the sphere each curve must
 bisect the total area; on the annulus two designated faces carry the
 boundary circles.
 
-Lunes -- index-one bigons between the curves -- are enumerated by brute
-force over boundary data: a path along K from x to y, a path along L back,
-each with bounded winding.  Such a boundary determines a face-wise winding
-function w up to a global constant (pinned on the annulus by requiring w = 0
-on the boundary faces); the candidate is a lune iff some constant offset
-makes w nonnegative with index one, the index being twice the sum of the
-mean corner windings at the two endpoints.  An embedded bigon has w = 1
-inside and three zero corners at each end, hence index 2*(1/4 + 1/4) = 1;
-that sanity case anchors the criterion, and the bundled equator examples
-plus the d*d = 0 requirement gate it.
+Lunes -- index-one bigons between the curves -- are enumerated over boundary
+data: a path along K from x to y, a path along L back, each with bounded
+winding.  Such a boundary determines a face-wise winding function w up to a
+global constant (pinned on the annulus by requiring w = 0 on the boundary
+faces); the candidate is a lune iff some constant offset makes w nonnegative
+with index one, the index being twice the sum of the mean corner windings at
+the two endpoints.  An embedded bigon has w = 1 inside and three zero corners
+at each end, hence index 2*(1/4 + 1/4) = 1; that sanity case anchors the
+criterion, and the bundled equator examples plus the d*d = 0 requirement
+gate it.
+
+The jump conditions are linear in the arc traversal counts, so the winding
+solve is done once per diagram (``_WindingField``): along a spanning tree of
+the face adjacency graph every face's winding is a signed sum of tree-arc
+counts, tabulated per curve as prefix sums over the arc order.  A monotone
+path then contributes a cyclic range sum plus windings times the full-cycle
+total, the index of a candidate is read off the eight corner faces in O(1),
+and only candidates that pass it pay for an O(faces) vector.  The
+per-candidate breadth-first solve it replaces is kept as the oracle
+``brute_force_lunes``.
 
 The filtered complex of a diagram has the crossing points as generators,
 degrees from a two-colouring of the lune graph, actions propagated along a
@@ -27,6 +37,8 @@ lunes mod 2 grouped by recapping exponent.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -47,13 +59,13 @@ __all__ = [
     "diagram_gamma",
     "sphere_spec",
     "sphere_diagram_from_meander",
-    "meander_faces",
     "equator_pair_diagram",
     "equator_pair_annulus",
     "symmetric_equator_areas",
     "annulus_example_areas",
     "two_circle_diagram",
     "relabel_diagram",
+    "brute_force_lunes",
 ]
 
 # Quantum variable of the sphere theory: degree 2, action one half of the
@@ -114,15 +126,62 @@ class TwoCurveDiagram:
 
     @classmethod
     def from_json(cls, data: dict) -> "TwoCurveDiagram":
+        """Parse the JSON schema; a field of the wrong shape or type raises
+        ValueError (KeyError for a missing field) before any geometry runs."""
+        if not isinstance(data, dict):
+            raise ValueError("a diagram is a JSON object")
+        surface = data["surface"]
+        if not isinstance(surface, str):
+            raise ValueError("surface must be a string")
+        faces = _json_mapping(data["faces"], "faces")
+        areas = _json_mapping(data["areas"], "areas")
+        boundary_faces = _json_list(data.get("boundary_faces", []), "boundary_faces")
+        if not all(isinstance(name, str) for name in boundary_faces):
+            raise ValueError("boundary_faces must list face names")
+        for name, area in areas.items():
+            if isinstance(area, bool) or not isinstance(area, (str, int)):
+                raise ValueError(f"area of face {name} must be a rational string or an int")
         return cls(
-            surface=data["surface"],
-            order_k=tuple(data["order_k"]),
-            order_l=tuple(data["order_l"]),
-            faces={name: tuple(tuple(step) for step in walk)
-                   for name, walk in data["faces"].items()},
-            areas={name: parse_rational(a) for name, a in data["areas"].items()},
-            boundary_faces=tuple(data.get("boundary_faces", ())),
+            surface=surface,
+            order_k=_json_points(data["order_k"], "order_k"),
+            order_l=_json_points(data["order_l"], "order_l"),
+            faces={name: tuple(_json_step(step, name)
+                               for step in _json_list(walk, f"face {name}"))
+                   for name, walk in faces.items()},
+            areas={name: parse_rational(a) for name, a in areas.items()},
+            boundary_faces=tuple(boundary_faces),
         )
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _json_list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return v
+
+
+def _json_mapping(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return v
+
+
+def _json_points(v, what: str) -> Tuple[int, ...]:
+    if not all(_is_int(p) for p in _json_list(v, what)):
+        raise ValueError(f"{what} must list integer points")
+    return tuple(v)
+
+
+def _json_step(step, face: str) -> Step:
+    if not (isinstance(step, list) and len(step) == 4 and step[0] in ("K", "L")
+            and _is_int(step[1]) and _is_int(step[2]) and step[3] in (1, -1)
+            and _is_int(step[3])):
+        raise ValueError(f"face {face}: a step is [\"K\" or \"L\", int, int, 1 or -1],"
+                         f" got {step!r}")
+    return tuple(step)
 
 
 @dataclass(frozen=True)
@@ -221,6 +280,11 @@ class _Geometry:
 
 def validate_diagram(d: TwoCurveDiagram) -> None:
     """Check all structural invariants; raise DiagramError on the first failure."""
+    _validated_geometry(d)
+
+
+def _validated_geometry(d: TwoCurveDiagram) -> _Geometry:
+    """``validate_diagram``, returning the geometry it built."""
     m = len(d.order_k)
     if m < 2 or m % 2 != 0:
         raise DiagramError("transverse closed curves cross an even number >= 2 of times")
@@ -259,6 +323,7 @@ def validate_diagram(d: TwoCurveDiagram) -> None:
                 raise DiagramError(f"unknown boundary face {bf!r}")
         if m - 2 * m + len(d.faces) - 2 != 0:
             raise DiagramError("Euler count fails for the annulus")
+    return geo
 
 
 def _check_bisection(d: TwoCurveDiagram, geo: _Geometry) -> None:
@@ -280,130 +345,189 @@ def _check_bisection(d: TwoCurveDiagram, geo: _Geometry) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _path_traversals(geo: _Geometry, curve: str, start: int, end: int,
-                     direction: int, windings: int) -> Dict[int, int]:
-    """Net arc traversal counts of the monotone path start -> end."""
-    m = geo.m
-    pos = geo.pos[curve]
-    counts: Dict[int, int] = {}
-    i, j = pos[start], pos[end]
-    if direction == 1:
-        steps = (j - i) % m
-        arcs = [(i + t) % m for t in range(steps)]
-    else:
-        steps = (i - j) % m
-        arcs = [(i - 1 - t) % m for t in range(steps)]
-    for a in arcs:
-        counts[a] = counts.get(a, 0) + direction
-    for a in range(m):
-        counts[a] = counts.get(a, 0) + direction * windings
-    return {a: c for a, c in counts.items() if c}
+class _WindingField:
+    """The winding solve of a diagram, done once for all candidate boundaries.
+
+    The jump conditions ``w(left) - w(right) = n(arc)`` are linear in the arc
+    traversal counts n.  Along a spanning tree of the face adjacency graph,
+    rooted at the first face (w = 0 there), each face's winding is the signed
+    sum of the counts of the tree arcs on its root path.  ``prefix[curve][k]``
+    holds those signs per face summed over arcs 0..k-1 of the curve, so a
+    forward arc range contributes a difference of two rows, and a full turn
+    of the curve contributes row m (``total[curve]``).  ``corner_prefix[curve]
+    [p]`` sums the same rows over the four corner faces of point p, which
+    prices a candidate's index in O(1).
+    """
+
+    def __init__(self, geo: _Geometry):
+        m = geo.m
+        self.m = m
+        self.pos = geo.pos
+        self.faces = list(geo.d.faces)
+        index = {name: i for i, name in enumerate(self.faces)}
+        n = len(self.faces)
+        # (left face, right face) of every arc
+        self.sides = {curve: [(index[geo.left[(curve, a)]], index[geo.right[(curve, a)]])
+                              for a in range(m)] for curve in ("K", "L")}
+        adjacency: List[List[Tuple[int, Tuple[str, int], int]]] = [[] for _ in range(n)]
+        for curve, sides in self.sides.items():
+            for a, (lf, rf) in enumerate(sides):
+                adjacency[rf].append((lf, (curve, a), 1))
+                adjacency[lf].append((rf, (curve, a), -1))
+        # face -> {arc: sign} over the tree arcs on its root path
+        paths: List[Optional[Dict[Tuple[str, int], int]]] = [None] * n
+        paths[0] = {}
+        frontier = [0]
+        while frontier:
+            cur = frontier.pop()
+            for nbr, arc, sign in adjacency[cur]:
+                if paths[nbr] is None:
+                    paths[nbr] = dict(paths[cur])
+                    paths[nbr][arc] = sign
+                    frontier.append(nbr)
+        if any(path is None for path in paths):
+            raise DiagramError("face adjacency graph is disconnected")
+        columns: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
+        for f, path in enumerate(paths):
+            for arc, sign in path.items():
+                columns.setdefault(arc, []).append((f, sign))
+        # lists, not tuples: CPython keeps up to 2000 freed tuples of each
+        # length below 20 for reuse, and face-length tuples made on every call
+        # would hold that memory for the life of the process
+        self.prefix: Dict[str, List[List[int]]] = {}
+        self.corner_prefix: Dict[str, Dict[int, List[int]]] = {}
+        for curve in ("K", "L"):
+            row = [0] * n
+            rows = [list(row)]
+            for a in range(m):
+                for f, sign in columns.get((curve, a), ()):
+                    row[f] += sign
+                rows.append(list(row))
+            self.prefix[curve] = rows
+            self.corner_prefix[curve] = {
+                p: [sum(r[index[f]] for f in names) for r in rows]
+                for p, names in geo.corners.items()}
+        self.total = {curve: rows[m] for curve, rows in self.prefix.items()}
+
+    def segment(self, curve: str, start: int, end: int) -> Tuple[int, int]:
+        """Forward arc range (lo, hi) from start to end: the arcs lo, lo+1,
+        ..., hi-1 taken cyclically (start != end)."""
+        return self.pos[curve][start], self.pos[curve][end]
+
+    def range_sum(self, prefix: Sequence[int], seg: Tuple[int, int]) -> int:
+        lo, hi = seg
+        return prefix[hi] - prefix[lo] + (prefix[self.m] if lo > hi else 0)
+
+    def range_vector(self, curve: str, seg: Tuple[int, int]) -> List[int]:
+        rows = self.prefix[curve]
+        lo, hi = seg
+        if lo < hi:
+            return [b - a for a, b in zip(rows[lo], rows[hi])]
+        return [t - a + b for a, b, t in zip(rows[lo], rows[hi], rows[self.m])]
+
+    def consistent(self, w: Sequence[int], seg_k, turns_k: int, seg_l, turns_l: int) -> bool:
+        """The jump conditions on every arc, tree arcs included: arc counts
+        are one on the forward range plus the full turns."""
+        for curve, (lo, hi), turns in (("K", seg_k, turns_k), ("L", seg_l, turns_l)):
+            for a, (lf, rf) in enumerate(self.sides[curve]):
+                inside = lo <= a < hi if lo < hi else (a >= lo or a < hi)
+                if w[lf] - w[rf] != turns + inside:
+                    return False
+        return True
 
 
-def _solve_winding(geo: _Geometry, traversals: Dict[Tuple[str, int], int]
-                   ) -> Optional[Dict[str, int]]:
-    """Solve w(left) - w(right) = net traversal on every arc; None if inconsistent."""
-    faces = list(geo.d.faces)
-    w: Dict[str, int] = {faces[0]: 0}
-    frontier = [faces[0]]
-    adjacency: Dict[str, List[Tuple[str, int]]] = {name: [] for name in faces}
-    for curve in ("K", "L"):
-        for i in range(geo.m):
-            n = traversals.get((curve, i), 0)
-            lf, rf = geo.left[(curve, i)], geo.right[(curve, i)]
-            adjacency[rf].append((lf, n))
-            adjacency[lf].append((rf, -n))
-    while frontier:
-        cur = frontier.pop()
-        for nbr, jump in adjacency[cur]:
-            val = w[cur] + jump
-            if nbr in w:
-                if w[nbr] != val:
-                    return None
-            else:
-                w[nbr] = val
-                frontier.append(nbr)
-    if len(w) != len(faces):
-        raise DiagramError("face adjacency graph is disconnected")
-    return w
-
-
-def _lune_index_numerator(geo: _Geometry, w: Dict[str, int], x: int, y: int) -> int:
-    """4 * (m_x + m_y): twice the sum of all eight corner windings."""
-    return (2 * sum(w[f] for f in geo.corners[x])
-            + 2 * sum(w[f] for f in geo.corners[y])) // 2
+def _lune_paths(max_wind: int) -> List[Tuple[Tuple[int, int], Tuple[int, int], int, int]]:
+    """Boundary path parameters ((dk, jk), (dl, jl)) with jk + jl <= max_wind,
+    each with the full turns it adds to the forward range of its curve: the
+    reversed path covers the complement of the forward range, negated, so
+    direction -1 with j windings is the forward range with -1 - j turns."""
+    return [((dk, jk), (dl, jl), jk if dk == 1 else -1 - jk, jl if dl == 1 else -1 - jl)
+            for dk, dl in itertools.product((1, -1), repeat=2)
+            for jk in range(max_wind + 1) for jl in range(max_wind + 1 - jk)]
 
 
 def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     """All index-one nonnegative-winding bigons with bounded full windings.
 
-    For each ordered point pair and each pair of monotone boundary paths
-    (along K from x to y, along L from y to x), the face winding function is
-    solved from the jump conditions and accepted if a constant offset makes
-    it nonnegative with index one (offset forced to zero on the annulus by
-    the boundary faces).
+    Candidates are the ordered point pairs (x, y) with a monotone path along
+    K from x to y and one along L back, each direction and winding count
+    (``jk + jl <= max_wind``).  Every candidate of a pair has the winding
+    function ``base + tk * total_K + tl * total_L + offset``, with ``base``
+    the forward ranges x -> y on K and y -> x on L read from the per-diagram
+    ``_WindingField`` and (tk, tl) the full turns of its paths.  The index is
+    tested first on the eight corner faces alone: on the sphere it fixes the
+    offset (the corner sum plus eight times the offset must be 2), on the
+    annulus the offset is forced by the boundary faces (equal windings
+    there, pinned to zero).  Only survivors are checked face by face for
+    nonnegativity and against every jump condition.
     """
-    validate_diagram(d)
-    geo = _Geometry(d)
+    geo = _validated_geometry(d)
+    field = _WindingField(geo)
+    m, faces = field.m, field.faces
+    by_name = sorted(range(len(faces)), key=faces.__getitem__)
+    denominator = math.lcm(*(a.denominator for a in d.areas.values()))
+    scaled_areas = [int(d.areas[name] * denominator) for name in faces]
+    total_k, total_l = field.total["K"], field.total["L"]
+    boundaries = _lune_paths(max_wind)
+    turn_vectors: Dict[Tuple[int, int], List[int]] = {}
+    for _k, _l, tk, tl in boundaries:
+        turn_vectors[(tk, tl)] = [tk * a + tl * b for a, b in zip(total_k, total_l)]
+    annulus = d.surface == "annulus"
+    if annulus:
+        bfaces = [faces.index(name) for name in d.boundary_faces]
+        bcols = [([row[b] for row in field.prefix["K"]], [row[b] for row in field.prefix["L"]])
+                 for b in bfaces]
+    corners_k, corners_l = field.corner_prefix["K"], field.corner_prefix["L"]
     lunes: List[Lune] = []
     seen = set()
-    points = d.points
-    for x, y in itertools.permutations(points, 2):
-        for dk, dl in itertools.product((1, -1), repeat=2):
-            for jk in range(max_wind + 1):
-                for jl in range(max_wind + 1 - jk):
-                    traversals: Dict[Tuple[str, int], int] = {}
-                    for a, c in _path_traversals(geo, "K", x, y, dk, jk).items():
-                        traversals[("K", a)] = c
-                    for a, c in _path_traversals(geo, "L", y, x, dl, jl).items():
-                        traversals[("L", a)] = traversals.get(("L", a), 0) + c
-                    w = _solve_winding(geo, traversals)
-                    if w is None:
-                        continue
-                    w = _normalize_offset(d, geo, w, x, y)
-                    if w is None:
-                        continue
-                    key = (x, y, tuple(sorted(w.items())))
-                    # the winding function determines the boundary traversal,
-                    # so distinct parameters never collide
-                    if key in seen:
-                        raise AssertionError(f"duplicate lune candidate {key}")
-                    seen.add(key)
-                    area = sum((d.areas[f] * c for f, c in w.items()), Fraction(0))
-                    if area <= 0:
-                        raise DiagramError("nonzero nonnegative winding with zero area")
-                    lunes.append(Lune(
-                        source=x, target=y,
-                        k_path=(dk, jk), l_path=(dl, jl),
-                        w=tuple(sorted((f, c) for f, c in w.items() if c)),
-                        area=area,
-                    ))
+    for x, y in itertools.permutations(d.points, 2):
+        seg_k = field.segment("K", x, y)
+        seg_l = field.segment("L", y, x)
+        corner_base = (field.range_sum(corners_k[x], seg_k) + field.range_sum(corners_k[y], seg_k)
+                       + field.range_sum(corners_l[x], seg_l) + field.range_sum(corners_l[y], seg_l))
+        turn_corner_k = corners_k[x][m] + corners_k[y][m]
+        turn_corner_l = corners_l[x][m] + corners_l[y][m]
+        if annulus:
+            bbase = [field.range_sum(ck, seg_k) + field.range_sum(cl, seg_l) for ck, cl in bcols]
+        base = None
+        for k_path, l_path, tk, tl in boundaries:
+            corners = corner_base + tk * turn_corner_k + tl * turn_corner_l
+            if annulus:
+                w0, w1 = (bb + tk * total_k[b] + tl * total_l[b] for bb, b in zip(bbase, bfaces))
+                offset = -w0
+                if w1 != w0 or corners + 8 * offset != 2:
+                    continue
+            else:
+                if (2 - corners) % 8:
+                    continue
+                offset = (2 - corners) // 8
+            if base is None:
+                base = list(map(operator.add, field.range_vector("K", seg_k),
+                                field.range_vector("L", seg_l)))
+            turns = turn_vectors[(tk, tl)]
+            # index one forces a nonzero corner, so w is never all zero
+            if min(map(operator.add, base, turns)) + offset < 0:
+                continue
+            w = [b + t + offset for b, t in zip(base, turns)]
+            if not field.consistent(w, seg_k, tk, seg_l, tl):
+                continue
+            support = tuple((faces[f], w[f]) for f in by_name if w[f])
+            key = (x, y, support)
+            # the winding function determines the boundary traversal,
+            # so distinct parameters never collide
+            if key in seen:
+                raise AssertionError(f"duplicate lune candidate {key}")
+            seen.add(key)
+            area = Fraction(sum(a * c for a, c in zip(scaled_areas, w)), denominator)
+            if area <= 0:
+                raise DiagramError("nonzero nonnegative winding with zero area")
+            lunes.append(Lune(
+                source=x, target=y, k_path=k_path, l_path=l_path,
+                w=support,
+                area=area,
+            ))
     lunes.sort(key=lambda l: (l.source, l.target, l.area, l.w))
     return tuple(lunes)
-
-
-def _normalize_offset(d: TwoCurveDiagram, geo: _Geometry, w: Dict[str, int],
-                      x: int, y: int) -> Optional[Dict[str, int]]:
-    if d.surface == "annulus":
-        bf0, bf1 = d.boundary_faces
-        if w[bf0] != w[bf1]:
-            return None
-        shift = -w[bf0]
-    else:
-        four_means = _lune_index_numerator(geo, w, x, y)
-        # index 2(m_x + m_y) = four_means / 2 + 4*shift must equal 1
-        num = 2 - four_means
-        if num % 8 != 0:
-            return None
-        shift = num // 8
-    shifted = {f: c + shift for f, c in w.items()}
-    if any(c < 0 for c in shifted.values()):
-        return None
-    if _lune_index_numerator(geo, shifted, x, y) != 2:
-        return None
-    if all(c == 0 for c in shifted.values()):
-        return None
-    return shifted
 
 
 # ---------------------------------------------------------------------------
@@ -720,13 +844,6 @@ def sphere_diagram_from_meander(north: Mapping[int, int], south: Mapping[int, in
     )
 
 
-def meander_faces(north: Mapping[int, int], south: Mapping[int, int]):
-    """Face walks and hemisphere tags of a meander; used by samplers and by
-    the bundled example constructors to place areas."""
-    m = len(dict(north))
-    return _face_walks_from_meander(m, dict(north), dict(south))
-
-
 def _matching_as_map(pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     out: Dict[int, int] = {}
     for a, b in pairs:
@@ -847,3 +964,135 @@ def relabel_diagram(d: TwoCurveDiagram, perm: Mapping[int, int]) -> TwoCurveDiag
         areas=d.areas,
         boundary_faces=d.boundary_faces,
     )
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-candidate winding solve
+# ---------------------------------------------------------------------------
+
+
+def _path_traversals(geo: _Geometry, curve: str, start: int, end: int,
+                     direction: int, windings: int) -> Dict[int, int]:
+    """Net arc traversal counts of the monotone path start -> end."""
+    m = geo.m
+    pos = geo.pos[curve]
+    counts: Dict[int, int] = {}
+    i, j = pos[start], pos[end]
+    if direction == 1:
+        steps = (j - i) % m
+        arcs = [(i + t) % m for t in range(steps)]
+    else:
+        steps = (i - j) % m
+        arcs = [(i - 1 - t) % m for t in range(steps)]
+    for a in arcs:
+        counts[a] = counts.get(a, 0) + direction
+    for a in range(m):
+        counts[a] = counts.get(a, 0) + direction * windings
+    return {a: c for a, c in counts.items() if c}
+
+
+def _solve_winding(geo: _Geometry, traversals: Dict[Tuple[str, int], int]
+                   ) -> Optional[Dict[str, int]]:
+    """Solve w(left) - w(right) = net traversal on every arc; None if inconsistent."""
+    faces = list(geo.d.faces)
+    w: Dict[str, int] = {faces[0]: 0}
+    frontier = [faces[0]]
+    adjacency: Dict[str, List[Tuple[str, int]]] = {name: [] for name in faces}
+    for curve in ("K", "L"):
+        for i in range(geo.m):
+            n = traversals.get((curve, i), 0)
+            lf, rf = geo.left[(curve, i)], geo.right[(curve, i)]
+            adjacency[rf].append((lf, n))
+            adjacency[lf].append((rf, -n))
+    while frontier:
+        cur = frontier.pop()
+        for nbr, jump in adjacency[cur]:
+            val = w[cur] + jump
+            if nbr in w:
+                if w[nbr] != val:
+                    return None
+            else:
+                w[nbr] = val
+                frontier.append(nbr)
+    if len(w) != len(faces):
+        raise DiagramError("face adjacency graph is disconnected")
+    return w
+
+
+def _lune_index_numerator(geo: _Geometry, w: Dict[str, int], x: int, y: int) -> int:
+    """4 * (m_x + m_y): twice the sum of all eight corner windings."""
+    return (2 * sum(w[f] for f in geo.corners[x])
+            + 2 * sum(w[f] for f in geo.corners[y])) // 2
+
+
+def brute_force_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
+    """Oracle for ``enumerate_lunes``: the same candidates, each with its
+    winding function solved from scratch.
+
+    For each ordered point pair and each pair of monotone boundary paths
+    (along K from x to y, along L from y to x), the arc traversal counts are
+    tabulated, the face winding function is solved from the jump conditions
+    by a search over the face adjacency graph, and the candidate is accepted
+    if a constant offset makes it nonnegative with index one (offset forced
+    to zero on the annulus by the boundary faces).
+    """
+    geo = _validated_geometry(d)
+    lunes: List[Lune] = []
+    seen = set()
+    points = d.points
+    for x, y in itertools.permutations(points, 2):
+        for dk, dl in itertools.product((1, -1), repeat=2):
+            for jk in range(max_wind + 1):
+                for jl in range(max_wind + 1 - jk):
+                    traversals: Dict[Tuple[str, int], int] = {}
+                    for a, c in _path_traversals(geo, "K", x, y, dk, jk).items():
+                        traversals[("K", a)] = c
+                    for a, c in _path_traversals(geo, "L", y, x, dl, jl).items():
+                        traversals[("L", a)] = traversals.get(("L", a), 0) + c
+                    w = _solve_winding(geo, traversals)
+                    if w is None:
+                        continue
+                    w = _normalize_offset(d, geo, w, x, y)
+                    if w is None:
+                        continue
+                    key = (x, y, tuple(sorted(w.items())))
+                    # the winding function determines the boundary traversal,
+                    # so distinct parameters never collide
+                    if key in seen:
+                        raise AssertionError(f"duplicate lune candidate {key}")
+                    seen.add(key)
+                    area = sum((d.areas[f] * c for f, c in w.items()), Fraction(0))
+                    if area <= 0:
+                        raise DiagramError("nonzero nonnegative winding with zero area")
+                    lunes.append(Lune(
+                        source=x, target=y,
+                        k_path=(dk, jk), l_path=(dl, jl),
+                        w=tuple(sorted((f, c) for f, c in w.items() if c)),
+                        area=area,
+                    ))
+    lunes.sort(key=lambda l: (l.source, l.target, l.area, l.w))
+    return tuple(lunes)
+
+
+def _normalize_offset(d: TwoCurveDiagram, geo: _Geometry, w: Dict[str, int],
+                      x: int, y: int) -> Optional[Dict[str, int]]:
+    if d.surface == "annulus":
+        bf0, bf1 = d.boundary_faces
+        if w[bf0] != w[bf1]:
+            return None
+        shift = -w[bf0]
+    else:
+        four_means = _lune_index_numerator(geo, w, x, y)
+        # index 2(m_x + m_y) = four_means / 2 + 4*shift must equal 1
+        num = 2 - four_means
+        if num % 8 != 0:
+            return None
+        shift = num // 8
+    shifted = {f: c + shift for f, c in w.items()}
+    if any(c < 0 for c in shifted.values()):
+        return None
+    if _lune_index_numerator(geo, shifted, x, y) != 2:
+        return None
+    if all(c == 0 for c in shifted.values()):
+        return None
+    return shifted

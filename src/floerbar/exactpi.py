@@ -8,22 +8,26 @@ componentwise; there is no multiplication of two pi-parts.
 Comparisons are exact: the sign of ``a + b*pi`` reduces to comparing the
 rational ``-a/b`` against pi, which is decided by refining the continued
 fraction convergents of pi (they alternate below/above) until the rational
-falls outside the bracket.  Equality holds only when both coefficients agree;
-pi being irrational, no nonzero element of the module vanishes.
+falls outside the bracket.  A rational closer to pi than the stored
+convergents reach goes on to integer interval bounds from Machin's formula at
+doubling binary precision, so every comparison terminates.  Equality holds
+only when both coefficients agree; pi being irrational, no nonzero element of
+the module vanishes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 from .novikov import format_rational, parse_rational
 
-__all__ = ["PiRational", "PiPrecisionError"]
+__all__ = ["PiRational"]
 
-# Continued fraction expansion of pi; 60 terms give far more precision than
-# any rational that can plausibly appear in a profile comparison.
+# Continued fraction expansion of pi: 60 terms decide every comparison with
+# a rational of fewer than about 60 digits, the cheap first stage.
 _PI_CF = (
     3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2,
     1, 84, 2, 1, 1, 15, 3, 13, 1, 4, 2, 6, 6, 99, 1, 2, 2, 6, 3, 5,
@@ -41,8 +45,35 @@ def _convergents():
         yield Fraction(p, q)
 
 
-class PiPrecisionError(ArithmeticError):
-    """Comparison against pi could not be resolved within the stored expansion."""
+# Binary precision of the first Machin bracket, past the stored convergents.
+_MACHIN_START_BITS = 256
+
+
+def _arctan_inv_bounds(x: int, one: int) -> Tuple[int, int]:
+    """Integers lo < one * arctan(1/x) < hi for an integer x > 1.
+
+    Nested floor division is exact, so the k-th series term is computed as
+    the floor of its true value; each of the n terms is off by less than one
+    unit, and the alternating tail after the last nonzero term is below one.
+    """
+    power = one // x
+    total, k = 0, 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k % 2 else term
+        power //= x * x
+        k += 1
+    return total - k - 1, total + k + 1
+
+
+# keys are 256 * 2**k, so the cache holds one bracket per doubling ever needed
+@functools.lru_cache(maxsize=None)
+def _machin_bracket(bits: int) -> Tuple[Fraction, Fraction]:
+    """Rationals lo < pi < hi from pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    one = 1 << bits
+    lo5, hi5 = _arctan_inv_bounds(5, one)
+    lo239, hi239 = _arctan_inv_bounds(239, one)
+    return Fraction(16 * lo5 - 4 * hi239, one), Fraction(16 * hi5 - 4 * lo239, one)
 
 
 def _compare_with_pi(t: Fraction) -> int:
@@ -58,7 +89,15 @@ def _compare_with_pi(t: Fraction) -> int:
             return -1
         if high is not None and t > high:
             return 1
-    raise PiPrecisionError(f"cannot separate {t} from pi with the stored expansion")
+    # pi is irrational, so a fine enough bracket excludes every rational
+    bits = _MACHIN_START_BITS
+    while True:
+        low, high = _machin_bracket(bits)
+        if t < low:
+            return -1
+        if t > high:
+            return 1
+        bits *= 2
 
 
 _NumberLike = Union[int, Fraction, "PiRational"]

@@ -7,9 +7,9 @@ out of the artifact entirely.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
-__all__ = ["rank", "Echelon"]
+__all__ = ["Echelon"]
 
 
 class Echelon:
@@ -41,10 +41,3 @@ class Echelon:
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
-
-
-def rank(vectors: Iterable[int]) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    return len(ech)

@@ -44,7 +44,10 @@ def parse_rational(text: Union[str, int]) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` into a reduced rational."""
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:

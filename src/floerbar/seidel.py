@@ -38,7 +38,6 @@ __all__ = [
     "HypothesisError",
     "TelescopingReport",
     "qh_mul",
-    "qh_pow",
     "verify_hypotheses",
     "averaging_bound",
     "telescoping_check",
@@ -107,15 +106,6 @@ class QHPresentation:
 def qh_mul(pres: QHPresentation, a: RingElement, b: RingElement) -> RingElement:
     """Multiply monomials and reduce by the relation."""
     return pres.normalize(a.t_exp + b.t_exp, a.x_exp + b.x_exp)
-
-
-def qh_pow(pres: QHPresentation, a: RingElement, exponent: int) -> RingElement:
-    if exponent < 0:
-        raise ValueError("negative powers are not needed here")
-    acc = pres.unit()
-    for _ in range(exponent):
-        acc = qh_mul(pres, acc, a)
-    return acc
 
 
 @dataclass(frozen=True)

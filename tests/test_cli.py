@@ -1,12 +1,14 @@
 import functools
 import json
 import random
+from fractions import Fraction
 from importlib import resources
 
 from click.testing import CliRunner
 
-from floerbar import complexes
+from floerbar import complexes, diagrams
 from floerbar.cli import main
+from floerbar.novikov import format_rational
 from floerbar.sampling import random_complex
 
 
@@ -91,9 +93,11 @@ def test_combfloer_oracle_is_opt_in():
     result, report = run("combfloer", sphere)
     assert result.exit_code == 0
     assert "oracle-match" not in [c["name"] for c in report["checks"]]
+    assert "lune-oracle-match" not in [c["name"] for c in report["checks"]]
     result, report = run("combfloer", sphere, "--oracle")
     assert result.exit_code == 0
     assert {"name": "oracle-match", "passed": True} in report["checks"]
+    assert {"name": "lune-oracle-match", "passed": True} in report["checks"]
 
 
 def test_barcode_oracle_cap_is_a_failed_check(tmp_path):
@@ -178,3 +182,58 @@ def test_check_command_deterministic():
     assert result1.exit_code == 0
     assert report1 == report2
     assert all(c["passed"] for c in report1["checks"])
+
+
+PI_84_DIGITS = ("3.1415926535897932384626433832795028841971693993751058209749445923"
+                "0781640628620899863")  # pi rounded up in its 83rd decimal
+
+
+def test_bottleneck_separates_pi_from_a_long_decimal(tmp_path):
+    pi_bar = tmp_path / "pi_bar.json"
+    pi_bar.write_text(json.dumps({"bars": [{"left": "0", "right": ["0", "1"]}]}))
+    for digits, above_pi in ((PI_84_DIGITS, True), (PI_84_DIGITS[:-1] + "2", False)):
+        dec_bar = tmp_path / "decimal_bar.json"
+        dec_bar.write_text(json.dumps({"bars": [{"left": "0", "right": digits}]}))
+        result, report = run("bottleneck", str(pi_bar), str(dec_bar))
+        assert result.exit_code == 0, result.output
+        r = report["outputs"]["distance"]
+        # distance |r - pi| between the right endpoints, never a traceback
+        sign = 1 if above_pi else -1
+        assert r == [format_rational(sign * Fraction(digits)), str(-sign)]
+
+
+def _diagram_json():
+    return json.loads(resources.files("floerbar").joinpath(
+        "fixtures", "equator_pair_sphere.json").read_text())
+
+
+def test_combfloer_max_wind_must_be_nonnegative():
+    result, report = run("combfloer", fixture_path("equator_pair_sphere.json"),
+                         "--max-wind", "-1")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "--max-wind" in result.output
+
+
+def test_combfloer_reports_undefined_gamma(monkeypatch):
+    def undefined(*_args, **_kwargs):
+        raise complexes.GammaUndefinedError("degree 0 carries 2 infinite bars")
+
+    monkeypatch.setattr(diagrams, "diagram_gamma", undefined)
+    result, report = run("combfloer", fixture_path("equator_pair_sphere.json"))
+    assert result.exit_code == 0
+    assert report["outputs"]["gamma"] is None
+    assert report["outputs"]["gamma_note"] == "degree 0 carries 2 infinite bars"
+    assert "beta-le-gamma" not in [c["name"] for c in report["checks"]]
+
+
+def test_combfloer_rejects_a_malformed_step(tmp_path):
+    data = _diagram_json()
+    name = sorted(data["faces"])[0]
+    data["faces"][name][0] = data["faces"][name][0][:3]  # ["K", 1, 2]
+    bad = tmp_path / "short_step.json"
+    bad.write_text(json.dumps(data))
+    result, report = run("combfloer", str(bad))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "step" in report["error"]

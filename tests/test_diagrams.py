@@ -6,8 +6,9 @@ import pytest
 from floerbar.complexes import barcode, brute_force_barcode
 from floerbar.diagrams import (DiagramError, InadmissibleDiagramError,
                                TwoCurveDiagram, annulus_example_areas,
-                               build_complex, diagram_beta, diagram_gamma,
-                               enumerate_lunes, equator_pair_annulus,
+                               brute_force_lunes, build_complex, diagram_beta,
+                               diagram_gamma, enumerate_lunes,
+                               equator_pair_annulus,
                                equator_pair_diagram, relabel_diagram,
                                symmetric_equator_areas, two_circle_diagram,
                                validate_diagram)
@@ -175,3 +176,34 @@ def test_diagram_json_round_trip():
     again = TwoCurveDiagram.from_json(da.to_json())
     assert again.boundary_faces == ("A1", "A5")
     assert diagram_beta(again) == F(3, 10)
+
+
+def _shuffled_labels(rng, d):
+    points = list(d.points)
+    images = [p + 100 for p in points]
+    rng.shuffle(images)
+    return relabel_diagram(d, dict(zip(points, images)))
+
+
+def test_lunes_equal_the_oracle_on_random_sphere_diagrams():
+    # the prefix-sum winding field against the per-candidate solve: 196 small
+    # diagrams at winding caps 0-4, four larger ones up to 20 crossings, and
+    # relabelled copies of the first 30 and of the 8- and 12-crossing ones
+    rng = random.Random(61)
+    cases = [(random_sphere_diagram(rng, rng.choice([2, 4, 4, 6])), rng.randint(0, 4))
+             for _ in range(196)]
+    cases += [(random_sphere_diagram(rng, m), 2) for m in (8, 12, 16, 20)]
+    cases += [(_shuffled_labels(rng, d), w) for d, w in cases[:30] + cases[196:198]]
+    assert len(cases) == 200 + 32
+    for d, max_wind in cases:
+        lunes = enumerate_lunes(d, max_wind)
+        assert lunes == brute_force_lunes(d, max_wind), (d.to_json(), max_wind)
+
+
+def test_lunes_equal_the_oracle_on_the_bundled_diagrams():
+    rng = random.Random(67)
+    for d in (bundled_sphere(), two_circle_diagram(),
+              equator_pair_annulus(annulus_example_areas(F(1, 10)))):
+        for max_wind in range(5):
+            for copy in (d, _shuffled_labels(rng, d)):
+                assert enumerate_lunes(copy, max_wind) == brute_force_lunes(copy, max_wind)

@@ -47,3 +47,38 @@ def test_json_round_trip():
     x = PiRational(F(-9, 40), F(2, 7))
     assert PiRational.from_json(x.to_json()) == x
     assert PiRational.from_json("5/8") == PiRational.of(F(5, 8))
+
+
+# the first 300 decimals of pi
+PI_300 = ("3.14159265358979323846264338327950288419716939937510582097494459230781"
+          "640628620899862803482534211706798214808651328230664709384460955058223"
+          "172535940812848111745028410270193852110555964462294895493038196442881"
+          "097566593344612847564823378678316527120190914564856692346034861045432"
+          "6648213393607260249141273")
+
+
+def _pi_minus(t):
+    return PiRational(-t, F(1)).sign()  # sign of pi - t
+
+
+def test_pi_against_the_84_digit_decimal_and_its_neighbours():
+    assert len(PI_300) == 302
+    ulp = F(1, 10 ** 83)
+    rounded_up = F(PI_300[:85]) + ulp     # 3.14...20899863: 84 digits, just above pi
+    assert str(rounded_up.numerator).endswith("20899863") and rounded_up > F(PI_300)
+    assert _pi_minus(rounded_up) == -1
+    assert _pi_minus(rounded_up - ulp) == 1
+    assert _pi_minus(rounded_up + ulp) == -1
+    assert PiRational.pi() < PiRational.of(rounded_up)
+    assert PiRational.of(rounded_up - ulp) < PiRational.pi()
+
+
+def test_pi_against_truncations_far_past_the_stored_expansion():
+    for decimals in list(range(1, 120)) + [150, 200, 250, 299]:
+        below = F(PI_300[:decimals + 2])
+        above = below + F(1, 10 ** decimals)
+        assert _pi_minus(below) == 1, decimals
+        assert _pi_minus(above) == -1, decimals
+        # the same comparisons with a scaled pi part
+        assert PiRational(-3 * below, F(3)).sign() == 1
+        assert PiRational(3 * above, F(-3)).sign() == 1
