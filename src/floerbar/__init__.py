@@ -13,9 +13,9 @@ Submodules
     metric (a search over the optimum with one matching per candidate
     shift); boundary depth and bar-length spectra; exhaustive oracles.
 ``complexes``
-    Filtered chain complexes over a Novikov field; orthogonalising reduction,
-    barcodes, spectral invariants, the spectral norm, and an independent
-    rank-function oracle.
+    Filtered chain complexes over a Novikov field, validated at construction;
+    orthogonalising reduction, barcodes, spectral invariants, the spectral
+    norm read off a barcode, and an independent rank-function oracle.
 ``diagrams``
     Combinatorial two-curve diagrams on the sphere or annulus; lune
     enumeration (one winding solve per diagram, candidates priced by prefix

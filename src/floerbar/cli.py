@@ -131,24 +131,27 @@ def cmd_barcode(complex_file, window, oracle, svg_path, fund_degree, point_degre
     report = RunReport("barcode", inputs={complex_file: _digest(complex_file)})
     try:
         cx = complexes.complex_from_json(_load_json(complex_file))
-    except (SchemaError, KeyError, ValueError) as exc:
-        _fail("barcode", exc, 2)
-    try:
-        cx.validate()
-        report.check("complex-valid", True)
     except complexes.ComplexValidationError as exc:
         report.check("complex-valid", False)
         report.outputs["error"] = str(exc)
         _emit(report, f"invalid complex: {exc}", 1)
-    win = tuple(window) if window else None
+    except (SchemaError, KeyError, ValueError) as exc:
+        _fail("barcode", exc, 2)
+    report.check("complex-valid", True)
+    win = tuple(window) if window else cx.default_degree_window()
     bc = complexes.barcode(cx, win)
     depth = persistence.boundary_depth(bc)
     report.outputs["barcode"] = bc.to_json()
     report.outputs["bar_length_spectrum"] = [
         _value_json(x) for x in persistence.bar_length_spectrum(bc)]
     report.outputs["boundary_depth"] = _value_json(depth)
+    # gamma reads the two infinite bars off ``bc`` when its window holds both
+    # degrees; only a window missing one of them needs a second reduction
+    lo, hi = min(fund_degree, point_degree), max(fund_degree, point_degree) + 1
+    covered = win[0] <= lo and hi <= win[1]
     try:
-        g = complexes.gamma(cx, fund_degree, point_degree)
+        g = complexes.gamma(bc if covered else complexes.barcode(cx, (lo, hi)),
+                            fund_degree, point_degree)
         report.outputs["gamma"] = _value_json(g)
         report.check("beta-le-gamma", depth <= g)
     except complexes.GammaUndefinedError as exc:
@@ -284,21 +287,23 @@ def cmd_radial(profile_file, feasible, homotopy):
         data = _load_json(profile_file)
         params = _parse_params(data["params"])
         ranks = _parse_ranks(data.get("ranks", {}))
-    except (SchemaError, KeyError, ValueError, TypeError) as exc:
-        _fail("radial", exc, 2)
-    try:
         if homotopy:
             if "family" not in data:
                 raise SchemaError("--homotopy needs a 'family' list in the input")
             profiles = [radial.RadialProfile.from_json(p) for p in data["family"]]
             C = parse_rational(data.get("C", "2"))
+        else:
+            prof = radial.RadialProfile.from_json(data.get("profile", data))
+    except (SchemaError, KeyError, ValueError, TypeError) as exc:
+        _fail("radial", exc, 2)
+    try:
+        if homotopy:
             trace = radial.homotopy_filter(profiles, params, ranks, C)
             report.outputs["kept_counts"] = [len(k) for k in trace.kept]
             report.outputs["final_barcodes"] = [bc.to_json() for bc in
                                                 sorted(trace.kept[-1], key=repr)]
             report.check("pruning-nonempty", all(trace.kept))
             _emit(report, f"homotopy kept {report.outputs['kept_counts']}")
-        prof = radial.RadialProfile.from_json(data.get("profile", data))
         spectrum = radial.generators(prof, params)
         report.outputs["spectrum"] = [
             {"degree": e.degree, "action": _value_json(e.action),

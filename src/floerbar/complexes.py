@@ -4,8 +4,9 @@ A complex holds finitely many generators with integer degrees and exact
 rational actions, plus a differential with :class:`NovikovScalar`
 coefficients.  The differential must lower degree by exactly one and strictly
 lower action term by term (counting the degree/action steps of the quantum
-variable), and must square to zero; :meth:`FilteredComplex.validate` checks
-all three by exact arithmetic.
+variable), and must square to zero.  The constructor checks all three by
+exact arithmetic (:meth:`FilteredComplex.validate`), so every
+``FilteredComplex`` is valid and no later stage checks again.
 
 Computations happen on the *unrolled* complex: each generator spawns copies
 ``(g, j)`` standing for ``variable**j * g`` at degree ``deg(g) +
@@ -104,7 +105,12 @@ class UZBasis:
 
 
 class FilteredComplex:
-    """Finite generator set with an action-decreasing differential."""
+    """Finite generator set with an action-decreasing differential.
+
+    Duplicate ids and differential terms naming unknown generators raise a
+    plain ``ValueError``; a broken degree, action or ``d**2 = 0`` invariant
+    raises :class:`ComplexValidationError`.
+    """
 
     def __init__(self, spec: Optional[NovikovSpec],
                  generators: Sequence[Generator],
@@ -113,16 +119,16 @@ class FilteredComplex:
         self.generators = tuple(generators)
         ids = [g.gid for g in self.generators]
         if len(set(ids)) != len(ids):
-            raise ComplexValidationError("generator ids must be unique")
+            raise ValueError("generator ids must be unique")
         self.by_id = {g.gid: g for g in self.generators}
         diff: Dict[str, Combo] = {}
         for gid, terms in differential.items():
             if gid not in self.by_id:
-                raise ComplexValidationError(f"differential on unknown generator {gid!r}")
+                raise ValueError(f"differential on unknown generator {gid!r}")
             merged: Dict[str, NovikovScalar] = {}
             for coeff, target in terms:
                 if target not in self.by_id:
-                    raise ComplexValidationError(f"differential hits unknown generator {target!r}")
+                    raise ValueError(f"differential hits unknown generator {target!r}")
                 if target in merged:
                     merged[target] = merged[target] + coeff
                 else:
@@ -132,6 +138,7 @@ class FilteredComplex:
             if entries:
                 diff[gid] = entries
         self.differential = diff
+        self.validate()
 
     # -- basic structure ---------------------------------------------------
 
@@ -152,7 +159,8 @@ class FilteredComplex:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Check the three structural invariants; raise on the first violation."""
+        """Check the three structural invariants; raise on the first violation.
+        Run by the constructor."""
         for gid, terms in self.differential.items():
             g = self.by_id[gid]
             for coeff, target in terms:
@@ -368,25 +376,17 @@ def _uz_reduce_window(window: _UnrolledWindow):
     return pairs, cycles, owner
 
 
-class _UZResult:
-    def __init__(self, cx: FilteredComplex, degree_window: Tuple[int, int]):
-        self.window = _UnrolledWindow(cx, degree_window)
-        self.pairs, self.cycles, self.owner = _uz_reduce_window(self.window)
-
-
 def uz_reduce(cx: FilteredComplex,
               degree_window: Optional[Tuple[int, int]] = None) -> UZBasis:
     """Non-Archimedean orthogonal basis of one degree window (fundamental
     domain by default): singular cycles ``x`` with ``d x = 0`` and pairs
     ``d y = z``; the multiset of pair action drops is the torsion-exponent
     (finite bar length) multiset."""
-    cx.validate()
-    win = degree_window or cx.default_degree_window()
-    res = _UZResult(cx, win)
-    w = res.window
+    w = _UnrolledWindow(cx, degree_window or cx.default_degree_window())
+    reduced_pairs, cycles, owner = _uz_reduce_window(w)
     lo, hi = w.lo, w.hi
     pairs = []
-    for combo, col, _i, p in res.pairs:
+    for combo, col, _i, p in reduced_pairs:
         zdeg = w.degree(p)
         if lo <= zdeg < hi:
             ytop = w.mask_top(combo)
@@ -397,10 +397,9 @@ def uz_reduce(cx: FilteredComplex,
                 y_action=w.action(ytop),
                 z_action=w.action(p),
             ))
-    owned_rows = set(res.owner.keys())
     singular = []
-    for combo, i in res.cycles:
-        if i in owned_rows:
+    for combo, i in cycles:
+        if i in owner:
             continue
         deg = w.degree(i)
         if lo <= deg < hi:
@@ -443,7 +442,6 @@ def spectral_invariant(cx: FilteredComplex, cycle: CycleInput):
     The input must be a homogeneous cycle; the zero homology class returns
     the ``-inf`` marker.
     """
-    cx.validate()
     terms = _normalize_cycle(cx, cycle)
     if not terms:
         return NEG_INF
@@ -491,12 +489,11 @@ def spectral_invariant(cx: FilteredComplex, cycle: CycleInput):
     return window.action(window.mask_top(residual))
 
 
-def gamma(cx: FilteredComplex, fund_degree: int, point_degree: int) -> Fraction:
-    """Difference of the infinite-bar left endpoints in the two designated
-    degrees; each must carry exactly one infinite bar."""
-    lo = min(fund_degree, point_degree)
-    hi = max(fund_degree, point_degree) + 1
-    bc = barcode(cx, (lo, hi))
+def gamma(bc: Barcode, fund_degree: int, point_degree: int) -> Fraction:
+    """Difference of the infinite-bar left endpoints of ``bc`` in the two
+    designated degrees; each must carry exactly one infinite bar.  ``bc``
+    must cover both degrees, e.g. ``barcode(cx, (lo, hi + 1))`` with ``lo``,
+    ``hi`` the smaller and larger degree."""
 
     def left_endpoint(deg: int):
         bars = [b for b in bc.expand() if b.degree == deg and b.is_infinite]
@@ -523,7 +520,6 @@ def brute_force_barcode(cx: FilteredComplex,
     multiplicities by inclusion-exclusion.  Independent of the reduction
     pairing; intended for small complexes.
     """
-    cx.validate()
     win = degree_window or cx.default_degree_window()
     window = _UnrolledWindow(cx, win)
     if len(window.items) > max_unrolled:
@@ -561,7 +557,7 @@ def _degree_bars(window: _UnrolledWindow, deg: int) -> List[Bar]:
     # rank of H^{<=levels[i]} -> H^{<=levels[j]}: dim Z_i - dim(Z_i cap B_j)
     Z = [cycles_at(s) for s in levels]
     B = [boundaries_at(t) for t in levels]
-    B.append(boundaries_at(INF_LEVEL))
+    B.append(boundaries_at(INF))
 
     zdims = [ _span_dim(z) for z in Z ]
     bdims = [ _span_dim(b) for b in B ]
@@ -588,17 +584,6 @@ def _degree_bars(window: _UnrolledWindow, deg: int) -> List[Bar]:
             if m > 0:
                 bars.append(Bar(levels[i], levels[e + 1], deg, m))
     return bars
-
-
-class _InfLevel:
-    def __le__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return True
-
-
-INF_LEVEL = _InfLevel()
 
 
 def _span_dim(vectors: List[int]) -> int:

@@ -689,12 +689,10 @@ def build_complex(d: TwoCurveDiagram, max_wind: int = 2) -> FilteredComplex:
         differential.setdefault(f"a{src}", []).append((coeff, f"a{tgt}"))
 
     gens = [Generator(f"a{p}", degree[p], action[p]) for p in points]
-    cx = FilteredComplex(spec, gens, differential)
     try:
-        cx.validate()
-    except Exception as exc:
+        return FilteredComplex(spec, gens, differential)
+    except ValueError as exc:
         raise InadmissibleDiagramError(f"diagram complex invalid: {exc}") from exc
-    return cx
 
 
 def diagram_beta(d: TwoCurveDiagram, max_wind: int = 2) -> Fraction:
@@ -707,13 +705,13 @@ def diagram_beta(d: TwoCurveDiagram, max_wind: int = 2) -> Fraction:
 def diagram_gamma(d: TwoCurveDiagram, max_wind: int = 2) -> Fraction:
     """Spectral norm of the diagram's complex: infinite-bar gap between the
     fundamental degree 1 and the point degree 0.  Sphere only."""
-    from .complexes import gamma
+    from .complexes import barcode, gamma
 
     if d.surface != "sphere":
         raise InadmissibleDiagramError(
             "the spectral norm needs the sphere theory (actions on the annulus"
             " are only defined per component)")
-    return gamma(build_complex(d, max_wind), 1, 0)
+    return gamma(barcode(build_complex(d, max_wind)), 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -234,10 +234,10 @@ class PiRational:
 
     @classmethod
     def from_json(cls, data) -> "PiRational":
-        if isinstance(data, (str, int)):
-            return cls.of(parse_rational(data))
-        q, p = data
-        return cls(parse_rational(q), parse_rational(p))
+        """Read a rational (string or int) or a ``[rational, pi_coeff]`` pair."""
+        if isinstance(data, list) and len(data) == 2:
+            return cls(parse_rational(data[0]), parse_rational(data[1]))
+        return cls.of(parse_rational(data))
 
     def __str__(self) -> str:
         if self.pi_coeff == 0:

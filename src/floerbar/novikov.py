@@ -41,7 +41,10 @@ class SpecMismatchError(ValueError):
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into a reduced rational."""
+    """Parse ``"p/q"``, ``"p"`` or an int into a reduced rational.  Any other
+    type (a JSON float or a bool, say) is a ``ValueError``."""
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        raise ValueError(f"a rational must be a string or an integer, not {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     try:
@@ -228,4 +231,4 @@ class LagrangianParams:
 
     @property
     def kappa(self):
-        return self.disk_area / self.maslov
+        return self.disk_area / Fraction(self.maslov)

@@ -208,22 +208,7 @@ def _endpoint_from_json(data):
 
 
 def _bar_sort_key(bar: Bar):
-    return (bar.degree, _OrderToken(bar.left), _OrderToken(bar.right))
-
-
-class _OrderToken:
-    """Total-order adapter so heterogeneous exact endpoints sort stably."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return self.value < other.value
-
-    def __eq__(self, other):
-        return self.value == other.value
+    return (bar.degree, bar.left, bar.right)
 
 
 class Barcode:
@@ -302,7 +287,7 @@ def boundary_depth(barcode: Barcode):
 
 def bar_length_spectrum(barcode: Barcode) -> Tuple:
     """Finite bar lengths in increasing order, then one ``INF`` per infinite bar."""
-    finite = sorted((b.length for b in barcode.finite_bars()), key=_OrderToken)
+    finite = sorted(b.length for b in barcode.finite_bars())
     return tuple(finite) + tuple(INF for _ in barcode.infinite_bars())
 
 
@@ -334,7 +319,7 @@ def _bar_matching_cost(a: Bar, b: Bar):
     if a.is_infinite:
         return left
     right = _abs(a.right - b.right)
-    return max(left, right, key=_OrderToken)
+    return max(left, right)
 
 
 def _deletion_cost(bar: Bar):
@@ -386,7 +371,7 @@ def _rank(values: Iterable) -> Tuple[List, dict]:
     """Distinct ``values`` in increasing order, and each one's index there.
 
     The first of several equal values is the one kept."""
-    order = sorted(dict.fromkeys(values), key=_OrderToken)
+    order = sorted(dict.fromkeys(values))
     return order, {v: k for k, v in enumerate(order)}
 
 
@@ -431,7 +416,7 @@ def _price(bars1: List[Bar], bars2: List[Bar], pairs: Sequence[Tuple[int, int]])
         else:
             right = _abs(a.right - b.right)
             values.append(right)
-            cost.append(max(left, right, key=_OrderToken))
+            cost.append(max(left, right))
     order, rank = _rank(values)
     keys = [None if d is None else rank[d] for d in dels]
     return keys[:len(bars1)], keys[len(bars1):], [rank[c] for c in cost], order.__getitem__
@@ -551,7 +536,7 @@ class _ShiftCandidates:
     def __init__(self, e1: Sequence, e2: Sequence) -> None:
         self.diffs = list(dict.fromkeys(y - x for y in e2 for x in e1))
         self.index = {d: i for i, d in enumerate(self.diffs)}
-        self.sorted_diffs = sorted(self.diffs, key=_OrderToken)
+        self.sorted_diffs = sorted(self.diffs)
         self.zero = e1[0] - e1[0]
 
     def ascending(self) -> List:
@@ -560,24 +545,24 @@ class _ShiftCandidates:
         for a, b in itertools.combinations(self.diffs, 2):
             out.setdefault(_halve(a + b))
         out.setdefault(self.zero)
-        return sorted(out, key=_OrderToken)
+        return sorted(out)
 
     def least(self):
-        return self.first_from(min(self.sorted_diffs[0], self.zero, key=_OrderToken))
+        return self.first_from(min(self.sorted_diffs[0], self.zero))
 
     def first_from(self, t):
         """The smallest candidate ``>= t``."""
         ds = self.sorted_diffs
         found = [self.zero] if not self.zero < t else []
-        k = bisect.bisect_left(ds, _OrderToken(t), key=_OrderToken)
+        k = bisect.bisect_left(ds, t)
         if k < len(ds):
             found.append(ds[k])
         for i, x in enumerate(ds):
             # the least y > x with (x + y)/2 >= t
-            j = max(i + 1, bisect.bisect_left(ds, _OrderToken(2 * t - x), key=_OrderToken))
+            j = max(i + 1, bisect.bisect_left(ds, 2 * t - x))
             if j < len(ds):
                 found.append(_halve(x + ds[j]))
-        return self._first_equal(min(found, key=_OrderToken))
+        return self._first_equal(min(found))
 
     def _first_equal(self, v):
         """The first candidate equal to ``v``: a difference, else the midpoint
@@ -611,8 +596,8 @@ def _optimal_shift(b1: Barcode, b2: Barcode, degree_sensitive: bool,
         a, b = bars1[i], bars2[j]
         dl = b.left - a.left
         dr = dl if a.is_infinite else b.right - a.right
-        tops.append(max(dl, dr, key=_OrderToken))
-        bottoms.append(min(dl, dr, key=_OrderToken))
+        tops.append(max(dl, dr))
+        bottoms.append(min(dl, dr))
     top_values, top_rank = _rank(tops)
     spreads = [[t - bottom for bottom in bottoms] for t in top_values]
     zero = Fraction(0)
@@ -662,8 +647,7 @@ def _optimal_shift(b1: Barcode, b2: Barcode, degree_sensitive: bool,
     return d, c
 
 
-def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True,
-                       debug: bool = False):
+def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
     """Minimise ``bottleneck(b1, shift(b2, c))`` over shifts ``c``.
 
     Returns ``(distance, best_shift)``.  The optimum ``delta*`` is found by a
@@ -672,9 +656,7 @@ def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True,
     whether some shift is feasible, testing the O(E^2) shifts ``d - delta``
     with one matching each, where ``d`` is an endpoint difference of a
     matchable pair.  The reported shift is the smallest optimal one among the
-    endpoint differences, their pairwise midpoints and 0.  With ``debug`` the
-    result is checked against :func:`brute_force_shifted_bottleneck`, with
-    its slope assertions on.
+    endpoint differences, their pairwise midpoints and 0.
     """
     bars1, bars2 = b1.expand(), b2.expand()
     e1, e2 = _all_endpoints(bars1), _all_endpoints(bars2)
@@ -683,14 +665,9 @@ def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True,
     shifts = _ShiftCandidates(e1, e2)
     groups = _degree_groups(bars1, bars2, degree_sensitive)
     if _infinite_mismatch(bars1, bars2, groups):
-        found = INF, shifts.least()
-    else:
-        found = _optimal_shift(b1, b2, degree_sensitive, bars1, bars2,
-                               _matchable_pairs(bars1, bars2, groups), shifts)
-    if debug:
-        assert found == brute_force_shifted_bottleneck(
-            b1, b2, degree_sensitive, check_slopes=True), "fast shift search disagrees"
-    return found
+        return INF, shifts.least()
+    return _optimal_shift(b1, b2, degree_sensitive, bars1, bars2,
+                          _matchable_pairs(bars1, bars2, groups), shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -710,14 +687,14 @@ def brute_force_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = Tr
         if i == len(bars1):
             cost = Fraction(0)
             for j in free2:
-                cost = max(cost, _deletion_cost(bars2[j]), key=_OrderToken)
+                cost = max(cost, _deletion_cost(bars2[j]))
             return cost
         a = bars1[i]
         best = INF
         drop = _deletion_cost(a)
         if not (drop is INF):
             sub = solve(i + 1, free2)
-            cand = max(drop, sub, key=_OrderToken) if sub is not INF else INF
+            cand = max(drop, sub) if sub is not INF else INF
             if cand < best:
                 best = cand
         for idx, j in enumerate(free2):
@@ -730,7 +707,7 @@ def brute_force_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = Tr
             sub = solve(i + 1, free2[:idx] + free2[idx + 1:])
             if sub is INF:
                 continue
-            cand = max(pair_cost, sub, key=_OrderToken)
+            cand = max(pair_cost, sub)
             if cand < best:
                 best = cand
         return best

@@ -37,7 +37,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .exactpi import PiRational
 from .novikov import LagrangianParams
-from .persistence import (Bar, Barcode, INF, _OrderToken, boundary_depth,
+from .persistence import (Bar, Barcode, INF, boundary_depth,
                           bottleneck_distance)
 
 __all__ = [
@@ -70,10 +70,6 @@ class PruningEmptyError(ValueError):
     """Continuity pruning eliminated every candidate barcode at some sample."""
 
 
-def _pival(x) -> PiRational:
-    return PiRational.of(x) if not isinstance(x, PiRational) else x
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """Piecewise linear profile in the capacity coordinate ``rho = pi*r``.
@@ -87,7 +83,7 @@ class RadialProfile:
     exterior: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        pts = tuple((_pival(r), _pival(f)) for r, f in self.breakpoints)
+        pts = tuple((PiRational.of(r), PiRational.of(f)) for r, f in self.breakpoints)
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "exterior", tuple(int(j) for j in self.exterior))
         if len(pts) < 2:
@@ -180,7 +176,7 @@ def generators(profile: RadialProfile, params: LagrangianParams,
     """
     n = params.dim
     maslov = params.maslov
-    area = _pival(params.disk_area)
+    area = PiRational.of(params.disk_area)
     segs = profile.segments
     floors = [_slope_floor(df, dr) for df, dr in segs]
 
@@ -227,7 +223,7 @@ def generators(profile: RadialProfile, params: LagrangianParams,
         for e in base:
             entries.append(SpectrumEntry(e.degree + k * maslov,
                                          e.action + area * k, e.source, k))
-    entries.sort(key=lambda e: (e.degree, _OrderToken(e.action), e.source, e.k))
+    entries.sort(key=lambda e: (e.degree, e.action, e.source, e.k))
     return GeneratorSpectrum(tuple(entries), params)
 
 
@@ -253,7 +249,7 @@ def _slope_less(seg_a: Tuple[PiRational, PiRational],
 def degree_actions(spectrum: GeneratorSpectrum, degree: int) -> Tuple:
     """Action multiset of the entries of one exact degree, ascending."""
     acts = [e.action for e in spectrum.entries if e.degree == degree]
-    acts.sort(key=_OrderToken)
+    acts.sort()
     return tuple(acts)
 
 
@@ -261,7 +257,7 @@ def degree_class_actions(spectrum: GeneratorSpectrum, degree: int) -> Tuple:
     """Distinct actions over the whole degree class mod the Maslov period."""
     maslov = spectrum.params.maslov
     acts = {e.action for e in spectrum.entries if (e.degree - degree) % maslov == 0}
-    return tuple(sorted(acts, key=_OrderToken))
+    return tuple(sorted(acts))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +274,7 @@ class _Orbit:
 
 def _orbits(spectrum: GeneratorSpectrum) -> List[_Orbit]:
     maslov = spectrum.params.maslov
-    area = _pival(spectrum.params.disk_area)
+    area = PiRational.of(spectrum.params.disk_area)
     seen: Dict[Tuple, _Orbit] = {}
     for e in spectrum.entries:
         rep_deg = e.degree % maslov
@@ -290,7 +286,7 @@ def _orbits(spectrum: GeneratorSpectrum) -> List[_Orbit]:
             raise ValueError(f"inconsistent recap copies for source {e.source}")
         seen[e.source] = orbit
     out = list(seen.values())
-    out.sort(key=lambda o: (o.degree, _OrderToken(o.action), o.source))
+    out.sort(key=lambda o: (o.degree, o.action, o.source))
     return out
 
 
@@ -305,7 +301,7 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
     Raises InfeasibleRanksError when nothing matches the prescription.
     """
     maslov = spectrum.params.maslov
-    area = _pival(spectrum.params.disk_area)
+    area = PiRational.of(spectrum.params.disk_area)
     orbits = _orbits(spectrum)
     quota: Dict[int, int] = {d % maslov: int(c) for d, c in ranks.items() if c}
     counts: Dict[int, int] = {}
@@ -460,7 +456,7 @@ def homotopy_filter(profiles: Sequence[RadialProfile], params: LagrangianParams,
     sample survive; the first sample keeps its full feasible set.  An empty
     pruned set raises PruningEmptyError naming the sample.
     """
-    C = _pival(continuity_constant)
+    C = PiRational.of(continuity_constant)
     if C < PiRational.of(1):
         raise ValueError("the continuity constant must be at least 1")
     kept: List[frozenset] = []

@@ -98,9 +98,7 @@ def random_complex(rng: random.Random, num_generators: int = 8,
             planted.append((y, z, e))
 
     expected = _planted_barcode(spec, gens, planted, paired)
-    cx = FilteredComplex(spec, gens, diff)
-    cx.validate()
-    cx = _scramble(rng, cx, scramble_rounds)
+    cx = _scramble(rng, FilteredComplex(spec, gens, diff), scramble_rounds)
     return cx, expected
 
 
@@ -162,11 +160,9 @@ def _scramble(rng: random.Random, cx: FilteredComplex, rounds: int) -> FilteredC
                 add_term(row, lam * row[g.gid], h.gid)
         matrix = {gid: row for gid, row in matrix.items() if row}
 
-    out = FilteredComplex(spec, gens,
-                          {gid: [(c, t) for t, c in row.items()]
-                           for gid, row in matrix.items()})
-    out.validate()
-    return out
+    return FilteredComplex(spec, gens,
+                           {gid: [(c, t) for t, c in row.items()]
+                            for gid, row in matrix.items()})
 
 
 def perturb_actions(rng: random.Random, cx: FilteredComplex, delta: Fraction
@@ -191,9 +187,7 @@ def perturb_actions(rng: random.Random, cx: FilteredComplex, delta: Fraction
         den = rng.randint(1, 9)
         num = rng.randint(-den, den)
         gens.append(Generator(g.gid, g.degree, g.action + used * Fraction(num, den)))
-    out = FilteredComplex(cx.spec, gens, cx.differential)
-    out.validate()
-    return out, used
+    return FilteredComplex(cx.spec, gens, cx.differential), used
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ class QHPresentation:
 
     @property
     def kappa(self) -> Fraction:
-        return Fraction(self.params.disk_area) / self.params.maslov
+        return self.params.kappa
 
     def normalize(self, t_exp: int, x_exp: int) -> RingElement:
         wraps = x_exp // self.power

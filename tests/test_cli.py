@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 import random
@@ -6,7 +7,7 @@ from importlib import resources
 
 from click.testing import CliRunner
 
-from floerbar import complexes, diagrams
+from floerbar import complexes, diagrams, seidel
 from floerbar.cli import main
 from floerbar.novikov import format_rational
 from floerbar.sampling import random_complex
@@ -44,6 +45,8 @@ def test_barcode_command_with_degree_window():
     assert result.exit_code == 0
     bars = report["outputs"]["barcode"]["bars"]
     assert all(b["degree"] == 0 for b in bars)
+    # the window misses degree 1, so gamma comes from a reduction of (0, 2)
+    assert report["outputs"]["gamma"] == "1/5"
 
 
 def test_barcode_rejects_malformed_json(tmp_path):
@@ -237,3 +240,79 @@ def test_combfloer_rejects_a_malformed_step(tmp_path):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "step" in report["error"]
+
+
+def _complex_json(**changes):
+    data = json.loads(resources.files("floerbar").joinpath(
+        "fixtures", "equator_pair_complex.json").read_text())
+    data.update(changes)
+    return data
+
+
+def test_barcode_invalid_complex_exits_1(tmp_path):
+    # d(a2) hits a1 at the same action: the action does not strictly decrease
+    gens = [{"id": "a1", "degree": 0, "action": "1/5"}, {"id": "a2", "degree": 1, "action": "1/5"}]
+    path = tmp_path / "flat_differential.json"
+    path.write_text(json.dumps(_complex_json(generators=gens,
+                                             differential={"a2": [["1", "a1"]]})))
+    result, report = run("barcode", str(path))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert report["checks"] == [{"name": "complex-valid", "passed": False}]
+    assert "action does not strictly decrease" in report["outputs"]["error"]
+
+
+def test_barcode_unknown_generator_exits_2(tmp_path):
+    path = tmp_path / "unknown_generator.json"
+    path.write_text(json.dumps(_complex_json(differential={"a2": [["1", "nowhere"]]})))
+    result, report = run("barcode", str(path))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "unknown generator" in report["error"]
+
+
+def test_a_json_float_is_malformed_input(tmp_path):
+    radial_fold = json.loads(resources.files("floerbar").joinpath(
+        "fixtures", "radial_fold.json").read_text())
+    float_value, float_in_pair = copy.deepcopy(radial_fold), copy.deepcopy(radial_fold)
+    float_value["breakpoints"][1][1] = 0.5
+    float_in_pair["breakpoints"][1][1] = ["0", 0.5]
+    gens = _complex_json()["generators"]
+    gens[0]["action"] = 0.5
+    cases = [
+        ("bottleneck", {"bars": [{"left": 0.5, "right": "1"}]}, [fixture_path("barcode_pair_a.json")]),
+        ("barcode", _complex_json(generators=gens), []),
+        ("radial", float_value, []),
+        ("radial", float_in_pair, []),
+    ]
+    for i, (command, data, extra) in enumerate(cases):
+        path = tmp_path / f"float_{i}.json"
+        path.write_text(json.dumps(data))
+        result, report = run(command, str(path), *extra)
+        assert result.exit_code == 2, (command, result.output)
+        assert isinstance(result.exception, SystemExit)
+        assert "0.5" in report["error"]
+
+
+def test_no_report_carries_a_json_float():
+    # exactness: every computed value is an int, a rational string or a
+    # [rational, pi coefficient] pair, never a binary float
+    runs = [("barcode", fixture_path(name), *flags)
+            for name in ("equator_pair_complex.json", "zero_differential_complex.json")
+            for flags in ((), ("--oracle",), ("--window", "0", "1"), ("--fund-degree", "2"))]
+    runs += [("bottleneck", fixture_path("barcode_pair_a.json"),
+              fixture_path("barcode_pair_b.json"), *flags)
+             for flags in ((), ("--mod-shift",), ("--degree-blind",))]
+    runs += [("combfloer", fixture_path(name), "--oracle")
+             for name in ("equator_pair_sphere.json", "equator_pair_annulus.json",
+                          "two_great_circles.json")]
+    runs += [("radial", fixture_path("radial_fold.json"), "--feasible"),
+             ("radial", fixture_path("radial_fold_family.json"), "--homotopy")]
+    runs += [("seidel", "--case", name) for name in seidel.EXAMPLE_CASE_NAMES]
+    runs.append(("check", "--trials", "3"))
+    for args in runs:
+        result, _ = run(*args)
+        assert result.exit_code == 0, (args, result.output)
+        floats = []
+        json.loads(result.stdout, parse_float=floats.append)
+        assert floats == [], (args, floats)

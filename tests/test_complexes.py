@@ -31,24 +31,21 @@ def test_validate_passes_on_zero_differential():
 
 
 def test_validate_catches_action_non_decrease():
-    cx = FilteredComplex(SPEC, [Generator("y", 1, F(0)), Generator("z", 0, F(0))],
-                         {"y": [(ONE, "z")]})
     with pytest.raises(ComplexValidationError, match="action"):
-        cx.validate()
+        FilteredComplex(SPEC, [Generator("y", 1, F(0)), Generator("z", 0, F(0))],
+                        {"y": [(ONE, "z")]})
 
 
 def test_validate_catches_degree_mismatch():
-    cx = FilteredComplex(SPEC, [Generator("y", 2, F(1)), Generator("z", 0, F(0))],
-                         {"y": [(ONE, "z")]})
     with pytest.raises(ComplexValidationError, match="degree"):
-        cx.validate()
+        FilteredComplex(SPEC, [Generator("y", 2, F(1)), Generator("z", 0, F(0))],
+                        {"y": [(ONE, "z")]})
 
 
 def test_validate_catches_d_squared():
     gens = [Generator("x", 2, F(2)), Generator("y", 1, F(1)), Generator("z", 0, F(0))]
-    cx = FilteredComplex(SPEC, gens, {"x": [(ONE, "y")], "y": [(ONE, "z")]})
     with pytest.raises(ComplexValidationError, match="squared"):
-        cx.validate()
+        FilteredComplex(SPEC, gens, {"x": [(ONE, "y")], "y": [(ONE, "z")]})
 
 
 def test_sphere_example_validates():
@@ -138,21 +135,21 @@ def test_spectral_invariants():
 
 def test_gamma():
     cx = sphere_example()
-    assert gamma(cx, 1, 0) == F(1, 5)
+    assert gamma(barcode(cx), 1, 0) == F(1, 5)
     flat = FilteredComplex(SPEC, [Generator("p", 0, F(2)), Generator("f", 1, F(5))], {})
-    assert gamma(flat, 1, 0) == 3
+    assert gamma(barcode(flat), 1, 0) == 3
     doubled = FilteredComplex(SPEC, [Generator("p", 0, F(2)),
                                      Generator("p2", 0, F(1)),
                                      Generator("f", 1, F(5))], {})
     with pytest.raises(GammaUndefinedError):
-        gamma(doubled, 1, 0)
+        gamma(barcode(doubled), 1, 0)
 
 
 def test_gamma_invariant_under_global_shift():
     cx = sphere_example()
     shifted = FilteredComplex(SPEC, [Generator(g.gid, g.degree, g.action + F(7, 3))
                                      for g in cx.generators], cx.differential)
-    assert gamma(shifted, 1, 0) == gamma(cx, 1, 0)
+    assert gamma(barcode(shifted), 1, 0) == gamma(barcode(cx), 1, 0)
 
 
 def test_tower_shift_of_one_generator():
@@ -247,3 +244,15 @@ def test_valuation_sign_flip_preserves_lengths():
             sorted(b.length for b in mirrored.finite_bars())
         assert len(original.infinite_bars()) == len(mirrored.infinite_bars())
         assert boundary_depth(original) == boundary_depth(mirrored)
+
+
+def test_wider_window_keeps_the_bars_of_degrees_0_and_1():
+    # the barcode command reads gamma off its own barcode whenever its window
+    # holds degrees 0 and 1, so a wider window must not change their bars
+    rng = random.Random(37)
+    for _ in range(60):
+        spec = NovikovSpec("q", rng.randint(1, 3), F(rng.randint(1, 4), rng.randint(1, 5)))
+        cx, _ = random_complex(rng, rng.randint(2, 12), spec)
+        lo, hi = -rng.randint(0, 3), 2 + rng.randint(0, 3)
+        wide = barcode(cx, (lo, hi))
+        assert Barcode(b for b in wide if b.degree in (0, 1)) == barcode(cx, (0, 2))

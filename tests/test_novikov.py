@@ -96,3 +96,14 @@ def test_lagrangian_params():
     assert lp.kappa == F(1, 4)
     with pytest.raises(ValueError):
         LagrangianParams(dim=1, maslov=1, disk_area=F(1))
+
+
+def test_kappa_is_exact_for_an_int_area():
+    kappa = LagrangianParams(1, 2, 1).kappa
+    assert kappa == F(1, 2) and type(kappa) is F
+
+
+def test_parse_rational_rejects_floats_and_bools():
+    for bad in (0.5, True, None, ["1"]):
+        with pytest.raises(ValueError):
+            parse_rational(bad)

@@ -155,7 +155,7 @@ def test_shifted_bottleneck_properties():
 
 
 def test_collapse_degrees_and_debug_slope_check():
-    from floerbar.persistence import collapse_degrees
+    from floerbar.persistence import brute_force_shifted_bottleneck, collapse_degrees
     b = bc(bar(0, 1, 0), bar(2, 3, 5), bar(4, "inf", 2))
     collapsed = collapse_degrees(b, 2)
     assert collapsed.degrees() == (0, 1)
@@ -163,10 +163,11 @@ def test_collapse_degrees_and_debug_slope_check():
     a = bc(bar(0, 1, 0), bar(5, 6, 3))
     d1, _ = shifted_bottleneck(collapse_degrees(a, 2), collapse_degrees(a, 2))
     assert d1 == 0
-    # debug mode re-asserts the piecewise-linear slope bound by sampling
-    d, c = shifted_bottleneck(bc(bar(0, 1), bar(0, 2)),
-                              bc(bar(0, 1), bar(0, 4)), debug=True)
-    assert (d, c) == (1, 1)
+    # the fast search agrees with the exhaustive scan, whose slope check
+    # re-asserts the piecewise-linear slope bound by sampling
+    a, b = bc(bar(0, 1), bar(0, 2)), bc(bar(0, 1), bar(0, 4))
+    assert shifted_bottleneck(a, b) == \
+        brute_force_shifted_bottleneck(a, b, check_slopes=True) == (1, 1)
 
 
 def test_shift_rigid_instances():
@@ -191,8 +192,7 @@ def _reference_bottleneck(b1, b2, degree_sensitive=True):
     pair with exact arithmetic at each step of a binary search over the
     sorted list of all candidate tolerances."""
     from floerbar.matching import max_bipartite_matching
-    from floerbar.persistence import (_OrderToken, _abs, _bar_matching_cost,
-                                      _deletion_cost)
+    from floerbar.persistence import _abs, _bar_matching_cost, _deletion_cost
 
     bars1, bars2 = b1.expand(), b2.expand()
 
@@ -223,7 +223,7 @@ def _reference_bottleneck(b1, b2, degree_sensitive=True):
             candidates.setdefault(_abs(a.left - b.left))
             if not a.is_infinite:
                 candidates.setdefault(_abs(a.right - b.right))
-    candidates = sorted(candidates, key=_OrderToken)
+    candidates = sorted(candidates)
     if not feasible(candidates[-1]):
         return INF
     lo, hi = 0, len(candidates) - 1
