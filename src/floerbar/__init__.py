@@ -23,8 +23,10 @@ Submodules
     filtered complex.
 ``radial``
     Generator spectra of piecewise linear radial Hamiltonian profiles;
-    feasible-barcode enumeration, certified boundary-depth bounds, and
-    continuity pruning along profile families.
+    feasible-barcode enumeration (over interned bars, one barcode built per
+    distinct bar multiset, with the per-matching enumerator kept as an
+    oracle), certified boundary-depth bounds, and continuity pruning along
+    profile families.
 ``seidel``
     One-generator quantum ring arithmetic, power-hypothesis verification,
     the exact averaging bound and its symbolic telescoping certificate.
@@ -46,7 +48,8 @@ from .diagrams import (TwoCurveDiagram, brute_force_lunes, build_complex,
                        diagram_beta, diagram_gamma, enumerate_lunes,
                        equator_pair_annulus, equator_pair_diagram,
                        two_circle_diagram, validate_diagram)
-from .radial import (GeneratorSpectrum, RadialProfile, degree_actions,
+from .radial import (GeneratorSpectrum, RadialProfile,
+                     brute_force_feasible_barcodes, degree_actions,
                      degree_class_actions, feasible_barcodes, fold_profile,
                      forced_bar_bound, generators, homotopy_filter)
 from .seidel import (QHPresentation, RingElement, SeidelData, averaging_bound,

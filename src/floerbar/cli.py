@@ -9,8 +9,10 @@ check, 2 malformed input.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +22,7 @@ import click
 
 from . import complexes, diagrams, persistence, radial, sampling, seidel, svgout
 from .exactpi import PiRational
-from .novikov import LagrangianParams, format_rational, parse_rational
+from .novikov import LagrangianParams, format_rational, parse_int, parse_rational
 from .persistence import Barcode, INF
 
 __all__ = ["main"]
@@ -117,9 +119,15 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 
 
+def _degree_window(_ctx, _param, value):
+    if value and value[0] > value[1]:
+        raise click.BadParameter(f"LO {value[0]} exceeds HI {value[1]}")
+    return value
+
+
 @main.command("barcode")
 @click.argument("complex_file", type=click.Path(exists=True))
-@click.option("--window", nargs=2, type=int, default=None,
+@click.option("--window", nargs=2, type=int, default=None, callback=_degree_window,
               help="degree window LO HI (half open)")
 @click.option("--oracle", is_flag=True, help="cross-check against the rank-function oracle")
 @click.option("--svg", "svg_path", type=click.Path(), default=None)
@@ -267,12 +275,19 @@ def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
 
 def _parse_params(data: dict) -> LagrangianParams:
     return LagrangianParams(
-        dim=int(data["n"]), maslov=int(data["N_L"]),
+        dim=parse_int(data["n"]), maslov=parse_int(data["N_L"]),
         disk_area=PiRational.from_json(data["A_L"]))
 
 
 def _parse_ranks(data: dict) -> Dict[int, int]:
-    return {int(k): int(v) for k, v in data.items()}
+    """Infinite-bar counts keyed by degree; keys are decimal strings (JSON
+    object keys), values JSON integers."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"ranks must be an object, not {data!r}")
+    for key in data:
+        if not re.fullmatch(r"-?[0-9]+", key):
+            raise SchemaError(f"a rank key must be a decimal degree, not {key!r}")
+    return {int(k): parse_int(v) for k, v in data.items()}
 
 
 @main.command("radial")
@@ -290,6 +305,8 @@ def cmd_radial(profile_file, feasible, homotopy):
         if homotopy:
             if "family" not in data:
                 raise SchemaError("--homotopy needs a 'family' list in the input")
+            if not isinstance(data["family"], list) or not data["family"]:
+                raise SchemaError("'family' must be a nonempty list of profiles")
             profiles = [radial.RadialProfile.from_json(p) for p in data["family"]]
             C = parse_rational(data.get("C", "2"))
         else:
@@ -340,7 +357,7 @@ def cmd_radial(profile_file, feasible, homotopy):
 @main.command("seidel")
 @click.option("--case", "case_name", type=click.Choice(seidel.EXAMPLE_CASE_NAMES),
               default=None)
-@click.option("--n", "n", type=int, default=1, show_default=True)
+@click.option("--n", "n", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--params", "params_json", type=str, default=None,
               help='explicit presentation, e.g. {"n":1,"N_L":2,"A_L":"1","M":2,'
                    '"E":-1,"P":1,"S":{"t":1,"X":1}}')
@@ -350,25 +367,27 @@ def cmd_seidel(case_name, n, params_json):
     try:
         if case_name is None and params_json is None:
             raise SchemaError("need --case or --params")
+        if case_name is None:
+            raw = json.loads(params_json)
+            pres = seidel.QHPresentation(
+                params=LagrangianParams(parse_int(raw["n"]), parse_int(raw["N_L"]),
+                                        parse_rational(raw["A_L"])),
+                power=parse_int(raw["M"]), twist=parse_int(raw["E"]),
+                point_power=parse_int(raw["P"]))
+            element = seidel.RingElement(parse_int(raw["S"]["t"]), parse_int(raw["S"]["X"]))
+    except (SchemaError, KeyError, TypeError, ValueError) as exc:
+        _fail("seidel", exc, 2)
+    try:
         if case_name is not None:
             case = seidel.example_case(case_name, n)
             pres, data = case.presentation, case.seidel
             bound = case.bound
             tele = case.telescoping
         else:
-            raw = json.loads(params_json)
-            pres = seidel.QHPresentation(
-                params=LagrangianParams(int(raw["n"]), int(raw["N_L"]),
-                                        parse_rational(raw["A_L"])),
-                power=int(raw["M"]), twist=int(raw["E"]),
-                point_power=int(raw["P"]))
-            element = seidel.RingElement(int(raw["S"]["t"]), int(raw["S"]["X"]))
             data = seidel.verify_hypotheses(pres, element)
             tele = seidel.telescoping_check(data.k, data.p, data.m, data.r, pres.kappa)
             bound = seidel.averaging_bound(data.k, data.p, data.m, data.r, pres.kappa)
-    except (SchemaError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        _fail("seidel", exc, 2)
-    except (seidel.HypothesisError, ValueError) as exc:
+    except seidel.HypothesisError as exc:
         report.outputs["error"] = str(exc)
         report.check("hypotheses-verified", False)
         _emit(report, f"hypothesis failure: {exc}", 1)
@@ -387,6 +406,25 @@ def cmd_seidel(case_name, n, params_json):
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
+
+
+def _feasible_agrees_with_oracle(spectrum) -> bool:
+    """``feasible_barcodes`` equals its oracle under every rank prescription
+    (both raising InfeasibleRanksError counts as agreement)."""
+    maslov = spectrum.params.maslov
+    counts = [sum(1 for e in spectrum.entries if e.degree % maslov == d)
+              for d in range(maslov)]
+    for quotas in itertools.product(*(range(c + 1) for c in counts)):
+        ranks = dict(enumerate(quotas))
+        outcomes = []
+        for search in (radial.feasible_barcodes, radial.brute_force_feasible_barcodes):
+            try:
+                outcomes.append(search(spectrum, ranks))
+            except radial.InfeasibleRanksError:
+                outcomes.append(None)
+        if outcomes[0] != outcomes[1]:
+            return False
+    return True
 
 
 @main.command("check")
@@ -467,6 +505,14 @@ def cmd_check(seed, trials):
             ok = False
             break
     report.check("lune-oracle-agreement", ok)
+
+    ok = True
+    for _ in range(max(trials // 10, 3)):
+        spectrum = sampling.random_tent_spectrum(rng)
+        if not _feasible_agrees_with_oracle(spectrum):
+            ok = False
+            break
+    report.check("feasible-oracle-agreement", ok)
 
     lp = LagrangianParams(dim=1, maslov=2, disk_area=Fraction(1, 2))
     ok = True

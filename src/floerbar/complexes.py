@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .f2 import Echelon
-from .novikov import (NovikovScalar, NovikovSpec, format_rational,
+from .novikov import (NovikovScalar, NovikovSpec, format_rational, parse_int,
                       parse_rational)
 from .persistence import Bar, Barcode, INF, NEG_INF
 
@@ -634,7 +634,7 @@ def complex_to_json(cx: FilteredComplex) -> dict:
 
 def complex_from_json(data: dict) -> FilteredComplex:
     spec = NovikovSpec.from_json(data["spec"]) if data.get("spec") else None
-    gens = [Generator(item["id"], int(item["degree"]), parse_rational(item["action"]))
+    gens = [Generator(item["id"], parse_int(item["degree"]), parse_rational(item["action"]))
             for item in data["generators"]]
     diff = {
         gid: [(NovikovScalar.parse(coeff, spec), target) for coeff, target in terms]

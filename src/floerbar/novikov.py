@@ -23,6 +23,7 @@ from typing import Optional, Union
 __all__ = [
     "Rational",
     "parse_rational",
+    "parse_int",
     "format_rational",
     "NovikovSpec",
     "NovikovScalar",
@@ -51,6 +52,14 @@ def parse_rational(text: Union[str, int]) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+def parse_int(value: int) -> int:
+    """A JSON integer field.  Any other type (a float, a bool or a string) is
+    a ``ValueError``, so ``1.9`` is never read as ``1``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"an integer field must be a JSON integer, not {value!r}")
+    return value
 
 
 def format_rational(value: Fraction) -> str:
@@ -90,7 +99,8 @@ class NovikovSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "NovikovSpec":
-        return cls(data["var"], int(data["degree_step"]), parse_rational(data["action_step"]))
+        return cls(data["var"], parse_int(data["degree_step"]),
+                   parse_rational(data["action_step"]))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
 from .matching import max_bipartite_matching
-from .novikov import format_rational, parse_rational
+from .novikov import format_rational, parse_int, parse_rational
 
 __all__ = [
     "INF",
@@ -220,10 +220,11 @@ class Barcode:
         merged = {}
         for bar in bars:
             key = (bar.degree, bar.left, bar.right)
-            merged[key] = merged.get(key, 0) + bar.multiplicity
-        canon = [Bar(left, right, degree, mult)
-                 for (degree, left, right), mult in merged.items()]
-        canon.sort(key=_bar_sort_key)
+            prev = merged.get(key)
+            # a bar whose multiplicity the merge leaves alone is kept as given
+            merged[key] = bar if prev is None else Bar(
+                prev.left, prev.right, prev.degree, prev.multiplicity + bar.multiplicity)
+        canon = sorted(merged.values(), key=_bar_sort_key)
         object.__setattr__(self, "bars", tuple(canon))
 
     def __iter__(self):
@@ -273,13 +274,14 @@ class Barcode:
         for item in data["bars"]:
             left = _endpoint_from_json(item["left"])
             right = INF if item["right"] == "inf" else _endpoint_from_json(item["right"])
-            bars.append(Bar(left, right, int(item.get("degree", 0)), int(item.get("mult", 1))))
+            bars.append(Bar(left, right, parse_int(item.get("degree", 0)),
+                            parse_int(item.get("mult", 1))))
         return cls(bars)
 
 
 def boundary_depth(barcode: Barcode):
     """Maximal length of a finite bar; 0 when there is none."""
-    lengths = [b.length for b in barcode.finite_bars()]
+    lengths = [b.length for b in barcode.bars if not b.is_infinite]
     if not lengths:
         return Fraction(0)
     return max(lengths)

@@ -27,6 +27,18 @@ prescribed number of unmatched generators (infinite bars) per degree class
 certified lower bound for the boundary depth of any filtered complex with
 that spectrum.  ``homotopy_filter`` prunes the feasible sets along a sampled
 family of profiles using barcode continuity with a caller-supplied constant.
+
+The search works on interned bars.  Every bar a matching can produce (one
+infinite bar per orbit, one finite bar per allowed pair) is built once per
+call and named by an int; a matching is the sorted tuple of its bar ids, and
+one ``Barcode`` is built per distinct tuple after the search, so equal tuples
+are equal barcodes and ``limit`` counts distinct barcodes.  Twins -- orbits
+of equal degree and action, such as the two kink slots in dimension 1 --
+give the same bars in either role, so the search pairs an orbit only with
+the first undecided member of each run of twins.  The search stays
+exponential in the number of orbits.  ``brute_force_feasible_barcodes``, the
+per-matching enumerator that builds and hashes a ``Barcode`` for every
+matching, is kept as the oracle that tests and ``check`` compare against.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .exactpi import PiRational
-from .novikov import LagrangianParams
+from .novikov import LagrangianParams, parse_int
 from .persistence import (Bar, Barcode, INF, boundary_depth,
                           bottleneck_distance)
 
@@ -51,6 +63,7 @@ __all__ = [
     "degree_actions",
     "degree_class_actions",
     "feasible_barcodes",
+    "brute_force_feasible_barcodes",
     "forced_bar_bound",
     "homotopy_filter",
     "sup_difference",
@@ -85,7 +98,7 @@ class RadialProfile:
     def __post_init__(self) -> None:
         pts = tuple((PiRational.of(r), PiRational.of(f)) for r, f in self.breakpoints)
         object.__setattr__(self, "breakpoints", pts)
-        object.__setattr__(self, "exterior", tuple(int(j) for j in self.exterior))
+        object.__setattr__(self, "exterior", tuple(parse_int(j) for j in self.exterior))
         if len(pts) < 2:
             raise ValueError("a profile needs at least two breakpoints")
         if pts[0][0] != PiRational.of(0):
@@ -298,6 +311,238 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
     the Maslov period.  Enumeration works in the recapping quotient: each
     source contributes one orbit; a pair matches a degree-(d+1) orbit ``y``
     with a degree-d translate of an orbit ``z`` at strictly smaller action.
+    Every bar a matching can use is built once and interned as an int, so a
+    matching is a sorted tuple of ints; a partner is skipped when an earlier
+    undecided twin (equal degree and action) could take its place.  More
+    than ``limit`` distinct barcodes raise ValueError.  Raises
+    InfeasibleRanksError when nothing matches the prescription.
+    """
+    maslov = spectrum.params.maslov
+    area = PiRational.of(spectrum.params.disk_area)
+    orbits = _orbits(spectrum)
+    quota: Dict[int, int] = {d % maslov: int(c) for d, c in ranks.items() if c}
+    counts: Dict[int, int] = {}
+    for o in orbits:
+        counts[o.degree] = counts.get(o.degree, 0) + 1
+    for d, q in quota.items():
+        if counts.get(d, 0) < q:
+            raise InfeasibleRanksError(
+                f"degree class {d} has {counts.get(d, 0)} generators but needs {q} infinite bars")
+
+    # orbits are sorted by (degree, action), so twins -- orbits of equal
+    # degree and action, such as the two kink slots in dimension 1 -- form
+    # runs, and ``run[k]`` is the first orbit of k's run
+    n = len(orbits)
+    run = list(range(n))
+    for k in range(1, n):
+        if orbits[k].degree == orbits[k - 1].degree and orbits[k].action == orbits[k - 1].action:
+            run[k] = run[k - 1]
+
+    # every bar a matching can produce, built once: one infinite bar per
+    # orbit, one finite bar (z, y] per allowed pair (y, z).  Representatives
+    # have degrees in [0, maslov), so z sits one degree below y, or z has
+    # degree maslov - 1 and y degree 0 and y is recapped once (action + disk
+    # area) to sit above it; the pair is allowed when the bar is nonempty.
+    # A bar's (degree, left, right) is fixed by the runs of its orbits, so
+    # bars are interned by runs: equal ids are exactly equal bars.
+    bars: List[Bar] = []
+    bar_ids: Dict[Tuple[int, int], int] = {}
+
+    def intern(key: Tuple[int, int], left, right, degree: int) -> int:
+        if key not in bar_ids:
+            bar_ids[key] = len(bars)
+            bars.append(Bar(left, right, degree))
+        return bar_ids[key]
+
+    free_bar = [intern((-1, run[k]), o.action, INF, o.degree) for k, o in enumerate(orbits)]
+    pair_bar: Dict[Tuple[int, int], int] = {}
+    for iy, y in enumerate(orbits):
+        right = y.action + area if y.degree == 0 else y.action
+        below = (y.degree - 1) % maslov
+        for iz, z in enumerate(orbits):
+            if z.degree == below and z.action < right:
+                pair_bar[(iy, iz)] = intern((run[iy], run[iz]), z.action, right, below)
+
+    found: Set[Tuple[int, ...]] = set()
+    undecided_at = [True] * n
+    chosen: List[int] = []  # bar ids of the partial matching
+    unmatched: Dict[int, int] = {d: 0 for d in counts}
+    undecided: Dict[int, int] = dict(counts)
+
+    def prune() -> bool:
+        for d, q in quota.items():
+            if unmatched.get(d, 0) > q:
+                return False
+            if unmatched.get(d, 0) + undecided.get(d, 0) < q:
+                return False
+        for d in counts:
+            if d not in quota and unmatched.get(d, 0) > 0:
+                return False
+        return True
+
+    def dfs(start: int) -> None:
+        i = start
+        while i < n and not undecided_at[i]:
+            i += 1
+        if i == n:
+            if all(unmatched.get(d, 0) == quota.get(d, 0) for d in counts):
+                found.add(tuple(sorted(chosen)))
+                if limit is not None and len(found) > limit:
+                    raise ValueError("feasible barcode enumeration exceeded the limit")
+            return
+        d = orbits[i].degree
+        undecided_at[i] = False
+        undecided[d] -= 1
+        # leave unmatched
+        if unmatched.get(d, 0) < quota.get(d, 0):
+            unmatched[d] += 1
+            chosen.append(free_bar[i])
+            if prune():
+                dfs(i + 1)
+            chosen.pop()
+            unmatched[d] -= 1
+        # pair with a later undecided partner (every earlier orbit is
+        # decided); both orientations of a pair are distinct matchings
+        # (different recap shifts, different bars).  Swapping two undecided
+        # twins changes no bar, so j is skipped when an earlier twin of j is
+        # undecided (i itself is marked decided above).
+        for j in range(i + 1, n):
+            if not undecided_at[j] or any(undecided_at[t] for t in range(run[j], j)):
+                continue
+            dj = orbits[j].degree
+            undecided_at[j] = False
+            undecided[dj] -= 1
+            for key in ((i, j), (j, i)):
+                if key in pair_bar:
+                    chosen.append(pair_bar[key])
+                    if prune():
+                        dfs(i + 1)
+                    chosen.pop()
+            undecided[dj] += 1
+            undecided_at[j] = True
+        undecided[d] += 1
+        undecided_at[i] = True
+
+    dfs(0)
+    if not found:
+        raise InfeasibleRanksError("no matching leaves the prescribed infinite bars")
+    return frozenset(Barcode(bars[k] for k in ids) for ids in found)
+
+
+def forced_bar_bound(spectrum: GeneratorSpectrum, ranks: Mapping[int, int]):
+    """Certified lower bound for the boundary depth of any filtered complex
+    with the given generator spectrum: the minimum boundary depth over all
+    feasible barcodes."""
+    feas = feasible_barcodes(spectrum, ranks)
+    depths = [boundary_depth(bc) for bc in feas]
+    best = depths[0]
+    for d in depths[1:]:
+        if d < best:
+            best = d
+    return best
+
+
+# ---------------------------------------------------------------------------
+# homotopy pruning
+# ---------------------------------------------------------------------------
+
+
+def sup_difference(p1: RadialProfile, p2: RadialProfile) -> PiRational:
+    """Exact sup of |p1 - p2| over the common domain (rational abscissae)."""
+    r1 = p1.breakpoints[-1][0]
+    r2 = p2.breakpoints[-1][0]
+    if r1 != r2:
+        raise ValueError("profiles must share their domain")
+    xs = sorted({r.as_fraction() for r, _ in p1.breakpoints} |
+                {r.as_fraction() for r, _ in p2.breakpoints})
+    best = PiRational.of(0)
+    for x in xs:
+        diff = abs(p1.value_at(x) - p2.value_at(x))
+        if best < diff:
+            best = diff
+    return best
+
+
+@dataclass(frozen=True)
+class HomotopyTrace:
+    kept: Tuple[frozenset, ...]
+    sup_diffs: Tuple[PiRational, ...]
+
+
+def homotopy_filter(profiles: Sequence[RadialProfile], params: LagrangianParams,
+                    ranks: Mapping[int, int], continuity_constant,
+                    l_range: Optional[Sequence[int]] = None) -> HomotopyTrace:
+    """Prune feasible sets along a sampled family by barcode continuity.
+
+    At each sample only barcodes within ``continuity_constant * sup-difference``
+    (bottleneck, degree-sensitive) of some barcode retained at the previous
+    sample survive; the first sample keeps its full feasible set.  An empty
+    pruned set raises PruningEmptyError naming the sample.
+    """
+    C = PiRational.of(continuity_constant)
+    if C < PiRational.of(1):
+        raise ValueError("the continuity constant must be at least 1")
+    kept: List[frozenset] = []
+    diffs: List[PiRational] = []
+    for idx, prof in enumerate(profiles):
+        feas = feasible_barcodes(generators(prof, params, l_range=l_range), ranks)
+        if idx == 0:
+            kept.append(frozenset(feas))
+            continue
+        eps = sup_difference(profiles[idx - 1], prof)
+        tol = C * eps
+        survivors = set()
+        for bc in feas:
+            for prev in kept[-1]:
+                dd = bottleneck_distance(bc, prev)
+                if not (dd is INF) and not (dd > tol):
+                    survivors.add(bc)
+                    break
+        if not survivors:
+            raise PruningEmptyError(
+                f"no barcode survives continuity pruning at sample {idx}")
+        kept.append(frozenset(survivors))
+        diffs.append(tol)
+    return HomotopyTrace(tuple(kept), tuple(diffs))
+
+
+# ---------------------------------------------------------------------------
+# bundled profile family
+# ---------------------------------------------------------------------------
+
+
+def fold_profile(a: Fraction, capacity: Fraction = Fraction(1, 2)) -> RadialProfile:
+    """Tent-shaped profile joining (0, -A*a/2), (A/2, 0), (A, -A*a/2) in the
+    capacity coordinate, with one exterior index-0 generator; ``A`` is the
+    ball capacity (pi times the outer radius)."""
+    a = Fraction(a)
+    if not 0 < a < 1:
+        raise ValueError("the fold parameter must lie strictly between 0 and 1")
+    A = Fraction(capacity)
+    h = -A * a / 2
+    return RadialProfile(
+        breakpoints=(
+            (PiRational.of(0), PiRational.of(h)),
+            (PiRational.of(A / 2), PiRational.of(0)),
+            (PiRational.of(A), PiRational.of(h)),
+        ),
+        exterior=(0,),
+    )
+
+
+# ---------------------------------------------------------------------------
+# oracle: one Barcode per emitted matching
+# ---------------------------------------------------------------------------
+
+
+def brute_force_feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
+                      limit: Optional[int] = None) -> frozenset:
+    """All barcodes of action-decreasing differentials on the spectrum.
+
+    ``ranks`` prescribes the number of infinite bars per degree class mod
+    the Maslov period.  Enumeration works in the recapping quotient: each
+    source contributes one orbit; a pair matches a degree-(d+1) orbit ``y``
+    with a degree-d translate of an orbit ``z`` at strictly smaller action.
     Raises InfeasibleRanksError when nothing matches the prescription.
     """
     maslov = spectrum.params.maslov
@@ -404,104 +649,3 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
     if not results:
         raise InfeasibleRanksError("no matching leaves the prescribed infinite bars")
     return frozenset(results)
-
-
-def forced_bar_bound(spectrum: GeneratorSpectrum, ranks: Mapping[int, int]):
-    """Certified lower bound for the boundary depth of any filtered complex
-    with the given generator spectrum: the minimum boundary depth over all
-    feasible barcodes."""
-    feas = feasible_barcodes(spectrum, ranks)
-    depths = [boundary_depth(bc) for bc in feas]
-    best = depths[0]
-    for d in depths[1:]:
-        if d < best:
-            best = d
-    return best
-
-
-# ---------------------------------------------------------------------------
-# homotopy pruning
-# ---------------------------------------------------------------------------
-
-
-def sup_difference(p1: RadialProfile, p2: RadialProfile) -> PiRational:
-    """Exact sup of |p1 - p2| over the common domain (rational abscissae)."""
-    r1 = p1.breakpoints[-1][0]
-    r2 = p2.breakpoints[-1][0]
-    if r1 != r2:
-        raise ValueError("profiles must share their domain")
-    xs = sorted({r.as_fraction() for r, _ in p1.breakpoints} |
-                {r.as_fraction() for r, _ in p2.breakpoints})
-    best = PiRational.of(0)
-    for x in xs:
-        diff = abs(p1.value_at(x) - p2.value_at(x))
-        if best < diff:
-            best = diff
-    return best
-
-
-@dataclass(frozen=True)
-class HomotopyTrace:
-    kept: Tuple[frozenset, ...]
-    sup_diffs: Tuple[PiRational, ...]
-
-
-def homotopy_filter(profiles: Sequence[RadialProfile], params: LagrangianParams,
-                    ranks: Mapping[int, int], continuity_constant,
-                    l_range: Optional[Sequence[int]] = None) -> HomotopyTrace:
-    """Prune feasible sets along a sampled family by barcode continuity.
-
-    At each sample only barcodes within ``continuity_constant * sup-difference``
-    (bottleneck, degree-sensitive) of some barcode retained at the previous
-    sample survive; the first sample keeps its full feasible set.  An empty
-    pruned set raises PruningEmptyError naming the sample.
-    """
-    C = PiRational.of(continuity_constant)
-    if C < PiRational.of(1):
-        raise ValueError("the continuity constant must be at least 1")
-    kept: List[frozenset] = []
-    diffs: List[PiRational] = []
-    for idx, prof in enumerate(profiles):
-        feas = feasible_barcodes(generators(prof, params, l_range=l_range), ranks)
-        if idx == 0:
-            kept.append(frozenset(feas))
-            continue
-        eps = sup_difference(profiles[idx - 1], prof)
-        tol = C * eps
-        survivors = set()
-        for bc in feas:
-            for prev in kept[-1]:
-                dd = bottleneck_distance(bc, prev)
-                if not (dd is INF) and not (dd > tol):
-                    survivors.add(bc)
-                    break
-        if not survivors:
-            raise PruningEmptyError(
-                f"no barcode survives continuity pruning at sample {idx}")
-        kept.append(frozenset(survivors))
-        diffs.append(tol)
-    return HomotopyTrace(tuple(kept), tuple(diffs))
-
-
-# ---------------------------------------------------------------------------
-# bundled profile family
-# ---------------------------------------------------------------------------
-
-
-def fold_profile(a: Fraction, capacity: Fraction = Fraction(1, 2)) -> RadialProfile:
-    """Tent-shaped profile joining (0, -A*a/2), (A/2, 0), (A, -A*a/2) in the
-    capacity coordinate, with one exterior index-0 generator; ``A`` is the
-    ball capacity (pi times the outer radius)."""
-    a = Fraction(a)
-    if not 0 < a < 1:
-        raise ValueError("the fold parameter must lie strictly between 0 and 1")
-    A = Fraction(capacity)
-    h = -A * a / 2
-    return RadialProfile(
-        breakpoints=(
-            (PiRational.of(0), PiRational.of(h)),
-            (PiRational.of(A / 2), PiRational.of(0)),
-            (PiRational.of(A), PiRational.of(h)),
-        ),
-        exterior=(0,),
-    )

@@ -11,6 +11,10 @@ planted barcode, the reduction output and the rank-function oracle.
 Random sphere diagrams come from closed meanders: a pair of non-crossing
 chord matchings whose union is a single cycle, with areas drawn exactly from
 the admissibility polytope (both curves bisect the sphere).
+
+Random radial spectra come from one-kink profiles (a tent or a valley) with
+non-integer slopes, in dimension 1 with Maslov number 2 or dimension 2 with
+Maslov number 4, and a rational, pi-valued or mixed disk area.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import FilteredComplex, Generator
 from .diagrams import TwoCurveDiagram, sphere_diagram_from_meander, _Geometry
-from .novikov import NovikovScalar, NovikovSpec
+from .exactpi import PiRational
+from .novikov import LagrangianParams, NovikovScalar, NovikovSpec
 from .persistence import Bar, Barcode, INF
+from .radial import GeneratorSpectrum, RadialProfile, generators
 
 __all__ = [
     "random_barcode",
@@ -31,6 +37,7 @@ __all__ = [
     "random_meander",
     "random_admissible_areas",
     "random_sphere_diagram",
+    "random_tent_spectrum",
 ]
 
 
@@ -272,3 +279,40 @@ def random_sphere_diagram(rng: random.Random, crossings: int = 4) -> TwoCurveDia
     skeleton = sphere_diagram_from_meander(north, south, areas=placeholder)
     areas = random_admissible_areas(rng, skeleton)
     return sphere_diagram_from_meander(north, south, areas=areas)
+
+
+# ---------------------------------------------------------------------------
+# radial spectra
+# ---------------------------------------------------------------------------
+
+_DISK_AREAS = (PiRational.of(Fraction(1, 2)), PiRational.of(Fraction(3, 5)),
+               PiRational.pi(Fraction(1, 7)), PiRational.pi(Fraction(1, 9)),
+               PiRational(Fraction(1, 4), Fraction(1, 13)),
+               PiRational(Fraction(1, 5), Fraction(1, 11)))
+
+
+def _random_slope(rng: random.Random) -> Fraction:
+    """A slope in (-3, 3) that is not an integer."""
+    return rng.choice((1, -1)) * (rng.randint(0, 2) + Fraction(rng.randint(1, 9), 10))
+
+
+def random_tent_spectrum(rng: random.Random, max_generators: int = 8) -> GeneratorSpectrum:
+    """Spectrum of a random one-kink profile with at most ``max_generators``
+    generators: dimension 1 and Maslov number 2 or dimension 2 and Maslov
+    number 4, disk area rational, a multiple of pi or both."""
+    dim, maslov = rng.choice(((1, 2), (2, 4)))
+    params = LagrangianParams(dim, maslov, rng.choice(_DISK_AREAS))
+    while True:
+        capacity = rng.choice((Fraction(1, 2), Fraction(3, 4), Fraction(1)))
+        mid = capacity * Fraction(rng.randint(2, 3), 5)
+        base = Fraction(-rng.randint(0, 20), 20)
+        top = base + _random_slope(rng) * mid
+        end = top + _random_slope(rng) * (capacity - mid)
+        exterior = rng.sample(range(2 * dim), rng.randint(0, 2))
+        profile = RadialProfile(
+            breakpoints=tuple((PiRational.of(r), PiRational.of(f)) for r, f in
+                              ((0, base), (mid, top), (capacity, end))),
+            exterior=tuple(exterior))
+        spectrum = generators(profile, params)
+        if len(spectrum.entries) <= max_generators:
+            return spectrum

@@ -316,3 +316,93 @@ def test_no_report_carries_a_json_float():
         floats = []
         json.loads(result.stdout, parse_float=floats.append)
         assert floats == [], (args, floats)
+
+
+def _radial_fold(**changes):
+    data = json.loads(resources.files("floerbar").joinpath(
+        "fixtures", "radial_fold.json").read_text())
+    for key, value in changes.items():
+        if key in ("n", "N_L"):
+            data["params"][key] = value
+        else:
+            data[key] = value
+    return data
+
+
+def test_a_non_integer_integer_field_is_malformed_input(tmp_path):
+    # int(...) used to truncate these: rank 1.9 or N_L 2.7 ran to exit 0
+    # with bound 9/40, and a degree 1.9 was read as degree 1
+    spec = _complex_json()["spec"]
+    gens = _complex_json()["generators"]
+    gens[1]["degree"] = 1.9
+    cases = [("radial", _radial_fold(ranks={"0": 1, "1": 1.9}), []),
+             ("radial", _radial_fold(ranks={"0": True, "1": 1}), []),
+             ("radial", _radial_fold(ranks={"0": "1", "1": 1}), []),
+             ("radial", _radial_fold(ranks={"0": 1, "1.0": 1}), []),
+             ("radial", _radial_fold(ranks={"0": 1, " 1": 1}), []),
+             ("radial", _radial_fold(ranks=[1, 1]), []),
+             ("radial", _radial_fold(N_L=2.7), []),
+             ("radial", _radial_fold(n=1.0), []),
+             ("radial", _radial_fold(n=True), []),
+             ("radial", _radial_fold(exterior=[0.0]), []),
+             ("radial", _radial_fold(exterior=[False]), []),
+             ("barcode", _complex_json(generators=gens), []),
+             ("barcode", _complex_json(spec=dict(spec, degree_step=2.0)), []),
+             ("bottleneck", {"bars": [{"left": "0", "right": "1", "degree": 0.5}]},
+              [fixture_path("barcode_pair_a.json")]),
+             ("bottleneck", {"bars": [{"left": "0", "right": "1", "mult": 1.5}]},
+              [fixture_path("barcode_pair_a.json")])]
+    for i, (command, data, extra) in enumerate(cases):
+        path = tmp_path / f"int_field_{i}.json"
+        path.write_text(json.dumps(data))
+        result, report = run(command, str(path), *extra)
+        assert result.exit_code == 2, (command, data, result.output)
+        assert isinstance(result.exception, SystemExit)
+        assert "error" in report
+
+
+def test_radial_rank_keys_are_decimal_strings(tmp_path):
+    path = tmp_path / "signed_keys.json"
+    path.write_text(json.dumps(_radial_fold(ranks={"-2": 1, "3": 1})))
+    result, report = run("radial", str(path))
+    # -2 and 3 are the degree classes 0 and 1 mod the Maslov number 2
+    assert result.exit_code == 0, result.output
+    assert report["outputs"]["forced_bar_bound"] == ["9/40", "0"]
+
+
+def test_barcode_reversed_window_exits_2():
+    result, _ = run("barcode", fixture_path("equator_pair_complex.json"), "--window", "3", "1")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "LO 3 exceeds HI 1" in result.output
+    result, report = run("barcode", fixture_path("equator_pair_complex.json"), "--window", "1", "1")
+    assert result.exit_code == 0
+    assert report["outputs"]["barcode"] == {"bars": []}
+
+
+SEIDEL_PARAMS = {"n": 2, "N_L": 4, "A_L": "1", "M": 2, "E": -1, "P": 1, "S": {"t": 2, "X": 1}}
+
+
+def test_seidel_malformed_params_exit_2():
+    for key, value in (("A_L", 0.5), ("A_L", "abc"), ("n", 1.5), ("M", True), ("M", 0),
+                       ("S", {"t": 2}), ("S", [2, 1]), ("N_L", 1)):
+        params = json.dumps(dict(SEIDEL_PARAMS, **{key: value}))
+        result, report = run("seidel", "--params", params)
+        assert result.exit_code == 2, (key, value, result.output)
+        assert isinstance(result.exception, SystemExit)
+        assert "error" in report and "checks" not in report
+    for params in ("[1, 2]", "{not json"):
+        result, _ = run("seidel", "--params", params)
+        assert result.exit_code == 2, params
+    result, _ = run("seidel", "--case", "RPn", "--n", "0")
+    assert result.exit_code == 2
+
+
+def test_seidel_failed_hypothesis_exits_1():
+    # S = 1 never reaches the point class X**1, a well-formed failed hypothesis
+    params = json.dumps(dict(SEIDEL_PARAMS, S={"t": 0, "X": 0}))
+    result, report = run("seidel", "--params", params)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert report["checks"] == [{"name": "hypotheses-verified", "passed": False}]
+    assert "no power" in report["outputs"]["error"]

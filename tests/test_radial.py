@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,10 +9,11 @@ from floerbar.novikov import LagrangianParams
 from floerbar.persistence import Barcode, Bar, INF, boundary_depth
 from floerbar.radial import (GeneratorSpectrum, InfeasibleRanksError,
                              RadialProfile, SlopeDegeneracyError,
-                             SpectrumEntry, degree_actions,
-                             degree_class_actions, feasible_barcodes,
-                             fold_profile, forced_bar_bound, generators,
-                             homotopy_filter, sup_difference)
+                             SpectrumEntry, brute_force_feasible_barcodes,
+                             degree_actions, degree_class_actions,
+                             feasible_barcodes, fold_profile, forced_bar_bound,
+                             generators, homotopy_filter, sup_difference)
+from floerbar.sampling import random_tent_spectrum
 
 LP = LagrangianParams(dim=1, maslov=2, disk_area=F(1, 2))
 
@@ -212,3 +215,64 @@ def test_steep_profile_zero_time_low_degree3_only_from_convex_corner():
     for e in s.entries:
         if e.degree == 3 and not e.action > pv(2):
             assert e.source[0] == "kink" and e.source[3] == "up" and e.source[4] == 1, e
+
+
+def _rank_prescriptions(spectrum):
+    maslov = spectrum.params.maslov
+    counts = [sum(1 for e in spectrum.entries if e.degree % maslov == d)
+              for d in range(maslov)]
+    for quotas in itertools.product(*(range(c + 1) for c in counts)):
+        yield dict(enumerate(quotas))
+
+
+def _area_kind(spectrum):
+    area = PiRational.of(spectrum.params.disk_area)
+    return "rational" if area.is_rational else "pi" if area.rational == 0 else "mixed"
+
+
+def test_feasible_barcodes_equal_the_oracle_on_random_spectra():
+    rng = random.Random(20260518)
+    kinds, sizes, feasible = set(), set(), 0
+    for _ in range(200):
+        s = random_tent_spectrum(rng)
+        kinds.add((s.params.dim, s.params.maslov, _area_kind(s)))
+        sizes.add(len(s.entries))
+        for ranks in _rank_prescriptions(s):
+            try:
+                slow = brute_force_feasible_barcodes(s, ranks)
+            except InfeasibleRanksError:
+                with pytest.raises(InfeasibleRanksError):
+                    feasible_barcodes(s, ranks)
+                continue
+            feasible += 1
+            assert feasible_barcodes(s, ranks) == slow, (s, ranks)
+            # the budget counts distinct barcodes, as in the oracle
+            assert feasible_barcodes(s, ranks, limit=len(slow)) == slow
+            with pytest.raises(ValueError, match="exceeded the limit"):
+                feasible_barcodes(s, ranks, limit=len(slow) - 1)
+    assert kinds == {(dim, maslov, kind) for dim, maslov in ((1, 2), (2, 4))
+                     for kind in ("rational", "pi", "mixed")}
+    assert max(sizes) == 8 and feasible > 200
+
+
+def test_the_oracle_budget_counts_distinct_barcodes():
+    s = generators(fold_profile(F(9, 10)), LP)
+    for search in (feasible_barcodes, brute_force_feasible_barcodes):
+        assert len(search(s, {0: 1, 1: 1}, limit=2)) == 2
+        with pytest.raises(ValueError, match="exceeded the limit"):
+            search(s, {0: 1, 1: 1}, limit=1)
+
+
+def test_twin_orbits_collapse_without_losing_barcodes():
+    # slope 21/10 on both sides of a tent: five kink levels, each with two
+    # dimension-1 slots of equal degree and action; all ten partners of a
+    # twin pair give the same bars, and the bound is the steepest kink bar
+    prof = RadialProfile(breakpoints=((pv(0), pv(0)), (pv((1, 4)), pv((21, 40))),
+                                      (pv((1, 2)), pv(0))), exterior=(0,))
+    s = generators(prof, LP)
+    assert len(s.entries) == 12
+    feas = feasible_barcodes(s, {0: 0, 1: 0})
+    assert len(feas) == 10
+    assert forced_bar_bound(s, {0: 0, 1: 0}) == pv((21, 40))
+    with pytest.raises(ValueError, match="exceeded the limit"):
+        feasible_barcodes(s, {0: 0, 1: 0}, limit=9)

@@ -1,6 +1,6 @@
-"""Schema fuzz of ``combfloer``: mutated diagram files keep the exit-code
-contract (0 success, 1 validation failure, 2 malformed input) and never end
-in a traceback."""
+"""Schema fuzz of ``combfloer`` and ``radial``: mutated diagram and radial
+profile files keep the exit-code contract (0 success, 1 validation failure,
+2 malformed input) and never end in a traceback."""
 
 import copy
 import json
@@ -97,3 +97,103 @@ def test_malformed_fields_exit_2(tmp_path):
         result = CliRunner().invoke(main, ["combfloer", str(path)])
         assert result.exit_code == 2, (where, key, value, result.output)
         assert isinstance(result.exception, SystemExit)
+
+
+# ---------------------------------------------------------------------------
+# radial profiles: shape and type mutations only.  A mutation never writes a
+# number where one was, so it cannot steepen a slope or add exterior indices
+# and grow the spectrum that feasible_barcodes searches.
+# ---------------------------------------------------------------------------
+
+RADIAL_FIXTURES = ("radial_fold.json", "radial_fold_family.json")
+RADIAL_BASES = [json.loads(resources.files("floerbar").joinpath("fixtures", name).read_text())
+                for name in RADIAL_FIXTURES]
+RADIAL_FIELDS = ("breakpoints", "exterior", "params", "ranks", "family", "C", "R")
+
+not_a_number = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False, width=16),
+    st.sampled_from(["", "abc", "1/0", "1.5", " 1", "x/2", "inf"]),
+    st.lists(st.sampled_from(["", "abc", "1/0"]), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "0"]), st.none(), max_size=2))
+
+
+def _truncate(data, items):
+    return items[:data.draw(st.integers(0, max(len(items) - 1, 0)))]
+
+
+def _mutate_profile(data, profile) -> None:
+    kind = data.draw(st.sampled_from(
+        ["drop", "retype", "truncate-breakpoints", "truncate-point", "retype-coordinate",
+         "truncate-coordinate", "truncate-exterior", "retype-exterior-entry"]))
+    points = profile.get("breakpoints")
+    if kind in ("drop", "retype") or not isinstance(points, list) or not points:
+        key = data.draw(st.sampled_from(("breakpoints", "exterior", "R")))
+        if kind == "drop":
+            profile.pop(key, None)
+        else:
+            profile[key] = data.draw(not_a_number)
+    elif kind == "truncate-breakpoints":
+        profile["breakpoints"] = _truncate(data, points)
+    elif kind in ("truncate-point", "retype-coordinate", "truncate-coordinate"):
+        i = data.draw(st.integers(0, len(points) - 1))
+        if kind == "truncate-point":
+            points[i] = _truncate(data, points[i])
+            return
+        if not isinstance(points[i], list) or len(points[i]) < 2:
+            return
+        j = data.draw(st.integers(0, 1))
+        if kind == "retype-coordinate":
+            points[i][j] = data.draw(not_a_number)
+        elif isinstance(points[i][j], list):
+            points[i][j] = _truncate(data, points[i][j])
+    elif isinstance(profile.get("exterior"), list) and profile["exterior"]:
+        if kind == "truncate-exterior":
+            profile["exterior"] = _truncate(data, profile["exterior"])
+        else:
+            i = data.draw(st.integers(0, len(profile["exterior"]) - 1))
+            profile["exterior"][i] = data.draw(not_a_number)
+
+
+def _mutate_radial(data, doc) -> None:
+    kind = data.draw(st.sampled_from(
+        ["drop", "retype", "profile", "drop-param", "retype-param", "retype-rank",
+         "rekey-rank", "truncate-family"]))
+    if kind == "drop":
+        doc.pop(data.draw(st.sampled_from(RADIAL_FIELDS)), None)
+    elif kind == "retype":
+        doc[data.draw(st.sampled_from(RADIAL_FIELDS))] = data.draw(not_a_number)
+    elif kind == "profile":
+        family = doc.get("family")
+        family = [p for p in family if isinstance(p, dict)] if isinstance(family, list) else []
+        _mutate_profile(data, data.draw(st.sampled_from(family)) if family else doc)
+    elif kind in ("drop-param", "retype-param") and isinstance(doc.get("params"), dict):
+        key = data.draw(st.sampled_from(("n", "N_L", "A_L")))
+        if kind == "drop-param":
+            doc["params"].pop(key, None)
+        else:
+            doc["params"][key] = data.draw(not_a_number)
+    elif kind in ("retype-rank", "rekey-rank") and isinstance(doc.get("ranks"), dict) \
+            and doc["ranks"]:
+        key = data.draw(st.sampled_from(sorted(doc["ranks"])))
+        if kind == "retype-rank":
+            doc["ranks"][key] = data.draw(not_a_number)
+        else:
+            doc["ranks"][data.draw(st.sampled_from(["", "a", "1.0", " 1", "0x1", "+"]))] = \
+                doc["ranks"].pop(key)
+    elif isinstance(doc.get("family"), list):
+        doc["family"] = _truncate(data, doc["family"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_radial_profiles_keep_the_exit_code_contract(tmp_path, data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(RADIAL_BASES)))
+    _mutate_radial(data, doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    args = ["radial", str(path)] + data.draw(st.sampled_from([[], ["--feasible"], ["--homotopy"]]))
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        (json.dumps(doc), args, repr(result.exception))
