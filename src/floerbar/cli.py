@@ -9,7 +9,6 @@ check, 2 malformed input.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import random
 import re
@@ -411,11 +410,7 @@ def cmd_seidel(case_name, n, params_json):
 def _feasible_agrees_with_oracle(spectrum) -> bool:
     """``feasible_barcodes`` equals its oracle under every rank prescription
     (both raising InfeasibleRanksError counts as agreement)."""
-    maslov = spectrum.params.maslov
-    counts = [sum(1 for e in spectrum.entries if e.degree % maslov == d)
-              for d in range(maslov)]
-    for quotas in itertools.product(*(range(c + 1) for c in counts)):
-        ranks = dict(enumerate(quotas))
+    for ranks in radial.rank_prescriptions(spectrum):
         outcomes = []
         for search in (radial.feasible_barcodes, radial.brute_force_feasible_barcodes):
             try:

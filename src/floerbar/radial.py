@@ -43,9 +43,10 @@ matching, is kept as the oracle that tests and ``check`` compare against.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .exactpi import PiRational
 from .novikov import LagrangianParams, parse_int
@@ -64,6 +65,7 @@ __all__ = [
     "degree_class_actions",
     "feasible_barcodes",
     "brute_force_feasible_barcodes",
+    "rank_prescriptions",
     "forced_bar_bound",
     "homotopy_filter",
     "sup_difference",
@@ -533,6 +535,17 @@ def fold_profile(a: Fraction, capacity: Fraction = Fraction(1, 2)) -> RadialProf
 # ---------------------------------------------------------------------------
 # oracle: one Barcode per emitted matching
 # ---------------------------------------------------------------------------
+
+
+def rank_prescriptions(spectrum: GeneratorSpectrum) -> Iterator[Dict[int, int]]:
+    """Every ``ranks`` mapping with at most as many infinite bars per degree
+    class as the class has orbits -- the prescriptions on which the search
+    and its oracle are compared."""
+    maslov = spectrum.params.maslov
+    counts = [sum(1 for e in spectrum.entries if e.degree % maslov == d)
+              for d in range(maslov)]
+    for quotas in itertools.product(*(range(c + 1) for c in counts)):
+        yield dict(enumerate(quotas))
 
 
 def brute_force_feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],

@@ -296,10 +296,15 @@ def _random_slope(rng: random.Random) -> Fraction:
     return rng.choice((1, -1)) * (rng.randint(0, 2) + Fraction(rng.randint(1, 9), 10))
 
 
-def random_tent_spectrum(rng: random.Random, max_generators: int = 8) -> GeneratorSpectrum:
-    """Spectrum of a random one-kink profile with at most ``max_generators``
-    generators: dimension 1 and Maslov number 2 or dimension 2 and Maslov
-    number 4, disk area rational, a multiple of pi or both."""
+_MAX_TENT_GENERATORS = 8
+
+
+def random_tent_spectrum(rng: random.Random) -> GeneratorSpectrum:
+    """Spectrum of a random one-kink profile with at most
+    ``_MAX_TENT_GENERATORS`` generators, a cap that bounds the cost of the
+    brute-force feasible-barcode oracle (exponential in that count):
+    dimension 1 and Maslov number 2 or dimension 2 and Maslov number 4,
+    disk area rational, a multiple of pi or both."""
     dim, maslov = rng.choice(((1, 2), (2, 4)))
     params = LagrangianParams(dim, maslov, rng.choice(_DISK_AREAS))
     while True:
@@ -314,5 +319,5 @@ def random_tent_spectrum(rng: random.Random, max_generators: int = 8) -> Generat
                               ((0, base), (mid, top), (capacity, end))),
             exterior=tuple(exterior))
         spectrum = generators(profile, params)
-        if len(spectrum.entries) <= max_generators:
+        if len(spectrum.entries) <= _MAX_TENT_GENERATORS:
             return spectrum

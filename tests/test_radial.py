@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -12,8 +11,9 @@ from floerbar.radial import (GeneratorSpectrum, InfeasibleRanksError,
                              SpectrumEntry, brute_force_feasible_barcodes,
                              degree_actions, degree_class_actions,
                              feasible_barcodes, fold_profile, forced_bar_bound,
-                             generators, homotopy_filter, sup_difference)
-from floerbar.sampling import random_tent_spectrum
+                             generators, homotopy_filter, rank_prescriptions,
+                             sup_difference)
+from floerbar.sampling import _MAX_TENT_GENERATORS, random_tent_spectrum
 
 LP = LagrangianParams(dim=1, maslov=2, disk_area=F(1, 2))
 
@@ -217,14 +217,6 @@ def test_steep_profile_zero_time_low_degree3_only_from_convex_corner():
             assert e.source[0] == "kink" and e.source[3] == "up" and e.source[4] == 1, e
 
 
-def _rank_prescriptions(spectrum):
-    maslov = spectrum.params.maslov
-    counts = [sum(1 for e in spectrum.entries if e.degree % maslov == d)
-              for d in range(maslov)]
-    for quotas in itertools.product(*(range(c + 1) for c in counts)):
-        yield dict(enumerate(quotas))
-
-
 def _area_kind(spectrum):
     area = PiRational.of(spectrum.params.disk_area)
     return "rational" if area.is_rational else "pi" if area.rational == 0 else "mixed"
@@ -237,7 +229,7 @@ def test_feasible_barcodes_equal_the_oracle_on_random_spectra():
         s = random_tent_spectrum(rng)
         kinds.add((s.params.dim, s.params.maslov, _area_kind(s)))
         sizes.add(len(s.entries))
-        for ranks in _rank_prescriptions(s):
+        for ranks in rank_prescriptions(s):
             try:
                 slow = brute_force_feasible_barcodes(s, ranks)
             except InfeasibleRanksError:
@@ -252,7 +244,7 @@ def test_feasible_barcodes_equal_the_oracle_on_random_spectra():
                 feasible_barcodes(s, ranks, limit=len(slow) - 1)
     assert kinds == {(dim, maslov, kind) for dim, maslov in ((1, 2), (2, 4))
                      for kind in ("rational", "pi", "mixed")}
-    assert max(sizes) == 8 and feasible > 200
+    assert max(sizes) == _MAX_TENT_GENERATORS and feasible > 200
 
 
 def test_the_oracle_budget_counts_distinct_barcodes():
