@@ -11,25 +11,28 @@ Submodules
     Barcodes; bottleneck/interleaving distance (exact, a threshold search
     over once-priced bar pairs with bipartite matching); the shift-quotient
     metric (a search over the optimum with one matching per candidate
-    shift); boundary depth and bar-length spectra; exhaustive oracles.
+    shift); boundary depth and bar-length spectra.
 ``complexes``
     Filtered chain complexes over a Novikov field, validated at construction;
-    orthogonalising reduction, barcodes, spectral invariants, the spectral
-    norm read off a barcode, and an independent rank-function oracle.
+    orthogonalising reduction, barcodes, spectral invariants and the
+    spectral norm read off a barcode.
 ``diagrams``
     Combinatorial two-curve diagrams on the sphere or annulus; lune
     enumeration (one winding solve per diagram, candidates priced by prefix
-    sums, with the per-candidate solve kept as an oracle) and the induced
-    filtered complex.
+    sums) and the induced filtered complex.
 ``radial``
     Generator spectra of piecewise linear radial Hamiltonian profiles;
     feasible-barcode enumeration (over interned bars, one barcode built per
-    distinct bar multiset, with the per-matching enumerator kept as an
-    oracle), certified boundary-depth bounds, and continuity pruning along
-    profile families.
+    distinct bar multiset), certified boundary-depth bounds, and continuity
+    pruning along profile families.
 ``seidel``
     One-generator quantum ring arithmetic, power-hypothesis verification,
     the exact averaging bound and its symbolic telescoping certificate.
+``oracles``
+    The independent exhaustive routes the fast code is checked against: the
+    rank-function barcode, the exhaustive matchers, the per-candidate lune
+    solve and the per-matching feasible enumerator.  Not imported here; only
+    tests, ``floerbar check`` and ``--oracle`` load it.
 """
 
 from .exactpi import PiRational
@@ -38,18 +41,16 @@ from .novikov import (LagrangianParams, NovikovScalar, NovikovSpec, Rational,
                       parse_rational)
 from .persistence import (Bar, Barcode, INF, NEG_INF, bar_length_spectrum,
                           bottleneck_distance, boundary_depth,
-                          brute_force_bottleneck,
-                          brute_force_shifted_bottleneck, interleaving_distance,
-                          shift_barcode, shifted_bottleneck)
+                          interleaving_distance, shift_barcode,
+                          shifted_bottleneck)
 from .complexes import (FilteredComplex, Generator, barcode,
-                        brute_force_barcode, complex_from_json,
-                        complex_to_json, gamma, spectral_invariant, uz_reduce)
-from .diagrams import (TwoCurveDiagram, brute_force_lunes, build_complex,
-                       diagram_beta, diagram_gamma, enumerate_lunes,
-                       equator_pair_annulus, equator_pair_diagram,
-                       two_circle_diagram, validate_diagram)
-from .radial import (GeneratorSpectrum, RadialProfile,
-                     brute_force_feasible_barcodes, degree_actions,
+                        complex_from_json, complex_to_json, gamma,
+                        spectral_invariant, uz_reduce)
+from .diagrams import (TwoCurveDiagram, build_complex, diagram_beta,
+                       diagram_gamma, enumerate_lunes, equator_pair_annulus,
+                       equator_pair_diagram, two_circle_diagram,
+                       validate_diagram)
+from .radial import (GeneratorSpectrum, RadialProfile, degree_actions,
                      degree_class_actions, feasible_barcodes, fold_profile,
                      forced_bar_bound, generators, homotopy_filter)
 from .seidel import (QHPresentation, RingElement, SeidelData, averaging_bound,

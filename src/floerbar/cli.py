@@ -98,9 +98,11 @@ def _value_json(v):
 def _oracle_check(report: RunReport, cx, bc: Barcode, window=None) -> None:
     """Cross-check ``bc`` against the rank-function oracle.  A complex past
     the oracle's size cap fails the check ``oracle-size-cap`` instead."""
+    from . import oracles
+
     try:
-        oc = complexes.brute_force_barcode(cx, window)
-    except complexes.OracleSizeError as exc:
+        oc = oracles.brute_force_barcode(cx, window)
+    except oracles.OracleSizeError as exc:
         report.outputs["oracle_error"] = str(exc)
         report.check("oracle-size-cap", False)
         return
@@ -227,14 +229,13 @@ def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
     except (SchemaError, KeyError, ValueError, TypeError) as exc:
         _fail("combfloer", exc, 2)
     try:
-        diagrams.validate_diagram(dg)
-        report.check("diagram-valid", True)
         lunes = diagrams.enumerate_lunes(dg, max_wind)
         cx = diagrams.build_complex(dg, max_wind)
     except (diagrams.DiagramError, diagrams.InadmissibleDiagramError) as exc:
         report.check("diagram-valid", False)
         report.outputs["error"] = str(exc)
         _emit(report, f"inadmissible diagram: {exc}", 1)
+    report.check("diagram-valid", True)
     report.outputs["lunes"] = [
         {"from": l.source, "to": l.target, "area": format_rational(l.area),
          "windings": dict(l.w)} for l in lunes]
@@ -253,8 +254,10 @@ def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
         except complexes.GammaUndefinedError as exc:
             report.outputs["gamma_note"] = str(exc)
     if oracle:
+        from . import oracles
+
         _oracle_check(report, cx, bc)
-        report.check("lune-oracle-match", diagrams.brute_force_lunes(dg, max_wind) == lunes)
+        report.check("lune-oracle-match", oracles.brute_force_lunes(dg, max_wind) == lunes)
     if emit_complex:
         with open(emit_complex, "w", encoding="utf-8") as fh:
             json.dump(complexes.complex_to_json(cx), fh, indent=2)
@@ -407,126 +410,105 @@ def cmd_seidel(case_name, n, params_json):
 # ---------------------------------------------------------------------------
 
 
-def _feasible_agrees_with_oracle(spectrum) -> bool:
-    """``feasible_barcodes`` equals its oracle under every rank prescription
-    (both raising InfeasibleRanksError counts as agreement)."""
-    for ranks in radial.rank_prescriptions(spectrum):
-        outcomes = []
-        for search in (radial.feasible_barcodes, radial.brute_force_feasible_barcodes):
-            try:
-                outcomes.append(search(spectrum, ranks))
-            except radial.InfeasibleRanksError:
-                outcomes.append(None)
-        if outcomes[0] != outcomes[1]:
-            return False
-    return True
-
-
 @main.command("check")
 @click.option("--seed", type=int, default=2026, show_default=True)
 @click.option("--trials", type=int, default=40, show_default=True,
               help="sample count for the randomized properties")
 def cmd_check(seed, trials):
     """Run the cross-module invariant battery on seeded random data."""
+    from . import oracles
+
     report = RunReport("check")
     rng = random.Random(seed)
     report.outputs["seed"] = seed
 
-    ok = True
-    for trial in range(trials):
-        cx, expected = sampling.random_complex(rng, rng.randint(2, 10))
+    def complex_agrees(cx, expected) -> bool:
         bc = complexes.barcode(cx)
-        if bc != expected or complexes.brute_force_barcode(cx) != bc:
-            ok = False
-            break
-    report.check("complex-oracle-agreement", ok)
+        return bc == expected and oracles.brute_force_barcode(cx) == bc
 
-    ok = True
-    for trial in range(trials):
-        b1 = sampling.random_barcode(rng)
-        b2 = sampling.random_barcode(rng)
-        b3 = sampling.random_barcode(rng)
+    report.check("complex-oracle-agreement", all(
+        complex_agrees(*sampling.random_complex(rng, rng.randint(2, 10)))
+        for _ in range(trials)))
+
+    def pseudometric(b1, b2, b3) -> bool:
         d12 = persistence.bottleneck_distance(b1, b2)
         d21 = persistence.bottleneck_distance(b2, b1)
         d13 = persistence.bottleneck_distance(b1, b3)
         d23 = persistence.bottleneck_distance(b2, b3)
-        if d12 != d21:
-            ok = False
-            break
-        if d13 is not INF and d12 is not INF and d23 is not INF and d13 > d12 + d23:
-            ok = False
-            break
-    report.check("bottleneck-pseudometric", ok)
+        return d12 == d21 and (INF in (d13, d12, d23) or not d13 > d12 + d23)
 
-    ok = True
-    for trial in range(max(trials // 2, 5)):
-        dg = sampling.random_sphere_diagram(rng, rng.choice([2, 4, 4, 6]))
+    report.check("bottleneck-pseudometric", all(
+        pseudometric(sampling.random_barcode(rng), sampling.random_barcode(rng),
+                     sampling.random_barcode(rng))
+        for _ in range(trials)))
+
+    def beta_bounded(dg) -> bool:
         beta = diagrams.diagram_beta(dg)
         gma = diagrams.diagram_gamma(dg)
-        if beta > Fraction(1, 4) or beta > gma:
-            ok = False
-            break
-    report.check("diagram-beta-bounds", ok)
+        return not (beta > Fraction(1, 4) or beta > gma)
 
-    ok = True
-    for trial in range(trials):
-        b1 = sampling.random_barcode(rng, max_bars=3)
-        b2 = sampling.random_barcode(rng, max_bars=3)
-        if any(persistence.bottleneck_distance(b1, b2, sensitive)
-               != persistence.brute_force_bottleneck(b1, b2, sensitive)
-               for sensitive in (True, False)):
-            ok = False
-            break
-    report.check("bottleneck-oracle-agreement", ok)
+    report.check("diagram-beta-bounds", all(
+        beta_bounded(sampling.random_sphere_diagram(rng, rng.choice([2, 4, 4, 6])))
+        for _ in range(max(trials // 2, 5))))
 
-    ok = True
-    for trial in range(trials):
-        b1 = sampling.random_barcode(rng, max_bars=2)
-        b2 = sampling.random_barcode(rng, max_bars=2)
-        sensitive = rng.random() < 0.5
-        if (persistence.shifted_bottleneck(b1, b2, sensitive)
-                != persistence.brute_force_shifted_bottleneck(b1, b2, sensitive)):
-            ok = False
-            break
-    report.check("shift-oracle-agreement", ok)
+    def bottleneck_agrees(b1, b2) -> bool:
+        return all(persistence.bottleneck_distance(b1, b2, sensitive)
+                   == oracles.brute_force_bottleneck(b1, b2, sensitive)
+                   for sensitive in (True, False))
 
-    ok = True
+    report.check("bottleneck-oracle-agreement", all(
+        bottleneck_agrees(sampling.random_barcode(rng, max_bars=3),
+                          sampling.random_barcode(rng, max_bars=3))
+        for _ in range(trials)))
+
+    def shift_agrees(b1, b2, sensitive) -> bool:
+        return (persistence.shifted_bottleneck(b1, b2, sensitive)
+                == oracles.brute_force_shifted_bottleneck(b1, b2, sensitive))
+
+    report.check("shift-oracle-agreement", all(
+        shift_agrees(sampling.random_barcode(rng, max_bars=2),
+                     sampling.random_barcode(rng, max_bars=2), rng.random() < 0.5)
+        for _ in range(trials)))
+
+    def lunes_agree(dg, max_wind) -> bool:
+        return diagrams.enumerate_lunes(dg, max_wind) == oracles.brute_force_lunes(dg, max_wind)
+
     samples = [diagrams.equator_pair_annulus(diagrams.annulus_example_areas(Fraction(1, 10)))]
     samples += [sampling.random_sphere_diagram(rng, rng.choice([2, 4, 6, 8]))
                 for _ in range(max(trials // 10, 3))]
-    for dg in samples:
-        max_wind = rng.randint(0, 3)
-        if diagrams.enumerate_lunes(dg, max_wind) != diagrams.brute_force_lunes(dg, max_wind):
-            ok = False
-            break
-    report.check("lune-oracle-agreement", ok)
+    report.check("lune-oracle-agreement", all(
+        lunes_agree(dg, rng.randint(0, 3)) for dg in samples))
 
-    ok = True
-    for _ in range(max(trials // 10, 3)):
-        spectrum = sampling.random_tent_spectrum(rng)
-        if not _feasible_agrees_with_oracle(spectrum):
-            ok = False
-            break
-    report.check("feasible-oracle-agreement", ok)
+    def outcome(search, spectrum, ranks):
+        try:
+            return search(spectrum, ranks)
+        except radial.InfeasibleRanksError:
+            return None
+
+    def feasible_agrees(spectrum) -> bool:
+        """``feasible_barcodes`` equals its oracle under every rank
+        prescription (both raising InfeasibleRanksError counts as agreement)."""
+        return all(outcome(radial.feasible_barcodes, spectrum, ranks)
+                   == outcome(oracles.brute_force_feasible_barcodes, spectrum, ranks)
+                   for ranks in oracles.rank_prescriptions(spectrum))
+
+    report.check("feasible-oracle-agreement", all(
+        feasible_agrees(sampling.random_tent_spectrum(rng))
+        for _ in range(max(trials // 10, 3))))
 
     lp = LagrangianParams(dim=1, maslov=2, disk_area=Fraction(1, 2))
-    ok = True
-    for num in range(1, 10):
-        a = Fraction(num, 10)
+
+    def fold_bound_holds(a) -> bool:
         bound = radial.forced_bar_bound(
             radial.generators(radial.fold_profile(a), lp), {0: 1, 1: 1})
-        if bound != PiRational.of(min(a / 4, Fraction(1, 2) - a / 4)):
-            ok = False
-            break
-    report.check("radial-fold-bound", ok)
+        return bound == PiRational.of(min(a / 4, Fraction(1, 2) - a / 4))
 
-    ok = True
-    for name in seidel.EXAMPLE_CASE_NAMES:
-        for n in range(1, 6):
-            case = seidel.example_case(name, n)
-            if not case.telescoping.ok:
-                ok = False
-    report.check("seidel-table", ok)
+    report.check("radial-fold-bound", all(
+        fold_bound_holds(Fraction(num, 10)) for num in range(1, 10)))
+
+    report.check("seidel-table", all(
+        seidel.example_case(name, n).telescoping.ok
+        for name in seidel.EXAMPLE_CASE_NAMES for n in range(1, 6)))
 
     _emit(report, "all checks passed" if report.ok else "CHECK FAILURES")
 

@@ -17,11 +17,11 @@ spectral invariants, rank functions -- reduce to finite F2 linear algebra
 with no truncation error.  Complexes with ``spec=None`` are plain F2
 complexes (weakly exact coefficients): no copies, absolute degrees.
 
-Two independent routes produce barcodes: :meth:`FilteredComplex.barcode` via
-orthogonalising column reduction (singular cycles plus ``d y = z`` pairs,
-whose action drops are the finite bar lengths), and
-:meth:`FilteredComplex.brute_force_barcode` via sublevel rank functions read
-off inclusion maps.  Tests hold them equal.
+:func:`barcode` reads barcodes off an orthogonalising column reduction
+(singular cycles plus ``d y = z`` pairs, whose action drops are the finite
+bar lengths).  The independent route via sublevel rank functions read off
+inclusion maps is ``brute_force_barcode`` in :mod:`floerbar.oracles`; tests
+hold the two equal.
 """
 
 from __future__ import annotations
@@ -40,14 +40,12 @@ __all__ = [
     "FilteredComplex",
     "ComplexValidationError",
     "GammaUndefinedError",
-    "OracleSizeError",
     "UZPair",
     "UZBasis",
     "uz_reduce",
     "barcode",
     "spectral_invariant",
     "gamma",
-    "brute_force_barcode",
     "complex_to_json",
     "complex_from_json",
 ]
@@ -59,10 +57,6 @@ class ComplexValidationError(ValueError):
 
 class GammaUndefinedError(ValueError):
     """The spectral-norm shortcut needs unique infinite bars in both designated degrees."""
-
-
-class OracleSizeError(ValueError):
-    """The complex unrolls to more generators than the rank oracle accepts."""
 
 
 @dataclass(frozen=True)
@@ -256,7 +250,7 @@ class FilteredComplex:
             # degree + j*dstep in [dlo, dhi)
             dlo, dhi = degree_window
             lo = _ceil_div(dlo - g.degree, dstep)
-            hi = _floor_div(dhi - 1 - g.degree, dstep)
+            hi = (dhi - 1 - g.degree) // dstep
         if action_window is not None:
             alo, ahi = action_window
             jlo = _ceil_frac((alo - g.action) / astep)
@@ -270,10 +264,6 @@ class FilteredComplex:
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
 
 
 def _ceil_frac(x: Fraction) -> int:
@@ -503,114 +493,6 @@ def gamma(bc: Barcode, fund_degree: int, point_degree: int) -> Fraction:
         return bars[0].left
 
     return left_endpoint(fund_degree) - left_endpoint(point_degree)
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: sublevel rank functions
-# ---------------------------------------------------------------------------
-
-
-def brute_force_barcode(cx: FilteredComplex,
-                        degree_window: Optional[Tuple[int, int]] = None,
-                        max_unrolled: int = 96) -> Barcode:
-    """Barcode read from ranks of sublevel inclusion maps.
-
-    For each degree in the window, compute ``rank(H^{<=s} -> H^{<=t})`` over
-    all pairs of spectrum values by Gaussian elimination, and recover bar
-    multiplicities by inclusion-exclusion.  Independent of the reduction
-    pairing; intended for small complexes.
-    """
-    win = degree_window or cx.default_degree_window()
-    window = _UnrolledWindow(cx, win)
-    if len(window.items) > max_unrolled:
-        raise OracleSizeError(
-            f"oracle size cap exceeded: {len(window.items)} unrolled generators")
-    bars = []
-    for deg in range(window.lo, window.hi):
-        bars.extend(_degree_bars(window, deg))
-    return Barcode(bars)
-
-
-def _degree_bars(window: _UnrolledWindow, deg: int) -> List[Bar]:
-    gens_d = [i for i, it in enumerate(window.items) if it[2] == deg]
-    gens_up = [i for i, it in enumerate(window.items) if it[2] == deg + 1]
-    if not gens_d:
-        return []
-    levels = sorted({window.action(i) for i in gens_d} |
-                    {window.action(i) for i in gens_up})
-    n = len(levels)
-
-    def cycles_at(s) -> List[int]:
-        pairs = [(1 << i, window.boundary_mask(i))
-                 for i in gens_d if window.action(i) <= s]
-        return _kernel_basis(pairs)
-
-    def boundaries_at(t) -> List[int]:
-        out = []
-        for i in gens_up:
-            if window.action(i) <= t:
-                col = window.boundary_mask(i)
-                if col:
-                    out.append(col)
-        return out
-
-    # rank of H^{<=levels[i]} -> H^{<=levels[j]}: dim Z_i - dim(Z_i cap B_j)
-    Z = [cycles_at(s) for s in levels]
-    B = [boundaries_at(t) for t in levels]
-    B.append(boundaries_at(INF))
-
-    zdims = [ _span_dim(z) for z in Z ]
-    bdims = [ _span_dim(b) for b in B ]
-
-    def rk(i: int, j: int) -> int:
-        # j == n means "at infinity"
-        if i < 0:
-            return 0
-        zi, bj = Z[i], B[j]
-        joint = _span_dim(zi + bj)
-        inter = zdims[i] + bdims[j] - joint
-        return zdims[i] - inter
-
-    bars = []
-    for i in range(n):
-        m_inf = rk(i, n) - rk(i - 1, n)
-        if m_inf > 0:
-            bars.append(Bar(levels[i], INF, deg, m_inf))
-        for e in range(i, n):
-            # alive on sublevels i..e, dead at e+1 => bar (levels[i], levels[e+1]]
-            if e + 1 >= n:
-                continue
-            m = (rk(i, e) - rk(i, e + 1)) - (rk(i - 1, e) - rk(i - 1, e + 1))
-            if m > 0:
-                bars.append(Bar(levels[i], levels[e + 1], deg, m))
-    return bars
-
-
-def _span_dim(vectors: List[int]) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    return len(ech)
-
-
-def _kernel_basis(pairs: List[Tuple[int, int]]) -> List[int]:
-    """Kernel combinations of a family of (combo, image) vectors over F2."""
-    pivots: Dict[int, Tuple[int, int]] = {}
-    kernel = []
-    for combo, img in pairs:
-        while img:
-            p = img.bit_length() - 1
-            if p in pivots:
-                oimg, ocombo = pivots[p]
-                img ^= oimg
-                combo ^= ocombo
-            else:
-                break
-        if img == 0:
-            kernel.append(combo)
-        else:
-            pivots[img.bit_length() - 1] = (img, combo)
-    return kernel
 
 
 # ---------------------------------------------------------------------------

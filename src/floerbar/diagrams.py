@@ -26,7 +26,7 @@ path then contributes a cyclic range sum plus windings times the full-cycle
 total, the index of a candidate is read off the eight corner faces in O(1),
 and only candidates that pass it pay for an O(faces) vector.  The
 per-candidate breadth-first solve it replaces is kept as the oracle
-``brute_force_lunes``.
+``brute_force_lunes`` in :mod:`floerbar.oracles`.
 
 The filtered complex of a diagram has the crossing points as generators,
 degrees from a two-colouring of the lune graph, actions propagated along a
@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -65,7 +65,6 @@ __all__ = [
     "annulus_example_areas",
     "two_circle_diagram",
     "relabel_diagram",
-    "brute_force_lunes",
 ]
 
 # Quantum variable of the sphere theory: degree 2, action one half of the
@@ -907,23 +906,8 @@ def symmetric_equator_areas(eps: Fraction) -> Dict[str, Fraction]:
 
 def equator_pair_annulus(areas: Mapping[str, Fraction]) -> TwoCurveDiagram:
     """The annulus variant: same arrangement, holes punched inside A1 and A5."""
-    order_l, faces, _h = _face_walks_from_meander(4, _EQUATOR_NORTH, _EQUATOR_SOUTH)
-    rename = _equator_face_names()
-    sphere = TwoCurveDiagram(
-        surface="sphere",
-        order_k=(1, 2, 3, 4),
-        order_l=order_l,
-        faces={rename[name]: walk for name, walk in faces.items()},
-        areas={name: Fraction(areas[name]) for name in rename.values()},
-    )
-    return TwoCurveDiagram(
-        surface="annulus",
-        order_k=sphere.order_k,
-        order_l=sphere.order_l,
-        faces=sphere.faces,
-        areas=sphere.areas,
-        boundary_faces=("A1", "A5"),
-    )
+    return replace(equator_pair_diagram(areas), surface="annulus",
+                   boundary_faces=("A1", "A5"))
 
 
 def annulus_example_areas(eps: Fraction) -> Dict[str, Fraction]:
@@ -962,135 +946,3 @@ def relabel_diagram(d: TwoCurveDiagram, perm: Mapping[int, int]) -> TwoCurveDiag
         areas=d.areas,
         boundary_faces=d.boundary_faces,
     )
-
-
-# ---------------------------------------------------------------------------
-# oracle: the per-candidate winding solve
-# ---------------------------------------------------------------------------
-
-
-def _path_traversals(geo: _Geometry, curve: str, start: int, end: int,
-                     direction: int, windings: int) -> Dict[int, int]:
-    """Net arc traversal counts of the monotone path start -> end."""
-    m = geo.m
-    pos = geo.pos[curve]
-    counts: Dict[int, int] = {}
-    i, j = pos[start], pos[end]
-    if direction == 1:
-        steps = (j - i) % m
-        arcs = [(i + t) % m for t in range(steps)]
-    else:
-        steps = (i - j) % m
-        arcs = [(i - 1 - t) % m for t in range(steps)]
-    for a in arcs:
-        counts[a] = counts.get(a, 0) + direction
-    for a in range(m):
-        counts[a] = counts.get(a, 0) + direction * windings
-    return {a: c for a, c in counts.items() if c}
-
-
-def _solve_winding(geo: _Geometry, traversals: Dict[Tuple[str, int], int]
-                   ) -> Optional[Dict[str, int]]:
-    """Solve w(left) - w(right) = net traversal on every arc; None if inconsistent."""
-    faces = list(geo.d.faces)
-    w: Dict[str, int] = {faces[0]: 0}
-    frontier = [faces[0]]
-    adjacency: Dict[str, List[Tuple[str, int]]] = {name: [] for name in faces}
-    for curve in ("K", "L"):
-        for i in range(geo.m):
-            n = traversals.get((curve, i), 0)
-            lf, rf = geo.left[(curve, i)], geo.right[(curve, i)]
-            adjacency[rf].append((lf, n))
-            adjacency[lf].append((rf, -n))
-    while frontier:
-        cur = frontier.pop()
-        for nbr, jump in adjacency[cur]:
-            val = w[cur] + jump
-            if nbr in w:
-                if w[nbr] != val:
-                    return None
-            else:
-                w[nbr] = val
-                frontier.append(nbr)
-    if len(w) != len(faces):
-        raise DiagramError("face adjacency graph is disconnected")
-    return w
-
-
-def _lune_index_numerator(geo: _Geometry, w: Dict[str, int], x: int, y: int) -> int:
-    """4 * (m_x + m_y): twice the sum of all eight corner windings."""
-    return (2 * sum(w[f] for f in geo.corners[x])
-            + 2 * sum(w[f] for f in geo.corners[y])) // 2
-
-
-def brute_force_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
-    """Oracle for ``enumerate_lunes``: the same candidates, each with its
-    winding function solved from scratch.
-
-    For each ordered point pair and each pair of monotone boundary paths
-    (along K from x to y, along L from y to x), the arc traversal counts are
-    tabulated, the face winding function is solved from the jump conditions
-    by a search over the face adjacency graph, and the candidate is accepted
-    if a constant offset makes it nonnegative with index one (offset forced
-    to zero on the annulus by the boundary faces).
-    """
-    geo = _validated_geometry(d)
-    lunes: List[Lune] = []
-    seen = set()
-    points = d.points
-    for x, y in itertools.permutations(points, 2):
-        for dk, dl in itertools.product((1, -1), repeat=2):
-            for jk in range(max_wind + 1):
-                for jl in range(max_wind + 1 - jk):
-                    traversals: Dict[Tuple[str, int], int] = {}
-                    for a, c in _path_traversals(geo, "K", x, y, dk, jk).items():
-                        traversals[("K", a)] = c
-                    for a, c in _path_traversals(geo, "L", y, x, dl, jl).items():
-                        traversals[("L", a)] = traversals.get(("L", a), 0) + c
-                    w = _solve_winding(geo, traversals)
-                    if w is None:
-                        continue
-                    w = _normalize_offset(d, geo, w, x, y)
-                    if w is None:
-                        continue
-                    key = (x, y, tuple(sorted(w.items())))
-                    # the winding function determines the boundary traversal,
-                    # so distinct parameters never collide
-                    if key in seen:
-                        raise AssertionError(f"duplicate lune candidate {key}")
-                    seen.add(key)
-                    area = sum((d.areas[f] * c for f, c in w.items()), Fraction(0))
-                    if area <= 0:
-                        raise DiagramError("nonzero nonnegative winding with zero area")
-                    lunes.append(Lune(
-                        source=x, target=y,
-                        k_path=(dk, jk), l_path=(dl, jl),
-                        w=tuple(sorted((f, c) for f, c in w.items() if c)),
-                        area=area,
-                    ))
-    lunes.sort(key=lambda l: (l.source, l.target, l.area, l.w))
-    return tuple(lunes)
-
-
-def _normalize_offset(d: TwoCurveDiagram, geo: _Geometry, w: Dict[str, int],
-                      x: int, y: int) -> Optional[Dict[str, int]]:
-    if d.surface == "annulus":
-        bf0, bf1 = d.boundary_faces
-        if w[bf0] != w[bf1]:
-            return None
-        shift = -w[bf0]
-    else:
-        four_means = _lune_index_numerator(geo, w, x, y)
-        # index 2(m_x + m_y) = four_means / 2 + 4*shift must equal 1
-        num = 2 - four_means
-        if num % 8 != 0:
-            return None
-        shift = num // 8
-    shifted = {f: c + shift for f, c in w.items()}
-    if any(c < 0 for c in shifted.values()):
-        return None
-    if _lune_index_numerator(geo, shifted, x, y) != 2:
-        return None
-    if all(c == 0 for c in shifted.values()):
-        return None
-    return shifted

@@ -6,13 +6,15 @@ with ``a, b`` rational.  Addition, subtraction and scaling by rationals are
 componentwise; there is no multiplication of two pi-parts.
 
 Comparisons are exact: the sign of ``a + b*pi`` reduces to comparing the
-rational ``-a/b`` against pi, which is decided by refining the continued
-fraction convergents of pi (they alternate below/above) until the rational
-falls outside the bracket.  A rational closer to pi than the stored
-convergents reach goes on to integer interval bounds from Machin's formula at
-doubling binary precision, so every comparison terminates.  Equality holds
-only when both coefficients agree; pi being irrational, no nonzero element of
-the module vanishes.
+rational ``-a/b`` against pi, which is decided by integer interval bounds
+from Machin's formula at doubling binary precision, each bracket cached,
+until the rational falls outside the bracket.  Pi being irrational, every
+comparison terminates.  Equality holds only when both coefficients agree;
+no nonzero element of the module vanishes.
+
+Unlike the other exact layers, this one has no slower twin in
+:mod:`floerbar.oracles`: the tests check its comparisons against a
+300-digit decimal expansion of pi.
 """
 
 from __future__ import annotations
@@ -26,26 +28,7 @@ from .novikov import format_rational, parse_rational
 
 __all__ = ["PiRational"]
 
-# Continued fraction expansion of pi: 60 terms decide every comparison with
-# a rational of fewer than about 60 digits, the cheap first stage.
-_PI_CF = (
-    3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2,
-    1, 84, 2, 1, 1, 15, 3, 13, 1, 4, 2, 6, 6, 99, 1, 2, 2, 6, 3, 5,
-    1, 1, 6, 8, 1, 7, 1, 2, 3, 7, 1, 2, 1, 1, 12, 1, 1, 1, 3, 1,
-)
-
-
-def _convergents():
-    p_prev, q_prev = 1, 0
-    p, q = _PI_CF[0], 1
-    yield Fraction(p, q)
-    for a in _PI_CF[1:]:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        yield Fraction(p, q)
-
-
-# Binary precision of the first Machin bracket, past the stored convergents.
+# Binary precision of the first Machin bracket: about 77 decimal digits.
 _MACHIN_START_BITS = 256
 
 
@@ -78,17 +61,6 @@ def _machin_bracket(bits: int) -> Tuple[Fraction, Fraction]:
 
 def _compare_with_pi(t: Fraction) -> int:
     """Return -1 / +1 according to ``t < pi`` / ``t > pi`` (never 0)."""
-    low = None
-    high = None
-    for i, c in enumerate(_convergents()):
-        if i % 2 == 0:
-            low = c
-        else:
-            high = c
-        if low is not None and t < low:
-            return -1
-        if high is not None and t > high:
-            return 1
     # pi is irrational, so a fine enough bracket excludes every rational
     bits = _MACHIN_START_BITS
     while True:

@@ -38,6 +38,3 @@ class Echelon:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0

@@ -23,15 +23,16 @@ a union of closed intervals, each starting at ``d - delta`` for an endpoint
 difference ``d`` of a matchable pair (or the whole line when every bar is
 deletable).  So a binary search over the possible optima (0, half bar
 lengths and half differences of endpoint differences) decides each step
-with one matching per such ``d``.  The exhaustive scan over all endpoint
-differences and their pairwise midpoints is kept as an oracle, beside the
-exhaustive matcher.
+with one matching per such ``d``.
+
+The exhaustive matcher ``brute_force_bottleneck`` is defined here and
+re-exported by :mod:`floerbar.oracles`, which also holds the exhaustive scan
+over all endpoint differences and their pairwise midpoints.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +54,6 @@ __all__ = [
     "interleaving_distance",
     "shifted_bottleneck",
     "brute_force_bottleneck",
-    "brute_force_shifted_bottleneck",
 ]
 
 
@@ -252,9 +252,6 @@ class Barcode:
         for bar in self.bars:
             out.extend([Bar(bar.left, bar.right, bar.degree)] * bar.multiplicity)
         return out
-
-    def in_degree(self, degree: int) -> "Barcode":
-        return Barcode(b for b in self.bars if b.degree == degree)
 
     def degrees(self) -> Tuple[int, ...]:
         return tuple(sorted({b.degree for b in self.bars}))
@@ -531,8 +528,8 @@ class _ShiftCandidates:
 
     Of several equal candidates the first counts, in that order (differences
     in ``e2``-major order, midpoints in pair order).  Queries bisect the
-    sorted differences, so the O(E^4) midpoints are listed only by
-    :meth:`ascending`.
+    sorted differences, so the O(E^4) midpoints are listed only by the
+    oracle in :mod:`floerbar.oracles`.
     """
 
     def __init__(self, e1: Sequence, e2: Sequence) -> None:
@@ -540,14 +537,6 @@ class _ShiftCandidates:
         self.index = {d: i for i, d in enumerate(self.diffs)}
         self.sorted_diffs = sorted(self.diffs)
         self.zero = e1[0] - e1[0]
-
-    def ascending(self) -> List:
-        """All candidates, in increasing order."""
-        out = dict.fromkeys(self.diffs)
-        for a, b in itertools.combinations(self.diffs, 2):
-            out.setdefault(_halve(a + b))
-        out.setdefault(self.zero)
-        return sorted(out)
 
     def least(self):
         return self.first_from(min(self.sorted_diffs[0], self.zero))
@@ -673,7 +662,7 @@ def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracles
+# exhaustive oracle (re-exported by floerbar.oracles)
 # ---------------------------------------------------------------------------
 
 
@@ -715,47 +704,3 @@ def brute_force_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = Tr
         return best
 
     return solve(0, tuple(range(len(bars2))))
-
-
-def brute_force_shifted_bottleneck(b1: Barcode, b2: Barcode,
-                                   degree_sensitive: bool = True,
-                                   check_slopes: bool = False):
-    """Shift-quotient distance by scoring every candidate shift.
-
-    Scores each endpoint difference ``e2 - e1``, each pairwise midpoint of
-    two of them, and 0, with one full bottleneck computation, and returns
-    the minimum with the smallest shift attaining it.  These exhaust the
-    kinks of the piecewise linear shift-to-distance function (slopes -1, 0,
-    1).  With ``check_slopes`` the slope bound is asserted by sampling
-    between consecutive candidates: the distance there is
-    1-Lipschitz-consistent and never undercuts the reported minimum.
-    O(E^4) bottleneck computations for E endpoints.
-    """
-    e1, e2 = _all_endpoints(b1.expand()), _all_endpoints(b2.expand())
-    if not e1 or not e2:
-        return bottleneck_distance(b1, b2, degree_sensitive), Fraction(0)
-    candidates = _ShiftCandidates(e1, e2).ascending()
-
-    def dist_at(c):
-        return bottleneck_distance(b1, shift_barcode(b2, c), degree_sensitive)
-
-    best = None
-    best_c = None
-    values = []
-    for c in candidates:
-        d = dist_at(c)
-        values.append(d)
-        if best is None or d < best:
-            best, best_c = d, c
-    if check_slopes:
-        for (c0, d0), (c1, d1) in zip(zip(candidates, values),
-                                      zip(candidates[1:], values[1:])):
-            mid = _halve(c0 + c1)
-            dm = dist_at(mid)
-            if dm is not INF and best is not INF:
-                assert not (dm < best), "shift candidate set missed a minimum"
-            if INF not in (d0, dm):
-                assert not (_abs(dm - d0) > _abs(mid - c0)), "slope bound violated"
-            if INF not in (d1, dm):
-                assert not (_abs(d1 - dm) > _abs(c1 - mid)), "slope bound violated"
-    return best, best_c

@@ -36,17 +36,17 @@ are equal barcodes and ``limit`` counts distinct barcodes.  Twins -- orbits
 of equal degree and action, such as the two kink slots in dimension 1 --
 give the same bars in either role, so the search pairs an orbit only with
 the first undecided member of each run of twins.  The search stays
-exponential in the number of orbits.  ``brute_force_feasible_barcodes``, the
-per-matching enumerator that builds and hashes a ``Barcode`` for every
-matching, is kept as the oracle that tests and ``check`` compare against.
+exponential in the number of orbits.  ``brute_force_feasible_barcodes`` in
+:mod:`floerbar.oracles`, the per-matching enumerator that builds and hashes
+a ``Barcode`` for every matching, is kept as the oracle that tests and
+``check`` compare against.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .exactpi import PiRational
 from .novikov import LagrangianParams, parse_int
@@ -64,8 +64,6 @@ __all__ = [
     "degree_actions",
     "degree_class_actions",
     "feasible_barcodes",
-    "brute_force_feasible_barcodes",
-    "rank_prescriptions",
     "forced_bar_bound",
     "homotopy_filter",
     "sup_difference",
@@ -197,17 +195,14 @@ def generators(profile: RadialProfile, params: LagrangianParams,
 
     base: List[SpectrumEntry] = []
 
-    def want(l: int) -> bool:
-        if l_range is None:
-            return True
-        if l not in l_range:
+    def require(l: int) -> None:
+        if l_range is not None and l not in l_range:
             raise ValueError(f"l_range does not cover required level {l}")
-        return True
 
     # origin: initial slope bracketed by (l, l+1)
     l0 = floors[0]
-    if want(l0):
-        base.append(SpectrumEntry(-l0 * n, profile.breakpoints[0][1], ("origin", l0)))
+    require(l0)
+    base.append(SpectrumEntry(-l0 * n, profile.breakpoints[0][1], ("origin", l0)))
 
     # interior kinks
     for i in range(1, len(profile.breakpoints) - 1):
@@ -217,8 +212,7 @@ def generators(profile: RadialProfile, params: LagrangianParams,
         lo_f, hi_f = (before, after) if concave_up else (after, before)
         rho_i, f_i = profile.breakpoints[i]
         for l in range(lo_f + 1, hi_f + 1):
-            if not want(l):
-                continue
+            require(l)
             action = f_i - rho_i * l
             if concave_up:
                 degs = (-l * n, -l * n + n - 1)
@@ -435,13 +429,7 @@ def forced_bar_bound(spectrum: GeneratorSpectrum, ranks: Mapping[int, int]):
     """Certified lower bound for the boundary depth of any filtered complex
     with the given generator spectrum: the minimum boundary depth over all
     feasible barcodes."""
-    feas = feasible_barcodes(spectrum, ranks)
-    depths = [boundary_depth(bc) for bc in feas]
-    best = depths[0]
-    for d in depths[1:]:
-        if d < best:
-            best = d
-    return best
+    return min(boundary_depth(bc) for bc in feasible_barcodes(spectrum, ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -530,135 +518,3 @@ def fold_profile(a: Fraction, capacity: Fraction = Fraction(1, 2)) -> RadialProf
         ),
         exterior=(0,),
     )
-
-
-# ---------------------------------------------------------------------------
-# oracle: one Barcode per emitted matching
-# ---------------------------------------------------------------------------
-
-
-def rank_prescriptions(spectrum: GeneratorSpectrum) -> Iterator[Dict[int, int]]:
-    """Every ``ranks`` mapping with at most as many infinite bars per degree
-    class as the class has orbits -- the prescriptions on which the search
-    and its oracle are compared."""
-    maslov = spectrum.params.maslov
-    counts = [sum(1 for e in spectrum.entries if e.degree % maslov == d)
-              for d in range(maslov)]
-    for quotas in itertools.product(*(range(c + 1) for c in counts)):
-        yield dict(enumerate(quotas))
-
-
-def brute_force_feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
-                      limit: Optional[int] = None) -> frozenset:
-    """All barcodes of action-decreasing differentials on the spectrum.
-
-    ``ranks`` prescribes the number of infinite bars per degree class mod
-    the Maslov period.  Enumeration works in the recapping quotient: each
-    source contributes one orbit; a pair matches a degree-(d+1) orbit ``y``
-    with a degree-d translate of an orbit ``z`` at strictly smaller action.
-    Raises InfeasibleRanksError when nothing matches the prescription.
-    """
-    maslov = spectrum.params.maslov
-    area = PiRational.of(spectrum.params.disk_area)
-    orbits = _orbits(spectrum)
-    quota: Dict[int, int] = {d % maslov: int(c) for d, c in ranks.items() if c}
-    counts: Dict[int, int] = {}
-    for o in orbits:
-        counts[o.degree] = counts.get(o.degree, 0) + 1
-    for d, q in quota.items():
-        if counts.get(d, 0) < q:
-            raise InfeasibleRanksError(
-                f"degree class {d} has {counts.get(d, 0)} generators but needs {q} infinite bars")
-
-    # precompute allowed partners: pair (y, z) with deg(y) = deg(z) + 1 after
-    # an integral recap shift of z, and action(z translate) < action(y)
-    n = len(orbits)
-    allowed: Dict[Tuple[int, int], int] = {}
-    for iy, y in enumerate(orbits):
-        for iz, z in enumerate(orbits):
-            diff = y.degree - 1 - z.degree
-            if diff % maslov != 0:
-                continue
-            j = diff // maslov
-            if z.action + area * j < y.action:
-                allowed[(iy, iz)] = j
-
-    results: Set[Barcode] = set()
-    state = ["?"] * n  # "?", "free", or partner index
-    pair_list: List[Tuple[int, int]] = []
-    unmatched: Dict[int, int] = {d: 0 for d in counts}
-    undecided: Dict[int, int] = dict(counts)
-
-    def prune() -> bool:
-        for d, q in quota.items():
-            if unmatched.get(d, 0) > q:
-                return False
-            if unmatched.get(d, 0) + undecided.get(d, 0) < q:
-                return False
-        for d in counts:
-            if d not in quota and unmatched.get(d, 0) > 0:
-                return False
-        return True
-
-    def emit() -> None:
-        bars = [Bar(orbits[i].action, INF, orbits[i].degree)
-                for i, st in enumerate(state) if st == "free"]
-        for (iy, iz) in pair_list:
-            y, z = orbits[iy], orbits[iz]
-            j = allowed[(iy, iz)]
-            # normalize the bar into the fundamental degree window
-            raw_deg = z.degree + j * maslov
-            t = ((raw_deg % maslov) - raw_deg) // maslov
-            left = z.action + area * (j + t)
-            right = y.action + area * t
-            bars.append(Bar(left, right, raw_deg % maslov))
-        results.add(Barcode(bars))
-        if limit is not None and len(results) > limit:
-            raise ValueError("feasible barcode enumeration exceeded the limit")
-
-    def dfs(start: int) -> None:
-        i = start
-        while i < n and state[i] != "?":
-            i += 1
-        if i == n:
-            if all(unmatched.get(d, 0) == quota.get(d, 0) for d in counts):
-                emit()
-            return
-        o = orbits[i]
-        d = o.degree
-        # leave unmatched
-        if unmatched.get(d, 0) < quota.get(d, 0):
-            state[i] = "free"
-            unmatched[d] += 1
-            undecided[d] -= 1
-            if prune():
-                dfs(i + 1)
-            unmatched[d] -= 1
-            undecided[d] += 1
-            state[i] = "?"
-        # pair with an undecided partner; both orientations of a pair are
-        # distinct matchings (different recap shifts, different bars)
-        for j in range(n):
-            if j == i or state[j] != "?":
-                continue
-            for key in ((i, j), (j, i)):
-                if key not in allowed:
-                    continue
-                dj = orbits[j].degree
-                state[i] = j
-                state[j] = i
-                undecided[d] -= 1
-                undecided[dj] -= 1
-                pair_list.append(key)
-                if prune():
-                    dfs(i + 1)
-                pair_list.pop()
-                undecided[d] += 1
-                undecided[dj] += 1
-                state[i] = "?"
-                state[j] = "?"
-
-    dfs(0)
-    if not results:
-        raise InfeasibleRanksError("no matching leaves the prescribed infinite bars")
-    return frozenset(results)

@@ -20,6 +20,7 @@ Maslov number 4, and a rational, pi-valued or mixed disk area.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -277,8 +278,7 @@ def random_sphere_diagram(rng: random.Random, crossings: int = 4) -> TwoCurveDia
     north, south = random_meander(rng, crossings)
     placeholder = {f"F{i}": Fraction(1) for i in range(1, crossings + 3)}
     skeleton = sphere_diagram_from_meander(north, south, areas=placeholder)
-    areas = random_admissible_areas(rng, skeleton)
-    return sphere_diagram_from_meander(north, south, areas=areas)
+    return replace(skeleton, areas=random_admissible_areas(rng, skeleton))
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,6 @@ class QHPresentation:
     def unit(self) -> RingElement:
         return RingElement(0, 0)
 
-    def point(self) -> RingElement:
-        return RingElement(0, self.point_power)
-
 
 def qh_mul(pres: QHPresentation, a: RingElement, b: RingElement) -> RingElement:
     """Multiply monomials and reduce by the relation."""

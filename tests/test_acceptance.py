@@ -7,15 +7,15 @@ literal inequality).  Run with ``pytest tests/test_acceptance.py -v -s``.
 import random
 from fractions import Fraction as F
 
-from floerbar.complexes import barcode, brute_force_barcode, complex_from_json, uz_reduce
+from floerbar.complexes import barcode, complex_from_json, uz_reduce
 from floerbar.diagrams import (annulus_example_areas, build_complex,
                                diagram_beta, diagram_gamma,
                                equator_pair_annulus, equator_pair_diagram,
                                symmetric_equator_areas, validate_diagram)
 from floerbar.exactpi import PiRational
 from floerbar.novikov import LagrangianParams
-from floerbar.persistence import (INF, bottleneck_distance,
-                                  brute_force_bottleneck, shift_barcode,
+from floerbar.oracles import brute_force_barcode, brute_force_bottleneck
+from floerbar.persistence import (INF, bottleneck_distance, shift_barcode,
                                   shifted_bottleneck)
 from floerbar.radial import fold_profile, forced_bar_bound, generators
 from floerbar.sampling import (perturb_actions, random_admissible_areas,

@@ -1,13 +1,18 @@
 import copy
 import functools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 from click.testing import CliRunner
 
-from floerbar import complexes, diagrams, seidel
+import floerbar
+from floerbar import complexes, diagrams, oracles, seidel
 from floerbar.cli import main
 from floerbar.novikov import format_rational
 from floerbar.sampling import random_complex
@@ -117,8 +122,8 @@ def test_barcode_oracle_cap_is_a_failed_check(tmp_path):
 def test_combfloer_oracle_cap_is_a_failed_check(monkeypatch):
     # a diagram past the real cap needs about 50 crossings, too slow for a
     # unit test, so the cap is lowered below the 8 unrolled generators here
-    capped = functools.partial(complexes.brute_force_barcode, max_unrolled=4)
-    monkeypatch.setattr(complexes, "brute_force_barcode", capped)
+    capped = functools.partial(oracles.brute_force_barcode, max_unrolled=4)
+    monkeypatch.setattr(oracles, "brute_force_barcode", capped)
     result, report = run("combfloer", fixture_path("equator_pair_sphere.json"), "--oracle")
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
@@ -137,6 +142,49 @@ def test_combfloer_rejects_inadmissible(tmp_path):
     result, report = run("combfloer", str(bad))
     assert result.exit_code == 1
     assert report["checks"][0]["passed"] is False
+
+
+def test_combfloer_reports_an_inadmissible_annulus_once(tmp_path):
+    # the faces pass validation, but the two lunes from 1 to 2 now differ in
+    # area, so no action assignment exists
+    data = json.loads(resources.files("floerbar").joinpath(
+        "fixtures", "equator_pair_annulus.json").read_text())
+    data["areas"]["A2"] = "1/5"
+    bad = tmp_path / "bad_annulus.json"
+    bad.write_text(json.dumps(data))
+    result, report = run("combfloer", str(bad))
+    assert result.exit_code == 1
+    assert report["checks"] == [{"name": "diagram-valid", "passed": False}]
+    assert "same-endpoint lunes must share their area" in report["outputs"]["error"]
+
+
+_ORACLES_LOADED = """
+import contextlib, io, sys
+import floerbar.cli
+loaded = ["floerbar.oracles" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        floerbar.cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+loaded.append("floerbar.oracles" in sys.modules)
+print(loaded)
+"""
+
+
+def _oracles_loaded(*args) -> str:
+    """Whether a fresh interpreter has loaded ``floerbar.oracles`` after
+    importing the CLI, and after running it on ``args``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(floerbar.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _ORACLES_LOADED, *args], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return done.stdout.strip()
+
+
+def test_only_oracle_runs_load_the_oracles():
+    sphere = fixture_path("equator_pair_sphere.json")
+    assert _oracles_loaded("combfloer", sphere) == "[False, False]"
+    assert _oracles_loaded("combfloer", sphere, "--oracle") == "[False, True]"
 
 
 def test_radial_command():

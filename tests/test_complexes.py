@@ -5,10 +5,10 @@ import pytest
 
 from floerbar.complexes import (ComplexValidationError, FilteredComplex,
                                 GammaUndefinedError, Generator, barcode,
-                                brute_force_barcode, complex_from_json,
-                                complex_to_json, gamma, spectral_invariant,
-                                uz_reduce)
+                                complex_from_json, complex_to_json, gamma,
+                                spectral_invariant, uz_reduce)
 from floerbar.novikov import NovikovScalar, NovikovSpec
+from floerbar.oracles import brute_force_barcode
 from floerbar.persistence import (Bar, Barcode, INF, NEG_INF,
                                   bar_length_spectrum, bottleneck_distance,
                                   boundary_depth)

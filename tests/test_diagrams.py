@@ -3,15 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from floerbar.complexes import barcode, brute_force_barcode
+from floerbar.complexes import barcode
 from floerbar.diagrams import (DiagramError, InadmissibleDiagramError,
                                TwoCurveDiagram, annulus_example_areas,
-                               brute_force_lunes, build_complex, diagram_beta,
+                               build_complex, diagram_beta,
                                diagram_gamma, enumerate_lunes,
                                equator_pair_annulus,
                                equator_pair_diagram, relabel_diagram,
                                symmetric_equator_areas, two_circle_diagram,
                                validate_diagram)
+from floerbar.oracles import brute_force_barcode, brute_force_lunes
 from floerbar.persistence import bar_length_spectrum, boundary_depth
 from floerbar.sampling import random_admissible_areas, random_sphere_diagram
 

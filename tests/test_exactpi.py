@@ -2,19 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from floerbar.exactpi import PiRational, _convergents
-
-
-def test_convergents_alternate_and_tighten():
-    cs = list(_convergents())
-    lows = cs[0::2]
-    highs = cs[1::2]
-    assert all(a < b for a, b in zip(lows, lows[1:]))
-    assert all(a > b for a, b in zip(highs, highs[1:]))
-    assert all(lo < hi for lo, hi in zip(lows, highs))
-    # classic bracketing rationals
-    assert lows[0] == 3
-    assert highs[0] == F(22, 7)
+from floerbar.exactpi import PiRational, _machin_bracket
 
 
 def test_signs_against_sharp_rationals():
@@ -55,6 +43,18 @@ PI_300 = ("3.1415926535897932384626433832795028841971693993751058209749445923078
           "172535940812848111745028410270193852110555964462294895493038196442881"
           "097566593344612847564823378678316527120190914564856692346034861045432"
           "6648213393607260249141273")
+
+
+def test_machin_brackets_nest_and_contain_pi():
+    pi_lo, pi_hi = F(PI_300), F(PI_300) + F(1, 10 ** 300)  # pi_lo < pi < pi_hi
+    brackets = [_machin_bracket(256 * 2 ** k) for k in range(3)]
+    for (lo, hi), (lo2, hi2) in zip(brackets, brackets[1:]):
+        assert lo < lo2 < hi2 < hi
+    for lo, hi in brackets:
+        assert lo < pi_hi and pi_lo < hi
+    # at 256 and 512 bits a bracket is wider than 10**-300 and holds both
+    for lo, hi in brackets[:2]:
+        assert lo < pi_lo and pi_hi < hi
 
 
 def _pi_minus(t):

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from floerbar.oracles import brute_force_bottleneck
 from floerbar.persistence import (Bar, Barcode, INF, bar_length_spectrum,
                                   bottleneck_distance, boundary_depth,
-                                  brute_force_bottleneck,
                                   interleaving_distance, shift_barcode,
                                   shifted_bottleneck)
 from floerbar.sampling import random_barcode
@@ -155,7 +155,8 @@ def test_shifted_bottleneck_properties():
 
 
 def test_collapse_degrees_and_debug_slope_check():
-    from floerbar.persistence import brute_force_shifted_bottleneck, collapse_degrees
+    from floerbar.oracles import brute_force_shifted_bottleneck
+    from floerbar.persistence import collapse_degrees
     b = bc(bar(0, 1, 0), bar(2, 3, 5), bar(4, "inf", 2))
     collapsed = collapse_degrees(b, 2)
     assert collapsed.degrees() == (0, 1)
@@ -345,7 +346,7 @@ def _small_shift_pair(rng, kind):
 
 
 def test_shift_search_matches_candidate_scan():
-    from floerbar.persistence import brute_force_shifted_bottleneck
+    from floerbar.oracles import brute_force_shifted_bottleneck
     rng = random.Random(47)
     whole_line = 0
     for trial in range(240):
@@ -362,7 +363,7 @@ def test_shift_search_matches_candidate_scan():
 
 
 def test_shift_search_ties_report_the_smallest_shift():
-    from floerbar.persistence import brute_force_shifted_bottleneck
+    from floerbar.oracles import brute_force_shifted_bottleneck
     # the short bar must go, so every shift in [5/2, 7/2] is optimal; the
     # least candidate shift there is the endpoint difference 3
     a = bc(bar(0, 4), bar(10, 11))

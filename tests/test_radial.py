@@ -5,14 +5,14 @@ import pytest
 
 from floerbar.exactpi import PiRational
 from floerbar.novikov import LagrangianParams
+from floerbar.oracles import brute_force_feasible_barcodes, rank_prescriptions
 from floerbar.persistence import Barcode, Bar, INF, boundary_depth
 from floerbar.radial import (GeneratorSpectrum, InfeasibleRanksError,
                              RadialProfile, SlopeDegeneracyError,
-                             SpectrumEntry, brute_force_feasible_barcodes,
-                             degree_actions, degree_class_actions,
-                             feasible_barcodes, fold_profile, forced_bar_bound,
-                             generators, homotopy_filter, rank_prescriptions,
-                             sup_difference)
+                             SpectrumEntry, degree_actions,
+                             degree_class_actions, feasible_barcodes,
+                             fold_profile, forced_bar_bound, generators,
+                             homotopy_filter, sup_difference)
 from floerbar.sampling import _MAX_TENT_GENERATORS, random_tent_spectrum
 
 LP = LagrangianParams(dim=1, maslov=2, disk_area=F(1, 2))
