@@ -31,6 +31,10 @@ class SchemaError(ValueError):
     """Input file malformed or missing required fields."""
 
 
+# what a parser raises on malformed input: exit 2
+_MALFORMED = (SchemaError, KeyError, ValueError, TypeError)
+
+
 @dataclass
 class RunReport:
     command: str
@@ -144,7 +148,7 @@ def cmd_barcode(complex_file, window, oracle, svg_path, fund_degree, point_degre
         report.check("complex-valid", False)
         report.outputs["error"] = str(exc)
         _emit(report, f"invalid complex: {exc}", 1)
-    except (SchemaError, KeyError, ValueError) as exc:
+    except _MALFORMED as exc:
         _fail("barcode", exc, 2)
     report.check("complex-valid", True)
     win = tuple(window) if window else cx.default_degree_window()
@@ -193,7 +197,7 @@ def cmd_bottleneck(barcode1, barcode2, mod_shift, degree_blind):
     try:
         b1 = Barcode.from_json(_load_json(barcode1))
         b2 = Barcode.from_json(_load_json(barcode2))
-    except (SchemaError, KeyError, ValueError) as exc:
+    except _MALFORMED as exc:
         _fail("bottleneck", exc, 2)
     sensitive = not degree_blind
     d = persistence.bottleneck_distance(b1, b2, degree_sensitive=sensitive)
@@ -226,7 +230,7 @@ def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
     report = RunReport("combfloer", inputs={diagram_file: _digest(diagram_file)})
     try:
         dg = diagrams.TwoCurveDiagram.from_json(_load_json(diagram_file))
-    except (SchemaError, KeyError, ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         _fail("combfloer", exc, 2)
     try:
         lunes = diagrams.enumerate_lunes(dg, max_wind)
@@ -313,7 +317,7 @@ def cmd_radial(profile_file, feasible, homotopy):
             C = parse_rational(data.get("C", "2"))
         else:
             prof = radial.RadialProfile.from_json(data.get("profile", data))
-    except (SchemaError, KeyError, ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         _fail("radial", exc, 2)
     try:
         if homotopy:
@@ -377,7 +381,7 @@ def cmd_seidel(case_name, n, params_json):
                 power=parse_int(raw["M"]), twist=parse_int(raw["E"]),
                 point_power=parse_int(raw["P"]))
             element = seidel.RingElement(parse_int(raw["S"]["t"]), parse_int(raw["S"]["X"]))
-    except (SchemaError, KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         _fail("seidel", exc, 2)
     try:
         if case_name is not None:

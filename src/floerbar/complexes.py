@@ -515,11 +515,24 @@ def complex_to_json(cx: FilteredComplex) -> dict:
 
 
 def complex_from_json(data: dict) -> FilteredComplex:
+    """Parse the JSON schema; a top level, differential or generator id of
+    the wrong type raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a complex is a JSON object")
+    if not isinstance(data.get("differential", {}), dict):
+        raise ValueError("differential must be a JSON object")
     spec = NovikovSpec.from_json(data["spec"]) if data.get("spec") else None
-    gens = [Generator(item["id"], parse_int(item["degree"]), parse_rational(item["action"]))
+    gens = [Generator(_generator_id(item["id"]), parse_int(item["degree"]),
+                      parse_rational(item["action"]))
             for item in data["generators"]]
     diff = {
         gid: [(NovikovScalar.parse(coeff, spec), target) for coeff, target in terms]
         for gid, terms in data.get("differential", {}).items()
     }
     return FilteredComplex(spec, gens, diff)
+
+
+def _generator_id(gid) -> str:
+    if not isinstance(gid, str):
+        raise ValueError(f"a generator id must be a string, not {gid!r}")
+    return gid

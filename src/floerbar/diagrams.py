@@ -28,10 +28,12 @@ and only candidates that pass it pay for an O(faces) vector.  The
 per-candidate breadth-first solve it replaces is kept as the oracle
 ``brute_force_lunes`` in :mod:`floerbar.oracles`.
 
-The filtered complex of a diagram has the crossing points as generators,
-degrees from a two-colouring of the lune graph, actions propagated along a
-spanning forest by "action drop = lune area", and the differential counting
-lunes mod 2 grouped by recapping exponent.
+The filtered complex of a diagram has the crossing points as generators and
+the lunes mod 2, grouped by recapping exponent, as its differential.  One
+walk of the lune graph grades it: degrees from a two-colouring on the sphere
+(an exact grading on the annulus), and actions propagated along the walk's
+spanning forest by "action drop = area + exponent * recap area".  A final
+pass over every lune checks that rule off the forest too.
 """
 
 from __future__ import annotations
@@ -534,144 +536,88 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _sphere_degrees(points: Sequence[int], lunes: Sequence[Lune]) -> Dict[int, int]:
-    """Proper 2-colouring of the lune graph (the quantum variable has degree
-    two, so only parity matters); each component is anchored at its smallest
-    point, whose colour is that point's label parity, putting point 1 in
-    degree 0."""
-    graph: Dict[int, set] = {p: set() for p in points}
-    for lune in lunes:
-        graph[lune.source].add(lune.target)
-        graph[lune.target].add(lune.source)
-    colour: Dict[int, int] = {}
-    for start in sorted(graph):
-        if start in colour:
-            continue
-        colour[start] = (start - 1) % 2
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nbr in graph[cur]:
-                if nbr in colour:
-                    if colour[nbr] == colour[cur]:
-                        raise InadmissibleDiagramError("lune graph is not bipartite")
-                else:
-                    colour[nbr] = 1 - colour[cur]
-                    stack.append(nbr)
-    return colour
+def _grade(d: TwoCurveDiagram, lunes: Sequence[Lune]
+           ) -> Tuple[Dict[int, int], Dict[int, Fraction]]:
+    """Degrees and actions of the crossing points in one walk of the lune graph.
 
-
-def _annulus_degrees(points: Sequence[int], lunes: Sequence[Lune]) -> Dict[int, int]:
-    """Exact integer grading: every lune drops the degree by one and there is
-    no recapping to absorb defects.  Each component is shifted so its
-    smallest degree is 0."""
+    Each component starts at its smallest point, with action 0 and degree
+    its label parity on the sphere (the quantum variable has degree two, so
+    a degree is a colour and point 1 sits in degree 0) or 0 on the annulus.
+    A newly reached point takes the other colour on the sphere, or on the
+    annulus the degree that puts its lune's target one below the source (no
+    recapping there), and the action that makes its lune drop by area +
+    exponent * SPHERE_ACTION_STEP.  A point reached before is only checked against the
+    degree rule.  Each point takes its lunes by (area, source, target),
+    which fixes the spanning forest and with it the actions.  Annulus
+    components are shifted at the end so their smallest degree is 0.
+    """
+    sphere = d.surface == "sphere"
+    adjacency: Dict[int, List[Lune]] = {p: [] for p in d.points}
+    for lune in sorted(lunes, key=lambda l: (l.area, l.source, l.target)):
+        adjacency[lune.source].append(lune)
+        adjacency[lune.target].append(lune)
     degree: Dict[int, int] = {}
-    adjacency: Dict[int, List[Tuple[int, int]]] = {p: [] for p in points}
-    for lune in lunes:
-        adjacency[lune.source].append((lune.target, -1))
-        adjacency[lune.target].append((lune.source, +1))
-    for start in sorted(adjacency):
+    action: Dict[int, Fraction] = {}
+    for start in d.points:
         if start in degree:
             continue
+        degree[start] = (start - 1) % 2 if sphere else 0
+        action[start] = Fraction(0)
         component = [start]
-        degree[start] = 0
         stack = [start]
         while stack:
             cur = stack.pop()
-            for nbr, jump in adjacency[cur]:
-                val = degree[cur] + jump
+            for lune in adjacency[cur]:
+                forward = lune.source == cur
+                nbr = lune.target if forward else lune.source
+                if sphere:
+                    val = 1 - degree[cur]
+                else:
+                    val = degree[cur] - 1 if forward else degree[cur] + 1
                 if nbr in degree:
                     if degree[nbr] != val:
                         raise InadmissibleDiagramError(
-                            "lune degrees are inconsistent around a cycle")
-                else:
-                    degree[nbr] = val
-                    component.append(nbr)
-                    stack.append(nbr)
-        base = min(degree[p] for p in component)
-        for p in component:
-            degree[p] -= base
-    return degree
-
-
-def _lune_exponent(degree: Dict[int, int], lune: Lune,
-                   degree_step: Optional[int]) -> int:
-    """Recapping exponent forced by the grading: the differential lowers the
-    degree by exactly one, counting the quantum variable."""
-    dd = degree[lune.source] - 1 - degree[lune.target]
-    if degree_step is None:
-        if dd != 0:
-            raise InadmissibleDiagramError(
-                f"lune {lune.source}->{lune.target} breaks the degree rule"
-                " and the surface admits no recapping")
-        return 0
-    if dd % degree_step != 0:
-        raise InadmissibleDiagramError(
-            f"lune {lune.source}->{lune.target} breaks the degree rule mod"
-            f" {degree_step}")
-    return dd // degree_step
-
-
-def _propagate_actions(points: Sequence[int], lunes: Sequence[Lune],
-                       degree: Dict[int, int], degree_step: Optional[int],
-                       action_step: Optional[Fraction]) -> Dict[int, Fraction]:
-    """Actions along a spanning forest of the lune graph.
-
-    Each lune pins the action drop of its endpoints exactly: drop = area +
-    exponent * action_step with the grading-forced recapping exponent.  The
-    smallest point of each component sits at action zero.
-    """
-    adjacency: Dict[int, List[Tuple[Lune, int]]] = {p: [] for p in points}
-    for lune in lunes:
-        e = _lune_exponent(degree, lune, degree_step)
-        adjacency[lune.source].append((lune, e))
-        adjacency[lune.target].append((lune, e))
-    action: Dict[int, Fraction] = {}
-    for start in sorted(points):
-        if start in action:
-            continue
-        action[start] = Fraction(0)
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for lune, e in sorted(adjacency[cur],
-                                  key=lambda le: (le[0].area, le[0].source, le[0].target)):
-                drop = lune.area + (e * action_step if action_step else 0)
-                if lune.source == cur and lune.target not in action:
-                    action[lune.target] = action[cur] - drop
-                    stack.append(lune.target)
-                elif lune.target == cur and lune.source not in action:
-                    action[lune.source] = action[cur] + drop
-                    stack.append(lune.source)
-    return action
+                            "lune graph is not bipartite" if sphere
+                            else "lune degrees are inconsistent around a cycle")
+                    continue
+                degree[nbr] = val
+                e = (degree[lune.source] - 1 - degree[lune.target]) // SPHERE_DEGREE_STEP \
+                    if sphere else 0
+                drop = lune.area + e * SPHERE_ACTION_STEP
+                action[nbr] = action[cur] - drop if forward else action[cur] + drop
+                component.append(nbr)
+                stack.append(nbr)
+        if not sphere:
+            base = min(degree[p] for p in component)
+            for p in component:
+                degree[p] -= base
+    return degree, action
 
 
 def build_complex(d: TwoCurveDiagram, max_wind: int = 2) -> FilteredComplex:
     """Filtered complex of a diagram; raises InadmissibleDiagramError when no
     consistent degree/action/differential assignment exists.
 
-    Every lune -- including pairs that cancel mod 2 -- must satisfy the
-    index/area compatibility "action drop = area + exponent * recap area"
-    with the exponent forced by the grading; a violation marks the diagram
-    inadmissible rather than producing a skewed complex.
+    One walk of the lune graph (``_grade``) fixes the degrees and, along its
+    spanning forest, the actions.  The recapping exponent of a lune is then
+    forced by the grading, ``(deg(source) - 1 - deg(target)) / 2`` on the
+    sphere and 0 on the annulus; a proper two-colouring makes it an integer
+    and a consistent annulus grading makes it 0.  Every lune -- including
+    pairs that cancel mod 2 and lunes off the spanning forest -- must then
+    satisfy "action drop = area + exponent * recap area"; a violation marks
+    the diagram inadmissible rather than producing a skewed complex.
     """
     lunes = enumerate_lunes(d, max_wind)
-    points = d.points
-    spec = sphere_spec() if d.surface == "sphere" else None
-    if d.surface == "sphere":
-        degree = _sphere_degrees(points, lunes)
-    else:
-        degree = _annulus_degrees(points, lunes)
-    dstep = spec.degree_step if spec else None
-    astep = spec.action_step if spec else None
-    action = _propagate_actions(points, lunes, degree, dstep, astep)
+    sphere = d.surface == "sphere"
+    spec = sphere_spec() if sphere else None
+    degree, action = _grade(d, lunes)
 
     entries: Dict[Tuple[int, int], int] = {}
     exponents: Dict[Tuple[int, int], int] = {}
     for lune in lunes:
-        e = _lune_exponent(degree, lune, dstep)
-        expected_drop = lune.area + (e * astep if astep else 0)
-        if action[lune.source] - action[lune.target] != expected_drop:
+        e = (degree[lune.source] - 1 - degree[lune.target]) // SPHERE_DEGREE_STEP \
+            if sphere else 0
+        if action[lune.source] - action[lune.target] != lune.area + e * SPHERE_ACTION_STEP:
             raise InadmissibleDiagramError(
                 f"lune {lune.source}->{lune.target} (area {lune.area}) is"
                 " incompatible with the action assignment: same-endpoint lunes"
@@ -687,7 +633,7 @@ def build_complex(d: TwoCurveDiagram, max_wind: int = 2) -> FilteredComplex:
         coeff = NovikovScalar.monomial(spec, exponents[(src, tgt)])
         differential.setdefault(f"a{src}", []).append((coeff, f"a{tgt}"))
 
-    gens = [Generator(f"a{p}", degree[p], action[p]) for p in points]
+    gens = [Generator(f"a{p}", degree[p], action[p]) for p in d.points]
     try:
         return FilteredComplex(spec, gens, differential)
     except ValueError as exc:
@@ -853,11 +799,12 @@ _EQUATOR_NORTH = _matching_as_map([(1, 4), (2, 3)])
 _EQUATOR_SOUTH = _matching_as_map([(1, 2), (3, 4)])
 
 
-def _equator_face_names() -> Dict[str, str]:
-    """Map generated face names to the conventional labels A1..A6 by their
-    boundary signatures: A1/A3 the north bigons at corners {4,1}/{2,3}, A5/A6
-    the south bigons at {1,2}/{3,4}, A2/A4 the north/south squares."""
-    _order_l, faces, hemis = _face_walks_from_meander(4, _EQUATOR_NORTH, _EQUATOR_SOUTH)
+def _equator_face_names(faces: Mapping[str, Tuple[Step, ...]],
+                        hemis: Mapping[str, str]) -> Dict[str, str]:
+    """Map the traced face names of the equator pair to the conventional
+    labels A1..A6 by their boundary signatures: A1/A3 the north bigons at
+    corners {4,1}/{2,3}, A5/A6 the south bigons at {1,2}/{3,4}, A2/A4 the
+    north/south squares."""
     names = {}
     for name, walk in faces.items():
         corners = frozenset(step[1] for step in walk)
@@ -882,8 +829,8 @@ def equator_pair_diagram(areas: Mapping[str, Fraction]) -> TwoCurveDiagram:
     ``areas`` maps those labels to positive rationals subject to the four
     half-area constraints (each curve bisects the sphere).
     """
-    order_l, faces, _h = _face_walks_from_meander(4, _EQUATOR_NORTH, _EQUATOR_SOUTH)
-    rename = _equator_face_names()
+    order_l, faces, hemis = _face_walks_from_meander(4, _EQUATOR_NORTH, _EQUATOR_SOUTH)
+    rename = _equator_face_names(faces, hemis)
     faces = {rename[name]: walk for name, walk in faces.items()}
     return TwoCurveDiagram(
         surface="sphere",

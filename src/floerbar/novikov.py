@@ -99,6 +99,8 @@ class NovikovSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "NovikovSpec":
+        if not isinstance(data, dict) or not isinstance(data["var"], str):
+            raise ValueError("a spec is a JSON object with a string var")
         return cls(data["var"], parse_int(data["degree_step"]),
                    parse_rational(data["action_step"]))
 
@@ -164,7 +166,10 @@ class NovikovScalar:
 
     @classmethod
     def parse(cls, text: str, spec: Optional[NovikovSpec]) -> "NovikovScalar":
-        """Parse exponent polynomials like ``"1+q^2"``, ``"q^-1"`` or ``"0"``."""
+        """Parse exponent polynomials like ``"1+q^2"``, ``"q^-1"`` or ``"0"``.
+        Any other type than a string is a ``ValueError``."""
+        if not isinstance(text, str):
+            raise ValueError(f"a scalar must be a string, not {text!r}")
         text = text.strip().replace(" ", "")
         if text in ("0", ""):
             return cls.zero(spec)

@@ -267,6 +267,8 @@ class Barcode:
 
     @classmethod
     def from_json(cls, data: dict) -> "Barcode":
+        if not isinstance(data, dict):
+            raise ValueError("a barcode is a JSON object")
         bars = []
         for item in data["bars"]:
             left = _endpoint_from_json(item["left"])

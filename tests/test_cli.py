@@ -158,6 +158,19 @@ def test_combfloer_reports_an_inadmissible_annulus_once(tmp_path):
     assert "same-endpoint lunes must share their area" in report["outputs"]["error"]
 
 
+def test_combfloer_reports_an_inconsistent_annulus_grading(tmp_path):
+    # with the holes in A1 and A2 the lunes leave no integer grading
+    data = json.loads(resources.files("floerbar").joinpath(
+        "fixtures", "equator_pair_annulus.json").read_text())
+    data["boundary_faces"] = ["A1", "A2"]
+    bad = tmp_path / "regraded_annulus.json"
+    bad.write_text(json.dumps(data))
+    result, report = run("combfloer", str(bad))
+    assert result.exit_code == 1
+    assert report["checks"] == [{"name": "diagram-valid", "passed": False}]
+    assert report["outputs"]["error"] == "lune degrees are inconsistent around a cycle"
+
+
 _ORACLES_LOADED = """
 import contextlib, io, sys
 import floerbar.cli
@@ -317,6 +330,29 @@ def test_barcode_unknown_generator_exits_2(tmp_path):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "unknown generator" in report["error"]
+
+
+def test_malformed_json_shapes_exit_2(tmp_path):
+    # each of these used to end in an AttributeError or TypeError traceback
+    spec = _complex_json()["spec"]
+    listed_id = _complex_json()["generators"]
+    listed_id[0]["id"] = ["x"]
+    shapes = [[1], _complex_json(generators=5), _complex_json(generators=[5]),
+              _complex_json(spec=5), _complex_json(differential={"a2": [5]}),
+              _complex_json(differential={"a2": [[5, "a1"]]}),
+              _complex_json(generators=listed_id),
+              _complex_json(spec=dict(spec, var=3), differential={"a2": [["q", "a1"]]}),
+              _complex_json(differential=5), _complex_json(differential=[["1", "a1"]])]
+    cases = [("barcode", data, []) for data in shapes]
+    cases += [("bottleneck", data, [fixture_path("barcode_pair_a.json")])
+              for data in ([1], {"bars": 5}, {"bars": [5]})]
+    for i, (command, data, extra) in enumerate(cases):
+        path = tmp_path / f"shape_{i}.json"
+        path.write_text(json.dumps(data))
+        result, report = run(command, str(path), *extra)
+        assert result.exit_code == 2, (command, data, result.output)
+        assert isinstance(result.exception, SystemExit), (command, data)
+        assert "error" in report and "checks" not in report
 
 
 def test_a_json_float_is_malformed_input(tmp_path):

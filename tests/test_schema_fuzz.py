@@ -1,9 +1,12 @@
-"""Schema fuzz of ``combfloer`` and ``radial``: mutated diagram and radial
-profile files keep the exit-code contract (0 success, 1 validation failure,
-2 malformed input) and never end in a traceback."""
+"""Schema fuzz of ``combfloer``, ``radial``, ``barcode`` and ``bottleneck``:
+mutated diagram, radial profile, complex and barcode files keep the
+exit-code contract (0 success, 1 validation failure, 2 malformed input) and
+never end in a traceback."""
 
 import copy
+import functools
 import json
+import operator
 from importlib import resources
 
 from click.testing import CliRunner
@@ -197,3 +200,87 @@ def test_mutated_radial_profiles_keep_the_exit_code_contract(tmp_path, data):
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         (json.dumps(doc), args, repr(result.exception))
+
+
+# ---------------------------------------------------------------------------
+# complexes and barcodes: shape and type mutations only.  A mutation drops,
+# wraps, truncates or retypes one node of the file; the only numbers it
+# writes are 0 and 1, so it never adds a generator or a bar and no reduction
+# or shift scan grows.
+# ---------------------------------------------------------------------------
+
+
+def _fixtures(*names):
+    return [json.loads(resources.files("floerbar").joinpath("fixtures", name).read_text())
+            for name in names]
+
+
+COMPLEX_BASES = _fixtures("equator_pair_complex.json", "zero_differential_complex.json")
+BARCODE_FILES = ("barcode_pair_a.json", "barcode_pair_b.json")
+BARCODE_BASES = _fixtures(*BARCODE_FILES)
+
+wrong_type = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1]), st.floats(allow_nan=False, width=16),
+    st.sampled_from(["", "abc", "1/0", "q", "q^x", "a1", "x", "inf"]),
+    st.lists(st.sampled_from([0, "1", "a1"]), max_size=3),
+    st.dictionaries(st.sampled_from(["var", "id", "left", "bars"]), st.none(), max_size=2))
+
+
+def _paths(node, path=()):
+    """Every node of a JSON document, as the key path from the root."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+def _mutate_node(data, doc):
+    """One shape or type mutation of one node; returns the mutated document."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    kind = data.draw(st.sampled_from(["retype", "drop", "wrap", "truncate"]))
+    if not path:
+        return data.draw(wrong_type) if kind == "retype" else [doc]
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    key = path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "wrap":
+        parent[key] = [parent[key]]
+    elif kind == "truncate" and isinstance(parent[key], list):
+        parent[key] = _truncate(data, parent[key])
+    else:
+        parent[key] = data.draw(wrong_type)
+    return doc
+
+
+def _assert_contract(result, doc, args):
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        (json.dumps(doc), args, repr(result.exception))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_complexes_keep_the_exit_code_contract(tmp_path, data):
+    doc = _mutate_node(data, copy.deepcopy(data.draw(st.sampled_from(COMPLEX_BASES))))
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    args = ["barcode", str(path)] + data.draw(st.sampled_from(
+        [[], ["--oracle"], ["--window", "0", "1"]]))
+    _assert_contract(CliRunner().invoke(main, args), doc, args)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_barcodes_keep_the_exit_code_contract(tmp_path, data):
+    doc = _mutate_node(data, copy.deepcopy(data.draw(st.sampled_from(BARCODE_BASES))))
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    other = str(resources.files("floerbar").joinpath(
+        "fixtures", data.draw(st.sampled_from(BARCODE_FILES))))
+    pair = [str(path), other] if data.draw(st.booleans()) else [other, str(path)]
+    args = ["bottleneck"] + pair + data.draw(st.sampled_from(
+        [[], ["--mod-shift"], ["--degree-blind"]]))
+    _assert_contract(CliRunner().invoke(main, args), doc, args)
