@@ -5,16 +5,21 @@ rational multiples of pi, so they live in the module of values ``a + b*pi``
 with ``a, b`` rational.  Addition, subtraction and scaling by rationals are
 componentwise; there is no multiplication of two pi-parts.
 
-Comparisons are exact: the sign of ``a + b*pi`` reduces to comparing the
-rational ``-a/b`` against pi, which is decided by integer interval bounds
-from Machin's formula at doubling binary precision, each bracket cached,
-until the rational falls outside the bracket.  Pi being irrational, every
-comparison terminates.  Equality holds only when both coefficients agree;
-no nonzero element of the module vanishes.
+Comparisons are exact and use no float.  Each value caches, on first
+use, two integers ``lo <= (a + b*pi) * 2**64 <= hi`` computed from a
+64-bit integer bracket of pi, so most comparisons of two values end on
+disjoint brackets.  When the brackets overlap, the exact sign of the
+difference ``da + db*pi`` is taken from the coefficient differences: it
+follows from their signs alone unless they disagree, and then the rational
+``-da/db`` is compared with pi, first against ``333/106 < pi < 355/113`` and
+then by integer bounds from Machin's formula at doubling binary precision,
+each bracket cached, until the rational falls outside the bracket.  Pi being
+irrational, every comparison terminates.  Equality holds only when both
+coefficients agree; no nonzero element of the module vanishes.
 
-Unlike the other exact layers, this one has no slower twin in
-:mod:`floerbar.oracles`: the tests check its comparisons against a
-300-digit decimal expansion of pi.
+:func:`floerbar.oracles.pi_rational_cmp` keeps the unfiltered route, the
+sign of the difference value through the Machin brackets alone, as the
+oracle the tests compare this order with.
 """
 
 from __future__ import annotations
@@ -72,6 +77,39 @@ def _compare_with_pi(t: Fraction) -> int:
         bits *= 2
 
 
+# Each value caches integer bounds on itself times 2**_BRACKET_BITS.
+_BRACKET_BITS = 64
+
+
+def _scaled_pi_bracket() -> Tuple[int, int]:
+    """Integers lo < pi * 2**64 < hi: the first Machin bracket rounded outward."""
+    low, high = _machin_bracket(_MACHIN_START_BITS)
+    return ((low.numerator << _BRACKET_BITS) // low.denominator,
+            -((-high.numerator << _BRACKET_BITS) // high.denominator))
+
+
+_PI_LOW, _PI_HIGH = _scaled_pi_bracket()
+# continued-fraction convergents on either side of pi
+_BELOW_PI = Fraction(333, 106)
+_ABOVE_PI = Fraction(355, 113)
+
+
+def _sign(a: Fraction, b: Fraction) -> int:
+    """Exact sign of ``a + b*pi``."""
+    if not b:
+        return (a > 0) - (a < 0)
+    side = 1 if b > 0 else -1
+    if not a or (a > 0) == (b > 0):
+        return side
+    # a + b*pi = b * (pi - t) with t = -a/b > 0
+    t = -a / b
+    if t < _BELOW_PI:
+        return side
+    if t > _ABOVE_PI:
+        return -side
+    return -side * _compare_with_pi(t)
+
+
 _NumberLike = Union[int, Fraction, "PiRational"]
 
 
@@ -83,8 +121,28 @@ class PiRational:
     pi_coeff: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rational", Fraction(self.rational))
-        object.__setattr__(self, "pi_coeff", Fraction(self.pi_coeff))
+        if not isinstance(self.rational, Fraction):
+            object.__setattr__(self, "rational", Fraction(self.rational))
+        if not isinstance(self.pi_coeff, Fraction):
+            object.__setattr__(self, "pi_coeff", Fraction(self.pi_coeff))
+
+    # a cached_property stores its value in the instance __dict__, which a
+    # frozen dataclass leaves writable; neither is a field
+    @functools.cached_property
+    def _bracket(self) -> Tuple[int, int]:
+        """Integers ``lo <= (rational + pi_coeff*pi) * 2**64 <= hi``."""
+        a, b = self.rational, self.pi_coeff
+        den = a.denominator * b.denominator
+        base = (a.numerator * b.denominator) << _BRACKET_BITS
+        scale = b.numerator * a.denominator
+        low, high = (_PI_LOW, _PI_HIGH) if scale >= 0 else (_PI_HIGH, _PI_LOW)
+        return (base + scale * low) // den, -((-base - scale * high) // den)
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        if self.pi_coeff == 0:
+            return hash(self.rational)
+        return hash((self.rational, self.pi_coeff))
 
     # -- constructors ------------------------------------------------------
 
@@ -110,11 +168,7 @@ class PiRational:
         return self.rational
 
     def sign(self) -> int:
-        if self.pi_coeff == 0:
-            return 0 if self.rational == 0 else (1 if self.rational > 0 else -1)
-        # a + b*pi > 0  <=>  pi > -a/b when b > 0, and pi < -a/b when b < 0
-        side = _compare_with_pi(-self.rational / self.pi_coeff)
-        return -side if self.pi_coeff > 0 else side
+        return _sign(self.rational, self.pi_coeff)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -154,12 +208,22 @@ class PiRational:
 
     # -- order -------------------------------------------------------------
 
+    # PiRational is tested first: Fraction's isinstance check goes through
+    # its abstract base class
     @staticmethod
     def _comparable(other) -> bool:
-        return isinstance(other, (int, Fraction, PiRational))
+        return isinstance(other, (PiRational, int, Fraction))
 
     def _cmp(self, other: _NumberLike) -> int:
-        return (self - PiRational.of(other)).sign()
+        if not isinstance(other, PiRational):
+            return _sign(self.rational - other, self.pi_coeff)
+        low, high = self._bracket
+        other_low, other_high = other._bracket
+        if high < other_low:
+            return -1
+        if low > other_high:
+            return 1
+        return _sign(self.rational - other.rational, self.pi_coeff - other.pi_coeff)
 
     def __lt__(self, other) -> bool:
         if not self._comparable(other):
@@ -182,16 +246,14 @@ class PiRational:
         return self._cmp(other) >= 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = PiRational.of(other)
         if not isinstance(other, PiRational):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = PiRational.of(other)
         return self.rational == other.rational and self.pi_coeff == other.pi_coeff
 
     def __hash__(self) -> int:
-        if self.pi_coeff == 0:
-            return hash(self.rational)
-        return hash((self.rational, self.pi_coeff))
+        return self._hash
 
     def __abs__(self) -> "PiRational":
         return -self if self.sign() < 0 else self

@@ -17,6 +17,12 @@ them; no default code path imports this module.
   matching, where :func:`floerbar.radial.feasible_barcodes` interns bars;
   ``rank_prescriptions`` lists the rank prescriptions the two are compared
   on.
+* ``pi_rational_cmp`` takes the sign of a difference of values of Q + Q*pi
+  through Machin brackets of pi alone, where ``PiRational`` compares cached
+  integer brackets first.
+* ``power_loop_hypotheses`` multiplies out the powers of a ring element one
+  by one, where :func:`floerbar.seidel.verify_hypotheses` solves for them in
+  closed form.
 """
 
 from __future__ import annotations
@@ -27,12 +33,14 @@ from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .complexes import FilteredComplex, _UnrolledWindow
 from .diagrams import DiagramError, Lune, TwoCurveDiagram, _Geometry, _validated_geometry
-from .exactpi import PiRational
+from .exactpi import PiRational, _compare_with_pi
 from .f2 import Echelon
 from .persistence import (INF, Bar, Barcode, _ShiftCandidates, _abs, _all_endpoints,
                           _halve, bottleneck_distance, brute_force_bottleneck,
                           shift_barcode)
 from .radial import GeneratorSpectrum, InfeasibleRanksError, _orbits
+from .seidel import (HypothesisError, QHPresentation, RingElement, SeidelData,
+                     qh_mul)
 
 __all__ = [
     "OracleSizeError",
@@ -42,6 +50,8 @@ __all__ = [
     "brute_force_lunes",
     "brute_force_feasible_barcodes",
     "rank_prescriptions",
+    "pi_rational_cmp",
+    "power_loop_hypotheses",
 ]
 
 
@@ -477,3 +487,46 @@ def brute_force_feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[in
     if not results:
         raise InfeasibleRanksError("no matching leaves the prescribed infinite bars")
     return frozenset(results)
+
+
+# ---------------------------------------------------------------------------
+# exactpi: the sign of the difference value
+# ---------------------------------------------------------------------------
+
+
+def pi_rational_cmp(x, y) -> int:
+    """-1, 0 or 1 as ``x <, ==, > y`` for ints, Fractions and PiRationals:
+    the difference ``a + b*pi`` is built, and for ``b != 0`` the rational
+    ``-a/b`` is compared with pi by Machin brackets alone."""
+    diff = PiRational.of(x) - PiRational.of(y)
+    a, b = diff.rational, diff.pi_coeff
+    if b == 0:
+        return (a > 0) - (a < 0)
+    # a + b*pi > 0  <=>  pi > -a/b when b > 0, and pi < -a/b when b < 0
+    side = _compare_with_pi(-a / b)
+    return -side if b > 0 else side
+
+
+# ---------------------------------------------------------------------------
+# seidel: the ring powers one by one
+# ---------------------------------------------------------------------------
+
+
+def power_loop_hypotheses(pres: QHPresentation, element: RingElement) -> SeidelData:
+    """The power hypotheses found by multiplying ``element`` into an
+    accumulator until its powers reach the point class and then the unit
+    class, for at most ``power * maslov + 1`` steps."""
+    cap = pres.power * pres.params.maslov + 1
+    k = p = m = r = None
+    acc = pres.unit()
+    for i in range(1, cap + 1):
+        acc = qh_mul(pres, acc, element)
+        if k is None and acc.x_exp == pres.point_power:
+            k, p = i, acc.t_exp
+        elif k is not None and m is None and acc.x_exp == 0:
+            m, r = i, acc.t_exp
+            break
+    if k is None or m is None:
+        raise HypothesisError(
+            f"no power of {element} matches the point/unit classes within {cap} steps")
+    return SeidelData(element=element, k=k, p=p, m=m, r=r)

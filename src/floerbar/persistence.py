@@ -33,6 +33,7 @@ over all endpoint differences and their pairwise midpoints.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,7 +175,8 @@ class Bar:
     def is_infinite(self) -> bool:
         return self.right is INF
 
-    @property
+    # computed once per bar: interned bars are shared by many barcodes
+    @functools.cached_property
     def length(self):
         return INF if self.is_infinite else self.right - self.left
 

@@ -25,6 +25,7 @@ coefficients in the hypotheses are fixed to 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
@@ -119,21 +120,28 @@ class SeidelData:
 def verify_hypotheses(pres: QHPresentation, element: RingElement) -> SeidelData:
     """Smallest ``k`` with ``element**k`` proportional to the point class and
     smallest ``m > k`` hitting the unit class; the ``t``-exponents come with
-    them.  Searches ``power * maslov`` steps before giving up."""
-    cap = pres.power * pres.params.maslov + 1
-    k = p = m = r = None
-    acc = pres.unit()
-    for i in range(1, cap + 1):
-        acc = qh_mul(pres, acc, element)
-        if k is None and acc.x_exp == pres.point_power:
-            k, p = i, acc.t_exp
-        elif k is not None and m is None and acc.x_exp == 0:
-            m, r = i, acc.t_exp
-            break
-    if k is None or m is None:
+    them.
+
+    ``element**i`` normalizes from ``t**(i*t) * X**(i*x)``, so its X-exponent
+    is ``i*x mod M``: ``k`` solves ``i*x = P (mod M)`` and ``m`` is the first
+    multiple of the order ``M / gcd(x, M)`` of ``x`` above ``k``.  Both are at
+    most ``2*M``, within the ``M * maslov + 1`` powers a search would try.
+    """
+    power, x = pres.power, element.x_exp
+    g = math.gcd(x, power)
+    if pres.point_power % g:
         raise HypothesisError(
-            f"no power of {element} matches the point/unit classes within {cap} steps")
-    return SeidelData(element=element, k=k, p=p, m=m, r=r)
+            f"no power of {element} matches the point/unit classes within "
+            f"{power * pres.params.maslov + 1} steps")
+    order = power // g
+    # x/g is invertible mod the order; a residue 0 means the order itself
+    k = pres.point_power // g * pow(x // g, -1, order) % order or order
+    m = (k // order + 1) * order
+
+    def t_exp(i: int) -> int:
+        return pres.normalize(i * element.t_exp, i * x).t_exp
+
+    return SeidelData(element=element, k=k, p=t_exp(k), m=m, r=t_exp(m))
 
 
 def averaging_bound(k: int, p: int, m: int, r: int, kappa: Fraction) -> Fraction:

@@ -235,6 +235,15 @@ def test_seidel_command_params():
     assert report["outputs"]["bound"] == "1/2"
 
 
+def test_seidel_unreachable_point_class_with_a_huge_relation_exits_1():
+    # x = 0 never reaches X**1; a power search would try 2 * 10**8 + 1 steps
+    params = json.dumps({"n": 1, "N_L": 2, "A_L": "1", "M": 100000000, "E": -1,
+                         "P": 1, "S": {"t": 0, "X": 0}})
+    result, report = run("seidel", "--params", params)
+    assert result.exit_code == 1
+    assert {"name": "hypotheses-verified", "passed": False} in report["checks"]
+
+
 def test_seidel_needs_input():
     result, _ = run("seidel")
     assert result.exit_code == 2

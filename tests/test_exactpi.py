@@ -1,8 +1,12 @@
+import dataclasses
+import functools
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from floerbar.exactpi import PiRational, _machin_bracket
+from floerbar.oracles import pi_rational_cmp
 
 
 def test_signs_against_sharp_rationals():
@@ -82,3 +86,111 @@ def test_pi_against_truncations_far_past_the_stored_expansion():
         # the same comparisons with a scaled pi part
         assert PiRational(-3 * below, F(3)).sign() == 1
         assert PiRational(3 * above, F(-3)).sign() == 1
+
+
+# ---------------------------------------------------------------------------
+# the bracket-filtered order against the oracle
+# ---------------------------------------------------------------------------
+
+
+def _rational(rng):
+    return F(rng.randint(-60, 60), rng.randint(1, 12))
+
+
+def _value(rng):
+    """An int, a Fraction or a PiRational, whose pi part is often zero."""
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.randint(-20, 20)
+    if kind < 0.2:
+        return _rational(rng)
+    return PiRational(_rational(rng), _rational(rng) if rng.random() < 0.7 else F(0))
+
+
+def _near_tie(rng, x):
+    """``x + eps * (pi - c)`` for a convergent ``c`` of pi: closer to ``x``
+    than 2**-64, and for the smallest ``eps`` closer than 2**-256."""
+    c = rng.choice((F(355, 113), F(103993, 33102)))
+    eps = F(rng.choice((-1, 1)) * rng.randint(1, 999), 2 ** rng.randint(64, 300))
+    x = PiRational.of(x)
+    return PiRational(x.rational - eps * c, x.pi_coeff + eps)
+
+
+def _copy(x):
+    """The same value in a distinct object, sometimes as an int or Fraction."""
+    x = PiRational.of(x)
+    if x.is_rational and x.rational.denominator == 1 and x.rational.numerator % 2:
+        return int(x.rational)
+    if x.is_rational and x.rational.numerator % 3 == 0:
+        return F(x.rational.numerator, x.rational.denominator)
+    return PiRational(F(x.rational.numerator, x.rational.denominator),
+                      F(x.pi_coeff.numerator, x.pi_coeff.denominator))
+
+
+def _pair(rng):
+    x, kind = _value(rng), rng.random()
+    if kind < 0.25:
+        y = _near_tie(rng, x)
+        # the brackets overlap, so the exact fallback decides
+        low, high = PiRational.of(x)._bracket
+        other_low, other_high = y._bracket
+        assert low <= other_high and other_low <= high
+    elif kind < 0.4:
+        y = _copy(x)
+    else:
+        y = _value(rng)
+    if not isinstance(x, PiRational) and not isinstance(y, PiRational):
+        x = PiRational.of(x)
+    return (x, y) if rng.random() < 0.5 else (y, x)
+
+
+def test_order_matches_the_oracle_on_random_pairs():
+    rng = random.Random(8)
+    kinds = {"tie": 0, "less": 0, "greater": 0}
+    for _ in range(20_000):
+        x, y = _pair(rng)
+        c = pi_rational_cmp(x, y)
+        kinds["tie" if c == 0 else ("less" if c < 0 else "greater")] += 1
+        assert (x < y, x <= y, x > y, x >= y, x == y, x != y) == \
+            (c < 0, c <= 0, c > 0, c >= 0, c == 0, c != 0), (x, y, c)
+        if c == 0:
+            assert hash(x) == hash(y), (x, y)
+    assert min(kinds.values()) > 1_000, kinds
+
+
+def test_sorted_mixed_lists_match_the_oracle():
+    rng = random.Random(9)
+    for _ in range(400):
+        base = [_value(rng) for _ in range(6)]
+        items = base + [_near_tie(rng, x) for x in base[:3]] + [_copy(x) for x in base[3:]]
+        rng.shuffle(items)
+        fast = sorted(items)
+        slow = sorted(items, key=functools.cmp_to_key(pi_rational_cmp))
+        assert all(pi_rational_cmp(a, b) == 0 for a, b in zip(fast, slow)), items
+        assert all(pi_rational_cmp(a, b) <= 0 for a, b in zip(fast, fast[1:])), fast
+
+
+def test_coefficients_already_fractions_are_kept():
+    a, b = F(1, 3), F(-2, 5)
+    x = PiRational(a, b)
+    assert x.rational is a and x.pi_coeff is b
+    assert PiRational(1, 2) == PiRational(F(1), F(2))
+    assert type(PiRational(1, 2).rational) is F and type(PiRational(1, 2).pi_coeff) is F
+
+
+def test_filled_caches_change_no_observable_value():
+    x = PiRational(F(-9, 40), F(2, 7))
+    before = (repr(x), x.to_json(), [f.name for f in dataclasses.fields(x)])
+    assert x < PiRational.pi() and x > -PiRational.pi()
+    hash(x)
+    assert {"_bracket", "_hash"} <= set(vars(x))
+    assert (repr(x), x.to_json(), [f.name for f in dataclasses.fields(x)]) == before
+    assert [f.name for f in dataclasses.fields(PiRational)] == ["rational", "pi_coeff"]
+    twin = PiRational(F(-9, 40), F(2, 7))
+    assert x == twin and hash(x) == hash(twin)
+    assert PiRational.from_json(x.to_json()) == x
+    for q in (F(2, 3), F(-5), F(0)):
+        value = PiRational.of(q)
+        assert value < PiRational.pi()
+        assert hash(value) == hash(q) and hash(value) == hash(q)
+        assert value == q and value.to_json() == [str(q), "0"]

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from floerbar.exactpi import PiRational
 from floerbar.oracles import brute_force_bottleneck
 from floerbar.persistence import (Bar, Barcode, INF, bar_length_spectrum,
                                   bottleneck_distance, boundary_depth,
@@ -373,3 +375,22 @@ def test_shift_search_ties_report_the_smallest_shift():
     a = bc(bar(0, 1), bar(10, 11))
     b = bc(bar(3, 4))
     assert shifted_bottleneck(a, b) == brute_force_shifted_bottleneck(a, b) == (F(1, 2), -8)
+
+
+def test_cached_bar_length_keeps_equality_hash_and_json():
+    left, right = PiRational(F(1), F(-1, 4)), PiRational.pi(F(1, 2))
+    b, twin = Bar(left, right, 1), Bar(left, right, 1)
+    json_before, hash_before = b.to_json(), hash(b)
+    assert b.length == PiRational(F(-1), F(3, 4))
+    assert "length" in vars(b) and "length" not in vars(twin)
+    assert b == twin and hash(b) == hash_before == hash(twin)
+    assert b.to_json() == json_before == twin.to_json()
+    assert [f.name for f in dataclasses.fields(Bar)] == [
+        "left", "right", "degree", "multiplicity"]
+    # a bar made from another computes its own length
+    shifted = b.shifted(PiRational.pi())
+    assert "length" not in vars(shifted)
+    assert shifted.left == left - PiRational.pi() and shifted.length == b.length
+    longer = dataclasses.replace(b, right=right + 1)
+    assert longer.length == b.length + 1
+    assert bar(0, "inf").length is INF

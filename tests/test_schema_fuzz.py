@@ -1,7 +1,7 @@
-"""Schema fuzz of ``combfloer``, ``radial``, ``barcode`` and ``bottleneck``:
-mutated diagram, radial profile, complex and barcode files keep the
-exit-code contract (0 success, 1 validation failure, 2 malformed input) and
-never end in a traceback."""
+"""Schema fuzz of ``combfloer``, ``radial``, ``barcode``, ``bottleneck`` and
+``seidel --params``: mutated diagram, radial profile, complex, barcode and
+ring-presentation documents keep the exit-code contract (0 success, 1
+validation failure, 2 malformed input) and never end in a traceback."""
 
 import copy
 import functools
@@ -283,4 +283,31 @@ def test_mutated_barcodes_keep_the_exit_code_contract(tmp_path, data):
     pair = [str(path), other] if data.draw(st.booleans()) else [other, str(path)]
     args = ["bottleneck"] + pair + data.draw(st.sampled_from(
         [[], ["--mod-shift"], ["--degree-blind"]]))
+    _assert_contract(CliRunner().invoke(main, args), doc, args)
+
+
+# ---------------------------------------------------------------------------
+# seidel parameters: shape and type mutations, plus small integers.  Every
+# integer a mutation writes is bounded, because a valid presentation with a
+# huge relation exponent still builds a telescoping check of that length.
+# ---------------------------------------------------------------------------
+
+SEIDEL_BASES = [
+    {"n": 2, "N_L": 4, "A_L": "1", "M": 2, "E": -1, "P": 1, "S": {"t": 2, "X": 1}},
+    {"n": 3, "N_L": 4, "A_L": "1/2", "M": 4, "E": -1, "P": 3, "S": {"t": 1, "X": 1}},
+    {"n": 1, "N_L": 2, "A_L": "1", "M": 6, "E": 2, "P": 4, "S": {"t": -1, "X": -4}},
+]
+small_int = st.integers(-4, 40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_seidel_params_keep_the_exit_code_contract(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(SEIDEL_BASES)))
+    if data.draw(st.booleans()):
+        doc = _mutate_node(data, doc)
+    else:
+        path = data.draw(st.sampled_from([p for p in _paths(doc) if p and p != ("S",)]))
+        functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = data.draw(small_int)
+    args = ["seidel", "--params", json.dumps(doc)]
     _assert_contract(CliRunner().invoke(main, args), doc, args)

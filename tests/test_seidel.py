@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from floerbar.novikov import LagrangianParams
+from floerbar.oracles import power_loop_hypotheses
 from floerbar.seidel import (EXAMPLE_CASE_NAMES, HypothesisError,
                              QHPresentation, RingElement, averaging_bound,
                              example_case, qh_mul,
@@ -56,6 +58,42 @@ def test_verify_hypotheses_failure():
     pres = quadric_demo(2, twist=-1)
     with pytest.raises(HypothesisError):
         verify_hypotheses(pres, RingElement(1, 0))  # unit never hits the point
+
+
+def _hypotheses_or_error(verify, pres, element):
+    try:
+        return verify(pres, element)
+    except HypothesisError as exc:
+        return str(exc)
+
+
+def test_closed_form_matches_the_power_loop():
+    rng = random.Random(20261018)
+    solvable = 0
+    for _ in range(20_000):
+        power = rng.randint(1, 12)
+        pres = QHPresentation(
+            params=LagrangianParams(rng.randint(1, 4), rng.randint(2, 6), F(1, 2)),
+            power=power, twist=rng.randint(-3, 3), point_power=rng.randint(0, power - 1))
+        # exponents below zero and at or above the relation exponent too
+        element = RingElement(rng.randint(-5, 5), rng.randint(-2 * power - 3, 2 * power + 3))
+        expected = _hypotheses_or_error(power_loop_hypotheses, pres, element)
+        assert _hypotheses_or_error(verify_hypotheses, pres, element) == expected, \
+            (pres, element)
+        solvable += not isinstance(expected, str)
+    assert 5_000 < solvable < 20_000
+
+
+def test_huge_relation_exponent_is_solved_without_a_search():
+    power = 10 ** 30
+    pres = QHPresentation(params=LagrangianParams(1, 2, F(1)),
+                          power=power, twist=-1, point_power=1)
+    data = verify_hypotheses(pres, RingElement(1, 3))
+    assert data.k * 3 % power == 1 and data.k < power
+    assert (data.m, data.p) == (power, data.k - 2 * (data.k * 3 // power))
+    assert data.r == power - 2 * 3
+    with pytest.raises(HypothesisError):
+        verify_hypotheses(pres, RingElement(0, 0))  # X**0 never reaches X**1
 
 
 def test_averaging_bound_examples():
