@@ -30,7 +30,7 @@ Submodules
     the exact averaging bound and its symbolic telescoping certificate.
 ``oracles``
     The independent exhaustive routes the fast code is checked against: the
-    rank-function barcode, the exhaustive matchers, the per-candidate lune
+    rank-function barcode, the Fraction-sorted unroll, the exhaustive matchers, the per-candidate lune
     solve and the per-matching feasible enumerator.  Not imported here; only
     tests, ``floerbar check`` and ``--oracle`` load it.
 """

@@ -113,6 +113,13 @@ def _oracle_check(report: RunReport, cx, bc: Barcode, window=None) -> None:
     report.check("oracle-match", oc == bc)
 
 
+def _window_cap(report: RunReport, exc: Exception) -> None:
+    """A degree window past the reduction's size cap fails the check
+    ``window-size-cap``."""
+    report.outputs["window_error"] = str(exc)
+    report.check("window-size-cap", False)
+
+
 @click.group()
 def main() -> None:
     """Exact persistence toolkit: barcodes, curve diagrams, radial profiles
@@ -152,7 +159,11 @@ def cmd_barcode(complex_file, window, oracle, svg_path, fund_degree, point_degre
         _fail("barcode", exc, 2)
     report.check("complex-valid", True)
     win = tuple(window) if window else cx.default_degree_window()
-    bc = complexes.barcode(cx, win)
+    try:
+        bc = complexes.barcode(cx, win)
+    except complexes.WindowSizeError as exc:
+        _window_cap(report, exc)
+        _emit(report, f"window too large: {exc}", 1)
     depth = persistence.boundary_depth(bc)
     report.outputs["barcode"] = bc.to_json()
     report.outputs["bar_length_spectrum"] = [
@@ -170,6 +181,9 @@ def cmd_barcode(complex_file, window, oracle, svg_path, fund_degree, point_degre
     except complexes.GammaUndefinedError as exc:
         report.outputs["gamma"] = None
         report.outputs["gamma_note"] = str(exc)
+    except complexes.WindowSizeError as exc:
+        report.outputs["gamma"] = None
+        _window_cap(report, exc)
     if oracle:
         _oracle_check(report, cx, bc, win)
     if svg_path:
@@ -513,6 +527,13 @@ def cmd_check(seed, trials):
     report.check("seidel-table", all(
         seidel.example_case(name, n).telescoping.ok
         for name in seidel.EXAMPLE_CASE_NAMES for n in range(1, 6)))
+
+    def unroll_agrees(cx, action_window, degree_window) -> bool:
+        return (cx.unroll(action_window, degree_window)
+                == oracles.fraction_unroll(cx, action_window, degree_window))
+
+    report.check("unroll-oracle-agreement", all(
+        unroll_agrees(*sampling.random_unroll_case(rng)) for _ in range(trials)))
 
     _emit(report, "all checks passed" if report.ok else "CHECK FAILURES")
 

@@ -17,15 +17,28 @@ spectral invariants, rank functions -- reduce to finite F2 linear algebra
 with no truncation error.  Complexes with ``spec=None`` are plain F2
 complexes (weakly exact coefficients): no copies, absolute degrees.
 
+Copies are put in filtration order on exact int keys: every generator
+action and the action step are scaled once by the lcm of their
+denominators, so integer comparison gives the same order as comparing the
+rationals.  Fractions appear only at read-out, one per copy.  A window is
+counted with O(generators) int arithmetic before anything is built; one
+that unrolls to more than ``MAX_WINDOW_COPIES`` copies raises
+:class:`WindowSizeError`.
+
 :func:`barcode` reads barcodes off an orthogonalising column reduction
 (singular cycles plus ``d y = z`` pairs, whose action drops are the finite
-bar lengths).  The independent route via sublevel rank functions read off
-inclusion maps is ``brute_force_barcode`` in :mod:`floerbar.oracles`; tests
-hold the two equal.
+bar lengths).  The reduction keeps its cycles and pairs as bitmasks over the
+window; :class:`UZBasis` decodes them into Novikov-scalar combos only when
+asked, and :func:`barcode` reads only degrees and endpoint actions.  The
+independent route via sublevel rank functions read off inclusion maps is
+``brute_force_barcode`` in :mod:`floerbar.oracles`; tests hold the two
+equal, and ``fraction_unroll`` there is the unroll that sorts rationals.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -40,6 +53,8 @@ __all__ = [
     "FilteredComplex",
     "ComplexValidationError",
     "GammaUndefinedError",
+    "WindowSizeError",
+    "MAX_WINDOW_COPIES",
     "UZPair",
     "UZBasis",
     "uz_reduce",
@@ -57,6 +72,17 @@ class ComplexValidationError(ValueError):
 
 class GammaUndefinedError(ValueError):
     """The spectral-norm shortcut needs unique infinite bars in both designated degrees."""
+
+
+class WindowSizeError(ValueError):
+    """A degree window unrolls to more copies than the reduction accepts."""
+
+
+# The reduction's columns are bitmasks as wide as the window, so its memory
+# grows with the square of the copy count.  A window of the bundled
+# equator-pair complex at the cap takes 0.3 s and 62 MiB peak (Python 3.11,
+# 2-CPU x86-64); one of a billion degrees would exhaust memory.
+MAX_WINDOW_COPIES = 20_000
 
 
 @dataclass(frozen=True)
@@ -87,15 +113,41 @@ class UZPair:
         return self.y_action - self.z_action
 
 
-@dataclass(frozen=True)
 class UZBasis:
-    """Output of the orthogonalising reduction: singular cycles and pairs."""
+    """Output of the orthogonalising reduction: singular cycles and pairs.
 
-    singular: Tuple[Tuple[Combo, int, Fraction], ...]  # (cycle, degree, action)
-    pairs: Tuple[UZPair, ...]
+    ``cycle_levels`` holds ``(degree, action)`` per singular cycle and
+    ``pair_levels`` holds ``(degree of z, act z, act y)`` per pair.  The
+    combos of ``singular`` and ``pairs`` are decoded from the reduction's
+    bitmasks on first access.
+    """
+
+    def __init__(self, window: "_UnrolledWindow",
+                 cycles: Sequence[Tuple[int, int, Fraction]],
+                 pairs: Sequence[Tuple[int, int, int, Fraction, Fraction]]):
+        self._window = window
+        self._cycle_masks = tuple(mask for mask, _d, _a in cycles)
+        self.cycle_levels = tuple((deg, act) for _m, deg, act in cycles)
+        self._pair_masks = tuple((ymask, zmask) for ymask, zmask, _d, _z, _y in pairs)
+        self.pair_levels = tuple((deg, za, ya) for _y, _z, deg, za, ya in pairs)
+
+    @functools.cached_property
+    def singular(self) -> Tuple[Tuple[Combo, int, Fraction], ...]:
+        """``(cycle, degree, action)`` per singular cycle."""
+        decode = self._window.combo_from_mask
+        return tuple((decode(mask), deg, act)
+                     for mask, (deg, act) in zip(self._cycle_masks, self.cycle_levels))
+
+    @functools.cached_property
+    def pairs(self) -> Tuple[UZPair, ...]:
+        decode = self._window.combo_from_mask
+        return tuple(UZPair(y=decode(ymask), z=decode(zmask), degree=deg,
+                            y_action=ya, z_action=za)
+                     for (ymask, zmask), (deg, za, ya)
+                     in zip(self._pair_masks, self.pair_levels))
 
     def torsion_exponents(self) -> Tuple[Fraction, ...]:
-        return tuple(sorted(p.beta for p in self.pairs))
+        return tuple(sorted(ya - za for _d, za, ya in self.pair_levels))
 
 
 class FilteredComplex:
@@ -193,22 +245,40 @@ class FilteredComplex:
                degree_window: Optional[Tuple[int, int]] = None
                ) -> List[Tuple[str, int, int, Fraction]]:
         """Spawn quantum-variable copies ``(gid, j, degree, action)`` inside
-        the given half-open windows.  At least one window must be supplied;
-        spec-less complexes only ever have the ``j = 0`` copy."""
+        the given half-open windows, ordered by action, then id, then copy
+        index.  At least one window must be supplied; spec-less complexes
+        only ever have the ``j = 0`` copy."""
+        return self._unrolled(self._copy_ranges(action_window, degree_window))
+
+    def _copy_ranges(self, action_window: Optional[Tuple[Fraction, Fraction]] = None,
+                     degree_window: Optional[Tuple[int, int]] = None
+                     ) -> List[Tuple[Generator, int, int]]:
+        """``(generator, jlo, jhi)`` per generator: its copies inside the
+        windows are ``jlo <= j <= jhi`` (none when ``jlo > jhi``)."""
         if action_window is None and degree_window is None:
             raise ValueError("unroll needs an action window or a degree window")
         if action_window is not None and not (action_window[0] < action_window[1]):
             raise ValueError("empty action window")
         if degree_window is not None and not (degree_window[0] < degree_window[1]):
             raise ValueError("empty degree window")
-        out = []
-        for g in self.generators:
-            for j in self._copy_indices(g, action_window, degree_window):
-                dstep = self.spec.degree_step if self.spec else 0
-                astep = self.spec.action_step if self.spec else Fraction(0)
-                out.append((g.gid, j, g.degree + j * dstep, g.action + j * astep))
-        out.sort(key=lambda item: (item[3], item[0], item[1]))
-        return out
+        return [(g, *self._copy_range(g, action_window, degree_window))
+                for g in self.generators]
+
+    def _unrolled(self, ranges: Sequence[Tuple[Generator, int, int]]
+                  ) -> List[Tuple[str, int, int, Fraction]]:
+        # action = key / scale for every copy, with one common scale
+        dstep = self.spec.degree_step if self.spec else 0
+        astep = self.spec.action_step if self.spec else Fraction(0)
+        scale = math.lcm(astep.denominator, *(g.action.denominator for g in self.generators))
+        istep = astep.numerator * (scale // astep.denominator)
+        keyed = []
+        for g, jlo, jhi in ranges:
+            base = g.action.numerator * (scale // g.action.denominator)
+            gid, deg = g.gid, g.degree
+            for j in range(jlo, jhi + 1):
+                keyed.append((base + j * istep, gid, j, deg + j * dstep))
+        keyed.sort()  # (key, gid, j) is unique, so the degree is never compared
+        return [(gid, j, deg, Fraction(key, scale)) for key, gid, j, deg in keyed]
 
     def unroll_complex(self,
                        action_window: Optional[Tuple[Fraction, Fraction]] = None,
@@ -236,14 +306,14 @@ class FilteredComplex:
                 diff[f"{gid}@{j}"] = terms
         return FilteredComplex(None, gens, diff)
 
-    def _copy_indices(self, g: Generator, action_window, degree_window) -> List[int]:
+    def _copy_range(self, g: Generator, action_window, degree_window) -> Tuple[int, int]:
         if self.spec is None:
             ok = True
             if action_window is not None:
                 ok = ok and action_window[0] <= g.action < action_window[1]
             if degree_window is not None:
                 ok = ok and degree_window[0] <= g.degree < degree_window[1]
-            return [0] if ok else []
+            return (0, 0) if ok else (0, -1)
         dstep, astep = self.spec.degree_step, self.spec.action_step
         lo, hi = None, None
         if degree_window is not None:
@@ -257,9 +327,7 @@ class FilteredComplex:
             jhi = _floor_frac_strict((ahi - g.action) / astep)
             lo = jlo if lo is None else max(lo, jlo)
             hi = jhi if hi is None else min(hi, jhi)
-        if lo is None or hi is None:
-            raise ValueError("unbounded unroll window")
-        return list(range(lo, hi + 1))
+        return lo, hi
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -282,7 +350,10 @@ def _floor_frac_strict(x: Fraction) -> int:
 
 
 class _UnrolledWindow:
-    """Unrolled generators for degrees [lo-1, hi], indexed in filtration order."""
+    """Unrolled generators for degrees [lo-1, hi], indexed in filtration order.
+
+    Raises :class:`WindowSizeError`, before building any copy, when there
+    would be more than ``MAX_WINDOW_COPIES`` of them."""
 
     def __init__(self, cx: FilteredComplex, degree_window: Tuple[int, int]):
         self.cx = cx
@@ -294,7 +365,13 @@ class _UnrolledWindow:
                 self.items = []
                 self.index = {}
                 return
-        self.items = cx.unroll(degree_window=(self.lo - 1, self.hi + 1))
+        ranges = cx._copy_ranges(degree_window=(self.lo - 1, self.hi + 1))
+        count = sum(jhi - jlo + 1 for _g, jlo, jhi in ranges if jlo <= jhi)
+        if count > MAX_WINDOW_COPIES:
+            raise WindowSizeError(
+                f"window size cap exceeded: degrees [{self.lo}, {self.hi}) unroll to "
+                f"{count} copies, more than {MAX_WINDOW_COPIES}")
+        self.items = cx._unrolled(ranges)
         self.index = {(gid, j): i for i, (gid, j, _, _) in enumerate(self.items)}
 
     def degree(self, i: int) -> int:
@@ -379,22 +456,15 @@ def uz_reduce(cx: FilteredComplex,
     for combo, col, _i, p in reduced_pairs:
         zdeg = w.degree(p)
         if lo <= zdeg < hi:
-            ytop = w.mask_top(combo)
-            pairs.append(UZPair(
-                y=w.combo_from_mask(combo),
-                z=w.combo_from_mask(col),
-                degree=zdeg,
-                y_action=w.action(ytop),
-                z_action=w.action(p),
-            ))
+            pairs.append((combo, col, zdeg, w.action(p), w.action(w.mask_top(combo))))
     singular = []
     for combo, i in cycles:
         if i in owner:
             continue
         deg = w.degree(i)
         if lo <= deg < hi:
-            singular.append((w.combo_from_mask(combo), deg, w.action(i)))
-    return UZBasis(singular=tuple(singular), pairs=tuple(pairs))
+            singular.append((combo, deg, w.action(i)))
+    return UZBasis(w, singular, pairs)
 
 
 def barcode(cx: FilteredComplex,
@@ -402,8 +472,8 @@ def barcode(cx: FilteredComplex,
     """Persistence barcode of the window: ``(act z, act y]`` per pair in the
     degree of ``z`` and ``(act x, inf)`` per singular cycle."""
     basis = uz_reduce(cx, degree_window)
-    bars = [Bar(p.z_action, p.y_action, p.degree) for p in basis.pairs]
-    bars.extend(Bar(action, INF, deg) for (_c, deg, action) in basis.singular)
+    bars = [Bar(za, ya, deg) for deg, za, ya in basis.pair_levels]
+    bars.extend(Bar(action, INF, deg) for deg, action in basis.cycle_levels)
     return Barcode(bars)
 
 

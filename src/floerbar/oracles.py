@@ -6,6 +6,10 @@ them; no default code path imports this module.
 
 * ``brute_force_barcode`` reads barcodes off sublevel rank functions,
   independent of the reduction pairing in :mod:`floerbar.complexes`.
+* ``fraction_unroll`` finds a complex's copies by testing each candidate's
+  degree and action against the windows and sorts them on Fraction actions,
+  where :meth:`FilteredComplex.unroll` solves for each generator's copy
+  range and sorts on int keys over one common denominator.
 * ``brute_force_bottleneck`` exhausts all partial matchings.  It is defined
   in :mod:`floerbar.persistence` and re-exported here.
 * ``brute_force_shifted_bottleneck`` scores every candidate shift with one
@@ -45,6 +49,7 @@ from .seidel import (HypothesisError, QHPresentation, RingElement, SeidelData,
 __all__ = [
     "OracleSizeError",
     "brute_force_barcode",
+    "fraction_unroll",
     "brute_force_bottleneck",
     "brute_force_shifted_bottleneck",
     "brute_force_lunes",
@@ -138,6 +143,39 @@ def _degree_bars(window: _UnrolledWindow, deg: int) -> List[Bar]:
             if m > 0:
                 bars.append(Bar(levels[i], levels[e + 1], deg, m))
     return bars
+
+
+def fraction_unroll(cx: FilteredComplex,
+                    action_window: Optional[Tuple[Fraction, Fraction]] = None,
+                    degree_window: Optional[Tuple[int, int]] = None
+                    ) -> List[Tuple[str, int, int, Fraction]]:
+    """The copies ``(gid, j, degree, action)`` of :meth:`FilteredComplex.unroll`:
+    every copy index near the windows is tried, a copy is kept when its
+    degree and action lie inside them, and the copies are sorted on
+    ``(action, gid, j)`` with Fraction actions."""
+    if action_window is None and degree_window is None:
+        raise ValueError("unroll needs an action window or a degree window")
+    dstep = cx.spec.degree_step if cx.spec else 0
+    astep = cx.spec.action_step if cx.spec else Fraction(0)
+    out = []
+    for g in cx.generators:
+        if cx.spec is None:
+            candidates = [0]
+        elif degree_window is not None:
+            candidates = range((degree_window[0] - g.degree) // dstep - 1,
+                               (degree_window[1] - g.degree) // dstep + 2)
+        else:
+            candidates = range(int((action_window[0] - g.action) // astep) - 1,
+                               int((action_window[1] - g.action) // astep) + 2)
+        for j in candidates:
+            deg, act = g.degree + j * dstep, g.action + j * astep
+            if degree_window is not None and not degree_window[0] <= deg < degree_window[1]:
+                continue
+            if action_window is not None and not action_window[0] <= act < action_window[1]:
+                continue
+            out.append((g.gid, j, deg, act))
+    out.sort(key=lambda item: (item[3], item[0], item[1]))
+    return out
 
 
 def _span_dim(vectors: List[int]) -> int:

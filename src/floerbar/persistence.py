@@ -249,10 +249,14 @@ class Barcode:
         return f"Barcode[{inner}]"
 
     def expand(self) -> List[Bar]:
-        """Bars with multiplicity one, repeated."""
+        """Bars with multiplicity one, repeated; a bar of multiplicity one
+        is itself."""
         out = []
         for bar in self.bars:
-            out.extend([Bar(bar.left, bar.right, bar.degree)] * bar.multiplicity)
+            if bar.multiplicity == 1:
+                out.append(bar)
+            else:
+                out.extend([Bar(bar.left, bar.right, bar.degree)] * bar.multiplicity)
         return out
 
     def degrees(self) -> Tuple[int, ...]:
@@ -290,8 +294,9 @@ def boundary_depth(barcode: Barcode):
 
 def bar_length_spectrum(barcode: Barcode) -> Tuple:
     """Finite bar lengths in increasing order, then one ``INF`` per infinite bar."""
-    finite = sorted(b.length for b in barcode.finite_bars())
-    return tuple(finite) + tuple(INF for _ in barcode.infinite_bars())
+    bars = barcode.expand()
+    finite = sorted(b.length for b in bars if not b.is_infinite)
+    return tuple(finite) + tuple(INF for b in bars if b.is_infinite)
 
 
 def shift_barcode(barcode: Barcode, c) -> Barcode:

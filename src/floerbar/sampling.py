@@ -8,6 +8,10 @@ operations), which preserve validity, ``d*d = 0`` and the barcode.  That
 gives every randomized test three independent answers to compare: the
 planted barcode, the reduction output and the rank-function oracle.
 
+Random unroll cases are differential-free complexes with tied and negative
+actions and the windows to unroll them in, for checking the order of the
+unrolled copies.
+
 Random sphere diagrams come from closed meanders: a pair of non-crossing
 chord matchings whose union is a single cycle, with areas drawn exactly from
 the admissibility polytope (both curves bisect the sphere).
@@ -19,6 +23,7 @@ Maslov number 4, and a rational, pi-valued or mixed disk area.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -35,6 +40,7 @@ __all__ = [
     "random_barcode",
     "random_complex",
     "perturb_actions",
+    "random_unroll_case",
     "random_meander",
     "random_admissible_areas",
     "random_sphere_diagram",
@@ -321,3 +327,40 @@ def random_tent_spectrum(rng: random.Random) -> GeneratorSpectrum:
         spectrum = generators(profile, params)
         if len(spectrum.entries) <= _MAX_TENT_GENERATORS:
             return spectrum
+
+
+def random_unroll_case(rng: random.Random) -> Tuple[FilteredComplex, Optional[Tuple[Fraction, Fraction]],
+                                  Optional[Tuple[int, int]]]:
+    """A differential-free complex and windows to unroll it in, returned as
+    ``(complex, action_window, degree_window)``.
+
+    The spec is ``None`` or has an action step of denominator 1, 2, 3 or 7.
+    Actions may be negative.  Half of them are one of three pool values
+    plus -1, 0 or 1 action steps, so copies of different generators often
+    share an action, at equal or different copy indices.  The windows are
+    an action window, a degree window or both.
+    """
+    spec, astep = None, Fraction(0)
+    if rng.random() < 0.8:
+        den = rng.choice((1, 2, 3, 7))
+        num = rng.choice([n for n in range(1, 3 * den + 1) if math.gcd(n, den) == 1])
+        spec = NovikovSpec("q", rng.randint(1, 3), Fraction(num, den))
+        astep = spec.action_step
+    pool = [_random_fraction(rng, -3, 3) for _ in range(3)]
+
+    def action() -> Fraction:
+        if rng.random() < 0.5:
+            return rng.choice(pool) + rng.randint(-1, 1) * astep
+        return _random_fraction(rng, -3, 3)
+
+    gens = [Generator(f"g{i}", rng.randint(-2, 3), action())
+            for i in range(rng.randint(1, 8))]
+    kind = rng.randrange(3)  # 0: action window, 1: degree window, 2: both
+    action_window = degree_window = None
+    if kind != 1:
+        lo = _random_fraction(rng, -4, 3)
+        action_window = (lo, lo + _random_fraction(rng, 0, 4) + Fraction(1, 11))
+    if kind != 0:
+        lo = rng.randint(-4, 3)
+        degree_window = (lo, lo + rng.randint(1, 6))
+    return FilteredComplex(spec, gens, {}), action_window, degree_window

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -461,6 +462,23 @@ def test_radial_rank_keys_are_decimal_strings(tmp_path):
     # -2 and 3 are the degree classes 0 and 1 mod the Maslov number 2
     assert result.exit_code == 0, result.output
     assert report["outputs"]["forced_bar_bound"] == ["9/40", "0"]
+
+
+def test_barcode_window_size_cap_is_a_failed_check():
+    # each command would unroll billions of copies; both are counted first
+    cx = fixture_path("equator_pair_complex.json")
+    for args in (("--fund-degree", "1000000000"), ("--window", "-1000000000", "1000000000")):
+        start = time.perf_counter()
+        result, report = run("barcode", cx, *args)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 1, args
+        assert isinstance(result.exception, SystemExit)
+        assert {"name": "window-size-cap", "passed": False} in report["checks"]
+        assert "window size cap exceeded" in report["outputs"]["window_error"]
+    # the gamma window was the one too wide: the barcode is still reported
+    result, report = run("barcode", cx, "--fund-degree", "1000000000")
+    assert report["outputs"]["boundary_depth"] == "1/5"
+    assert report["outputs"]["gamma"] is None
 
 
 def test_barcode_reversed_window_exits_2():

@@ -3,16 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from floerbar import complexes
 from floerbar.complexes import (ComplexValidationError, FilteredComplex,
-                                GammaUndefinedError, Generator, barcode,
-                                complex_from_json, complex_to_json, gamma,
-                                spectral_invariant, uz_reduce)
+                                GammaUndefinedError, Generator, WindowSizeError,
+                                barcode, complex_from_json, complex_to_json,
+                                gamma, spectral_invariant, uz_reduce)
 from floerbar.novikov import NovikovScalar, NovikovSpec
-from floerbar.oracles import brute_force_barcode
+from floerbar.oracles import brute_force_barcode, fraction_unroll
 from floerbar.persistence import (Bar, Barcode, INF, NEG_INF,
                                   bar_length_spectrum, bottleneck_distance,
                                   boundary_depth)
-from floerbar.sampling import perturb_actions, random_complex
+from floerbar.sampling import perturb_actions, random_complex, random_unroll_case
 
 SPEC = NovikovSpec("q", 2, F(1, 2))
 ONE = NovikovScalar.one(SPEC)
@@ -177,6 +178,68 @@ def test_bars_longer_than_the_recap_area():
     assert bc == Barcode([Bar(F(0), F(19, 2), 0)])
     assert brute_force_barcode(cx) == bc
     assert boundary_depth(bc) == F(19, 2)
+
+
+def test_unroll_matches_the_fraction_oracle():
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(600):
+        cx, action_window, degree_window = random_unroll_case(rng)
+        copies = cx.unroll(action_window, degree_window)
+        assert copies == fraction_unroll(cx, action_window, degree_window)
+        seen.add(cx.spec.action_step.denominator if cx.spec else None)
+        seen.add((action_window is not None, degree_window is not None))
+        if any(g.action < 0 for g in cx.generators):
+            seen.add("negative action")
+        for (_g1, j1, _d1, a1), (_g2, j2, _d2, a2) in zip(copies, copies[1:]):
+            if a1 == a2:
+                seen.add("tie at equal j" if j1 == j2 else "tie at different j")
+    # the draws cover every case the int keys have to get right
+    assert seen >= {None, 1, 2, 3, 7, (True, False), (False, True), (True, True),
+                    "negative action", "tie at equal j", "tie at different j"}
+
+
+def _boundary(cx: FilteredComplex, combo):
+    """``d`` of a Novikov combo, as a combo sorted by generator id."""
+    acc = {}
+    for coeff, gid in combo:
+        for coeff2, target in cx.d(gid):
+            term = coeff * coeff2
+            acc[target] = acc[target] + term if target in acc else term
+    return tuple(sorted(((c, t) for t, c in acc.items() if not c.is_zero()),
+                        key=lambda item: item[1]))
+
+
+def test_barcode_matches_the_eagerly_decoded_reduction():
+    rng = random.Random(41)
+    cases = []
+    for _ in range(40):
+        cx, _planted = random_complex(rng, rng.randint(2, 12))
+        lo = rng.randint(-3, 2)
+        window = (lo, lo + rng.randint(1, 4))
+        # a spec-less complex too: the copies of the window as generators
+        cases += [(cx, window), (cx.unroll_complex(degree_window=window), None)]
+    for cx, window in cases:
+        basis = uz_reduce(cx, window)
+        eager = [Bar(p.z_action, p.y_action, p.degree) for p in basis.pairs]
+        eager.extend(Bar(action, INF, deg) for _c, deg, action in basis.singular)
+        assert barcode(cx, window) == Barcode(eager)
+        for p in basis.pairs:
+            assert _boundary(cx, p.y) == p.z
+        for cycle, _deg, _action in basis.singular:
+            assert _boundary(cx, cycle) == ()
+
+
+def test_window_size_cap(monkeypatch):
+    cx = sphere_example()  # two copies per generator in a window of degrees [-1, 3)
+    with pytest.raises(WindowSizeError, match="window size cap exceeded"):
+        barcode(cx, (-10**9, 10**9))
+    with pytest.raises(WindowSizeError):
+        uz_reduce(cx, (0, 10**9))
+    monkeypatch.setattr(complexes, "MAX_WINDOW_COPIES", 8)
+    assert barcode(cx, (0, 2)) == barcode(sphere_example())
+    with pytest.raises(WindowSizeError, match="unroll to 10 copies, more than 8"):
+        barcode(cx, (0, 3))
 
 
 def test_plain_f2_complex_without_spec():

@@ -50,6 +50,13 @@ def test_bar_length_spectrum_examples():
     assert bar_length_spectrum(sphere) == (F(1, 5), INF, INF)
 
 
+def test_expand_keeps_single_bars():
+    single, double = bar(0, 1), bar(2, 3, mult=2)
+    expanded = bc(single, double).expand()
+    assert expanded[0] is single
+    assert expanded[1:] == [bar(2, 3)] * 2
+
+
 def test_shift_examples():
     b = bc(bar(0, 1))
     assert shift_barcode(b, F(1)) == bc(Bar(F(-1), F(0)))
