@@ -479,9 +479,12 @@ def cmd_check(seed, trials):
                           sampling.random_barcode(rng, max_bars=3))
         for _ in range(trials)))
 
-    def shift_agrees(b1, b2, sensitive) -> bool:
-        return (persistence.shifted_bottleneck(b1, b2, sensitive)
-                == oracles.brute_force_shifted_bottleneck(b1, b2, sensitive))
+    def shift_agrees(b1, b2, sensitive,
+                     oracle=oracles.brute_force_shifted_bottleneck) -> bool:
+        """Equal distances and shifts, of equal types."""
+        fast = persistence.shifted_bottleneck(b1, b2, sensitive)
+        return [(type(x), x) for x in fast] == [
+            (type(x), x) for x in oracle(b1, b2, sensitive)]
 
     report.check("shift-oracle-agreement", all(
         shift_agrees(sampling.random_barcode(rng, max_bars=2),
@@ -534,6 +537,17 @@ def cmd_check(seed, trials):
 
     report.check("unroll-oracle-agreement", all(
         unroll_agrees(*sampling.random_unroll_case(rng)) for _ in range(trials)))
+
+    def scan_agrees(b1, b2) -> bool:
+        """Against the kept scan, with the infinite bars of ``b1`` given to
+        ``b2`` so that the distance is finite."""
+        b2 = Barcode(b2.finite_bars() + b1.infinite_bars())
+        return shift_agrees(b1, b2, rng.random() < 0.5, oracles.scan_shifted_bottleneck)
+
+    report.check("shift-scan-agreement", all(
+        scan_agrees(sampling.random_barcode(rng, max_bars=8, degrees=(0, 1)),
+                    sampling.random_barcode(rng, max_bars=8, degrees=(0, 1)))
+        for _ in range(trials)))
 
     _emit(report, "all checks passed" if report.ok else "CHECK FAILURES")
 

@@ -12,8 +12,13 @@ them; no default code path imports this module.
   range and sorts on int keys over one common denominator.
 * ``brute_force_bottleneck`` exhausts all partial matchings.  It is defined
   in :mod:`floerbar.persistence` and re-exported here.
-* ``brute_force_shifted_bottleneck`` scores every candidate shift with one
-  full bottleneck computation.
+* ``brute_force_shifted_bottleneck`` lists its own candidate shifts and
+  scores each with one full bottleneck computation.
+* ``scan_shifted_bottleneck`` searches the shift-quotient distance on the
+  endpoint values themselves, over the full table of spreads, rebuilding
+  the live pairs and one cover test per candidate shift, where
+  :func:`floerbar.persistence.shifted_bottleneck` works on int keys, never
+  lists the table and repairs two matchings in one sweep.
 * ``brute_force_lunes`` solves each lune candidate's winding function from
   scratch, where :func:`floerbar.diagrams.enumerate_lunes` solves once per
   diagram.
@@ -39,9 +44,9 @@ from .complexes import FilteredComplex, _UnrolledWindow
 from .diagrams import DiagramError, Lune, TwoCurveDiagram, _Geometry, _validated_geometry
 from .exactpi import PiRational, _compare_with_pi
 from .f2 import Echelon
-from .persistence import (INF, Bar, Barcode, _ShiftCandidates, _abs, _all_endpoints,
-                          _halve, bottleneck_distance, brute_force_bottleneck,
-                          shift_barcode)
+from .persistence import (INF, Bar, Barcode, _abs, _coverable, _degree_groups, _halve,
+                          _infinite_mismatch, _matchable_pairs, _rank, _ShiftCandidates,
+                          bottleneck_distance, brute_force_bottleneck, shift_barcode)
 from .radial import GeneratorSpectrum, InfeasibleRanksError, _orbits
 from .seidel import (HypothesisError, QHPresentation, RingElement, SeidelData,
                      qh_mul)
@@ -52,6 +57,7 @@ __all__ = [
     "fraction_unroll",
     "brute_force_bottleneck",
     "brute_force_shifted_bottleneck",
+    "scan_shifted_bottleneck",
     "brute_force_lunes",
     "brute_force_feasible_barcodes",
     "rank_prescriptions",
@@ -206,16 +212,23 @@ def _kernel_basis(pairs: List[Tuple[int, int]]) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# persistence: every candidate shift
+# persistence: every candidate shift, and the per-shift scan
 # ---------------------------------------------------------------------------
 
 
-def _ascending_shifts(shifts: _ShiftCandidates) -> List:
-    """All candidate shifts, in increasing order."""
-    out = dict.fromkeys(shifts.diffs)
-    for a, b in itertools.combinations(shifts.diffs, 2):
+def _endpoints(bars: List[Bar]) -> List:
+    return [x for b in bars for x in ((b.left,) if b.is_infinite else (b.left, b.right))]
+
+
+def _ascending_shifts(e1: List, e2: List) -> List:
+    """All candidate shifts, in increasing order: every endpoint difference
+    ``y - x``, every midpoint of two distinct differences, and 0.  Of equal
+    candidates the first listed is kept."""
+    diffs = list(dict.fromkeys(y - x for y in e2 for x in e1))
+    out = dict.fromkeys(diffs)
+    for a, b in itertools.combinations(diffs, 2):
         out.setdefault(_halve(a + b))
-    out.setdefault(shifts.zero)
+    out.setdefault(e1[0] - e1[0])
     return sorted(out)
 
 
@@ -233,10 +246,10 @@ def brute_force_shifted_bottleneck(b1: Barcode, b2: Barcode,
     1-Lipschitz-consistent and never undercuts the reported minimum.
     O(E^4) bottleneck computations for E endpoints.
     """
-    e1, e2 = _all_endpoints(b1.expand()), _all_endpoints(b2.expand())
+    e1, e2 = _endpoints(b1.expand()), _endpoints(b2.expand())
     if not e1 or not e2:
         return bottleneck_distance(b1, b2, degree_sensitive), Fraction(0)
-    candidates = _ascending_shifts(_ShiftCandidates(e1, e2))
+    candidates = _ascending_shifts(e1, e2)
 
     def dist_at(c):
         return bottleneck_distance(b1, shift_barcode(b2, c), degree_sensitive)
@@ -261,6 +274,97 @@ def brute_force_shifted_bottleneck(b1: Barcode, b2: Barcode,
             if INF not in (d1, dm):
                 assert not (_abs(d1 - dm) > _abs(c1 - mid)), "slope bound violated"
     return best, best_c
+
+
+def scan_shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
+    """:func:`floerbar.persistence.shifted_bottleneck` by a scan over the
+    endpoint values themselves, with the full table of spreads.
+
+    A binary search over the ranks of ``2*delta`` in {0, bar lengths, ``top_k
+    - bottom_q``}; at each rank every ``top_k`` is tried in turn, rebuilding
+    its live pairs and deciding it with one cover test.
+    """
+    bars1, bars2 = b1.expand(), b2.expand()
+    e1, e2 = _endpoints(bars1), _endpoints(bars2)
+    if not e1 or not e2:
+        return bottleneck_distance(b1, b2, degree_sensitive), Fraction(0)
+    shifts = _ShiftCandidates(e1, e2, _halve)
+    groups = _degree_groups(bars1, bars2, degree_sensitive)
+    if _infinite_mismatch(bars1, bars2, groups):
+        return INF, shifts.least()
+    return _scan_shift(b1, b2, degree_sensitive, bars1, bars2,
+                       _matchable_pairs(bars1, bars2, groups), shifts)
+
+
+def _scan_shift(b1: Barcode, b2: Barcode, degree_sensitive: bool,
+                bars1: List[Bar], bars2: List[Bar], pairs, shifts):
+    """``(distance, shift)`` for barcodes whose infinite bars can be matched;
+    ``bars1``/``bars2`` are their expansions and ``pairs`` the matchable
+    pairs.
+
+    A pair is within ``delta`` at shift ``c`` iff ``top - delta <= c <=
+    bottom + delta``, where ``top``/``bottom`` are the larger/smaller of its
+    left and right endpoint differences.  So the shifts feasible at
+    ``delta`` form a union of closed intervals, each starting at some ``top -
+    delta`` unless every bar is deletable, and at ``c = top_k - delta`` the
+    pair ``q`` is within ``delta`` iff ``top_q <= top_k`` and ``top_k -
+    bottom_q <= 2*delta``.  The search runs over the ranks of ``2*delta`` in
+    {0, bar lengths, ``top_k - bottom_q``}, one matching per ``top_k``.
+    """
+    tops, bottoms = [], []
+    for i, j in pairs:
+        a, b = bars1[i], bars2[j]
+        dl = b.left - a.left
+        dr = dl if a.is_infinite else b.right - a.right
+        tops.append(max(dl, dr))
+        bottoms.append(min(dl, dr))
+    top_values, top_rank = _rank(tops)
+    spreads = [[t - bottom for bottom in bottoms] for t in top_values]
+    zero = Fraction(0)
+    lengths = [b.length for b in bars1 + bars2 if not b.is_infinite]
+    order, rank = _rank([zero] + lengths + [s for row in spreads for s in row
+                                            if not s < zero])
+    gaps = [[-1 if s < zero else rank[s] for s in row] for row in spreads]
+    pair_top = [top_rank[t] for t in tops]
+    len1 = [None if b.is_infinite else rank[b.length] for b in bars1]
+    len2 = [None if b.is_infinite else rank[b.length] for b in bars2]
+
+    def leftmost(r):
+        """Least ``k`` whose shift ``top_k - delta`` is feasible at rank ``r``
+        of ``2*delta``; -1 when every bar is deletable, as then every shift
+        is, and None when no shift is feasible."""
+        d1 = [k is not None and k <= r for k in len1]
+        d2 = [k is not None and k <= r for k in len2]
+        if all(d1) and all(d2):
+            return -1
+        for k, gap in enumerate(gaps):
+            live = [p for p, (t, g) in enumerate(zip(pair_top, gap)) if t <= k and g <= r]
+            if not any(pair_top[p] == k for p in live):
+                continue
+            rows = [[] for _ in bars1]
+            for p in live:
+                rows[pairs[p][0]].append(pairs[p][1])
+            if _coverable(rows, d1, d2):
+                return k
+        return None
+
+    # the largest rank admits every pair at the largest top
+    lo, hi = 0, len(order) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if leftmost(mid) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    delta = _halve(order[lo])
+    k = leftmost(lo)
+    # each interval of shifts feasible at delta, [max top - delta, min bottom
+    # + delta] over its pairs, holds the candidate midpoint of its two
+    # bounds, so the first candidate after the leftmost start is optimal
+    c = shifts.least() if k == -1 else shifts.first_from(top_values[k] - delta)
+    d = bottleneck_distance(b1, shift_barcode(b2, c), degree_sensitive)
+    assert d == delta, "the reported shift misses the optimum"
+    return d, c
 
 
 # ---------------------------------------------------------------------------

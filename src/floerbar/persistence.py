@@ -14,20 +14,26 @@ half-lengths and the endpoint differences of matchable pairs.  Each pair and
 each deletion is priced once per call as an int key: its cost over a common
 denominator when every endpoint is a Fraction, else its rank among all the
 costs.  Degree-sensitive, each degree is an independent subproblem.  A
-binary search over a subproblem's keys then decides each probe with one
-maximum bipartite matching whose graph is built by comparing ints.
+binary search over a subproblem's keys decides each probe by the
+Mendelsohn-Dulmage theorem: a matching covers the undeletable bars of both
+sides iff one matching covers those of each side, so each probe is two
+maximum bipartite matchings on graphs of real pairs, built by comparing ints.
 
 The shift-quotient metric minimises the bottleneck distance over global
-translations of one barcode.  For a fixed ``delta`` the feasible shifts are
-a union of closed intervals, each starting at ``d - delta`` for an endpoint
-difference ``d`` of a matchable pair (or the whole line when every bar is
-deletable).  So a binary search over the possible optima (0, half bar
-lengths and half differences of endpoint differences) decides each step
-with one matching per such ``d``.
+translations of one barcode.  It runs on ints, the endpoints times twice
+their common denominator, when every endpoint is a Fraction, and on the
+endpoints themselves otherwise.  For a fixed ``delta`` the feasible shifts
+are a union of closed intervals, each starting at ``d - delta`` for an
+endpoint difference ``d`` of a matchable pair (or the whole line when every
+bar is deletable).  The possible optima (0, half bar lengths and half
+differences of endpoint differences) form a sorted matrix that is searched
+without being listed, and each probe sweeps the shifts ``d - delta`` in
+order, repairing one matching per side as pairs enter and leave.
 
 The exhaustive matcher ``brute_force_bottleneck`` is defined here and
 re-exported by :mod:`floerbar.oracles`, which also holds the exhaustive scan
-over all endpoint differences and their pairwise midpoints.
+over all endpoint differences and their pairwise midpoints and the earlier
+shift search that rebuilds a matching per shift.
 """
 
 from __future__ import annotations
@@ -383,6 +389,17 @@ def _rank(values: Iterable) -> Tuple[List, dict]:
     return order, {v: k for k, v in enumerate(order)}
 
 
+def _endpoint_keys(bars: Sequence[Bar], scale) -> List[Tuple]:
+    """``(left, right)`` of each bar, as ints times ``scale`` or, when
+    ``scale`` is None, as the endpoints themselves; ``right`` is None for an
+    infinite bar."""
+    if scale is None:
+        return [(b.left, None if b.is_infinite else b.right) for b in bars]
+    return [(b.left.numerator * (scale // b.left.denominator),
+             None if b.is_infinite else b.right.numerator * (scale // b.right.denominator))
+            for b in bars]
+
+
 def _price(bars1: List[Bar], bars2: List[Bar], pairs: Sequence[Tuple[int, int]]):
     """Price every deletion and every pair in ``pairs`` once, as ints.
 
@@ -397,19 +414,13 @@ def _price(bars1: List[Bar], bars2: List[Bar], pairs: Sequence[Tuple[int, int]])
     """
     scale = _common_denominator(bars1 + bars2)
     if scale is not None:
-        def ints(bars):
-            lefts = [b.left.numerator * (scale // b.left.denominator) for b in bars]
-            rights = [None if b.is_infinite
-                      else b.right.numerator * (scale // b.right.denominator)
-                      for b in bars]
-            return lefts, rights
-
-        (l1, r1), (l2, r2) = ints(bars1), ints(bars2)
-        del1 = [None if r is None else r - l for l, r in zip(l1, r1)]
-        del2 = [None if r is None else r - l for l, r in zip(l2, r2)]
-        cost = [2 * (abs(l1[i] - l2[j]) if r1[i] is None
-                     else max(abs(l1[i] - l2[j]), abs(r1[i] - r2[j])))
-                for i, j in pairs]
+        k1, k2 = _endpoint_keys(bars1, scale), _endpoint_keys(bars2, scale)
+        del1 = [None if r is None else r - l for l, r in k1]
+        del2 = [None if r is None else r - l for l, r in k2]
+        cost = []
+        for i, j in pairs:
+            (l1, r1), (l2, r2) = k1[i], k2[j]
+            cost.append(2 * (abs(l1 - l2) if r1 is None else max(abs(l1 - l2), abs(r1 - r2))))
         return del1, del2, cost, lambda key: Fraction(key, 2 * scale)
 
     dels = [None if b.is_infinite else _deletion_cost(b) for b in bars1 + bars2]
@@ -435,16 +446,20 @@ def _coverable(rows: Sequence[List[int]], deletable1: Sequence[bool],
     """Can every bar be paired off, ``i`` with a ``j`` in ``rows[i]``, or
     else be deleted when deletable?
 
-    Each side gets one diagonal slot per bar of the other side.  A deletable
-    bar may take the slot of its own diagonal copy, and the diagonal slots of
-    the two sides pair off freely.  The answer is yes iff the matching is
-    perfect.
+    By the Mendelsohn-Dulmage theorem a matching covers the bars that must
+    stay on both sides iff one matching covers those of ``bars1`` and
+    another covers those of ``bars2``: two maximum matchings, each on the
+    bar pairs of one side's undeletable bars.
     """
-    n1, n2 = len(deletable1), len(deletable2)
-    pool = list(range(n2, n2 + n1))
-    adjacency = [row + [n2 + i] if deletable1[i] else row for i, row in enumerate(rows)]
-    adjacency += [[j] + pool if ok else pool for j, ok in enumerate(deletable2)]
-    return -1 not in max_bipartite_matching(n1 + n2, n2 + n1, adjacency)
+    stay1 = [row for row, ok in zip(rows, deletable1) if not ok]
+    if -1 in max_bipartite_matching(len(stay1), len(deletable2), stay1):
+        return False
+    cols = [[] for _ in deletable2]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].append(i)
+    stay2 = [col for col, ok in zip(cols, deletable2) if not ok]
+    return -1 not in max_bipartite_matching(len(stay2), len(deletable1), stay2)
 
 
 def _smallest_feasible_key(idx1: Sequence[int], idx2: Sequence[int], rows,
@@ -522,30 +537,22 @@ def interleaving_distance(b1: Barcode, b2: Barcode):
 # ---------------------------------------------------------------------------
 
 
-def _all_endpoints(bars: Sequence[Bar]) -> List:
-    out = []
-    for b in bars:
-        out.append(b.left)
-        if not b.is_infinite:
-            out.append(b.right)
-    return out
-
-
 class _ShiftCandidates:
     """The candidate shifts: every endpoint difference ``y - x``, every
     midpoint of two distinct differences, and 0.
 
     Of several equal candidates the first counts, in that order (differences
     in ``e2``-major order, midpoints in pair order).  Queries bisect the
-    sorted differences, so the O(E^4) midpoints are listed only by the
-    oracle in :mod:`floerbar.oracles`.
+    sorted differences, so the O(E^4) midpoints are never listed.  ``half``
+    halves a sum of two differences exactly.
     """
 
-    def __init__(self, e1: Sequence, e2: Sequence) -> None:
+    def __init__(self, e1: Sequence, e2: Sequence, half) -> None:
         self.diffs = list(dict.fromkeys(y - x for y in e2 for x in e1))
         self.index = {d: i for i, d in enumerate(self.diffs)}
         self.sorted_diffs = sorted(self.diffs)
         self.zero = e1[0] - e1[0]
+        self.half = half
 
     def least(self):
         return self.first_from(min(self.sorted_diffs[0], self.zero))
@@ -561,7 +568,7 @@ class _ShiftCandidates:
             # the least y > x with (x + y)/2 >= t
             j = max(i + 1, bisect.bisect_left(ds, 2 * t - x))
             if j < len(ds):
-                found.append(_halve(x + ds[j]))
+                found.append(self.half(x + ds[j]))
         return self._first_equal(min(found))
 
     def _first_equal(self, v):
@@ -572,102 +579,178 @@ class _ShiftCandidates:
         for x in self.diffs:
             j = self.index.get(2 * v - x)
             if j is not None:
-                return _halve(x + self.diffs[j])
+                return self.half(x + self.diffs[j])
         return self.zero
 
 
-def _optimal_shift(b1: Barcode, b2: Barcode, degree_sensitive: bool,
-                   bars1: List[Bar], bars2: List[Bar], pairs, shifts):
-    """``(distance, shift)`` for barcodes whose infinite bars can be matched;
-    ``bars1``/``bars2`` are their expansions and ``pairs`` the matchable
-    pairs.
+class _CoverMatching:
+    """A matching of the live pairs that is to cover the bars of one side
+    that must stay (too long to be deleted).  Removing a matched pair frees
+    its bar; ``covers`` repairs the matching, one augmenting search per free
+    bar."""
+
+    def __init__(self, stay: Sequence[bool], n_other: int) -> None:
+        self.adj = [set() for _ in stay]
+        self.mate, self.back = [-1] * len(stay), [-1] * n_other
+        self.free = [u for u, ok in enumerate(stay) if ok]
+
+    def remove(self, u: int, v: int) -> None:
+        self.adj[u].discard(v)
+        if self.mate[u] == v:
+            self.mate[u] = self.back[v] = -1
+            self.free.append(u)
+
+    def covers(self) -> bool:
+        """A free bar without an augmenting path stays free in every matching
+        grown from this one, so the first failed search answers no; that bar
+        is searched first next time."""
+        while self.free:
+            if not self._augment(self.free[-1]):
+                return False
+            self.free.pop()
+        return True
+
+    def _augment(self, root: int) -> bool:
+        mate, back, seen = self.mate, self.back, set()
+        path, via, its = [root], [], [iter(self.adj[root])]
+        while its:
+            v = next((v for v in its[-1] if v not in seen), None)
+            if v is None:
+                path.pop()
+                its.pop()
+                if via:
+                    via.pop()
+                continue
+            seen.add(v)
+            via.append(v)
+            if back[v] == -1:
+                for u, v in zip(path, via):
+                    mate[u], back[v] = v, u
+                return True
+            path.append(back[v])
+            its.append(iter(self.adj[back[v]]))
+        return False
+
+
+def _optimal_shift(keys1: List[Tuple], keys2: List[Tuple], pairs, half):
+    """``(delta, start)`` for barcodes whose infinite bars can be matched,
+    from their endpoint keys and matchable pairs: the optimum, and the least
+    shift feasible at it (None when every shift is).
 
     A pair is within ``delta`` at shift ``c`` iff ``top - delta <= c <=
-    bottom + delta``, where ``top``/``bottom`` are the larger/smaller of its
-    left and right endpoint differences.  So the shifts feasible at
-    ``delta`` form a union of closed intervals, each starting at some ``top -
-    delta`` unless every bar is deletable, and at ``c = top_k - delta`` the
-    pair ``q`` is within ``delta`` iff ``top_q <= top_k`` and ``top_k -
-    bottom_q <= 2*delta``.  The search runs over the ranks of ``2*delta`` in
-    {0, bar lengths, ``top_k - bottom_q``}, one matching per ``top_k``.
+    bottom + delta``, for ``top``/``bottom`` the larger/smaller of its
+    endpoint differences.  So the feasible shifts form closed intervals,
+    each starting at some ``top_k - delta`` unless every bar is deletable,
+    and there pair ``q`` is live iff ``top_q <= top_k`` and ``top_k -
+    bottom_q <= 2*delta``.  ``2*delta`` is searched among 0, the bar lengths
+    and the ``top_k - bottom_q``, a matrix sorted along rows and columns that
+    is never listed: each probe, the weighted median of the row medians left
+    between the bounds (Frederickson-Johnson), drops at least a quarter of
+    them.  A probe sweeps ``k`` upward as pairs enter and leave, repairing
+    the two one-sided matchings of ``_coverable``.
     """
     tops, bottoms = [], []
     for i, j in pairs:
-        a, b = bars1[i], bars2[j]
-        dl = b.left - a.left
-        dr = dl if a.is_infinite else b.right - a.right
+        (l1, r1), (l2, r2) = keys1[i], keys2[j]
+        dl = l2 - l1
+        dr = dl if r1 is None else r2 - r1
         tops.append(max(dl, dr))
         bottoms.append(min(dl, dr))
+    len1 = [None if r is None else r - l for l, r in keys1]
+    len2 = [None if r is None else r - l for l, r in keys2]
     top_values, top_rank = _rank(tops)
-    spreads = [[t - bottom for bottom in bottoms] for t in top_values]
-    zero = Fraction(0)
-    lengths = [b.length for b in bars1 + bars2 if not b.is_infinite]
-    order, rank = _rank([zero] + lengths + [s for row in spreads for s in row
-                                            if not s < zero])
-    gaps = [[-1 if s < zero else rank[s] for s in row] for row in spreads]
-    pair_top = [top_rank[t] for t in tops]
-    len1 = [None if b.is_infinite else rank[b.length] for b in bars1]
-    len2 = [None if b.is_infinite else rank[b.length] for b in bars2]
+    entering = [[] for _ in top_values]
+    for p, t in enumerate(tops):
+        entering[top_rank[t]].append(p)
+    leaving = sorted(range(len(pairs)), key=bottoms.__getitem__)
 
-    def leftmost(r):
-        """Least ``k`` whose shift ``top_k - delta`` is feasible at rank ``r``
-        of ``2*delta``; -1 when every bar is deletable, as then every shift
-        is, and None when no shift is feasible."""
-        d1 = [k is not None and k <= r for k in len1]
-        d2 = [k is not None and k <= r for k in len2]
-        if all(d1) and all(d2):
+    def leftmost(span):
+        """Least ``k`` whose shift ``top_k - span/2`` is feasible at ``2*delta
+        = span``; -1 when every bar is deletable, as then every shift is,
+        and None when no shift is feasible."""
+        stay1 = [n is None or n > span for n in len1]
+        stay2 = [n is None or n > span for n in len2]
+        if not any(stay1) and not any(stay2):
             return -1
-        for k, gap in enumerate(gaps):
-            live = [p for p, (t, g) in enumerate(zip(pair_top, gap)) if t <= k and g <= r]
-            if not any(pair_top[p] == k for p in live):
-                continue
-            rows = [[] for _ in bars1]
-            for p in live:
-                rows[pairs[p][0]].append(pairs[p][1])
-            if _coverable(rows, d1, d2):
+        m1, m2 = _CoverMatching(stay1, len(keys2)), _CoverMatching(stay2, len(keys1))
+        out = 0
+        for k, top in enumerate(top_values):
+            floor = top - span  # the least bottom of a live pair
+            while out < len(leaving) and bottoms[leaving[out]] < floor:
+                i, j = pairs[leaving[out]]
+                m1.remove(i, j)
+                m2.remove(j, i)
+                out += 1
+            fresh = [pairs[p] for p in entering[k] if not bottoms[p] < floor]
+            for i, j in fresh:
+                m1.adj[i].add(j)
+                m2.adj[j].add(i)
+            if fresh and m1.covers() and m2.covers():
                 return k
         return None
 
-    # the largest rank admits every pair at the largest top
-    lo, hi = 0, len(order) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if leftmost(mid) is not None:
-            hi = mid
+    zero = half(0)
+    negated = sorted(-b for b in dict.fromkeys(bottoms))
+    rows = [(t, negated) for t in top_values]
+    rows.append((zero, sorted(dict.fromkeys([zero] + [n for n in len1 + len2 if n is not None]))))
+    # entries >= 0 are left; the largest admits every pair at the largest top,
+    # so some probe succeeds
+    lo = [bisect.bisect_left(cols, -t) for t, cols in rows]
+    hi = [len(cols) for _t, cols in rows]
+    while True:
+        medians = sorted((t + cols[(a + b) // 2], b - a)
+                         for (t, cols), a, b in zip(rows, lo, hi) if a < b)
+        if not medians:
+            span, k = best
+            return half(span), None if k == -1 else top_values[k] - half(span)
+        total, acc = sum(w for _m, w in medians), 0
+        for pivot, w in medians:
+            acc += w
+            if 2 * acc >= total:
+                break
+        k = leftmost(pivot)
+        if k is None:
+            lo = [bisect.bisect_right(cols, pivot - t, a, b)
+                  for (t, cols), a, b in zip(rows, lo, hi)]
         else:
-            lo = mid + 1
-    delta = _halve(order[lo])
-    k = leftmost(lo)
-    # each interval of shifts feasible at delta, [max top - delta, min bottom
-    # + delta] over its pairs, holds the candidate midpoint of its two
-    # bounds, so the first candidate after the leftmost start is optimal
-    c = shifts.least() if k == -1 else shifts.first_from(top_values[k] - delta)
-    d = bottleneck_distance(b1, shift_barcode(b2, c), degree_sensitive)
-    assert d == delta, "the reported shift misses the optimum"
-    return d, c
+            best = pivot, k
+            hi = [bisect.bisect_left(cols, pivot - t, a, b)
+                  for (t, cols), a, b in zip(rows, lo, hi)]
 
 
 def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
     """Minimise ``bottleneck(b1, shift(b2, c))`` over shifts ``c``.
 
-    Returns ``(distance, best_shift)``.  The optimum ``delta*`` is found by a
-    binary search over its finitely many possible values: 0, half bar
-    lengths and half differences of endpoint differences.  Each step asks
-    whether some shift is feasible, testing the O(E^2) shifts ``d - delta``
-    with one matching each, where ``d`` is an endpoint difference of a
-    matchable pair.  The reported shift is the smallest optimal one among the
-    endpoint differences, their pairwise midpoints and 0.
+    Returns ``(distance, best_shift)``.  When every endpoint is a Fraction the
+    search runs on ints, the endpoints times twice their common denominator,
+    so that differences, midpoints and half spreads stay ints; otherwise on
+    the endpoints themselves (see ``_optimal_shift``).  The reported shift is
+    the smallest optimal one among the endpoint differences, their pairwise
+    midpoints and 0.
     """
     bars1, bars2 = b1.expand(), b2.expand()
-    e1, e2 = _all_endpoints(bars1), _all_endpoints(bars2)
-    if not e1 or not e2:
+    if not bars1 or not bars2:
         return bottleneck_distance(b1, b2, degree_sensitive), Fraction(0)
-    shifts = _ShiftCandidates(e1, e2)
+    scale = _common_denominator(bars1 + bars2)
+    if scale is None:
+        half, value = _halve, (lambda x: x)
+    else:
+        scale *= 2
+        half, value = (lambda x: x // 2), (lambda key: Fraction(key, scale))
+    keys1, keys2 = _endpoint_keys(bars1, scale), _endpoint_keys(bars2, scale)
+    e1, e2 = ([x for pair in keys for x in pair if x is not None] for keys in (keys1, keys2))
+    shifts = _ShiftCandidates(e1, e2, half)
     groups = _degree_groups(bars1, bars2, degree_sensitive)
     if _infinite_mismatch(bars1, bars2, groups):
-        return INF, shifts.least()
-    return _optimal_shift(b1, b2, degree_sensitive, bars1, bars2,
-                          _matchable_pairs(bars1, bars2, groups), shifts)
+        return INF, value(shifts.least())
+    delta, start = _optimal_shift(keys1, keys2, _matchable_pairs(bars1, bars2, groups), half)
+    # each interval of shifts feasible at delta, [max top - delta, min bottom
+    # + delta] over its pairs, holds the candidate midpoint of its two
+    # bounds, so the first candidate after the leftmost start is optimal
+    c = value(shifts.least() if start is None else shifts.first_from(start))
+    d = bottleneck_distance(b1, shift_barcode(b2, c), degree_sensitive)
+    assert d == value(delta), "the reported shift misses the optimum"
+    return d, c
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,89 @@ def test_shift_search_ties_report_the_smallest_shift():
     assert shifted_bottleneck(a, b) == brute_force_shifted_bottleneck(a, b) == (F(1, 2), -8)
 
 
+def _scan_pair(rng, n, pi):
+    """Two barcodes of ``n`` bars each, counted with multiplicity, in degrees
+    0 and 1 with the same infinite bars per degree (one fewer on the second
+    side now and then); endpoints with a pi part when ``pi``, a few of them
+    plain Fractions."""
+    def endpoint(lo, hi):
+        x = F(rng.randint(lo * 12, hi * 12), rng.choice((1, 2, 3, 4, 6, 12)))
+        if pi and rng.random() < 0.8:
+            return PiRational(x, F(rng.randint(-2, 2), rng.randint(1, 3)))
+        return x
+
+    infinite = [rng.randint(0, 1) for _ in range(rng.randint(0, min(n, 3)))]
+    sides = []
+    for side in range(2):
+        degrees = infinite[1:] if side and infinite and rng.random() < 0.1 else infinite
+        bars = [Bar(endpoint(-3, 6), INF, d) for d in degrees]
+        count = len(bars)
+        while count < n:
+            left = endpoint(-3, 6)
+            mult = 2 if count + 2 <= n and rng.random() < 0.25 else 1
+            bars.append(Bar(left, left + abs(endpoint(0, 3)) + F(1, 13), rng.randint(0, 1), mult))
+            count += mult
+        sides.append(Barcode(bars))
+    return sides
+
+
+def test_shift_search_matches_the_kept_scan():
+    from floerbar.oracles import scan_shifted_bottleneck
+    rng = random.Random(53)
+    seen = set()
+    for trial in range(210):
+        # 1 to 10 bars a side, then one pair of each size 11 to 20
+        n = 1 + trial % 10 if trial < 200 else trial - 189
+        pi = trial % 3 == 2
+        a, b = _scan_pair(rng, n, pi)
+        sensitive = trial % 2 == 0
+        fast = shifted_bottleneck(a, b, sensitive)
+        slow = scan_shifted_bottleneck(a, b, sensitive)
+        assert _same(fast[0], slow[0]) and _same(fast[1], slow[1]), (a, b, sensitive)
+        bars = a.expand() + b.expand()
+        seen.update({("pi", pi), ("degree-sensitive", sensitive), ("inf", fast[0] is INF),
+                     ("pi shift", isinstance(fast[1], PiRational)),
+                     ("infinite bar", any(x.is_infinite for x in bars)),
+                     ("multiplicity 2", any(x.multiplicity == 2 for x in a.bars + b.bars))})
+    assert all((key, True) in seen for key in ("pi", "degree-sensitive", "inf", "pi shift"))
+    assert ("infinite bar", True) in seen and ("multiplicity 2", True) in seen
+
+
+def _slot_coverable(rows, deletable1, deletable2):
+    """The diagonal-slot test: each side gets one slot per bar of the other
+    side, a deletable bar may take its own diagonal copy's slot, and the
+    slots of the two sides pair off freely; yes iff the matching is
+    perfect."""
+    from floerbar.matching import max_bipartite_matching
+    n1, n2 = len(deletable1), len(deletable2)
+    pool = list(range(n2, n2 + n1))
+    adjacency = [row + [n2 + i] if deletable1[i] else row for i, row in enumerate(rows)]
+    adjacency += [[j] + pool if ok else pool for j, ok in enumerate(deletable2)]
+    return -1 not in max_bipartite_matching(n1 + n2, n2 + n1, adjacency)
+
+
+def test_two_sided_cover_matches_the_diagonal_slot_graph():
+    from floerbar.persistence import _coverable
+    rng = random.Random(59)
+    seen = set()
+    for trial in range(800):
+        n1, n2 = rng.randint(0, 7), rng.randint(0, 7)
+        density = rng.random()
+        rows = [[j for j in range(n2) if rng.random() < density] for _ in range(n1)]
+        rng.shuffle(rows)
+        # random deletable sets, every bar of one side deletable, or none
+        kind = trial % 4
+        share = rng.random()
+        d1 = [kind == 1 or (kind == 0 and rng.random() < share) for _ in range(n1)]
+        d2 = [kind == 2 or (kind == 0 and rng.random() < share) for _ in range(n2)]
+        got = _coverable(rows, d1, d2)
+        assert got == _slot_coverable(rows, d1, d2), (rows, d1, d2)
+        seen.update({("covered", got), ("empty side", 0 in (n1, n2)),
+                     ("all deletable", bool(d1) and all(d1))})
+    assert all((key, value) in seen for key in ("covered", "empty side", "all deletable")
+               for value in (True, False))
+
+
 def test_cached_bar_length_keeps_equality_hash_and_json():
     left, right = PiRational(F(1), F(-1, 4)), PiRational.pi(F(1, 2))
     b, twin = Bar(left, right, 1), Bar(left, right, 1)
