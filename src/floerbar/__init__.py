@@ -9,7 +9,7 @@ Submodules
     -action_step``.
 ``persistence``
     Barcodes; bottleneck/interleaving distance (exact, a threshold search
-    over once-priced bar pairs, two one-sided matchings a probe); the
+    over once-priced bar pairs, two one-sided cover tests a probe); the
     shift-quotient metric (a sorted-matrix search over the optimum, one
     sweep of the candidate shifts a probe); boundary depth and bar lengths.
 ``complexes``
@@ -30,8 +30,9 @@ Submodules
     the exact averaging bound and its symbolic telescoping certificate.
 ``oracles``
     The independent exhaustive routes the fast code is checked against: the
-    rank-function barcode, the Fraction-sorted unroll, the exhaustive matchers, the per-shift
-    scan, the per-candidate lune solve and the per-matching feasible enumerator.  Not imported here; only
+    rank-function barcode, the Fraction-sorted unroll, the exhaustive
+    matchers, Hopcroft-Karp, the per-shift scan, the per-candidate lune solve
+    and the per-matching feasible enumerator.  Not imported here; only
     tests, ``floerbar check`` and ``--oracle`` load it.
 """
 

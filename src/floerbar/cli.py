@@ -214,7 +214,12 @@ def cmd_bottleneck(barcode1, barcode2, mod_shift, degree_blind):
     except _MALFORMED as exc:
         _fail("bottleneck", exc, 2)
     sensitive = not degree_blind
-    d = persistence.bottleneck_distance(b1, b2, degree_sensitive=sensitive)
+    try:
+        d = persistence.bottleneck_distance(b1, b2, degree_sensitive=sensitive)
+    except persistence.BarCountError as exc:
+        report.outputs["bar_count_error"] = str(exc)
+        report.check("bar-count-cap", False)
+        _emit(report, f"too many bars: {exc}", 1)
     report.outputs["distance"] = _value_json(d)
     if mod_shift:
         dd, shift = persistence.shifted_bottleneck(b1, b2, degree_sensitive=sensitive)

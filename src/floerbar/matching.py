@@ -1,63 +1,69 @@
-"""Maximum bipartite matching via Hopcroft-Karp.
+"""The cover test behind both bottleneck metrics.
 
-Deterministic, adjacency-list based; vertices of both sides are indexed
-0..n-1.  Used by the bottleneck metric to decide feasibility of a candidate
-matching tolerance, so the graphs involved are small.
+:class:`CoverMatching` decides whether a matching covers every left vertex
+that must stay (a bar too long to delete), growing it by augmenting paths.
+The caller owns the adjacency: ``bottleneck_distance`` passes a probe's
+rows, and the shift sweep of ``shifted_bottleneck`` edits its sets between
+``covers`` calls.  Hopcroft-Karp, the batch matcher it replaced, is the
+oracle :func:`floerbar.oracles.max_bipartite_matching`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Sequence
+from typing import Sequence
 
-__all__ = ["max_bipartite_matching"]
-
-_NIL = -1
+__all__ = ["CoverMatching"]
 
 
-def max_bipartite_matching(num_left: int, num_right: int,
-                           adjacency: Sequence[Sequence[int]]) -> List[int]:
-    """Return ``match_left`` with ``match_left[u] = v`` (or -1 if unmatched).
+class CoverMatching:
+    """A matching on ``adj`` (``adj[u]`` holds the right neighbours of left
+    vertex ``u``, ``0 <= v < n_other``) that is to cover every ``u`` with
+    ``stay[u]``.  ``mate[u]`` and ``back[v]`` are the partners, -1 when
+    free; only vertices that must stay are ever matched."""
 
-    ``adjacency[u]`` lists the right-side neighbours of left vertex ``u``.
-    """
-    match_left = [_NIL] * num_left
-    match_right = [_NIL] * num_right
-    inf = num_left + 1
-    dist = [0] * num_left
+    def __init__(self, adj: Sequence, stay: Sequence[bool], n_other: int) -> None:
+        self.adj = adj
+        self.mate, self.back = [-1] * len(stay), [-1] * n_other
+        self.free = [u for u, ok in enumerate(stay) if ok]
 
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(num_left):
-            if match_left[u] == _NIL:
-                dist[u] = 0
-                queue.append(u)
+    def unmatch(self, u: int, v: int) -> None:
+        """The caller drops the edge ``(u, v)``: free ``u`` if it was matched
+        along it."""
+        if self.mate[u] == v:
+            self.mate[u] = self.back[v] = -1
+            self.free.append(u)
+
+    def covers(self) -> bool:
+        """Whether the matching can be grown to cover every vertex that must
+        stay, by a breadth-first augmenting search from each free vertex
+        with no free neighbour.  A free vertex without an augmenting path
+        stays free in every matching grown from this one, so the first
+        failed search answers no; that vertex is searched first next time."""
+        adj, mate, back, free = self.adj, self.mate, self.back, self.free
+        while free:
+            u = free[-1]
+            for v in adj[u]:
+                if back[v] == -1:  # most vertices need no search
+                    mate[u], back[v] = v, u
+                    break
             else:
-                dist[u] = inf
-        reachable_free = False
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                w = match_right[v]
-                if w == _NIL:
-                    reachable_free = True
-                elif dist[w] == inf:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return reachable_free
+                if not self._augment(u):
+                    return False
+            free.pop()
+        return True
 
-    def dfs(u: int) -> bool:
-        for v in adjacency[u]:
-            w = match_right[v]
-            if w == _NIL or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        dist[u] = inf
+    def _augment(self, root: int) -> bool:
+        adj, mate, back = self.adj, self.mate, self.back
+        prev = {}  # right vertex -> the left vertex it was reached from
+        queue = [root]
+        for u in queue:
+            for v in adj[u]:
+                if v not in prev:
+                    prev[v] = u
+                    if back[v] == -1:
+                        while v != -1:  # flip the path back to the root
+                            u = prev[v]
+                            mate[u], back[v], v = v, u, mate[u]
+                        return True
+                    queue.append(back[v])
         return False
-
-    while bfs():
-        for u in range(num_left):
-            if match_left[u] == _NIL:
-                dfs(u)
-    return match_left

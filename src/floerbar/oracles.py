@@ -12,13 +12,17 @@ them; no default code path imports this module.
   range and sorts on int keys over one common denominator.
 * ``brute_force_bottleneck`` exhausts all partial matchings.  It is defined
   in :mod:`floerbar.persistence` and re-exported here.
+* ``max_bipartite_matching`` is Hopcroft-Karp, a batch maximum matching in
+  phases of shortest augmenting paths, where
+  :class:`floerbar.matching.CoverMatching` grows one matching by single
+  augmenting searches that the caller can repair after edits.
 * ``brute_force_shifted_bottleneck`` lists its own candidate shifts and
   scores each with one full bottleneck computation.
 * ``scan_shifted_bottleneck`` searches the shift-quotient distance on the
   endpoint values themselves, over the full table of spreads, rebuilding
   the live pairs and one cover test per candidate shift, where
   :func:`floerbar.persistence.shifted_bottleneck` works on int keys, never
-  lists the table and repairs two matchings in one sweep.
+  lists the table and repairs two ``CoverMatching``s in one sweep.
 * ``brute_force_lunes`` solves each lune candidate's winding function from
   scratch, where :func:`floerbar.diagrams.enumerate_lunes` solves once per
   diagram.
@@ -37,8 +41,9 @@ them; no default code path imports this module.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .complexes import FilteredComplex, _UnrolledWindow
 from .diagrams import DiagramError, Lune, TwoCurveDiagram, _Geometry, _validated_geometry
@@ -56,6 +61,7 @@ __all__ = [
     "brute_force_barcode",
     "fraction_unroll",
     "brute_force_bottleneck",
+    "max_bipartite_matching",
     "brute_force_shifted_bottleneck",
     "scan_shifted_bottleneck",
     "brute_force_lunes",
@@ -209,6 +215,61 @@ def _kernel_basis(pairs: List[Tuple[int, int]]) -> List[int]:
         else:
             pivots[img.bit_length() - 1] = (img, combo)
     return kernel
+
+
+# ---------------------------------------------------------------------------
+# matching: Hopcroft-Karp
+# ---------------------------------------------------------------------------
+
+_NIL = -1
+
+
+def max_bipartite_matching(num_left: int, num_right: int,
+                           adjacency: Sequence[Sequence[int]]) -> List[int]:
+    """Return ``match_left`` with ``match_left[u] = v`` (or -1 if unmatched).
+
+    ``adjacency[u]`` lists the right-side neighbours of left vertex ``u``.
+    """
+    match_left = [_NIL] * num_left
+    match_right = [_NIL] * num_right
+    inf = num_left + 1
+    dist = [0] * num_left
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in range(num_left):
+            if match_left[u] == _NIL:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = inf
+        reachable_free = False
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                w = match_right[v]
+                if w == _NIL:
+                    reachable_free = True
+                elif dist[w] == inf:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return reachable_free
+
+    def dfs(u: int) -> bool:
+        for v in adjacency[u]:
+            w = match_right[v]
+            if w == _NIL or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_left[u] = v
+                match_right[v] = u
+                return True
+        dist[u] = inf
+        return False
+
+    while bfs():
+        for u in range(num_left):
+            if match_left[u] == _NIL:
+                dfs(u)
+    return match_left
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ costs.  Degree-sensitive, each degree is an independent subproblem.  A
 binary search over a subproblem's keys decides each probe by the
 Mendelsohn-Dulmage theorem: a matching covers the undeletable bars of both
 sides iff one matching covers those of each side, so each probe is two
-maximum bipartite matchings on graphs of real pairs, built by comparing ints.
+one-sided cover tests (:class:`floerbar.matching.CoverMatching`) on graphs
+of real pairs, built by comparing ints.
 
 The shift-quotient metric minimises the bottleneck distance over global
 translations of one barcode.  It runs on ints, the endpoints times twice
@@ -28,7 +29,7 @@ endpoint difference ``d`` of a matchable pair (or the whole line when every
 bar is deletable).  The possible optima (0, half bar lengths and half
 differences of endpoint differences) form a sorted matrix that is searched
 without being listed, and each probe sweeps the shifts ``d - delta`` in
-order, repairing one matching per side as pairs enter and leave.
+order, repairing one ``CoverMatching`` per side as pairs enter and leave.
 
 The exhaustive matcher ``brute_force_bottleneck`` is defined here and
 re-exported by :mod:`floerbar.oracles`, which also holds the exhaustive scan
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from .matching import max_bipartite_matching
+from .matching import CoverMatching
 from .novikov import format_rational, parse_int, parse_rational
 
 __all__ = [
@@ -53,6 +54,8 @@ __all__ = [
     "NEG_INF",
     "Bar",
     "Barcode",
+    "BarCountError",
+    "MAX_EXPANDED_BARS",
     "boundary_depth",
     "bar_length_spectrum",
     "shift_barcode",
@@ -151,6 +154,17 @@ class _NegInfinity:
 
 INF = _Infinity()
 NEG_INF = _NegInfinity()
+
+
+class BarCountError(ValueError):
+    """A barcode has more bars than the metrics accept."""
+
+
+# The metrics price every pair of bars of one degree, so their time and
+# memory grow with the product of the two bar counts: one-degree pairs at the
+# cap take about 10 s and 840 MiB peak in ``bottleneck_distance`` (Python
+# 3.11, 2-CPU x86-64); a multiplicity of 10**12 would exhaust memory.
+MAX_EXPANDED_BARS = 2_000
 
 
 def _abs(x):
@@ -281,8 +295,11 @@ class Barcode:
     def from_json(cls, data: dict) -> "Barcode":
         if not isinstance(data, dict):
             raise ValueError("a barcode is a JSON object")
+        items = data["bars"]
+        if not isinstance(items, list):
+            raise ValueError("a barcode's bars are a JSON list")
         bars = []
-        for item in data["bars"]:
+        for item in items:
             left = _endpoint_from_json(item["left"])
             right = INF if item["right"] == "inf" else _endpoint_from_json(item["right"])
             bars.append(Bar(left, right, parse_int(item.get("degree", 0)),
@@ -322,6 +339,17 @@ def collapse_degrees(barcode: Barcode, modulus: int) -> Barcode:
 # ---------------------------------------------------------------------------
 # bottleneck distance
 # ---------------------------------------------------------------------------
+
+
+def _expanded(b1: Barcode, b2: Barcode) -> Tuple[List[Bar], List[Bar]]:
+    """The bars of both barcodes, repeated by multiplicity; counted first,
+    and refused past ``MAX_EXPANDED_BARS`` on either side."""
+    for b in (b1, b2):
+        count = sum(bar.multiplicity for bar in b.bars)
+        if count > MAX_EXPANDED_BARS:
+            raise BarCountError(
+                f"bar count cap exceeded: {count} bars, at most {MAX_EXPANDED_BARS}")
+    return b1.expand(), b2.expand()
 
 
 def _bar_matching_cost(a: Bar, b: Bar):
@@ -448,18 +476,16 @@ def _coverable(rows: Sequence[List[int]], deletable1: Sequence[bool],
 
     By the Mendelsohn-Dulmage theorem a matching covers the bars that must
     stay on both sides iff one matching covers those of ``bars1`` and
-    another covers those of ``bars2``: two maximum matchings, each on the
-    bar pairs of one side's undeletable bars.
+    another covers those of ``bars2``: one ``CoverMatching`` on ``rows``,
+    one on their transpose.
     """
-    stay1 = [row for row, ok in zip(rows, deletable1) if not ok]
-    if -1 in max_bipartite_matching(len(stay1), len(deletable2), stay1):
+    if not CoverMatching(rows, [not ok for ok in deletable1], len(deletable2)).covers():
         return False
     cols = [[] for _ in deletable2]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].append(i)
-    stay2 = [col for col, ok in zip(cols, deletable2) if not ok]
-    return -1 not in max_bipartite_matching(len(stay2), len(deletable1), stay2)
+    return CoverMatching(cols, [not ok for ok in deletable2], len(deletable1)).covers()
 
 
 def _smallest_feasible_key(idx1: Sequence[int], idx2: Sequence[int], rows,
@@ -508,9 +534,10 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, degree_sensitive: bool = True)
 
     Degree-sensitive, each degree is its own subproblem and the distance is
     the largest of theirs.  Each bar pair is priced once as an int key, and
-    the threshold search over a subproblem's keys compares only ints.
+    the threshold search over a subproblem's keys compares only ints.  More
+    than ``MAX_EXPANDED_BARS`` bars on a side raise :class:`BarCountError`.
     """
-    bars1, bars2 = b1.expand(), b2.expand()
+    bars1, bars2 = _expanded(b1, b2)
     groups = _degree_groups(bars1, bars2, degree_sensitive)
     if _infinite_mismatch(bars1, bars2, groups):
         return INF
@@ -583,55 +610,6 @@ class _ShiftCandidates:
         return self.zero
 
 
-class _CoverMatching:
-    """A matching of the live pairs that is to cover the bars of one side
-    that must stay (too long to be deleted).  Removing a matched pair frees
-    its bar; ``covers`` repairs the matching, one augmenting search per free
-    bar."""
-
-    def __init__(self, stay: Sequence[bool], n_other: int) -> None:
-        self.adj = [set() for _ in stay]
-        self.mate, self.back = [-1] * len(stay), [-1] * n_other
-        self.free = [u for u, ok in enumerate(stay) if ok]
-
-    def remove(self, u: int, v: int) -> None:
-        self.adj[u].discard(v)
-        if self.mate[u] == v:
-            self.mate[u] = self.back[v] = -1
-            self.free.append(u)
-
-    def covers(self) -> bool:
-        """A free bar without an augmenting path stays free in every matching
-        grown from this one, so the first failed search answers no; that bar
-        is searched first next time."""
-        while self.free:
-            if not self._augment(self.free[-1]):
-                return False
-            self.free.pop()
-        return True
-
-    def _augment(self, root: int) -> bool:
-        mate, back, seen = self.mate, self.back, set()
-        path, via, its = [root], [], [iter(self.adj[root])]
-        while its:
-            v = next((v for v in its[-1] if v not in seen), None)
-            if v is None:
-                path.pop()
-                its.pop()
-                if via:
-                    via.pop()
-                continue
-            seen.add(v)
-            via.append(v)
-            if back[v] == -1:
-                for u, v in zip(path, via):
-                    mate[u], back[v] = v, u
-                return True
-            path.append(back[v])
-            its.append(iter(self.adj[back[v]]))
-        return False
-
-
 def _optimal_shift(keys1: List[Tuple], keys2: List[Tuple], pairs, half):
     """``(delta, start)`` for barcodes whose infinite bars can be matched,
     from their endpoint keys and matchable pairs: the optimum, and the least
@@ -646,8 +624,9 @@ def _optimal_shift(keys1: List[Tuple], keys2: List[Tuple], pairs, half):
     and the ``top_k - bottom_q``, a matrix sorted along rows and columns that
     is never listed: each probe, the weighted median of the row medians left
     between the bounds (Frederickson-Johnson), drops at least a quarter of
-    them.  A probe sweeps ``k`` upward as pairs enter and leave, repairing
-    the two one-sided matchings of ``_coverable``.
+    them.  A probe sweeps ``k`` upward with one adjacency set per bar on
+    each side: an entering pair adds its edge, a leaving one drops it and is
+    unmatched, and the two ``CoverMatching``s of ``_coverable`` are repaired.
     """
     tops, bottoms = [], []
     for i, j in pairs:
@@ -672,19 +651,22 @@ def _optimal_shift(keys1: List[Tuple], keys2: List[Tuple], pairs, half):
         stay2 = [n is None or n > span for n in len2]
         if not any(stay1) and not any(stay2):
             return -1
-        m1, m2 = _CoverMatching(stay1, len(keys2)), _CoverMatching(stay2, len(keys1))
+        adj1, adj2 = [set() for _ in keys1], [set() for _ in keys2]
+        m1, m2 = CoverMatching(adj1, stay1, len(keys2)), CoverMatching(adj2, stay2, len(keys1))
         out = 0
         for k, top in enumerate(top_values):
             floor = top - span  # the least bottom of a live pair
             while out < len(leaving) and bottoms[leaving[out]] < floor:
                 i, j = pairs[leaving[out]]
-                m1.remove(i, j)
-                m2.remove(j, i)
+                adj1[i].discard(j)
+                adj2[j].discard(i)
+                m1.unmatch(i, j)
+                m2.unmatch(j, i)
                 out += 1
             fresh = [pairs[p] for p in entering[k] if not bottoms[p] < floor]
             for i, j in fresh:
-                m1.adj[i].add(j)
-                m2.adj[j].add(i)
+                adj1[i].add(j)
+                adj2[j].add(i)
             if fresh and m1.covers() and m2.covers():
                 return k
         return None
@@ -726,9 +708,10 @@ def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
     so that differences, midpoints and half spreads stay ints; otherwise on
     the endpoints themselves (see ``_optimal_shift``).  The reported shift is
     the smallest optimal one among the endpoint differences, their pairwise
-    midpoints and 0.
+    midpoints and 0.  Barcodes past the bar count cap raise as in
+    ``bottleneck_distance``.
     """
-    bars1, bars2 = b1.expand(), b2.expand()
+    bars1, bars2 = _expanded(b1, b2)
     if not bars1 or not bars2:
         return bottleneck_distance(b1, b2, degree_sensitive), Fraction(0)
     scale = _common_denominator(bars1 + bars2)

@@ -199,6 +199,8 @@ def test_only_oracle_runs_load_the_oracles():
     sphere = fixture_path("equator_pair_sphere.json")
     assert _oracles_loaded("combfloer", sphere) == "[False, False]"
     assert _oracles_loaded("combfloer", sphere, "--oracle") == "[False, True]"
+    assert _oracles_loaded("bottleneck", fixture_path("barcode_pair_a.json"),
+                           fixture_path("barcode_pair_b.json"), "--mod-shift") == "[False, False]"
 
 
 def test_radial_command():
@@ -355,7 +357,7 @@ def test_malformed_json_shapes_exit_2(tmp_path):
               _complex_json(differential=5), _complex_json(differential=[["1", "a1"]])]
     cases = [("barcode", data, []) for data in shapes]
     cases += [("bottleneck", data, [fixture_path("barcode_pair_a.json")])
-              for data in ([1], {"bars": 5}, {"bars": [5]})]
+              for data in ([1], {"bars": 5}, {"bars": [5]}, {"bars": {}})]
     for i, (command, data, extra) in enumerate(cases):
         path = tmp_path / f"shape_{i}.json"
         path.write_text(json.dumps(data))
@@ -479,6 +481,21 @@ def test_barcode_window_size_cap_is_a_failed_check():
     result, report = run("barcode", cx, "--fund-degree", "1000000000")
     assert report["outputs"]["boundary_depth"] == "1/5"
     assert report["outputs"]["gamma"] is None
+
+
+def test_bottleneck_bar_count_cap_is_a_failed_check(tmp_path):
+    # a trillion copies of one bar are counted, never expanded
+    huge = tmp_path / "huge_mult.json"
+    huge.write_text(json.dumps({"bars": [{"left": "0", "right": "1", "mult": 10**12}]}))
+    for flags in ((), ("--mod-shift",)):
+        start = time.perf_counter()
+        result, report = run("bottleneck", str(huge), fixture_path("barcode_pair_a.json"), *flags)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 1, flags
+        assert isinstance(result.exception, SystemExit)
+        assert report["checks"] == [{"name": "bar-count-cap", "passed": False}]
+        assert "bar count cap exceeded" in report["outputs"]["bar_count_error"]
+        assert "distance" not in report["outputs"]
 
 
 def test_barcode_reversed_window_exits_2():

@@ -201,7 +201,7 @@ def _reference_bottleneck(b1, b2, degree_sensitive=True):
     """Test-only oracle: the former bottleneck routine, which re-prices every
     pair with exact arithmetic at each step of a binary search over the
     sorted list of all candidate tolerances."""
-    from floerbar.matching import max_bipartite_matching
+    from floerbar.oracles import max_bipartite_matching
     from floerbar.persistence import _abs, _bar_matching_cost, _deletion_cost
 
     bars1, bars2 = b1.expand(), b2.expand()
@@ -437,7 +437,7 @@ def _slot_coverable(rows, deletable1, deletable2):
     side, a deletable bar may take its own diagonal copy's slot, and the
     slots of the two sides pair off freely; yes iff the matching is
     perfect."""
-    from floerbar.matching import max_bipartite_matching
+    from floerbar.oracles import max_bipartite_matching
     n1, n2 = len(deletable1), len(deletable2)
     pool = list(range(n2, n2 + n1))
     adjacency = [row + [n2 + i] if deletable1[i] else row for i, row in enumerate(rows)]
@@ -484,3 +484,23 @@ def test_cached_bar_length_keeps_equality_hash_and_json():
     longer = dataclasses.replace(b, right=right + 1)
     assert longer.length == b.length + 1
     assert bar(0, "inf").length is INF
+
+
+def test_bar_count_cap(monkeypatch):
+    from floerbar import persistence
+
+    monkeypatch.setattr(persistence, "MAX_EXPANDED_BARS", 3)
+    # multiplicities count: three bars at the cap, four past it
+    at_cap, past = bc(bar(0, 1, mult=2), bar(0, "inf")), bc(bar(0, 2, mult=4))
+    assert bottleneck_distance(at_cap, at_cap) == 0
+    assert shifted_bottleneck(at_cap, at_cap) == (0, 0)
+    for b1, b2 in ((past, at_cap), (at_cap, past)):
+        with pytest.raises(persistence.BarCountError, match="4 bars, at most 3"):
+            bottleneck_distance(b1, b2)
+        with pytest.raises(persistence.BarCountError):
+            shifted_bottleneck(b1, b2, degree_sensitive=False)
+    # the cap is the metrics' own: the barcode itself still expands
+    assert bar_length_spectrum(past) == (2, 2, 2, 2)
+    huge = bc(bar(0, 1, mult=10**12))
+    with pytest.raises(persistence.BarCountError):
+        bottleneck_distance(huge, at_cap)
