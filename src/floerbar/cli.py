@@ -554,6 +554,21 @@ def cmd_check(seed, trials):
                     sampling.random_barcode(rng, max_bars=8, degrees=(0, 1)))
         for _ in range(trials)))
 
+    def window_agrees(b1, b2) -> bool:
+        """Equal distances of equal types against the all-pairs search, with
+        the infinite bars of ``b1`` given to ``b2`` so that the distance is
+        finite."""
+        b2 = Barcode(b2.finite_bars() + b1.infinite_bars())
+        sensitive = rng.random() < 0.5
+        fast = persistence.bottleneck_distance(b1, b2, sensitive)
+        slow = oracles.all_pairs_bottleneck(b1, b2, sensitive)
+        return type(fast) is type(slow) and fast == slow
+
+    report.check("bottleneck-window-agreement", all(
+        window_agrees(sampling.random_barcode(rng, max_bars=8, degrees=(0, 1)),
+                      sampling.random_barcode(rng, max_bars=8, degrees=(0, 1)))
+        for _ in range(trials)))
+
     _emit(report, "all checks passed" if report.ok else "CHECK FAILURES")
 
 

@@ -3,7 +3,7 @@
 :class:`CoverMatching` decides whether a matching covers every left vertex
 that must stay (a bar too long to delete), growing it by augmenting paths.
 The caller owns the adjacency: ``bottleneck_distance`` passes a probe's
-rows, and the shift sweep of ``shifted_bottleneck`` edits its sets between
+rows, or views that cut sorted rows at the probe's key, and the shift sweep of ``shifted_bottleneck`` edits its sets between
 ``covers`` calls.  Hopcroft-Karp, the batch matcher it replaced, is the
 oracle :func:`floerbar.oracles.max_bipartite_matching`.
 """
@@ -16,10 +16,11 @@ __all__ = ["CoverMatching"]
 
 
 class CoverMatching:
-    """A matching on ``adj`` (``adj[u]`` holds the right neighbours of left
-    vertex ``u``, ``0 <= v < n_other``) that is to cover every ``u`` with
-    ``stay[u]``.  ``mate[u]`` and ``back[v]`` are the partners, -1 when
-    free; only vertices that must stay are ever matched."""
+    """A matching on ``adj`` (``adj[u]`` iterates over the right neighbours
+    of left vertex ``u``, ``0 <= v < n_other``, afresh at each visit) that
+    is to cover every ``u`` with ``stay[u]``.  ``mate[u]`` and ``back[v]``
+    are the partners, -1 when free; only vertices that must stay are ever
+    matched."""
 
     def __init__(self, adj: Sequence, stay: Sequence[bool], n_other: int) -> None:
         self.adj = adj

@@ -16,6 +16,8 @@ raises its filtration level by ``e * action_step`` and its degree by
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -41,17 +43,59 @@ class SpecMismatchError(ValueError):
     """Raised when scalars over different coefficient specs are combined."""
 
 
+# Plain ASCII integers and quotients: ``[0-9]`` matches no other digits, so
+# every string the pattern takes reads the same through ``Fraction(text)``.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# The exponent of a decimal string, as ``Fraction(text)`` reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _max_digits() -> int:
+    """The interpreter's limit on the digits of an int printed in decimal;
+    0 when it has none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
+def _too_long(n: int, limit: int) -> bool:
+    """Whether ``|n|`` has more than ``limit`` decimal digits."""
+    # below 8**limit, |n| is below 10**limit
+    return abs(n).bit_length() > 3 * limit and abs(n) >= 10 ** limit
+
+
 def parse_rational(text: Union[str, int]) -> Fraction:
     """Parse ``"p/q"``, ``"p"`` or an int into a reduced rational.  Any other
-    type (a JSON float or a bool, say) is a ``ValueError``."""
-    if isinstance(text, bool) or not isinstance(text, (str, int)):
+    type (a JSON float or a bool, say) is a ``ValueError``, and so is a value
+    with more digits in its numerator or denominator than the interpreter
+    prints (``sys.get_int_max_str_digits``).  An exponent past that limit by
+    more than the length of the text is refused before its power of ten is
+    built, whatever the mantissa."""
+    if isinstance(text, str):
+        plain = _PLAIN_RATIONAL.fullmatch(text)
+        try:
+            if plain:
+                # int() refuses parts past the digit limit, and reducing shortens
+                return Fraction(int(plain[1]), int(plain[2] or 1))
+            return _parse_other(text)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
+    if isinstance(text, bool) or not isinstance(text, int):
         raise ValueError(f"a rational must be a string or an integer, not {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text!r}") from exc
+    return Fraction(text)
+
+
+def _parse_other(text: str) -> Fraction:
+    """``Fraction(text.strip())``, refused past the digit limit."""
+    limit = _max_digits()
+    exponent = _EXPONENT.search(text)
+    # a mantissa of at most len(text) digits undoes at most that many of the
+    # exponent's powers of ten, and Fraction would build them all
+    if limit and exponent and abs(int(exponent[1])) > limit + len(text):
+        raise ValueError(f"the exponent of {text!r} is out of range")
+    value = Fraction(text.strip())
+    if limit and (_too_long(value.numerator, limit) or _too_long(value.denominator, limit)):
+        raise ValueError(f"{text!r} has more than {limit} digits")
+    return value
 
 
 def parse_int(value: int) -> int:
@@ -64,7 +108,8 @@ def parse_int(value: int) -> int:
 
 def format_rational(value: Fraction) -> str:
     """Serialize a rational as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -16,6 +16,10 @@ them; no default code path imports this module.
   phases of shortest augmenting paths, where
   :class:`floerbar.matching.CoverMatching` grows one matching by single
   augmenting searches that the caller can repair after edits.
+* ``all_pairs_bottleneck`` prices every matchable pair of two barcodes with
+  Fraction endpoints as an int key and bisects all the keys, where
+  :func:`floerbar.persistence.bottleneck_distance` lists only the pairs in
+  a growing window of near left endpoints.
 * ``brute_force_shifted_bottleneck`` lists its own candidate shifts and
   scores each with one full bottleneck computation.
 * ``scan_shifted_bottleneck`` searches the shift-quotient distance on the
@@ -49,8 +53,9 @@ from .complexes import FilteredComplex, _UnrolledWindow
 from .diagrams import DiagramError, Lune, TwoCurveDiagram, _Geometry, _validated_geometry
 from .exactpi import PiRational, _compare_with_pi
 from .f2 import Echelon
-from .persistence import (INF, Bar, Barcode, _abs, _coverable, _degree_groups, _halve,
-                          _infinite_mismatch, _matchable_pairs, _rank, _ShiftCandidates,
+from .persistence import (INF, Bar, Barcode, _abs, _common_denominator, _coverable,
+                          _degree_groups, _endpoint_keys, _halve, _infinite_mismatch,
+                          _matchable_pairs, _rank, _ShiftCandidates, _smallest_feasible_key,
                           bottleneck_distance, brute_force_bottleneck, shift_barcode)
 from .radial import GeneratorSpectrum, InfeasibleRanksError, _orbits
 from .seidel import (HypothesisError, QHPresentation, RingElement, SeidelData,
@@ -62,6 +67,7 @@ __all__ = [
     "fraction_unroll",
     "brute_force_bottleneck",
     "max_bipartite_matching",
+    "all_pairs_bottleneck",
     "brute_force_shifted_bottleneck",
     "scan_shifted_bottleneck",
     "brute_force_lunes",
@@ -273,8 +279,37 @@ def max_bipartite_matching(num_left: int, num_right: int,
 
 
 # ---------------------------------------------------------------------------
-# persistence: every candidate shift, and the per-shift scan
+# persistence: every pair priced, every candidate shift, the per-shift scan
 # ---------------------------------------------------------------------------
+
+
+def all_pairs_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
+    """:func:`floerbar.persistence.bottleneck_distance` of barcodes whose
+    endpoints are all Fractions, by pricing every matchable pair.
+
+    A pair's key is its cost times twice the common denominator, and a
+    deletion's likewise; each degree's sorted keys are bisected from the
+    optimum of the degrees before it.  Other endpoint types raise
+    ``ValueError``.
+    """
+    bars1, bars2 = b1.expand(), b2.expand()
+    groups = _degree_groups(bars1, bars2, degree_sensitive)
+    if _infinite_mismatch(bars1, bars2, groups):
+        return INF
+    scale = _common_denominator(bars1 + bars2)
+    if scale is None:
+        raise ValueError("the all-pairs search takes Fraction endpoints only")
+    k1, k2 = _endpoint_keys(bars1, scale), _endpoint_keys(bars2, scale)
+    del1 = [None if r is None else r - l for l, r in k1]
+    del2 = [None if r is None else r - l for l, r in k2]
+    rows = [[] for _ in bars1]
+    for i, j in _matchable_pairs(bars1, bars2, groups):
+        (l1, r1), (l2, r2) = k1[i], k2[j]
+        rows[i].append((2 * (abs(l1 - l2) if r1 is None else max(abs(l1 - l2), abs(r1 - r2))), j))
+    best = 0
+    for idx1, idx2 in groups:
+        best = _smallest_feasible_key(idx1, idx2, rows, del1, del2, best)
+    return Fraction(best, 2 * scale)
 
 
 def _endpoints(bars: List[Bar]) -> List:

@@ -10,15 +10,21 @@ The bottleneck distance is computed exactly: a tolerance ``delta`` admits a
 matching iff, after deleting some bars of length ``<= 2*delta``, the
 remaining bars biject so that matched intervals contain each other's
 ``delta``-shrinkings.  The optimum is the least admissible value among 0, the
-half-lengths and the endpoint differences of matchable pairs.  Each pair and
-each deletion is priced once per call as an int key: its cost over a common
-denominator when every endpoint is a Fraction, else its rank among all the
-costs.  Degree-sensitive, each degree is an independent subproblem.  A
-binary search over a subproblem's keys decides each probe by the
-Mendelsohn-Dulmage theorem: a matching covers the undeletable bars of both
-sides iff one matching covers those of each side, so each probe is two
-one-sided cover tests (:class:`floerbar.matching.CoverMatching`) on graphs
-of real pairs, built by comparing ints.
+half-lengths and the endpoint differences of matchable pairs.
+Degree-sensitive, each degree is an independent subproblem.  When every
+endpoint is a Fraction, costs are int keys over twice the common denominator
+and a subproblem never lists all its pairs: a pair within ``delta`` has left
+endpoints within ``delta``, so with one side sorted on left endpoints a
+probe takes one bisected window of near partners per bar.  Probes start at a
+lower bound (each bar of the other side deleted or matched to its nearest
+partner) and grow fourfold until one is feasible; the keys in that last
+window are then bisected.  Otherwise each pair and each deletion is priced
+once per call as its rank among all the costs, and the ranks are bisected.
+Each probe is decided by the Mendelsohn-Dulmage theorem: a matching covers
+the undeletable bars of both sides iff one matching covers those of each
+side, so each probe is two one-sided cover tests
+(:class:`floerbar.matching.CoverMatching`) on graphs of real pairs, built by
+comparing ints.
 
 The shift-quotient metric minimises the bottleneck distance over global
 translations of one barcode.  It runs on ints, the endpoints times twice
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,10 +167,13 @@ class BarCountError(ValueError):
     """A barcode has more bars than the metrics accept."""
 
 
-# The metrics price every pair of bars of one degree, so their time and
-# memory grow with the product of the two bar counts: one-degree pairs at the
-# cap take about 10 s and 840 MiB peak in ``bottleneck_distance`` (Python
-# 3.11, 2-CPU x86-64); a multiplicity of 10**12 would exhaust memory.
+# ``bottleneck_distance`` on Fraction endpoints lists only near pairs: a
+# one-degree pair at the cap and its copy moved by 1/100 take 0.1-0.2 s and
+# 30 MiB peak.  Pairs far apart, pi endpoints and ``shifted_bottleneck``
+# still price about every pair of bars of one degree, so their time and
+# memory grow with the product of the bar counts: two independent one-degree
+# draws at the cap take about 9 s and 750 MiB peak in ``bottleneck_distance``
+# (Python 3.11, 2-CPU x86-64).  A multiplicity of 10**12 would exhaust memory.
 MAX_EXPANDED_BARS = 2_000
 
 
@@ -429,28 +439,16 @@ def _endpoint_keys(bars: Sequence[Bar], scale) -> List[Tuple]:
 
 
 def _price(bars1: List[Bar], bars2: List[Bar], pairs: Sequence[Tuple[int, int]]):
-    """Price every deletion and every pair in ``pairs`` once, as ints.
+    """Price every deletion and every pair in ``pairs`` once, as ranks.
 
-    Returns ``(del1, del2, cost, value)``: the deletion keys of ``bars1`` and
-    ``bars2`` (None for an infinite bar), the matching key of each pair, and
-    ``value(key)``, the exact cost a key stands for.  Keys order like the
-    costs they stand for and the key of zero is 0.  When every endpoint is a
-    Fraction, a key is its cost times twice the common denominator.
-    Otherwise it is the cost's rank, and ``value`` gives the first equal
-    value in the order zero, deletions of ``bars1`` then ``bars2``, left then
-    right endpoint difference of each pair.
+    For barcodes with an endpoint that is not a Fraction.  Returns ``(del1,
+    del2, cost, value)``: the deletion keys of ``bars1`` and ``bars2`` (None
+    for an infinite bar), the matching key of each pair, and ``value(key)``,
+    the exact cost a key stands for.  A key is its cost's rank among all the
+    costs, so keys order like the costs and the key of zero is 0; ``value``
+    gives the first equal value in the order zero, deletions of ``bars1``
+    then ``bars2``, left then right endpoint difference of each pair.
     """
-    scale = _common_denominator(bars1 + bars2)
-    if scale is not None:
-        k1, k2 = _endpoint_keys(bars1, scale), _endpoint_keys(bars2, scale)
-        del1 = [None if r is None else r - l for l, r in k1]
-        del2 = [None if r is None else r - l for l, r in k2]
-        cost = []
-        for i, j in pairs:
-            (l1, r1), (l2, r2) = k1[i], k2[j]
-            cost.append(2 * (abs(l1 - l2) if r1 is None else max(abs(l1 - l2), abs(r1 - r2))))
-        return del1, del2, cost, lambda key: Fraction(key, 2 * scale)
-
     dels = [None if b.is_infinite else _deletion_cost(b) for b in bars1 + bars2]
     values = [Fraction(0)] + [d for d in dels if d is not None]
     cost = []
@@ -469,23 +467,76 @@ def _price(bars1: List[Bar], bars2: List[Bar], pairs: Sequence[Tuple[int, int]])
     return keys[:len(bars1)], keys[len(bars1):], [rank[c] for c in cost], order.__getitem__
 
 
-def _coverable(rows: Sequence[List[int]], deletable1: Sequence[bool],
-               deletable2: Sequence[bool]) -> bool:
+def _coverable(rows: Sequence[Iterable[int]], deletable1: Sequence[bool],
+               deletable2: Sequence[bool], cols: Sequence[Iterable[int]] = None) -> bool:
     """Can every bar be paired off, ``i`` with a ``j`` in ``rows[i]``, or
     else be deleted when deletable?
 
     By the Mendelsohn-Dulmage theorem a matching covers the bars that must
     stay on both sides iff one matching covers those of ``bars1`` and
     another covers those of ``bars2``: one ``CoverMatching`` on ``rows``,
-    one on their transpose.
+    one on their transpose ``cols``, built here when not given.
     """
     if not CoverMatching(rows, [not ok for ok in deletable1], len(deletable2)).covers():
         return False
-    cols = [[] for _ in deletable2]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].append(i)
+    if cols is None:
+        cols = [[] for _ in deletable2]
+        for i, row in enumerate(rows):
+            for j in row:
+                cols[j].append(i)
     return CoverMatching(cols, [not ok for ok in deletable2], len(deletable1)).covers()
+
+
+class _Cut:
+    """An adjacency for a probe at ``key``: ``lists[u]`` holds ``(k, v)`` in
+    increasing order, ``0 <= v < n_other``, and ``u``'s neighbours are the
+    ``v`` with ``k <= key``.  A row is cut only when a matching search asks
+    for it, as most searches visit few rows."""
+
+    __slots__ = ("lists", "bound")
+
+    def __init__(self, lists: Sequence[List[Tuple[int, int]]], key: int, n_other: int) -> None:
+        self.lists, self.bound = lists, (key, n_other)
+
+    def __getitem__(self, u: int):
+        row = self.lists[u]
+        return (v for _k, v in itertools.islice(row, bisect.bisect_right(row, self.bound)))
+
+
+def _transposed(rows: Sequence[List[Tuple[int, int]]], n_cols: int) -> List[List[Tuple[int, int]]]:
+    """``cols[j]`` lists ``(key, i)`` for each ``(key, j)`` in ``rows[i]``,
+    in increasing order."""
+    cols = [[] for _ in range(n_cols)]
+    for i, row in enumerate(rows):
+        for k, j in row:
+            cols[j].append((k, i))
+    for col in cols:
+        col.sort()
+    return cols
+
+
+def _feasible_at(rows, cols, del1, del2, key: int) -> bool:
+    """Whether the bars of one group can be matched at ``key``: ``rows[i]``
+    lists ``(key, j)`` for the pairs of its ``i``-th bar of the first side
+    in increasing order, ``cols[j]`` lists ``(key, i)`` likewise, and
+    ``del1``/``del2`` are the deletion keys (None for an infinite bar)."""
+    return _coverable(_Cut(rows, key, len(del2)),
+                      [k is not None and k <= key for k in del1],
+                      [k is not None and k <= key for k in del2],
+                      _Cut(cols, key, len(del1)))
+
+
+def _least_feasible(rows, cols, del1, del2, keys: Sequence[int]) -> int:
+    """The least of the sorted ``keys`` at which the group is feasible (see
+    ``_feasible_at``); the last one must be."""
+    lo, hi = 0, len(keys) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _feasible_at(rows, cols, del1, del2, keys[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return keys[lo]
 
 
 def _smallest_feasible_key(idx1: Sequence[int], idx2: Sequence[int], rows,
@@ -496,36 +547,109 @@ def _smallest_feasible_key(idx1: Sequence[int], idx2: Sequence[int], rows,
     must have equal infinite-bar counts on both sides.
     """
     local = {j: n for n, j in enumerate(idx2)}
-    sorted_rows = []
-    keys = {floor}
-    for i in idx1:
-        row = sorted(rows[i])
-        sorted_rows.append(([k for k, _j in row], [local[j] for _k, j in row]))
-        keys.update(k for k, _j in row)
+    group_rows = [sorted((k, local[j]) for k, j in rows[i]) for i in idx1]
+    cols = _transposed(group_rows, len(idx2))
     d1 = [del1[i] for i in idx1]
     d2 = [del2[j] for j in idx2]
+    keys = {floor}
+    for row in group_rows:
+        keys.update(k for k, _j in row)
     keys.update(k for k in d1 + d2 if k is not None)
-    keys = sorted(k for k in keys if k >= floor)
-
-    def feasible(key: int) -> bool:
-        return _coverable([js[:bisect.bisect_right(ks, key)] for ks, js in sorted_rows],
-                          [k is not None and k <= key for k in d1],
-                          [k is not None and k <= key for k in d2])
-
     # the largest key admits every pair and every deletion of a finite bar
-    lo, hi = 0, len(keys) - 1
+    keys = sorted(k for k in keys if k >= floor)
     if floor:
         # a later group often fits within the optimum of the earlier ones
-        if feasible(floor):
+        if _feasible_at(group_rows, cols, d1, d2, floor):
             return floor
-        lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(keys[mid]):
-            hi = mid
+        keys = keys[1:]
+    return _least_feasible(group_rows, cols, d1, d2, keys)
+
+
+def _window_search(keys1: List[Tuple], keys2: List[Tuple], floor: int) -> int:
+    """Least key ``>= floor`` at which the bars of one group can be matched,
+    from their int endpoint keys (``right`` None for an infinite bar); the
+    group must have equal infinite-bar counts on both sides.
+
+    A pair's key is ``2 * max(|dleft|, |dright|)`` and a deletion's ``right
+    - left``.  A pair of key at most ``t`` has ``2*|dleft| <= t``, so with
+    the second side sorted on left keys the pairs of a bar that a probe at
+    ``t`` admits lie in one bisected window.  Every bar of the first side is
+    deleted or matched, so the optimum is at least the largest over them of
+    the cheaper of the two; the nearest partner is found by walking out from
+    the bar's place until ``2*|dleft|`` passes the best cost seen.  Probes
+    start there (or at ``floor``) and grow fourfold until one is feasible,
+    each widening the windows and pricing only the pairs it adds.  The last
+    windows hold every pair of key up to that probe, so their rows and
+    columns are sorted once and the keys since the failed probe before it
+    are bisected.
+    """
+    # finite bars, then infinite ones, each by left key: a bar's possible
+    # partners are one run
+    keys2 = sorted(keys2, key=lambda k: (k[1] is None, k[0]))
+    lefts = [l for l, _r in keys2]
+    rights = [r for _l, r in keys2]
+    split = sum(r is not None for r in rights)
+    runs = [(0, split) if r is not None else (split, len(keys2)) for _l, r in keys1]
+    del1 = [None if r is None else r - l for l, r in keys1]
+    del2 = [None if r is None else r - l for l, r in keys2]
+
+    # ``places[i]``: the window ``[a, b)`` of partners of the i-th bar priced
+    # so far, empty at first at the bar's place
+    bound, places = 0, []
+    for (l, r), (lo, hi), d in zip(keys1, runs, del1):
+        k = bisect.bisect_left(lefts, l, lo, hi)
+        places.append((k, k))
+        if r is None:
+            # the run is not empty, as the infinite-bar counts agree
+            best = min(2 * abs(l - lefts[j]) for j in (k - 1, k) if lo <= j < hi)
         else:
-            lo = mid + 1
-    return keys[lo]
+            best = d
+            j = k - 1
+            while j >= lo and 2 * (l - lefts[j]) < best:
+                best = min(best, 2 * max(l - lefts[j], abs(r - rights[j])))
+                j -= 1
+            j = k
+            while j < hi and 2 * (lefts[j] - l) < best:
+                best = min(best, 2 * max(lefts[j] - l, abs(r - rights[j])))
+                j += 1
+        bound = max(bound, best)
+
+    # ``priced[i]`` holds ``(key, j)`` for every ``j`` in ``places[i]``;
+    # windows only grow, so each pair is priced once
+    priced = [[] for _ in keys1]
+
+    def widen(t: int) -> None:
+        """Grow each window to the partners ``j`` with ``2*|dleft| <= t``."""
+        for i, ((l, r), (lo, hi), (a, b)) in enumerate(zip(keys1, runs, places)):
+            a2 = bisect.bisect_left(lefts, l - t // 2, lo, a)
+            b2 = bisect.bisect_right(lefts, l + t // 2, b, hi)
+            places[i] = (a2, b2)
+            new = itertools.chain(range(a2, a), range(b, b2))
+            if r is None:
+                priced[i] += [(2 * abs(l - lefts[j]), j) for j in new]
+            else:
+                priced[i] += [(2 * max(abs(l - lefts[j]), abs(r - rights[j])), j) for j in new]
+
+    def covers(t: int) -> bool:
+        return _coverable([[j for k, j in row if k <= t] for row in priced],
+                          [d is not None and d <= t for d in del1],
+                          [d is not None and d <= t for d in del2])
+
+    t = max(bound, floor)
+    widen(t)
+    if covers(t):
+        return t
+    while True:
+        last, t = t, 4 * t or 1
+        widen(t)
+        if covers(t):
+            break
+    rows = [sorted(p for p in row if p[0] <= t) for row in priced]
+    cols = _transposed(rows, len(keys2))
+    keys = {d for d in del1 + del2 if d is not None and last < d <= t}
+    for row in rows:
+        keys.update(k for k, _j in row if k > last)
+    return _least_feasible(rows, cols, del1, del2, sorted(keys))
 
 
 def bottleneck_distance(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
@@ -533,20 +657,29 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, degree_sensitive: bool = True)
     infinite-bar counts).
 
     Degree-sensitive, each degree is its own subproblem and the distance is
-    the largest of theirs.  Each bar pair is priced once as an int key, and
-    the threshold search over a subproblem's keys compares only ints.  More
-    than ``MAX_EXPANDED_BARS`` bars on a side raise :class:`BarCountError`.
+    the largest of theirs.  When every endpoint is a Fraction, a subproblem
+    is searched on int keys over probe windows of near pairs
+    (``_window_search``).  Otherwise every pair is priced once as its rank,
+    and the threshold search over a subproblem's ranks compares only ints.
+    More than ``MAX_EXPANDED_BARS`` bars on a side raise
+    :class:`BarCountError`.
     """
     bars1, bars2 = _expanded(b1, b2)
     groups = _degree_groups(bars1, bars2, degree_sensitive)
     if _infinite_mismatch(bars1, bars2, groups):
         return INF
+    scale = _common_denominator(bars1 + bars2)
+    best = 0
+    if scale is not None:
+        keys1, keys2 = _endpoint_keys(bars1, scale), _endpoint_keys(bars2, scale)
+        for idx1, idx2 in groups:
+            best = _window_search([keys1[i] for i in idx1], [keys2[j] for j in idx2], best)
+        return Fraction(best, 2 * scale)
     pairs = _matchable_pairs(bars1, bars2, groups)
     del1, del2, cost, value = _price(bars1, bars2, pairs)
     rows = [[] for _ in bars1]
     for (i, j), key in zip(pairs, cost):
         rows[i].append((key, j))
-    best = 0
     for idx1, idx2 in groups:
         best = _smallest_feasible_key(idx1, idx2, rows, del1, del2, best)
     return value(best)

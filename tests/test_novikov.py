@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -107,3 +108,42 @@ def test_parse_rational_rejects_floats_and_bools():
     for bad in (0.5, True, None, ["1"]):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+# strings off the plain p/q fast path, and plain ones at its edges
+EDGE_STRINGS = ["3/4", "-7/14", "007", "-0", "0/5", " 3/4 ", "+2", "1.5", "-.5", "1_0",
+                "1e3", "2.5E-2", "٣", "１/２", "3\n", "1/0", "-1/0", "1/-2",
+                "1/2/3", "", "-", "abc", "inf", "nan", "0x1", "1/0x", "9" * 4301,
+                "1/" + "9" * 4301]
+
+
+def test_parse_rational_reads_strings_as_fraction_does():
+    for text in EDGE_STRINGS:
+        try:
+            expected = F(text.strip())
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="^zero denominator in "):
+                parse_rational(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                parse_rational(text)
+            assert str(info.value) == str(exc), text
+        else:
+            got = parse_rational(text)
+            assert type(got) is F and got == expected, text
+
+
+def test_parse_rational_refuses_values_too_long_to_print():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this interpreter prints ints of any length")
+    for text in ("-1e5000", "1e-5000", " 2.5e99999999999 ", "0e99999999999"):
+        with pytest.raises(ValueError, match="exponent .* is out of range"):
+            parse_rational(text)
+    for text in (f"1e{limit}", f"1e-{limit}", "10" * (limit // 2) + "e1"):
+        with pytest.raises(ValueError, match=f"more than {limit} digits"):
+            parse_rational(text)
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_rational(f"1e-{limit - 1}") == F(1, 10 ** (limit - 1))
+    # a mantissa's digits can bring an exponent past the limit back within it
+    assert parse_rational("1" + "0" * 20 + f"e-{limit + 19}") == F(1, 10 ** (limit - 1))

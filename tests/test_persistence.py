@@ -303,6 +303,64 @@ def test_priced_search_matches_reference_on_random_pairs():
                          _reference_bottleneck(a, b, sensitive)), (a, b, sensitive)
 
 
+def _near_copy(rng, x, eps):
+    """``x`` with each endpoint moved by at most ``eps``, now and then a bar
+    dropped (an infinite one too) or a short bar added."""
+    bars = []
+    for b in x.bars:
+        if rng.random() < 0.05:
+            continue
+        left = b.left + eps * F(rng.randint(-6, 6), 6)
+        right = INF if b.is_infinite else max(b.right + eps * F(rng.randint(-6, 6), 6),
+                                              left + F(1, 13))
+        bars.append(Bar(left, right, b.degree, b.multiplicity))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        left = F(rng.randint(-24, 48), 12)
+        bars.append(Bar(left, left + eps * F(rng.randint(1, 30), 6), rng.choice(x.degrees() or (0,))))
+    return Barcode(bars)
+
+
+def _window_pair(rng, trial):
+    """Independent draws every fourth trial (up to 300 bars in the first
+    eight), with the infinite bars of the first given to the second most of
+    the time; otherwise a draw and a near copy of it.  Either side may have
+    a degree the other lacks."""
+    degrees = rng.choice(((0,), (0, 1), (0, 1, 2)))
+    if trial % 4 == 0:
+        n = 300 if trial < 32 else 12
+        a = random_barcode(rng, n, degrees)
+        b = random_barcode(rng, n, rng.choice((degrees, (1, 2))))
+        if rng.random() < 0.8:
+            b = Barcode(b.finite_bars() + a.infinite_bars())
+        return a, b
+    a = random_barcode(rng, rng.choice((6, 20, 60)), degrees)
+    return a, _near_copy(rng, a, F(1, rng.choice((1, 10, 100, 1000))))
+
+
+def test_window_search_matches_the_all_pairs_search():
+    from floerbar.complexes import barcode
+    from floerbar.oracles import all_pairs_bottleneck
+    from floerbar.sampling import perturb_actions, random_complex
+    rng = random.Random(61)
+    pairs = []
+    for n in (20, 40, 80, 160) * 5:
+        cx, _planted = random_complex(rng, n)
+        pert, _used = perturb_actions(rng, cx, F(1, rng.choice((10, 100, 1000))))
+        pairs.append((barcode(cx), barcode(pert)))
+    pairs += [_window_pair(rng, trial) for trial in range(500)]
+    seen = set()
+    for a, b in pairs:
+        for sensitive in (True, False):
+            fast = bottleneck_distance(a, b, sensitive)
+            assert _same(fast, all_pairs_bottleneck(a, b, sensitive)), (a, b, sensitive)
+            seen.add(("inf", fast is INF))
+        seen.update({("large", min(len(a.bars), len(b.bars)) >= 100),
+                     ("multiplicity", any(x.multiplicity > 1 for x in a.bars + b.bars)),
+                     ("one-sided degree", set(a.degrees()) != set(b.degrees()))})
+    assert all((key, True) in seen for key in ("inf", "large", "multiplicity", "one-sided degree"))
+    assert ("inf", False) in seen
+
+
 def test_bottleneck_edge_cases():
     # a degree present on one side only is deleted on its own
     a = bc(bar(0, 1, 0), bar(0, 3, 1))

@@ -286,6 +286,32 @@ def test_mutated_barcodes_keep_the_exit_code_contract(tmp_path, data):
     _assert_contract(CliRunner().invoke(main, args), doc, args)
 
 
+# rationals that parse into numbers too long to print: one refused before
+# its power of ten is built, the others once read
+TOO_LONG = ["1e5000", "-1e5000", "1e-5000", "3e99999999999"]
+
+
+def test_rationals_too_long_to_print_exit_2(tmp_path):
+    path = tmp_path / "too_long.json"
+    other = str(resources.files("floerbar").joinpath("fixtures", BARCODE_FILES[0]))
+    for value in TOO_LONG:
+        runs = []
+        for key in ("action", "action_step"):
+            doc = copy.deepcopy(COMPLEX_BASES[1])
+            (doc["generators"][0] if key == "action" else doc["spec"])[key] = value
+            runs.append((doc, ["barcode", str(path)]))
+        for end in ("left", "right"):
+            doc = copy.deepcopy(BARCODE_BASES[0])
+            doc["bars"][0][end] = value
+            runs += [(doc, ["bottleneck", str(path), other] + flags)
+                     for flags in ([], ["--mod-shift"], ["--degree-blind"])]
+        for doc, args in runs:
+            path.write_text(json.dumps(doc))
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 2, (value, args, result.output)
+            assert isinstance(result.exception, SystemExit), (value, args, repr(result.exception))
+
+
 # ---------------------------------------------------------------------------
 # seidel parameters: shape and type mutations, plus small integers.  Every
 # integer a mutation writes is bounded, because a valid presentation with a
