@@ -40,26 +40,38 @@ them; no default code path imports this module.
 * ``power_loop_hypotheses`` multiplies out the powers of a ring element one
   by one, where :func:`floerbar.seidel.verify_hypotheses` solves for them in
   closed form.
+* ``term_telescoping_check`` writes out the m shifted spectral norms of the
+  averaging bound term by term and cancels their level symbols, where
+  :func:`floerbar.seidel.telescoping_check` counts the wrapped terms in
+  closed form.
+* ``fraction_random_complex`` tries every ``(z, e)`` as a partner of each
+  planted generator in Fractions, where
+  :func:`floerbar.sampling.random_complex` compares int keys within the
+  degree classes that can pair.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .complexes import FilteredComplex, _UnrolledWindow
+from .complexes import FilteredComplex, Generator, _UnrolledWindow
 from .diagrams import DiagramError, Lune, TwoCurveDiagram, _Geometry, _validated_geometry
 from .exactpi import PiRational, _compare_with_pi
 from .f2 import Echelon
+from .novikov import NovikovScalar, NovikovSpec
 from .persistence import (INF, Bar, Barcode, _abs, _common_denominator, _coverable,
                           _degree_groups, _endpoint_keys, _halve, _infinite_mismatch,
                           _matchable_pairs, _rank, _ShiftCandidates, _smallest_feasible_key,
                           bottleneck_distance, brute_force_bottleneck, shift_barcode)
 from .radial import GeneratorSpectrum, InfeasibleRanksError, _orbits
+from .sampling import _planted_barcode, _random_fraction, _scramble
 from .seidel import (HypothesisError, QHPresentation, RingElement, SeidelData,
-                     qh_mul)
+                     averaging_bound, qh_mul)
 
 __all__ = [
     "OracleSizeError",
@@ -75,6 +87,9 @@ __all__ = [
     "rank_prescriptions",
     "pi_rational_cmp",
     "power_loop_hypotheses",
+    "TermTelescopingReport",
+    "term_telescoping_check",
+    "fraction_random_complex",
 ]
 
 
@@ -768,3 +783,96 @@ def power_loop_hypotheses(pres: QHPresentation, element: RingElement) -> SeidelD
         raise HypothesisError(
             f"no power of {element} matches the point/unit classes within {cap} steps")
     return SeidelData(element=element, k=k, p=p, m=m, r=r)
+
+
+@dataclass(frozen=True)
+class TermTelescopingReport:
+    terms: Tuple[Tuple[int, int, bool], ...]  # (j, (k+j) mod m, wrapped)
+    residual: Tuple[Tuple[int, int], ...]     # leftover symbol coefficients
+    total: Fraction
+    bound: Fraction
+
+    @property
+    def ok(self) -> bool:
+        return not self.residual and self.total == self.bound * len(self.terms)
+
+
+def term_telescoping_check(k: int, p: int, m: int, r: int,
+                           kappa: Fraction) -> TermTelescopingReport:
+    """Symbolic verification that the m shifted spectral norms sum to
+    ``m * averaging_bound``.
+
+    Each term is ``c_j - c_{(k+j) mod m} + p*kappa - [wrap]*r*kappa``; the
+    free symbols must cancel exactly.  A nonempty residual means the
+    hypothesis tuple is inconsistent.
+    """
+    if not 1 <= k < m:
+        raise ValueError("need 1 <= k < m")
+    kappa = Fraction(kappa)
+    coeffs: Dict[int, int] = {}
+    total = Fraction(0)
+    terms = []
+    for j in range(m):
+        tgt = (k + j) % m
+        wrapped = k + j >= m
+        coeffs[j] = coeffs.get(j, 0) + 1
+        coeffs[tgt] = coeffs.get(tgt, 0) - 1
+        total += p * kappa - (r * kappa if wrapped else 0)
+        terms.append((j, tgt, wrapped))
+    residual = tuple(sorted((sym, c) for sym, c in coeffs.items() if c))
+    return TermTelescopingReport(
+        terms=tuple(terms),
+        residual=residual,
+        total=total,
+        bound=averaging_bound(k, p, m, r, kappa),
+    )
+
+
+# ---------------------------------------------------------------------------
+# sampling: every (z, e) tried in Fractions
+# ---------------------------------------------------------------------------
+
+
+def fraction_random_complex(rng: random.Random, num_generators: int = 8,
+                            spec: Optional[NovikovSpec] = None,
+                            scramble_rounds: int = 12,
+                            ) -> Tuple[FilteredComplex, Barcode]:
+    """:func:`floerbar.sampling.random_complex` by trying every unpaired
+    generator ``z`` and exponent ``e`` as a partner of ``y`` in Fractions,
+    and by validating the planted complex before it is scrambled."""
+    if spec is None:
+        spec = NovikovSpec("q", 2, Fraction(1, 2))
+    degree_lo, degree_hi = 0, spec.degree_step + 1
+    gens = []
+    for i in range(num_generators):
+        gens.append(Generator(
+            f"g{i}", rng.randrange(degree_lo, degree_hi + 1), _random_fraction(rng)))
+
+    diff: Dict[str, List[Tuple[NovikovScalar, str]]] = {}
+    paired = set()
+    planted: List[Tuple[Generator, Generator, int]] = []
+    order = list(range(num_generators))
+    rng.shuffle(order)
+    for i in order:
+        y = gens[i]
+        if y.gid in paired:
+            continue
+        candidates = []
+        for j in range(num_generators):
+            z = gens[j]
+            if z.gid in paired or z.gid == y.gid:
+                continue
+            for e in (-1, 0, 1):
+                if z.degree + e * spec.degree_step == y.degree - 1 and \
+                        z.action + e * spec.action_step < y.action:
+                    candidates.append((z, e))
+        if candidates and rng.random() < 0.75:
+            z, e = rng.choice(candidates)
+            diff[y.gid] = [(NovikovScalar.monomial(spec, e), z.gid)]
+            paired.add(y.gid)
+            paired.add(z.gid)
+            planted.append((y, z, e))
+
+    expected = _planted_barcode(spec, planted, [g for g in gens if g.gid not in paired])
+    cx = FilteredComplex(spec, gens, diff)
+    return _scramble(rng, spec, cx.generators, cx.differential, scramble_rounds), expected

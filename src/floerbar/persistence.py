@@ -864,6 +864,10 @@ def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
     # + delta] over its pairs, holds the candidate midpoint of its two
     # bounds, so the first candidate after the leftmost start is optimal
     c = value(shifts.least() if start is None else shifts.first_from(start))
+    if scale is not None:
+        return value(delta), c
+    # pi endpoints: re-read at the shift, which fixes the distance's type,
+    # until these endpoints get int keys as well
     d = bottleneck_distance(b1, shift_barcode(b2, c), degree_sensitive)
     assert d == value(delta), "the reported shift misses the optimum"
     return d, c

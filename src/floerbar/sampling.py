@@ -1,12 +1,18 @@
 """Seeded random instances: complexes with known barcodes, barcodes, and
 admissible sphere diagrams.
 
+Seeded draws never change: benchmark inputs and randomized tests are drawn
+from these samplers, so a faster sampler must make exactly the draws of the
+one it replaces (``tests/test_sampling.py`` holds digests of fixed seeds).
+
 Random filtered complexes are produced in normal form -- a planted partial
 matching ``d y = q**e z`` whose barcode is known by construction -- and then
 scrambled by random filtered basis changes (column plus matching row
 operations), which preserve validity, ``d*d = 0`` and the barcode.  That
 gives every randomized test three independent answers to compare: the
-planted barcode, the reduction output and the rank-function oracle.
+planted barcode, the reduction output and the rank-function oracle.  The
+partner scan compares int keys, every action over one common denominator,
+and looks only at the three degree classes that can hold a partner of ``y``.
 
 Random unroll cases are differential-free complexes with tied and negative
 actions and the windows to unroll them in, for checking the order of the
@@ -23,11 +29,12 @@ Maslov number 4, and a rational, pi-valued or mixed disk area.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import FilteredComplex, Generator
 from .diagrams import TwoCurveDiagram, sphere_diagram_from_meander, _Geometry
@@ -77,6 +84,18 @@ def random_complex(rng: random.Random, num_generators: int = 8,
 
     Returns ``(complex, expected_barcode)``; the barcode is stated in the
     default degree window of the complex.
+
+    Generators are visited in a random order, and each unpaired ``y`` is
+    paired, with probability 3/4, to a random unpaired ``z`` and exponent
+    ``e`` such that ``d y = q**e z`` drops degree by one and action strictly.
+    The partner scan runs on int keys, every action over one common
+    denominator.  A partner lies in one of the degree classes
+    ``deg y - 1 - e * degree_step``, ``e`` in (-1, 0, 1), and the degree of
+    ``z`` fixes ``e``; each class keeps its unpaired generators sorted on
+    key, so its candidates are the prefix below ``key(y) - e * step``.  The
+    candidates are then sorted by generator index, the order in which
+    :func:`floerbar.oracles.fraction_random_complex` finds them by trying
+    every ``(z, e)`` in Fractions, so both make the same draws.
     """
     if spec is None:
         spec = NovikovSpec("q", 2, Fraction(1, 2))
@@ -86,38 +105,57 @@ def random_complex(rng: random.Random, num_generators: int = 8,
         gens.append(Generator(
             f"g{i}", rng.randrange(degree_lo, degree_hi + 1), _random_fraction(rng)))
 
+    dstep, astep = spec.degree_step, spec.action_step
+    scale = math.lcm(astep.denominator, *(g.action.denominator for g in gens))
+    istep = astep.numerator * (scale // astep.denominator)
+    keys = [g.action.numerator * (scale // g.action.denominator) for g in gens]
+    # degree -> the unpaired generators of that degree, sorted on (key,
+    # index), as a list of keys and the parallel list of indices
+    classes: Dict[int, Tuple[List[int], List[int]]] = {}
+    for j in sorted(range(num_generators), key=keys.__getitem__):
+        class_keys, class_indices = classes.setdefault(gens[j].degree, ([], []))
+        class_keys.append(keys[j])
+        class_indices.append(j)
+
+    def take(j: int) -> None:
+        class_keys, class_indices = classes[gens[j].degree]
+        at = class_indices.index(j, bisect.bisect_left(class_keys, keys[j]))
+        del class_keys[at], class_indices[at]
+
     diff: Dict[str, List[Tuple[NovikovScalar, str]]] = {}
-    paired = set()
+    paired = [False] * num_generators
     planted: List[Tuple[Generator, Generator, int]] = []
     order = list(range(num_generators))
     rng.shuffle(order)
     for i in order:
-        y = gens[i]
-        if y.gid in paired:
+        if paired[i]:
             continue
-        candidates = []
-        for j in range(num_generators):
-            z = gens[j]
-            if z.gid in paired or z.gid == y.gid:
-                continue
-            for e in (-1, 0, 1):
-                if z.degree + e * spec.degree_step == y.degree - 1 and \
-                        z.action + e * spec.action_step < y.action:
-                    candidates.append((z, e))
+        y, key = gens[i], keys[i]
+        candidates: List[int] = []
+        for e in (-1, 0, 1):
+            class_keys, class_indices = classes.get(y.degree - 1 - e * dstep, ((), ()))
+            candidates += class_indices[:bisect.bisect_left(class_keys, key - e * istep)]
+        if dstep == 1:
+            # the class e = -1 is y's own, and y lies below its own bound
+            candidates.remove(i)
         if candidates and rng.random() < 0.75:
-            z, e = rng.choice(candidates)
+            candidates.sort()
+            j = rng.choice(candidates)
+            z = gens[j]
+            e = (y.degree - 1 - z.degree) // dstep
             diff[y.gid] = [(NovikovScalar.monomial(spec, e), z.gid)]
-            paired.add(y.gid)
-            paired.add(z.gid)
+            paired[i] = paired[j] = True
+            take(i)
+            take(j)
             planted.append((y, z, e))
 
-    expected = _planted_barcode(spec, gens, planted, paired)
-    cx = _scramble(rng, FilteredComplex(spec, gens, diff), scramble_rounds)
-    return cx, expected
+    expected = _planted_barcode(spec, planted,
+                                [g for g, p in zip(gens, paired) if not p])
+    return _scramble(rng, spec, gens, diff, scramble_rounds), expected
 
 
-def _planted_barcode(spec: NovikovSpec, gens: Sequence[Generator],
-                     planted, paired) -> Barcode:
+def _planted_barcode(spec: NovikovSpec, planted: Sequence[Tuple[Generator, Generator, int]],
+                     unpaired: Sequence[Generator]) -> Barcode:
     step, area = spec.degree_step, spec.action_step
     bars = []
     for y, z, e in planted:
@@ -125,21 +163,21 @@ def _planted_barcode(spec: NovikovSpec, gens: Sequence[Generator],
         t = ((raw_deg % step) - raw_deg) // step
         bars.append(Bar(z.action + (e + t) * area, y.action + t * area,
                         raw_deg % step))
-    for g in gens:
-        if g.gid not in paired:
-            t = ((g.degree % step) - g.degree) // step
-            bars.append(Bar(g.action + t * area, INF, g.degree % step))
+    for g in unpaired:
+        t = ((g.degree % step) - g.degree) // step
+        bars.append(Bar(g.action + t * area, INF, g.degree % step))
     return Barcode(bars)
 
 
-def _scramble(rng: random.Random, cx: FilteredComplex, rounds: int) -> FilteredComplex:
+def _scramble(rng: random.Random, spec: NovikovSpec, gens: Sequence[Generator],
+              differential: Mapping[str, Sequence[Tuple[NovikovScalar, str]]],
+              rounds: int) -> FilteredComplex:
     """Random filtered basis changes: for admissible (g, h, e) apply the
     column operation d(g) += q**e d(h) together with the row operation
-    "h appears wherever g does, scaled by q**e"."""
-    spec = cx.spec
-    gens = cx.generators
+    "h appears wherever g does, scaled by q**e".  Only the result is built
+    as a (validated) complex; without generators no round draws."""
     matrix: Dict[str, Dict[str, NovikovScalar]] = {
-        gid: {t: c for c, t in terms} for gid, terms in cx.differential.items()
+        gid: {t: c for c, t in terms} for gid, terms in differential.items()
     }
 
     def add_term(row: Dict[str, NovikovScalar], coeff: NovikovScalar, target: str):
@@ -150,7 +188,7 @@ def _scramble(rng: random.Random, cx: FilteredComplex, rounds: int) -> FilteredC
         else:
             row[target] = new
 
-    for _ in range(rounds):
+    for _ in range(rounds if gens else 0):
         g, h = rng.choice(gens), rng.choice(gens)
         if g.gid == h.gid:
             continue

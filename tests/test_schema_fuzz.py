@@ -313,9 +313,9 @@ def test_rationals_too_long_to_print_exit_2(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# seidel parameters: shape and type mutations, plus small integers.  Every
-# integer a mutation writes is bounded, because a valid presentation with a
-# huge relation exponent still builds a telescoping check of that length.
+# seidel parameters: shape and type mutations, plus small and huge
+# integers.  The power hypotheses and the telescoping check are both in
+# closed form, so a relation exponent of 10**30 costs no more than 2.
 # ---------------------------------------------------------------------------
 
 SEIDEL_BASES = [
@@ -323,7 +323,7 @@ SEIDEL_BASES = [
     {"n": 3, "N_L": 4, "A_L": "1/2", "M": 4, "E": -1, "P": 3, "S": {"t": 1, "X": 1}},
     {"n": 1, "N_L": 2, "A_L": "1", "M": 6, "E": 2, "P": 4, "S": {"t": -1, "X": -4}},
 ]
-small_int = st.integers(-4, 40)
+seidel_int = st.one_of(st.integers(-4, 40), st.integers(-10 ** 30, 10 ** 30))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -334,6 +334,6 @@ def test_mutated_seidel_params_keep_the_exit_code_contract(data):
         doc = _mutate_node(data, doc)
     else:
         path = data.draw(st.sampled_from([p for p in _paths(doc) if p and p != ("S",)]))
-        functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = data.draw(small_int)
+        functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = data.draw(seidel_int)
     args = ["seidel", "--params", json.dumps(doc)]
     _assert_contract(CliRunner().invoke(main, args), doc, args)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from floerbar.novikov import LagrangianParams
-from floerbar.oracles import power_loop_hypotheses
+from floerbar.oracles import power_loop_hypotheses, term_telescoping_check
 from floerbar.seidel import (EXAMPLE_CASE_NAMES, HypothesisError,
                              QHPresentation, RingElement, averaging_bound,
                              example_case, qh_mul,
@@ -114,12 +114,34 @@ def test_zero_twist_average_is_p_kappa():
 
 
 def test_telescoping_cancels_and_reports():
-    rep = telescoping_check(1, 3, 2, 0, F(1, 6))
+    rep = term_telescoping_check(1, 3, 2, 0, F(1, 6))
     assert rep.ok
     assert rep.total == 2 * averaging_bound(1, 3, 2, 0, F(1, 6))
     assert [t[2] for t in rep.terms] == [False, True]
-    with pytest.raises(ValueError):
-        telescoping_check(2, 1, 2, 0, F(1))
+    for check in (telescoping_check, term_telescoping_check):
+        with pytest.raises(ValueError):
+            check(2, 1, 2, 0, F(1))
+
+
+def test_closed_form_telescoping_matches_the_terms():
+    """Every 1 <= k < m <= 12 and |p|, |r| <= 8: the same residual, total,
+    bound and verdict, m terms of which k wrap."""
+    kappa = F(2, 9)
+    for m in range(2, 13):
+        for k in range(1, m):
+            for p in range(-8, 9):
+                for r in range(-8, 9):
+                    fast = telescoping_check(k, p, m, r, kappa)
+                    slow = term_telescoping_check(k, p, m, r, kappa)
+                    assert (fast.residual, fast.total, fast.bound, fast.ok) == \
+                        (slow.residual, slow.total, slow.bound, slow.ok)
+                    assert fast.terms == len(slow.terms)
+                    assert fast.wrapped == sum(w for _, _, w in slow.terms)
+
+
+def test_telescoping_costs_the_same_for_any_m():
+    rep = telescoping_check(1, 1, 10 ** 30, 0, F(1))
+    assert rep.ok and rep.bound == 1
 
 
 def test_telescoping_sweep():
