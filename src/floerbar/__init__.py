@@ -32,7 +32,9 @@ Submodules
     The independent exhaustive routes the fast code is checked against: the
     rank-function barcode, the Fraction-sorted unroll, the exhaustive
     matchers, Hopcroft-Karp, the per-shift scan, the per-candidate lune solve
-    and the per-matching feasible enumerator.  Not imported here; only
+    and the per-matching feasible enumerator; and ``PROPERTIES``, the one
+    table of properties that compare the fast code with them, which
+    ``floerbar check`` and the tests both run.  Not imported here; only
     tests, ``floerbar check`` and ``--oracle`` load it.
 """
 

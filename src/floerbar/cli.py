@@ -19,7 +19,8 @@ from typing import Dict, List, Tuple
 
 import click
 
-from . import complexes, diagrams, persistence, radial, sampling, seidel, svgout
+from . import complexes, diagrams, persistence, radial, seidel, svgout
+from . import sampling  # noqa: F401 -- perfbench/workloads.py reaches it as floerbar.sampling
 from .exactpi import PiRational
 from .novikov import LagrangianParams, format_rational, parse_int, parse_rational
 from .persistence import Barcode, INF
@@ -435,140 +436,18 @@ def cmd_seidel(case_name, n, params_json):
 
 @main.command("check")
 @click.option("--seed", type=int, default=2026, show_default=True)
-@click.option("--trials", type=int, default=40, show_default=True,
-              help="sample count for the randomized properties")
+@click.option("--trials", type=click.IntRange(min=1), default=40, show_default=True,
+              help="cases drawn for each randomized property")
 def cmd_check(seed, trials):
-    """Run the cross-module invariant battery on seeded random data."""
+    """Run the property table of floerbar.oracles, which the tier-1 tests
+    run too, on cases drawn from one seeded generator."""
     from . import oracles
 
     report = RunReport("check")
-    rng = random.Random(seed)
     report.outputs["seed"] = seed
-
-    def complex_agrees(cx, expected) -> bool:
-        bc = complexes.barcode(cx)
-        return bc == expected and oracles.brute_force_barcode(cx) == bc
-
-    report.check("complex-oracle-agreement", all(
-        complex_agrees(*sampling.random_complex(rng, rng.randint(2, 10)))
-        for _ in range(trials)))
-
-    def pseudometric(b1, b2, b3) -> bool:
-        d12 = persistence.bottleneck_distance(b1, b2)
-        d21 = persistence.bottleneck_distance(b2, b1)
-        d13 = persistence.bottleneck_distance(b1, b3)
-        d23 = persistence.bottleneck_distance(b2, b3)
-        return d12 == d21 and (INF in (d13, d12, d23) or not d13 > d12 + d23)
-
-    report.check("bottleneck-pseudometric", all(
-        pseudometric(sampling.random_barcode(rng), sampling.random_barcode(rng),
-                     sampling.random_barcode(rng))
-        for _ in range(trials)))
-
-    def beta_bounded(dg) -> bool:
-        beta = diagrams.diagram_beta(dg)
-        gma = diagrams.diagram_gamma(dg)
-        return not (beta > Fraction(1, 4) or beta > gma)
-
-    report.check("diagram-beta-bounds", all(
-        beta_bounded(sampling.random_sphere_diagram(rng, rng.choice([2, 4, 4, 6])))
-        for _ in range(max(trials // 2, 5))))
-
-    def bottleneck_agrees(b1, b2) -> bool:
-        return all(persistence.bottleneck_distance(b1, b2, sensitive)
-                   == oracles.brute_force_bottleneck(b1, b2, sensitive)
-                   for sensitive in (True, False))
-
-    report.check("bottleneck-oracle-agreement", all(
-        bottleneck_agrees(sampling.random_barcode(rng, max_bars=3),
-                          sampling.random_barcode(rng, max_bars=3))
-        for _ in range(trials)))
-
-    def shift_agrees(b1, b2, sensitive,
-                     oracle=oracles.brute_force_shifted_bottleneck) -> bool:
-        """Equal distances and shifts, of equal types."""
-        fast = persistence.shifted_bottleneck(b1, b2, sensitive)
-        return [(type(x), x) for x in fast] == [
-            (type(x), x) for x in oracle(b1, b2, sensitive)]
-
-    report.check("shift-oracle-agreement", all(
-        shift_agrees(sampling.random_barcode(rng, max_bars=2),
-                     sampling.random_barcode(rng, max_bars=2), rng.random() < 0.5)
-        for _ in range(trials)))
-
-    def lunes_agree(dg, max_wind) -> bool:
-        return diagrams.enumerate_lunes(dg, max_wind) == oracles.brute_force_lunes(dg, max_wind)
-
-    samples = [diagrams.equator_pair_annulus(diagrams.annulus_example_areas(Fraction(1, 10)))]
-    samples += [sampling.random_sphere_diagram(rng, rng.choice([2, 4, 6, 8]))
-                for _ in range(max(trials // 10, 3))]
-    report.check("lune-oracle-agreement", all(
-        lunes_agree(dg, rng.randint(0, 3)) for dg in samples))
-
-    def outcome(search, spectrum, ranks):
-        try:
-            return search(spectrum, ranks)
-        except radial.InfeasibleRanksError:
-            return None
-
-    def feasible_agrees(spectrum) -> bool:
-        """``feasible_barcodes`` equals its oracle under every rank
-        prescription (both raising InfeasibleRanksError counts as agreement)."""
-        return all(outcome(radial.feasible_barcodes, spectrum, ranks)
-                   == outcome(oracles.brute_force_feasible_barcodes, spectrum, ranks)
-                   for ranks in oracles.rank_prescriptions(spectrum))
-
-    report.check("feasible-oracle-agreement", all(
-        feasible_agrees(sampling.random_tent_spectrum(rng))
-        for _ in range(max(trials // 10, 3))))
-
-    lp = LagrangianParams(dim=1, maslov=2, disk_area=Fraction(1, 2))
-
-    def fold_bound_holds(a) -> bool:
-        bound = radial.forced_bar_bound(
-            radial.generators(radial.fold_profile(a), lp), {0: 1, 1: 1})
-        return bound == PiRational.of(min(a / 4, Fraction(1, 2) - a / 4))
-
-    report.check("radial-fold-bound", all(
-        fold_bound_holds(Fraction(num, 10)) for num in range(1, 10)))
-
-    report.check("seidel-table", all(
-        seidel.example_case(name, n).telescoping.ok
-        for name in seidel.EXAMPLE_CASE_NAMES for n in range(1, 6)))
-
-    def unroll_agrees(cx, action_window, degree_window) -> bool:
-        return (cx.unroll(action_window, degree_window)
-                == oracles.fraction_unroll(cx, action_window, degree_window))
-
-    report.check("unroll-oracle-agreement", all(
-        unroll_agrees(*sampling.random_unroll_case(rng)) for _ in range(trials)))
-
-    def scan_agrees(b1, b2) -> bool:
-        """Against the kept scan, with the infinite bars of ``b1`` given to
-        ``b2`` so that the distance is finite."""
-        b2 = Barcode(b2.finite_bars() + b1.infinite_bars())
-        return shift_agrees(b1, b2, rng.random() < 0.5, oracles.scan_shifted_bottleneck)
-
-    report.check("shift-scan-agreement", all(
-        scan_agrees(sampling.random_barcode(rng, max_bars=8, degrees=(0, 1)),
-                    sampling.random_barcode(rng, max_bars=8, degrees=(0, 1)))
-        for _ in range(trials)))
-
-    def window_agrees(b1, b2) -> bool:
-        """Equal distances of equal types against the all-pairs search, with
-        the infinite bars of ``b1`` given to ``b2`` so that the distance is
-        finite."""
-        b2 = Barcode(b2.finite_bars() + b1.infinite_bars())
-        sensitive = rng.random() < 0.5
-        fast = persistence.bottleneck_distance(b1, b2, sensitive)
-        slow = oracles.all_pairs_bottleneck(b1, b2, sensitive)
-        return type(fast) is type(slow) and fast == slow
-
-    report.check("bottleneck-window-agreement", all(
-        window_agrees(sampling.random_barcode(rng, max_bars=8, degrees=(0, 1)),
-                      sampling.random_barcode(rng, max_bars=8, degrees=(0, 1)))
-        for _ in range(trials)))
-
+    rng = random.Random(seed)
+    for p in oracles.PROPERTIES:
+        report.check(p.name, all(p.holds(*c) for c in p.cases(rng, trials)))
     _emit(report, "all checks passed" if report.ok else "CHECK FAILURES")
 
 

@@ -4,6 +4,11 @@ code, kept to prove it right.
 Tests, ``floerbar check`` and the CLI's ``--oracle`` flags compare against
 them; no default code path imports this module.
 
+``PROPERTIES`` is the one table of those comparisons, and of exact values
+the paper's examples fix: each ``Property`` has a name, a seeded case
+sampler and a predicate.  ``floerbar check`` and ``tests/test_properties.py``
+both run it; neither has samplers or predicates of its own.
+
 * ``brute_force_barcode`` reads barcodes off sublevel rank functions,
   independent of the reduction pairing in :mod:`floerbar.complexes`.
 * ``fraction_unroll`` finds a complex's copies by testing each candidate's
@@ -53,25 +58,33 @@ them; no default code path imports this module.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
-from .complexes import FilteredComplex, Generator, _UnrolledWindow
-from .diagrams import DiagramError, Lune, TwoCurveDiagram, _Geometry, _validated_geometry
+from .complexes import FilteredComplex, Generator, _UnrolledWindow, barcode, uz_reduce
+from .diagrams import (DiagramError, Lune, TwoCurveDiagram, _Geometry, _validated_geometry,
+                       annulus_example_areas, diagram_beta, diagram_gamma, enumerate_lunes,
+                       equator_pair_annulus, relabel_diagram, validate_diagram)
 from .exactpi import PiRational, _compare_with_pi
 from .f2 import Echelon
-from .novikov import NovikovScalar, NovikovSpec
+from .novikov import LagrangianParams, NovikovScalar, NovikovSpec
 from .persistence import (INF, Bar, Barcode, _abs, _common_denominator, _coverable,
                           _degree_groups, _endpoint_keys, _halve, _infinite_mismatch,
                           _matchable_pairs, _rank, _ShiftCandidates, _smallest_feasible_key,
-                          bottleneck_distance, brute_force_bottleneck, shift_barcode)
-from .radial import GeneratorSpectrum, InfeasibleRanksError, _orbits
-from .sampling import _planted_barcode, _random_fraction, _scramble
-from .seidel import (HypothesisError, QHPresentation, RingElement, SeidelData,
-                     averaging_bound, qh_mul)
+                          bottleneck_distance, brute_force_bottleneck, shift_barcode,
+                          shifted_bottleneck)
+from .radial import (GeneratorSpectrum, InfeasibleRanksError, _orbits, feasible_barcodes,
+                     fold_profile, forced_bar_bound, generators)
+from .sampling import (_planted_barcode, _random_fraction, _scramble, perturb_actions,
+                       random_barcode, random_complex, random_sphere_diagram,
+                       random_tent_spectrum, random_unroll_case)
+from .seidel import (EXAMPLE_CASE_NAMES, HypothesisError, QHPresentation, RingElement,
+                     SeidelData, averaging_bound, example_case, qh_mul)
 
 __all__ = [
     "OracleSizeError",
@@ -90,6 +103,8 @@ __all__ = [
     "TermTelescopingReport",
     "term_telescoping_check",
     "fraction_random_complex",
+    "Property",
+    "PROPERTIES",
 ]
 
 
@@ -834,8 +849,7 @@ def term_telescoping_check(k: int, p: int, m: int, r: int,
 
 
 def fraction_random_complex(rng: random.Random, num_generators: int = 8,
-                            spec: Optional[NovikovSpec] = None,
-                            scramble_rounds: int = 12,
+                            spec: Optional[NovikovSpec] = None
                             ) -> Tuple[FilteredComplex, Barcode]:
     """:func:`floerbar.sampling.random_complex` by trying every unpaired
     generator ``z`` and exponent ``e`` as a partner of ``y`` in Fractions,
@@ -875,4 +889,281 @@ def fraction_random_complex(rng: random.Random, num_generators: int = 8,
 
     expected = _planted_barcode(spec, planted, [g for g in gens if g.gid not in paired])
     cx = FilteredComplex(spec, gens, diff)
-    return _scramble(rng, spec, cx.generators, cx.differential, scramble_rounds), expected
+    return _scramble(rng, spec, cx.generators, cx.differential), expected
+
+
+# ---------------------------------------------------------------------------
+# the property table: each comparison with an oracle, written once
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Property:
+    """``cases(rng, n)`` yields the property's fixed, rng-free cases, then
+    the first ``n`` cases it draws from ``rng`` (the two fixed tables ignore
+    ``n``); ``holds(*case)`` is true when a case passes."""
+
+    name: str
+    cases: Callable[[random.Random, int], Iterable[tuple]]
+    holds: Callable[..., bool]
+
+
+def _drawn(draw):
+    """The cases function that yields ``draw(rng)`` ``n`` times."""
+    return lambda rng, n: (draw(rng) for _ in range(n))
+
+
+def _same(x, y) -> bool:
+    """Equal values of equal types."""
+    return type(x) is type(y) and x == y
+
+
+def _both_modes(fast, slow, same=operator.eq):
+    """``holds(a, b)``: ``fast`` and ``slow`` agree in both degree modes."""
+    return lambda a, b: all(same(fast(a, b, sensitive), slow(a, b, sensitive))
+                            for sensitive in (True, False))
+
+
+def _shift_agrees(oracle):
+    """``holds(a, b, sensitive)``: ``shifted_bottleneck`` and ``oracle`` give
+    equal distances and equal shifts, of equal types."""
+    return lambda a, b, sensitive: all(map(_same, shifted_bottleneck(a, b, sensitive),
+                                           oracle(a, b, sensitive)))
+
+
+def _complex_agrees(cx: FilteredComplex, planted: Barcode) -> bool:
+    """The reduction, the rank-function oracle and the planted barcode agree,
+    and the torsion exponents are the planted finite bar lengths."""
+    lengths = tuple(sorted(b.length for b in planted.finite_bars()))
+    return (barcode(cx) == planted == brute_force_barcode(cx)
+            and uz_reduce(cx).torsion_exponents() == lengths)
+
+
+def _pseudometric(a: Barcode, b: Barcode, c: Barcode) -> bool:
+    """Symmetry, and the triangle inequality through ``c`` when finite."""
+    dab, dac, dcb = (bottleneck_distance(x, y) for x, y in ((a, b), (a, c), (c, b)))
+    return dab == bottleneck_distance(b, a) and (INF in (dab, dac, dcb) or dab <= dac + dcb)
+
+
+def _beta_bounded(d: TwoCurveDiagram) -> bool:
+    """A valid diagram with boundary depth at most 1/4 and at most its
+    spectral norm."""
+    validate_diagram(d)
+    beta = diagram_beta(d)
+    return beta <= Fraction(1, 4) and beta <= diagram_gamma(d)
+
+
+def _small_shift_pair(rng: random.Random, kind: str) -> Tuple[Barcode, Barcode]:
+    """A pair of barcodes with at most 7 endpoints each: two random ones,
+    short bars far apart ("short": deleting everything is often optimal),
+    or a repeated pattern against one bar ("tied": several shifts attain
+    the optimum)."""
+    while True:
+        if kind == "random":
+            a, b = random_barcode(rng, max_bars=3), random_barcode(rng, max_bars=3)
+        elif kind == "short":
+            def short():
+                lefts = [Fraction(rng.randint(-20, 20)) for _ in range(rng.randint(1, 3))]
+                return Barcode(Bar(x, x + Fraction(1, rng.randint(2, 9)), rng.randint(0, 1))
+                               for x in lefts)
+            a, b = short(), short()
+        else:
+            a = Barcode([Bar(Fraction(x), Fraction(x + 1)) for x in (0, 4, 8)][:rng.randint(2, 3)])
+            b = Barcode([Bar(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(4, 6)))])
+        if len(_endpoints(a.expand())) <= 7 and len(_endpoints(b.expand())) <= 7:
+            return a, b
+
+
+def _small_shift_cases(rng: random.Random, n: int):
+    """The kinds random, short and tied in turn; degree-sensitive on even
+    cases."""
+    for i in range(n):
+        yield (*_small_shift_pair(rng, ("random", "short", "tied")[i % 3]), i % 2 == 0)
+
+
+def _shuffled_labels(rng: random.Random, d: TwoCurveDiagram) -> TwoCurveDiagram:
+    """``d`` with its points renamed by a random permutation of 100 + each."""
+    points = list(d.points)
+    images = [p + 100 for p in points]
+    rng.shuffle(images)
+    return relabel_diagram(d, dict(zip(points, images)))
+
+
+def _lune_cases(rng: random.Random, n: int):
+    """The bundled annulus at winding cap 2 (fixed); then 196 small sphere
+    diagrams at winding caps 0-4, four of 8, 12, 16 and 20 crossings at cap
+    2, relabelled copies of the first 30 and of the 8- and 12-crossing
+    ones, and small ones again."""
+    yield equator_pair_annulus(annulus_example_areas(Fraction(1, 10))), 2
+    relabelled = (*range(30), 196, 197)
+    drawn = []
+    for i in range(n):
+        if 196 <= i < 200:
+            case = random_sphere_diagram(rng, (8, 12, 16, 20)[i - 196]), 2
+        elif 200 <= i < 232:
+            d, max_wind = drawn[relabelled[i - 200]]
+            case = _shuffled_labels(rng, d), max_wind
+        else:
+            case = random_sphere_diagram(rng, rng.choice([2, 4, 4, 6])), rng.randint(0, 4)
+        drawn.append(case)
+        yield case
+
+
+def _feasible_agrees(spectrum: GeneratorSpectrum) -> bool:
+    """``feasible_barcodes`` equals its oracle under every rank prescription
+    (both raising ``InfeasibleRanksError`` counts as agreement), and its
+    budget counts distinct barcodes: a limit of their number passes, one
+    less raises."""
+    def outcome(search, ranks, limit=None):
+        try:
+            return search(spectrum, ranks, limit=limit)
+        except InfeasibleRanksError:
+            return None
+        except ValueError as exc:
+            if "exceeded the limit" not in str(exc):
+                raise
+            return "exceeded the limit"
+
+    for ranks in rank_prescriptions(spectrum):
+        slow = outcome(brute_force_feasible_barcodes, ranks)
+        if outcome(feasible_barcodes, ranks) != slow or slow is not None and (
+                outcome(feasible_barcodes, ranks, len(slow)) != slow
+                or outcome(feasible_barcodes, ranks, len(slow) - 1) != "exceeded the limit"):
+            return False
+    return True
+
+
+_FOLD_PARAMS = LagrangianParams(dim=1, maslov=2, disk_area=Fraction(1, 2))
+
+
+def _fold_bound_holds(a: Fraction) -> bool:
+    """The forced bound of the fold profile is min(a/4, 1/2 - a/4)."""
+    bound = forced_bar_bound(generators(fold_profile(a), _FOLD_PARAMS), {0: 1, 1: 1})
+    return bound == PiRational.of(min(a / 4, Fraction(1, 2) - a / 4))
+
+
+def _telescoping_agrees(name: str, n: int) -> bool:
+    """The closed-form telescoping certificate of an example case equals the
+    term-by-term one on the same hypotheses."""
+    case = example_case(name, n)
+    fast, data = case.telescoping, case.seidel
+    slow = term_telescoping_check(data.k, data.p, data.m, data.r, case.presentation.kappa)
+    return (fast.terms == len(slow.terms)
+            and fast.wrapped == sum(wrapped for _j, _tgt, wrapped in slow.terms)
+            and fast.residual == slow.residual == ()
+            and fast.total == slow.total and fast.bound == slow.bound)
+
+
+def _scan_pair(rng: random.Random, n: int, pi: bool) -> List[Barcode]:
+    """Two barcodes of ``n`` bars each, counted with multiplicity, in degrees
+    0 and 1 with the same infinite bars per degree (one fewer on the second
+    side now and then); endpoints with a pi part when ``pi``, a few of them
+    plain Fractions."""
+    def endpoint(lo, hi):
+        x = Fraction(rng.randint(lo * 12, hi * 12), rng.choice((1, 2, 3, 4, 6, 12)))
+        if pi and rng.random() < 0.8:
+            return PiRational(x, Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+        return x
+
+    infinite = [rng.randint(0, 1) for _ in range(rng.randint(0, min(n, 3)))]
+    sides = []
+    for side in range(2):
+        degrees = infinite[1:] if side and infinite and rng.random() < 0.1 else infinite
+        bars = [Bar(endpoint(-3, 6), INF, d) for d in degrees]
+        count = len(bars)
+        while count < n:
+            left = endpoint(-3, 6)
+            mult = 2 if count + 2 <= n and rng.random() < 0.25 else 1
+            bars.append(Bar(left, left + abs(endpoint(0, 3)) + Fraction(1, 13),
+                            rng.randint(0, 1), mult))
+            count += mult
+        sides.append(Barcode(bars))
+    return sides
+
+
+def _scan_cases(rng: random.Random, n: int):
+    """1 to 10 bars a side in turn, but one pair of each size 11 to 20 at
+    cases 200-209; pi endpoints every third case; degree-sensitive on even
+    cases."""
+    for i in range(n):
+        a, b = _scan_pair(rng, i - 189 if 200 <= i < 210 else 1 + i % 10, i % 3 == 2)
+        yield a, b, i % 2 == 0
+
+
+def _near_copy(rng: random.Random, x: Barcode, eps: Fraction) -> Barcode:
+    """``x`` with each endpoint moved by at most ``eps``, now and then a bar
+    dropped (an infinite one too) or a short bar added."""
+    bars = []
+    for b in x.bars:
+        if rng.random() < 0.05:
+            continue
+        left = b.left + eps * Fraction(rng.randint(-6, 6), 6)
+        right = INF if b.is_infinite else max(b.right + eps * Fraction(rng.randint(-6, 6), 6),
+                                              left + Fraction(1, 13))
+        bars.append(Bar(left, right, b.degree, b.multiplicity))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        left = Fraction(rng.randint(-24, 48), 12)
+        bars.append(Bar(left, left + eps * Fraction(rng.randint(1, 30), 6),
+                        rng.choice(x.degrees() or (0,))))
+    return Barcode(bars)
+
+
+def _window_pair(rng: random.Random, trial: int) -> Tuple[Barcode, Barcode]:
+    """Independent draws every fourth trial (up to 300 bars in the first
+    eight), with the infinite bars of the first given to the second most of
+    the time; otherwise a draw and a near copy of it.  Either side may have
+    a degree the other lacks."""
+    degrees = rng.choice(((0,), (0, 1), (0, 1, 2)))
+    if trial % 4 == 0:
+        n = 300 if trial < 32 else 12
+        a = random_barcode(rng, n, degrees)
+        b = random_barcode(rng, n, rng.choice((degrees, (1, 2))))
+        if rng.random() < 0.8:
+            b = Barcode(b.finite_bars() + a.infinite_bars())
+        return a, b
+    a = random_barcode(rng, rng.choice((6, 20, 60)), degrees)
+    return a, _near_copy(rng, a, Fraction(1, rng.choice((1, 10, 100, 1000))))
+
+
+def _window_cases(rng: random.Random, n: int):
+    """Barcodes of planted complexes of 20, 40, 80 and 160 generators in
+    turn against a perturbed copy for the first 20 cases, then
+    ``_window_pair`` draws."""
+    for i in range(n):
+        if i < 20:
+            cx, _planted = random_complex(rng, (20, 40, 80, 160)[i % 4])
+            pert, _used = perturb_actions(rng, cx, Fraction(1, rng.choice((10, 100, 1000))))
+            yield barcode(cx), barcode(pert)
+        else:
+            yield _window_pair(rng, i - 20)
+
+
+PROPERTIES = (
+    Property("complex-oracle-agreement",
+             _drawn(lambda rng: random_complex(rng, rng.randint(2, 10))), _complex_agrees),
+    Property("bottleneck-pseudometric",
+             _drawn(lambda rng: tuple(random_barcode(rng, max_bars=4) for _ in range(3))),
+             _pseudometric),
+    Property("diagram-beta-bounds",
+             _drawn(lambda rng: (random_sphere_diagram(rng, rng.choice([2, 4, 4, 6])),)),
+             _beta_bounded),
+    Property("bottleneck-oracle-agreement",
+             _drawn(lambda rng: (random_barcode(rng, max_bars=3), random_barcode(rng, max_bars=3))),
+             _both_modes(bottleneck_distance, brute_force_bottleneck)),
+    Property("shift-oracle-agreement", _small_shift_cases,
+             _shift_agrees(brute_force_shifted_bottleneck)),
+    Property("lune-oracle-agreement", _lune_cases,
+             lambda d, max_wind: enumerate_lunes(d, max_wind) == brute_force_lunes(d, max_wind)),
+    Property("feasible-oracle-agreement", _drawn(lambda rng: (random_tent_spectrum(rng),)),
+             _feasible_agrees),
+    Property("radial-fold-bound",
+             lambda _rng, _n: ((Fraction(num, 10),) for num in range(1, 10)), _fold_bound_holds),
+    Property("seidel-table",
+             lambda _rng, _n: ((name, n) for name in EXAMPLE_CASE_NAMES for n in range(1, 6)),
+             _telescoping_agrees),
+    Property("unroll-oracle-agreement", _drawn(random_unroll_case),
+             lambda cx, aw, dw: cx.unroll(aw, dw) == fraction_unroll(cx, aw, dw)),
+    Property("shift-scan-agreement", _scan_cases, _shift_agrees(scan_shifted_bottleneck)),
+    Property("bottleneck-window-agreement", _window_cases,
+             _both_modes(bottleneck_distance, all_pairs_bottleneck, _same)),
+)

@@ -663,6 +663,12 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, degree_sensitive: bool = True)
     and the threshold search over a subproblem's ranks compares only ints.
     More than ``MAX_EXPANDED_BARS`` bars on a side raise
     :class:`BarCountError`.
+
+    The branches stay apart for speed: ``_window_search`` run on the
+    ``PiRational`` endpoints themselves doubled the time per call on
+    radial's homotopy traffic (0.29 -> 0.57 ms a three-bar pi pair) and
+    raised radial's 90th-percentile job time from 7.0 to 9.3 ms.  One
+    branch for both needs int keys for Q + Q*pi, not ``PiRational`` sums.
     """
     bars1, bars2 = _expanded(b1, b2)
     groups = _degree_groups(bars1, bars2, degree_sensitive)

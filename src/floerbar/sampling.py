@@ -77,9 +77,7 @@ def random_barcode(rng: random.Random, max_bars: int = 6,
 
 
 def random_complex(rng: random.Random, num_generators: int = 8,
-                   spec: Optional[NovikovSpec] = None,
-                   scramble_rounds: int = 12,
-                   ) -> Tuple[FilteredComplex, Barcode]:
+                   spec: Optional[NovikovSpec] = None) -> Tuple[FilteredComplex, Barcode]:
     """A valid complex with its barcode known by construction.
 
     Returns ``(complex, expected_barcode)``; the barcode is stated in the
@@ -151,7 +149,7 @@ def random_complex(rng: random.Random, num_generators: int = 8,
 
     expected = _planted_barcode(spec, planted,
                                 [g for g, p in zip(gens, paired) if not p])
-    return _scramble(rng, spec, gens, diff, scramble_rounds), expected
+    return _scramble(rng, spec, gens, diff), expected
 
 
 def _planted_barcode(spec: NovikovSpec, planted: Sequence[Tuple[Generator, Generator, int]],
@@ -169,13 +167,17 @@ def _planted_barcode(spec: NovikovSpec, planted: Sequence[Tuple[Generator, Gener
     return Barcode(bars)
 
 
+_SCRAMBLE_ROUNDS = 12
+
+
 def _scramble(rng: random.Random, spec: NovikovSpec, gens: Sequence[Generator],
-              differential: Mapping[str, Sequence[Tuple[NovikovScalar, str]]],
-              rounds: int) -> FilteredComplex:
-    """Random filtered basis changes: for admissible (g, h, e) apply the
-    column operation d(g) += q**e d(h) together with the row operation
-    "h appears wherever g does, scaled by q**e".  Only the result is built
-    as a (validated) complex; without generators no round draws."""
+              differential: Mapping[str, Sequence[Tuple[NovikovScalar, str]]]
+              ) -> FilteredComplex:
+    """``_SCRAMBLE_ROUNDS`` random filtered basis changes: for admissible
+    (g, h, e) apply the column operation d(g) += q**e d(h) together with the
+    row operation "h appears wherever g does, scaled by q**e".  Only the
+    result is built as a (validated) complex; without generators no round
+    draws."""
     matrix: Dict[str, Dict[str, NovikovScalar]] = {
         gid: {t: c for c, t in terms} for gid, terms in differential.items()
     }
@@ -188,7 +190,7 @@ def _scramble(rng: random.Random, spec: NovikovSpec, gens: Sequence[Generator],
         else:
             row[target] = new
 
-    for _ in range(rounds if gens else 0):
+    for _ in range(_SCRAMBLE_ROUNDS if gens else 0):
         g, h = rng.choice(gens), rng.choice(gens)
         if g.gid == h.gid:
             continue

@@ -260,6 +260,12 @@ def test_check_command_deterministic():
     assert all(c["passed"] for c in report1["checks"])
 
 
+def test_check_needs_at_least_one_trial():
+    for trials in ("0", "-1"):
+        result, report = run("check", "--trials", trials)
+        assert result.exit_code == 2 and report == {}
+
+
 PI_84_DIGITS = ("3.1415926535897932384626433832795028841971693993751058209749445923"
                 "0781640628620899863")  # pi rounded up in its 83rd decimal
 

@@ -9,11 +9,11 @@ from floerbar.complexes import (ComplexValidationError, FilteredComplex,
                                 barcode, complex_from_json, complex_to_json,
                                 gamma, spectral_invariant, uz_reduce)
 from floerbar.novikov import NovikovScalar, NovikovSpec
-from floerbar.oracles import brute_force_barcode, fraction_unroll
+from floerbar.oracles import brute_force_barcode
 from floerbar.persistence import (Bar, Barcode, INF, NEG_INF,
                                   bar_length_spectrum, bottleneck_distance,
                                   boundary_depth)
-from floerbar.sampling import perturb_actions, random_complex, random_unroll_case
+from floerbar.sampling import perturb_actions, random_complex
 
 SPEC = NovikovSpec("q", 2, F(1, 2))
 ONE = NovikovScalar.one(SPEC)
@@ -180,25 +180,6 @@ def test_bars_longer_than_the_recap_area():
     assert boundary_depth(bc) == F(19, 2)
 
 
-def test_unroll_matches_the_fraction_oracle():
-    rng = random.Random(37)
-    seen = set()
-    for _ in range(600):
-        cx, action_window, degree_window = random_unroll_case(rng)
-        copies = cx.unroll(action_window, degree_window)
-        assert copies == fraction_unroll(cx, action_window, degree_window)
-        seen.add(cx.spec.action_step.denominator if cx.spec else None)
-        seen.add((action_window is not None, degree_window is not None))
-        if any(g.action < 0 for g in cx.generators):
-            seen.add("negative action")
-        for (_g1, j1, _d1, a1), (_g2, j2, _d2, a2) in zip(copies, copies[1:]):
-            if a1 == a2:
-                seen.add("tie at equal j" if j1 == j2 else "tie at different j")
-    # the draws cover every case the int keys have to get right
-    assert seen >= {None, 1, 2, 3, 7, (True, False), (False, True), (True, True),
-                    "negative action", "tie at equal j", "tie at different j"}
-
-
 def _boundary(cx: FilteredComplex, combo):
     """``d`` of a Novikov combo, as a combo sorted by generator id."""
     acc = {}
@@ -250,17 +231,6 @@ def test_plain_f2_complex_without_spec():
     bc = barcode(cx)
     assert bc == Barcode([Bar(F(0), F(1), 0), Bar(F(0), INF, 5)])
     assert brute_force_barcode(cx) == bc
-
-
-def test_random_complexes_three_way_agreement():
-    rng = random.Random(23)
-    for _ in range(40):
-        cx, expected = random_complex(rng, rng.randint(2, 10))
-        assert barcode(cx) == expected
-        assert brute_force_barcode(cx) == expected
-        basis = uz_reduce(cx)
-        oracle_lengths = tuple(sorted(b.length for b in expected.finite_bars()))
-        assert basis.torsion_exponents() == oracle_lengths
 
 
 def test_stability_under_action_perturbation():

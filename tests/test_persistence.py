@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from floerbar.exactpi import PiRational
-from floerbar.oracles import brute_force_bottleneck
+from floerbar.oracles import _same, brute_force_bottleneck
 from floerbar.persistence import (Bar, Barcode, INF, bar_length_spectrum,
                                   bottleneck_distance, boundary_depth,
                                   interleaving_distance, shift_barcode,
@@ -112,30 +112,6 @@ def test_containment_formulation_matches_endpoint_sup():
         both = contained(i, j, delta) and contained(j, i, delta)
         from floerbar.persistence import _bar_matching_cost
         assert both == (not (_bar_matching_cost(i, j) > delta))
-
-
-def test_pseudometric_on_random_triples():
-    rng = random.Random(11)
-    for _ in range(60):
-        a, b, c = (random_barcode(rng, max_bars=4) for _ in range(3))
-        dab = bottleneck_distance(a, b)
-        dba = bottleneck_distance(b, a)
-        assert dab == dba
-        dac = bottleneck_distance(a, c)
-        dcb = bottleneck_distance(c, b)
-        if INF not in (dab, dac, dcb):
-            assert dab <= dac + dcb
-
-
-def test_brute_force_agreement_small_barcodes():
-    rng = random.Random(13)
-    for _ in range(80):
-        a = random_barcode(rng, max_bars=3)
-        b = random_barcode(rng, max_bars=3)
-        for sensitive in (True, False):
-            fast = bottleneck_distance(a, b, degree_sensitive=sensitive)
-            slow = brute_force_bottleneck(a, b, degree_sensitive=sensitive)
-            assert fast == slow, (a, b, sensitive)
 
 
 def test_shifted_bottleneck_examples():
@@ -246,10 +222,6 @@ def _reference_bottleneck(b1, b2, degree_sensitive=True):
     return candidates[lo]
 
 
-def _same(x, y):
-    return type(x) is type(y) and x == y
-
-
 def test_priced_search_matches_reference_on_planted_pairs():
     from floerbar.complexes import barcode
     from floerbar.sampling import perturb_actions, random_complex
@@ -303,64 +275,6 @@ def test_priced_search_matches_reference_on_random_pairs():
                          _reference_bottleneck(a, b, sensitive)), (a, b, sensitive)
 
 
-def _near_copy(rng, x, eps):
-    """``x`` with each endpoint moved by at most ``eps``, now and then a bar
-    dropped (an infinite one too) or a short bar added."""
-    bars = []
-    for b in x.bars:
-        if rng.random() < 0.05:
-            continue
-        left = b.left + eps * F(rng.randint(-6, 6), 6)
-        right = INF if b.is_infinite else max(b.right + eps * F(rng.randint(-6, 6), 6),
-                                              left + F(1, 13))
-        bars.append(Bar(left, right, b.degree, b.multiplicity))
-    for _ in range(rng.choice((0, 0, 1, 2))):
-        left = F(rng.randint(-24, 48), 12)
-        bars.append(Bar(left, left + eps * F(rng.randint(1, 30), 6), rng.choice(x.degrees() or (0,))))
-    return Barcode(bars)
-
-
-def _window_pair(rng, trial):
-    """Independent draws every fourth trial (up to 300 bars in the first
-    eight), with the infinite bars of the first given to the second most of
-    the time; otherwise a draw and a near copy of it.  Either side may have
-    a degree the other lacks."""
-    degrees = rng.choice(((0,), (0, 1), (0, 1, 2)))
-    if trial % 4 == 0:
-        n = 300 if trial < 32 else 12
-        a = random_barcode(rng, n, degrees)
-        b = random_barcode(rng, n, rng.choice((degrees, (1, 2))))
-        if rng.random() < 0.8:
-            b = Barcode(b.finite_bars() + a.infinite_bars())
-        return a, b
-    a = random_barcode(rng, rng.choice((6, 20, 60)), degrees)
-    return a, _near_copy(rng, a, F(1, rng.choice((1, 10, 100, 1000))))
-
-
-def test_window_search_matches_the_all_pairs_search():
-    from floerbar.complexes import barcode
-    from floerbar.oracles import all_pairs_bottleneck
-    from floerbar.sampling import perturb_actions, random_complex
-    rng = random.Random(61)
-    pairs = []
-    for n in (20, 40, 80, 160) * 5:
-        cx, _planted = random_complex(rng, n)
-        pert, _used = perturb_actions(rng, cx, F(1, rng.choice((10, 100, 1000))))
-        pairs.append((barcode(cx), barcode(pert)))
-    pairs += [_window_pair(rng, trial) for trial in range(500)]
-    seen = set()
-    for a, b in pairs:
-        for sensitive in (True, False):
-            fast = bottleneck_distance(a, b, sensitive)
-            assert _same(fast, all_pairs_bottleneck(a, b, sensitive)), (a, b, sensitive)
-            seen.add(("inf", fast is INF))
-        seen.update({("large", min(len(a.bars), len(b.bars)) >= 100),
-                     ("multiplicity", any(x.multiplicity > 1 for x in a.bars + b.bars)),
-                     ("one-sided degree", set(a.degrees()) != set(b.degrees()))})
-    assert all((key, True) in seen for key in ("inf", "large", "multiplicity", "one-sided degree"))
-    assert ("inf", False) in seen
-
-
 def test_bottleneck_edge_cases():
     # a degree present on one side only is deleted on its own
     a = bc(bar(0, 1, 0), bar(0, 3, 1))
@@ -387,48 +301,6 @@ def test_bottleneck_edge_cases():
 # ---------------------------------------------------------------------------
 
 
-def _endpoint_count(x):
-    return sum(1 if b.is_infinite else 2 for b in x.expand())
-
-
-def _small_shift_pair(rng, kind):
-    """A pair of barcodes with at most 7 endpoints each."""
-    while True:
-        if kind == "random":
-            a, b = random_barcode(rng, max_bars=3), random_barcode(rng, max_bars=3)
-        elif kind == "short":
-            # short bars far apart: deleting everything is often optimal
-            def short():
-                lefts = [F(rng.randint(-20, 20)) for _ in range(rng.randint(1, 3))]
-                return bc(*(bar(x, x + F(1, rng.randint(2, 9)), rng.randint(0, 1))
-                            for x in lefts))
-            a, b = short(), short()
-        else:
-            # repeated patterns: several shifts attain the optimum
-            base = [bar(0, 1), bar(4, 5), bar(8, 9)][:rng.randint(2, 3)]
-            a = bc(*base)
-            b = bc(bar(rng.randint(-3, 3), rng.randint(4, 6)))
-        if _endpoint_count(a) <= 7 and _endpoint_count(b) <= 7:
-            return a, b
-
-
-def test_shift_search_matches_candidate_scan():
-    from floerbar.oracles import brute_force_shifted_bottleneck
-    rng = random.Random(47)
-    whole_line = 0
-    for trial in range(240):
-        kind = ("random", "short", "tied")[trial % 3]
-        a, b = _small_shift_pair(rng, kind)
-        sensitive = trial % 2 == 0
-        fast = shifted_bottleneck(a, b, sensitive)
-        slow = brute_force_shifted_bottleneck(a, b, sensitive)
-        assert _same(fast[0], slow[0]) and _same(fast[1], slow[1]), (a, b, sensitive)
-        if fast[0] is not INF and all(not x.is_infinite and not (x.length > 2 * fast[0])
-                                      for x in a.expand() + b.expand()):
-            whole_line += 1
-    assert whole_line >= 10
-
-
 def test_shift_search_ties_report_the_smallest_shift():
     from floerbar.oracles import brute_force_shifted_bottleneck
     # the short bar must go, so every shift in [5/2, 7/2] is optimal; the
@@ -440,54 +312,6 @@ def test_shift_search_ties_report_the_smallest_shift():
     a = bc(bar(0, 1), bar(10, 11))
     b = bc(bar(3, 4))
     assert shifted_bottleneck(a, b) == brute_force_shifted_bottleneck(a, b) == (F(1, 2), -8)
-
-
-def _scan_pair(rng, n, pi):
-    """Two barcodes of ``n`` bars each, counted with multiplicity, in degrees
-    0 and 1 with the same infinite bars per degree (one fewer on the second
-    side now and then); endpoints with a pi part when ``pi``, a few of them
-    plain Fractions."""
-    def endpoint(lo, hi):
-        x = F(rng.randint(lo * 12, hi * 12), rng.choice((1, 2, 3, 4, 6, 12)))
-        if pi and rng.random() < 0.8:
-            return PiRational(x, F(rng.randint(-2, 2), rng.randint(1, 3)))
-        return x
-
-    infinite = [rng.randint(0, 1) for _ in range(rng.randint(0, min(n, 3)))]
-    sides = []
-    for side in range(2):
-        degrees = infinite[1:] if side and infinite and rng.random() < 0.1 else infinite
-        bars = [Bar(endpoint(-3, 6), INF, d) for d in degrees]
-        count = len(bars)
-        while count < n:
-            left = endpoint(-3, 6)
-            mult = 2 if count + 2 <= n and rng.random() < 0.25 else 1
-            bars.append(Bar(left, left + abs(endpoint(0, 3)) + F(1, 13), rng.randint(0, 1), mult))
-            count += mult
-        sides.append(Barcode(bars))
-    return sides
-
-
-def test_shift_search_matches_the_kept_scan():
-    from floerbar.oracles import scan_shifted_bottleneck
-    rng = random.Random(53)
-    seen = set()
-    for trial in range(210):
-        # 1 to 10 bars a side, then one pair of each size 11 to 20
-        n = 1 + trial % 10 if trial < 200 else trial - 189
-        pi = trial % 3 == 2
-        a, b = _scan_pair(rng, n, pi)
-        sensitive = trial % 2 == 0
-        fast = shifted_bottleneck(a, b, sensitive)
-        slow = scan_shifted_bottleneck(a, b, sensitive)
-        assert _same(fast[0], slow[0]) and _same(fast[1], slow[1]), (a, b, sensitive)
-        bars = a.expand() + b.expand()
-        seen.update({("pi", pi), ("degree-sensitive", sensitive), ("inf", fast[0] is INF),
-                     ("pi shift", isinstance(fast[1], PiRational)),
-                     ("infinite bar", any(x.is_infinite for x in bars)),
-                     ("multiplicity 2", any(x.multiplicity == 2 for x in a.bars + b.bars))})
-    assert all((key, True) in seen for key in ("pi", "degree-sensitive", "inf", "pi shift"))
-    assert ("infinite bar", True) in seen and ("multiplicity 2", True) in seen
 
 
 def test_shift_search_returns_the_distance_at_its_shift():
