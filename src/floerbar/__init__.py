@@ -8,8 +8,9 @@ Submodules
     with the non-Archimedean valuation convention ``nu(variable) =
     -action_step``.
 ``persistence``
-    Barcodes; bottleneck/interleaving distance (exact, a threshold search
-    over once-priced bar pairs, two one-sided cover tests a probe); the
+    Barcodes (all-Fraction ones kept as int rows over one least scale);
+    bottleneck/interleaving distance (exact, a threshold search over
+    once-priced bar pairs, two one-sided cover tests a probe); the
     shift-quotient metric (a sorted-matrix search over the optimum, one
     sweep of the candidate shifts a probe); boundary depth and bar lengths.
 ``complexes``
@@ -22,8 +23,8 @@ Submodules
     sums) and the induced filtered complex.
 ``radial``
     Generator spectra of piecewise linear radial Hamiltonian profiles;
-    feasible-barcode enumeration (over interned bars, one barcode built per
-    distinct bar multiset), certified boundary-depth bounds, and continuity
+    feasible-barcode enumeration (over bars interned by canonical rank, one
+    barcode built per distinct bar multiset), certified boundary-depth bounds, and continuity
     pruning along profile families.
 ``seidel``
     One-generator quantum ring arithmetic, power-hypothesis verification,

@@ -9,6 +9,7 @@ check, 2 malformed input.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
 import re
@@ -60,17 +61,14 @@ class RunReport:
         return all(p for _n, p in self.checks)
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def _load_json(path: str) -> dict:
+def _read_input(report: RunReport, path: str):
+    """Read ``path`` once: record its sha256 digest in ``report`` and return
+    its JSON, decoded as a UTF-8 text file with universal newlines."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        report.inputs[path] = hashlib.sha256(raw).hexdigest()
+        return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
@@ -139,7 +137,7 @@ def _degree_window(_ctx, _param, value):
 
 
 @main.command("barcode")
-@click.argument("complex_file", type=click.Path(exists=True))
+@click.argument("complex_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--window", nargs=2, type=int, default=None, callback=_degree_window,
               help="degree window LO HI (half open)")
 @click.option("--oracle", is_flag=True, help="cross-check against the rank-function oracle")
@@ -149,9 +147,9 @@ def _degree_window(_ctx, _param, value):
 def cmd_barcode(complex_file, window, oracle, svg_path, fund_degree, point_degree):
     """Barcode, bar-length spectrum, boundary depth and spectral norm of a
     filtered complex."""
-    report = RunReport("barcode", inputs={complex_file: _digest(complex_file)})
+    report = RunReport("barcode")
     try:
-        cx = complexes.complex_from_json(_load_json(complex_file))
+        cx = complexes.complex_from_json(_read_input(report, complex_file))
     except complexes.ComplexValidationError as exc:
         report.check("complex-valid", False)
         report.outputs["error"] = str(exc)
@@ -201,17 +199,16 @@ def cmd_barcode(complex_file, window, oracle, svg_path, fund_degree, point_degre
 
 
 @main.command("bottleneck")
-@click.argument("barcode1", type=click.Path(exists=True))
-@click.argument("barcode2", type=click.Path(exists=True))
+@click.argument("barcode1", type=click.Path(exists=True, dir_okay=False))
+@click.argument("barcode2", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mod-shift", is_flag=True, help="also minimize over action shifts")
 @click.option("--degree-blind", is_flag=True, help="allow matches across degrees")
 def cmd_bottleneck(barcode1, barcode2, mod_shift, degree_blind):
     """Bottleneck distance between two barcode files."""
-    report = RunReport("bottleneck", inputs={
-        barcode1: _digest(barcode1), barcode2: _digest(barcode2)})
+    report = RunReport("bottleneck")
     try:
-        b1 = Barcode.from_json(_load_json(barcode1))
-        b2 = Barcode.from_json(_load_json(barcode2))
+        b1 = Barcode.from_json(_read_input(report, barcode1))
+        b2 = Barcode.from_json(_read_input(report, barcode2))
     except _MALFORMED as exc:
         _fail("bottleneck", exc, 2)
     sensitive = not degree_blind
@@ -237,7 +234,7 @@ def cmd_bottleneck(barcode1, barcode2, mod_shift, degree_blind):
 
 
 @main.command("combfloer")
-@click.argument("diagram_file", type=click.Path(exists=True))
+@click.argument("diagram_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--max-wind", type=click.IntRange(min=0), default=2, show_default=True,
               help="largest number of extra full windings of a lune's boundary")
 @click.option("--oracle", is_flag=True,
@@ -247,9 +244,9 @@ def cmd_bottleneck(barcode1, barcode2, mod_shift, degree_blind):
 def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
     """Lune table, differential, boundary depth and spectral norm of a
     two-curve diagram."""
-    report = RunReport("combfloer", inputs={diagram_file: _digest(diagram_file)})
+    report = RunReport("combfloer")
     try:
-        dg = diagrams.TwoCurveDiagram.from_json(_load_json(diagram_file))
+        dg = diagrams.TwoCurveDiagram.from_json(_read_input(report, diagram_file))
     except _MALFORMED as exc:
         _fail("combfloer", exc, 2)
     try:
@@ -259,6 +256,10 @@ def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
         report.check("diagram-valid", False)
         report.outputs["error"] = str(exc)
         _emit(report, f"inadmissible diagram: {exc}", 1)
+    except diagrams.LuneCandidateError as exc:
+        report.outputs["lune_error"] = str(exc)
+        report.check("lune-candidate-cap", False)
+        _emit(report, f"too many lune candidates: {exc}", 1)
     report.check("diagram-valid", True)
     report.outputs["lunes"] = [
         {"from": l.source, "to": l.target, "area": format_rational(l.area),
@@ -317,15 +318,15 @@ def _parse_ranks(data: dict) -> Dict[int, int]:
 
 
 @main.command("radial")
-@click.argument("profile_file", type=click.Path(exists=True))
+@click.argument("profile_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--feasible", is_flag=True, help="list all feasible barcodes")
 @click.option("--homotopy", is_flag=True, help="run continuity pruning along the family")
 def cmd_radial(profile_file, feasible, homotopy):
     """Generator spectrum, feasible barcodes and certified boundary-depth
     bound of a radial profile (or a sampled family with --homotopy)."""
-    report = RunReport("radial", inputs={profile_file: _digest(profile_file)})
+    report = RunReport("radial")
     try:
-        data = _load_json(profile_file)
+        data = _read_input(report, profile_file)
         params = _parse_params(data["params"])
         ranks = _parse_ranks(data.get("ranks", {}))
         if homotopy:

@@ -20,7 +20,9 @@ complexes (weakly exact coefficients): no copies, absolute degrees.
 Copies are put in filtration order on exact int keys: every generator
 action and the action step are scaled once by the lcm of their
 denominators, so integer comparison gives the same order as comparing the
-rationals.  Fractions appear only at read-out, one per copy.  A window is
+rationals.  :func:`barcode` hands those keys and their scale to a keyed
+:class:`~floerbar.persistence.Barcode` as they are; Fractions appear only
+at read-out (``unroll``, the levels of :class:`UZBasis`).  A window is
 counted with O(generators) int arithmetic before anything is built; one
 that unrolls to more than ``MAX_WINDOW_COPIES`` copies raises
 :class:`WindowSizeError`.
@@ -46,7 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .f2 import Echelon
 from .novikov import (NovikovScalar, NovikovSpec, format_rational, parse_int,
                       parse_rational)
-from .persistence import Bar, Barcode, INF, NEG_INF
+from .persistence import Barcode, NEG_INF
 
 __all__ = [
     "Generator",
@@ -117,19 +119,30 @@ class UZBasis:
     """Output of the orthogonalising reduction: singular cycles and pairs.
 
     ``cycle_levels`` holds ``(degree, action)`` per singular cycle and
-    ``pair_levels`` holds ``(degree of z, act z, act y)`` per pair.  The
-    combos of ``singular`` and ``pairs`` are decoded from the reduction's
-    bitmasks on first access.
+    ``pair_levels`` holds ``(degree of z, act z, act y)`` per pair; both are
+    decoded on first access from ``cycle_keys`` and ``pair_keys``, the same
+    with each action an int key over ``scale``.  The combos of ``singular``
+    and ``pairs`` are decoded from the reduction's bitmasks on first access.
     """
 
     def __init__(self, window: "_UnrolledWindow",
-                 cycles: Sequence[Tuple[int, int, Fraction]],
-                 pairs: Sequence[Tuple[int, int, int, Fraction, Fraction]]):
+                 cycles: Sequence[Tuple[int, int, int]],
+                 pairs: Sequence[Tuple[int, int, int, int, int]]):
         self._window = window
+        self.scale = window.scale
         self._cycle_masks = tuple(mask for mask, _d, _a in cycles)
-        self.cycle_levels = tuple((deg, act) for _m, deg, act in cycles)
+        self.cycle_keys = tuple((deg, act) for _m, deg, act in cycles)
         self._pair_masks = tuple((ymask, zmask) for ymask, zmask, _d, _z, _y in pairs)
-        self.pair_levels = tuple((deg, za, ya) for _y, _z, deg, za, ya in pairs)
+        self.pair_keys = tuple((deg, za, ya) for _y, _z, deg, za, ya in pairs)
+
+    @functools.cached_property
+    def cycle_levels(self) -> Tuple[Tuple[int, Fraction], ...]:
+        return tuple((deg, Fraction(act, self.scale)) for deg, act in self.cycle_keys)
+
+    @functools.cached_property
+    def pair_levels(self) -> Tuple[Tuple[int, Fraction, Fraction], ...]:
+        s = self.scale
+        return tuple((deg, Fraction(za, s), Fraction(ya, s)) for deg, za, ya in self.pair_keys)
 
     @functools.cached_property
     def singular(self) -> Tuple[Tuple[Combo, int, Fraction], ...]:
@@ -147,7 +160,8 @@ class UZBasis:
                      in zip(self._pair_masks, self.pair_levels))
 
     def torsion_exponents(self) -> Tuple[Fraction, ...]:
-        return tuple(sorted(ya - za for _d, za, ya in self.pair_levels))
+        return tuple(Fraction(k, self.scale)
+                     for k in sorted(ya - za for _d, za, ya in self.pair_keys))
 
 
 class FilteredComplex:
@@ -248,7 +262,8 @@ class FilteredComplex:
         the given half-open windows, ordered by action, then id, then copy
         index.  At least one window must be supplied; spec-less complexes
         only ever have the ``j = 0`` copy."""
-        return self._unrolled(self._copy_ranges(action_window, degree_window))
+        keyed, scale = self._unrolled(self._copy_ranges(action_window, degree_window))
+        return [(gid, j, deg, Fraction(key, scale)) for gid, j, deg, key in keyed]
 
     def _copy_ranges(self, action_window: Optional[Tuple[Fraction, Fraction]] = None,
                      degree_window: Optional[Tuple[int, int]] = None
@@ -265,8 +280,9 @@ class FilteredComplex:
                 for g in self.generators]
 
     def _unrolled(self, ranges: Sequence[Tuple[Generator, int, int]]
-                  ) -> List[Tuple[str, int, int, Fraction]]:
-        # action = key / scale for every copy, with one common scale
+                  ) -> Tuple[List[Tuple[str, int, int, int]], int]:
+        """The copies ``(gid, j, degree, key)`` of ``ranges`` in filtration
+        order, and the scale: each copy's action is ``key / scale``."""
         dstep = self.spec.degree_step if self.spec else 0
         astep = self.spec.action_step if self.spec else Fraction(0)
         scale = math.lcm(astep.denominator, *(g.action.denominator for g in self.generators))
@@ -278,7 +294,7 @@ class FilteredComplex:
             for j in range(jlo, jhi + 1):
                 keyed.append((base + j * istep, gid, j, deg + j * dstep))
         keyed.sort()  # (key, gid, j) is unique, so the degree is never compared
-        return [(gid, j, deg, Fraction(key, scale)) for key, gid, j, deg in keyed]
+        return [(gid, j, deg, key) for key, gid, j, deg in keyed], scale
 
     def unroll_complex(self,
                        action_window: Optional[Tuple[Fraction, Fraction]] = None,
@@ -350,7 +366,9 @@ def _floor_frac_strict(x: Fraction) -> int:
 
 
 class _UnrolledWindow:
-    """Unrolled generators for degrees [lo-1, hi], indexed in filtration order.
+    """Unrolled generators for degrees [lo-1, hi], indexed in filtration order:
+    ``items`` holds ``(gid, j, degree, key)``, the action being ``key /
+    scale``.
 
     Raises :class:`WindowSizeError`, before building any copy, when there
     would be more than ``MAX_WINDOW_COPIES`` of them."""
@@ -362,8 +380,7 @@ class _UnrolledWindow:
             span = cx.degree_span()
             self.lo, self.hi = max(self.lo, span[0]), min(self.hi, span[1])
             if self.lo >= self.hi:
-                self.items = []
-                self.index = {}
+                self.items, self.scale, self.index = [], 1, {}
                 return
         ranges = cx._copy_ranges(degree_window=(self.lo - 1, self.hi + 1))
         count = sum(jhi - jlo + 1 for _g, jlo, jhi in ranges if jlo <= jhi)
@@ -371,14 +388,18 @@ class _UnrolledWindow:
             raise WindowSizeError(
                 f"window size cap exceeded: degrees [{self.lo}, {self.hi}) unroll to "
                 f"{count} copies, more than {MAX_WINDOW_COPIES}")
-        self.items = cx._unrolled(ranges)
+        self.items, self.scale = cx._unrolled(ranges)
         self.index = {(gid, j): i for i, (gid, j, _, _) in enumerate(self.items)}
 
     def degree(self, i: int) -> int:
         return self.items[i][2]
 
     def action(self, i: int) -> Fraction:
-        return self.items[i][3]
+        return self.actions[i]
+
+    @functools.cached_property
+    def actions(self) -> List[Fraction]:
+        return [Fraction(key, self.scale) for _g, _j, _d, key in self.items]
 
     def boundary_mask(self, i: int) -> int:
         """d of the i-th unrolled generator as a bitmask over window indices.
@@ -456,14 +477,14 @@ def uz_reduce(cx: FilteredComplex,
     for combo, col, _i, p in reduced_pairs:
         zdeg = w.degree(p)
         if lo <= zdeg < hi:
-            pairs.append((combo, col, zdeg, w.action(p), w.action(w.mask_top(combo))))
+            pairs.append((combo, col, zdeg, w.items[p][3], w.items[w.mask_top(combo)][3]))
     singular = []
     for combo, i in cycles:
         if i in owner:
             continue
         deg = w.degree(i)
         if lo <= deg < hi:
-            singular.append((combo, deg, w.action(i)))
+            singular.append((combo, deg, w.items[i][3]))
     return UZBasis(w, singular, pairs)
 
 
@@ -472,9 +493,9 @@ def barcode(cx: FilteredComplex,
     """Persistence barcode of the window: ``(act z, act y]`` per pair in the
     degree of ``z`` and ``(act x, inf)`` per singular cycle."""
     basis = uz_reduce(cx, degree_window)
-    bars = [Bar(za, ya, deg) for deg, za, ya in basis.pair_levels]
-    bars.extend(Bar(action, INF, deg) for deg, action in basis.cycle_levels)
-    return Barcode(bars)
+    rows = [(deg, za, ya, 1) for deg, za, ya in basis.pair_keys]
+    rows += [(deg, key, None, 1) for deg, key in basis.cycle_keys]
+    return Barcode.from_rows(rows, basis.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -553,16 +574,22 @@ def gamma(bc: Barcode, fund_degree: int, point_degree: int) -> Fraction:
     """Difference of the infinite-bar left endpoints of ``bc`` in the two
     designated degrees; each must carry exactly one infinite bar.  ``bc``
     must cover both degrees, e.g. ``barcode(cx, (lo, hi + 1))`` with ``lo``,
-    ``hi`` the smaller and larger degree."""
+    ``hi`` the smaller and larger degree.  A keyed barcode is read on its
+    int rows."""
+    keyed = bc.rows is not None
 
     def left_endpoint(deg: int):
-        bars = [b for b in bc.expand() if b.degree == deg and b.is_infinite]
-        if len(bars) != 1:
+        found = [(row[1], row[3]) for row in bc.rows if row[0] == deg and row[2] is None] \
+            if keyed else [(b.left, b.multiplicity) for b in bc.bars
+                           if b.degree == deg and b.is_infinite]
+        count = sum(m for _l, m in found)
+        if count != 1:
             raise GammaUndefinedError(
-                f"degree {deg} carries {len(bars)} infinite bars, need exactly 1")
-        return bars[0].left
+                f"degree {deg} carries {count} infinite bars, need exactly 1")
+        return found[0][0]
 
-    return left_endpoint(fund_degree) - left_endpoint(point_degree)
+    g = left_endpoint(fund_degree) - left_endpoint(point_degree)
+    return Fraction(g, bc.scale) if keyed else g
 
 
 # ---------------------------------------------------------------------------

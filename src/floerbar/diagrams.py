@@ -54,6 +54,8 @@ __all__ = [
     "Lune",
     "DiagramError",
     "InadmissibleDiagramError",
+    "LuneCandidateError",
+    "MAX_LUNE_CANDIDATES",
     "validate_diagram",
     "enumerate_lunes",
     "build_complex",
@@ -85,6 +87,18 @@ class DiagramError(ValueError):
 
 class InadmissibleDiagramError(ValueError):
     """The diagram admits no consistent filtered complex."""
+
+
+class LuneCandidateError(ValueError):
+    """A winding cap gives more lune candidates than the enumeration accepts."""
+
+
+# ``enumerate_lunes`` tries m*(m-1)*2*(w+1)*(w+2) candidates for m points at
+# winding cap w.  ``combfloer`` (three passes on a sphere) on the bundled
+# four-point equator pair took 4.1 s at w = 200, 974,448 candidates, just
+# under the cap (Python 3.11, 2-CPU x86-64); a cap of 10**9 would exhaust
+# memory listing the boundary parameters.
+MAX_LUNE_CANDIDATES = 1_000_000
 
 
 Step = Tuple[str, int, int, int]  # (curve "K"/"L", from point, to point, direction +-1)
@@ -460,9 +474,17 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     offset (the corner sum plus eight times the offset must be 2), on the
     annulus the offset is forced by the boundary faces (equal windings
     there, pinned to zero).  Only survivors are checked face by face for
-    nonnegativity and against every jump condition.
+    nonnegativity and against every jump condition.  More than
+    ``MAX_LUNE_CANDIDATES`` candidates raise :class:`LuneCandidateError`,
+    counted before any is built.
     """
     geo = _validated_geometry(d)
+    points = len(d.points)
+    count = points * (points - 1) * 2 * (max_wind + 1) * (max_wind + 2)
+    if count > MAX_LUNE_CANDIDATES:
+        raise LuneCandidateError(
+            f"lune candidate cap exceeded: {points} points at winding cap {max_wind} give "
+            f"{count} candidates, more than {MAX_LUNE_CANDIDATES}")
     field = _WindingField(geo)
     m, faces = field.m, field.faces
     by_name = sorted(range(len(faces)), key=faces.__getitem__)

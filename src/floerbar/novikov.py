@@ -16,11 +16,12 @@ raises its filtration level by ``e * action_step`` and its degree by
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 __all__ = [
     "Rational",
@@ -82,6 +83,22 @@ def parse_rational(text: Union[str, int]) -> Fraction:
     if isinstance(text, bool) or not isinstance(text, int):
         raise ValueError(f"a rational must be a string or an integer, not {text!r}")
     return Fraction(text)
+
+
+def parse_ratio(text: Union[str, int]) -> Tuple[int, int]:
+    """``parse_rational`` as reduced ``(numerator, positive denominator)``,
+    with the same checks and messages; a plain ``"p/q"`` builds no Fraction
+    (``parse_rational`` keeps its own plain path, which a call through this
+    one would slow by a third)."""
+    plain = _PLAIN_RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if not plain:
+        value = parse_rational(text)
+        return value.numerator, value.denominator
+    num, den = int(plain[1]), int(plain[2] or 1)
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _parse_other(text: str) -> Fraction:

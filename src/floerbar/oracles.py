@@ -22,9 +22,13 @@ both run it; neither has samplers or predicates of its own.
   :class:`floerbar.matching.CoverMatching` grows one matching by single
   augmenting searches that the caller can repair after edits.
 * ``all_pairs_bottleneck`` prices every matchable pair of two barcodes with
-  Fraction endpoints as an int key and bisects all the keys, where
-  :func:`floerbar.persistence.bottleneck_distance` lists only the pairs in
-  a growing window of near left endpoints.
+  Fraction endpoints as an int key over their own common denominator and
+  bisects all the keys, where :func:`floerbar.persistence.bottleneck_distance`
+  lists only the pairs in a growing window of near left endpoints.
+* ``canonical_bars``, ``bar_readouts`` and ``bar_bottleneck`` are the Bar
+  route: canonical order, boundary depth, spectrum, gamma, JSON and the
+  bottleneck distance computed on ``Bar``s and their endpoints, where a
+  keyed :class:`floerbar.persistence.Barcode` reads its int rows.
 * ``brute_force_shifted_bottleneck`` lists its own candidate shifts and
   scores each with one full bottleneck computation.
 * ``scan_shifted_bottleneck`` searches the shift-quotient distance on the
@@ -58,6 +62,7 @@ both run it; neither has samplers or predicates of its own.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from collections import deque
@@ -66,18 +71,19 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
-from .complexes import FilteredComplex, Generator, _UnrolledWindow, barcode, uz_reduce
+from .complexes import (FilteredComplex, Generator, GammaUndefinedError, _UnrolledWindow,
+                        barcode, gamma, uz_reduce)
 from .diagrams import (DiagramError, Lune, TwoCurveDiagram, _Geometry, _validated_geometry,
                        annulus_example_areas, diagram_beta, diagram_gamma, enumerate_lunes,
                        equator_pair_annulus, relabel_diagram, validate_diagram)
 from .exactpi import PiRational, _compare_with_pi
 from .f2 import Echelon
 from .novikov import LagrangianParams, NovikovScalar, NovikovSpec
-from .persistence import (INF, Bar, Barcode, _abs, _common_denominator, _coverable,
-                          _degree_groups, _endpoint_keys, _halve, _infinite_mismatch,
-                          _matchable_pairs, _rank, _ShiftCandidates, _smallest_feasible_key,
-                          bottleneck_distance, brute_force_bottleneck, shift_barcode,
-                          shifted_bottleneck)
+from .persistence import (INF, Bar, Barcode, _abs, _bar_rows, _coverable, _degree_groups,
+                          _halve, _infinite_mismatch, _matchable_pairs, _rank, _rank_search,
+                          _ShiftCandidates, _smallest_feasible_key, bar_length_spectrum,
+                          bottleneck_distance, boundary_depth, brute_force_bottleneck,
+                          shift_barcode, shifted_bottleneck)
 from .radial import (GeneratorSpectrum, InfeasibleRanksError, _orbits, feasible_barcodes,
                      fold_profile, forced_bar_bound, generators)
 from .sampling import (_planted_barcode, _random_fraction, _scramble, perturb_actions,
@@ -93,6 +99,9 @@ __all__ = [
     "brute_force_bottleneck",
     "max_bipartite_matching",
     "all_pairs_bottleneck",
+    "canonical_bars",
+    "bar_readouts",
+    "bar_bottleneck",
     "brute_force_shifted_bottleneck",
     "scan_shifted_bottleneck",
     "brute_force_lunes",
@@ -317,24 +326,31 @@ def all_pairs_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True
     """:func:`floerbar.persistence.bottleneck_distance` of barcodes whose
     endpoints are all Fractions, by pricing every matchable pair.
 
-    A pair's key is its cost times twice the common denominator, and a
-    deletion's likewise; each degree's sorted keys are bisected from the
-    optimum of the degrees before it.  Other endpoint types raise
-    ``ValueError``.
+    A pair's key is its cost times twice the common denominator of the
+    bars' Fractions, and a deletion's likewise; each degree's sorted keys
+    are bisected from the optimum of the degrees before it.  Other endpoint
+    types raise ``ValueError``.
     """
     bars1, bars2 = b1.expand(), b2.expand()
-    groups = _degree_groups(bars1, bars2, degree_sensitive)
-    if _infinite_mismatch(bars1, bars2, groups):
-        return INF
-    scale = _common_denominator(bars1 + bars2)
-    if scale is None:
+    ends = [x for b in bars1 + bars2 for x in (b.left, b.right) if x is not INF]
+    if any(type(x) is not Fraction for x in ends):
         raise ValueError("the all-pairs search takes Fraction endpoints only")
-    k1, k2 = _endpoint_keys(bars1, scale), _endpoint_keys(bars2, scale)
-    del1 = [None if r is None else r - l for l, r in k1]
-    del2 = [None if r is None else r - l for l, r in k2]
-    rows = [[] for _ in bars1]
-    for i, j in _matchable_pairs(bars1, bars2, groups):
-        (l1, r1), (l2, r2) = k1[i], k2[j]
+    scale = math.lcm(*(x.denominator for x in ends))
+
+    def key(x):
+        return None if x is INF else x.numerator * (scale // x.denominator)
+
+    # rows as ``_degree_groups`` reads them: (degree, left, right, unused)
+    k1, k2 = ([(b.degree, key(b.left), key(b.right), None) for b in bars]
+              for bars in (bars1, bars2))
+    groups = _degree_groups(k1, k2, degree_sensitive)
+    if _infinite_mismatch(k1, k2, groups):
+        return INF
+    del1 = [None if r is None else r - l for _d, l, r, _n in k1]
+    del2 = [None if r is None else r - l for _d, l, r, _n in k2]
+    rows = [[] for _ in k1]
+    for i, j in _matchable_pairs(k1, k2, groups):
+        (_d1, l1, r1, _n1), (_d2, l2, r2, _n2) = k1[i], k2[j]
         rows[i].append((2 * (abs(l1 - l2) if r1 is None else max(abs(l1 - l2), abs(r1 - r2))), j))
     best = 0
     for idx1, idx2 in groups:
@@ -415,11 +431,12 @@ def scan_shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = T
     if not e1 or not e2:
         return bottleneck_distance(b1, b2, degree_sensitive), Fraction(0)
     shifts = _ShiftCandidates(e1, e2, _halve)
-    groups = _degree_groups(bars1, bars2, degree_sensitive)
-    if _infinite_mismatch(bars1, bars2, groups):
+    rows1, rows2 = _bar_rows(b1.bars), _bar_rows(b2.bars)
+    groups = _degree_groups(rows1, rows2, degree_sensitive)
+    if _infinite_mismatch(rows1, rows2, groups):
         return INF, shifts.least()
     return _scan_shift(b1, b2, degree_sensitive, bars1, bars2,
-                       _matchable_pairs(bars1, bars2, groups), shifts)
+                       _matchable_pairs(rows1, rows2, groups), shifts)
 
 
 def _scan_shift(b1: Barcode, b2: Barcode, degree_sensitive: bool,
@@ -491,6 +508,60 @@ def _scan_shift(b1: Barcode, b2: Barcode, degree_sensitive: bool,
     d = bottleneck_distance(b1, shift_barcode(b2, c), degree_sensitive)
     assert d == delta, "the reported shift misses the optimum"
     return d, c
+
+
+# ---------------------------------------------------------------------------
+# persistence: keyed barcodes read on their Bars
+# ---------------------------------------------------------------------------
+
+
+def canonical_bars(bars: Iterable[Bar]) -> Tuple[Bar, ...]:
+    """``bars`` merged and sorted by (degree, left, right) on the endpoints
+    themselves, where a keyed :class:`floerbar.persistence.Barcode` merges
+    and sorts int keys."""
+    merged: Dict[Tuple, Bar] = {}
+    for bar in bars:
+        key = (bar.degree, bar.left, bar.right)
+        prev = merged.get(key)
+        merged[key] = bar if prev is None else Bar(
+            prev.left, prev.right, prev.degree, prev.multiplicity + bar.multiplicity)
+    return tuple(sorted(merged.values(), key=lambda b: (b.degree, b.left, b.right)))
+
+
+def bar_readouts(bars: Sequence[Bar]) -> tuple:
+    """Boundary depth, bar-length spectrum, gamma (degrees 1 and 0; the
+    error message when undefined) and JSON of canonical ``bars``, computed
+    on the ``Bar``s and their endpoints, where a keyed barcode reads its int
+    rows."""
+    finite = [b for b in bars if not b.is_infinite]
+    lengths = sorted(b.length for b in finite for _ in range(b.multiplicity))
+    infinite = sum(b.multiplicity for b in bars if b.is_infinite)
+
+    def left_endpoint(deg: int):
+        lefts = [b.left for b in bars if b.degree == deg and b.is_infinite
+                 for _ in range(b.multiplicity)]
+        if len(lefts) != 1:
+            raise GammaUndefinedError(
+                f"degree {deg} carries {len(lefts)} infinite bars, need exactly 1")
+        return lefts[0]
+
+    try:
+        g = left_endpoint(1) - left_endpoint(0)
+    except GammaUndefinedError as exc:
+        g = str(exc)
+    return (max((b.length for b in finite), default=Fraction(0)),
+            tuple(lengths) + (INF,) * infinite, g, {"bars": [b.to_json() for b in bars]})
+
+
+def bar_bottleneck(bars1: Sequence[Bar], bars2: Sequence[Bar], degree_sensitive: bool = True):
+    """The bottleneck distance of canonical ``bars1`` and ``bars2`` by pricing
+    every pair on the endpoints themselves, where two keyed barcodes are
+    searched on int keys over windows of near pairs."""
+    rows1, rows2 = _bar_rows(bars1), _bar_rows(bars2)
+    groups = _degree_groups(rows1, rows2, degree_sensitive)
+    if _infinite_mismatch(rows1, rows2, groups):
+        return INF
+    return _rank_search(rows1, rows2, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,6 +1209,83 @@ def _window_cases(rng: random.Random, n: int):
             yield _window_pair(rng, i - 20)
 
 
+def _typed(values) -> list:
+    return [(type(v), v) for v in values]
+
+
+def _typed_bars(bars) -> list:
+    return [(b.degree, b.multiplicity, *_typed((b.left, b.right))) for b in bars]
+
+
+def _pi_typed(bars: Iterable[Bar]) -> List[Bar]:
+    """``bars`` with every Fraction endpoint a PiRational of zero pi part."""
+    def lift(x):
+        return PiRational(x, Fraction(0)) if type(x) is Fraction else x
+    return [Bar(lift(b.left), lift(b.right), b.degree, b.multiplicity) for b in bars]
+
+
+def _keys_agree(a: Barcode, raw_a: List[Bar], b: Barcode, raw_b: List[Bar],
+                sensitive: bool) -> bool:
+    """``a`` and ``b``, made from the bars ``raw_a`` and ``raw_b``, agree in
+    value and type with the Bar route: canonical order; equality and hash
+    against ``Barcode(raw)``, the JSON of ``raw``, their own JSON and the
+    pi-typed copy, and equality with the halved copy; boundary depth,
+    spectrum, gamma and JSON; the bottleneck distance."""
+    canon_a, canon_b = canonical_bars(raw_a), canonical_bars(raw_b)
+    for x, raw, canon in ((a, raw_a, canon_a), (b, raw_b, canon_b)):
+        copies = (Barcode(raw), Barcode.from_json({"bars": [bar.to_json() for bar in raw]}),
+                  Barcode.from_json(x.to_json()))
+        if _typed_bars(x.bars) != _typed_bars(canon) or hash(x) != hash(canon) or any(
+                y != x or hash(y) != hash(x) or _typed_bars(y.bars) != _typed_bars(canon)
+                for y in copies):
+            return False
+        pi = Barcode(_pi_typed(raw))
+        # halving keeps the keys and doubles the scale of most barcodes
+        halved = [Bar(_halve(y.left), y.right if y.is_infinite else _halve(y.right), y.degree,
+                      y.multiplicity) for y in raw]
+        if pi != x or hash(pi) != hash(x) or (
+                (Barcode(halved) == x) != (canonical_bars(halved) == canon)):
+            return False
+        try:
+            g = gamma(x, 1, 0)
+        except GammaUndefinedError as exc:
+            g = str(exc)
+        depth, spectrum, g_slow, data = bar_readouts(canon)
+        if not (_same(boundary_depth(x), depth) and _same(g, g_slow) and x.to_json() == data
+                and _typed(bar_length_spectrum(x)) == _typed(spectrum)):
+            return False
+    return (a == b) == (canon_a == canon_b) and _same(
+        bottleneck_distance(a, b, sensitive), bar_bottleneck(canon_a, canon_b, sensitive))
+
+
+def _reduction_bars(cx: FilteredComplex) -> List[Bar]:
+    """One ``Bar`` per pair and per singular cycle of the reduction, from its
+    Fraction levels, where ``barcode`` hands over int keys."""
+    basis = uz_reduce(cx)
+    return ([Bar(za, ya, deg) for deg, za, ya in basis.pair_levels]
+            + [Bar(act, INF, deg) for deg, act in basis.cycle_levels])
+
+
+def _key_cases(rng: random.Random, n: int):
+    """In turn: the barcodes of a planted complex of 4, 10, 20 or 40
+    generators and of a perturbed copy; a ``_scan_pair`` pair of Fraction
+    endpoints, one side built from its shuffled bars and one read from their
+    JSON; the same with pi endpoints.  1 to 10 bars a side in the pairs;
+    degree-sensitive on even cases."""
+    for i in range(n):
+        if i % 3 == 0:
+            cx, _planted = random_complex(rng, (4, 10, 20, 40)[i // 3 % 4])
+            pert, _used = perturb_actions(rng, cx, Fraction(1, rng.choice((10, 100))))
+            a, b = barcode(cx), barcode(pert)
+            raw_a, raw_b = _reduction_bars(cx), _reduction_bars(pert)
+        else:
+            raw_a, raw_b = (list(x.bars) for x in _scan_pair(rng, 1 + i % 10, i % 3 == 2))
+            rng.shuffle(raw_a)
+            rng.shuffle(raw_b)
+            a, b = Barcode(raw_a), Barcode.from_json({"bars": [x.to_json() for x in raw_b]})
+        yield a, raw_a, b, raw_b, i % 2 == 0
+
+
 PROPERTIES = (
     Property("complex-oracle-agreement",
              _drawn(lambda rng: random_complex(rng, rng.randint(2, 10))), _complex_agrees),
@@ -1166,4 +1314,5 @@ PROPERTIES = (
     Property("shift-scan-agreement", _scan_cases, _shift_agrees(scan_shifted_bottleneck)),
     Property("bottleneck-window-agreement", _window_cases,
              _both_modes(bottleneck_distance, all_pairs_bottleneck, _same)),
+    Property("barcode-key-agreement", _key_cases, _keys_agree),
 )

@@ -2,45 +2,30 @@
 
 A barcode is a finite multiset of degree-labelled half-open intervals
 ``(left, right]`` (finite) or ``(left, +inf)``.  Endpoints are exact numbers:
-rationals, or rational-plus-pi values from :mod:`floerbar.exactpi`; the code
-only ever adds, subtracts, halves and compares them, so any exact linearly
-ordered type works.
+rationals, or rational-plus-pi values from :mod:`floerbar.exactpi`.  A
+barcode whose endpoints are all Fractions is *keyed*: it is stored as int
+rows ``(degree, left, right, mult)``, its endpoints times the least scale
+that makes them ints, sorted on ints, and its ``Bar``s and Fractions are
+built once, when first read.  Any other barcode stores its ``Bar``s, and the
+code only adds, subtracts, halves and compares their endpoints.
 
-The bottleneck distance is computed exactly: a tolerance ``delta`` admits a
-matching iff, after deleting some bars of length ``<= 2*delta``, the
-remaining bars biject so that matched intervals contain each other's
-``delta``-shrinkings.  The optimum is the least admissible value among 0, the
-half-lengths and the endpoint differences of matchable pairs.
-Degree-sensitive, each degree is an independent subproblem.  When every
-endpoint is a Fraction, costs are int keys over twice the common denominator
-and a subproblem never lists all its pairs: a pair within ``delta`` has left
-endpoints within ``delta``, so with one side sorted on left endpoints a
-probe takes one bisected window of near partners per bar.  Probes start at a
-lower bound (each bar of the other side deleted or matched to its nearest
-partner) and grow fourfold until one is feasible; the keys in that last
-window are then bisected.  Otherwise each pair and each deletion is priced
-once per call as its rank among all the costs, and the ranks are bisected.
-Each probe is decided by the Mendelsohn-Dulmage theorem: a matching covers
-the undeletable bars of both sides iff one matching covers those of each
-side, so each probe is two one-sided cover tests
-(:class:`floerbar.matching.CoverMatching`) on graphs of real pairs, built by
-comparing ints.
+The bottleneck distance is the least tolerance ``delta`` at which, after
+deleting bars of length ``<= 2*delta``, the rest biject so that matched
+intervals contain each other's ``delta``-shrinkings; degree-sensitive, each
+degree is an independent subproblem.  Two keyed barcodes are searched on int
+keys over twice their common scale, and a subproblem never lists all its
+pairs: with one side sorted on left endpoints, the pairs a probe admits are
+one bisected window per bar.  Otherwise every pair and deletion is priced
+once as its rank among all the costs, and the ranks are bisected.  A probe
+is two one-sided cover tests (:class:`floerbar.matching.CoverMatching`), by
+the Mendelsohn-Dulmage theorem.
 
 The shift-quotient metric minimises the bottleneck distance over global
-translations of one barcode.  It runs on ints, the endpoints times twice
-their common denominator, when every endpoint is a Fraction, and on the
-endpoints themselves otherwise.  For a fixed ``delta`` the feasible shifts
-are a union of closed intervals, each starting at ``d - delta`` for an
-endpoint difference ``d`` of a matchable pair (or the whole line when every
-bar is deletable).  The possible optima (0, half bar lengths and half
-differences of endpoint differences) form a sorted matrix that is searched
-without being listed, and each probe sweeps the shifts ``d - delta`` in
-order, repairing one ``CoverMatching`` per side as pairs enter and leave.
+translations of one barcode (``_optimal_shift``), on int keys when both
+barcodes are keyed.
 
 The exhaustive matcher ``brute_force_bottleneck`` is defined here and
-re-exported by :mod:`floerbar.oracles`, which also holds the exhaustive scan
-over all endpoint differences and their pairwise midpoints and the earlier
-shift search that rebuilds a matching per shift.
+re-exported by :mod:`floerbar.oracles`, which holds the other oracles.
 """
 
 from __future__ import annotations
@@ -49,12 +34,13 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
+from .exactpi import PiRational
 from .matching import CoverMatching
-from .novikov import format_rational, parse_int, parse_rational
+from .novikov import format_rational, parse_int, parse_ratio
 
 __all__ = [
     "INF",
@@ -74,39 +60,39 @@ __all__ = [
 ]
 
 
-class _Infinity:
-    """Positive infinity sentinel compatible with every exact endpoint type."""
+class _Infinite:
+    """The sentinels ``INF`` (``sign`` 1) and ``NEG_INF`` (-1), above and
+    below every exact endpoint; ``NEG_INF`` marks spectral invariants of the
+    zero class."""
 
-    _instance = None
+    __slots__ = ("sign",)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
+    def __init__(self, sign: int) -> None:
+        self.sign = sign
 
     def __lt__(self, other):
-        return False
+        return self.sign < 0 and other is not self
 
     def __le__(self, other):
-        return other is self
+        return self.sign < 0 or other is self
+
+    def __gt__(self, other):
+        return self.sign > 0 and other is not self
+
+    def __ge__(self, other):
+        return self.sign > 0 or other is self
 
     def __eq__(self, other):
         return other is self
 
     def __hash__(self):
-        return hash("floerbar.INF")
+        return hash("floerbar.INF" if self.sign > 0 else "floerbar.NEG_INF")
 
     def __neg__(self):
-        return NEG_INF
+        return NEG_INF if self.sign > 0 else INF
 
     def __add__(self, other):
-        if other is NEG_INF:
+        if other is -self:
             raise ArithmeticError("inf + (-inf)")
         return self
 
@@ -118,49 +104,14 @@ class _Infinity:
         return self
 
     def __rsub__(self, other):
-        return NEG_INF
+        return -self
 
     def __repr__(self):
-        return "inf"
+        return "inf" if self.sign > 0 else "-inf"
 
 
-class _NegInfinity:
-    """Negative infinity sentinel; marks spectral invariants of the zero class."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("floerbar.NEG_INF")
-
-    def __neg__(self):
-        return INF
-
-    def __repr__(self):
-        return "-inf"
-
-
-INF = _Infinity()
-NEG_INF = _NegInfinity()
+INF = _Infinite(1)
+NEG_INF = _Infinite(-1)
 
 
 class BarCountError(ValueError):
@@ -178,8 +129,7 @@ MAX_EXPANDED_BARS = 2_000
 
 
 def _abs(x):
-    zero = x - x
-    return -x if x < zero else x
+    return -x if x < x - x else x
 
 
 def _halve(x):
@@ -215,78 +165,135 @@ class Bar:
         return Bar(self.left - c, right, self.degree, self.multiplicity)
 
     def to_json(self) -> dict:
-        return {
-            "left": _endpoint_to_json(self.left),
-            "right": "inf" if self.is_infinite else _endpoint_to_json(self.right),
-            "degree": self.degree,
-            "mult": self.multiplicity,
-        }
+        return {"left": _endpoint_to_json(self.left),
+                "right": "inf" if self.is_infinite else _endpoint_to_json(self.right),
+                "degree": self.degree, "mult": self.multiplicity}
 
 
 def _endpoint_to_json(x):
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    if hasattr(x, "to_json"):
-        return x.to_json()
-    return format_rational(Fraction(x))
+    return x.to_json() if hasattr(x, "to_json") else format_rational(x)
+
+
+def _key_to_json(key: int, scale: int) -> str:
+    """``format_rational(Fraction(key, scale))``, without the Fraction."""
+    g = math.gcd(key, scale)
+    return str(key // g) if g == scale else f"{key // g}/{scale // g}"
 
 
 def _endpoint_from_json(data):
-    if isinstance(data, list):
-        from .exactpi import PiRational
-
-        return PiRational.from_json(data)
-    return parse_rational(data)
+    """A rational as ``(numerator, positive denominator)``; a ``[q, q_pi]``
+    pair as a PiRational."""
+    return PiRational.from_json(data) if isinstance(data, list) else parse_ratio(data)
 
 
-def _bar_sort_key(bar: Bar):
-    return (bar.degree, bar.left, bar.right)
+def _row_order(row):
+    """Canonical order of ``(degree, left, right, ...)``: infinite last."""
+    return row[0], row[1], row[2] is None, row[2]
 
 
 class Barcode:
-    """Canonical multiset of bars: sorted by (degree, left, right), merged."""
+    """Canonical multiset of bars: sorted by (degree, left, right), merged.
 
-    __slots__ = ("bars",)
+    A barcode whose endpoints are all Fractions is keyed: ``scale`` is the
+    least positive int that makes every endpoint times it an int, ``rows``
+    holds ``(degree, left, right, mult)`` of those ints in canonical order
+    (``right`` None for an infinite bar), and ``bars`` is decoded from them
+    on first read.  Otherwise ``rows`` and ``scale`` are None.  Equality and
+    hashing go by value, across both kinds.
+    """
+
+    __slots__ = ("rows", "scale", "_bars")
 
     def __init__(self, bars: Iterable[Bar] = ()) -> None:
+        bars = list(bars)
+        ends = [x for bar in bars for x in (bar.left, bar.right) if x is not INF]
+        # Fractions are reduced, so the lcm of their denominators is the least
+        scale = math.lcm(*(x.denominator for x in ends)) \
+            if all(type(x) is Fraction for x in ends) else None
         merged = {}
         for bar in bars:
-            key = (bar.degree, bar.left, bar.right)
+            key = (bar.degree, bar.left, bar.right) if scale is None else \
+                (bar.degree, _key(bar.left, scale), _key(bar.right, scale))
             prev = merged.get(key)
             # a bar whose multiplicity the merge leaves alone is kept as given
             merged[key] = bar if prev is None else Bar(
                 prev.left, prev.right, prev.degree, prev.multiplicity + bar.multiplicity)
-        canon = sorted(merged.values(), key=_bar_sort_key)
-        object.__setattr__(self, "bars", tuple(canon))
+        order = sorted(merged) if scale is None else sorted(merged, key=_row_order)
+        self.rows = None if scale is None else tuple(
+            (*key, merged[key].multiplicity) for key in order)
+        self.scale, self._bars = scale, tuple(merged[key] for key in order)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Tuple], scale: int) -> "Barcode":
+        """The keyed barcode of int rows ``(degree, left, right, mult)`` over
+        ``scale``, in any order and with repeats.  Trusted: merged, sorted and
+        brought to the least scale, never checked."""
+        rows = list(rows)
+        g = math.gcd(scale, *(x for row in rows for x in row[1:3] if x is not None))
+        return cls._least(((d, l // g, None if r is None else r // g, m)
+                           for d, l, r, m in rows), scale // g)
+
+    @classmethod
+    def _least(cls, rows: Iterable[Tuple], scale: int) -> "Barcode":
+        """``from_rows`` of rows already over their least scale."""
+        merged = {}
+        for d, l, r, m in rows:
+            merged[d, l, r] = merged.get((d, l, r), 0) + m
+        out = object.__new__(cls)
+        out.rows, out.scale, out._bars = tuple(
+            (*key, merged[key]) for key in sorted(merged, key=_row_order)), scale, None
+        return out
+
+    @classmethod
+    def from_ranks(cls, ranked: Sequence[Bar], ranks: Iterable[int]) -> "Barcode":
+        """The barcode of the bars ``ranked[k]`` for ``k`` in ``ranks``, a
+        repeated rank giving a multiplicity.  Trusted: ``ranked`` holds
+        distinct bars of multiplicity one in canonical order, not all of
+        Fractions, and ``ranks`` is sorted; nothing is checked."""
+        out = object.__new__(cls)
+        out.rows = out.scale = None
+        runs = ((k, sum(1 for _ in run)) for k, run in itertools.groupby(ranks))
+        out._bars = tuple(ranked[k] if n == 1 else replace(ranked[k], multiplicity=n)
+                          for k, n in runs)
+        return out
+
+    @property
+    def bars(self) -> Tuple[Bar, ...]:
+        if self._bars is None:
+            s = self.scale
+            self._bars = tuple(Bar(Fraction(l, s), INF if r is None else Fraction(r, s), d, m)
+                               for d, l, r, m in self.rows)
+        return self._bars
 
     def __iter__(self):
         return iter(self.bars)
 
     def __len__(self) -> int:
-        return sum(bar.multiplicity for bar in self.bars)
+        return sum(row[3] for row in self.rows) if self.rows is not None else \
+            sum(bar.multiplicity for bar in self.bars)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Barcode) and self.bars == other.bars
+        if not isinstance(other, Barcode):
+            return False
+        if self.rows is not None and other.rows is not None:
+            return self.scale == other.scale and self.rows == other.rows
+        return self.bars == other.bars
 
     def __hash__(self) -> int:
         return hash(self.bars)
 
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"deg {b.degree}: ({b.left}, {b.right}]" + (f" x{b.multiplicity}" if b.multiplicity > 1 else "")
-            for b in self.bars
-        )
-        return f"Barcode[{inner}]"
+        return "Barcode[" + ", ".join(f"deg {b.degree}: ({b.left}, {b.right}]"
+                                      + (f" x{b.multiplicity}" if b.multiplicity > 1 else "")
+                                      for b in self.bars) + "]"
 
     def expand(self) -> List[Bar]:
         """Bars with multiplicity one, repeated; a bar of multiplicity one
         is itself."""
         out = []
         for bar in self.bars:
-            if bar.multiplicity == 1:
-                out.append(bar)
-            else:
-                out.extend([Bar(bar.left, bar.right, bar.degree)] * bar.multiplicity)
+            out += [bar] if bar.multiplicity == 1 else \
+                [Bar(bar.left, bar.right, bar.degree)] * bar.multiplicity
         return out
 
     def degrees(self) -> Tuple[int, ...]:
@@ -299,37 +306,73 @@ class Barcode:
         return [b for b in self.expand() if b.is_infinite]
 
     def to_json(self) -> dict:
-        return {"bars": [bar.to_json() for bar in self.bars]}
+        if self.rows is None:
+            return {"bars": [bar.to_json() for bar in self.bars]}
+        s = self.scale
+        return {"bars": [{"left": _key_to_json(l, s),
+                          "right": "inf" if r is None else _key_to_json(r, s),
+                          "degree": d, "mult": m} for d, l, r, m in self.rows]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Barcode":
+        """Read ``{"bars": [...]}``.  Rational endpoints go straight to int
+        keys; a pi endpoint anywhere gives a barcode of ``Bar``s.  A bad item
+        raises where and as the ``Bar`` of it would."""
         if not isinstance(data, dict):
             raise ValueError("a barcode is a JSON object")
         items = data["bars"]
         if not isinstance(items, list):
             raise ValueError("a barcode's bars are a JSON list")
-        bars = []
+        rows, pi = [], False  # (degree, left, right, mult); right None for inf
         for item in items:
             left = _endpoint_from_json(item["left"])
-            right = INF if item["right"] == "inf" else _endpoint_from_json(item["right"])
-            bars.append(Bar(left, right, parse_int(item.get("degree", 0)),
-                            parse_int(item.get("mult", 1))))
-        return cls(bars)
+            right = None if item["right"] == "inf" else _endpoint_from_json(item["right"])
+            row = (parse_int(item.get("degree", 0)), left, right, parse_int(item.get("mult", 1)))
+            if isinstance(left, PiRational) or isinstance(right, PiRational):
+                _decoded_bar(row)  # checked as the Bar of it
+                pi = True
+            elif row[3] < 1:
+                raise ValueError("multiplicity must be positive")
+            elif right is not None and not left[0] * right[1] < right[0] * left[1]:
+                raise ValueError(f"empty bar ({Fraction(*left)}, {Fraction(*right)}]")
+            rows.append(row)
+        if pi:
+            return cls(map(_decoded_bar, rows))
+        # the lcm of reduced denominators is the least scale
+        scale = math.lcm(*(x[1] for row in rows for x in row[1:3] if x is not None))
+        return cls._least(((d, l[0] * (scale // l[1]),
+                            None if r is None else r[0] * (scale // r[1]), m)
+                           for d, l, r, m in rows), scale)
+
+
+def _decoded_bar(row: Tuple) -> Bar:
+    """A row of ``Barcode.from_json`` as a ``Bar``, ``(num, den)`` as a Fraction."""
+    d, l, r, m = (Fraction(*x) if isinstance(x, tuple) else x for x in row)
+    return Bar(l, INF if r is None else r, d, m)
+
+
+def _key(x, scale: int):
+    """A Fraction endpoint times ``scale``; None for ``INF``."""
+    return None if x is INF else x.numerator * (scale // x.denominator)
 
 
 def boundary_depth(barcode: Barcode):
     """Maximal length of a finite bar; 0 when there is none."""
-    lengths = [b.length for b in barcode.bars if not b.is_infinite]
-    if not lengths:
-        return Fraction(0)
-    return max(lengths)
+    if barcode.rows is not None:
+        return Fraction(max((r - l for _d, l, r, _m in barcode.rows if r is not None),
+                            default=0), barcode.scale)
+    return max((b.length for b in barcode.bars if not b.is_infinite), default=Fraction(0))
 
 
 def bar_length_spectrum(barcode: Barcode) -> Tuple:
     """Finite bar lengths in increasing order, then one ``INF`` per infinite bar."""
-    bars = barcode.expand()
-    finite = sorted(b.length for b in bars if not b.is_infinite)
-    return tuple(finite) + tuple(INF for b in bars if b.is_infinite)
+    keyed = barcode.rows is not None
+    lengths = [INF if r is None else r - l for _d, l, r, m in barcode.rows for _ in range(m)] \
+        if keyed else [b.length for b in barcode.expand()]
+    finite = sorted(n for n in lengths if n is not INF)
+    if keyed:
+        finite = [Fraction(n, barcode.scale) for n in finite]
+    return tuple(finite) + (INF,) * (len(lengths) - len(finite))
 
 
 def shift_barcode(barcode: Barcode, c) -> Barcode:
@@ -351,132 +394,109 @@ def collapse_degrees(barcode: Barcode, modulus: int) -> Barcode:
 # ---------------------------------------------------------------------------
 
 
-def _expanded(b1: Barcode, b2: Barcode) -> Tuple[List[Bar], List[Bar]]:
-    """The bars of both barcodes, repeated by multiplicity; counted first,
-    and refused past ``MAX_EXPANDED_BARS`` on either side."""
+def _expanded(b1: Barcode, b2: Barcode, factor: int = 1) -> Tuple[object, List[Tuple], List[Tuple]]:
+    """``(scale, rows1, rows2)``: the bars of both barcodes, repeated by
+    multiplicity, as ``(degree, left, right, length)`` (``right`` and
+    ``length`` None for an infinite bar): int keys over ``scale``, ``factor``
+    times the common scale, when both are keyed, else the bars' own values
+    and ``scale`` None.  Counted first, and refused past
+    ``MAX_EXPANDED_BARS`` on either side."""
     for b in (b1, b2):
-        count = sum(bar.multiplicity for bar in b.bars)
+        count = len(b)
         if count > MAX_EXPANDED_BARS:
             raise BarCountError(
                 f"bar count cap exceeded: {count} bars, at most {MAX_EXPANDED_BARS}")
-    return b1.expand(), b2.expand()
+    if b1.rows is None or b2.rows is None:
+        return None, _bar_rows(b1.bars), _bar_rows(b2.bars)
+    scale = factor * math.lcm(b1.scale, b2.scale)
+    return scale, _key_rows(b1, scale // b1.scale), _key_rows(b2, scale // b2.scale)
 
 
-def _bar_matching_cost(a: Bar, b: Bar):
-    """Smallest delta with ``a`` inside the delta-thickening of ``b`` and vice
-    versa; INF when one bar is finite and the other is not."""
-    if a.is_infinite != b.is_infinite:
-        return INF
-    left = _abs(a.left - b.left)
-    if a.is_infinite:
-        return left
-    right = _abs(a.right - b.right)
-    return max(left, right)
+def _key_rows(b: Barcode, f: int) -> List[Tuple]:
+    out = []
+    for d, l, r, m in b.rows:
+        out += [(d, l * f, None, None) if r is None else (d, l * f, r * f, (r - l) * f)] * m
+    return out
 
 
-def _deletion_cost(bar: Bar):
-    """Smallest delta allowing ``bar`` to be deleted (length <= 2*delta)."""
-    return INF if bar.is_infinite else _halve(bar.length)
+def _bar_rows(bars: Iterable[Bar]) -> List[Tuple]:
+    out = []
+    for bar in bars:
+        row = (bar.degree, bar.left, None, None) if bar.is_infinite else \
+            (bar.degree, bar.left, bar.right, bar.length)
+        out += [row] * bar.multiplicity
+    return out
 
 
-def _degree_groups(bars1: Sequence[Bar], bars2: Sequence[Bar],
+def _degree_groups(rows1: Sequence[Tuple], rows2: Sequence[Tuple],
                    degree_sensitive: bool) -> List[Tuple[List[int], List[int]]]:
-    """Index lists of the independent subproblems, by ascending degree (one
-    group when degree-blind)."""
+    """Index lists of the independent subproblems of two lists of rows, by
+    ascending degree (one group when degree-blind)."""
     if not degree_sensitive:
-        return [(list(range(len(bars1))), list(range(len(bars2))))]
+        return [(list(range(len(rows1))), list(range(len(rows2))))]
     groups = {}
-    for i, a in enumerate(bars1):
-        groups.setdefault(a.degree, ([], []))[0].append(i)
-    for j, b in enumerate(bars2):
-        groups.setdefault(b.degree, ([], []))[1].append(j)
+    for i, row in enumerate(rows1):
+        groups.setdefault(row[0], ([], []))[0].append(i)
+    for j, row in enumerate(rows2):
+        groups.setdefault(row[0], ([], []))[1].append(j)
     return [groups[d] for d in sorted(groups)]
 
 
-def _matchable_pairs(bars1, bars2, groups) -> List[Tuple[int, int]]:
+def _matchable_pairs(rows1, rows2, groups) -> List[Tuple[int, int]]:
     """Pairs ``(i, j)`` of one group whose bars are both finite or both
     infinite; group by group, row-major."""
     return [(i, j) for idx1, idx2 in groups for i in idx1 for j in idx2
-            if bars1[i].is_infinite == bars2[j].is_infinite]
+            if (rows1[i][2] is None) == (rows2[j][2] is None)]
 
 
-def _infinite_mismatch(bars1, bars2, groups) -> bool:
+def _infinite_mismatch(rows1, rows2, groups) -> bool:
     """Some group has unequal infinite-bar counts: no tolerance works."""
-    return any(sum(bars1[i].is_infinite for i in idx1)
-               != sum(bars2[j].is_infinite for j in idx2) for idx1, idx2 in groups)
-
-
-def _common_denominator(bars: Sequence[Bar]):
-    """Least common denominator of the finite endpoints when all of them are
-    Fractions, else None."""
-    dens = []
-    for bar in bars:
-        for x in (bar.left, bar.right):
-            if type(x) is Fraction:
-                dens.append(x.denominator)
-            elif x is not INF:
-                return None
-    return math.lcm(*dens)
+    return any(sum(rows1[i][2] is None for i in idx1)
+               != sum(rows2[j][2] is None for j in idx2) for idx1, idx2 in groups)
 
 
 def _rank(values: Iterable) -> Tuple[List, dict]:
-    """Distinct ``values`` in increasing order, and each one's index there.
-
-    The first of several equal values is the one kept."""
+    """Distinct ``values`` in increasing order, the first of equal ones kept,
+    and each one's index there."""
     order = sorted(dict.fromkeys(values))
     return order, {v: k for k, v in enumerate(order)}
 
 
-def _endpoint_keys(bars: Sequence[Bar], scale) -> List[Tuple]:
-    """``(left, right)`` of each bar, as ints times ``scale`` or, when
-    ``scale`` is None, as the endpoints themselves; ``right`` is None for an
-    infinite bar."""
-    if scale is None:
-        return [(b.left, None if b.is_infinite else b.right) for b in bars]
-    return [(b.left.numerator * (scale // b.left.denominator),
-             None if b.is_infinite else b.right.numerator * (scale // b.right.denominator))
-            for b in bars]
+def _rank_search(rows1: List[Tuple], rows2: List[Tuple], groups) -> object:
+    """The bottleneck distance of two lists of rows whose groups have equal
+    infinite-bar counts, on the endpoints themselves: every deletion and
+    every matchable pair is priced once as its rank among all the costs, and
+    each group's ranks are bisected from the optimum of the groups before.
 
-
-def _price(bars1: List[Bar], bars2: List[Bar], pairs: Sequence[Tuple[int, int]]):
-    """Price every deletion and every pair in ``pairs`` once, as ranks.
-
-    For barcodes with an endpoint that is not a Fraction.  Returns ``(del1,
-    del2, cost, value)``: the deletion keys of ``bars1`` and ``bars2`` (None
-    for an infinite bar), the matching key of each pair, and ``value(key)``,
-    the exact cost a key stands for.  A key is its cost's rank among all the
-    costs, so keys order like the costs and the key of zero is 0; ``value``
-    gives the first equal value in the order zero, deletions of ``bars1``
-    then ``bars2``, left then right endpoint difference of each pair.
-    """
-    dels = [None if b.is_infinite else _deletion_cost(b) for b in bars1 + bars2]
-    values = [Fraction(0)] + [d for d in dels if d is not None]
-    cost = []
+    Of several equal costs the value returned is the first in the order
+    zero, deletions of ``rows1`` then ``rows2``, left then right endpoint
+    difference of each pair."""
+    pairs = _matchable_pairs(rows1, rows2, groups)
+    dels = [None if n is None else _halve(n) for _d, _l, _r, n in rows1 + rows2]
+    values, cost = [Fraction(0)] + [d for d in dels if d is not None], []
     for i, j in pairs:
-        a, b = bars1[i], bars2[j]
-        left = _abs(a.left - b.left)
-        values.append(left)
-        if a.is_infinite:
-            cost.append(left)
-        else:
-            right = _abs(a.right - b.right)
-            values.append(right)
-            cost.append(max(left, right))
+        (_d1, l1, r1, _n1), (_d2, l2, r2, _n2) = rows1[i], rows2[j]
+        diffs = [_abs(l1 - l2)] if r1 is None else [_abs(l1 - l2), _abs(r1 - r2)]
+        values += diffs
+        cost.append(max(diffs))
     order, rank = _rank(values)
     keys = [None if d is None else rank[d] for d in dels]
-    return keys[:len(bars1)], keys[len(bars1):], [rank[c] for c in cost], order.__getitem__
+    rows = [[] for _ in rows1]
+    for (i, j), c in zip(pairs, cost):
+        rows[i].append((rank[c], j))
+    best = 0
+    for idx1, idx2 in groups:
+        best = _smallest_feasible_key(idx1, idx2, rows, keys[:len(rows1)], keys[len(rows1):], best)
+    return order[best]
 
 
 def _coverable(rows: Sequence[Iterable[int]], deletable1: Sequence[bool],
                deletable2: Sequence[bool], cols: Sequence[Iterable[int]] = None) -> bool:
     """Can every bar be paired off, ``i`` with a ``j`` in ``rows[i]``, or
-    else be deleted when deletable?
-
-    By the Mendelsohn-Dulmage theorem a matching covers the bars that must
-    stay on both sides iff one matching covers those of ``bars1`` and
-    another covers those of ``bars2``: one ``CoverMatching`` on ``rows``,
-    one on their transpose ``cols``, built here when not given.
-    """
+    else be deleted when deletable?  By the Mendelsohn-Dulmage theorem, iff
+    one ``CoverMatching`` covers the undeletable bars of the first side on
+    ``rows`` and one those of the second on ``cols``, their transpose
+    (built when not given)."""
     if not CoverMatching(rows, [not ok for ok in deletable1], len(deletable2)).covers():
         return False
     if cols is None:
@@ -490,8 +510,7 @@ def _coverable(rows: Sequence[Iterable[int]], deletable1: Sequence[bool],
 class _Cut:
     """An adjacency for a probe at ``key``: ``lists[u]`` holds ``(k, v)`` in
     increasing order, ``0 <= v < n_other``, and ``u``'s neighbours are the
-    ``v`` with ``k <= key``.  A row is cut only when a matching search asks
-    for it, as most searches visit few rows."""
+    ``v`` with ``k <= key``, cut only when a matching search asks."""
 
     __slots__ = ("lists", "bound")
 
@@ -541,11 +560,9 @@ def _least_feasible(rows, cols, del1, del2, keys: Sequence[int]) -> int:
 
 def _smallest_feasible_key(idx1: Sequence[int], idx2: Sequence[int], rows,
                            del1, del2, floor: int) -> int:
-    """Least key ``>= floor`` at which the bars of one group can be matched.
-
-    ``rows[i]`` lists ``(key, j)`` for the pairs of ``bars1[i]``; the group
-    must have equal infinite-bar counts on both sides.
-    """
+    """Least key ``>= floor`` at which the bars of one group, with equal
+    infinite-bar counts, can be matched; ``rows[i]`` lists ``(key, j)`` for
+    the pairs of the first side's ``i``-th bar."""
     local = {j: n for n, j in enumerate(idx2)}
     group_rows = [sorted((k, local[j]) for k, j in rows[i]) for i in idx1]
     cols = _transposed(group_rows, len(idx2))
@@ -565,33 +582,29 @@ def _smallest_feasible_key(idx1: Sequence[int], idx2: Sequence[int], rows,
     return _least_feasible(group_rows, cols, d1, d2, keys)
 
 
-def _window_search(keys1: List[Tuple], keys2: List[Tuple], floor: int) -> int:
-    """Least key ``>= floor`` at which the bars of one group can be matched,
-    from their int endpoint keys (``right`` None for an infinite bar); the
-    group must have equal infinite-bar counts on both sides.
+def _window_search(rows1: List[Tuple], rows2: List[Tuple], floor: int) -> int:
+    """Least key ``>= floor`` at which the bars of one group, with equal
+    infinite-bar counts on both sides, can be matched, from their int rows.
 
     A pair's key is ``2 * max(|dleft|, |dright|)`` and a deletion's ``right
-    - left``.  A pair of key at most ``t`` has ``2*|dleft| <= t``, so with
-    the second side sorted on left keys the pairs of a bar that a probe at
-    ``t`` admits lie in one bisected window.  Every bar of the first side is
-    deleted or matched, so the optimum is at least the largest over them of
-    the cheaper of the two; the nearest partner is found by walking out from
-    the bar's place until ``2*|dleft|`` passes the best cost seen.  Probes
-    start there (or at ``floor``) and grow fourfold until one is feasible,
-    each widening the windows and pricing only the pairs it adds.  The last
-    windows hold every pair of key up to that probe, so their rows and
-    columns are sorted once and the keys since the failed probe before it
-    are bisected.
+    - left``, so with the second side sorted on left keys the pairs a probe
+    at ``t`` admits lie in one bisected window per bar.  Probes start at a
+    lower bound, the largest over the first side of each bar's cheaper
+    choice (deleted, or matched to its nearest partner, found by walking
+    out from its place), and grow fourfold until one is feasible, pricing
+    only the pairs each adds.  The keys since the failed probe before it are
+    then bisected.
     """
     # finite bars, then infinite ones, each by left key: a bar's possible
     # partners are one run
-    keys2 = sorted(keys2, key=lambda k: (k[1] is None, k[0]))
-    lefts = [l for l, _r in keys2]
-    rights = [r for _l, r in keys2]
+    rows2 = sorted(rows2, key=lambda row: (row[2] is None, row[1]))
+    keys1 = [(l, r) for _d, l, r, _n in rows1]
+    lefts = [row[1] for row in rows2]
+    rights = [row[2] for row in rows2]
     split = sum(r is not None for r in rights)
-    runs = [(0, split) if r is not None else (split, len(keys2)) for _l, r in keys1]
-    del1 = [None if r is None else r - l for l, r in keys1]
-    del2 = [None if r is None else r - l for l, r in keys2]
+    runs = [(0, split) if r is not None else (split, len(rows2)) for _l, r in keys1]
+    del1 = [row[3] for row in rows1]
+    del2 = [row[3] for row in rows2]
 
     # ``places[i]``: the window ``[a, b)`` of partners of the i-th bar priced
     # so far, empty at first at the bar's place
@@ -645,7 +658,7 @@ def _window_search(keys1: List[Tuple], keys2: List[Tuple], floor: int) -> int:
         if covers(t):
             break
     rows = [sorted(p for p in row if p[0] <= t) for row in priced]
-    cols = _transposed(rows, len(keys2))
+    cols = _transposed(rows, len(rows2))
     keys = {d for d in del1 + del2 if d is not None and last < d <= t}
     for row in rows:
         keys.update(k for k, _j in row if k > last)
@@ -657,44 +670,30 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, degree_sensitive: bool = True)
     infinite-bar counts).
 
     Degree-sensitive, each degree is its own subproblem and the distance is
-    the largest of theirs.  When every endpoint is a Fraction, a subproblem
-    is searched on int keys over probe windows of near pairs
-    (``_window_search``).  Otherwise every pair is priced once as its rank,
-    and the threshold search over a subproblem's ranks compares only ints.
-    More than ``MAX_EXPANDED_BARS`` bars on a side raise
-    :class:`BarCountError`.
+    the largest of theirs.  Two keyed barcodes are searched on their int
+    keys over probe windows of near pairs (``_window_search``); otherwise
+    every pair is priced once as its rank (``_rank_search``).  More than
+    ``MAX_EXPANDED_BARS`` bars on a side raise :class:`BarCountError`.
 
-    The branches stay apart for speed: ``_window_search`` run on the
-    ``PiRational`` endpoints themselves doubled the time per call on
-    radial's homotopy traffic (0.29 -> 0.57 ms a three-bar pi pair) and
-    raised radial's 90th-percentile job time from 7.0 to 9.3 ms.  One
-    branch for both needs int keys for Q + Q*pi, not ``PiRational`` sums.
+    The window search run on ``PiRational`` endpoints doubled the time per
+    call on radial's homotopy traffic (0.29 -> 0.57 ms a three-bar pi pair),
+    so pi barcodes wait for int keys of Q + Q*pi.
     """
-    bars1, bars2 = _expanded(b1, b2)
-    groups = _degree_groups(bars1, bars2, degree_sensitive)
-    if _infinite_mismatch(bars1, bars2, groups):
+    scale, rows1, rows2 = _expanded(b1, b2)
+    groups = _degree_groups(rows1, rows2, degree_sensitive)
+    if _infinite_mismatch(rows1, rows2, groups):
         return INF
-    scale = _common_denominator(bars1 + bars2)
+    if scale is None:
+        return _rank_search(rows1, rows2, groups)
     best = 0
-    if scale is not None:
-        keys1, keys2 = _endpoint_keys(bars1, scale), _endpoint_keys(bars2, scale)
-        for idx1, idx2 in groups:
-            best = _window_search([keys1[i] for i in idx1], [keys2[j] for j in idx2], best)
-        return Fraction(best, 2 * scale)
-    pairs = _matchable_pairs(bars1, bars2, groups)
-    del1, del2, cost, value = _price(bars1, bars2, pairs)
-    rows = [[] for _ in bars1]
-    for (i, j), key in zip(pairs, cost):
-        rows[i].append((key, j))
     for idx1, idx2 in groups:
-        best = _smallest_feasible_key(idx1, idx2, rows, del1, del2, best)
-    return value(best)
+        best = _window_search([rows1[i] for i in idx1], [rows2[j] for j in idx2], best)
+    return Fraction(best, 2 * scale)
 
 
 def interleaving_distance(b1: Barcode, b2: Barcode):
-    """The interleaving distance of persistence modules coincides with the
-    degree-sensitive bottleneck distance of their barcodes; exposed as an
-    alias with its own name."""
+    """The interleaving distance of persistence modules: the degree-sensitive
+    bottleneck distance of their barcodes, under its own name."""
     return bottleneck_distance(b1, b2, degree_sensitive=True)
 
 
@@ -749,10 +748,10 @@ class _ShiftCandidates:
         return self.zero
 
 
-def _optimal_shift(keys1: List[Tuple], keys2: List[Tuple], pairs, half):
+def _optimal_shift(rows1: List[Tuple], rows2: List[Tuple], pairs, half):
     """``(delta, start)`` for barcodes whose infinite bars can be matched,
-    from their endpoint keys and matchable pairs: the optimum, and the least
-    shift feasible at it (None when every shift is).
+    from their rows and matchable pairs: the optimum, and the least shift
+    feasible at it (None when every shift is).
 
     A pair is within ``delta`` at shift ``c`` iff ``top - delta <= c <=
     bottom + delta``, for ``top``/``bottom`` the larger/smaller of its
@@ -769,13 +768,13 @@ def _optimal_shift(keys1: List[Tuple], keys2: List[Tuple], pairs, half):
     """
     tops, bottoms = [], []
     for i, j in pairs:
-        (l1, r1), (l2, r2) = keys1[i], keys2[j]
+        (_d1, l1, r1, _n1), (_d2, l2, r2, _n2) = rows1[i], rows2[j]
         dl = l2 - l1
         dr = dl if r1 is None else r2 - r1
         tops.append(max(dl, dr))
         bottoms.append(min(dl, dr))
-    len1 = [None if r is None else r - l for l, r in keys1]
-    len2 = [None if r is None else r - l for l, r in keys2]
+    len1 = [row[3] for row in rows1]
+    len2 = [row[3] for row in rows2]
     top_values, top_rank = _rank(tops)
     entering = [[] for _ in top_values]
     for p, t in enumerate(tops):
@@ -790,8 +789,8 @@ def _optimal_shift(keys1: List[Tuple], keys2: List[Tuple], pairs, half):
         stay2 = [n is None or n > span for n in len2]
         if not any(stay1) and not any(stay2):
             return -1
-        adj1, adj2 = [set() for _ in keys1], [set() for _ in keys2]
-        m1, m2 = CoverMatching(adj1, stay1, len(keys2)), CoverMatching(adj2, stay2, len(keys1))
+        adj1, adj2 = [set() for _ in rows1], [set() for _ in rows2]
+        m1, m2 = CoverMatching(adj1, stay1, len(rows2)), CoverMatching(adj2, stay2, len(rows1))
         out = 0
         for k, top in enumerate(top_values):
             floor = top - span  # the least bottom of a live pair
@@ -842,30 +841,25 @@ def _optimal_shift(keys1: List[Tuple], keys2: List[Tuple], pairs, half):
 def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
     """Minimise ``bottleneck(b1, shift(b2, c))`` over shifts ``c``.
 
-    Returns ``(distance, best_shift)``.  When every endpoint is a Fraction the
-    search runs on ints, the endpoints times twice their common denominator,
-    so that differences, midpoints and half spreads stay ints; otherwise on
-    the endpoints themselves (see ``_optimal_shift``).  The reported shift is
+    Returns ``(distance, best_shift)``.  When both barcodes are keyed the
+    search runs on their int keys over twice the common scale, so that
+    differences, midpoints and half spreads stay ints; otherwise on the
+    endpoints themselves (see ``_optimal_shift``).  The reported shift is
     the smallest optimal one among the endpoint differences, their pairwise
     midpoints and 0.  Barcodes past the bar count cap raise as in
     ``bottleneck_distance``.
     """
-    bars1, bars2 = _expanded(b1, b2)
-    if not bars1 or not bars2:
+    scale, rows1, rows2 = _expanded(b1, b2, 2)
+    if not rows1 or not rows2:
         return bottleneck_distance(b1, b2, degree_sensitive), Fraction(0)
-    scale = _common_denominator(bars1 + bars2)
-    if scale is None:
-        half, value = _halve, (lambda x: x)
-    else:
-        scale *= 2
-        half, value = (lambda x: x // 2), (lambda key: Fraction(key, scale))
-    keys1, keys2 = _endpoint_keys(bars1, scale), _endpoint_keys(bars2, scale)
-    e1, e2 = ([x for pair in keys for x in pair if x is not None] for keys in (keys1, keys2))
+    half, value = (_halve, lambda x: x) if scale is None else \
+        (lambda x: x // 2, lambda key: Fraction(key, scale))
+    e1, e2 = ([x for row in rows for x in row[1:3] if x is not None] for rows in (rows1, rows2))
     shifts = _ShiftCandidates(e1, e2, half)
-    groups = _degree_groups(bars1, bars2, degree_sensitive)
-    if _infinite_mismatch(bars1, bars2, groups):
+    groups = _degree_groups(rows1, rows2, degree_sensitive)
+    if _infinite_mismatch(rows1, rows2, groups):
         return INF, value(shifts.least())
-    delta, start = _optimal_shift(keys1, keys2, _matchable_pairs(bars1, bars2, groups), half)
+    delta, start = _optimal_shift(rows1, rows2, _matchable_pairs(rows1, rows2, groups), half)
     # each interval of shifts feasible at delta, [max top - delta, min bottom
     # + delta] over its pairs, holds the candidate midpoint of its two
     # bounds, so the first candidate after the leftmost start is optimal
@@ -884,6 +878,23 @@ def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
 # ---------------------------------------------------------------------------
 
 
+def _bar_matching_cost(a: Bar, b: Bar):
+    """Smallest delta with ``a`` inside the delta-thickening of ``b`` and vice
+    versa; INF when one bar is finite and the other is not."""
+    if a.is_infinite != b.is_infinite:
+        return INF
+    left = _abs(a.left - b.left)
+    if a.is_infinite:
+        return left
+    right = _abs(a.right - b.right)
+    return max(left, right)
+
+
+def _deletion_cost(bar: Bar):
+    """Smallest delta allowing ``bar`` to be deleted (length <= 2*delta)."""
+    return INF if bar.is_infinite else _halve(bar.length)
+
+
 def brute_force_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
     """Bottleneck distance by exhausting all partial matchings.
 
@@ -894,31 +905,19 @@ def brute_force_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = Tr
 
     def solve(i: int, free2: Tuple[int, ...]):
         if i == len(bars1):
-            cost = Fraction(0)
-            for j in free2:
-                cost = max(cost, _deletion_cost(bars2[j]))
-            return cost
+            return max([Fraction(0)] + [_deletion_cost(bars2[j]) for j in free2])
         a = bars1[i]
+        # (cost, bars of the second side left free) per choice for ``a``
+        options = [] if a.is_infinite else [(_deletion_cost(a), free2)]
+        options += [(_bar_matching_cost(a, bars2[j]), free2[:idx] + free2[idx + 1:])
+                    for idx, j in enumerate(free2)
+                    if not (degree_sensitive and a.degree != bars2[j].degree)]
         best = INF
-        drop = _deletion_cost(a)
-        if not (drop is INF):
-            sub = solve(i + 1, free2)
-            cand = max(drop, sub) if sub is not INF else INF
-            if cand < best:
-                best = cand
-        for idx, j in enumerate(free2):
-            b = bars2[j]
-            if degree_sensitive and a.degree != b.degree:
-                continue
-            pair_cost = _bar_matching_cost(a, b)
-            if pair_cost is INF:
-                continue
-            sub = solve(i + 1, free2[:idx] + free2[idx + 1:])
-            if sub is INF:
-                continue
-            cand = max(pair_cost, sub)
-            if cand < best:
-                best = cand
+        for cost, rest in options:
+            if cost is not INF:
+                cand = max(cost, solve(i + 1, rest))
+                if cand < best:
+                    best = cand
         return best
 
     return solve(0, tuple(range(len(bars2))))

@@ -30,16 +30,17 @@ family of profiles using barcode continuity with a caller-supplied constant.
 
 The search works on interned bars.  Every bar a matching can produce (one
 infinite bar per orbit, one finite bar per allowed pair) is built once per
-call and named by an int; a matching is the sorted tuple of its bar ids, and
-one ``Barcode`` is built per distinct tuple after the search, so equal tuples
-are equal barcodes and ``limit`` counts distinct barcodes.  Twins -- orbits
-of equal degree and action, such as the two kink slots in dimension 1 --
-give the same bars in either role, so the search pairs an orbit only with
-the first undecided member of each run of twins.  The search stays
-exponential in the number of orbits.  ``brute_force_feasible_barcodes`` in
-:mod:`floerbar.oracles`, the per-matching enumerator that builds and hashes
-a ``Barcode`` for every matching, is kept as the oracle that tests and
-``check`` compare against.
+call and named by its rank in canonical order; a matching is the sorted
+tuple of its ranks, and one ``Barcode`` is built per distinct tuple after
+the search, straight from the ranks (``Barcode.from_ranks``, no sort of
+``PiRational``s), so equal tuples are equal barcodes and ``limit`` counts
+distinct barcodes.  Twins -- orbits of equal degree and action, such as the
+two kink slots in dimension 1 -- give the same bars in either role, so the
+search pairs an orbit only with the first undecided member of each run of
+twins.  The search stays exponential in the number of orbits.
+``brute_force_feasible_barcodes`` in :mod:`floerbar.oracles`, the
+per-matching enumerator that builds and hashes a ``Barcode`` for every
+matching, is kept as the oracle that tests and ``check`` compare against.
 """
 
 from __future__ import annotations
@@ -307,9 +308,10 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
     the Maslov period.  Enumeration works in the recapping quotient: each
     source contributes one orbit; a pair matches a degree-(d+1) orbit ``y``
     with a degree-d translate of an orbit ``z`` at strictly smaller action.
-    Every bar a matching can use is built once and interned as an int, so a
-    matching is a sorted tuple of ints; a partner is skipped when an earlier
-    undecided twin (equal degree and action) could take its place.  More
+    Every bar a matching can use is built once and interned as its rank in
+    canonical order, so a matching is a sorted tuple of ints; a partner is
+    skipped when an earlier undecided twin (equal degree and action) could
+    take its place.  More
     than ``limit`` distinct barcodes raise ValueError.  Raises
     InfeasibleRanksError when nothing matches the prescription.
     """
@@ -358,6 +360,14 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
         for iz, z in enumerate(orbits):
             if z.degree == below and z.action < right:
                 pair_bar[(iy, iz)] = intern((run[iy], run[iz]), z.action, right, below)
+
+    # rename the bars by their ranks in canonical order, so that a matching's
+    # sorted ids list its barcode's bars in order
+    order = sorted(range(len(bars)), key=lambda k: (bars[k].degree, bars[k].left, bars[k].right))
+    rank = {k: r for r, k in enumerate(order)}
+    bars = [bars[k] for k in order]
+    free_bar = [rank[k] for k in free_bar]
+    pair_bar = {key: rank[k] for key, k in pair_bar.items()}
 
     found: Set[Tuple[int, ...]] = set()
     undecided_at = [True] * n
@@ -422,7 +432,7 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
     dfs(0)
     if not found:
         raise InfeasibleRanksError("no matching leaves the prescribed infinite bars")
-    return frozenset(Barcode(bars[k] for k in ids) for ids in found)
+    return frozenset(Barcode.from_ranks(bars, ids) for ids in found)
 
 
 def forced_bar_bound(spectrum: GeneratorSpectrum, ranks: Mapping[int, int]):

@@ -7,16 +7,15 @@ literal inequality).  Run with ``pytest tests/test_acceptance.py -v -s``.
 import random
 from fractions import Fraction as F
 
-from floerbar.complexes import barcode, complex_from_json, uz_reduce
+from floerbar.complexes import barcode, complex_from_json
 from floerbar.diagrams import (annulus_example_areas, build_complex,
                                diagram_beta, diagram_gamma,
                                equator_pair_annulus, equator_pair_diagram,
                                symmetric_equator_areas, validate_diagram)
 from floerbar.exactpi import PiRational
 from floerbar.novikov import LagrangianParams
-from floerbar.oracles import brute_force_barcode, brute_force_bottleneck
-from floerbar.persistence import (INF, bottleneck_distance, shift_barcode,
-                                  shifted_bottleneck)
+from floerbar.oracles import PROPERTIES, brute_force_barcode, brute_force_bottleneck
+from floerbar.persistence import bottleneck_distance, shift_barcode, shifted_bottleneck
 from floerbar.radial import fold_profile, forced_bar_bound, generators
 from floerbar.sampling import (perturb_actions, random_admissible_areas,
                                random_barcode, random_complex,
@@ -149,18 +148,19 @@ def test_criterion_7_radial_fold_bound():
     _report("7 (radial fold: exact bound grid, monotone to A/2)")
 
 
+def _property(name: str):
+    prop, = (p for p in PROPERTIES if p.name == name)
+    return prop
+
+
 def test_criterion_8_oracle_equivalence():
     """barcode vs brute_force_barcode identical on 200 random valid complexes
     (<= 10 generators) and the bundled fixtures; the orthogonal-basis torsion
-    exponents equal the oracle finite bar lengths."""
-    rng = random.Random(SEED + 4)
-    for _ in range(200):
-        cx, expected = random_complex(rng, rng.randint(2, 10))
-        fast = barcode(cx)
-        slow = brute_force_barcode(cx)
-        assert fast == slow == expected
-        torsion = uz_reduce(cx).torsion_exponents()
-        assert torsion == tuple(sorted(b.length for b in slow.finite_bars()))
+    exponents equal the oracle finite bar lengths (the property
+    complex-oracle-agreement)."""
+    prop = _property("complex-oracle-agreement")
+    for case in prop.cases(random.Random(SEED + 4), 200):
+        assert prop.holds(*case), case
     import json
     from importlib import resources
     for name in ("equator_pair_complex.json", "zero_differential_complex.json"):
@@ -175,13 +175,10 @@ def test_criterion_9_metric_properties():
     under action perturbations; shifted self-distance zero; brute-force
     matcher agreement on barcodes with at most 6 bars."""
     rng = random.Random(SEED + 5)
-    for _ in range(200):
-        a, b, c = (random_barcode(rng, max_bars=4) for _ in range(3))
-        dab = bottleneck_distance(a, b)
-        assert dab == bottleneck_distance(b, a)
-        dac, dcb = bottleneck_distance(a, c), bottleneck_distance(c, b)
-        if INF not in (dab, dac, dcb):
-            assert dab <= dac + dcb
+    prop = _property("bottleneck-pseudometric")
+    # the 200 triples are drawn from ``rng``, which the checks below go on with
+    for case in prop.cases(rng, 200):
+        assert prop.holds(*case), case
     for _ in range(40):
         cx, _ = random_complex(rng, rng.randint(2, 8))
         pert, used = perturb_actions(rng, cx, F(1, 23))

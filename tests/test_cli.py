@@ -10,6 +10,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import floerbar
@@ -502,6 +503,31 @@ def test_bottleneck_bar_count_cap_is_a_failed_check(tmp_path):
         assert report["checks"] == [{"name": "bar-count-cap", "passed": False}]
         assert "bar count cap exceeded" in report["outputs"]["bar_count_error"]
         assert "distance" not in report["outputs"]
+
+
+def test_combfloer_lune_candidate_cap_is_a_failed_check():
+    # the candidates are counted before any is built: 12 ordered point pairs
+    # times 2*(w+1)*(w+2) boundary parameters
+    sphere = fixture_path("equator_pair_sphere.json")
+    for w, count in ((203, 1_003_680), (10**9, 12 * 2 * (10**9 + 1) * (10**9 + 2))):
+        start = time.perf_counter()
+        result, report = run("combfloer", sphere, "--max-wind", str(w))
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 1, w
+        assert isinstance(result.exception, SystemExit)
+        assert report["checks"] == [{"name": "lune-candidate-cap", "passed": False}]
+        assert f"give {count} candidates" in report["outputs"]["lune_error"]
+        assert count > diagrams.MAX_LUNE_CANDIDATES
+
+
+@pytest.mark.parametrize("args", [("barcode", "{d}"), ("bottleneck", "{d}", "{d}"),
+                                  ("combfloer", "{d}"), ("radial", "{d}")],
+                         ids=lambda args: args[0])
+def test_a_directory_argument_exits_2(tmp_path, args):
+    result, _ = run(*(a.format(d=tmp_path) for a in args))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "is a directory" in result.output
 
 
 def test_barcode_reversed_window_exits_2():

@@ -415,3 +415,21 @@ def test_bar_count_cap(monkeypatch):
     huge = bc(bar(0, 1, mult=10**12))
     with pytest.raises(persistence.BarCountError):
         bottleneck_distance(huge, at_cap)
+
+
+def test_from_json_refuses_what_bar_refuses():
+    # rational items are checked on int cross products, pi ones as Bars:
+    # the same errors with the same messages, in item order
+    def value(x):
+        return PiRational.from_json(x) if isinstance(x, list) else F(x)
+
+    for left, right, mult in (("1/2", "1/2", 1), ("2/4", "1/2", 1), ("1", "1/3", 1),
+                              ("0", "1", 0), ("3", "2", 0), (["0", "1"], ["0", "1"], 1),
+                              ("0", ["0", "-1"], 1), (["1", "0"], "1", 0)):
+        with pytest.raises(ValueError) as from_json:
+            Barcode.from_json({"bars": [{"left": "0", "right": "1"},
+                                        {"left": left, "right": right, "mult": mult},
+                                        {"left": "1", "right": "0"}]})
+        with pytest.raises(ValueError) as bar:
+            Bar(value(left), value(right), 0, mult)
+        assert str(from_json.value) == str(bar.value)

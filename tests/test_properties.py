@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from floerbar.complexes import GammaUndefinedError, gamma
 from floerbar.exactpi import PiRational
 from floerbar.oracles import PROPERTIES, rank_prescriptions
 from floerbar.persistence import INF, bottleneck_distance, shifted_bottleneck
@@ -27,6 +28,7 @@ FLOORS = {
     "unroll-oracle-agreement": (37, 600),
     "shift-scan-agreement": (53, 210),
     "bottleneck-window-agreement": (61, 520),
+    "barcode-key-agreement": (67, 510),
 }
 
 
@@ -119,3 +121,21 @@ def test_window_cases_cover_large_one_sided_and_infinite_pairs():
                      ("one-sided degree", set(a.degrees()) != set(b.degrees()))})
     assert all((key, True) in seen for key in ("inf", "large", "multiplicity", "one-sided degree"))
     assert ("inf", False) in seen
+
+
+def test_key_cases_cover_keyed_pi_and_mixed_pairs():
+    seen, gammas = set(), 0
+    for a, _raw_a, b, _raw_b, _sensitive in cases("barcode-key-agreement"):
+        seen.add((a.rows is not None, b.rows is not None))
+        gammas += sum(1 for x in (a, b) if gamma_defined(x))
+    # keyed, pi and one of each, in both orders
+    assert seen == {(True, True), (False, False), (True, False), (False, True)}
+    assert gammas >= 50
+
+
+def gamma_defined(x) -> bool:
+    try:
+        gamma(x, 1, 0)
+    except GammaUndefinedError:
+        return False
+    return True
