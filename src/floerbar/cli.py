@@ -11,11 +11,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import random
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Tuple
 
 import click
@@ -73,9 +75,93 @@ def _read_input(report: RunReport, path: str):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, the same text: the standard library
+    indents only in its pure-Python encoder, and this walk, which quotes
+    strings with the C ``encode_basestring_ascii``, takes about half its
+    time on a report.  Like ``json.dumps`` it refuses a value or a key of
+    another type with ``TypeError``; it does not detect cycles."""
+    out: List[str] = []
+    _write_json(value, out, "\n")
+    return "".join(out)
+
+
+def _write_json(x, out: List[str], newline: str) -> None:
+    # the type tests of json.encoder._make_iterencode, in its order
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        out.append(_float_text(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            if type(item) is str:
+                out.append(sep + _quote(item))
+            else:
+                out.append(sep)
+                _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in x.items():
+            head = sep + _quote(key if isinstance(key, str) else _key_text(key)) + ": "
+            if type(item) is str:
+                out.append(head + _quote(item))
+            elif type(item) is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
 def _emit(report: RunReport, summary: str, code: int = 0) -> None:
     """Print the report and terminate the command (exit 1 on failed checks)."""
-    print(json.dumps(report.to_json(), indent=2))
+    print(_json_text(report.to_json()))
     print(summary, file=sys.stderr)
     if code == 0 and not report.ok:
         code = 1
@@ -83,7 +169,7 @@ def _emit(report: RunReport, summary: str, code: int = 0) -> None:
 
 
 def _fail(command: str, exc: Exception, code: int) -> None:
-    print(json.dumps({"command": command, "error": str(exc)}, indent=2))
+    print(_json_text({"command": command, "error": str(exc)}))
     print(f"error: {exc}", file=sys.stderr)
     raise SystemExit(code)
 
@@ -218,6 +304,10 @@ def cmd_bottleneck(barcode1, barcode2, mod_shift, degree_blind):
         report.outputs["bar_count_error"] = str(exc)
         report.check("bar-count-cap", False)
         _emit(report, f"too many bars: {exc}", 1)
+    except persistence.KeySizeError as exc:
+        report.outputs["key_size_error"] = str(exc)
+        report.check("key-size-cap", False)
+        _emit(report, f"keys too long: {exc}", 1)
     report.outputs["distance"] = _value_json(d)
     if mod_shift:
         dd, shift = persistence.shifted_bottleneck(b1, b2, degree_sensitive=sensitive)
@@ -285,7 +375,7 @@ def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
         report.check("lune-oracle-match", oracles.brute_force_lunes(dg, max_wind) == lunes)
     if emit_complex:
         with open(emit_complex, "w", encoding="utf-8") as fh:
-            json.dump(complexes.complex_to_json(cx), fh, indent=2)
+            fh.write(_json_text(complexes.complex_to_json(cx)))
         report.outputs["complex_file"] = emit_complex
     if svg_path:
         with open(svg_path, "w", encoding="utf-8") as fh:

@@ -17,14 +17,17 @@ spectral invariants, rank functions -- reduce to finite F2 linear algebra
 with no truncation error.  Complexes with ``spec=None`` are plain F2
 complexes (weakly exact coefficients): no copies, absolute degrees.
 
-Copies are put in filtration order on exact int keys: every generator
-action and the action step are scaled once by the lcm of their
+A complex keeps its actions as int keys: the constructor scales every
+generator action and the action step once by the lcm of their
 denominators, so integer comparison gives the same order as comparing the
-rationals.  :func:`barcode` hands those keys and their scale to a keyed
-:class:`~floerbar.persistence.Barcode` as they are; Fractions appear only
-at read-out (``unroll``, the levels of :class:`UZBasis`).  A window is
-counted with O(generators) int arithmetic before anything is built; one
-that unrolls to more than ``MAX_WINDOW_COPIES`` copies raises
+rationals.  :func:`complex_from_json` reads each action as a reduced int
+ratio and builds no Fraction; validation compares keys, unrolling adds the
+scaled step to them, and :func:`barcode` hands them and their scale to a
+keyed :class:`~floerbar.persistence.Barcode` as they are.  Fractions
+appear only at read-out (``generators``, ``by_id``,
+:func:`complex_to_json`, ``unroll``, the levels of :class:`UZBasis`).  A
+window is counted with O(generators) int arithmetic before anything is
+built; one that unrolls to more than ``MAX_WINDOW_COPIES`` copies raises
 :class:`WindowSizeError`.
 
 :func:`barcode` reads barcodes off an orthogonalising column reduction
@@ -34,7 +37,8 @@ window; :class:`UZBasis` decodes them into Novikov-scalar combos only when
 asked, and :func:`barcode` reads only degrees and endpoint actions.  The
 independent route via sublevel rank functions read off inclusion maps is
 ``brute_force_barcode`` in :mod:`floerbar.oracles`; tests hold the two
-equal, and ``fraction_unroll`` there is the unroll that sorts rationals.
+equal.  ``fraction_unroll`` there is the unroll that sorts rationals, and
+``fraction_complex_from_json`` the parse and validation in Fractions.
 """
 
 from __future__ import annotations
@@ -46,8 +50,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .f2 import Echelon
-from .novikov import (NovikovScalar, NovikovSpec, format_rational, parse_int,
-                      parse_rational)
+from .novikov import NovikovScalar, NovikovSpec, format_rational, parse_int, parse_ratio
 from .persistence import Barcode, NEG_INF
 
 __all__ = [
@@ -167,38 +170,79 @@ class UZBasis:
 class FilteredComplex:
     """Finite generator set with an action-decreasing differential.
 
-    Duplicate ids and differential terms naming unknown generators raise a
-    plain ``ValueError``; a broken degree, action or ``d**2 = 0`` invariant
-    raises :class:`ComplexValidationError`.
+    ``rows`` maps each generator id, in generator order, to ``(degree,
+    key)``: its action is ``key / scale``, ``scale`` being the least common
+    denominator of the actions and the action step, and ``istep`` is the
+    action step times ``scale`` (0 without a spec).  ``generators`` and
+    ``by_id`` decode them into :class:`Generator` objects when first read; a
+    complex built from :class:`Generator` objects keeps those instead.
+
+    ``FilteredComplex(spec, generators, differential)`` takes
+    :class:`Generator` objects and :meth:`from_ratios` takes ``(gid, degree,
+    numerator, denominator)`` rows; both build the same keys.  Duplicate ids
+    and differential terms naming unknown generators raise a plain
+    ``ValueError``; a broken degree, action or ``d**2 = 0`` invariant raises
+    :class:`ComplexValidationError`.
     """
 
     def __init__(self, spec: Optional[NovikovSpec],
                  generators: Sequence[Generator],
                  differential: Mapping[str, Sequence[Tuple[NovikovScalar, str]]]):
+        generators = tuple(generators)
+        self._build(spec, [(g.gid, g.degree, g.action.numerator, g.action.denominator)
+                           for g in generators], differential)
+        self.generators = generators  # what decoding the keys would give
+
+    @classmethod
+    def from_ratios(cls, spec: Optional[NovikovSpec],
+                    generators: Sequence[Tuple[str, int, int, int]],
+                    differential: Mapping[str, Sequence[Tuple[NovikovScalar, str]]]
+                    ) -> "FilteredComplex":
+        """The complex whose generators are ``(gid, degree, numerator,
+        denominator)``, each action a reduced ratio with a positive
+        denominator, as :func:`~floerbar.novikov.parse_ratio` returns it."""
+        cx = cls.__new__(cls)
+        cx._build(spec, generators, differential)
+        return cx
+
+    def _build(self, spec, generators, differential) -> None:
         self.spec = spec
-        self.generators = tuple(generators)
-        ids = [g.gid for g in self.generators]
-        if len(set(ids)) != len(ids):
+        step = spec.action_step if spec is not None else Fraction(0)
+        self.scale = scale = math.lcm(step.denominator,
+                                      *(den for _g, _d, _n, den in generators))
+        self.istep = step.numerator * (scale // step.denominator)
+        self.rows = {gid: (deg, num * (scale // den)) for gid, deg, num, den in generators}
+        if len(self.rows) != len(generators):
             raise ValueError("generator ids must be unique")
-        self.by_id = {g.gid: g for g in self.generators}
+        rows = self.rows
         diff: Dict[str, Combo] = {}
         for gid, terms in differential.items():
-            if gid not in self.by_id:
+            if gid not in rows:
                 raise ValueError(f"differential on unknown generator {gid!r}")
             merged: Dict[str, NovikovScalar] = {}
             for coeff, target in terms:
-                if target not in self.by_id:
+                if target not in rows:
                     raise ValueError(f"differential hits unknown generator {target!r}")
                 if target in merged:
                     merged[target] = merged[target] + coeff
                 else:
                     merged[target] = coeff
-            entries = tuple(sorted(((c, t) for t, c in merged.items() if not c.is_zero()),
-                                   key=lambda item: item[1]))
+            # targets are unique, so sorting never compares coefficients
+            entries = tuple((c, t) for t, c in sorted(merged.items()) if c.exponents)
             if entries:
                 diff[gid] = entries
         self.differential = diff
         self.validate()
+
+    @functools.cached_property
+    def generators(self) -> Tuple[Generator, ...]:
+        s = self.scale
+        return tuple(Generator(gid, deg, Fraction(key, s))
+                     for gid, (deg, key) in self.rows.items())
+
+    @functools.cached_property
+    def by_id(self) -> Dict[str, Generator]:
+        return {g.gid: g for g in self.generators}
 
     # -- basic structure ---------------------------------------------------
 
@@ -206,7 +250,7 @@ class FilteredComplex:
         return self.differential.get(gid, ())
 
     def degree_span(self) -> Tuple[int, int]:
-        degs = [g.degree for g in self.generators]
+        degs = [deg for deg, _key in self.rows.values()]
         return (min(degs), max(degs) + 1) if degs else (0, 1)
 
     def default_degree_window(self) -> Tuple[int, int]:
@@ -219,23 +263,23 @@ class FilteredComplex:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Check the three structural invariants; raise on the first violation.
-        Run by the constructor."""
+        """Check the three structural invariants on the int keys; raise on
+        the first violation.  Run by the constructor."""
+        spec, rows, istep = self.spec, self.rows, self.istep
+        dstep = spec.degree_step if spec else 0
         for gid, terms in self.differential.items():
-            g = self.by_id[gid]
+            gdeg, gkey = rows[gid]
             for coeff, target in terms:
-                if coeff.spec != self.spec:
+                if coeff.spec is not spec and coeff.spec != spec:
                     raise ComplexValidationError(
                         f"coefficient spec mismatch in d({gid})")
-                y = self.by_id[target]
+                ydeg, ykey = rows[target]
                 for e in coeff.exponents:
-                    dstep = self.spec.degree_step if self.spec else 0
-                    astep = self.spec.action_step if self.spec else Fraction(0)
-                    if y.degree + e * dstep != g.degree - 1:
+                    if ydeg + e * dstep != gdeg - 1:
                         raise ComplexValidationError(
                             f"degree mismatch: term of d({gid}) lands in degree "
-                            f"{y.degree + e * dstep}, expected {g.degree - 1}")
-                    if not (y.action + e * astep < g.action):
+                            f"{ydeg + e * dstep}, expected {gdeg - 1}")
+                    if not ykey + e * istep < gkey:
                         raise ComplexValidationError(
                             f"action does not strictly decrease on d({gid}) term "
                             f"{target} (exponent {e})")
@@ -262,39 +306,64 @@ class FilteredComplex:
         the given half-open windows, ordered by action, then id, then copy
         index.  At least one window must be supplied; spec-less complexes
         only ever have the ``j = 0`` copy."""
-        keyed, scale = self._unrolled(self._copy_ranges(action_window, degree_window))
-        return [(gid, j, deg, Fraction(key, scale)) for gid, j, deg, key in keyed]
+        scale = self.scale
+        return [(gid, j, deg, Fraction(key, scale)) for gid, j, deg, key
+                in self._unrolled(self._copy_ranges(action_window, degree_window))]
 
     def _copy_ranges(self, action_window: Optional[Tuple[Fraction, Fraction]] = None,
                      degree_window: Optional[Tuple[int, int]] = None
-                     ) -> List[Tuple[Generator, int, int]]:
-        """``(generator, jlo, jhi)`` per generator: its copies inside the
-        windows are ``jlo <= j <= jhi`` (none when ``jlo > jhi``)."""
+                     ) -> List[Tuple[str, int, int, int, int]]:
+        """``(gid, degree, key, jlo, jhi)`` per generator: its copies inside
+        the windows are ``jlo <= j <= jhi`` (none when ``jlo > jhi``)."""
         if action_window is None and degree_window is None:
             raise ValueError("unroll needs an action window or a degree window")
         if action_window is not None and not (action_window[0] < action_window[1]):
             raise ValueError("empty action window")
         if degree_window is not None and not (degree_window[0] < degree_window[1]):
             raise ValueError("empty degree window")
-        return [(g, *self._copy_range(g, action_window, degree_window))
-                for g in self.generators]
+        # an action bound p/q compares with key/scale as p*scale with key*q
+        bounds = None if action_window is None else \
+            [(x.numerator * self.scale, x.denominator) for x in action_window]
+        return [(gid, deg, key, *self._copy_range(deg, key, bounds, degree_window))
+                for gid, (deg, key) in self.rows.items()]
 
-    def _unrolled(self, ranges: Sequence[Tuple[Generator, int, int]]
-                  ) -> Tuple[List[Tuple[str, int, int, int]], int]:
+    def _copy_range(self, deg: int, key: int, bounds, degree_window) -> Tuple[int, int]:
+        if self.spec is None:
+            ok = True
+            if bounds is not None:
+                (lo, qlo), (hi, qhi) = bounds
+                ok = lo <= key * qlo and key * qhi < hi
+            if degree_window is not None:
+                ok = ok and degree_window[0] <= deg < degree_window[1]
+            return (0, 0) if ok else (0, -1)
+        jlo, jhi = None, None
+        if degree_window is not None:
+            # degree + j*dstep in [dlo, dhi)
+            dlo, dhi = degree_window
+            dstep = self.spec.degree_step
+            jlo = _ceil_div(dlo - deg, dstep)
+            jhi = (dhi - 1 - deg) // dstep
+        if bounds is not None:
+            # key + j*istep in [lo/qlo, hi/qhi)
+            (lo, qlo), (hi, qhi) = bounds
+            alo = _ceil_div(lo - key * qlo, self.istep * qlo)
+            ahi = _ceil_div(hi - key * qhi, self.istep * qhi) - 1
+            jlo = alo if jlo is None else max(jlo, alo)
+            jhi = ahi if jhi is None else min(jhi, ahi)
+        return jlo, jhi
+
+    def _unrolled(self, ranges: Sequence[Tuple[str, int, int, int, int]]
+                  ) -> List[Tuple[str, int, int, int]]:
         """The copies ``(gid, j, degree, key)`` of ``ranges`` in filtration
-        order, and the scale: each copy's action is ``key / scale``."""
+        order: each copy's action is ``key / scale``."""
         dstep = self.spec.degree_step if self.spec else 0
-        astep = self.spec.action_step if self.spec else Fraction(0)
-        scale = math.lcm(astep.denominator, *(g.action.denominator for g in self.generators))
-        istep = astep.numerator * (scale // astep.denominator)
+        istep = self.istep
         keyed = []
-        for g, jlo, jhi in ranges:
-            base = g.action.numerator * (scale // g.action.denominator)
-            gid, deg = g.gid, g.degree
+        for gid, deg, key, jlo, jhi in ranges:
             for j in range(jlo, jhi + 1):
-                keyed.append((base + j * istep, gid, j, deg + j * dstep))
+                keyed.append((key + j * istep, gid, j, deg + j * dstep))
         keyed.sort()  # (key, gid, j) is unique, so the degree is never compared
-        return [(gid, j, deg, key) for key, gid, j, deg in keyed], scale
+        return [(gid, j, deg, key) for key, gid, j, deg in keyed]
 
     def unroll_complex(self,
                        action_window: Optional[Tuple[Fraction, Fraction]] = None,
@@ -322,42 +391,9 @@ class FilteredComplex:
                 diff[f"{gid}@{j}"] = terms
         return FilteredComplex(None, gens, diff)
 
-    def _copy_range(self, g: Generator, action_window, degree_window) -> Tuple[int, int]:
-        if self.spec is None:
-            ok = True
-            if action_window is not None:
-                ok = ok and action_window[0] <= g.action < action_window[1]
-            if degree_window is not None:
-                ok = ok and degree_window[0] <= g.degree < degree_window[1]
-            return (0, 0) if ok else (0, -1)
-        dstep, astep = self.spec.degree_step, self.spec.action_step
-        lo, hi = None, None
-        if degree_window is not None:
-            # degree + j*dstep in [dlo, dhi)
-            dlo, dhi = degree_window
-            lo = _ceil_div(dlo - g.degree, dstep)
-            hi = (dhi - 1 - g.degree) // dstep
-        if action_window is not None:
-            alo, ahi = action_window
-            jlo = _ceil_frac((alo - g.action) / astep)
-            jhi = _floor_frac_strict((ahi - g.action) / astep)
-            lo = jlo if lo is None else max(lo, jlo)
-            hi = jhi if hi is None else min(hi, jhi)
-        return lo, hi
-
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -int((-x) // 1)
-
-
-def _floor_frac_strict(x: Fraction) -> int:
-    """Largest integer strictly below x, or floor(x) if x not integral."""
-    f = int(x // 1)
-    return f - 1 if x == f else f
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +411,21 @@ class _UnrolledWindow:
 
     def __init__(self, cx: FilteredComplex, degree_window: Tuple[int, int]):
         self.cx = cx
+        self.scale = cx.scale
         self.lo, self.hi = degree_window
         if self.cx.spec is None:
             span = cx.degree_span()
             self.lo, self.hi = max(self.lo, span[0]), min(self.hi, span[1])
             if self.lo >= self.hi:
-                self.items, self.scale, self.index = [], 1, {}
+                self.items, self.index = [], {}
                 return
         ranges = cx._copy_ranges(degree_window=(self.lo - 1, self.hi + 1))
-        count = sum(jhi - jlo + 1 for _g, jlo, jhi in ranges if jlo <= jhi)
+        count = sum(jhi - jlo + 1 for _g, _d, _k, jlo, jhi in ranges if jlo <= jhi)
         if count > MAX_WINDOW_COPIES:
             raise WindowSizeError(
                 f"window size cap exceeded: degrees [{self.lo}, {self.hi}) unroll to "
                 f"{count} copies, more than {MAX_WINDOW_COPIES}")
-        self.items, self.scale = cx._unrolled(ranges)
+        self.items = cx._unrolled(ranges)
         self.index = {(gid, j): i for i, (gid, j, _, _) in enumerate(self.items)}
 
     def degree(self, i: int) -> int:
@@ -528,7 +565,7 @@ def spectral_invariant(cx: FilteredComplex, cycle: CycleInput):
         return NEG_INF
     copies = []
     for coeff, gid in terms:
-        if gid not in cx.by_id:
+        if gid not in cx.rows:
             raise ComplexValidationError(f"unknown generator {gid!r} in cycle")
         if coeff.spec != cx.spec:
             raise ComplexValidationError("cycle coefficient spec mismatch")
@@ -537,7 +574,7 @@ def spectral_invariant(cx: FilteredComplex, cycle: CycleInput):
     if not copies:
         return NEG_INF
     dstep = cx.spec.degree_step if cx.spec else 0
-    degs = {cx.by_id[gid].degree + e * dstep for gid, e in copies}
+    degs = {cx.rows[gid][0] + e * dstep for gid, e in copies}
     if len(degs) != 1:
         raise ComplexValidationError("cycle input must be homogeneous")
     d = degs.pop()
@@ -613,20 +650,29 @@ def complex_to_json(cx: FilteredComplex) -> dict:
 
 def complex_from_json(data: dict) -> FilteredComplex:
     """Parse the JSON schema; a top level, differential or generator id of
-    the wrong type raises ValueError."""
+    the wrong type raises ValueError.  Actions are read as reduced int
+    ratios, and equal coefficient strings share one parsed scalar."""
     if not isinstance(data, dict):
         raise ValueError("a complex is a JSON object")
     if not isinstance(data.get("differential", {}), dict):
         raise ValueError("differential must be a JSON object")
     spec = NovikovSpec.from_json(data["spec"]) if data.get("spec") else None
-    gens = [Generator(_generator_id(item["id"]), parse_int(item["degree"]),
-                      parse_rational(item["action"]))
+    gens = [(_generator_id(item["id"]), parse_int(item["degree"]), *parse_ratio(item["action"]))
             for item in data["generators"]]
+    scalars: Dict[str, NovikovScalar] = {}
+
+    def scalar(text) -> NovikovScalar:
+        if type(text) is not str:
+            return NovikovScalar.parse(text, spec)  # raises the type error
+        if text not in scalars:
+            scalars[text] = NovikovScalar.parse(text, spec)
+        return scalars[text]
+
     diff = {
-        gid: [(NovikovScalar.parse(coeff, spec), target) for coeff, target in terms]
+        gid: [(scalar(coeff), target) for coeff, target in terms]
         for gid, terms in data.get("differential", {}).items()
     }
-    return FilteredComplex(spec, gens, diff)
+    return FilteredComplex.from_ratios(spec, gens, diff)
 
 
 def _generator_id(gid) -> str:

@@ -15,6 +15,12 @@ both run it; neither has samplers or predicates of its own.
   degree and action against the windows and sorts them on Fraction actions,
   where :meth:`FilteredComplex.unroll` solves for each generator's copy
   range and sorts on int keys over one common denominator.
+* ``fraction_complex_from_json`` parses a complex file with Fraction
+  actions and checks its invariants in Fraction arithmetic
+  (``fraction_validated``), where :func:`floerbar.complexes.complex_from_json`
+  reads int ratios and a :class:`~floerbar.complexes.FilteredComplex`
+  compares int keys over one scale; ``fraction_complex_json`` writes the
+  parts back from their Fractions.
 * ``brute_force_bottleneck`` exhausts all partial matchings.  It is defined
   in :mod:`floerbar.persistence` and re-exported here.
 * ``max_bipartite_matching`` is Hopcroft-Karp, a batch maximum matching in
@@ -61,6 +67,8 @@ both run it; neither has samplers or predicates of its own.
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
 import math
 import operator
@@ -71,14 +79,16 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
-from .complexes import (FilteredComplex, Generator, GammaUndefinedError, _UnrolledWindow,
-                        barcode, gamma, uz_reduce)
+from .complexes import (ComplexValidationError, FilteredComplex, Generator,
+                        GammaUndefinedError, _UnrolledWindow, _generator_id, barcode,
+                        complex_from_json, complex_to_json, gamma, uz_reduce)
 from .diagrams import (DiagramError, Lune, TwoCurveDiagram, _Geometry, _validated_geometry,
                        annulus_example_areas, diagram_beta, diagram_gamma, enumerate_lunes,
                        equator_pair_annulus, relabel_diagram, validate_diagram)
 from .exactpi import PiRational, _compare_with_pi
 from .f2 import Echelon
-from .novikov import LagrangianParams, NovikovScalar, NovikovSpec
+from .novikov import (LagrangianParams, NovikovScalar, NovikovSpec, format_rational, parse_int,
+                      parse_rational)
 from .persistence import (INF, Bar, Barcode, _abs, _bar_rows, _coverable, _degree_groups,
                           _halve, _infinite_mismatch, _matchable_pairs, _rank, _rank_search,
                           _ShiftCandidates, _smallest_feasible_key, bar_length_spectrum,
@@ -96,6 +106,9 @@ __all__ = [
     "OracleSizeError",
     "brute_force_barcode",
     "fraction_unroll",
+    "fraction_complex_from_json",
+    "fraction_validated",
+    "fraction_complex_json",
     "brute_force_bottleneck",
     "max_bipartite_matching",
     "all_pairs_bottleneck",
@@ -233,6 +246,103 @@ def fraction_unroll(cx: FilteredComplex,
             out.append((g.gid, j, deg, act))
     out.sort(key=lambda item: (item[3], item[0], item[1]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# complexes: parsing and validation in Fractions
+# ---------------------------------------------------------------------------
+
+
+ComplexParts = Tuple[Optional[NovikovSpec], Tuple[Generator, ...],
+                     Dict[str, Tuple[Tuple[NovikovScalar, str], ...]]]
+
+
+def fraction_complex_from_json(data: dict) -> ComplexParts:
+    """:func:`floerbar.complexes.complex_from_json` in Fractions: actions
+    read by ``parse_rational``, each coefficient parsed on its own, and the
+    checks of ``fraction_validated``.  Returns the ``(spec, generators,
+    differential)`` of the complex, or raises what ``complex_from_json``
+    raises."""
+    if not isinstance(data, dict):
+        raise ValueError("a complex is a JSON object")
+    if not isinstance(data.get("differential", {}), dict):
+        raise ValueError("differential must be a JSON object")
+    spec = NovikovSpec.from_json(data["spec"]) if data.get("spec") else None
+    gens = [Generator(_generator_id(item["id"]), parse_int(item["degree"]),
+                      parse_rational(item["action"]))
+            for item in data["generators"]]
+    diff = {
+        gid: [(NovikovScalar.parse(coeff, spec), target) for coeff, target in terms]
+        for gid, terms in data.get("differential", {}).items()
+    }
+    return fraction_validated(spec, gens, diff)
+
+
+def fraction_validated(spec: Optional[NovikovSpec], generators: Sequence[Generator],
+                       differential: Mapping[str, Sequence[Tuple[NovikovScalar, str]]]
+                       ) -> ComplexParts:
+    """The checks of the :class:`~floerbar.complexes.FilteredComplex`
+    constructor, each action compared as a Fraction (``act y + e * step <
+    act g``) where the constructor compares int keys, in the same order and
+    with the same messages.  Returns the generators and the merged
+    differential."""
+    gens = tuple(generators)
+    by_id = {g.gid: g for g in gens}
+    if len(by_id) != len(gens):
+        raise ValueError("generator ids must be unique")
+    diff = {}
+    for gid, terms in differential.items():
+        if gid not in by_id:
+            raise ValueError(f"differential on unknown generator {gid!r}")
+        merged: Dict[str, NovikovScalar] = {}
+        for coeff, target in terms:
+            if target not in by_id:
+                raise ValueError(f"differential hits unknown generator {target!r}")
+            merged[target] = merged[target] + coeff if target in merged else coeff
+        entries = tuple(sorted(((c, t) for t, c in merged.items() if not c.is_zero()),
+                               key=lambda item: item[1]))
+        if entries:
+            diff[gid] = entries
+    dstep = spec.degree_step if spec else 0
+    astep = spec.action_step if spec else Fraction(0)
+    for gid, terms in diff.items():
+        g = by_id[gid]
+        for coeff, target in terms:
+            if coeff.spec != spec:
+                raise ComplexValidationError(f"coefficient spec mismatch in d({gid})")
+            y = by_id[target]
+            for e in coeff.exponents:
+                if y.degree + e * dstep != g.degree - 1:
+                    raise ComplexValidationError(
+                        f"degree mismatch: term of d({gid}) lands in degree "
+                        f"{y.degree + e * dstep}, expected {g.degree - 1}")
+                if not (y.action + e * astep < g.action):
+                    raise ComplexValidationError(
+                        f"action does not strictly decrease on d({gid}) term "
+                        f"{target} (exponent {e})")
+    for gid, terms in diff.items():
+        acc: Dict[Tuple[str, int], int] = {}
+        for coeff, target in terms:
+            for e in coeff.exponents:
+                for coeff2, target2 in diff.get(target, ()):
+                    for f in coeff2.exponents:
+                        acc[(target2, e + f)] = acc.get((target2, e + f), 0) ^ 1
+        if any(acc.values()):
+            raise ComplexValidationError(f"d squared is nonzero on {gid}")
+    return spec, gens, diff
+
+
+def fraction_complex_json(parts: ComplexParts) -> dict:
+    """The JSON of :func:`floerbar.complexes.complex_to_json`, each action
+    formatted from its Fraction."""
+    spec, gens, diff = parts
+    return {
+        "spec": spec.to_json() if spec is not None else None,
+        "generators": [{"id": g.gid, "degree": g.degree, "action": format_rational(g.action)}
+                       for g in gens],
+        "differential": {gid: [[str(coeff), target] for coeff, target in terms]
+                         for gid, terms in sorted(diff.items())},
+    }
 
 
 def _span_dim(vectors: List[int]) -> int:
@@ -1286,6 +1396,160 @@ def _key_cases(rng: random.Random, n: int):
         yield a, raw_a, b, raw_b, i % 2 == 0
 
 
+def _parsed(parse, doc):
+    """``parse(doc)``, or the exception a malformed or invalid ``doc`` raises."""
+    try:
+        return parse(doc)
+    except (ValueError, KeyError, TypeError) as exc:
+        return exc
+
+
+def _complex_keys_agree(doc, planted: Optional[Barcode]) -> bool:
+    """``complex_from_json`` and its Fraction oracle accept the same
+    documents, raise the same exception types and messages on the others,
+    and agree on the parts.  An accepted complex then equals the one built
+    from its Fraction generators, row for row; its JSON is the Fraction
+    JSON and reads back to itself; it unrolls like ``fraction_unroll`` in
+    its default degree window and in an action window; and its barcode is
+    the one of the rebuilt complex, and the planted one when given."""
+    fast, slow = _parsed(complex_from_json, doc), _parsed(fraction_complex_from_json, doc)
+    if isinstance(fast, Exception) or isinstance(slow, Exception):
+        return type(fast) is type(slow) and str(fast) == str(slow)
+    if (fast.spec, fast.generators, fast.differential) != slow:
+        return False
+    built = FilteredComplex(*slow)
+    data = complex_to_json(fast)
+    window = fast.default_degree_window()
+    lo = min((g.action for g in slow[1]), default=Fraction(0))
+    actions = (lo - Fraction(1, 3), lo + Fraction(3, 2))
+    bc = barcode(fast)
+    return ((built.scale, built.istep, built.rows) == (fast.scale, fast.istep, fast.rows)
+            and data == fraction_complex_json(slow)
+            and complex_to_json(complex_from_json(data)) == data
+            and fast.unroll(None, window) == fraction_unroll(fast, None, window)
+            and fast.unroll(actions) == fraction_unroll(fast, actions)
+            and bc == barcode(built) and (planted is None or bc == planted))
+
+
+_JUNK = (None, True, 0, 1, 0.5, "", "abc", "1/0", "q", "q^x", "1+q", "x", "inf", [0, "1"],
+         {"id": None})
+_COEFFICIENTS = ("1", "q", "q^-1", "1+q", "q^2", "1+1", "t")
+
+
+def _json_paths(node, path=()):
+    """Every node of a JSON document, as the key path from the root."""
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutated_node(rng: random.Random, doc):
+    """``doc`` with one node dropped, wrapped in a list, truncated or
+    retyped, as ``tests/test_schema_fuzz.py`` mutates files."""
+    path = rng.choice(list(_json_paths(doc)))
+    kind = rng.choice(("retype", "drop", "wrap", "truncate"))
+    junk = copy.deepcopy(rng.choice(_JUNK))
+    if not path:
+        return junk if kind == "retype" else [doc]
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    key = path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "wrap":
+        parent[key] = [parent[key]]
+    elif kind == "truncate" and isinstance(parent[key], list):
+        parent[key] = parent[key][:rng.randrange(len(parent[key]) or 1)]
+    else:
+        parent[key] = junk
+    return doc
+
+
+def _respelled(rng: random.Random, text: str) -> str:
+    """The rational ``text`` written another way."""
+    x = Fraction(text)
+    k = rng.randint(2, 5)
+    spellings = [f"{x.numerator * k}/{x.denominator * k}", f" {text} ",
+                 f"{x.numerator:+d}/{x.denominator}"]
+    m = next((m for m in range(7) if 10 ** m % x.denominator == 0), None)
+    if m is not None:
+        spellings.append(f"{x.numerator * 10 ** m // x.denominator}e-{m}")
+    return rng.choice(spellings)
+
+
+def _edited_values(rng: random.Random, doc: dict) -> dict:
+    """``doc`` with one value edited: an action respelled or redrawn, an
+    action raised to tie with a term of its differential, a degree moved, a
+    coefficient replaced, a term added, a generator repeated, or a term
+    naming an unknown generator."""
+    gens, diff = doc["generators"], doc["differential"]
+    g = rng.choice(gens)
+    kind = rng.choice(("respell", "action", "tie", "degree", "coefficient", "term", "repeat",
+                       "unknown"))
+    if kind == "tie" and diff:
+        gid = rng.choice(sorted(diff))
+        coeff, target = rng.choice(diff[gid])
+        spec = NovikovSpec.from_json(doc["spec"]) if doc["spec"] else None
+        e = max(NovikovScalar.parse(coeff, spec).exponents)
+        level = Fraction(next(x["action"] for x in gens if x["id"] == target)) + \
+            e * (spec.action_step if spec else 0)
+        next(x for x in gens if x["id"] == gid)["action"] = format_rational(level)
+    elif kind == "respell":
+        g["action"] = _respelled(rng, g["action"])
+    elif kind == "action":
+        g["action"] = str(_random_fraction(rng))
+    elif kind == "degree":
+        g["degree"] += rng.choice((-1, 1))
+    elif kind == "coefficient" and diff:
+        terms = diff[rng.choice(sorted(diff))]
+        rng.choice(terms)[0] = rng.choice(_COEFFICIENTS)
+    elif kind in ("term", "coefficient"):
+        diff.setdefault(g["id"], []).append([rng.choice(_COEFFICIENTS),
+                                             rng.choice(gens)["id"]])
+    elif kind == "repeat":
+        gens.append(dict(rng.choice(gens)))
+    else:
+        diff.setdefault(rng.choice((g["id"], "nowhere")), []).append(["1", "nowhere"])
+    return doc
+
+
+_SPECS = (None, NovikovSpec("t", 1, Fraction(1, 3)), NovikovSpec("q", 3, Fraction(2, 5)))
+
+
+def _complex_key_cases(rng: random.Random, n: int):
+    """Fixed: a complex whose d squares to nonzero and one with a repeated
+    id.  Then in turn, from planted complexes of 2 to 16 generators over
+    three specs: the planted complex with its barcode, a perturbed copy, a
+    spec-less unrolled strip, a copy with one node mutated and a copy with
+    one value edited."""
+    chain = {"spec": {"var": "q", "degree_step": 2, "action_step": "1/2"},
+             "generators": [{"id": x, "degree": d, "action": str(d)}
+                            for x, d in (("x", 2), ("y", 1), ("z", 0))],
+             "differential": {"x": [["1", "y"]], "y": [["1", "z"]]}}
+    yield chain, None
+    repeated = copy.deepcopy(chain)
+    repeated["generators"][2]["id"] = "x"
+    yield repeated, None
+    for i in range(n):
+        cx, planted = random_complex(rng, rng.randint(2, 16), rng.choice(_SPECS))
+        kind = i % 5
+        if kind == 0:
+            yield complex_to_json(cx), planted
+            continue
+        if kind == 1 or kind == 4 and rng.random() < 0.5:
+            cx, _used = perturb_actions(rng, cx, Fraction(1, rng.choice((10, 100, 1000))))
+        elif kind == 2 or rng.random() < 0.3:
+            lo = rng.randint(-2, 1)
+            cx = cx.unroll_complex(degree_window=(lo, lo + rng.randint(1, 4)))
+        doc = complex_to_json(cx)
+        if kind == 3:
+            doc = _mutated_node(rng, doc)
+        elif kind == 4 and doc["generators"]:
+            doc = _edited_values(rng, doc)
+        yield doc, None
+
+
 PROPERTIES = (
     Property("complex-oracle-agreement",
              _drawn(lambda rng: random_complex(rng, rng.randint(2, 10))), _complex_agrees),
@@ -1315,4 +1579,5 @@ PROPERTIES = (
     Property("bottleneck-window-agreement", _window_cases,
              _both_modes(bottleneck_distance, all_pairs_bottleneck, _same)),
     Property("barcode-key-agreement", _key_cases, _keys_agree),
+    Property("complex-key-agreement", _complex_key_cases, _complex_keys_agree),
 )

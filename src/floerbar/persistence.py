@@ -49,6 +49,8 @@ __all__ = [
     "Barcode",
     "BarCountError",
     "MAX_EXPANDED_BARS",
+    "KeySizeError",
+    "MAX_SCALE_BITS",
     "boundary_depth",
     "bar_length_spectrum",
     "shift_barcode",
@@ -126,6 +128,19 @@ class BarCountError(ValueError):
 # draws at the cap take about 9 s and 750 MiB peak in ``bottleneck_distance``
 # (Python 3.11, 2-CPU x86-64).  A multiplicity of 10**12 would exhaust memory.
 MAX_EXPANDED_BARS = 2_000
+
+
+class KeySizeError(ValueError):
+    """Two keyed barcodes have a common scale longer than the metrics accept."""
+
+
+# Keys over one common scale grow with the number of distinct denominators.
+# On 2,000 tiny overlapping bars (1/p, (i+2)/q] whose denominators cycle
+# through k primes near 10**6, ``bottleneck_distance`` of the barcode and
+# itself took about 3 s up to 2,000 bits of scale (k = 100), 4.1 s at
+# 3,000, 5.2 s at 4,000, 7.6 s at 6,000 and 51 s at 80,000 (Python 3.11,
+# 2-CPU x86-64).
+MAX_SCALE_BITS = 2_048
 
 
 def _abs(x):
@@ -400,7 +415,8 @@ def _expanded(b1: Barcode, b2: Barcode, factor: int = 1) -> Tuple[object, List[T
     ``length`` None for an infinite bar): int keys over ``scale``, ``factor``
     times the common scale, when both are keyed, else the bars' own values
     and ``scale`` None.  Counted first, and refused past
-    ``MAX_EXPANDED_BARS`` on either side."""
+    ``MAX_EXPANDED_BARS`` on either side; a common scale longer than
+    ``MAX_SCALE_BITS`` raises :class:`KeySizeError`."""
     for b in (b1, b2):
         count = len(b)
         if count > MAX_EXPANDED_BARS:
@@ -408,7 +424,12 @@ def _expanded(b1: Barcode, b2: Barcode, factor: int = 1) -> Tuple[object, List[T
                 f"bar count cap exceeded: {count} bars, at most {MAX_EXPANDED_BARS}")
     if b1.rows is None or b2.rows is None:
         return None, _bar_rows(b1.bars), _bar_rows(b2.bars)
-    scale = factor * math.lcm(b1.scale, b2.scale)
+    common = math.lcm(b1.scale, b2.scale)
+    if common.bit_length() > MAX_SCALE_BITS:
+        raise KeySizeError(
+            f"key size cap exceeded: the common scale of the two barcodes has "
+            f"{common.bit_length()} bits, at most {MAX_SCALE_BITS}")
+    scale = factor * common
     return scale, _key_rows(b1, scale // b1.scale), _key_rows(b2, scale // b2.scale)
 
 
@@ -673,7 +694,9 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, degree_sensitive: bool = True)
     the largest of theirs.  Two keyed barcodes are searched on their int
     keys over probe windows of near pairs (``_window_search``); otherwise
     every pair is priced once as its rank (``_rank_search``).  More than
-    ``MAX_EXPANDED_BARS`` bars on a side raise :class:`BarCountError`.
+    ``MAX_EXPANDED_BARS`` bars on a side raise :class:`BarCountError`, and
+    two keyed barcodes whose common scale is longer than ``MAX_SCALE_BITS``
+    raise :class:`KeySizeError`.
 
     The window search run on ``PiRational`` endpoints doubled the time per
     call on radial's homotopy traffic (0.29 -> 0.57 ms a three-bar pi pair),
@@ -846,8 +869,8 @@ def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
     differences, midpoints and half spreads stay ints; otherwise on the
     endpoints themselves (see ``_optimal_shift``).  The reported shift is
     the smallest optimal one among the endpoint differences, their pairwise
-    midpoints and 0.  Barcodes past the bar count cap raise as in
-    ``bottleneck_distance``.
+    midpoints and 0.  Barcodes past the bar count or key size cap raise as
+    in ``bottleneck_distance``.
     """
     scale, rows1, rows2 = _expanded(b1, b2, 2)
     if not rows1 or not rows2:

@@ -429,7 +429,10 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
         undecided[d] += 1
         undecided_at[i] = True
 
-    dfs(0)
+    try:
+        dfs(0)
+    finally:
+        del dfs  # dfs refers to itself: break the cycle through its closure
     if not found:
         raise InfeasibleRanksError("no matching leaves the prescribed infinite bars")
     return frozenset(Barcode.from_ranks(bars, ids) for ids in found)

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import floerbar
 from floerbar import complexes, diagrams, oracles, seidel
-from floerbar.cli import main
+from floerbar.cli import _json_text, main
 from floerbar.novikov import format_rational
 from floerbar.sampling import random_complex
 
@@ -503,6 +504,75 @@ def test_bottleneck_bar_count_cap_is_a_failed_check(tmp_path):
         assert report["checks"] == [{"name": "bar-count-cap", "passed": False}]
         assert "bar count cap exceeded" in report["outputs"]["bar_count_error"]
         assert "distance" not in report["outputs"]
+
+
+# any string, lone surrogates and control characters included
+any_text = st.text(st.characters(blacklist_categories=()))
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.integers(-10 ** 1000, 10 ** 1000), st.floats(), any_text)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        st.dictionaries(st.one_of(any_text, st.integers(), st.floats(), st.booleans(),
+                                  st.none()), inner, max_size=4)),
+    max_leaves=25)
+
+
+def _written(write, value):
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(json_values)
+def test_the_report_writer_writes_json_dumps_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], [{}, []], {"": [[]]}, 10 ** 5000, -10 ** 5000, {"a": object()}, [b"bytes"],
+    {(1,): 2}, {True: 1, None: 2, 1.5: 3, float("nan"): 4}, float("-inf"), "\x00\u2028\ud800",
+], ids=lambda value: type(value).__name__)
+def test_the_report_writer_agrees_with_json_dumps_on_edge_cases(value):
+    # an int too long to print (the interpreter's digit limit, where it has
+    # one) and a value or key json cannot write raise the same error
+    assert _written(_json_text, value) == _written(functools.partial(json.dumps, indent=2), value)
+
+
+def _primes(start: int, count: int):
+    out, n = [], start
+    while len(out) < count:
+        if all(n % d for d in range(2, int(n ** 0.5) + 1)):
+            out.append(n)
+        n += 1
+    return out
+
+
+def test_bottleneck_key_size_cap_is_a_failed_check(tmp_path):
+    # bars (1/p, 2/q] over distinct primes near 10**6: 100 primes give a
+    # common scale of 1,994 bits, under the cap, and 104 primes 2,073 bits
+    primes = _primes(10 ** 6, 104)
+    for count, code in ((100, 0), (104, 1)):
+        path = tmp_path / f"primes_{count}.json"
+        path.write_text(json.dumps({"bars": [
+            {"left": f"1/{p}", "right": f"2/{q}"} for p, q in zip(primes[0:count:2],
+                                                               primes[1:count:2])]}))
+        for flags in ((), ("--mod-shift",)):
+            result, report = run("bottleneck", str(path), str(path), *flags)
+            assert result.exit_code == code, (count, flags, result.output)
+            assert isinstance(result.exception, SystemExit) or code == 0
+            names = [c["name"] for c in report["checks"]]
+            if code == 0:
+                assert "key-size-cap" not in names and report["outputs"]["distance"] == "0"
+            else:
+                assert report["checks"] == [{"name": "key-size-cap", "passed": False}]
+                assert report["outputs"]["key_size_error"] == (
+                    "key size cap exceeded: the common scale of the two barcodes has "
+                    "2073 bits, at most 2048")
+                assert "distance" not in report["outputs"]
 
 
 def test_combfloer_lune_candidate_cap_is_a_failed_check():

@@ -7,9 +7,10 @@ import random
 
 import pytest
 
-from floerbar.complexes import GammaUndefinedError, gamma
+from floerbar.complexes import (FilteredComplex, GammaUndefinedError, complex_from_json,
+                                complex_to_json, gamma)
 from floerbar.exactpi import PiRational
-from floerbar.oracles import PROPERTIES, rank_prescriptions
+from floerbar.oracles import PROPERTIES, _parsed, rank_prescriptions
 from floerbar.persistence import INF, bottleneck_distance, shifted_bottleneck
 from floerbar.radial import InfeasibleRanksError, feasible_barcodes
 from floerbar.sampling import _MAX_TENT_GENERATORS
@@ -29,6 +30,7 @@ FLOORS = {
     "shift-scan-agreement": (53, 210),
     "bottleneck-window-agreement": (61, 520),
     "barcode-key-agreement": (67, 510),
+    "complex-key-agreement": (71, 400),
 }
 
 
@@ -139,3 +141,24 @@ def gamma_defined(x) -> bool:
     except GammaUndefinedError:
         return False
     return True
+
+
+def test_complex_key_cases_cover_every_outcome():
+    seen = set()
+    for doc, planted in cases("complex-key-agreement"):
+        cx = _parsed(complex_from_json, doc)
+        if isinstance(cx, FilteredComplex):
+            seen.add("planted" if planted is not None else
+                     "spec-less" if cx.spec is None else f"scale {cx.scale > 60}")
+            if [g["action"] for g in doc["generators"]] != \
+                    [g["action"] for g in complex_to_json(cx)["generators"]]:
+                seen.add("respelled")
+        else:
+            seen.add((type(cx).__name__, str(cx).split(" ")[0]))
+    # accepted complexes of every kind, each validation failure, and the
+    # errors of malformed files
+    assert seen >= {"planted", "spec-less", "scale True", "scale False", "respelled",
+                    ("ComplexValidationError", "degree"), ("ComplexValidationError", "action"),
+                    ("ComplexValidationError", "d"), ("ValueError", "generator"),
+                    ("ValueError", "differential"), ("KeyError", "'id'"),
+                    ("TypeError", "list")}

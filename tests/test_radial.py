@@ -1,10 +1,13 @@
+import gc
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from floerbar.exactpi import PiRational
 from floerbar.novikov import LagrangianParams
-from floerbar.oracles import brute_force_feasible_barcodes
+from floerbar.oracles import brute_force_feasible_barcodes, rank_prescriptions
 from floerbar.persistence import Barcode, Bar, INF, boundary_depth
 from floerbar.radial import (GeneratorSpectrum, InfeasibleRanksError,
                              RadialProfile, SlopeDegeneracyError,
@@ -12,6 +15,7 @@ from floerbar.radial import (GeneratorSpectrum, InfeasibleRanksError,
                              degree_class_actions, feasible_barcodes,
                              fold_profile, forced_bar_bound, generators,
                              homotopy_filter, sup_difference)
+from floerbar.sampling import random_tent_spectrum
 
 LP = LagrangianParams(dim=1, maslov=2, disk_area=F(1, 2))
 
@@ -232,3 +236,22 @@ def test_twin_orbits_collapse_without_losing_barcodes():
     assert forced_bar_bound(s, {0: 0, 1: 0}) == pv((21, 40))
     with pytest.raises(ValueError, match="exceeded the limit"):
         feasible_barcodes(s, {0: 0, 1: 0}, limit=9)
+
+
+def test_feasible_search_leaves_no_garbage_cycle():
+    # the nested search function refers to itself; unless the call breaks
+    # that cycle, its whole search state waits for the cyclic collector
+    rng = random.Random(5)
+    spectra = [random_tent_spectrum(rng) for _ in range(6)]
+    gc.collect()
+    gc.disable()
+    try:
+        for spectrum in spectra:
+            for ranks in itertools.islice(rank_prescriptions(spectrum), 2):
+                try:
+                    feasible_barcodes(spectrum, ranks)
+                except InfeasibleRanksError:
+                    pass
+                assert gc.collect() == 0
+    finally:
+        gc.enable()
