@@ -23,9 +23,13 @@ solve is done once per diagram (``_WindingField``): along a spanning tree of
 the face adjacency graph every face's winding is a signed sum of tree-arc
 counts, tabulated per curve as prefix sums over the arc order.  A monotone
 path then contributes a cyclic range sum plus windings times the full-cycle
-total, the index of a candidate is read off the eight corner faces in O(1),
-and only candidates that pass it pay for an O(faces) vector.  The
-per-candidate breadth-first solve it replaces is kept as the oracle
+total.  A candidate's index-and-nonnegativity verdict depends on its point
+pair only through a small key (the pair's corner sums and the least base
+winding of each class of faces with equal full-turn windings), so each pass
+takes the verdicts once per key, the first time the key appears, and many
+pairs share one.  Per-candidate work -- the face vector, every jump
+condition, the area -- runs only on the survivors.  The per-candidate
+breadth-first solve all this replaces is kept as the oracle
 ``brute_force_lunes`` in :mod:`floerbar.oracles`.
 
 The filtered complex of a diagram has the crossing points as generators and
@@ -95,9 +99,9 @@ class LuneCandidateError(ValueError):
 
 # ``enumerate_lunes`` tries m*(m-1)*2*(w+1)*(w+2) candidates for m points at
 # winding cap w.  ``combfloer`` (three passes on a sphere) on the bundled
-# four-point equator pair took 4.1 s at w = 200, 974,448 candidates, just
-# under the cap (Python 3.11, 2-CPU x86-64); a cap of 10**9 would exhaust
-# memory listing the boundary parameters.
+# four-point equator pair took 0.8-1.0 s as a whole process at w = 200,
+# 974,448 candidates, just under the cap (Python 3.11, 2-CPU x86-64); a cap
+# of 10**9 would exhaust memory listing the boundary parameters.
 MAX_LUNE_CANDIDATES = 1_000_000
 
 
@@ -341,18 +345,24 @@ def _validated_geometry(d: TwoCurveDiagram) -> _Geometry:
     return geo
 
 
+def _area_keys(d: TwoCurveDiagram) -> Tuple[int, Dict[str, int]]:
+    """The face areas as ints over the lcm of their denominators."""
+    scale = math.lcm(*(a.denominator for a in d.areas.values()))
+    return scale, {name: a.numerator * (scale // a.denominator) for name, a in d.areas.items()}
+
+
 def _check_bisection(d: TwoCurveDiagram, geo: _Geometry) -> None:
-    total = sum(d.areas.values())
-    half = total / 2
+    scale, keys = _area_keys(d)
+    total = sum(keys.values())
     for curve, across in (("K", "L"), ("L", "K")):
         comps = geo.face_components(across)
         if len(comps) != 2:
             raise DiagramError(f"curve {curve} does not split the sphere into two sides")
         for comp in comps:
-            side = sum(d.areas[f] for f in comp)
-            if side != half:
+            side = sum(keys[f] for f in comp)
+            if 2 * side != total:
                 raise DiagramError(
-                    f"curve {curve} does not bisect the area: side sums to {side}")
+                    f"curve {curve} does not bisect the area: side sums to {Fraction(side, scale)}")
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +391,14 @@ class _WindingField:
         self.faces = list(geo.d.faces)
         index = {name: i for i, name in enumerate(self.faces)}
         n = len(self.faces)
-        # (left face, right face) of every arc
-        self.sides = {curve: [(index[geo.left[(curve, a)]], index[geo.right[(curve, a)]])
-                              for a in range(m)] for curve in ("K", "L")}
+        # left and right face of every arc, the arcs of K then those of L
+        self.lefts = [index[geo.left[(curve, a)]] for curve in ("K", "L") for a in range(m)]
+        self.rights = [index[geo.right[(curve, a)]] for curve in ("K", "L") for a in range(m)]
         adjacency: List[List[Tuple[int, Tuple[str, int], int]]] = [[] for _ in range(n)]
-        for curve, sides in self.sides.items():
-            for a, (lf, rf) in enumerate(sides):
-                adjacency[rf].append((lf, (curve, a), 1))
-                adjacency[lf].append((rf, (curve, a), -1))
+        for i, (lf, rf) in enumerate(zip(self.lefts, self.rights)):
+            arc = ("K", i) if i < m else ("L", i - m)
+            adjacency[rf].append((lf, arc, 1))
+            adjacency[lf].append((rf, arc, -1))
         # face -> {arc: sign} over the tree arcs on its root path
         paths: List[Optional[Dict[Tuple[str, int], int]]] = [None] * n
         paths[0] = {}
@@ -410,6 +420,7 @@ class _WindingField:
         # length below 20 for reuse, and face-length tuples made on every call
         # would hold that memory for the life of the process
         self.prefix: Dict[str, List[List[int]]] = {}
+        self.wrapped: Dict[str, List[List[int]]] = {}
         self.corner_prefix: Dict[str, Dict[int, List[int]]] = {}
         for curve in ("K", "L"):
             row = [0] * n
@@ -419,36 +430,37 @@ class _WindingField:
                     row[f] += sign
                 rows.append(list(row))
             self.prefix[curve] = rows
+            # a range that wraps past arc m-1 starts a full turn early
+            self.wrapped[curve] = [list(map(operator.sub, r, row)) for r in rows]
+            by_face = list(zip(*rows))
             self.corner_prefix[curve] = {
-                p: [sum(r[index[f]] for f in names) for r in rows]
+                p: list(map(sum, zip(*(by_face[index[f]] for f in names))))
                 for p, names in geo.corners.items()}
         self.total = {curve: rows[m] for curve, rows in self.prefix.items()}
 
-    def segment(self, curve: str, start: int, end: int) -> Tuple[int, int]:
-        """Forward arc range (lo, hi) from start to end: the arcs lo, lo+1,
-        ..., hi-1 taken cyclically (start != end)."""
-        return self.pos[curve][start], self.pos[curve][end]
+    def base_vector(self, seg_k: Tuple[int, int], seg_l: Tuple[int, int]) -> List[int]:
+        """Face windings of the forward arc range ``seg_k`` of K plus ``seg_l``
+        of L, a range (lo, hi) being the arcs lo, lo+1, ..., hi-1 taken
+        cyclically."""
+        (lo_k, hi_k), (lo_l, hi_l) = seg_k, seg_l
+        start_k = (self.prefix if lo_k < hi_k else self.wrapped)["K"][lo_k]
+        start_l = (self.prefix if lo_l < hi_l else self.wrapped)["L"][lo_l]
+        return list(map(operator.add, map(operator.sub, self.prefix["K"][hi_k], start_k),
+                        map(operator.sub, self.prefix["L"][hi_l], start_l)))
 
-    def range_sum(self, prefix: Sequence[int], seg: Tuple[int, int]) -> int:
-        lo, hi = seg
-        return prefix[hi] - prefix[lo] + (prefix[self.m] if lo > hi else 0)
-
-    def range_vector(self, curve: str, seg: Tuple[int, int]) -> List[int]:
-        rows = self.prefix[curve]
-        lo, hi = seg
-        if lo < hi:
-            return [b - a for a, b in zip(rows[lo], rows[hi])]
-        return [t - a + b for a, b, t in zip(rows[lo], rows[hi], rows[self.m])]
-
-    def consistent(self, w: Sequence[int], seg_k, turns_k: int, seg_l, turns_l: int) -> bool:
+    def consistent(self, w: List[int], seg_k, turns_k: int, seg_l, turns_l: int) -> bool:
         """The jump conditions on every arc, tree arcs included: arc counts
         are one on the forward range plus the full turns."""
-        for curve, (lo, hi), turns in (("K", seg_k, turns_k), ("L", seg_l, turns_l)):
-            for a, (lf, rf) in enumerate(self.sides[curve]):
-                inside = lo <= a < hi if lo < hi else (a >= lo or a < hi)
-                if w[lf] - w[rf] != turns + inside:
-                    return False
-        return True
+        jumps = list(map(operator.sub, map(w.__getitem__, self.lefts),
+                         map(w.__getitem__, self.rights)))
+        return jumps == self._counts(seg_k, turns_k) + self._counts(seg_l, turns_l)
+
+    def _counts(self, seg: Tuple[int, int], turns: int) -> List[int]:
+        """Traversal counts of one curve's arcs: the forward range plus turns."""
+        (lo, hi), m = seg, self.m
+        if lo < hi:
+            return [turns] * lo + [turns + 1] * (hi - lo) + [turns] * (m - hi)
+        return [turns + 1] * hi + [turns] * (lo - hi) + [turns + 1] * (m - lo)
 
 
 def _lune_paths(max_wind: int) -> List[Tuple[Tuple[int, int], Tuple[int, int], int, int]]:
@@ -469,12 +481,23 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     (``jk + jl <= max_wind``).  Every candidate of a pair has the winding
     function ``base + tk * total_K + tl * total_L + offset``, with ``base``
     the forward ranges x -> y on K and y -> x on L read from the per-diagram
-    ``_WindingField`` and (tk, tl) the full turns of its paths.  The index is
-    tested first on the eight corner faces alone: on the sphere it fixes the
-    offset (the corner sum plus eight times the offset must be 2), on the
-    annulus the offset is forced by the boundary faces (equal windings
-    there, pinned to zero).  Only survivors are checked face by face for
-    nonnegativity and against every jump condition.  More than
+    ``_WindingField`` and (tk, tl) the full turns of its paths.  The index
+    is the corner sum ``corner_base + tk * a + tl * b`` over the eight
+    corner faces, with (a, b) the pair's corner turn sums; index one fixes
+    the offset (the corner sum plus eight times the offset is 2), and on the
+    annulus the offset must also put the boundary faces at zero.
+
+    The index-and-nonnegativity verdict is taken per key, not per
+    candidate.  Faces with the same full-turn windings (total_K, total_L)
+    move together under the turns, so nonnegativity reads only each
+    group's least base winding; the key ``(a, b, T)`` with ``T_g = 8 *
+    (least base winding of group g) + 2 - corner_base`` (extended on the
+    annulus by the corner base and the boundary faces' base windings)
+    decides every boundary of the pair, and many pairs share a key.  A
+    key's surviving boundaries are listed the first time it appears in the
+    call, and a pair whose corner residue mod 8 no boundary reaches is
+    skipped before its face vector is built.  Only survivors are built face
+    by face and checked against every jump condition.  More than
     ``MAX_LUNE_CANDIDATES`` candidates raise :class:`LuneCandidateError`,
     counted before any is built.
     """
@@ -488,69 +511,100 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     field = _WindingField(geo)
     m, faces = field.m, field.faces
     by_name = sorted(range(len(faces)), key=faces.__getitem__)
-    denominator = math.lcm(*(a.denominator for a in d.areas.values()))
-    scaled_areas = [int(d.areas[name] * denominator) for name in faces]
+    scale, area_keys = _area_keys(d)
+    scaled_areas = [area_keys[name] for name in faces]
     total_k, total_l = field.total["K"], field.total["L"]
+    # faces with equal full-turn windings move together under the turns
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for f, turns in enumerate(zip(total_k, total_l)):
+        groups.setdefault(turns, []).append(f)
+    # each getter reads one group's faces, its first face twice so that a
+    # one-face group still gives a tuple
+    group_getters = [operator.itemgetter(g[0], *g) for g in groups.values()]
+    group_turns = [(8 * gk, 8 * gl) for gk, gl in groups]
+    annulus = d.surface == "annulus"
+    bfaces = [faces.index(name) for name in d.boundary_faces]
+    bturns = [(total_k[f], total_l[f]) for f in bfaces]
     boundaries = _lune_paths(max_wind)
     turn_vectors: Dict[Tuple[int, int], List[int]] = {}
-    for _k, _l, tk, tl in boundaries:
-        turn_vectors[(tk, tl)] = [tk * a + tl * b for a, b in zip(total_k, total_l)]
-    annulus = d.surface == "annulus"
-    if annulus:
-        bfaces = [faces.index(name) for name in d.boundary_faces]
-        bcols = [([row[b] for row in field.prefix["K"]], [row[b] for row in field.prefix["L"]])
-                 for b in bfaces]
+
+    def residue_classes(a: int, b: int) -> Dict[int, list]:
+        """The boundaries under corner turn sums (a, b), each with its corner
+        turn sum s, by the residue mod 8 of the corner base they need."""
+        classes: Dict[int, list] = {}
+        for boundary in boundaries:
+            s = boundary[2] * a + boundary[3] * b
+            classes.setdefault((2 - s) % 8, []).append((boundary, s))
+        return classes
+
+    def survivors(candidates: list, least: Tuple[int, ...], pinned: Tuple[int, ...]) -> list:
+        """The boundaries that pass index one and nonnegativity under a key."""
+        if pinned:
+            corner_base, *bbase = pinned
+        out = []
+        for (k_path, l_path, tk, tl), s in candidates:
+            if min([t + tk * gk + tl * gl for t, (gk, gl) in zip(least, group_turns)]) < s:
+                continue
+            if pinned:
+                w0, w1 = (v + tk * gk + tl * gl for v, (gk, gl) in zip(bbase, bturns))
+                if w1 != w0 or 8 * w0 != s + corner_base - 2:
+                    continue
+            turns = turn_vectors.get((tk, tl))
+            if turns is None:
+                turns = turn_vectors[(tk, tl)] = [tk * gk + tl * gl for gk, gl in zip(total_k, total_l)]
+            out.append((k_path, l_path, tk, tl, s, turns))
+        return out
+
     corners_k, corners_l = field.corner_prefix["K"], field.corner_prefix["L"]
-    lunes: List[Lune] = []
+    pos_k, pos_l = field.pos["K"], field.pos["L"]
+    residue_tables: Dict[Tuple[int, int], Dict[int, list]] = {}
+    verdicts: Dict[tuple, list] = {}
+    lunes: List[Tuple[int, int, int, tuple, Lune]] = []
     seen = set()
     for x, y in itertools.permutations(d.points, 2):
-        seg_k = field.segment("K", x, y)
-        seg_l = field.segment("L", y, x)
-        corner_base = (field.range_sum(corners_k[x], seg_k) + field.range_sum(corners_k[y], seg_k)
-                       + field.range_sum(corners_l[x], seg_l) + field.range_sum(corners_l[y], seg_l))
-        turn_corner_k = corners_k[x][m] + corners_k[y][m]
-        turn_corner_l = corners_l[x][m] + corners_l[y][m]
-        if annulus:
-            bbase = [field.range_sum(ck, seg_k) + field.range_sum(cl, seg_l) for ck, cl in bcols]
-        base = None
-        for k_path, l_path, tk, tl in boundaries:
-            corners = corner_base + tk * turn_corner_k + tl * turn_corner_l
-            if annulus:
-                w0, w1 = (bb + tk * total_k[b] + tl * total_l[b] for bb, b in zip(bbase, bfaces))
-                offset = -w0
-                if w1 != w0 or corners + 8 * offset != 2:
-                    continue
-            else:
-                if (2 - corners) % 8:
-                    continue
-                offset = (2 - corners) // 8
-            if base is None:
-                base = list(map(operator.add, field.range_vector("K", seg_k),
-                                field.range_vector("L", seg_l)))
-            turns = turn_vectors[(tk, tl)]
-            # index one forces a nonzero corner, so w is never all zero
-            if min(map(operator.add, base, turns)) + offset < 0:
-                continue
-            w = [b + t + offset for b, t in zip(base, turns)]
+        seg_k = lo_k, hi_k = pos_k[x], pos_k[y]
+        seg_l = lo_l, hi_l = pos_l[y], pos_l[x]
+        ckx, cky, clx, cly = corners_k[x], corners_k[y], corners_l[x], corners_l[y]
+        a, b = ckx[m] + cky[m], clx[m] + cly[m]
+        corner_base = (ckx[hi_k] + cky[hi_k] - ckx[lo_k] - cky[lo_k] + (a if lo_k > hi_k else 0)
+                       + clx[hi_l] + cly[hi_l] - clx[lo_l] - cly[lo_l] + (b if lo_l > hi_l else 0))
+        classes = residue_tables.get((a, b))
+        if classes is None:
+            classes = residue_tables[(a, b)] = residue_classes(a, b)
+        reachable = classes.get(corner_base % 8)
+        if reachable is None:
+            continue
+        base = field.base_vector(seg_k, seg_l)
+        least = tuple([8 * min(get(base)) + 2 - corner_base for get in group_getters])
+        pinned = (corner_base, *map(base.__getitem__, bfaces)) if annulus else ()
+        key = (a, b, least, pinned)
+        passed = verdicts.get(key)
+        if passed is None:
+            passed = verdicts[key] = survivors(reachable, least, pinned)
+        for k_path, l_path, tk, tl, s, turns in passed:
+            offset = (2 - corner_base - s) // 8
+            w = [v + t + offset for v, t in zip(base, turns)]
             if not field.consistent(w, seg_k, tk, seg_l, tl):
                 continue
             support = tuple((faces[f], w[f]) for f in by_name if w[f])
-            key = (x, y, support)
+            found = (x, y, support)
             # the winding function determines the boundary traversal,
             # so distinct parameters never collide
-            if key in seen:
-                raise AssertionError(f"duplicate lune candidate {key}")
-            seen.add(key)
-            area = Fraction(sum(a * c for a, c in zip(scaled_areas, w)), denominator)
+            if found in seen:
+                raise AssertionError(f"duplicate lune candidate {found}")
+            seen.add(found)
+            # index one forces a nonzero corner, so w is never all zero
+            area = sum(map(operator.mul, scaled_areas, w))
             if area <= 0:
                 raise DiagramError("nonzero nonnegative winding with zero area")
-            lunes.append(Lune(
+            lunes.append((x, y, area, support, Lune(
                 source=x, target=y, k_path=k_path, l_path=l_path,
                 w=support,
-                area=area,
-            ))
-    lunes.sort(key=lambda l: (l.source, l.target, l.area, l.w))
-    return tuple(lunes)
+                area=Fraction(area, scale),
+            )))
+    # by (source, target, area, w), the area compared as its int key
+    lunes.sort(key=operator.itemgetter(0, 1, 2, 3))
+    return tuple(entry[4] for entry in lunes)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +629,11 @@ def _grade(d: TwoCurveDiagram, lunes: Sequence[Lune]
     """
     sphere = d.surface == "sphere"
     adjacency: Dict[int, List[Lune]] = {p: [] for p in d.points}
-    for lune in sorted(lunes, key=lambda l: (l.area, l.source, l.target)):
+    # by (area, source, target), each area compared as an int over the lcm
+    # of the area denominators
+    scale = math.lcm(*(l.area.denominator for l in lunes))
+    for lune in sorted(lunes, key=lambda l: (l.area.numerator * (scale // l.area.denominator),
+                                             l.source, l.target)):
         adjacency[lune.source].append(lune)
         adjacency[lune.target].append(lune)
     degree: Dict[int, int] = {}

@@ -1171,11 +1171,18 @@ def _shuffled_labels(rng: random.Random, d: TwoCurveDiagram) -> TwoCurveDiagram:
 
 
 def _lune_cases(rng: random.Random, n: int):
-    """The bundled annulus at winding cap 2 (fixed); then 196 small sphere
-    diagrams at winding caps 0-4, four of 8, 12, 16 and 20 crossings at cap
-    2, relabelled copies of the first 30 and of the 8- and 12-crossing
-    ones, and small ones again."""
-    yield equator_pair_annulus(annulus_example_areas(Fraction(1, 10))), 2
+    """Fixed: the bundled annulus at winding caps 0-7, and sphere diagrams
+    of 10, 12 and 14 crossings (each drawn from the seed of its crossing
+    number) at caps 3, 4 and 5, where many point pairs share a verdict key
+    of ``enumerate_lunes``.  Then drawn: 196 small sphere diagrams at
+    winding caps 0-4, four of 8, 12, 16 and 20 crossings at cap 2,
+    relabelled copies of the first 30 and of the 8- and 12-crossing ones,
+    and small ones again."""
+    annulus = equator_pair_annulus(annulus_example_areas(Fraction(1, 10)))
+    for max_wind in range(8):
+        yield annulus, max_wind
+    for crossings, max_wind in ((10, 3), (12, 4), (14, 5)):
+        yield random_sphere_diagram(random.Random(crossings), crossings), max_wind
     relabelled = (*range(30), 196, 197)
     drawn = []
     for i in range(n):

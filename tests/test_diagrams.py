@@ -31,6 +31,24 @@ def test_validate_catches_broken_bisection():
     d = equator_pair_diagram(areas)
     with pytest.raises(DiagramError, match="bisect"):
         validate_diagram(d)
+    # distinct large prime denominators: bisection holds exactly when
+    # A1 + A3 = A5 + A6 and A2 = A4
+    p, q = 1_000_003, 1_000_033
+    exact = {"A1": F(1, 5) + F(1, p), "A3": F(1, 5) + F(1, q),
+             "A5": F(1, 5) + F(1, q), "A6": F(1, 5) + F(1, p),
+             "A2": F(1, 10), "A4": F(1, 10)}
+    validate_diagram(equator_pair_diagram(exact))
+    # a*q - b*p = 1, so K's sides {A1, A2, A3} and {A4, A5, A6} miss by 1/(p*q)
+    a = pow(q, -1, p)
+    b = (a * q - 1) // p
+    missed = dict(exact, A2=exact["A2"] + F(a, p), A4=exact["A4"] + F(b, q))
+    north = missed["A1"] + missed["A2"] + missed["A3"]
+    south = missed["A4"] + missed["A5"] + missed["A6"]
+    assert north - south == F(1, p * q)
+    with pytest.raises(DiagramError) as caught:
+        validate_diagram(equator_pair_diagram(missed))
+    assert str(caught.value) in {f"curve K does not bisect the area: side sums to {side}"
+                                 for side in (north, south)}
 
 
 def test_validate_two_circle():
