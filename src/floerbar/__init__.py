@@ -8,9 +8,9 @@ Submodules
     with the non-Archimedean valuation convention ``nu(variable) =
     -action_step``.
 ``persistence``
-    Barcodes (all-Fraction ones kept as int rows over one least scale);
+    Barcodes (kept as rows of int or int-pair keys over one least scale);
     bottleneck/interleaving distance (exact, a threshold search over
-    once-priced bar pairs, two one-sided cover tests a probe); the
+    windows of near bar pairs, two one-sided cover tests a probe); the
     shift-quotient metric (a sorted-matrix search over the optimum, one
     sweep of the candidate shifts a probe); boundary depth and bar lengths.
 ``complexes``

@@ -51,7 +51,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .f2 import Echelon
 from .novikov import NovikovScalar, NovikovSpec, format_rational, parse_int, parse_ratio
-from .persistence import Barcode, NEG_INF
+from .persistence import Barcode, NEG_INF, _value
 
 __all__ = [
     "Generator",
@@ -611,22 +611,17 @@ def gamma(bc: Barcode, fund_degree: int, point_degree: int) -> Fraction:
     """Difference of the infinite-bar left endpoints of ``bc`` in the two
     designated degrees; each must carry exactly one infinite bar.  ``bc``
     must cover both degrees, e.g. ``barcode(cx, (lo, hi + 1))`` with ``lo``,
-    ``hi`` the smaller and larger degree.  A keyed barcode is read on its
-    int rows."""
-    keyed = bc.rows is not None
+    ``hi`` the smaller and larger degree.  Read on the keyed rows."""
 
     def left_endpoint(deg: int):
-        found = [(row[1], row[3]) for row in bc.rows if row[0] == deg and row[2] is None] \
-            if keyed else [(b.left, b.multiplicity) for b in bc.bars
-                           if b.degree == deg and b.is_infinite]
+        found = [(row[1], row[3]) for row in bc.rows if row[0] == deg and row[2] is None]
         count = sum(m for _l, m in found)
         if count != 1:
             raise GammaUndefinedError(
                 f"degree {deg} carries {count} infinite bars, need exactly 1")
         return found[0][0]
 
-    g = left_endpoint(fund_degree) - left_endpoint(point_degree)
-    return Fraction(g, bc.scale) if keyed else g
+    return _value(left_endpoint(fund_degree) - left_endpoint(point_degree), bc.scale)
 
 
 # ---------------------------------------------------------------------------

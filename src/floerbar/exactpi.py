@@ -17,6 +17,10 @@ each bracket cached, until the rational falls outside the bracket.  Pi being
 irrational, every comparison terminates.  Equality holds only when both
 coefficients agree; no nonzero element of the module vanishes.
 
+A :class:`PiKey` is a value with int parts, an endpoint of a barcode times
+the barcode's scale: keys add, subtract and compare on brackets carried
+through the arithmetic, with the same exact sign when they overlap.
+
 :func:`floerbar.oracles.pi_rational_cmp` keeps the unfiltered route, the
 sign of the difference value through the Machin brackets alone, as the
 oracle the tests compare this order with.
@@ -31,7 +35,7 @@ from typing import Tuple, Union
 
 from .novikov import format_rational, parse_rational
 
-__all__ = ["PiRational"]
+__all__ = ["PiRational", "PiKey"]
 
 # Binary precision of the first Machin bracket: about 77 decimal digits.
 _MACHIN_START_BITS = 256
@@ -282,3 +286,107 @@ class PiRational:
         return f"{format_rational(self.rational)} + {pi_part}"
 
     __repr__ = __str__
+
+
+def _key_sign(da: int, db: int) -> int:
+    """Exact sign of ``da + db*pi`` for ints."""
+    return (da > 0) - (da < 0) if not db else _sign(Fraction(da), db)
+
+
+def _new_key(a: int, b: int, lo: int, hi: int, _make=object.__new__) -> "PiKey":
+    key = _make(PiKey)
+    key.a, key.b, key.lo, key.hi = a, b, lo, hi
+    return key
+
+
+class PiKey:
+    """The value ``a + b*pi`` for ints ``a`` and ``b``: a ``PiRational``
+    endpoint of a barcode times the barcode's scale.
+
+    Keys add, subtract, negate, scale by ints and divide by ints that divide
+    both parts, and compare exactly with each other and with ints, an int
+    ``n`` being ``n + 0*pi``.  Each carries ints ``lo <= (a + b*pi) * 2**64
+    <= hi``, from the 64-bit bracket of pi when built and carried through
+    the arithmetic, so a comparison takes the exact sign of the difference
+    only when the brackets overlap.  Equal values are equal with equal
+    hashes, an int among them: an int and a key of zero pi part are one
+    number read as a Fraction and as a ``PiRational``, and each keeps its
+    type through the arithmetic as those do.
+    """
+
+    __slots__ = ("a", "b", "lo", "hi")
+
+    def __init__(self, a: int, b: int) -> None:
+        low, high = (_PI_LOW, _PI_HIGH) if b >= 0 else (_PI_HIGH, _PI_LOW)
+        self.a, self.b = a, b
+        self.lo, self.hi = (a << _BRACKET_BITS) + b * low, (a << _BRACKET_BITS) + b * high
+
+    def value(self, scale: int) -> PiRational:
+        """The key divided by ``scale``."""
+        return PiRational(Fraction(self.a, scale), Fraction(self.b, scale))
+
+    def __add__(self, o) -> "PiKey":
+        if type(o) is int:
+            x = o << _BRACKET_BITS
+            return _new_key(self.a + o, self.b, self.lo + x, self.hi + x)
+        return _new_key(self.a + o.a, self.b + o.b, self.lo + o.lo, self.hi + o.hi)
+
+    __radd__ = __add__
+
+    def __sub__(self, o) -> "PiKey":
+        if type(o) is int:
+            x = o << _BRACKET_BITS
+            return _new_key(self.a - o, self.b, self.lo - x, self.hi - x)
+        return _new_key(self.a - o.a, self.b - o.b, self.lo - o.hi, self.hi - o.lo)
+
+    def __rsub__(self, o: int) -> "PiKey":
+        x = o << _BRACKET_BITS
+        return _new_key(o - self.a, -self.b, x - self.hi, x - self.lo)
+
+    def __neg__(self) -> "PiKey":
+        return _new_key(-self.a, -self.b, -self.hi, -self.lo)
+
+    def __mul__(self, n: int) -> "PiKey":
+        lo, hi = (self.lo, self.hi) if n >= 0 else (self.hi, self.lo)
+        return _new_key(n * self.a, n * self.b, n * lo, n * hi)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, n: int) -> "PiKey":
+        return _new_key(self.a // n, self.b // n, self.lo // n, -(-self.hi // n))
+
+    def __abs__(self) -> "PiKey":
+        return self if self.lo >= 0 or self.hi > 0 and _key_sign(self.a, self.b) >= 0 else -self
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def _cmp(self, o) -> int:
+        if type(o) is int:
+            x = o << _BRACKET_BITS
+            return -1 if self.hi < x else 1 if self.lo > x else _key_sign(self.a - o, self.b)
+        return -1 if self.hi < o.lo else 1 if self.lo > o.hi else \
+            _key_sign(self.a - o.a, self.b - o.b)
+
+    def __lt__(self, o) -> bool:
+        return self._cmp(o) < 0
+
+    def __le__(self, o) -> bool:
+        return self._cmp(o) <= 0
+
+    def __gt__(self, o) -> bool:
+        return self._cmp(o) > 0
+
+    def __ge__(self, o) -> bool:
+        return self._cmp(o) >= 0
+
+    def __eq__(self, o) -> bool:
+        if type(o) is int:
+            return not self.b and self.a == o
+        return type(o) is PiKey and self.a == o.a and self.b == o.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b)) if self.b else hash(self.a)
+
+    def __repr__(self) -> str:
+        return f"PiKey({self.a}, {self.b})"

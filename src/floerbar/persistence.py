@@ -2,27 +2,25 @@
 
 A barcode is a finite multiset of degree-labelled half-open intervals
 ``(left, right]`` (finite) or ``(left, +inf)``.  Endpoints are exact numbers:
-rationals, or rational-plus-pi values from :mod:`floerbar.exactpi`.  A
-barcode whose endpoints are all Fractions is *keyed*: it is stored as int
-rows ``(degree, left, right, mult)``, its endpoints times the least scale
-that makes them ints, sorted on ints, and its ``Bar``s and Fractions are
-built once, when first read.  Any other barcode stores its ``Bar``s, and the
-code only adds, subtracts, halves and compares their endpoints.
+rationals, or rational-plus-pi values from :mod:`floerbar.exactpi`.  Every
+barcode is stored as rows ``(degree, left, right, mult)`` of keys, its
+endpoints times the least scale that makes their parts ints: an int for a
+Fraction, a :class:`~floerbar.exactpi.PiKey` pair of ints for a
+``PiRational``.  The rows are sorted on the keys, and the ``Bar``s are built
+once, when first read, each endpoint of the type it was given.
 
 The bottleneck distance is the least tolerance ``delta`` at which, after
 deleting bars of length ``<= 2*delta``, the rest biject so that matched
 intervals contain each other's ``delta``-shrinkings; degree-sensitive, each
-degree is an independent subproblem.  Two keyed barcodes are searched on int
+degree is an independent subproblem.  Two barcodes are searched on their
 keys over twice their common scale, and a subproblem never lists all its
 pairs: with one side sorted on left endpoints, the pairs a probe admits are
-one bisected window per bar.  Otherwise every pair and deletion is priced
-once as its rank among all the costs, and the ranks are bisected.  A probe
-is two one-sided cover tests (:class:`floerbar.matching.CoverMatching`), by
-the Mendelsohn-Dulmage theorem.
+one bisected window per bar.  A probe is two one-sided cover tests
+(:class:`floerbar.matching.CoverMatching`), by the Mendelsohn-Dulmage
+theorem.
 
 The shift-quotient metric minimises the bottleneck distance over global
-translations of one barcode (``_optimal_shift``), on int keys when both
-barcodes are keyed.
+translations of one barcode (``_optimal_shift``), on the same keys.
 
 The exhaustive matcher ``brute_force_bottleneck`` is defined here and
 re-exported by :mod:`floerbar.oracles`, which holds the other oracles.
@@ -34,11 +32,12 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from .exactpi import PiRational
+from .exactpi import _BRACKET_BITS, PiKey, PiRational
 from .matching import CoverMatching
 from .novikov import format_rational, parse_int, parse_ratio
 
@@ -120,18 +119,19 @@ class BarCountError(ValueError):
     """A barcode has more bars than the metrics accept."""
 
 
-# ``bottleneck_distance`` on Fraction endpoints lists only near pairs: a
-# one-degree pair at the cap and its copy moved by 1/100 take 0.1-0.2 s and
-# 30 MiB peak.  Pairs far apart, pi endpoints and ``shifted_bottleneck``
-# still price about every pair of bars of one degree, so their time and
-# memory grow with the product of the bar counts: two independent one-degree
-# draws at the cap take about 9 s and 750 MiB peak in ``bottleneck_distance``
-# (Python 3.11, 2-CPU x86-64).  A multiplicity of 10**12 would exhaust memory.
+# ``bottleneck_distance`` lists only near pairs: a one-degree pair at the cap
+# and its copy moved by 1/100 take 0.1-0.2 s and 30 MiB peak.  Pairs far
+# apart and ``shifted_bottleneck`` still price about every pair of bars of one
+# degree, so their time and memory grow with the product of the bar counts:
+# two independent one-degree draws at the cap take about 9 s and 750 MiB peak
+# in ``bottleneck_distance`` (Python 3.11, 2-CPU x86-64).  Keys with pi parts
+# add and compare in Python, several times slower than ints.  A multiplicity
+# of 10**12 would exhaust memory.
 MAX_EXPANDED_BARS = 2_000
 
 
 class KeySizeError(ValueError):
-    """Two keyed barcodes have a common scale longer than the metrics accept."""
+    """Two barcodes have a common scale longer than the metrics accept."""
 
 
 # Keys over one common scale grow with the number of distinct denominators.
@@ -189,16 +189,52 @@ def _endpoint_to_json(x):
     return x.to_json() if hasattr(x, "to_json") else format_rational(x)
 
 
-def _key_to_json(key: int, scale: int) -> str:
+def _part_to_json(key: int, scale: int) -> str:
     """``format_rational(Fraction(key, scale))``, without the Fraction."""
     g = math.gcd(key, scale)
     return str(key // g) if g == scale else f"{key // g}/{scale // g}"
+
+
+def _key_to_json(key, scale: int):
+    """An endpoint key over ``scale`` as the JSON of what it reads back as."""
+    if type(key) is int:
+        return _part_to_json(key, scale)
+    return [_part_to_json(key.a, scale), _part_to_json(key.b, scale)]
 
 
 def _endpoint_from_json(data):
     """A rational as ``(numerator, positive denominator)``; a ``[q, q_pi]``
     pair as a PiRational."""
     return PiRational.from_json(data) if isinstance(data, list) else parse_ratio(data)
+
+
+def _denominators(x) -> Tuple[int, ...]:
+    """The denominators of an endpoint's parts: a Fraction's, a PiRational's
+    two, or a parsed ``(numerator, denominator)``'s."""
+    if type(x) is tuple:
+        return x[1:]
+    if type(x) is PiRational:
+        return x.rational.denominator, x.pi_coeff.denominator
+    return (x.denominator,)
+
+
+def _key(x, scale: int):
+    """An endpoint times ``scale``: an int for a rational (a Fraction, or
+    parsed as ``(numerator, denominator)``), a PiKey for a PiRational; None
+    for ``INF``."""
+    if x is INF:
+        return None
+    if type(x) is tuple:
+        return x[0] * (scale // x[1])
+    if type(x) is PiRational:
+        return PiKey(_key(x.rational, scale), _key(x.pi_coeff, scale))
+    return x.numerator * (scale // x.denominator)
+
+
+def _value(key, scale: int):
+    """What a key over ``scale`` reads back as: a Fraction for an int, a
+    PiRational for a PiKey."""
+    return Fraction(key, scale) if type(key) is int else key.value(scale)
 
 
 def _row_order(row):
@@ -209,38 +245,37 @@ def _row_order(row):
 class Barcode:
     """Canonical multiset of bars: sorted by (degree, left, right), merged.
 
-    A barcode whose endpoints are all Fractions is keyed: ``scale`` is the
-    least positive int that makes every endpoint times it an int, ``rows``
-    holds ``(degree, left, right, mult)`` of those ints in canonical order
-    (``right`` None for an infinite bar), and ``bars`` is decoded from them
-    on first read.  Otherwise ``rows`` and ``scale`` are None.  Equality and
-    hashing go by value, across both kinds.
+    ``scale`` is the least positive int (but see ``from_ranks``) that makes
+    every endpoint times it a key: an int for a Fraction, a
+    :class:`~floerbar.exactpi.PiKey` of two ints for a ``PiRational``.
+    ``rows`` holds ``(degree, left, right, mult)`` of those keys in
+    canonical order (``right`` None for an infinite bar), and ``bars`` is
+    decoded from them on first read, each endpoint of the type it was given;
+    of equal bars the first given is kept.  Equality and hashing go by
+    value.
     """
 
     __slots__ = ("rows", "scale", "_bars")
 
     def __init__(self, bars: Iterable[Bar] = ()) -> None:
         bars = list(bars)
-        ends = [x for bar in bars for x in (bar.left, bar.right) if x is not INF]
         # Fractions are reduced, so the lcm of their denominators is the least
-        scale = math.lcm(*(x.denominator for x in ends)) \
-            if all(type(x) is Fraction for x in ends) else None
+        scale = math.lcm(*(d for bar in bars for x in (bar.left, bar.right) if x is not INF
+                           for d in _denominators(x)))
         merged = {}
         for bar in bars:
-            key = (bar.degree, bar.left, bar.right) if scale is None else \
-                (bar.degree, _key(bar.left, scale), _key(bar.right, scale))
+            key = (bar.degree, _key(bar.left, scale), _key(bar.right, scale))
             prev = merged.get(key)
             # a bar whose multiplicity the merge leaves alone is kept as given
             merged[key] = bar if prev is None else Bar(
                 prev.left, prev.right, prev.degree, prev.multiplicity + bar.multiplicity)
-        order = sorted(merged) if scale is None else sorted(merged, key=_row_order)
-        self.rows = None if scale is None else tuple(
-            (*key, merged[key].multiplicity) for key in order)
-        self.scale, self._bars = scale, tuple(merged[key] for key in order)
+        order = sorted(merged.items(), key=lambda item: _row_order(item[0]))
+        self.rows = tuple((*key, bar.multiplicity) for key, bar in order)
+        self.scale, self._bars = scale, tuple(bar for _key, bar in order)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Tuple], scale: int) -> "Barcode":
-        """The keyed barcode of int rows ``(degree, left, right, mult)`` over
+        """The barcode of int rows ``(degree, left, right, mult)`` over
         ``scale``, in any order and with repeats.  Trusted: merged, sorted and
         brought to the least scale, never checked."""
         rows = list(rows)
@@ -250,7 +285,8 @@ class Barcode:
 
     @classmethod
     def _least(cls, rows: Iterable[Tuple], scale: int) -> "Barcode":
-        """``from_rows`` of rows already over their least scale."""
+        """``from_rows`` of rows already over their least scale; of equal
+        rows the first keeps its keys."""
         merged = {}
         for d, l, r, m in rows:
             merged[d, l, r] = merged.get((d, l, r), 0) + m
@@ -260,15 +296,21 @@ class Barcode:
         return out
 
     @classmethod
-    def from_ranks(cls, ranked: Sequence[Bar], ranks: Iterable[int]) -> "Barcode":
-        """The barcode of the bars ``ranked[k]`` for ``k`` in ``ranks``, a
-        repeated rank giving a multiplicity.  Trusted: ``ranked`` holds
-        distinct bars of multiplicity one in canonical order, not all of
-        Fractions, and ``ranks`` is sorted; nothing is checked."""
+    def from_ranks(cls, ranked: "Barcode", ranks: Sequence[int]) -> "Barcode":
+        """The barcode of the bars ``ranked.bars[k]`` for ``k`` in ``ranks``,
+        a repeated rank giving a multiplicity, read out as those bars, on
+        the scale of ``ranked``.  Trusted: ``ranked`` has distinct bars of
+        multiplicity one and ``ranks`` is sorted; nothing is checked."""
+        rows, bars = ranked.rows, ranked.bars
         out = object.__new__(cls)
-        out.rows = out.scale = None
-        runs = ((k, sum(1 for _ in run)) for k, run in itertools.groupby(ranks))
-        out._bars = tuple(ranked[k] if n == 1 else replace(ranked[k], multiplicity=n)
+        out.scale = ranked.scale
+        if len(set(ranks)) == len(ranks):
+            out.rows, out._bars = tuple(map(rows.__getitem__, ranks)), \
+                tuple(map(bars.__getitem__, ranks))
+            return out
+        runs = [(k, sum(1 for _ in run)) for k, run in itertools.groupby(ranks)]
+        out.rows = tuple(rows[k] if n == 1 else (*rows[k][:3], n) for k, n in runs)
+        out._bars = tuple(bars[k] if n == 1 else replace(bars[k], multiplicity=n)
                           for k, n in runs)
         return out
 
@@ -276,7 +318,7 @@ class Barcode:
     def bars(self) -> Tuple[Bar, ...]:
         if self._bars is None:
             s = self.scale
-            self._bars = tuple(Bar(Fraction(l, s), INF if r is None else Fraction(r, s), d, m)
+            self._bars = tuple(Bar(_value(l, s), INF if r is None else _value(r, s), d, m)
                                for d, l, r, m in self.rows)
         return self._bars
 
@@ -284,15 +326,13 @@ class Barcode:
         return iter(self.bars)
 
     def __len__(self) -> int:
-        return sum(row[3] for row in self.rows) if self.rows is not None else \
-            sum(bar.multiplicity for bar in self.bars)
+        return sum(row[3] for row in self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Barcode):
             return False
-        if self.rows is not None and other.rows is not None:
-            return self.scale == other.scale and self.rows == other.rows
-        return self.bars == other.bars
+        # only ``from_ranks`` leaves a scale that need not be the least
+        return self.rows == other.rows if self.scale == other.scale else self.bars == other.bars
 
     def __hash__(self) -> int:
         return hash(self.bars)
@@ -321,8 +361,6 @@ class Barcode:
         return [b for b in self.expand() if b.is_infinite]
 
     def to_json(self) -> dict:
-        if self.rows is None:
-            return {"bars": [bar.to_json() for bar in self.bars]}
         s = self.scale
         return {"bars": [{"left": _key_to_json(l, s),
                           "right": "inf" if r is None else _key_to_json(r, s),
@@ -330,64 +368,48 @@ class Barcode:
 
     @classmethod
     def from_json(cls, data: dict) -> "Barcode":
-        """Read ``{"bars": [...]}``.  Rational endpoints go straight to int
-        keys; a pi endpoint anywhere gives a barcode of ``Bar``s.  A bad item
-        raises where and as the ``Bar`` of it would."""
+        """Read ``{"bars": [...]}`` straight to keys.  A bad item raises
+        where and as the ``Bar`` of it would."""
         if not isinstance(data, dict):
             raise ValueError("a barcode is a JSON object")
         items = data["bars"]
         if not isinstance(items, list):
             raise ValueError("a barcode's bars are a JSON list")
-        rows, pi = [], False  # (degree, left, right, mult); right None for inf
+        rows = []  # (degree, left, right, mult); right None for inf
         for item in items:
             left = _endpoint_from_json(item["left"])
             right = None if item["right"] == "inf" else _endpoint_from_json(item["right"])
             row = (parse_int(item.get("degree", 0)), left, right, parse_int(item.get("mult", 1)))
-            if isinstance(left, PiRational) or isinstance(right, PiRational):
-                _decoded_bar(row)  # checked as the Bar of it
-                pi = True
-            elif row[3] < 1:
+            if row[3] < 1:
                 raise ValueError("multiplicity must be positive")
-            elif right is not None and not left[0] * right[1] < right[0] * left[1]:
-                raise ValueError(f"empty bar ({Fraction(*left)}, {Fraction(*right)}]")
+            if right is not None and not (
+                    left[0] * right[1] < right[0] * left[1] if type(left) is type(right) is tuple
+                    else _exact(left) < _exact(right)):
+                raise ValueError(f"empty bar ({_exact(left)}, {_exact(right)}]")
             rows.append(row)
-        if pi:
-            return cls(map(_decoded_bar, rows))
-        # the lcm of reduced denominators is the least scale
-        scale = math.lcm(*(x[1] for row in rows for x in row[1:3] if x is not None))
-        return cls._least(((d, l[0] * (scale // l[1]),
-                            None if r is None else r[0] * (scale // r[1]), m)
+        scale = math.lcm(*(d for row in rows for x in row[1:3] if x is not None
+                           for d in _denominators(x)))
+        return cls._least(((d, _key(l, scale), None if r is None else _key(r, scale), m)
                            for d, l, r, m in rows), scale)
 
 
-def _decoded_bar(row: Tuple) -> Bar:
-    """A row of ``Barcode.from_json`` as a ``Bar``, ``(num, den)`` as a Fraction."""
-    d, l, r, m = (Fraction(*x) if isinstance(x, tuple) else x for x in row)
-    return Bar(l, INF if r is None else r, d, m)
-
-
-def _key(x, scale: int):
-    """A Fraction endpoint times ``scale``; None for ``INF``."""
-    return None if x is INF else x.numerator * (scale // x.denominator)
+def _exact(x):
+    """A parsed endpoint as a number: ``(numerator, denominator)`` as a
+    Fraction."""
+    return Fraction(*x) if type(x) is tuple else x
 
 
 def boundary_depth(barcode: Barcode):
     """Maximal length of a finite bar; 0 when there is none."""
-    if barcode.rows is not None:
-        return Fraction(max((r - l for _d, l, r, _m in barcode.rows if r is not None),
-                            default=0), barcode.scale)
-    return max((b.length for b in barcode.bars if not b.is_infinite), default=Fraction(0))
+    return _value(max((r - l for _d, l, r, _m in barcode.rows if r is not None), default=0),
+                  barcode.scale)
 
 
 def bar_length_spectrum(barcode: Barcode) -> Tuple:
     """Finite bar lengths in increasing order, then one ``INF`` per infinite bar."""
-    keyed = barcode.rows is not None
-    lengths = [INF if r is None else r - l for _d, l, r, m in barcode.rows for _ in range(m)] \
-        if keyed else [b.length for b in barcode.expand()]
-    finite = sorted(n for n in lengths if n is not INF)
-    if keyed:
-        finite = [Fraction(n, barcode.scale) for n in finite]
-    return tuple(finite) + (INF,) * (len(lengths) - len(finite))
+    finite = sorted(r - l for _d, l, r, m in barcode.rows if r is not None for _ in range(m))
+    infinite = sum(m for _d, _l, r, m in barcode.rows if r is None)
+    return tuple(_value(n, barcode.scale) for n in finite) + (INF,) * infinite
 
 
 def shift_barcode(barcode: Barcode, c) -> Barcode:
@@ -409,27 +431,24 @@ def collapse_degrees(barcode: Barcode, modulus: int) -> Barcode:
 # ---------------------------------------------------------------------------
 
 
-def _expanded(b1: Barcode, b2: Barcode, factor: int = 1) -> Tuple[object, List[Tuple], List[Tuple]]:
+def _expanded(b1: Barcode, b2: Barcode) -> Tuple[int, List[Tuple], List[Tuple]]:
     """``(scale, rows1, rows2)``: the bars of both barcodes, repeated by
-    multiplicity, as ``(degree, left, right, length)`` (``right`` and
-    ``length`` None for an infinite bar): int keys over ``scale``, ``factor``
-    times the common scale, when both are keyed, else the bars' own values
-    and ``scale`` None.  Counted first, and refused past
-    ``MAX_EXPANDED_BARS`` on either side; a common scale longer than
-    ``MAX_SCALE_BITS`` raises :class:`KeySizeError`."""
+    multiplicity, as ``(degree, left, right, length)`` keys over ``scale``,
+    twice the common scale, so that every key and difference of keys halves
+    exactly (``right`` and ``length`` None for an infinite bar).  Counted
+    first, and refused past ``MAX_EXPANDED_BARS`` on either side; a common
+    scale longer than ``MAX_SCALE_BITS`` raises :class:`KeySizeError`."""
     for b in (b1, b2):
         count = len(b)
         if count > MAX_EXPANDED_BARS:
             raise BarCountError(
                 f"bar count cap exceeded: {count} bars, at most {MAX_EXPANDED_BARS}")
-    if b1.rows is None or b2.rows is None:
-        return None, _bar_rows(b1.bars), _bar_rows(b2.bars)
     common = math.lcm(b1.scale, b2.scale)
     if common.bit_length() > MAX_SCALE_BITS:
         raise KeySizeError(
             f"key size cap exceeded: the common scale of the two barcodes has "
             f"{common.bit_length()} bits, at most {MAX_SCALE_BITS}")
-    scale = factor * common
+    scale = 2 * common
     return scale, _key_rows(b1, scale // b1.scale), _key_rows(b2, scale // b2.scale)
 
 
@@ -437,15 +456,6 @@ def _key_rows(b: Barcode, f: int) -> List[Tuple]:
     out = []
     for d, l, r, m in b.rows:
         out += [(d, l * f, None, None) if r is None else (d, l * f, r * f, (r - l) * f)] * m
-    return out
-
-
-def _bar_rows(bars: Iterable[Bar]) -> List[Tuple]:
-    out = []
-    for bar in bars:
-        row = (bar.degree, bar.left, None, None) if bar.is_infinite else \
-            (bar.degree, bar.left, bar.right, bar.length)
-        out += [row] * bar.multiplicity
     return out
 
 
@@ -476,39 +486,27 @@ def _infinite_mismatch(rows1, rows2, groups) -> bool:
                != sum(rows2[j][2] is None for j in idx2) for idx1, idx2 in groups)
 
 
+_first = operator.itemgetter(0)
+
+
+def _low(key) -> int:
+    """An int below a key's value times ``2**64``: its bracket's bottom."""
+    return key << _BRACKET_BITS if type(key) is int else key.lo
+
+
+def _ascending(keys: Iterable) -> list:
+    """``sorted(keys)`` of distinct keys; PiKeys are sorted first on
+    ``_low``, at C speed, so the exact comparisons after it only repair
+    overlaps."""
+    keys = list(keys)
+    return sorted(sorted(keys, key=_low) if PiKey in map(type, keys) else keys)
+
+
 def _rank(values: Iterable) -> Tuple[List, dict]:
     """Distinct ``values`` in increasing order, the first of equal ones kept,
     and each one's index there."""
-    order = sorted(dict.fromkeys(values))
+    order = _ascending(dict.fromkeys(values))
     return order, {v: k for k, v in enumerate(order)}
-
-
-def _rank_search(rows1: List[Tuple], rows2: List[Tuple], groups) -> object:
-    """The bottleneck distance of two lists of rows whose groups have equal
-    infinite-bar counts, on the endpoints themselves: every deletion and
-    every matchable pair is priced once as its rank among all the costs, and
-    each group's ranks are bisected from the optimum of the groups before.
-
-    Of several equal costs the value returned is the first in the order
-    zero, deletions of ``rows1`` then ``rows2``, left then right endpoint
-    difference of each pair."""
-    pairs = _matchable_pairs(rows1, rows2, groups)
-    dels = [None if n is None else _halve(n) for _d, _l, _r, n in rows1 + rows2]
-    values, cost = [Fraction(0)] + [d for d in dels if d is not None], []
-    for i, j in pairs:
-        (_d1, l1, r1, _n1), (_d2, l2, r2, _n2) = rows1[i], rows2[j]
-        diffs = [_abs(l1 - l2)] if r1 is None else [_abs(l1 - l2), _abs(r1 - r2)]
-        values += diffs
-        cost.append(max(diffs))
-    order, rank = _rank(values)
-    keys = [None if d is None else rank[d] for d in dels]
-    rows = [[] for _ in rows1]
-    for (i, j), c in zip(pairs, cost):
-        rows[i].append((rank[c], j))
-    best = 0
-    for idx1, idx2 in groups:
-        best = _smallest_feasible_key(idx1, idx2, rows, keys[:len(rows1)], keys[len(rows1):], best)
-    return order[best]
 
 
 def _coverable(rows: Sequence[Iterable[int]], deletable1: Sequence[bool],
@@ -530,28 +528,29 @@ def _coverable(rows: Sequence[Iterable[int]], deletable1: Sequence[bool],
 
 class _Cut:
     """An adjacency for a probe at ``key``: ``lists[u]`` holds ``(k, v)`` in
-    increasing order, ``0 <= v < n_other``, and ``u``'s neighbours are the
-    ``v`` with ``k <= key``, cut only when a matching search asks."""
+    increasing order of ``k``, and ``u``'s neighbours are the ``v`` with ``k
+    <= key``, cut only when a matching search asks."""
 
-    __slots__ = ("lists", "bound")
+    __slots__ = ("lists", "key")
 
-    def __init__(self, lists: Sequence[List[Tuple[int, int]]], key: int, n_other: int) -> None:
-        self.lists, self.bound = lists, (key, n_other)
+    def __init__(self, lists: Sequence[List[Tuple[int, int]]], key: int) -> None:
+        self.lists, self.key = lists, key
 
     def __getitem__(self, u: int):
         row = self.lists[u]
-        return (v for _k, v in itertools.islice(row, bisect.bisect_right(row, self.bound)))
+        end = bisect.bisect_right(row, self.key, key=_first)
+        return (v for _k, v in itertools.islice(row, end))
 
 
 def _transposed(rows: Sequence[List[Tuple[int, int]]], n_cols: int) -> List[List[Tuple[int, int]]]:
     """``cols[j]`` lists ``(key, i)`` for each ``(key, j)`` in ``rows[i]``,
-    in increasing order."""
+    in increasing order of ``key``."""
     cols = [[] for _ in range(n_cols)]
     for i, row in enumerate(rows):
         for k, j in row:
             cols[j].append((k, i))
     for col in cols:
-        col.sort()
+        col.sort(key=_first)
     return cols
 
 
@@ -560,10 +559,10 @@ def _feasible_at(rows, cols, del1, del2, key: int) -> bool:
     lists ``(key, j)`` for the pairs of its ``i``-th bar of the first side
     in increasing order, ``cols[j]`` lists ``(key, i)`` likewise, and
     ``del1``/``del2`` are the deletion keys (None for an infinite bar)."""
-    return _coverable(_Cut(rows, key, len(del2)),
+    return _coverable(_Cut(rows, key),
                       [k is not None and k <= key for k in del1],
                       [k is not None and k <= key for k in del2],
-                      _Cut(cols, key, len(del1)))
+                      _Cut(cols, key))
 
 
 def _least_feasible(rows, cols, del1, del2, keys: Sequence[int]) -> int:
@@ -579,36 +578,13 @@ def _least_feasible(rows, cols, del1, del2, keys: Sequence[int]) -> int:
     return keys[lo]
 
 
-def _smallest_feasible_key(idx1: Sequence[int], idx2: Sequence[int], rows,
-                           del1, del2, floor: int) -> int:
-    """Least key ``>= floor`` at which the bars of one group, with equal
-    infinite-bar counts, can be matched; ``rows[i]`` lists ``(key, j)`` for
-    the pairs of the first side's ``i``-th bar."""
-    local = {j: n for n, j in enumerate(idx2)}
-    group_rows = [sorted((k, local[j]) for k, j in rows[i]) for i in idx1]
-    cols = _transposed(group_rows, len(idx2))
-    d1 = [del1[i] for i in idx1]
-    d2 = [del2[j] for j in idx2]
-    keys = {floor}
-    for row in group_rows:
-        keys.update(k for k, _j in row)
-    keys.update(k for k in d1 + d2 if k is not None)
-    # the largest key admits every pair and every deletion of a finite bar
-    keys = sorted(k for k in keys if k >= floor)
-    if floor:
-        # a later group often fits within the optimum of the earlier ones
-        if _feasible_at(group_rows, cols, d1, d2, floor):
-            return floor
-        keys = keys[1:]
-    return _least_feasible(group_rows, cols, d1, d2, keys)
-
-
 def _window_search(rows1: List[Tuple], rows2: List[Tuple], floor: int) -> int:
     """Least key ``>= floor`` at which the bars of one group, with equal
-    infinite-bar counts on both sides, can be matched, from their int rows.
+    infinite-bar counts on both sides, can be matched, from their keyed rows
+    over twice the common scale.
 
-    A pair's key is ``2 * max(|dleft|, |dright|)`` and a deletion's ``right
-    - left``, so with the second side sorted on left keys the pairs a probe
+    A pair's key is ``max(|dleft|, |dright|)`` and a deletion's half its
+    length, so with the second side sorted on left keys the pairs a probe
     at ``t`` admits lie in one bisected window per bar.  Probes start at a
     lower bound, the largest over the first side of each bar's cheaper
     choice (deleted, or matched to its nearest partner, found by walking
@@ -624,8 +600,8 @@ def _window_search(rows1: List[Tuple], rows2: List[Tuple], floor: int) -> int:
     rights = [row[2] for row in rows2]
     split = sum(r is not None for r in rights)
     runs = [(0, split) if r is not None else (split, len(rows2)) for _l, r in keys1]
-    del1 = [row[3] for row in rows1]
-    del2 = [row[3] for row in rows2]
+    del1, del2 = ([None if row[3] is None else row[3] // 2 for row in rows]
+                  for rows in (rows1, rows2))
 
     # ``places[i]``: the window ``[a, b)`` of partners of the i-th bar priced
     # so far, empty at first at the bar's place
@@ -635,16 +611,16 @@ def _window_search(rows1: List[Tuple], rows2: List[Tuple], floor: int) -> int:
         places.append((k, k))
         if r is None:
             # the run is not empty, as the infinite-bar counts agree
-            best = min(2 * abs(l - lefts[j]) for j in (k - 1, k) if lo <= j < hi)
+            best = min(abs(l - lefts[j]) for j in (k - 1, k) if lo <= j < hi)
         else:
             best = d
             j = k - 1
-            while j >= lo and 2 * (l - lefts[j]) < best:
-                best = min(best, 2 * max(l - lefts[j], abs(r - rights[j])))
+            while j >= lo and l - lefts[j] < best:
+                best = min(best, max(l - lefts[j], abs(r - rights[j])))
                 j -= 1
             j = k
-            while j < hi and 2 * (lefts[j] - l) < best:
-                best = min(best, 2 * max(lefts[j] - l, abs(r - rights[j])))
+            while j < hi and lefts[j] - l < best:
+                best = min(best, max(lefts[j] - l, abs(r - rights[j])))
                 j += 1
         bound = max(bound, best)
 
@@ -653,16 +629,16 @@ def _window_search(rows1: List[Tuple], rows2: List[Tuple], floor: int) -> int:
     priced = [[] for _ in keys1]
 
     def widen(t: int) -> None:
-        """Grow each window to the partners ``j`` with ``2*|dleft| <= t``."""
+        """Grow each window to the partners ``j`` with ``|dleft| <= t``."""
         for i, ((l, r), (lo, hi), (a, b)) in enumerate(zip(keys1, runs, places)):
-            a2 = bisect.bisect_left(lefts, l - t // 2, lo, a)
-            b2 = bisect.bisect_right(lefts, l + t // 2, b, hi)
+            a2 = bisect.bisect_left(lefts, l - t, lo, a)
+            b2 = bisect.bisect_right(lefts, l + t, b, hi)
             places[i] = (a2, b2)
             new = itertools.chain(range(a2, a), range(b, b2))
             if r is None:
-                priced[i] += [(2 * abs(l - lefts[j]), j) for j in new]
+                priced[i] += [(abs(l - lefts[j]), j) for j in new]
             else:
-                priced[i] += [(2 * max(abs(l - lefts[j]), abs(r - rights[j])), j) for j in new]
+                priced[i] += [(max(abs(l - lefts[j]), abs(r - rights[j])), j) for j in new]
 
     def covers(t: int) -> bool:
         return _coverable([[j for k, j in row if k <= t] for row in priced],
@@ -678,7 +654,7 @@ def _window_search(rows1: List[Tuple], rows2: List[Tuple], floor: int) -> int:
         widen(t)
         if covers(t):
             break
-    rows = [sorted(p for p in row if p[0] <= t) for row in priced]
+    rows = [sorted((p for p in row if p[0] <= t), key=_first) for row in priced]
     cols = _transposed(rows, len(rows2))
     keys = {d for d in del1 + del2 if d is not None and last < d <= t}
     for row in rows:
@@ -686,32 +662,50 @@ def _window_search(rows1: List[Tuple], rows2: List[Tuple], floor: int) -> int:
     return _least_feasible(rows, cols, del1, del2, sorted(keys))
 
 
+def _first_cost(v, rows1: List[Tuple], rows2: List[Tuple], groups):
+    """The first cost equal to ``v``, a least key of the search, in the
+    order zero, the deletions of ``rows1`` then ``rows2`` (half their
+    lengths), then each matchable pair's left and right endpoint
+    differences, group by group and row-major.  A cost is a PiKey when one
+    of its endpoints is, so the distance reads back as a Fraction or a
+    PiRational by the endpoints of that cost, whichever key the search
+    ended on."""
+    keys = [x for rows in (rows1, rows2) for row in rows for x in row[1:3]]
+    if type(v) is PiKey and v.b or not any(type(x) is PiKey for x in keys):
+        return v  # every cost equal to it has its type
+    if not v:
+        return 0
+    for n in [row[3] for row in rows1] + [row[3] for row in rows2]:
+        if n is not None and n // 2 == v:
+            return n // 2
+    for i, j in _matchable_pairs(rows1, rows2, groups):
+        for x, y in zip(rows1[i][1:3], rows2[j][1:3]):
+            # a difference can equal v only when its pi parts cancel
+            if x is not None and getattr(x, "b", 0) == getattr(y, "b", 0) and abs(x - y) == v:
+                return abs(x - y)
+    raise AssertionError("no cost equals the optimum")
+
+
 def bottleneck_distance(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
     """Exact bottleneck distance; ``INF`` when no tolerance works (mismatched
     infinite-bar counts).
 
     Degree-sensitive, each degree is its own subproblem and the distance is
-    the largest of theirs.  Two keyed barcodes are searched on their int
-    keys over probe windows of near pairs (``_window_search``); otherwise
-    every pair is priced once as its rank (``_rank_search``).  More than
-    ``MAX_EXPANDED_BARS`` bars on a side raise :class:`BarCountError`, and
-    two keyed barcodes whose common scale is longer than ``MAX_SCALE_BITS``
-    raise :class:`KeySizeError`.
-
-    The window search run on ``PiRational`` endpoints doubled the time per
-    call on radial's homotopy traffic (0.29 -> 0.57 ms a three-bar pi pair),
-    so pi barcodes wait for int keys of Q + Q*pi.
+    the largest of theirs, searched on the barcodes' keys over probe windows
+    of near pairs (``_window_search``).  More than ``MAX_EXPANDED_BARS``
+    bars on a side raise :class:`BarCountError`, and a common scale longer
+    than ``MAX_SCALE_BITS`` raises :class:`KeySizeError`.  The distance
+    reads back as a Fraction or a PiRational by the endpoints of the first
+    cost equal to it (``_first_cost``).
     """
     scale, rows1, rows2 = _expanded(b1, b2)
     groups = _degree_groups(rows1, rows2, degree_sensitive)
     if _infinite_mismatch(rows1, rows2, groups):
         return INF
-    if scale is None:
-        return _rank_search(rows1, rows2, groups)
     best = 0
     for idx1, idx2 in groups:
         best = _window_search([rows1[i] for i in idx1], [rows2[j] for j in idx2], best)
-    return Fraction(best, 2 * scale)
+    return _value(_first_cost(best, rows1, rows2, groups), scale)
 
 
 def interleaving_distance(b1: Barcode, b2: Barcode):
@@ -730,15 +724,15 @@ class _ShiftCandidates:
     midpoint of two distinct differences, and 0.
 
     Of several equal candidates the first counts, in that order (differences
-    in ``e2``-major order, midpoints in pair order).  Queries bisect the
-    sorted differences, so the O(E^4) midpoints are never listed.  ``half``
-    halves a sum of two differences exactly.
+    in ``e2``-major order, midpoints in pair order).  Queries sweep the
+    sorted differences once, so the O(E^4) midpoints are never listed.
+    ``half`` halves a sum of two differences exactly.
     """
 
     def __init__(self, e1: Sequence, e2: Sequence, half) -> None:
         self.diffs = list(dict.fromkeys(y - x for y in e2 for x in e1))
         self.index = {d: i for i, d in enumerate(self.diffs)}
-        self.sorted_diffs = sorted(self.diffs)
+        self.sorted_diffs = _ascending(self.diffs)
         self.zero = e1[0] - e1[0]
         self.half = half
 
@@ -752,11 +746,19 @@ class _ShiftCandidates:
         k = bisect.bisect_left(ds, t)
         if k < len(ds):
             found.append(ds[k])
-        for i, x in enumerate(ds):
-            # the least y > x with (x + y)/2 >= t
-            j = max(i + 1, bisect.bisect_left(ds, 2 * t - x))
+        # the least sum x + y >= 2t of differences y > x: the place j of the
+        # least y >= 2t - x only falls as x grows, so one sweep finds them,
+        # and once y is the next difference after x the sums only grow
+        twice, sums, j = 2 * t, [], len(ds)
+        for i, x in enumerate(ds[:-1]):
+            while j and not ds[j - 1] < twice - x:
+                j -= 1
             if j < len(ds):
-                found.append(self.half(x + ds[j]))
+                sums.append(x + ds[max(i + 1, j)])
+                if j <= i + 1:
+                    break
+        if sums:
+            found.append(self.half(min(sums)))
         return self._first_equal(min(found))
 
     def _first_equal(self, v):
@@ -771,10 +773,11 @@ class _ShiftCandidates:
         return self.zero
 
 
-def _optimal_shift(rows1: List[Tuple], rows2: List[Tuple], pairs, half):
-    """``(delta, start)`` for barcodes whose infinite bars can be matched,
-    from their rows and matchable pairs: the optimum, and the least shift
-    feasible at it (None when every shift is).
+def _optimal_shift(rows1: List[Tuple], rows2: List[Tuple], pairs):
+    """``(2*delta, start)`` for barcodes whose infinite bars can be matched,
+    from their rows over twice their common scale and matchable pairs: twice
+    the optimum, and the least shift feasible at it (None when every shift
+    is).
 
     A pair is within ``delta`` at shift ``c`` iff ``top - delta <= c <=
     bottom + delta``, for ``top``/``bottom`` the larger/smaller of its
@@ -802,7 +805,8 @@ def _optimal_shift(rows1: List[Tuple], rows2: List[Tuple], pairs, half):
     entering = [[] for _ in top_values]
     for p, t in enumerate(tops):
         entering[top_rank[t]].append(p)
-    leaving = sorted(range(len(pairs)), key=bottoms.__getitem__)
+    bottom_values, bottom_rank = _rank(bottoms)
+    leaving = sorted(range(len(pairs)), key=lambda p: bottom_rank[bottoms[p]])
 
     def leftmost(span):
         """Least ``k`` whose shift ``top_k - span/2`` is feasible at ``2*delta
@@ -832,20 +836,20 @@ def _optimal_shift(rows1: List[Tuple], rows2: List[Tuple], pairs, half):
                 return k
         return None
 
-    zero = half(0)
-    negated = sorted(-b for b in dict.fromkeys(bottoms))
+    negated = [-b for b in reversed(bottom_values)]
     rows = [(t, negated) for t in top_values]
-    rows.append((zero, sorted(dict.fromkeys([zero] + [n for n in len1 + len2 if n is not None]))))
+    rows.append((0, _ascending(dict.fromkeys([0] + [n for n in len1 + len2 if n is not None]))))
     # entries >= 0 are left; the largest admits every pair at the largest top,
     # so some probe succeeds
     lo = [bisect.bisect_left(cols, -t) for t, cols in rows]
     hi = [len(cols) for _t, cols in rows]
     while True:
-        medians = sorted((t + cols[(a + b) // 2], b - a)
-                         for (t, cols), a, b in zip(rows, lo, hi) if a < b)
+        # by value alone: ties leave the weighted median's value alone
+        medians = sorted(((t + cols[(a + b) // 2], b - a)
+                          for (t, cols), a, b in zip(rows, lo, hi) if a < b), key=_first)
         if not medians:
             span, k = best
-            return half(span), None if k == -1 else top_values[k] - half(span)
+            return span, None if k == -1 else top_values[k] - span // 2
         total, acc = sum(w for _m, w in medians), 0
         for pivot, w in medians:
             acc += w
@@ -853,47 +857,42 @@ def _optimal_shift(rows1: List[Tuple], rows2: List[Tuple], pairs, half):
                 break
         k = leftmost(pivot)
         if k is None:
-            lo = [bisect.bisect_right(cols, pivot - t, a, b)
+            lo = [bisect.bisect_right(cols, pivot - t, a, b) if a < b else a
                   for (t, cols), a, b in zip(rows, lo, hi)]
         else:
             best = pivot, k
-            hi = [bisect.bisect_left(cols, pivot - t, a, b)
+            hi = [bisect.bisect_left(cols, pivot - t, a, b) if a < b else b
                   for (t, cols), a, b in zip(rows, lo, hi)]
 
 
 def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
     """Minimise ``bottleneck(b1, shift(b2, c))`` over shifts ``c``.
 
-    Returns ``(distance, best_shift)``.  When both barcodes are keyed the
-    search runs on their int keys over twice the common scale, so that
-    differences, midpoints and half spreads stay ints; otherwise on the
-    endpoints themselves (see ``_optimal_shift``).  The reported shift is
+    Returns ``(distance, best_shift)``.  The search runs on the barcodes'
+    keys over twice their common scale, so that differences, midpoints and
+    half spreads stay keys (see ``_optimal_shift``).  The reported shift is
     the smallest optimal one among the endpoint differences, their pairwise
-    midpoints and 0.  Barcodes past the bar count or key size cap raise as
-    in ``bottleneck_distance``.
+    midpoints and 0, and reads back as the first of them equal to it; the
+    distance reads back as ``bottleneck_distance`` at that shift would.
+    Barcodes past the bar count or key size cap raise as in
+    ``bottleneck_distance``.
     """
-    scale, rows1, rows2 = _expanded(b1, b2, 2)
+    scale, rows1, rows2 = _expanded(b1, b2)
     if not rows1 or not rows2:
         return bottleneck_distance(b1, b2, degree_sensitive), Fraction(0)
-    half, value = (_halve, lambda x: x) if scale is None else \
-        (lambda x: x // 2, lambda key: Fraction(key, scale))
     e1, e2 = ([x for row in rows for x in row[1:3] if x is not None] for rows in (rows1, rows2))
-    shifts = _ShiftCandidates(e1, e2, half)
+    shifts = _ShiftCandidates(e1, e2, lambda x: x // 2)
     groups = _degree_groups(rows1, rows2, degree_sensitive)
     if _infinite_mismatch(rows1, rows2, groups):
-        return INF, value(shifts.least())
-    delta, start = _optimal_shift(rows1, rows2, _matchable_pairs(rows1, rows2, groups), half)
+        return INF, _value(shifts.least(), scale)
+    span, start = _optimal_shift(rows1, rows2, _matchable_pairs(rows1, rows2, groups))
     # each interval of shifts feasible at delta, [max top - delta, min bottom
     # + delta] over its pairs, holds the candidate midpoint of its two
     # bounds, so the first candidate after the leftmost start is optimal
-    c = value(shifts.least() if start is None else shifts.first_from(start))
-    if scale is not None:
-        return value(delta), c
-    # pi endpoints: re-read at the shift, which fixes the distance's type,
-    # until these endpoints get int keys as well
-    d = bottleneck_distance(b1, shift_barcode(b2, c), degree_sensitive)
-    assert d == value(delta), "the reported shift misses the optimum"
-    return d, c
+    c = shifts.least() if start is None else shifts.first_from(start)
+    moved = [(d, l - c, None if r is None else r - c, None if r is None else (r - c) - (l - c))
+             for d, l, r, _n in rows2]
+    return _value(_first_cost(span // 2, rows1, moved, groups), scale), _value(c, scale)
 
 
 # ---------------------------------------------------------------------------

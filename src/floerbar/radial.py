@@ -31,13 +31,15 @@ family of profiles using barcode continuity with a caller-supplied constant.
 The search works on interned bars.  Every bar a matching can produce (one
 infinite bar per orbit, one finite bar per allowed pair) is built once per
 call and named by its rank in canonical order; a matching is the sorted
-tuple of its ranks, and one ``Barcode`` is built per distinct tuple after
-the search, straight from the ranks (``Barcode.from_ranks``, no sort of
-``PiRational``s), so equal tuples are equal barcodes and ``limit`` counts
-distinct barcodes.  Twins -- orbits of equal degree and action, such as the
-two kink slots in dimension 1 -- give the same bars in either role, so the
-search pairs an orbit only with the first undecided member of each run of
-twins.  The search stays exponential in the number of orbits.
+tuple of its ranks.  The bars are keyed once per call, as one ``Barcode``,
+and one ``Barcode`` is built per distinct tuple after the search, straight
+from the ranks: ``Barcode.from_ranks`` picks its rows of those keys and
+takes the interned bars as its read-out, so no barcode sorts or decodes
+endpoints of its own.  Equal tuples are equal barcodes, and ``limit``
+counts distinct barcodes.  Twins -- orbits of equal degree and action,
+such as the two kink slots in dimension 1 -- give the same bars in either
+role, so the search pairs an orbit only with the first undecided member of
+each run of twins.  The search stays exponential in the number of orbits.
 ``brute_force_feasible_barcodes`` in :mod:`floerbar.oracles`, the
 per-matching enumerator that builds and hashes a ``Barcode`` for every
 matching, is kept as the oracle that tests and ``check`` compare against.
@@ -361,11 +363,12 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
             if z.degree == below and z.action < right:
                 pair_bar[(iy, iz)] = intern((run[iy], run[iz]), z.action, right, below)
 
-    # rename the bars by their ranks in canonical order, so that a matching's
-    # sorted ids list its barcode's bars in order
-    order = sorted(range(len(bars)), key=lambda k: (bars[k].degree, bars[k].left, bars[k].right))
-    rank = {k: r for r, k in enumerate(order)}
-    bars = [bars[k] for k in order]
+    # key the bars once, as one barcode in canonical order that keeps the
+    # distinct bars as given, and rename them by their ranks there, so that a
+    # matching's sorted ids list its barcode's rows in order
+    ranked = Barcode(bars)
+    place = {id(bar): r for r, bar in enumerate(ranked.bars)}
+    rank = [place[id(bar)] for bar in bars]
     free_bar = [rank[k] for k in free_bar]
     pair_bar = {key: rank[k] for key, k in pair_bar.items()}
 
@@ -435,7 +438,7 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
         del dfs  # dfs refers to itself: break the cycle through its closure
     if not found:
         raise InfeasibleRanksError("no matching leaves the prescribed infinite bars")
-    return frozenset(Barcode.from_ranks(bars, ids) for ids in found)
+    return frozenset(Barcode.from_ranks(ranked, ids) for ids in found)
 
 
 def forced_bar_bound(spectrum: GeneratorSpectrum, ranks: Mapping[int, int]):

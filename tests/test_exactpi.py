@@ -1,12 +1,16 @@
 import dataclasses
 import functools
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from floerbar.exactpi import PiRational, _machin_bracket
+from floerbar.exactpi import PiKey, PiRational, _machin_bracket
 from floerbar.oracles import pi_rational_cmp
+from floerbar.persistence import _denominators, _key
+from floerbar.persistence import _value as _read_key
 
 
 def test_signs_against_sharp_rationals():
@@ -156,6 +160,66 @@ def test_order_matches_the_oracle_on_random_pairs():
         if c == 0:
             assert hash(x) == hash(y), (x, y)
     assert min(kinds.values()) > 1_000, kinds
+
+
+def _order(c):
+    return c < 0, c <= 0, c > 0, c >= 0, c == 0, c != 0
+
+
+def test_keys_order_and_add_like_their_values():
+    # a pair as keys over their least common scale, an int for an int or a
+    # Fraction and a PiKey for a PiRational; sums, differences, multiples
+    # and negations carry the brackets, and every comparison is exact
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(5_000):
+        x, y = _pair(rng)
+        scale = math.lcm(*_denominators(PiRational.of(x)), *_denominators(PiRational.of(y)))
+        kx, ky = _key(x, scale), _key(y, scale)
+        assert (type(kx) is PiKey, type(ky) is PiKey) == (
+            isinstance(x, PiRational), isinstance(y, PiRational))
+        c = pi_rational_cmp(x, y)
+        seen.add(c)
+        assert (kx < ky, kx <= ky, kx > ky, kx >= ky, kx == ky, kx != ky) == _order(c), (x, y)
+        if c == 0:
+            assert hash(kx) == hash(ky)
+        px, tx = PiRational.of(x), type(kx) is PiKey
+        either = tx or type(ky) is PiKey
+        derived = ((kx - ky, px - y, either), (kx + ky, px + y, either),
+                   (2 * kx - 3 * ky, 2 * px - 3 * y, either), (-kx, -px, tx),
+                   (abs(kx - ky), abs(px - y), either), ((4 * kx) // 2, 2 * px, tx))
+        for k, v, pi in derived:
+            read = _read_key(k, scale)
+            assert read == v and isinstance(read, PiRational) == pi, (x, y, k)
+            assert (k < kx, k <= kx, k > kx, k >= kx, k == kx, k != kx) == \
+                _order(pi_rational_cmp(v, x))
+    assert seen == {-1, 0, 1}
+
+
+def _pi_convergents():
+    """Continued-fraction convergents ``(p, q)`` of pi, read off a Machin
+    bracket for as long as both of its ends give the same partial quotient."""
+    low, high = _machin_bracket(256)
+    out, (p0, q0), (p1, q1) = [], (0, 1), (1, 0)
+    while low.numerator // low.denominator == high.numerator // high.denominator:
+        a = low.numerator // low.denominator
+        (p0, q0), (p1, q1) = (p1, q1), (a * p1 + p0, a * q1 + q0)
+        out.append((p1, q1))
+        low, high = 1 / (high - a), 1 / (low - a)
+    return out
+
+
+def test_keys_decide_ties_closer_than_their_brackets():
+    # p - q*pi for a convergent p/q is within 1/q of 0, far inside the
+    # bracket error of about q * 2**-64 once q passes 2**32
+    keys = [(PiKey(p, -q), PiRational(F(p), F(-q))) for p, q in _pi_convergents()]
+    assert keys[-1][0].b < -2 ** 100
+    for k, v in keys:
+        assert (k < 0, k <= 0, k > 0, k >= 0, k == 0, k != 0) == _order(pi_rational_cmp(v, 0))
+    for (k, v), (k2, v2) in itertools.product(keys, repeat=2):
+        c = pi_rational_cmp(v, v2)
+        assert (k < k2, k <= k2, k > k2, k >= k2, k == k2, k != k2) == _order(c)
+        assert (abs(k - k2) == 0) == (c == 0) and _read_key(abs(k - k2), 1) == abs(v - v2)
 
 
 def test_sorted_mixed_lists_match_the_oracle():

@@ -125,12 +125,17 @@ def test_window_cases_cover_large_one_sided_and_infinite_pairs():
     assert ("inf", False) in seen
 
 
+def has_pi_endpoint(x) -> bool:
+    return any(isinstance(end, PiRational) for bar in x.bars for end in (bar.left, bar.right))
+
+
 def test_key_cases_cover_keyed_pi_and_mixed_pairs():
     seen, gammas = set(), 0
     for a, _raw_a, b, _raw_b, _sensitive in cases("barcode-key-agreement"):
-        seen.add((a.rows is not None, b.rows is not None))
+        seen.add((has_pi_endpoint(a), has_pi_endpoint(b)))
         gammas += sum(1 for x in (a, b) if gamma_defined(x))
-    # keyed, pi and one of each, in both orders
+    # Fraction endpoints only, some pi endpoint, and one of each, in both
+    # orders
     assert seen == {(True, True), (False, False), (True, False), (False, True)}
     assert gammas >= 50
 
