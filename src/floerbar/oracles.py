@@ -1145,7 +1145,8 @@ def fraction_random_complex(rng: random.Random, num_generators: int = 8,
 class Property:
     """``cases(rng, n)`` yields the property's fixed, rng-free cases, then
     the first ``n`` cases it draws from ``rng`` (the two fixed tables ignore
-    ``n``); ``holds(*case)`` is true when a case passes."""
+    ``n``; the window agreement draws ``n // 10`` pi pairs after them);
+    ``holds(*case)`` is true when a case passes."""
 
     name: str
     cases: Callable[[random.Random, int], Iterable[tuple]]
@@ -1379,20 +1380,21 @@ def _window_pair(rng: random.Random, trial: int) -> Tuple[Barcode, Barcode]:
 def _window_cases(rng: random.Random, n: int):
     """Barcodes of planted complexes of 20, 40, 80 and 160 generators in
     turn against a perturbed copy for the first 20 cases, then
-    ``_window_pair`` draws, but every tenth a ``_scan_pair`` pair with pi
-    endpoints of 20 to 60 bars a side, or its first side and a near copy."""
+    ``_window_pair`` draws; after those ``n``, ``n // 10`` ``_scan_pair``
+    pairs with pi endpoints of 20 to 60 bars a side, or the first side of
+    one and a near copy."""
     for i in range(n):
         if i < 20:
             cx, _planted = random_complex(rng, (20, 40, 80, 160)[i % 4])
             pert, _used = perturb_actions(rng, cx, Fraction(1, rng.choice((10, 100, 1000))))
             yield barcode(cx), barcode(pert)
-        elif i % 10 == 9:
-            a, b = _scan_pair(rng, rng.randint(20, 60), True)
-            if rng.random() < 0.5:
-                b = _near_copy(rng, a, Fraction(1, rng.choice((10, 100))))
-            yield a, b
         else:
             yield _window_pair(rng, i - 20)
+    for _ in range(n // 10):
+        a, b = _scan_pair(rng, rng.randint(20, 60), True)
+        if rng.random() < 0.5:
+            b = _near_copy(rng, a, Fraction(1, rng.choice((10, 100))))
+        yield a, b
 
 
 def _window_agrees(a: Barcode, b: Barcode) -> bool:

@@ -32,12 +32,11 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from .exactpi import _BRACKET_BITS, PiKey, PiRational
+from .exactpi import PiKey, PiRational
 from .matching import CoverMatching
 from .novikov import format_rational, parse_int, parse_ratio
 
@@ -245,9 +244,9 @@ def _row_order(row):
 class Barcode:
     """Canonical multiset of bars: sorted by (degree, left, right), merged.
 
-    ``scale`` is the least positive int (but see ``from_ranks``) that makes
-    every endpoint times it a key: an int for a Fraction, a
-    :class:`~floerbar.exactpi.PiKey` of two ints for a ``PiRational``.
+    ``scale`` is the least positive int that makes every endpoint times it
+    a key: an int for a Fraction, a :class:`~floerbar.exactpi.PiKey` of two
+    ints for a ``PiRational``.
     ``rows`` holds ``(degree, left, right, mult)`` of those keys in
     canonical order (``right`` None for an infinite bar), and ``bars`` is
     decoded from them on first read, each endpoint of the type it was given;
@@ -296,22 +295,31 @@ class Barcode:
         return out
 
     @classmethod
-    def from_ranks(cls, ranked: "Barcode", ranks: Sequence[int]) -> "Barcode":
-        """The barcode of the bars ``ranked.bars[k]`` for ``k`` in ``ranks``,
-        a repeated rank giving a multiplicity, read out as those bars, on
-        the scale of ``ranked``.  Trusted: ``ranked`` has distinct bars of
-        multiplicity one and ``ranks`` is sorted; nothing is checked."""
-        rows, bars = ranked.rows, ranked.bars
-        out = object.__new__(cls)
-        out.scale = ranked.scale
-        if len(set(ranks)) == len(ranks):
-            out.rows, out._bars = tuple(map(rows.__getitem__, ranks)), \
-                tuple(map(bars.__getitem__, ranks))
-            return out
-        runs = [(k, sum(1 for _ in run)) for k, run in itertools.groupby(ranks)]
-        out.rows = tuple(rows[k] if n == 1 else (*rows[k][:3], n) for k, n in runs)
-        out._bars = tuple(bars[k] if n == 1 else replace(bars[k], multiplicity=n)
-                          for k, n in runs)
+    def from_ranks(cls, ranked: "Barcode", picks: Iterable[Sequence[int]]) -> List["Barcode"]:
+        """For each sorted ``ranks`` in ``picks``, the barcode of the bars
+        ``ranked.bars[k]`` for ``k`` in ``ranks``, a repeated rank giving a
+        multiplicity, read out as those bars.  Trusted: ``ranked`` has
+        distinct bars of multiplicity one; nothing is checked."""
+        rows, bars, scale = ranked.rows, ranked.bars, ranked.scale
+        # ``gcds[k]``: the gcd of ``scale`` and the key parts of row k; a
+        # pick's least scale is ``scale`` over the gcd of its rows' ``gcds``
+        gcds = [math.gcd(scale, *(p for x in row[1:3] if x is not None
+                                  for p in ((x,) if type(x) is int else (x.a, x.b))))
+                for row in rows]
+        out = []
+        for ranks in picks:
+            counts = dict.fromkeys(ranks, 0)  # in canonical order, as ranks is sorted
+            for k in ranks:
+                counts[k] += 1
+            g = math.gcd(scale, *map(gcds.__getitem__, counts))
+            picked = tuple(rows[k] if n == 1 else (*rows[k][:3], n) for k, n in counts.items())
+            barcode = object.__new__(cls)
+            barcode.rows = picked if g == 1 else tuple(
+                (d, l // g, None if r is None else r // g, m) for d, l, r, m in picked)
+            barcode.scale = scale // g
+            barcode._bars = tuple(bars[k] if n == 1 else replace(bars[k], multiplicity=n)
+                                  for k, n in counts.items())
+            out.append(barcode)
         return out
 
     @property
@@ -329,10 +337,7 @@ class Barcode:
         return sum(row[3] for row in self.rows)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Barcode):
-            return False
-        # only ``from_ranks`` leaves a scale that need not be the least
-        return self.rows == other.rows if self.scale == other.scale else self.bars == other.bars
+        return isinstance(other, Barcode) and self.scale == other.scale and self.rows == other.rows
 
     def __hash__(self) -> int:
         return hash(self.bars)
@@ -486,26 +491,10 @@ def _infinite_mismatch(rows1, rows2, groups) -> bool:
                != sum(rows2[j][2] is None for j in idx2) for idx1, idx2 in groups)
 
 
-_first = operator.itemgetter(0)
-
-
-def _low(key) -> int:
-    """An int below a key's value times ``2**64``: its bracket's bottom."""
-    return key << _BRACKET_BITS if type(key) is int else key.lo
-
-
-def _ascending(keys: Iterable) -> list:
-    """``sorted(keys)`` of distinct keys; PiKeys are sorted first on
-    ``_low``, at C speed, so the exact comparisons after it only repair
-    overlaps."""
-    keys = list(keys)
-    return sorted(sorted(keys, key=_low) if PiKey in map(type, keys) else keys)
-
-
 def _rank(values: Iterable) -> Tuple[List, dict]:
     """Distinct ``values`` in increasing order, the first of equal ones kept,
     and each one's index there."""
-    order = _ascending(dict.fromkeys(values))
+    order = sorted(dict.fromkeys(values))
     return order, {v: k for k, v in enumerate(order)}
 
 
@@ -528,29 +517,28 @@ def _coverable(rows: Sequence[Iterable[int]], deletable1: Sequence[bool],
 
 class _Cut:
     """An adjacency for a probe at ``key``: ``lists[u]`` holds ``(k, v)`` in
-    increasing order of ``k``, and ``u``'s neighbours are the ``v`` with ``k
-    <= key``, cut only when a matching search asks."""
+    increasing order, ``0 <= v < n_other``, and ``u``'s neighbours are the
+    ``v`` with ``k <= key``, cut only when a matching search asks."""
 
-    __slots__ = ("lists", "key")
+    __slots__ = ("lists", "bound")
 
-    def __init__(self, lists: Sequence[List[Tuple[int, int]]], key: int) -> None:
-        self.lists, self.key = lists, key
+    def __init__(self, lists: Sequence[List[Tuple[int, int]]], key: int, n_other: int) -> None:
+        self.lists, self.bound = lists, (key, n_other)
 
     def __getitem__(self, u: int):
         row = self.lists[u]
-        end = bisect.bisect_right(row, self.key, key=_first)
-        return (v for _k, v in itertools.islice(row, end))
+        return (v for _k, v in itertools.islice(row, bisect.bisect_right(row, self.bound)))
 
 
 def _transposed(rows: Sequence[List[Tuple[int, int]]], n_cols: int) -> List[List[Tuple[int, int]]]:
     """``cols[j]`` lists ``(key, i)`` for each ``(key, j)`` in ``rows[i]``,
-    in increasing order of ``key``."""
+    in increasing order."""
     cols = [[] for _ in range(n_cols)]
     for i, row in enumerate(rows):
         for k, j in row:
             cols[j].append((k, i))
     for col in cols:
-        col.sort(key=_first)
+        col.sort()
     return cols
 
 
@@ -559,10 +547,10 @@ def _feasible_at(rows, cols, del1, del2, key: int) -> bool:
     lists ``(key, j)`` for the pairs of its ``i``-th bar of the first side
     in increasing order, ``cols[j]`` lists ``(key, i)`` likewise, and
     ``del1``/``del2`` are the deletion keys (None for an infinite bar)."""
-    return _coverable(_Cut(rows, key),
+    return _coverable(_Cut(rows, key, len(del2)),
                       [k is not None and k <= key for k in del1],
                       [k is not None and k <= key for k in del2],
-                      _Cut(cols, key))
+                      _Cut(cols, key, len(del1)))
 
 
 def _least_feasible(rows, cols, del1, del2, keys: Sequence[int]) -> int:
@@ -654,7 +642,7 @@ def _window_search(rows1: List[Tuple], rows2: List[Tuple], floor: int) -> int:
         widen(t)
         if covers(t):
             break
-    rows = [sorted((p for p in row if p[0] <= t), key=_first) for row in priced]
+    rows = [sorted(p for p in row if p[0] <= t) for row in priced]
     cols = _transposed(rows, len(rows2))
     keys = {d for d in del1 + del2 if d is not None and last < d <= t}
     for row in rows:
@@ -724,15 +712,15 @@ class _ShiftCandidates:
     midpoint of two distinct differences, and 0.
 
     Of several equal candidates the first counts, in that order (differences
-    in ``e2``-major order, midpoints in pair order).  Queries sweep the
-    sorted differences once, so the O(E^4) midpoints are never listed.
-    ``half`` halves a sum of two differences exactly.
+    in ``e2``-major order, midpoints in pair order).  Queries bisect the
+    sorted differences, so the O(E^4) midpoints are never listed.  ``half``
+    halves a sum of two differences exactly.
     """
 
     def __init__(self, e1: Sequence, e2: Sequence, half) -> None:
         self.diffs = list(dict.fromkeys(y - x for y in e2 for x in e1))
         self.index = {d: i for i, d in enumerate(self.diffs)}
-        self.sorted_diffs = _ascending(self.diffs)
+        self.sorted_diffs = sorted(self.diffs)
         self.zero = e1[0] - e1[0]
         self.half = half
 
@@ -746,19 +734,11 @@ class _ShiftCandidates:
         k = bisect.bisect_left(ds, t)
         if k < len(ds):
             found.append(ds[k])
-        # the least sum x + y >= 2t of differences y > x: the place j of the
-        # least y >= 2t - x only falls as x grows, so one sweep finds them,
-        # and once y is the next difference after x the sums only grow
-        twice, sums, j = 2 * t, [], len(ds)
-        for i, x in enumerate(ds[:-1]):
-            while j and not ds[j - 1] < twice - x:
-                j -= 1
+        for i, x in enumerate(ds):
+            # the least y > x with (x + y)/2 >= t
+            j = max(i + 1, bisect.bisect_left(ds, 2 * t - x))
             if j < len(ds):
-                sums.append(x + ds[max(i + 1, j)])
-                if j <= i + 1:
-                    break
-        if sums:
-            found.append(self.half(min(sums)))
+                found.append(self.half(x + ds[j]))
         return self._first_equal(min(found))
 
     def _first_equal(self, v):
@@ -805,8 +785,7 @@ def _optimal_shift(rows1: List[Tuple], rows2: List[Tuple], pairs):
     entering = [[] for _ in top_values]
     for p, t in enumerate(tops):
         entering[top_rank[t]].append(p)
-    bottom_values, bottom_rank = _rank(bottoms)
-    leaving = sorted(range(len(pairs)), key=lambda p: bottom_rank[bottoms[p]])
+    leaving = sorted(range(len(pairs)), key=bottoms.__getitem__)
 
     def leftmost(span):
         """Least ``k`` whose shift ``top_k - span/2`` is feasible at ``2*delta
@@ -836,17 +815,16 @@ def _optimal_shift(rows1: List[Tuple], rows2: List[Tuple], pairs):
                 return k
         return None
 
-    negated = [-b for b in reversed(bottom_values)]
+    negated = sorted(-b for b in dict.fromkeys(bottoms))
     rows = [(t, negated) for t in top_values]
-    rows.append((0, _ascending(dict.fromkeys([0] + [n for n in len1 + len2 if n is not None]))))
+    rows.append((0, sorted(dict.fromkeys([0] + [n for n in len1 + len2 if n is not None]))))
     # entries >= 0 are left; the largest admits every pair at the largest top,
     # so some probe succeeds
     lo = [bisect.bisect_left(cols, -t) for t, cols in rows]
     hi = [len(cols) for _t, cols in rows]
     while True:
-        # by value alone: ties leave the weighted median's value alone
-        medians = sorted(((t + cols[(a + b) // 2], b - a)
-                          for (t, cols), a, b in zip(rows, lo, hi) if a < b), key=_first)
+        medians = sorted((t + cols[(a + b) // 2], b - a)
+                         for (t, cols), a, b in zip(rows, lo, hi) if a < b)
         if not medians:
             span, k = best
             return span, None if k == -1 else top_values[k] - span // 2
@@ -857,11 +835,11 @@ def _optimal_shift(rows1: List[Tuple], rows2: List[Tuple], pairs):
                 break
         k = leftmost(pivot)
         if k is None:
-            lo = [bisect.bisect_right(cols, pivot - t, a, b) if a < b else a
+            lo = [bisect.bisect_right(cols, pivot - t, a, b)
                   for (t, cols), a, b in zip(rows, lo, hi)]
         else:
             best = pivot, k
-            hi = [bisect.bisect_left(cols, pivot - t, a, b) if a < b else b
+            hi = [bisect.bisect_left(cols, pivot - t, a, b)
                   for (t, cols), a, b in zip(rows, lo, hi)]
 
 

@@ -438,7 +438,7 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
         del dfs  # dfs refers to itself: break the cycle through its closure
     if not found:
         raise InfeasibleRanksError("no matching leaves the prescribed infinite bars")
-    return frozenset(Barcode.from_ranks(ranked, ids) for ids in found)
+    return frozenset(Barcode.from_ranks(ranked, found))
 
 
 def forced_bar_bound(spectrum: GeneratorSpectrum, ranks: Mapping[int, int]):

@@ -1,5 +1,6 @@
 import copy
 import functools
+import itertools
 import json
 import os
 import random
@@ -552,17 +553,19 @@ def _primes(start: int, count: int):
 
 
 def test_bottleneck_key_size_cap_is_a_failed_check(tmp_path):
-    # bars (1/p, 2/q] over distinct primes near 10**6: 100 primes give a
-    # common scale of 1,994 bits, under the cap, and 104 primes 2,073 bits
+    # bars (1/p, 2/q] over distinct primes near 10**6, and the same bars
+    # times pi: 100 primes give a common scale of 1,994 bits, under the
+    # cap, and 104 primes 2,073 bits
     primes = _primes(10 ** 6, 104)
-    for count, code in ((100, 0), (104, 1)):
-        path = tmp_path / f"primes_{count}.json"
+    for pi, (count, code) in itertools.product((False, True), ((100, 0), (104, 1))):
+        spell = (lambda x: ["0", x]) if pi else (lambda x: x)
+        path = tmp_path / f"primes_{count}_{pi}.json"
         path.write_text(json.dumps({"bars": [
-            {"left": f"1/{p}", "right": f"2/{q}"} for p, q in zip(primes[0:count:2],
-                                                               primes[1:count:2])]}))
+            {"left": spell(f"1/{p}"), "right": spell(f"2/{q}")}
+            for p, q in zip(primes[0:count:2], primes[1:count:2])]}))
         for flags in ((), ("--mod-shift",)):
             result, report = run("bottleneck", str(path), str(path), *flags)
-            assert result.exit_code == code, (count, flags, result.output)
+            assert result.exit_code == code, (pi, count, flags, result.output)
             assert isinstance(result.exception, SystemExit) or code == 0
             names = [c["name"] for c in report["checks"]]
             if code == 0:
