@@ -23,9 +23,10 @@ Submodules
     sums) and the induced filtered complex.
 ``radial``
     Generator spectra of piecewise linear radial Hamiltonian profiles;
-    feasible-barcode enumeration (over bars interned by canonical rank, one
-    barcode built per distinct bar multiset), certified boundary-depth bounds, and continuity
-    pruning along profile families.
+    feasible-barcode enumeration (over runs of twin orbits, each barcode
+    reached once and built from bars interned by canonical rank), certified
+    boundary-depth bounds read on keys, and continuity pruning along
+    profile families.
 ``seidel``
     One-generator quantum ring arithmetic, power-hypothesis verification,
     the exact averaging bound and its symbolic telescoping certificate.

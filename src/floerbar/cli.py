@@ -251,8 +251,7 @@ def cmd_barcode(complex_file, window, oracle, svg_path, fund_degree, point_degre
         _emit(report, f"window too large: {exc}", 1)
     depth = persistence.boundary_depth(bc)
     report.outputs["barcode"] = bc.to_json()
-    report.outputs["bar_length_spectrum"] = [
-        _value_json(x) for x in persistence.bar_length_spectrum(bc)]
+    report.outputs["bar_length_spectrum"] = persistence.bar_length_spectrum_json(bc)
     report.outputs["boundary_depth"] = _value_json(depth)
     # gamma reads the two infinite bars off ``bc`` when its window holds both
     # degrees; only a window missing one of them needs a second reduction
@@ -396,15 +395,18 @@ def _parse_params(data: dict) -> LagrangianParams:
         disk_area=PiRational.from_json(data["A_L"]))
 
 
-def _parse_ranks(data: dict) -> Dict[int, int]:
+def _parse_ranks(data: dict, maslov: int) -> Dict[int, int]:
     """Infinite-bar counts keyed by degree; keys are decimal strings (JSON
-    object keys), values JSON integers."""
+    object keys), values JSON integers, and no two keys share a degree class
+    mod ``maslov``."""
     if not isinstance(data, dict):
         raise SchemaError(f"ranks must be an object, not {data!r}")
     for key in data:
         if not re.fullmatch(r"-?[0-9]+", key):
             raise SchemaError(f"a rank key must be a decimal degree, not {key!r}")
-    return {int(k): parse_int(v) for k, v in data.items()}
+    ranks = {int(k): parse_int(v) for k, v in data.items()}
+    radial.rank_quotas(ranks, maslov)
+    return ranks
 
 
 @main.command("radial")
@@ -418,7 +420,7 @@ def cmd_radial(profile_file, feasible, homotopy):
     try:
         data = _read_input(report, profile_file)
         params = _parse_params(data["params"])
-        ranks = _parse_ranks(data.get("ranks", {}))
+        ranks = _parse_ranks(data.get("ranks", {}), params.maslov)
         if homotopy:
             if "family" not in data:
                 raise SchemaError("--homotopy needs a 'family' list in the input")
@@ -452,12 +454,7 @@ def cmd_radial(profile_file, feasible, homotopy):
                                                    for bc in sorted(feas, key=repr)]
         bound = radial.forced_bar_bound(spectrum, ranks)
         report.outputs["forced_bar_bound"] = _value_json(bound)
-        for bc in feas:
-            if persistence.boundary_depth(bc) < bound:
-                report.check("bound-is-minimum", False)
-                break
-        else:
-            report.check("bound-is-minimum", True)
+        report.check("bound-is-minimum", not persistence.least_depth(feas) < bound)
     except (radial.SlopeDegeneracyError, radial.InfeasibleRanksError,
             radial.PruningEmptyError, ValueError) as exc:
         report.outputs["error"] = str(exc)

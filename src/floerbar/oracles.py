@@ -47,10 +47,11 @@ both run it; neither has samplers or predicates of its own.
 * ``brute_force_lunes`` solves each lune candidate's winding function from
   scratch, where :func:`floerbar.diagrams.enumerate_lunes` solves once per
   diagram.
-* ``brute_force_feasible_barcodes`` builds and hashes a ``Barcode`` for every
-  matching, where :func:`floerbar.radial.feasible_barcodes` interns bars;
-  ``rank_prescriptions`` lists the rank prescriptions the two are compared
-  on.
+* ``brute_force_feasible_barcodes`` searches orbits and builds and hashes a
+  ``Barcode`` for every matching, where
+  :func:`floerbar.radial.feasible_barcodes` searches runs of twin orbits,
+  reaches each barcode once and interns bars; ``rank_prescriptions`` lists
+  the rank prescriptions the two are compared on.
 * ``pi_rational_cmp`` takes the sign of a difference of values of Q + Q*pi
   through Machin brackets of pi alone, where ``PiRational`` compares cached
   integer brackets first.
@@ -94,10 +95,10 @@ from .novikov import (LagrangianParams, NovikovScalar, NovikovSpec, format_ratio
 from .persistence import (INF, Bar, Barcode, _abs, _coverable, _degree_groups, _feasible_at,
                           _halve, _infinite_mismatch, _least_feasible, _matchable_pairs, _rank,
                           _ShiftCandidates, _transposed, bar_length_spectrum,
-                          bottleneck_distance, boundary_depth, brute_force_bottleneck,
-                          shift_barcode, shifted_bottleneck)
-from .radial import (GeneratorSpectrum, InfeasibleRanksError, _orbits, feasible_barcodes,
-                     fold_profile, forced_bar_bound, generators)
+                          bar_length_spectrum_json, bottleneck_distance, boundary_depth,
+                          brute_force_bottleneck, shift_barcode, shifted_bottleneck)
+from .radial import (GeneratorSpectrum, InfeasibleRanksError, RadialProfile, _orbits,
+                     feasible_barcodes, fold_profile, forced_bar_bound, generators, rank_quotas)
 from .sampling import (_planted_barcode, _random_fraction, _scramble, perturb_actions,
                        random_barcode, random_complex, random_sphere_diagram,
                        random_tent_spectrum, random_unroll_case)
@@ -898,7 +899,7 @@ def brute_force_feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[in
     maslov = spectrum.params.maslov
     area = PiRational.of(spectrum.params.disk_area)
     orbits = _orbits(spectrum)
-    quota: Dict[int, int] = {d % maslov: int(c) for d, c in ranks.items() if c}
+    quota = rank_quotas(ranks, maslov)
     counts: Dict[int, int] = {}
     for o in orbits:
         counts[o.degree] = counts.get(o.degree, 0) + 1
@@ -1261,11 +1262,42 @@ def _lune_cases(rng: random.Random, n: int):
         yield case
 
 
+# Twin-heavy tents: dimension 1, Maslov number 2 and a rise slope above 2,
+# so that each kink level gives two twin orbits; as (capacity, kink
+# abscissa, base value, rise slope, fall slope, exterior, disk area).
+_TWIN_TENTS = (
+    (Fraction(3, 4), Fraction(3, 10), Fraction(-1, 4), Fraction(23, 10), Fraction(13, 10), (0,),
+     PiRational.pi(Fraction(1, 40))),
+    (Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(21, 10), Fraction(11, 10), (0, 1),
+     PiRational(Fraction(1, 20), Fraction(1, 50))),
+    (Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(21, 10), Fraction(21, 10), (0,),
+     PiRational.of(Fraction(1, 20))),
+)
+
+
+def _twin_tent(capacity, mid, base, rise, fall, exterior, area) -> GeneratorSpectrum:
+    top = base + rise * mid
+    points = ((0, base), (mid, top), (capacity, top - fall * (capacity - mid)))
+    profile = RadialProfile(tuple((PiRational.of(r), PiRational.of(f)) for r, f in points),
+                            exterior)
+    return generators(profile, LagrangianParams(1, 2, area))
+
+
+def _feasible_cases(rng: random.Random, n: int):
+    """The twin-heavy tents of 10, 11 and 12 generators, then ``n`` drawn
+    tents of at most ``sampling._MAX_TENT_GENERATORS``."""
+    for tent in _TWIN_TENTS:
+        yield (_twin_tent(*tent),)
+    for _ in range(n):
+        yield (random_tent_spectrum(rng),)
+
+
 def _feasible_agrees(spectrum: GeneratorSpectrum) -> bool:
     """``feasible_barcodes`` equals its oracle under every rank prescription
-    (both raising ``InfeasibleRanksError`` counts as agreement), and its
-    budget counts distinct barcodes: a limit of their number passes, one
-    less raises."""
+    (both raising ``InfeasibleRanksError`` counts as agreement); its budget
+    counts distinct barcodes: a limit of their number passes, one less
+    raises; and ``forced_bar_bound``, found on keys, is the least
+    ``boundary_depth`` over the oracle's barcodes, of equal type."""
     def outcome(search, ranks, limit=None):
         try:
             return search(spectrum, ranks, limit=limit)
@@ -1280,7 +1312,9 @@ def _feasible_agrees(spectrum: GeneratorSpectrum) -> bool:
         slow = outcome(brute_force_feasible_barcodes, ranks)
         if outcome(feasible_barcodes, ranks) != slow or slow is not None and (
                 outcome(feasible_barcodes, ranks, len(slow)) != slow
-                or outcome(feasible_barcodes, ranks, len(slow) - 1) != "exceeded the limit"):
+                or outcome(feasible_barcodes, ranks, len(slow) - 1) != "exceeded the limit"
+                or not _same(forced_bar_bound(spectrum, ranks),
+                             min(boundary_depth(bc) for bc in slow))):
             return False
     return True
 
@@ -1428,7 +1462,7 @@ def _keys_agree(a: Barcode, raw_a: List[Bar], b: Barcode, raw_b: List[Bar],
     value and type with the Bar route: canonical order; equality and hash
     against ``Barcode(raw)``, the JSON of ``raw``, their own JSON and the
     pi-typed copy, and equality with the halved copy; boundary depth,
-    spectrum, gamma and JSON; the bottleneck distance."""
+    spectrum and its JSON, gamma and JSON; the bottleneck distance."""
     canon_a, canon_b = canonical_bars(raw_a), canonical_bars(raw_b)
     for x, raw, canon in ((a, raw_a, canon_a), (b, raw_b, canon_b)):
         copies = (Barcode(raw), Barcode.from_json({"bars": [bar.to_json() for bar in raw]}),
@@ -1450,7 +1484,10 @@ def _keys_agree(a: Barcode, raw_a: List[Bar], b: Barcode, raw_b: List[Bar],
             g = str(exc)
         depth, spectrum, g_slow, data = bar_readouts(canon)
         if not (_same(boundary_depth(x), depth) and _same(g, g_slow) and x.to_json() == data
-                and _typed(bar_length_spectrum(x)) == _typed(spectrum)):
+                and _typed(bar_length_spectrum(x)) == _typed(spectrum)
+                and bar_length_spectrum_json(x) == [
+                    "inf" if v is INF else v.to_json() if type(v) is PiRational
+                    else format_rational(v) for v in spectrum]):
             return False
     return (a == b) == (canon_a == canon_b) and _same(
         bottleneck_distance(a, b, sensitive), bar_bottleneck(canon_a, canon_b, sensitive))
@@ -1662,8 +1699,7 @@ PROPERTIES = (
              _shift_agrees(brute_force_shifted_bottleneck)),
     Property("lune-oracle-agreement", _lune_cases,
              lambda d, max_wind: enumerate_lunes(d, max_wind) == brute_force_lunes(d, max_wind)),
-    Property("feasible-oracle-agreement", _drawn(lambda rng: (random_tent_spectrum(rng),)),
-             _feasible_agrees),
+    Property("feasible-oracle-agreement", _feasible_cases, _feasible_agrees),
     Property("radial-fold-bound",
              lambda _rng, _n: ((Fraction(num, 10),) for num in range(1, 10)), _fold_bound_holds),
     Property("seidel-table",

@@ -34,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .exactpi import PiKey, PiRational
 from .matching import CoverMatching
@@ -50,7 +50,9 @@ __all__ = [
     "KeySizeError",
     "MAX_SCALE_BITS",
     "boundary_depth",
+    "least_depth",
     "bar_length_spectrum",
+    "bar_length_spectrum_json",
     "shift_barcode",
     "collapse_degrees",
     "bottleneck_distance",
@@ -173,6 +175,14 @@ class Bar:
     @functools.cached_property
     def length(self):
         return INF if self.is_infinite else self.right - self.left
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.left, self.right, self.degree, self.multiplicity))
+
+    def __hash__(self) -> int:
+        # the dataclass hash, which a class defining its own keeps
+        return self._hash
 
     def shifted(self, c) -> "Bar":
         right = INF if self.is_infinite else self.right - c
@@ -306,19 +316,32 @@ class Barcode:
         gcds = [math.gcd(scale, *(p for x in row[1:3] if x is not None
                                   for p in ((x,) if type(x) is int else (x.a, x.b))))
                 for row in rows]
+        # a rank k picked n > 1 times reads as one row and one bar of
+        # multiplicity n, appended to ``rows`` and ``bars`` (at index
+        # ``repeated[k, n]``) the first time and shared by every later pick
+        rows, bars = list(rows), list(bars)
+        repeated: Dict[Tuple[int, int], int] = {}
+
+        def repeat(k: int, n: int) -> int:
+            if (k, n) not in repeated:
+                repeated[k, n] = len(rows)
+                rows.append((*rows[k][:3], n))
+                bars.append(replace(bars[k], multiplicity=n))
+            return repeated[k, n]
+
         out = []
         for ranks in picks:
             counts = dict.fromkeys(ranks, 0)  # in canonical order, as ranks is sorted
             for k in ranks:
                 counts[k] += 1
             g = math.gcd(scale, *map(gcds.__getitem__, counts))
-            picked = tuple(rows[k] if n == 1 else (*rows[k][:3], n) for k, n in counts.items())
+            picked = [k if n == 1 else repeat(k, n) for k, n in counts.items()]
             barcode = object.__new__(cls)
-            barcode.rows = picked if g == 1 else tuple(
-                (d, l // g, None if r is None else r // g, m) for d, l, r, m in picked)
+            barcode.rows = tuple(map(rows.__getitem__, picked)) if g == 1 else tuple(
+                (d, l // g, None if r is None else r // g, m)
+                for d, l, r, m in map(rows.__getitem__, picked))
             barcode.scale = scale // g
-            barcode._bars = tuple(bars[k] if n == 1 else replace(bars[k], multiplicity=n)
-                                  for k, n in counts.items())
+            barcode._bars = tuple(map(bars.__getitem__, picked))
             out.append(barcode)
         return out
 
@@ -404,17 +427,46 @@ def _exact(x):
     return Fraction(*x) if type(x) is tuple else x
 
 
+def _depth_key(barcode: Barcode):
+    """The boundary depth times the barcode's scale."""
+    return max((r - l for _d, l, r, _m in barcode.rows if r is not None), default=0)
+
+
 def boundary_depth(barcode: Barcode):
     """Maximal length of a finite bar; 0 when there is none."""
-    return _value(max((r - l for _d, l, r, _m in barcode.rows if r is not None), default=0),
-                  barcode.scale)
+    return _value(_depth_key(barcode), barcode.scale)
+
+
+def least_depth(barcodes: Iterable[Barcode]):
+    """``min(boundary_depth(bc) for bc in barcodes)``, of the same value and
+    type, found on keys: each depth key is brought to the lcm of the scales
+    and only the least is read out.  No barcodes raise ValueError."""
+    depths = [(_depth_key(bc), bc.scale) for bc in barcodes]
+    if not depths:
+        raise ValueError("least_depth of no barcodes")
+    scale = math.lcm(*(s for _key, s in depths))
+    return _value(min(key if s == scale else key * (scale // s) for key, s in depths), scale)
+
+
+def _length_keys(barcode: Barcode) -> Tuple[List, int]:
+    """The finite bar lengths times the scale, in increasing order, and the
+    number of infinite bars."""
+    finite = sorted(r - l for _d, l, r, m in barcode.rows if r is not None for _ in range(m))
+    return finite, sum(m for _d, _l, r, m in barcode.rows if r is None)
 
 
 def bar_length_spectrum(barcode: Barcode) -> Tuple:
     """Finite bar lengths in increasing order, then one ``INF`` per infinite bar."""
-    finite = sorted(r - l for _d, l, r, m in barcode.rows if r is not None for _ in range(m))
-    infinite = sum(m for _d, _l, r, m in barcode.rows if r is None)
+    finite, infinite = _length_keys(barcode)
     return tuple(_value(n, barcode.scale) for n in finite) + (INF,) * infinite
+
+
+def bar_length_spectrum_json(barcode: Barcode) -> List:
+    """The JSON of ``bar_length_spectrum``, written from the keys: each
+    finite length as its endpoints are written, then ``"inf"`` per infinite
+    bar."""
+    finite, infinite = _length_keys(barcode)
+    return [_key_to_json(n, barcode.scale) for n in finite] + ["inf"] * infinite
 
 
 def shift_barcode(barcode: Barcode, c) -> Barcode:

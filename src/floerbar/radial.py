@@ -28,18 +28,22 @@ certified lower bound for the boundary depth of any filtered complex with
 that spectrum.  ``homotopy_filter`` prunes the feasible sets along a sampled
 family of profiles using barcode continuity with a caller-supplied constant.
 
-The search works on interned bars.  Every bar a matching can produce (one
-infinite bar per orbit, one finite bar per allowed pair) is built once per
-call and named by its rank in canonical order; a matching is the sorted
-tuple of its ranks.  The bars are keyed once per call, as one ``Barcode``,
-and one ``Barcode`` is built per distinct tuple after the search, straight
-from the ranks: ``Barcode.from_ranks`` picks its rows of those keys and
-takes the interned bars as its read-out, so no barcode sorts or decodes
-endpoints of its own.  Equal tuples are equal barcodes, and ``limit``
-counts distinct barcodes.  Twins -- orbits of equal degree and action,
-such as the two kink slots in dimension 1 -- give the same bars in either
-role, so the search pairs an orbit only with the first undecided member of
-each run of twins.  The search stays exponential in the number of orbits.
+The search works on runs of twins -- orbits of equal degree and action,
+such as the two kink slots in dimension 1 -- because a bar depends only on
+the runs of its orbits.  Every bar a matching can produce (one infinite bar
+per run, one finite bar per allowed ordered pair of runs) is built once per
+call and named by its rank in canonical order.  The search walks the runs
+in order and chooses, for each, how many of its orbits stay free and how
+many of the rest pair with each later run in each orientation, so every
+complete choice is a distinct barcode, reached once, named by the sorted
+tuple of its ranks; ``limit`` counts them.  Counting the orbits left in
+each degree class prunes choices that no pairing can complete.  The bars
+are keyed once per call, as one ``Barcode``, and one ``Barcode`` is built
+per tuple after the search, straight from the ranks: ``Barcode.from_ranks``
+picks its rows of those keys and takes the interned bars as its read-out,
+so no barcode sorts or decodes endpoints of its own.  ``forced_bar_bound``
+compares the barcodes' depths on those keys and reads out only the least.
+The search stays exponential in the number of runs.
 ``brute_force_feasible_barcodes`` in :mod:`floerbar.oracles`, the
 per-matching enumerator that builds and hashes a ``Barcode`` for every
 matching, is kept as the oracle that tests and ``check`` compare against.
@@ -49,12 +53,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactpi import PiRational
 from .novikov import LagrangianParams, parse_int
-from .persistence import (Bar, Barcode, INF, boundary_depth,
-                          bottleneck_distance)
+from .persistence import Bar, Barcode, INF, bottleneck_distance, least_depth
 
 __all__ = [
     "RadialProfile",
@@ -66,6 +69,7 @@ __all__ = [
     "generators",
     "degree_actions",
     "degree_class_actions",
+    "rank_quotas",
     "feasible_barcodes",
     "forced_bar_bound",
     "homotopy_filter",
@@ -291,7 +295,7 @@ def _orbits(spectrum: GeneratorSpectrum) -> List[_Orbit]:
     for e in spectrum.entries:
         rep_deg = e.degree % maslov
         shift = (rep_deg - e.degree) // maslov
-        rep_action = e.action + area * shift
+        rep_action = e.action + area * shift if shift else e.action
         orbit = _Orbit(rep_deg, rep_action, e.source)
         prev = seen.get(e.source)
         if prev is not None and prev != orbit:
@@ -302,66 +306,98 @@ def _orbits(spectrum: GeneratorSpectrum) -> List[_Orbit]:
     return out
 
 
+def rank_quotas(ranks: Mapping[int, int], maslov: int) -> Dict[int, int]:
+    """The nonzero infinite-bar counts of ``ranks`` per degree class mod the
+    Maslov number.  Two keys in one class raise ValueError naming the class:
+    which of their counts holds would depend on the order of the keys."""
+    key_of: Dict[int, int] = {}
+    quota: Dict[int, int] = {}
+    for d, c in ranks.items():
+        cls = d % maslov
+        if cls in key_of:
+            raise ValueError(f"rank keys {key_of[cls]} and {d} fall in one degree "
+                             f"class {cls} mod {maslov}")
+        key_of[cls] = d
+        if c:
+            quota[cls] = int(c)
+    return quota
+
+
+def _pairable(to_pair: Sequence[int]) -> bool:
+    """Whether ``to_pair[d]`` orbits of each degree class d can all be
+    paired, counting orbits alone: some pair counts ``p[d] >= 0`` of the
+    classes d and d + 1 (mod the Maslov number, the length of ``to_pair``)
+    have ``to_pair[d] == p[d] + p[d - 1]``.  Written through ``x = p[-1]``,
+    ``p[d] = a[d] - x`` for even d and ``a[d] + x`` for odd d, where
+    ``a[d] = to_pair[d] - a[d - 1]``; going round the cycle fixes x when
+    its length is odd and asks ``a[-1] == 0`` when it is even."""
+    lo, hi, a = 0, to_pair[0], 0  # x lies in [lo, hi]
+    for d, c in enumerate(to_pair):
+        a = c - a
+        if d % 2:
+            lo = max(lo, -a)
+        else:
+            hi = min(hi, a)
+    if len(to_pair) % 2:
+        return a % 2 == 0 and lo <= a // 2 <= hi
+    return a == 0 and lo <= hi
+
+
 def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
                       limit: Optional[int] = None) -> frozenset:
     """All barcodes of action-decreasing differentials on the spectrum.
 
     ``ranks`` prescribes the number of infinite bars per degree class mod
-    the Maslov period.  Enumeration works in the recapping quotient: each
-    source contributes one orbit; a pair matches a degree-(d+1) orbit ``y``
-    with a degree-d translate of an orbit ``z`` at strictly smaller action.
-    Every bar a matching can use is built once and interned as its rank in
-    canonical order, so a matching is a sorted tuple of ints; a partner is
-    skipped when an earlier undecided twin (equal degree and action) could
-    take its place.  More
-    than ``limit`` distinct barcodes raise ValueError.  Raises
+    the Maslov period (see ``rank_quotas``).  Enumeration works in the
+    recapping quotient: each source contributes one orbit; a pair matches a
+    degree-(d+1) orbit ``y`` with a degree-d translate of an orbit ``z`` at
+    strictly smaller action.  Twin orbits (equal degree and action) form
+    runs, and a bar depends only on the runs of its orbits, so the search
+    walks the runs in order and chooses, for each, how many of its orbits
+    stay free and the multiset of its pair bars to later runs: every
+    complete choice is a distinct barcode, reached once.  More than
+    ``limit`` distinct barcodes raise ValueError.  Raises
     InfeasibleRanksError when nothing matches the prescription.
     """
     maslov = spectrum.params.maslov
     area = PiRational.of(spectrum.params.disk_area)
-    orbits = _orbits(spectrum)
-    quota: Dict[int, int] = {d % maslov: int(c) for d, c in ranks.items() if c}
+    quota = rank_quotas(ranks, maslov)
+    # orbits are sorted by (degree, action), so twins are consecutive
+    runs: List[List] = []  # [degree, action, orbits]
+    for o in _orbits(spectrum):
+        if runs and runs[-1][0] == o.degree and runs[-1][1] == o.action:
+            runs[-1][2] += 1
+        else:
+            runs.append([o.degree, o.action, 1])
     counts: Dict[int, int] = {}
-    for o in orbits:
-        counts[o.degree] = counts.get(o.degree, 0) + 1
+    for d, _a, size in runs:
+        counts[d] = counts.get(d, 0) + size
     for d, q in quota.items():
         if counts.get(d, 0) < q:
             raise InfeasibleRanksError(
                 f"degree class {d} has {counts.get(d, 0)} generators but needs {q} infinite bars")
 
-    # orbits are sorted by (degree, action), so twins -- orbits of equal
-    # degree and action, such as the two kink slots in dimension 1 -- form
-    # runs, and ``run[k]`` is the first orbit of k's run
-    n = len(orbits)
-    run = list(range(n))
-    for k in range(1, n):
-        if orbits[k].degree == orbits[k - 1].degree and orbits[k].action == orbits[k - 1].action:
-            run[k] = run[k - 1]
-
-    # every bar a matching can produce, built once: one infinite bar per
-    # orbit, one finite bar (z, y] per allowed pair (y, z).  Representatives
+    # every bar a matching can produce, built once: one infinite bar per run,
+    # one finite bar (z, y] per allowed ordered pair of runs.  Representatives
     # have degrees in [0, maslov), so z sits one degree below y, or z has
     # degree maslov - 1 and y degree 0 and y is recapped once (action + disk
     # area) to sit above it; the pair is allowed when the bar is nonempty.
-    # A bar's (degree, left, right) is fixed by the runs of its orbits, so
-    # bars are interned by runs: equal ids are exactly equal bars.
-    bars: List[Bar] = []
-    bar_ids: Dict[Tuple[int, int], int] = {}
-
-    def intern(key: Tuple[int, int], left, right, degree: int) -> int:
-        if key not in bar_ids:
-            bar_ids[key] = len(bars)
-            bars.append(Bar(left, right, degree))
-        return bar_ids[key]
-
-    free_bar = [intern((-1, run[k]), o.action, INF, o.degree) for k, o in enumerate(orbits)]
-    pair_bar: Dict[Tuple[int, int], int] = {}
-    for iy, y in enumerate(orbits):
-        right = y.action + area if y.degree == 0 else y.action
-        below = (y.degree - 1) % maslov
-        for iz, z in enumerate(orbits):
-            if z.degree == below and z.action < right:
-                pair_bar[(iy, iz)] = intern((run[iy], run[iz]), z.action, right, below)
+    # A bar names the runs of its orbits, so distinct pairs of runs give
+    # distinct bars.
+    bars = [Bar(a, INF, d) for d, a, _size in runs]
+    n = len(runs)
+    rights = [a + area if d == 0 else a for d, a, _size in runs]
+    partners: List[List[Tuple[int, List[int]]]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ids = []
+            for y, z in ((i, j), (j, i)):
+                dz, az, _size = runs[z]
+                if dz == (runs[y][0] - 1) % maslov and az < rights[y]:
+                    ids.append(len(bars))
+                    bars.append(Bar(az, rights[y], dz))
+            if ids:
+                partners[i].append((j, ids))
 
     # key the bars once, as one barcode in canonical order that keeps the
     # distinct bars as given, and rename them by their ranks there, so that a
@@ -369,73 +405,76 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
     ranked = Barcode(bars)
     place = {id(bar): r for r, bar in enumerate(ranked.bars)}
     rank = [place[id(bar)] for bar in bars]
-    free_bar = [rank[k] for k in free_bar]
-    pair_bar = {key: rank[k] for key, k in pair_bar.items()}
+    free_bar = rank[:n]
+    partners = [[(j, [rank[k] for k in ids]) for j, ids in opts] for opts in partners]
+    # from run ``tail`` on no run has a later partner (the last class has
+    # none): what is left of those runs stays free
+    tail = n
+    while tail and not partners[tail - 1]:
+        tail -= 1
 
-    found: Set[Tuple[int, ...]] = set()
-    undecided_at = [True] * n
+    found: List[Tuple[int, ...]] = []
+    remaining = [size for _d, _a, size in runs]  # orbits no earlier run paired
+    free_left = [quota.get(d, 0) for d in range(maslov)]  # free bars still owed
+    # orbits of each class in runs not yet decided, less those owed free
+    to_pair = [counts.get(d, 0) - free_left[d] for d in range(maslov)]
     chosen: List[int] = []  # bar ids of the partial matching
-    unmatched: Dict[int, int] = {d: 0 for d in counts}
-    undecided: Dict[int, int] = dict(counts)
 
-    def prune() -> bool:
-        for d, q in quota.items():
-            if unmatched.get(d, 0) > q:
-                return False
-            if unmatched.get(d, 0) + undecided.get(d, 0) < q:
-                return False
-        for d in counts:
-            if d not in quota and unmatched.get(d, 0) > 0:
-                return False
-        return True
-
-    def dfs(start: int) -> None:
-        i = start
-        while i < n and not undecided_at[i]:
-            i += 1
-        if i == n:
-            if all(unmatched.get(d, 0) == quota.get(d, 0) for d in counts):
-                found.add(tuple(sorted(chosen)))
-                if limit is not None and len(found) > limit:
-                    raise ValueError("feasible barcode enumeration exceeded the limit")
+    def decide(i: int) -> None:
+        """Choose run i's free orbits, then pair the rest with later runs."""
+        if not _pairable(to_pair):
             return
-        d = orbits[i].degree
-        undecided_at[i] = False
-        undecided[d] -= 1
-        # leave unmatched
-        if unmatched.get(d, 0) < quota.get(d, 0):
-            unmatched[d] += 1
-            chosen.append(free_bar[i])
-            if prune():
-                dfs(i + 1)
-            chosen.pop()
-            unmatched[d] -= 1
-        # pair with a later undecided partner (every earlier orbit is
-        # decided); both orientations of a pair are distinct matchings
-        # (different recap shifts, different bars).  Swapping two undecided
-        # twins changes no bar, so j is skipped when an earlier twin of j is
-        # undecided (i itself is marked decided above).
-        for j in range(i + 1, n):
-            if not undecided_at[j] or any(undecided_at[t] for t in range(run[j], j)):
-                continue
-            dj = orbits[j].degree
-            undecided_at[j] = False
-            undecided[dj] -= 1
-            for key in ((i, j), (j, i)):
-                if key in pair_bar:
-                    chosen.append(pair_bar[key])
-                    if prune():
-                        dfs(i + 1)
-                    chosen.pop()
-            undecided[dj] += 1
-            undecided_at[j] = True
-        undecided[d] += 1
-        undecided_at[i] = True
+        if i >= tail:
+            # nothing is left to pair: each class must owe exactly what its
+            # runs have left
+            if any(to_pair):
+                return
+            found.append(tuple(sorted(chosen + [free_bar[j] for j in range(i, n)
+                                                for _ in range(remaining[j])])))
+            if limit is not None and len(found) > limit:
+                raise ValueError("feasible barcode enumeration exceeded the limit")
+            return
+        d, r = runs[i][0], remaining[i]
+        owed = free_left[d]
+        room = sum(remaining[j] for j, _ids in partners[i])
+        # the partners take at most ``room`` of the orbits not left free
+        for f in range(max(0, r - room), min(r, owed) + 1):
+            free_left[d] = owed - f
+            chosen.extend([free_bar[i]] * f)
+            pair(i, 0, r - f, room)
+            del chosen[len(chosen) - f:]
+        free_left[d] = owed
+
+    def pair(i: int, k: int, need: int, room: int) -> None:
+        """Pair ``need`` orbits of run i with its partners from the k-th on,
+        which have ``room >= need`` orbits left, taking the partners in
+        order; then decide run i + 1."""
+        if not need:
+            decide(i + 1)
+            return
+        j, ids = partners[i][k]
+        while not remaining[j]:
+            k += 1
+            j, ids = partners[i][k]
+        di, dj, left = runs[i][0], runs[j][0], remaining[j]
+        # the partners after the k-th take at most room - left of the need
+        for t in range(min(need, left), max(0, need - room + left) - 1, -1):
+            remaining[j] = left - t
+            to_pair[di] -= t
+            to_pair[dj] -= t
+            # t pairs with run j, split between its (at most two) bars
+            for a in range(t + 1) if len(ids) == 2 else (t,):
+                chosen.extend([ids[0]] * a + [ids[-1]] * (t - a))
+                pair(i, k + 1, need - t, room - left)
+                del chosen[len(chosen) - t:]
+            to_pair[di] += t
+            to_pair[dj] += t
+        remaining[j] = left
 
     try:
-        dfs(0)
+        decide(0)
     finally:
-        del dfs  # dfs refers to itself: break the cycle through its closure
+        del decide, pair  # each refers to the other: break the cycle through their closures
     if not found:
         raise InfeasibleRanksError("no matching leaves the prescribed infinite bars")
     return frozenset(Barcode.from_ranks(ranked, found))
@@ -445,7 +484,7 @@ def forced_bar_bound(spectrum: GeneratorSpectrum, ranks: Mapping[int, int]):
     """Certified lower bound for the boundary depth of any filtered complex
     with the given generator spectrum: the minimum boundary depth over all
     feasible barcodes."""
-    return min(boundary_depth(bc) for bc in feasible_barcodes(spectrum, ranks))
+    return least_depth(feasible_barcodes(spectrum, ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +522,13 @@ def homotopy_filter(profiles: Sequence[RadialProfile], params: LagrangianParams,
     At each sample only barcodes within ``continuity_constant * sup-difference``
     (bottleneck, degree-sensitive) of some barcode retained at the previous
     sample survive; the first sample keeps its full feasible set.  An empty
-    pruned set raises PruningEmptyError naming the sample.
+    pruned set raises PruningEmptyError naming the sample.  Ranks that
+    ``rank_quotas`` refuses raise ValueError before any sample is searched.
     """
     C = PiRational.of(continuity_constant)
     if C < PiRational.of(1):
         raise ValueError("the continuity constant must be at least 1")
+    rank_quotas(ranks, params.maslov)
     kept: List[frozenset] = []
     diffs: List[PiRational] = []
     for idx, prof in enumerate(profiles):

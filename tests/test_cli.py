@@ -475,6 +475,26 @@ def test_radial_rank_keys_are_decimal_strings(tmp_path):
     assert report["outputs"]["forced_bar_bound"] == ["9/40", "0"]
 
 
+def test_radial_rank_keys_of_one_degree_class_are_malformed(tmp_path):
+    # 0 and 2 are one class mod N_L = 2: the count read for it used to
+    # depend on key order, exit 1 in this order and exit 0 in the other
+    for i, ranks in enumerate(({"0": 2, "1": 2, "2": 1}, {"2": 1, "1": 2, "0": 2})):
+        path = tmp_path / f"colliding_{i}.json"
+        path.write_text(json.dumps(_radial_fold(ranks=ranks)))
+        for flags in ([], ["--feasible"]):
+            result, report = run("radial", str(path), *flags)
+            assert result.exit_code == 2, (ranks, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert "degree class 0 mod 2" in report["error"]
+    family = json.loads(resources.files("floerbar").joinpath(
+        "fixtures", "radial_fold_family.json").read_text())
+    path = tmp_path / "colliding_family.json"
+    path.write_text(json.dumps(dict(family, ranks={"1": 1, "0": 1, "3": 1})))
+    result, report = run("radial", str(path), "--homotopy")
+    assert result.exit_code == 2, result.output
+    assert "degree class 1 mod 2" in report["error"]
+
+
 def test_barcode_window_size_cap_is_a_failed_check():
     # each command would unroll billions of copies; both are counted first
     cx = fixture_path("equator_pair_complex.json")

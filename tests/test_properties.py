@@ -10,7 +10,7 @@ import pytest
 from floerbar.complexes import (FilteredComplex, GammaUndefinedError, complex_from_json,
                                 complex_to_json, gamma)
 from floerbar.exactpi import PiRational
-from floerbar.oracles import PROPERTIES, _parsed, rank_prescriptions
+from floerbar.oracles import PROPERTIES, _TWIN_TENTS, _parsed, rank_prescriptions
 from floerbar.persistence import INF, bottleneck_distance, shifted_bottleneck
 from floerbar.radial import InfeasibleRanksError, feasible_barcodes
 from floerbar.sampling import _MAX_TENT_GENERATORS
@@ -68,8 +68,14 @@ def _area_kind(spectrum):
 
 
 def test_tent_spectra_cover_every_area_kind_and_size():
+    # the fixed twin-heavy tents come first; the drawn tents after them
+    # cover every kind of disk area up to the oracle's size cap
+    fixed = len(_TWIN_TENTS)
+    twin = cases("feasible-oracle-agreement")[:fixed]
+    assert sorted(len(s.entries) for s, in twin) == [10, 11, 12]
+    assert {_area_kind(s) for s, in twin} == {"rational", "pi", "mixed"}
     kinds, sizes, feasible = set(), set(), 0
-    for s, in cases("feasible-oracle-agreement"):
+    for s, in cases("feasible-oracle-agreement")[fixed:]:
         kinds.add((s.params.dim, s.params.maslov, _area_kind(s)))
         sizes.add(len(s.entries))
         for ranks in rank_prescriptions(s):

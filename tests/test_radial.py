@@ -7,14 +7,16 @@ import pytest
 
 from floerbar.exactpi import PiRational
 from floerbar.novikov import LagrangianParams
-from floerbar.oracles import brute_force_feasible_barcodes, rank_prescriptions
+from floerbar.oracles import (_TWIN_TENTS, _twin_tent, brute_force_feasible_barcodes,
+                              rank_prescriptions)
 from floerbar.persistence import Barcode, Bar, INF, boundary_depth
 from floerbar.radial import (GeneratorSpectrum, InfeasibleRanksError,
                              RadialProfile, SlopeDegeneracyError,
                              SpectrumEntry, degree_actions,
                              degree_class_actions, feasible_barcodes,
                              fold_profile, forced_bar_bound, generators,
-                             homotopy_filter, sup_difference)
+                             _pairable, homotopy_filter, rank_quotas,
+                             sup_difference)
 from floerbar.sampling import random_tent_spectrum
 
 LP = LagrangianParams(dim=1, maslov=2, disk_area=F(1, 2))
@@ -255,3 +257,90 @@ def test_feasible_search_leaves_no_garbage_cycle():
                 assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_each_feasible_barcode_is_reached_once(monkeypatch):
+    # the search over runs of twins ends at one leaf per barcode: it hands
+    # Barcode.from_ranks exactly as many rank tuples as barcodes come back
+    leaves = []
+    from_ranks = Barcode.from_ranks.__func__
+
+    def counted(cls, ranked, picks):
+        picks = list(picks)
+        leaves.append(len(picks))
+        return from_ranks(cls, ranked, picks)
+
+    monkeypatch.setattr(Barcode, "from_ranks", classmethod(counted))
+    rng = random.Random(19)
+    spectra = [_twin_tent(*tent) for tent in _TWIN_TENTS]
+    spectra += [random_tent_spectrum(rng) for _ in range(60)]
+    reached = 0
+    for spectrum in spectra:
+        for ranks in rank_prescriptions(spectrum):
+            try:
+                result = feasible_barcodes(spectrum, ranks)
+            except InfeasibleRanksError:
+                continue
+            assert leaves[-1] == len(result), (spectrum, ranks)
+            reached += 1
+    assert reached > 200
+
+
+def test_rank_keys_of_one_degree_class_are_refused():
+    # keys 0 and 2 are one class mod 2, in either order; every search and
+    # the pruning refuse them before searching, naming the class
+    s = generators(fold_profile(F(9, 10)), LP)
+    fam = [fold_profile(F(k, 10)) for k in (3, 5)]
+    for ranks in ({0: 2, 1: 2, 2: 1}, {2: 1, 1: 2, 0: 2}):
+        with pytest.raises(ValueError, match="one degree class 0 mod 2"):
+            rank_quotas(ranks, 2)
+        for search in (feasible_barcodes, brute_force_feasible_barcodes):
+            with pytest.raises(ValueError, match="one degree class 0 mod 2"):
+                search(s, ranks)
+        with pytest.raises(ValueError, match="one degree class 0 mod 2"):
+            homotopy_filter(fam, LP, ranks, 2)
+    # distinct classes keep their counts, zero counts drop out
+    assert rank_quotas({-2: 1, 3: 0}, 2) == {0: 1}
+    assert rank_quotas({5: 2, 2: 1}, 4) == {1: 2, 2: 1}
+
+
+def test_orbit_counts_pairable_exactly_when_some_pair_counts_fit():
+    # p[d] pairs join the classes d and d + 1 round a cycle of length m; the
+    # closed form of _pairable against every small vector of pair counts
+    for m, values, pairs in ((2, range(-1, 5), range(5)), (3, range(-1, 5), range(5)),
+                             (4, range(-1, 4), range(4)), (5, range(3), range(3))):
+        for to_pair in itertools.product(values, repeat=m):
+            fits = any(all(to_pair[d] == p[d] + p[d - 1] for d in range(m))
+                       for p in itertools.product(pairs, repeat=m))
+            assert _pairable(to_pair) == fits, (m, to_pair)
+
+
+def test_odd_maslov_numbers_agree_with_the_oracle():
+    # the property table draws Maslov numbers 2 and 4; the count pruning
+    # treats an odd cycle of classes differently
+    rng = random.Random(3)
+    checked = 0
+    while checked < 12:
+        dim, maslov = rng.choice(((1, 3), (2, 3), (1, 5)))
+        mid = F(rng.randint(2, 3), 10)
+        top = F(rng.randint(1, 29), 10) * rng.choice((1, -1)) * mid
+        prof = RadialProfile(breakpoints=((pv(0), pv(0)), (pv(mid), pv(top)),
+                                          (pv((1, 2)), pv(top - F(rng.randint(1, 29), 10)
+                                                            * (F(1, 2) - mid)))),
+                             exterior=tuple(rng.sample(range(2 * dim), rng.randint(0, 2))))
+        try:
+            s = generators(prof, LagrangianParams(dim, maslov, rng.choice((F(1, 2), F(3, 5)))))
+        except SlopeDegeneracyError:
+            continue
+        if len(s.entries) > 8:
+            continue
+        checked += 1
+        for ranks in rank_prescriptions(s):
+            try:
+                slow = brute_force_feasible_barcodes(s, ranks)
+            except InfeasibleRanksError:
+                with pytest.raises(InfeasibleRanksError):
+                    feasible_barcodes(s, ranks)
+                continue
+            assert feasible_barcodes(s, ranks) == slow, (s, ranks)
+            assert forced_bar_bound(s, ranks) == min(boundary_depth(bc) for bc in slow)
