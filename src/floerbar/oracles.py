@@ -27,16 +27,16 @@ both run it; neither has samplers or predicates of its own.
   phases of shortest augmenting paths, where
   :class:`floerbar.matching.CoverMatching` grows one matching by single
   augmenting searches that the caller can repair after edits.
-* ``all_pairs_bottleneck`` prices every matchable pair of two barcodes with
-  Fraction endpoints as an int key over their own common denominator and
-  bisects all the keys, where :func:`floerbar.persistence.bottleneck_distance`
-  lists only the pairs in a growing window of near left endpoints.
-* ``canonical_bars``, ``bar_readouts`` and ``bar_bottleneck`` are the Bar
-  route: canonical order, boundary depth, spectrum, gamma, JSON and the
-  bottleneck distance computed on ``Bar``s and their endpoints, the last
-  pricing every pair once as its rank among all the costs
-  (``_rank_search``), where a :class:`floerbar.persistence.Barcode` reads
-  and searches its keyed rows.
+* ``all_pairs_bottleneck`` prices every matchable pair and deletion of two
+  lists of ``Bar``s once, as ints over twice their common denominator when
+  every endpoint is a Fraction and as exact values otherwise, and bisects
+  the ranks of all the costs, where
+  :func:`floerbar.persistence.bottleneck_distance` lists only the pairs in
+  a growing window of near left endpoints, on the barcodes' keys.
+* ``canonical_bars`` and ``bar_readouts`` are the Bar route: canonical
+  order, boundary depth, spectrum, gamma and JSON computed on ``Bar``s and
+  their endpoints, where a :class:`floerbar.persistence.Barcode` reads its
+  keyed rows.
 * ``brute_force_shifted_bottleneck`` lists its own candidate shifts and
   scores each with one full bottleneck computation.
 * ``scan_shifted_bottleneck`` searches the shift-quotient distance on the
@@ -47,11 +47,12 @@ both run it; neither has samplers or predicates of its own.
 * ``brute_force_lunes`` solves each lune candidate's winding function from
   scratch, where :func:`floerbar.diagrams.enumerate_lunes` solves once per
   diagram.
-* ``brute_force_feasible_barcodes`` searches orbits and builds and hashes a
-  ``Barcode`` for every matching, where
-  :func:`floerbar.radial.feasible_barcodes` searches runs of twin orbits,
-  reaches each barcode once and interns bars; ``rank_prescriptions`` lists
-  the rank prescriptions the two are compared on.
+* ``brute_force_feasible_barcodes`` searches orbits, each partner in both
+  orientations, records every matching as a sorted tuple of interned bars
+  and builds one ``Barcode`` per distinct tuple, where
+  :func:`floerbar.radial.feasible_barcodes` searches runs of twin orbits
+  and reaches each barcode once; ``rank_prescriptions`` lists the rank
+  prescriptions the two are compared on.
 * ``pi_rational_cmp`` takes the sign of a difference of values of Q + Q*pi
   through Machin brackets of pi alone, where ``PiRational`` compares cached
   integer brackets first.
@@ -117,7 +118,6 @@ __all__ = [
     "all_pairs_bottleneck",
     "canonical_bars",
     "bar_readouts",
-    "bar_bottleneck",
     "brute_force_shifted_bottleneck",
     "scan_shifted_bottleneck",
     "brute_force_lunes",
@@ -436,100 +436,68 @@ def max_bipartite_matching(num_left: int, num_right: int,
 
 
 def _bar_rows(bars: Iterable[Bar]) -> List[Tuple]:
-    out = []
-    for bar in bars:
-        row = (bar.degree, bar.left, None, None) if bar.is_infinite else \
-            (bar.degree, bar.left, bar.right, bar.length)
-        out += [row] * bar.multiplicity
-    return out
+    """``(degree, left, right)`` per bar, repeated by multiplicity; ``right``
+    None for an infinite bar."""
+    return [(bar.degree, bar.left, None if bar.is_infinite else bar.right)
+            for bar in bars for _ in range(bar.multiplicity)]
 
 
-def _rank_search(rows1: List[Tuple], rows2: List[Tuple], groups) -> object:
-    """The bottleneck distance of two lists of rows whose groups have equal
-    infinite-bar counts, on the endpoints themselves: every deletion and
-    every matchable pair is priced once as its rank among all the costs, and
-    each group's ranks are bisected from the optimum of the groups before.
+def all_pairs_bottleneck(bars1: Sequence[Bar], bars2: Sequence[Bar],
+                         degree_sensitive: bool = True):
+    """:func:`floerbar.persistence.bottleneck_distance` of two lists of bars,
+    by pricing every matchable pair and every deletion once, where the fast
+    search prices only the pairs of a growing window of near left endpoints.
 
-    Of several equal costs the value returned is the first in the order
-    zero, deletions of ``rows1`` then ``rows2``, left then right endpoint
-    difference of each pair."""
-    pairs = _matchable_pairs(rows1, rows2, groups)
-    dels = [None if n is None else _halve(n) for _d, _l, _r, n in rows1 + rows2]
-    values, cost = [Fraction(0)] + [d for d in dels if d is not None], []
-    for i, j in pairs:
-        (_d1, l1, r1, _n1), (_d2, l2, r2, _n2) = rows1[i], rows2[j]
-        diffs = [_abs(l1 - l2)] if r1 is None else [_abs(l1 - l2), _abs(r1 - r2)]
-        values += diffs
-        cost.append(max(diffs))
-    order, rank = _rank(values)
-    keys = [None if d is None else rank[d] for d in dels]
-    rows = [[] for _ in rows1]
-    for (i, j), c in zip(pairs, cost):
-        rows[i].append((rank[c], j))
-    best = 0
-    for idx1, idx2 in groups:
-        best = _smallest_feasible_key(idx1, idx2, rows, keys[:len(rows1)], keys[len(rows1):], best)
-    return order[best]
-
-
-def _smallest_feasible_key(idx1: Sequence[int], idx2: Sequence[int], rows,
-                           del1, del2, floor: int) -> int:
-    """Least key ``>= floor`` at which the bars of one group, with equal
-    infinite-bar counts, can be matched; ``rows[i]`` lists ``(key, j)`` for
-    the pairs of the first side's ``i``-th bar."""
-    local = {j: n for n, j in enumerate(idx2)}
-    group_rows = [sorted((k, local[j]) for k, j in rows[i]) for i in idx1]
-    cols = _transposed(group_rows, len(idx2))
-    d1 = [del1[i] for i in idx1]
-    d2 = [del2[j] for j in idx2]
-    keys = {floor}
-    for row in group_rows:
-        keys.update(k for k, _j in row)
-    keys.update(k for k in d1 + d2 if k is not None)
-    # the largest key admits every pair and every deletion of a finite bar
-    keys = sorted(k for k in keys if k >= floor)
-    if floor:
-        # a later group often fits within the optimum of the earlier ones
-        if _feasible_at(group_rows, cols, d1, d2, floor):
-            return floor
-        keys = keys[1:]
-    return _least_feasible(group_rows, cols, d1, d2, keys)
-
-
-def all_pairs_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
-    """:func:`floerbar.persistence.bottleneck_distance` of barcodes whose
-    endpoints are all Fractions, by pricing every matchable pair.
-
-    A pair's key is its cost times twice the common denominator of the
-    bars' Fractions, and a deletion's likewise; each degree's sorted keys
-    are bisected from the optimum of the degrees before it.  Other endpoint
-    types raise ``ValueError``.
+    Costs are ints over twice the common denominator when every endpoint is
+    a Fraction, and the exact values otherwise.  Each cost is named by its
+    rank among all of them, and each degree's ranks are bisected from the
+    optimum of the degrees before it.  Of several equal costs the value
+    returned is the first in the order zero, deletions of ``bars1`` then
+    ``bars2``, left then right endpoint difference of each pair.
     """
-    bars1, bars2 = b1.expand(), b2.expand()
-    ends = [x for b in bars1 + bars2 for x in (b.left, b.right) if x is not INF]
-    if any(type(x) is not Fraction for x in ends):
-        raise ValueError("the all-pairs search takes Fraction endpoints only")
-    scale = math.lcm(*(x.denominator for x in ends))
-
-    def key(x):
-        return None if x is INF else x.numerator * (scale // x.denominator)
-
-    # rows as ``_degree_groups`` reads them: (degree, left, right, unused)
-    k1, k2 = ([(b.degree, key(b.left), key(b.right), None) for b in bars]
-              for bars in (bars1, bars2))
-    groups = _degree_groups(k1, k2, degree_sensitive)
-    if _infinite_mismatch(k1, k2, groups):
+    rows1, rows2 = _bar_rows(bars1), _bar_rows(bars2)
+    groups = _degree_groups(rows1, rows2, degree_sensitive)
+    if _infinite_mismatch(rows1, rows2, groups):
         return INF
-    del1 = [None if r is None else r - l for _d, l, r, _n in k1]
-    del2 = [None if r is None else r - l for _d, l, r, _n in k2]
-    rows = [[] for _ in k1]
-    for i, j in _matchable_pairs(k1, k2, groups):
-        (_d1, l1, r1, _n1), (_d2, l2, r2, _n2) = k1[i], k2[j]
-        rows[i].append((2 * (abs(l1 - l2) if r1 is None else max(abs(l1 - l2), abs(r1 - r2))), j))
+    ends = [x for _d, l, r in rows1 + rows2 for x in (l, r) if x is not None]
+    if all(type(x) is Fraction for x in ends):
+        scale = 2 * math.lcm(*(x.denominator for x in ends))
+
+        def key(x):
+            return None if x is None else x.numerator * (scale // x.denominator)
+
+        rows1, rows2 = ([(d, key(l), key(r)) for d, l, r in rows] for rows in (rows1, rows2))
+        zero, half, value = 0, (lambda n: n // 2), (lambda k: Fraction(k, scale))
+    else:
+        zero, half, value = Fraction(0), _halve, (lambda v: v)
+    dels = [None if r is None else half(r - l) for _d, l, r in rows1 + rows2]
+    pairs = _matchable_pairs(rows1, rows2, groups)
+    values, costs = [zero] + [d for d in dels if d is not None], []
+    for i, j in pairs:
+        (_d1, l1, r1), (_d2, l2, r2) = rows1[i], rows2[j]
+        diffs = (abs(l1 - l2),) if r1 is None else (abs(l1 - l2), abs(r1 - r2))
+        values += diffs
+        costs.append(max(diffs))
+    order, rank = _rank(values)
+    del1, del2 = ([None if d is None else rank[d] for d in side]
+                  for side in (dels[:len(rows1)], dels[len(rows1):]))
+    rows = [[] for _ in rows1]
+    for (i, j), cost in zip(pairs, costs):
+        rows[i].append((rank[cost], j))
     best = 0
     for idx1, idx2 in groups:
-        best = _smallest_feasible_key(idx1, idx2, rows, del1, del2, best)
-    return Fraction(best, 2 * scale)
+        local = {j: n for n, j in enumerate(idx2)}
+        group_rows = [sorted((k, local[j]) for k, j in rows[i]) for i in idx1]
+        cols = _transposed(group_rows, len(idx2))
+        d1, d2 = [del1[i] for i in idx1], [del2[j] for j in idx2]
+        # a later group often fits within the optimum of the earlier ones;
+        # else the largest key admits every pair and every deletion of a
+        # finite bar
+        if not _feasible_at(group_rows, cols, d1, d2, best):
+            keys = {k for row in group_rows for k, _j in row}
+            keys.update(k for k in d1 + d2 if k is not None)
+            best = _least_feasible(group_rows, cols, d1, d2, sorted(k for k in keys if k > best))
+    return value(order[best])
 
 
 def _endpoints(bars: List[Bar]) -> List:
@@ -727,17 +695,6 @@ def bar_readouts(bars: Sequence[Bar]) -> tuple:
             tuple(lengths) + (INF,) * infinite, g, {"bars": [b.to_json() for b in bars]})
 
 
-def bar_bottleneck(bars1: Sequence[Bar], bars2: Sequence[Bar], degree_sensitive: bool = True):
-    """The bottleneck distance of canonical ``bars1`` and ``bars2`` by pricing
-    every pair on the endpoints themselves, where two keyed barcodes are
-    searched on int keys over windows of near pairs."""
-    rows1, rows2 = _bar_rows(bars1), _bar_rows(bars2)
-    groups = _degree_groups(rows1, rows2, degree_sensitive)
-    if _infinite_mismatch(rows1, rows2, groups):
-        return INF
-    return _rank_search(rows1, rows2, groups)
-
-
 # ---------------------------------------------------------------------------
 # diagrams: the per-candidate winding solve
 # ---------------------------------------------------------------------------
@@ -894,6 +851,9 @@ def brute_force_feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[in
     the Maslov period.  Enumeration works in the recapping quotient: each
     source contributes one orbit; a pair matches a degree-(d+1) orbit ``y``
     with a degree-d translate of an orbit ``z`` at strictly smaller action.
+    Every orbit and every partner in each orientation is tried; a matching
+    is recorded as the sorted tuple of its interned bars, and one
+    ``Barcode`` is built per distinct tuple, which ``limit`` counts.
     Raises InfeasibleRanksError when nothing matches the prescription.
     """
     maslov = spectrum.params.maslov
@@ -908,8 +868,12 @@ def brute_force_feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[in
             raise InfeasibleRanksError(
                 f"degree class {d} has {counts.get(d, 0)} generators but needs {q} infinite bars")
 
-    # precompute allowed partners: pair (y, z) with deg(y) = deg(z) + 1 after
-    # an integral recap shift of z, and action(z translate) < action(y)
+    # every bar a matching can use is built once and interned by value: an
+    # orbit's infinite bar, and the bar of each allowed pair (y, z), with
+    # deg(y) = deg(z) + 1 after an integral recap shift of z and action(z
+    # translate) < action(y), normalized into the fundamental degree window
+    ids: Dict[Bar, int] = {}
+    free_bar = [ids.setdefault(Bar(o.action, INF, o.degree), len(ids)) for o in orbits]
     n = len(orbits)
     allowed: Dict[Tuple[int, int], int] = {}
     for iy, y in enumerate(orbits):
@@ -919,9 +883,13 @@ def brute_force_feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[in
                 continue
             j = diff // maslov
             if z.action + area * j < y.action:
-                allowed[(iy, iz)] = j
+                raw_deg = z.degree + j * maslov
+                t = ((raw_deg % maslov) - raw_deg) // maslov
+                bar = Bar(z.action + area * (j + t), y.action + area * t, raw_deg % maslov)
+                allowed[(iy, iz)] = ids.setdefault(bar, len(ids))
 
-    results: Set[Barcode] = set()
+    # each matching as the sorted tuple of its bars' ids
+    results: Set[Tuple[int, ...]] = set()
     state = ["?"] * n  # "?", "free", or partner index
     pair_list: List[Tuple[int, int]] = []
     unmatched: Dict[int, int] = {d: 0 for d in counts}
@@ -939,18 +907,8 @@ def brute_force_feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[in
         return True
 
     def emit() -> None:
-        bars = [Bar(orbits[i].action, INF, orbits[i].degree)
-                for i, st in enumerate(state) if st == "free"]
-        for (iy, iz) in pair_list:
-            y, z = orbits[iy], orbits[iz]
-            j = allowed[(iy, iz)]
-            # normalize the bar into the fundamental degree window
-            raw_deg = z.degree + j * maslov
-            t = ((raw_deg % maslov) - raw_deg) // maslov
-            left = z.action + area * (j + t)
-            right = y.action + area * t
-            bars.append(Bar(left, right, raw_deg % maslov))
-        results.add(Barcode(bars))
+        results.add(tuple(sorted([free_bar[i] for i, st in enumerate(state) if st == "free"]
+                                 + [allowed[key] for key in pair_list])))
         if limit is not None and len(results) > limit:
             raise ValueError("feasible barcode enumeration exceeded the limit")
 
@@ -996,10 +954,14 @@ def brute_force_feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[in
                 state[i] = "?"
                 state[j] = "?"
 
-    dfs(0)
+    try:
+        dfs(0)
+    finally:
+        del dfs  # it refers to itself: break the cycle through its closure
     if not results:
         raise InfeasibleRanksError("no matching leaves the prescribed infinite bars")
-    return frozenset(results)
+    bars = list(ids)
+    return frozenset(Barcode(bars[k] for k in picks) for picks in results)
 
 
 # ---------------------------------------------------------------------------
@@ -1433,12 +1395,10 @@ def _window_cases(rng: random.Random, n: int):
 
 def _window_agrees(a: Barcode, b: Barcode) -> bool:
     """``bottleneck_distance`` agrees in value and type, in both degree
-    modes, with the all-pairs search on Fraction endpoints and with the rank
-    search on the bars when a pi endpoint takes part."""
-    pi = any(isinstance(x, PiRational) for bar in a.bars + b.bars for x in (bar.left, bar.right))
-    slow = (lambda x, y, sensitive: bar_bottleneck(x.bars, y.bars, sensitive)) if pi \
-        else all_pairs_bottleneck
-    return _both_modes(bottleneck_distance, slow, _same)(a, b)
+    modes, with the all-pairs search on the bars."""
+    return _both_modes(bottleneck_distance,
+                       lambda x, y, sensitive: all_pairs_bottleneck(x.bars, y.bars, sensitive),
+                       _same)(a, b)
 
 
 def _typed(values) -> list:
@@ -1490,7 +1450,7 @@ def _keys_agree(a: Barcode, raw_a: List[Bar], b: Barcode, raw_b: List[Bar],
                     else format_rational(v) for v in spectrum]):
             return False
     return (a == b) == (canon_a == canon_b) and _same(
-        bottleneck_distance(a, b, sensitive), bar_bottleneck(canon_a, canon_b, sensitive))
+        bottleneck_distance(a, b, sensitive), all_pairs_bottleneck(canon_a, canon_b, sensitive))
 
 
 def _reduction_bars(cx: FilteredComplex) -> List[Bar]:

@@ -45,8 +45,9 @@ so no barcode sorts or decodes endpoints of its own.  ``forced_bar_bound``
 compares the barcodes' depths on those keys and reads out only the least.
 The search stays exponential in the number of runs.
 ``brute_force_feasible_barcodes`` in :mod:`floerbar.oracles`, the
-per-matching enumerator that builds and hashes a ``Barcode`` for every
-matching, is kept as the oracle that tests and ``check`` compare against.
+per-matching enumerator that searches orbits rather than runs and builds one
+``Barcode`` per distinct sorted tuple of interned bars, is kept as the
+oracle that tests and ``check`` compare against.
 """
 
 from __future__ import annotations

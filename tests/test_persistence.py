@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from floerbar.exactpi import PiRational
-from floerbar.oracles import _same, brute_force_bottleneck
+from floerbar.oracles import _same, all_pairs_bottleneck, brute_force_bottleneck
 from floerbar.persistence import (Bar, Barcode, INF, bar_length_spectrum,
                                   bottleneck_distance, boundary_depth,
                                   interleaving_distance, shift_barcode,
@@ -169,57 +169,8 @@ def test_shift_rigid_instances():
 
 
 # ---------------------------------------------------------------------------
-# the priced threshold search against the candidate-list routine it replaced
+# the window search against the all-pairs oracle
 # ---------------------------------------------------------------------------
-
-
-def _reference_bottleneck(b1, b2, degree_sensitive=True):
-    """Test-only oracle: the former bottleneck routine, which re-prices every
-    pair with exact arithmetic at each step of a binary search over the
-    sorted list of all candidate tolerances."""
-    from floerbar.oracles import max_bipartite_matching
-    from floerbar.persistence import _abs, _bar_matching_cost, _deletion_cost
-
-    bars1, bars2 = b1.expand(), b2.expand()
-
-    def feasible(delta):
-        # left: bars1, then a diagonal slot per bar of bars2; right: bars2,
-        # then a diagonal slot per bar of bars1
-        n1, n2 = len(bars1), len(bars2)
-        pool = list(range(n2, n2 + n1))
-        adjacency = []
-        for a in bars1:
-            nbrs = [j for j, b in enumerate(bars2)
-                    if not (degree_sensitive and a.degree != b.degree)
-                    and not (_bar_matching_cost(a, b) > delta)]
-            adjacency.append(nbrs + pool if not (_deletion_cost(a) > delta) else nbrs)
-        for j, b in enumerate(bars2):
-            adjacency.append([j] + pool if not (_deletion_cost(b) > delta) else pool)
-        match = max_bipartite_matching(n1 + n2, n2 + n1, adjacency)
-        return all(v != -1 for v in match)
-
-    candidates = {F(0): None}
-    for bar in bars1 + bars2:
-        if not bar.is_infinite:
-            candidates.setdefault(_deletion_cost(bar))
-    for a in bars1:
-        for b in bars2:
-            if (degree_sensitive and a.degree != b.degree) or a.is_infinite != b.is_infinite:
-                continue
-            candidates.setdefault(_abs(a.left - b.left))
-            if not a.is_infinite:
-                candidates.setdefault(_abs(a.right - b.right))
-    candidates = sorted(candidates)
-    if not feasible(candidates[-1]):
-        return INF
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return candidates[lo]
 
 
 def test_priced_search_matches_reference_on_planted_pairs():
@@ -232,7 +183,7 @@ def test_priced_search_matches_reference_on_planted_pairs():
         a, b = barcode(cx), barcode(pert)
         for sensitive in (True, False):
             assert _same(bottleneck_distance(a, b, sensitive),
-                         _reference_bottleneck(a, b, sensitive)), (n, sensitive)
+                         all_pairs_bottleneck(a.bars, b.bars, sensitive)), (n, sensitive)
 
 
 def test_priced_search_matches_reference_on_pi_fold_barcodes():
@@ -252,7 +203,7 @@ def test_priced_search_matches_reference_on_pi_fold_barcodes():
         for y in barcodes:
             for sensitive in (True, False):
                 d = bottleneck_distance(x, y, sensitive)
-                assert _same(d, _reference_bottleneck(x, y, sensitive))
+                assert _same(d, all_pairs_bottleneck(x.bars, y.bars, sensitive))
                 assert d == brute_force_bottleneck(x, y, sensitive)
 
 
@@ -272,7 +223,7 @@ def test_priced_search_matches_reference_on_random_pairs():
             a = to_pi(a)
         for sensitive in (True, False):
             assert _same(bottleneck_distance(a, b, sensitive),
-                         _reference_bottleneck(a, b, sensitive)), (a, b, sensitive)
+                         all_pairs_bottleneck(a.bars, b.bars, sensitive)), (a, b, sensitive)
 
 
 def test_bottleneck_edge_cases():

@@ -7,8 +7,8 @@ import pytest
 
 from floerbar.exactpi import PiRational
 from floerbar.novikov import LagrangianParams
-from floerbar.oracles import (_TWIN_TENTS, _twin_tent, brute_force_feasible_barcodes,
-                              rank_prescriptions)
+from floerbar.oracles import (_TWIN_TENTS, _feasible_agrees, _twin_tent,
+                              brute_force_feasible_barcodes, rank_prescriptions)
 from floerbar.persistence import Barcode, Bar, INF, boundary_depth
 from floerbar.radial import (GeneratorSpectrum, InfeasibleRanksError,
                              RadialProfile, SlopeDegeneracyError,
@@ -241,8 +241,9 @@ def test_twin_orbits_collapse_without_losing_barcodes():
 
 
 def test_feasible_search_leaves_no_garbage_cycle():
-    # the nested search function refers to itself; unless the call breaks
-    # that cycle, its whole search state waits for the cyclic collector
+    # the nested search functions of the search and of its oracle refer to
+    # themselves; unless each call breaks that cycle, its whole search state
+    # waits for the cyclic collector
     rng = random.Random(5)
     spectra = [random_tent_spectrum(rng) for _ in range(6)]
     gc.collect()
@@ -250,11 +251,12 @@ def test_feasible_search_leaves_no_garbage_cycle():
     try:
         for spectrum in spectra:
             for ranks in itertools.islice(rank_prescriptions(spectrum), 2):
-                try:
-                    feasible_barcodes(spectrum, ranks)
-                except InfeasibleRanksError:
-                    pass
-                assert gc.collect() == 0
+                for search in (feasible_barcodes, brute_force_feasible_barcodes):
+                    try:
+                        search(spectrum, ranks)
+                    except InfeasibleRanksError:
+                        pass
+                    assert gc.collect() == 0, search
     finally:
         gc.enable()
 
@@ -317,7 +319,8 @@ def test_orbit_counts_pairable_exactly_when_some_pair_counts_fit():
 
 def test_odd_maslov_numbers_agree_with_the_oracle():
     # the property table draws Maslov numbers 2 and 4; the count pruning
-    # treats an odd cycle of classes differently
+    # treats an odd cycle of classes differently, so the table's predicate
+    # (barcodes, budget and bound) runs here on odd ones
     rng = random.Random(3)
     checked = 0
     while checked < 12:
@@ -335,12 +338,4 @@ def test_odd_maslov_numbers_agree_with_the_oracle():
         if len(s.entries) > 8:
             continue
         checked += 1
-        for ranks in rank_prescriptions(s):
-            try:
-                slow = brute_force_feasible_barcodes(s, ranks)
-            except InfeasibleRanksError:
-                with pytest.raises(InfeasibleRanksError):
-                    feasible_barcodes(s, ranks)
-                continue
-            assert feasible_barcodes(s, ranks) == slow, (s, ranks)
-            assert forced_bar_bound(s, ranks) == min(boundary_depth(bc) for bc in slow)
+        assert _feasible_agrees(s), s
