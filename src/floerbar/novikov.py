@@ -305,6 +305,8 @@ class LagrangianParams:
             raise ValueError("minimal Maslov number must be at least 2")
         if self.dim < 1:
             raise ValueError("dimension must be positive")
+        if not self.disk_area > 0:
+            raise ValueError(f"the disk area must be positive, not {self.disk_area}")
 
     @property
     def kappa(self):

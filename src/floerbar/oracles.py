@@ -47,12 +47,14 @@ both run it; neither has samplers or predicates of its own.
 * ``brute_force_lunes`` solves each lune candidate's winding function from
   scratch, where :func:`floerbar.diagrams.enumerate_lunes` solves once per
   diagram.
-* ``brute_force_feasible_barcodes`` searches orbits, each partner in both
+* ``brute_force_feasible_barcodes`` finds the orbits and their bars in
+  ``PiRational`` arithmetic, searches orbits, each partner in both
   orientations, records every matching as a sorted tuple of interned bars
   and builds one ``Barcode`` per distinct tuple, where
-  :func:`floerbar.radial.feasible_barcodes` searches runs of twin orbits
-  and reaches each barcode once; ``rank_prescriptions`` lists the rank
-  prescriptions the two are compared on.
+  :func:`floerbar.radial.feasible_barcodes` keys the spectrum once,
+  searches runs of twin orbits on a table of key rows and reaches each
+  barcode once; ``rank_prescriptions`` lists the rank prescriptions the two
+  are compared on.
 * ``pi_rational_cmp`` takes the sign of a difference of values of Q + Q*pi
   through Machin brackets of pi alone, where ``PiRational`` compares cached
   integer brackets first.
@@ -98,8 +100,8 @@ from .persistence import (INF, Bar, Barcode, _abs, _coverable, _degree_groups, _
                           _ShiftCandidates, _transposed, bar_length_spectrum,
                           bar_length_spectrum_json, bottleneck_distance, boundary_depth,
                           brute_force_bottleneck, shift_barcode, shifted_bottleneck)
-from .radial import (GeneratorSpectrum, InfeasibleRanksError, RadialProfile, _orbits,
-                     feasible_barcodes, fold_profile, forced_bar_bound, generators, rank_quotas)
+from .radial import (GeneratorSpectrum, InfeasibleRanksError, RadialProfile, feasible_barcodes,
+                     fold_profile, forced_bar_bound, generators, rank_quotas)
 from .sampling import (_planted_barcode, _random_fraction, _scramble, perturb_actions,
                        random_barcode, random_complex, random_sphere_diagram,
                        random_tent_spectrum, random_unroll_case)
@@ -843,6 +845,33 @@ def rank_prescriptions(spectrum: GeneratorSpectrum) -> Iterator[Dict[int, int]]:
         yield dict(enumerate(quotas))
 
 
+@dataclass(frozen=True)
+class _Orbit:
+    degree: int          # representative degree in [0, maslov)
+    action: PiRational   # action of that representative
+    source: Tuple
+
+
+def _orbits(spectrum: GeneratorSpectrum) -> List[_Orbit]:
+    """One orbit per source, in PiRational arithmetic, sorted by degree,
+    action and source."""
+    maslov = spectrum.params.maslov
+    area = PiRational.of(spectrum.params.disk_area)
+    seen: Dict[Tuple, _Orbit] = {}
+    for e in spectrum.entries:
+        rep_deg = e.degree % maslov
+        shift = (rep_deg - e.degree) // maslov
+        rep_action = e.action + area * shift if shift else e.action
+        orbit = _Orbit(rep_deg, rep_action, e.source)
+        prev = seen.get(e.source)
+        if prev is not None and prev != orbit:
+            raise ValueError(f"inconsistent recap copies for source {e.source}")
+        seen[e.source] = orbit
+    out = list(seen.values())
+    out.sort(key=lambda o: (o.degree, o.action, o.source))
+    return out
+
+
 def brute_force_feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
                       limit: Optional[int] = None) -> frozenset:
     """All barcodes of action-decreasing differentials on the spectrum.
@@ -1427,7 +1456,7 @@ def _keys_agree(a: Barcode, raw_a: List[Bar], b: Barcode, raw_b: List[Bar],
     for x, raw, canon in ((a, raw_a, canon_a), (b, raw_b, canon_b)):
         copies = (Barcode(raw), Barcode.from_json({"bars": [bar.to_json() for bar in raw]}),
                   Barcode.from_json(x.to_json()))
-        if _typed_bars(x.bars) != _typed_bars(canon) or hash(x) != hash(canon) or any(
+        if _typed_bars(x.bars) != _typed_bars(canon) or any(
                 y != x or hash(y) != hash(x) or _typed_bars(y.bars) != _typed_bars(canon)
                 for y in copies):
             return False

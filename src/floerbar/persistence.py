@@ -246,9 +246,44 @@ def _value(key, scale: int):
     return Fraction(key, scale) if type(key) is int else key.value(scale)
 
 
+def _parts(key) -> Tuple[int, ...]:
+    """The ints of a key: an int itself, a PiKey's two parts."""
+    return (key,) if type(key) is int else (key.a, key.b)
+
+
 def _row_order(row):
     """Canonical order of ``(degree, left, right, ...)``: infinite last."""
     return row[0], row[1], row[2] is None, row[2]
+
+
+class _RankedBars:
+    """The bars of the picks of one ``Barcode.from_ranks`` call.  ``rows``
+    are the rows it picks from: the ranked table's, then one row per rank
+    ``k`` picked ``n > 1`` times, for each ``(k, n)`` in ``repeats``.  Their
+    bars are the table's, decoded together the first time a pick reads its
+    bars, and each repeated rank's, made from its table bar.  A pick over
+    the table's scale holds the row objects of ``rows`` themselves and finds
+    their bars by identity; any other pick finds them by value, its rows
+    brought back to the table's scale."""
+
+    __slots__ = ("ranked", "rows", "repeats", "_bars", "_by_id", "_by_value")
+
+    def __init__(self, ranked: "Barcode") -> None:
+        self.ranked, self.rows, self.repeats = ranked, list(ranked.rows), []
+        self._bars = self._by_id = self._by_value = None
+
+    def read(self, pick: "Barcode") -> Tuple[Bar, ...]:
+        if self._bars is None:
+            bars = self.ranked.bars
+            self._bars = bars + tuple(replace(bars[k], multiplicity=n) for k, n in self.repeats)
+            self._by_id = {id(row): bar for row, bar in zip(self.rows, self._bars)}
+        f = self.ranked.scale // pick.scale
+        if f == 1:
+            return tuple(map(self._by_id.__getitem__, map(id, pick.rows)))
+        if self._by_value is None:
+            self._by_value = dict(zip(self.rows, self._bars))
+        return tuple(self._by_value[d, l * f, None if r is None else r * f, m]
+                     for d, l, r, m in pick.rows)
 
 
 class Barcode:
@@ -258,13 +293,19 @@ class Barcode:
     a key: an int for a Fraction, a :class:`~floerbar.exactpi.PiKey` of two
     ints for a ``PiRational``.
     ``rows`` holds ``(degree, left, right, mult)`` of those keys in
-    canonical order (``right`` None for an infinite bar), and ``bars`` is
-    decoded from them on first read, each endpoint of the type it was given;
-    of equal bars the first given is kept.  Equality and hashing go by
-    value.
+    canonical order (``right`` None for an infinite bar), and equality and
+    hashing go by them, that is by value.  ``bars`` is read out on first
+    read, each endpoint of the type it was given: a barcode built from bars
+    keeps them (of equal bars the first given), a pick of
+    :meth:`from_ranks` reads its bars out of its table's, which all its
+    picks share, and any other barcode decodes its rows.  The boundary
+    depth's key is taken once per barcode, or handed over by
+    :meth:`from_ranks`.
     """
 
-    __slots__ = ("rows", "scale", "_bars")
+    # ``_bars``: the bars once read; before, None, or for a pick of
+    # ``from_ranks`` the ``_RankedBars`` it reads them from
+    __slots__ = ("rows", "scale", "_bars", "_depth")
 
     def __init__(self, bars: Iterable[Bar] = ()) -> None:
         bars = list(bars)
@@ -281,6 +322,7 @@ class Barcode:
         order = sorted(merged.items(), key=lambda item: _row_order(item[0]))
         self.rows = tuple((*key, bar.multiplicity) for key, bar in order)
         self.scale, self._bars = scale, tuple(bar for _key, bar in order)
+        self._depth = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[Tuple], scale: int) -> "Barcode":
@@ -299,59 +341,87 @@ class Barcode:
         merged = {}
         for d, l, r, m in rows:
             merged[d, l, r] = merged.get((d, l, r), 0) + m
+        return cls._sorted(tuple((*key, merged[key]) for key in sorted(merged, key=_row_order)),
+                           scale)
+
+    @classmethod
+    def _sorted(cls, rows: Tuple[Tuple, ...], scale: int) -> "Barcode":
+        """The barcode of distinct rows in canonical order over their least
+        scale.  Trusted: nothing is checked."""
         out = object.__new__(cls)
-        out.rows, out.scale, out._bars = tuple(
-            (*key, merged[key]) for key in sorted(merged, key=_row_order)), scale, None
+        out.rows, out.scale, out._bars, out._depth = rows, scale, None, None
         return out
 
     @classmethod
     def from_ranks(cls, ranked: "Barcode", picks: Iterable[Sequence[int]]) -> List["Barcode"]:
-        """For each sorted ``ranks`` in ``picks``, the barcode of the bars
-        ``ranked.bars[k]`` for ``k`` in ``ranks``, a repeated rank giving a
-        multiplicity, read out as those bars.  Trusted: ``ranked`` has
-        distinct bars of multiplicity one; nothing is checked."""
-        rows, bars, scale = ranked.rows, ranked.bars, ranked.scale
+        """For each sorted ``ranks`` in ``picks``, the barcode of the rows
+        ``ranked.rows[k]`` for ``k`` in ``ranks``, a repeated rank giving a
+        multiplicity, over its least scale.  A pick holds only its rows and
+        the table all picks share: it reads its bars, the first time they
+        are asked for, out of ``ranked.bars``, decoded once for all picks,
+        and its depth key comes from ``ranked``'s row lengths, each taken
+        once per call.  Trusted:
+        ``ranked`` has distinct rows of multiplicity one; nothing is
+        checked."""
+        rows, scale = ranked.rows, ranked.scale
         # ``gcds[k]``: the gcd of ``scale`` and the key parts of row k; a
         # pick's least scale is ``scale`` over the gcd of its rows' ``gcds``
-        gcds = [math.gcd(scale, *(p for x in row[1:3] if x is not None
-                                  for p in ((x,) if type(x) is int else (x.a, x.b))))
+        gcds = [math.gcd(scale, *(p for x in row[1:3] if x is not None for p in _parts(x)))
                 for row in rows]
-        # a rank k picked n > 1 times reads as one row and one bar of
-        # multiplicity n, appended to ``rows`` and ``bars`` (at index
-        # ``repeated[k, n]``) the first time and shared by every later pick
-        rows, bars = list(rows), list(bars)
+        # ``lengths`` of the finite rows in increasing order, and ``place[k]``
+        # the index of row k's length there (-1 for an infinite row): a
+        # pick's depth key is the length at its rows' greatest place
+        finite = sorted(((r - l, k) for k, (_d, l, r, _m) in enumerate(rows) if r is not None),
+                        key=lambda item: item[0])
+        lengths = [length for length, _k in finite]
+        place = [-1] * len(rows)
+        for p, (_length, k) in enumerate(finite):
+            place[k] = p
+        # a rank k picked n > 1 times reads as one row of multiplicity n,
+        # appended to the table's ``rows`` (at index ``repeated[k, n]``) the
+        # first time and shared by every later pick
+        table = _RankedBars(ranked)
+        rows = table.rows
         repeated: Dict[Tuple[int, int], int] = {}
 
         def repeat(k: int, n: int) -> int:
             if (k, n) not in repeated:
                 repeated[k, n] = len(rows)
                 rows.append((*rows[k][:3], n))
-                bars.append(replace(bars[k], multiplicity=n))
+                table.repeats.append((k, n))
             return repeated[k, n]
 
         out = []
         for ranks in picks:
             counts = dict.fromkeys(ranks, 0)  # in canonical order, as ranks is sorted
-            for k in ranks:
-                counts[k] += 1
+            if len(counts) == len(ranks):
+                picked = ranks
+            else:
+                for k in ranks:
+                    counts[k] += 1
+                picked = [k if n == 1 else repeat(k, n) for k, n in counts.items()]
             g = math.gcd(scale, *map(gcds.__getitem__, counts))
-            picked = [k if n == 1 else repeat(k, n) for k, n in counts.items()]
+            top = max(map(place.__getitem__, counts), default=-1)
             barcode = object.__new__(cls)
             barcode.rows = tuple(map(rows.__getitem__, picked)) if g == 1 else tuple(
                 (d, l // g, None if r is None else r // g, m)
                 for d, l, r, m in map(rows.__getitem__, picked))
             barcode.scale = scale // g
-            barcode._bars = tuple(map(bars.__getitem__, picked))
+            barcode._bars = table
+            barcode._depth = 0 if top < 0 else lengths[top] if g == 1 else lengths[top] // g
             out.append(barcode)
         return out
 
     @property
     def bars(self) -> Tuple[Bar, ...]:
-        if self._bars is None:
+        bars = self._bars
+        if bars is None:
             s = self.scale
-            self._bars = tuple(Bar(_value(l, s), INF if r is None else _value(r, s), d, m)
-                               for d, l, r, m in self.rows)
-        return self._bars
+            bars = self._bars = tuple(Bar(_value(l, s), INF if r is None else _value(r, s), d, m)
+                                      for d, l, r, m in self.rows)
+        elif type(bars) is _RankedBars:
+            bars = self._bars = bars.read(self)
+        return bars
 
     def __iter__(self):
         return iter(self.bars)
@@ -363,7 +433,7 @@ class Barcode:
         return isinstance(other, Barcode) and self.scale == other.scale and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(self.bars)
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         return "Barcode[" + ", ".join(f"deg {b.degree}: ({b.left}, {b.right}]"
@@ -428,8 +498,12 @@ def _exact(x):
 
 
 def _depth_key(barcode: Barcode):
-    """The boundary depth times the barcode's scale."""
-    return max((r - l for _d, l, r, _m in barcode.rows if r is not None), default=0)
+    """The boundary depth times the barcode's scale, taken once per barcode."""
+    key = barcode._depth
+    if key is None:
+        key = barcode._depth = max((r - l for _d, l, r, _m in barcode.rows if r is not None),
+                                   default=0)
+    return key
 
 
 def boundary_depth(barcode: Barcode):

@@ -30,19 +30,23 @@ family of profiles using barcode continuity with a caller-supplied constant.
 
 The search works on runs of twins -- orbits of equal degree and action,
 such as the two kink slots in dimension 1 -- because a bar depends only on
-the runs of its orbits.  Every bar a matching can produce (one infinite bar
-per run, one finite bar per allowed ordered pair of runs) is built once per
-call and named by its rank in canonical order.  The search walks the runs
-in order and chooses, for each, how many of its orbits stay free and how
-many of the rest pair with each later run in each orientation, so every
+the runs of its orbits.  Every action and the disk area are keyed once per
+call, over one scale, and the orbits, runs and their bars are found on
+those keys: every bar a matching can produce (one infinite bar per run,
+one finite bar per allowed ordered pair of runs) is a key row, and the rows
+sorted in canonical order and brought to their least scale are the bar
+table, each bar named by its rank there.  The search walks the runs in
+order and chooses, for each, how many of its orbits stay free and how many
+of the rest pair with each later run in each orientation, so every
 complete choice is a distinct barcode, reached once, named by the sorted
 tuple of its ranks; ``limit`` counts them.  Counting the orbits left in
-each degree class prunes choices that no pairing can complete.  The bars
-are keyed once per call, as one ``Barcode``, and one ``Barcode`` is built
-per tuple after the search, straight from the ranks: ``Barcode.from_ranks``
-picks its rows of those keys and takes the interned bars as its read-out,
-so no barcode sorts or decodes endpoints of its own.  ``forced_bar_bound``
-compares the barcodes' depths on those keys and reads out only the least.
+each degree class prunes choices that no pairing can complete.  One
+``Barcode`` is built per tuple after the search, straight from the ranks:
+``Barcode.from_ranks`` picks its rows of the table and hands over its
+depth key, read off the table's row lengths, so no barcode sorts, decodes
+or subtracts endpoints of its own; a barcode's bars are decoded only when
+read, through the table's bars.  ``forced_bar_bound`` compares the
+barcodes' depths on those keys and reads out only the least.
 The search stays exponential in the number of runs.
 ``brute_force_feasible_barcodes`` in :mod:`floerbar.oracles`, the
 per-matching enumerator that searches orbits rather than runs and builds one
@@ -52,13 +56,15 @@ oracle that tests and ``check`` compare against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactpi import PiRational
 from .novikov import LagrangianParams, parse_int
-from .persistence import Bar, Barcode, INF, bottleneck_distance, least_depth
+from .persistence import (Barcode, INF, _denominators, _key, _parts, _row_order,
+                          bottleneck_distance, least_depth)
 
 __all__ = [
     "RadialProfile",
@@ -237,9 +243,9 @@ def generators(profile: RadialProfile, params: LagrangianParams,
 
     entries = []
     for k in k_range:
-        for e in base:
-            entries.append(SpectrumEntry(e.degree + k * maslov,
-                                         e.action + area * k, e.source, k))
+        # a base entry is its own copy at k = 0
+        entries += base if k == 0 else (
+            SpectrumEntry(e.degree + k * maslov, e.action + area * k, e.source, k) for e in base)
     entries.sort(key=lambda e: (e.degree, e.action, e.source, e.k))
     return GeneratorSpectrum(tuple(entries), params)
 
@@ -282,38 +288,16 @@ def degree_class_actions(spectrum: GeneratorSpectrum, degree: int) -> Tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Orbit:
-    degree: int          # representative degree in [0, maslov)
-    action: PiRational   # action of that representative
-    source: Tuple
-
-
-def _orbits(spectrum: GeneratorSpectrum) -> List[_Orbit]:
-    maslov = spectrum.params.maslov
-    area = PiRational.of(spectrum.params.disk_area)
-    seen: Dict[Tuple, _Orbit] = {}
-    for e in spectrum.entries:
-        rep_deg = e.degree % maslov
-        shift = (rep_deg - e.degree) // maslov
-        rep_action = e.action + area * shift if shift else e.action
-        orbit = _Orbit(rep_deg, rep_action, e.source)
-        prev = seen.get(e.source)
-        if prev is not None and prev != orbit:
-            raise ValueError(f"inconsistent recap copies for source {e.source}")
-        seen[e.source] = orbit
-    out = list(seen.values())
-    out.sort(key=lambda o: (o.degree, o.action, o.source))
-    return out
-
-
 def rank_quotas(ranks: Mapping[int, int], maslov: int) -> Dict[int, int]:
     """The nonzero infinite-bar counts of ``ranks`` per degree class mod the
-    Maslov number.  Two keys in one class raise ValueError naming the class:
-    which of their counts holds would depend on the order of the keys."""
+    Maslov number.  A negative count raises ValueError naming its degree.
+    Two keys in one class raise ValueError naming the class: which of their
+    counts holds would depend on the order of the keys."""
     key_of: Dict[int, int] = {}
     quota: Dict[int, int] = {}
     for d, c in ranks.items():
+        if c < 0:
+            raise ValueError(f"degree {d} has a negative infinite-bar count {c}")
         cls = d % maslov
         if cls in key_of:
             raise ValueError(f"rank keys {key_of[cls]} and {d} fall in one degree "
@@ -361,15 +345,29 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
     InfeasibleRanksError when nothing matches the prescription.
     """
     maslov = spectrum.params.maslov
-    area = PiRational.of(spectrum.params.disk_area)
     quota = rank_quotas(ranks, maslov)
-    # orbits are sorted by (degree, action), so twins are consecutive
-    runs: List[List] = []  # [degree, action, orbits]
-    for o in _orbits(spectrum):
-        if runs and runs[-1][0] == o.degree and runs[-1][1] == o.action:
+    # every action and the disk area as keys over one scale
+    area = PiRational.of(spectrum.params.disk_area)
+    scale = math.lcm(*_denominators(area),
+                     *(d for e in spectrum.entries for d in _denominators(e.action)))
+    area = _key(area, scale)
+    # one orbit per source: the degree of its representative in [0, maslov)
+    # and that representative's action key
+    orbits: Dict[Tuple, Tuple] = {}
+    for e in spectrum.entries:
+        degree = e.degree % maslov
+        shift = (degree - e.degree) // maslov
+        key = _key(e.action, scale)
+        orbit = (degree, key + area * shift if shift else key)
+        if orbits.setdefault(e.source, orbit) != orbit:
+            raise ValueError(f"inconsistent recap copies for source {e.source}")
+    # sorted by (degree, action), twin orbits are consecutive
+    runs: List[List] = []  # [degree, action key, orbits]
+    for d, a in sorted(orbits.values()):
+        if runs and runs[-1][0] == d and runs[-1][1] == a:
             runs[-1][2] += 1
         else:
-            runs.append([o.degree, o.action, 1])
+            runs.append([d, a, 1])
     counts: Dict[int, int] = {}
     for d, _a, size in runs:
         counts[d] = counts.get(d, 0) + size
@@ -378,14 +376,14 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
             raise InfeasibleRanksError(
                 f"degree class {d} has {counts.get(d, 0)} generators but needs {q} infinite bars")
 
-    # every bar a matching can produce, built once: one infinite bar per run,
-    # one finite bar (z, y] per allowed ordered pair of runs.  Representatives
-    # have degrees in [0, maslov), so z sits one degree below y, or z has
-    # degree maslov - 1 and y degree 0 and y is recapped once (action + disk
-    # area) to sit above it; the pair is allowed when the bar is nonempty.
-    # A bar names the runs of its orbits, so distinct pairs of runs give
-    # distinct bars.
-    bars = [Bar(a, INF, d) for d, a, _size in runs]
+    # every bar a matching can produce, as a key row (degree, left, right, 1):
+    # one infinite bar per run, one finite bar (z, y] per allowed ordered pair
+    # of runs.  Representatives have degrees in [0, maslov), so z sits one
+    # degree below y, or z has degree maslov - 1 and y degree 0 and y is
+    # recapped once (action + disk area) to sit above it; the pair is allowed
+    # when the bar is nonempty.  A bar names the runs of its orbits, so
+    # distinct pairs of runs give distinct rows.
+    rows = [(d, a, None, 1) for d, a, _size in runs]
     n = len(runs)
     rights = [a + area if d == 0 else a for d, a, _size in runs]
     partners: List[List[Tuple[int, List[int]]]] = [[] for _ in range(n)]
@@ -395,17 +393,24 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
             for y, z in ((i, j), (j, i)):
                 dz, az, _size = runs[z]
                 if dz == (runs[y][0] - 1) % maslov and az < rights[y]:
-                    ids.append(len(bars))
-                    bars.append(Bar(az, rights[y], dz))
+                    ids.append(len(rows))
+                    rows.append((dz, az, rights[y], 1))
             if ids:
                 partners[i].append((j, ids))
 
-    # key the bars once, as one barcode in canonical order that keeps the
-    # distinct bars as given, and rename them by their ranks there, so that a
+    # the rows in canonical order over their least scale are the table every
+    # barcode picks from; rename them by their ranks there, so that a
     # matching's sorted ids list its barcode's rows in order
-    ranked = Barcode(bars)
-    place = {id(bar): r for r, bar in enumerate(ranked.bars)}
-    rank = [place[id(bar)] for bar in bars]
+    order = sorted(range(len(rows)), key=lambda k: _row_order(rows[k]))
+    g = math.gcd(scale, *(p for row in rows for x in row[1:3] if x is not None
+                          for p in _parts(x)))
+    table = tuple(map(rows.__getitem__, order))
+    if g != 1:
+        table = tuple((d, l // g, None if r is None else r // g, m) for d, l, r, m in table)
+    ranked = Barcode._sorted(table, scale // g)
+    rank = [0] * len(rows)
+    for r, k in enumerate(order):
+        rank[k] = r
     free_bar = rank[:n]
     partners = [[(j, [rank[k] for k in ids]) for j, ids in opts] for opts in partners]
     # from run ``tail`` on no run has a later partner (the last class has

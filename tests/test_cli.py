@@ -495,6 +495,45 @@ def test_radial_rank_keys_of_one_degree_class_are_malformed(tmp_path):
     assert "degree class 1 mod 2" in report["error"]
 
 
+def test_radial_negative_rank_count_is_malformed(tmp_path):
+    # a count of -1 infinite bars used to search and exit 1 with "no
+    # matching leaves the prescribed infinite bars"
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(_radial_fold(ranks={"0": -1, "1": 1})))
+    for flags in ([], ["--feasible"]):
+        result, report = run("radial", str(path), *flags)
+        assert result.exit_code == 2, (flags, result.output)
+        assert isinstance(result.exception, SystemExit)
+        assert "degree 0 has a negative infinite-bar count -1" in report["error"]
+    family = json.loads(resources.files("floerbar").joinpath(
+        "fixtures", "radial_fold_family.json").read_text())
+    path = tmp_path / "negative_family.json"
+    path.write_text(json.dumps(dict(family, ranks={"0": 1, "1": -2})))
+    result, report = run("radial", str(path), "--homotopy")
+    assert result.exit_code == 2, result.output
+    assert "degree 1 has a negative infinite-bar count -2" in report["error"]
+
+
+def test_a_disk_area_that_is_not_positive_is_malformed(tmp_path):
+    # these areas used to reach the search: the fold fixture then exited 0
+    # with a bound, other profiles 1 with "no matching leaves the prescribed
+    # infinite bars"
+    for i, area in enumerate(("0", "-1/2", ["0", "0"], ["1", "-1"])):
+        data = _radial_fold()
+        data["params"]["A_L"] = area
+        path = tmp_path / f"area_{i}.json"
+        path.write_text(json.dumps(data))
+        for flags in ([], ["--feasible"]):
+            result, report = run("radial", str(path), *flags)
+            assert result.exit_code == 2, (area, flags, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert "the disk area must be positive" in report["error"]
+    for area in ("0", "-1/2"):
+        result, report = run("seidel", "--params", json.dumps(dict(SEIDEL_PARAMS, A_L=area)))
+        assert result.exit_code == 2, (area, result.output)
+        assert "the disk area must be positive" in report["error"]
+
+
 def test_barcode_window_size_cap_is_a_failed_check():
     # each command would unroll billions of copies; both are counted first
     cx = fixture_path("equator_pair_complex.json")

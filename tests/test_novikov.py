@@ -99,6 +99,15 @@ def test_lagrangian_params():
         LagrangianParams(dim=1, maslov=1, disk_area=F(1))
 
 
+def test_lagrangian_params_need_a_positive_disk_area():
+    from floerbar.exactpi import PiRational
+    for area in (F(0), F(-1, 2), 0, PiRational.of(0), PiRational(F(1), F(-1))):
+        with pytest.raises(ValueError, match="the disk area must be positive"):
+            LagrangianParams(dim=1, maslov=2, disk_area=area)
+    for area in (F(1, 2), 1, PiRational.pi(F(1, 7)), PiRational(F(-3), F(1))):
+        assert LagrangianParams(dim=1, maslov=2, disk_area=area).disk_area == area
+
+
 def test_kappa_is_exact_for_an_int_area():
     kappa = LagrangianParams(1, 2, 1).kappa
     assert kappa == F(1, 2) and type(kappa) is F

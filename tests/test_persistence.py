@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from floerbar.exactpi import PiRational
+from floerbar.exactpi import PiKey, PiRational
 from floerbar.oracles import _same, all_pairs_bottleneck, brute_force_bottleneck
 from floerbar.persistence import (Bar, Barcode, INF, bar_length_spectrum,
                                   bottleneck_distance, boundary_depth,
@@ -187,7 +187,7 @@ def test_priced_search_matches_reference_on_planted_pairs():
 
 
 def test_priced_search_matches_reference_on_pi_fold_barcodes():
-    from floerbar.exactpi import PiRational
+    from floerbar.exactpi import PiKey, PiRational
     from floerbar.novikov import LagrangianParams
     from floerbar.radial import feasible_barcodes, fold_profile, generators
     barcodes = []
@@ -208,7 +208,7 @@ def test_priced_search_matches_reference_on_pi_fold_barcodes():
 
 
 def test_priced_search_matches_reference_on_random_pairs():
-    from floerbar.exactpi import PiRational
+    from floerbar.exactpi import PiKey, PiRational
     rng = random.Random(43)
     for trial in range(300):
         a = random_barcode(rng, max_bars=5)
@@ -384,3 +384,16 @@ def test_from_json_refuses_what_bar_refuses():
         with pytest.raises(ValueError) as bar:
             Bar(value(left), value(right), 0, mult)
         assert str(from_json.value) == str(bar.value)
+
+
+def test_equal_int_and_pi_key_endpoints_hash_alike():
+    # a barcode hashes its rows: an int key and a PiKey of zero pi part are
+    # one value, so the Fraction and the PiRational barcode of the same bars
+    # are equal with equal hashes
+    fractions = Barcode([Bar(F(1, 2), F(3, 2), 0), Bar(F(-1, 3), INF, 1)])
+    pis = Barcode([Bar(PiRational.of(F(1, 2)), PiRational.of(F(3, 2)), 0),
+                   Bar(PiRational.of(F(-1, 3)), INF, 1)])
+    assert fractions.rows[0][1] == 3 and type(fractions.rows[0][1]) is int
+    assert type(pis.rows[0][1]) is PiKey and pis.rows[0][1] == PiKey(3, 0)
+    assert fractions == pis and hash(fractions) == hash(pis)
+    assert len({fractions, pis}) == 1

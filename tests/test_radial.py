@@ -288,6 +288,45 @@ def test_each_feasible_barcode_is_reached_once(monkeypatch):
     assert reached > 200
 
 
+def test_picks_read_out_as_the_barcodes_of_their_bars(monkeypatch):
+    # the keyed route of from_ranks against Barcode(bars), the slower route:
+    # every feasible barcode of 200 drawn tents under every rank
+    # prescription equals the barcode of its bars, with the same hash,
+    # boundary depth (value and type), JSON and repr
+    tables = []
+    from_ranks = Barcode.from_ranks.__func__
+
+    def recorded(cls, ranked, picks):
+        tables.append(ranked.scale)
+        return from_ranks(cls, ranked, picks)
+
+    monkeypatch.setattr(Barcode, "from_ranks", classmethod(recorded))
+    rng = random.Random(29)
+    kinds, repeated, below, bare = set(), 0, 0, 0
+    for _ in range(200):
+        spectrum = random_tent_spectrum(rng)
+        area = spectrum.params.disk_area
+        kinds.add((spectrum.params.maslov, area.rational != 0, area.pi_coeff != 0))
+        for ranks in rank_prescriptions(spectrum):
+            try:
+                result = feasible_barcodes(spectrum, ranks)
+            except InfeasibleRanksError:
+                continue
+            for bc in result:
+                depth = boundary_depth(bc)  # the key from_ranks handed over
+                slow = Barcode(list(bc.bars))
+                assert slow == bc and hash(slow) == hash(bc), (spectrum, ranks, bc)
+                assert type(boundary_depth(slow)) is type(depth)
+                assert boundary_depth(slow) == depth
+                assert slow.to_json() == bc.to_json() and repr(slow) == repr(bc)
+                repeated += any(m > 1 for _d, _l, _r, m in bc.rows)
+                below += bc.scale < tables[-1]
+                bare += all(r is None for _d, _l, r, _m in bc.rows)
+    # both Maslov numbers with rational, pi and mixed areas
+    assert kinds == {(m, q, p) for m in (2, 4) for q, p in ((1, 0), (0, 1), (1, 1))}
+    assert repeated and below and bare, (repeated, below, bare)
+
+
 def test_rank_keys_of_one_degree_class_are_refused():
     # keys 0 and 2 are one class mod 2, in either order; every search and
     # the pruning refuse them before searching, naming the class
@@ -304,6 +343,22 @@ def test_rank_keys_of_one_degree_class_are_refused():
     # distinct classes keep their counts, zero counts drop out
     assert rank_quotas({-2: 1, 3: 0}, 2) == {0: 1}
     assert rank_quotas({5: 2, 2: 1}, 4) == {1: 2, 2: 1}
+
+
+def test_negative_rank_counts_are_refused():
+    # a negative count is malformed: every search and the pruning refuse it
+    # before searching, naming its degree
+    s = generators(fold_profile(F(9, 10)), LP)
+    fam = [fold_profile(F(k, 10)) for k in (3, 5)]
+    ranks = {0: 1, 3: -1}
+    with pytest.raises(ValueError, match="degree 3 has a negative infinite-bar count -1"):
+        rank_quotas(ranks, 2)
+    for search in (feasible_barcodes, brute_force_feasible_barcodes):
+        with pytest.raises(ValueError, match="degree 3 has a negative") as info:
+            search(s, ranks)
+        assert not isinstance(info.value, InfeasibleRanksError)
+    with pytest.raises(ValueError, match="degree 3 has a negative"):
+        homotopy_filter(fam, LP, ranks, 2)
 
 
 def test_orbit_counts_pairable_exactly_when_some_pair_counts_fit():
