@@ -3,24 +3,25 @@
 Every command prints one JSON report on stdout (inputs digested by sha256,
 structured outputs, and the list of re-asserted checks) and a short human
 summary on stderr.  Exit codes: 0 success, 1 validation failure or failed
-check, 2 malformed input.
+check, 2 malformed input or a usage error.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
+import stat
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Tuple
-
-import click
 
 from . import complexes, diagrams, persistence, radial, seidel, svgout
 from . import sampling  # noqa: F401 -- perfbench/workloads.py reaches it as floerbar.sampling
@@ -205,31 +206,11 @@ def _window_cap(report: RunReport, exc: Exception) -> None:
     report.check("window-size-cap", False)
 
 
-@click.group()
-def main() -> None:
-    """Exact persistence toolkit: barcodes, curve diagrams, radial profiles
-    and quantum-ring averaging bounds."""
-
-
 # ---------------------------------------------------------------------------
 # barcode
 # ---------------------------------------------------------------------------
 
 
-def _degree_window(_ctx, _param, value):
-    if value and value[0] > value[1]:
-        raise click.BadParameter(f"LO {value[0]} exceeds HI {value[1]}")
-    return value
-
-
-@main.command("barcode")
-@click.argument("complex_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--window", nargs=2, type=int, default=None, callback=_degree_window,
-              help="degree window LO HI (half open)")
-@click.option("--oracle", is_flag=True, help="cross-check against the rank-function oracle")
-@click.option("--svg", "svg_path", type=click.Path(), default=None)
-@click.option("--fund-degree", type=int, default=1, show_default=True)
-@click.option("--point-degree", type=int, default=0, show_default=True)
 def cmd_barcode(complex_file, window, oracle, svg_path, fund_degree, point_degree):
     """Barcode, bar-length spectrum, boundary depth and spectral norm of a
     filtered complex."""
@@ -283,11 +264,6 @@ def cmd_barcode(complex_file, window, oracle, svg_path, fund_degree, point_degre
 # ---------------------------------------------------------------------------
 
 
-@main.command("bottleneck")
-@click.argument("barcode1", type=click.Path(exists=True, dir_okay=False))
-@click.argument("barcode2", type=click.Path(exists=True, dir_okay=False))
-@click.option("--mod-shift", is_flag=True, help="also minimize over action shifts")
-@click.option("--degree-blind", is_flag=True, help="allow matches across degrees")
 def cmd_bottleneck(barcode1, barcode2, mod_shift, degree_blind):
     """Bottleneck distance between two barcode files."""
     report = RunReport("bottleneck")
@@ -322,14 +298,6 @@ def cmd_bottleneck(barcode1, barcode2, mod_shift, degree_blind):
 # ---------------------------------------------------------------------------
 
 
-@main.command("combfloer")
-@click.argument("diagram_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-wind", type=click.IntRange(min=0), default=2, show_default=True,
-              help="largest number of extra full windings of a lune's boundary")
-@click.option("--oracle", is_flag=True,
-              help="cross-check against the rank-function and lune oracles")
-@click.option("--emit-complex", "emit_complex", type=click.Path(), default=None)
-@click.option("--svg", "svg_path", type=click.Path(), default=None)
 def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
     """Lune table, differential, boundary depth and spectral norm of a
     two-curve diagram."""
@@ -409,10 +377,6 @@ def _parse_ranks(data: dict, maslov: int) -> Dict[int, int]:
     return ranks
 
 
-@main.command("radial")
-@click.argument("profile_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--feasible", is_flag=True, help="list all feasible barcodes")
-@click.option("--homotopy", is_flag=True, help="run continuity pruning along the family")
 def cmd_radial(profile_file, feasible, homotopy):
     """Generator spectrum, feasible barcodes and certified boundary-depth
     bound of a radial profile (or a sampled family with --homotopy)."""
@@ -468,13 +432,6 @@ def cmd_radial(profile_file, feasible, homotopy):
 # ---------------------------------------------------------------------------
 
 
-@main.command("seidel")
-@click.option("--case", "case_name", type=click.Choice(seidel.EXAMPLE_CASE_NAMES),
-              default=None)
-@click.option("--n", "n", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--params", "params_json", type=str, default=None,
-              help='explicit presentation, e.g. {"n":1,"N_L":2,"A_L":"1","M":2,'
-                   '"E":-1,"P":1,"S":{"t":1,"X":1}}')
 def cmd_seidel(case_name, n, params_json):
     """Verify ring-power hypotheses and compute the averaging bound."""
     report = RunReport("seidel")
@@ -522,10 +479,6 @@ def cmd_seidel(case_name, n, params_json):
 # ---------------------------------------------------------------------------
 
 
-@main.command("check")
-@click.option("--seed", type=int, default=2026, show_default=True)
-@click.option("--trials", type=click.IntRange(min=1), default=40, show_default=True,
-              help="cases drawn for each randomized property")
 def cmd_check(seed, trials):
     """Run the property table of floerbar.oracles, which the tier-1 tests
     run too, on cases drawn from one seeded generator."""
@@ -537,6 +490,139 @@ def cmd_check(seed, trials):
     for p in oracles.PROPERTIES:
         report.check(p.name, all(p.holds(*c) for c in p.cases(rng, trials)))
     _emit(report, "all checks passed" if report.ok else "CHECK FAILURES")
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+
+def _input_file(path: str) -> str:
+    """``path`` if it names a readable file; a missing path, a directory or
+    an unreadable file is a usage error."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        raise argparse.ArgumentTypeError(f"'{path}' does not exist.") from None
+    if stat.S_ISDIR(mode):
+        raise argparse.ArgumentTypeError(f"'{path}' is a directory.")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"'{path}' is not readable.")
+    return path
+
+
+def _int_at_least(low: int):
+    """An argument type: an int no less than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"'{text}' is not a valid integer.") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}.")
+        return value
+
+    return parse
+
+
+class _DegreeWindow(argparse.Action):
+    """``--window LO HI``, a usage error unless ``LO <= HI``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        lo, hi = values
+        if lo > hi:
+            raise argparse.ArgumentError(self, f"LO {lo} exceeds HI {hi}")
+        setattr(namespace, self.dest, (lo, hi))
+
+
+def _help(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """``parser`` with ``--help`` (no ``-h``) added."""
+    parser.add_argument("--help", action="help", help="show this message and exit")
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # every parser refuses abbreviated options: --wind is not --window
+    parser = _help(argparse.ArgumentParser(
+        prog="floerbar", add_help=False, allow_abbrev=False,
+        description="Exact persistence toolkit: barcodes, curve diagrams, radial "
+                    "profiles and quantum-ring averaging bounds."))
+    subparsers = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, fn):
+        doc = " ".join(fn.__doc__.split())
+        sub = _help(subparsers.add_parser(name, help=doc, description=doc,
+                                          add_help=False, allow_abbrev=False))
+        sub.set_defaults(command=fn)
+        return sub
+
+    cmd = command("barcode", cmd_barcode)
+    cmd.add_argument("complex_file", metavar="COMPLEX_FILE", type=_input_file)
+    cmd.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"), action=_DegreeWindow,
+                     help="degree window LO HI (half open)")
+    cmd.add_argument("--oracle", action="store_true",
+                     help="cross-check against the rank-function oracle")
+    cmd.add_argument("--svg", dest="svg_path", metavar="PATH")
+    cmd.add_argument("--fund-degree", type=int, default=1, help="default: %(default)s")
+    cmd.add_argument("--point-degree", type=int, default=0, help="default: %(default)s")
+
+    cmd = command("bottleneck", cmd_bottleneck)
+    cmd.add_argument("barcode1", metavar="BARCODE1", type=_input_file)
+    cmd.add_argument("barcode2", metavar="BARCODE2", type=_input_file)
+    cmd.add_argument("--mod-shift", action="store_true", help="also minimize over action shifts")
+    cmd.add_argument("--degree-blind", action="store_true", help="allow matches across degrees")
+
+    cmd = command("combfloer", cmd_combfloer)
+    cmd.add_argument("diagram_file", metavar="DIAGRAM_FILE", type=_input_file)
+    cmd.add_argument("--max-wind", type=_int_at_least(0), default=2, metavar="N",
+                     help="largest number of extra full windings of a lune's boundary "
+                          "(default: %(default)s)")
+    cmd.add_argument("--oracle", action="store_true",
+                     help="cross-check against the rank-function and lune oracles")
+    cmd.add_argument("--emit-complex", metavar="PATH")
+    cmd.add_argument("--svg", dest="svg_path", metavar="PATH")
+
+    cmd = command("radial", cmd_radial)
+    cmd.add_argument("profile_file", metavar="PROFILE_FILE", type=_input_file)
+    cmd.add_argument("--feasible", action="store_true", help="list all feasible barcodes")
+    cmd.add_argument("--homotopy", action="store_true",
+                     help="run continuity pruning along the family")
+
+    cmd = command("seidel", cmd_seidel)
+    cmd.add_argument("--case", dest="case_name", choices=seidel.EXAMPLE_CASE_NAMES)
+    cmd.add_argument("--n", type=_int_at_least(1), default=1, metavar="N",
+                     help="default: %(default)s")
+    cmd.add_argument("--params", dest="params_json", metavar="JSON",
+                     help='explicit presentation, e.g. {"n":1,"N_L":2,"A_L":"1","M":2,'
+                          '"E":-1,"P":1,"S":{"t":1,"X":1}}')
+
+    cmd = command("check", cmd_check)
+    cmd.add_argument("--seed", type=int, default=2026, help="default: %(default)s")
+    cmd.add_argument("--trials", type=_int_at_least(1), default=40, metavar="N",
+                     help="cases drawn for each randomized property (default: %(default)s)")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(args=None, prog_name=None) -> None:
+    """Run the command that ``args`` (default ``sys.argv[1:]``) names.  Ends
+    in ``SystemExit``: the command's exit code, 0 after ``--help``, and 2 on
+    a usage error, whose message goes to stderr with nothing on stdout.
+    ``prog_name`` is accepted for callers that name the program; usage lines
+    say ``floerbar``, the name the parser is built with."""
+    opts = vars(_PARSER.parse_args(args))
+    try:
+        opts.pop("command")(**opts)
+    except BrokenPipeError:
+        # the reader of stdout is gone: exit 1 without a traceback, with
+        # stdout on the null device so that the last flush cannot fail again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise SystemExit(1) from None
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import floerbar
@@ -21,14 +20,15 @@ from floerbar.cli import _json_text, main
 from floerbar.novikov import format_rational
 from floerbar.sampling import random_complex
 
+from conftest import invoke
+
 
 def fixture_path(name: str) -> str:
     return str(resources.files("floerbar").joinpath("fixtures", name))
 
 
 def run(*args):
-    runner = CliRunner()
-    result = runner.invoke(main, list(args))
+    result = invoke(args)
     payload = json.loads(result.stdout) if result.stdout.strip() else {}
     return result, payload
 
@@ -189,13 +189,17 @@ print(loaded)
 """
 
 
+def _python(*argv, check=False) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on ``argv``, with this floerbar on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(floerbar.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          check=check, timeout=120)
+
+
 def _oracles_loaded(*args) -> str:
     """Whether a fresh interpreter has loaded ``floerbar.oracles`` after
     importing the CLI, and after running it on ``args``."""
-    env = dict(os.environ, PYTHONPATH=str(Path(floerbar.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", _ORACLES_LOADED, *args], env=env,
-                          capture_output=True, text=True, check=True, timeout=120)
-    return done.stdout.strip()
+    return _python("-c", _ORACLES_LOADED, *args, check=True).stdout.strip()
 
 
 def test_only_oracle_runs_load_the_oracles():
@@ -698,3 +702,87 @@ def test_seidel_failed_hypothesis_exits_1():
     assert isinstance(result.exception, SystemExit)
     assert report["checks"] == [{"name": "hypotheses-verified", "passed": False}]
     assert "no power" in report["outputs"]["error"]
+
+
+_NON_STDLIB_IMPORTS = """
+import sys
+before = set(sys.modules)
+import floerbar.cli
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"floerbar"}))
+"""
+
+
+def test_the_cli_runs_on_the_standard_library_alone():
+    assert _python("-c", _NON_STDLIB_IMPORTS, check=True).stdout.strip() == "[]"
+    # the CI step "Seidel hypotheses in closed form", and a malformed --params
+    unreachable = json.dumps({"n": 1, "N_L": 2, "A_L": "1", "M": 100000000, "E": -1, "P": 1,
+                              "S": {"t": 0, "X": 0}})
+    for params, code in ((unreachable, 1), ("{not json", 2)):
+        done = _python("-m", "floerbar.cli", "seidel", "--params", params)
+        assert done.returncode == code, (params, done.stderr)
+        assert "Traceback" not in done.stderr
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback(monkeypatch):
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", buffering=1) as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        with pytest.raises(SystemExit) as exc:
+            main(["seidel", "--case", "RPn"])
+    assert exc.value.code == 1
+
+
+# argv of each usage error; {complex}, {sphere} and {pair} are bundled
+# fixtures, {missing} a path that does not exist and {dir} a directory
+USAGE_ERRORS = [
+    ["nope"],
+    [],
+    ["barcode"],
+    ["bottleneck", "{pair}"],
+    ["barcode", "{complex}", "--fund-degree", "x"],
+    ["barcode", "{complex}", "--window", "3", "1"],
+    ["barcode", "{complex}", "--wind", "0", "1"],
+    ["combfloer", "{sphere}", "--max-wind", "-1"],
+    ["check", "--trials", "0"],
+    ["seidel", "--case", "RPn", "--n", "0"],
+    ["seidel", "--case", "nope"],
+] + [args for bad in ("{missing}", "{dir}") for args in (
+    ["barcode", bad], ["bottleneck", bad, "{pair}"], ["bottleneck", "{pair}", bad],
+    ["combfloer", bad], ["radial", bad])]
+
+OPTIONS = {
+    "barcode": ["--window", "--oracle", "--svg", "--fund-degree", "--point-degree"],
+    "bottleneck": ["--mod-shift", "--degree-blind"],
+    "combfloer": ["--max-wind", "--oracle", "--emit-complex", "--svg"],
+    "radial": ["--feasible", "--homotopy"],
+    "seidel": ["--case", "--n", "--params"],
+    "check": ["--seed", "--trials"],
+}
+
+
+def test_the_usage_error_contract(tmp_path):
+    paths = {"complex": fixture_path("equator_pair_complex.json"),
+             "sphere": fixture_path("equator_pair_sphere.json"),
+             "pair": fixture_path("barcode_pair_a.json"),
+             "missing": str(tmp_path / "missing.json"), "dir": str(tmp_path)}
+    for row in USAGE_ERRORS:
+        args = [a.format(**paths) for a in row]
+        result = invoke(args)
+        assert result.exit_code == 2, (args, result.output)
+        assert isinstance(result.exception, SystemExit), (args, repr(result.exception))
+        assert result.stdout == "", args
+        assert result.stderr.startswith("usage: floerbar"), (args, result.stderr)
+    # a negative window bound is a value, not an option: the window parses
+    # and fails its size cap
+    result, report = run("barcode", paths["complex"], "--window", "-1000000000", "1000000000")
+    assert result.exit_code == 1, result.output
+    assert {"name": "window-size-cap", "passed": False} in report["checks"]
+    result = invoke(["--help"])
+    assert result.exit_code == 0 and result.exception is None
+    assert all(name in result.stdout for name in ["--help", *OPTIONS])
+    for command, options in OPTIONS.items():
+        result = invoke([command, "--help"])
+        assert result.exit_code == 0 and result.exception is None, command
+        assert all(option in result.stdout for option in ["--help", *options]), command

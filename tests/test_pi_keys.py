@@ -12,18 +12,20 @@ change of output that is meant.
 """
 
 import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from floerbar.cli import main
 from floerbar.oracles import _near_copy, _scan_pair
 
-GOLDEN = Path(__file__).with_name("pi_keys_golden.json")
+from conftest import invoke
+
+GOLDEN = Path(__file__).resolve().with_name("pi_keys_golden.json")
 FLAG_SETS = ((), ("--mod-shift",), ("--degree-blind",), ("--mod-shift", "--degree-blind"))
 
 
@@ -44,14 +46,18 @@ def _pairs():
         yield [{"bars": [bar.to_json() for bar in x.bars]} for x in (a, b)]
 
 
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+
 def _stdout(files: dict, *args) -> str:
-    """stdout of the command ``args`` run in an empty directory holding
-    ``files``, name -> text, so the report names the same paths anywhere."""
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        for name, text in files.items():
-            Path(name).write_text(text)
-        result = runner.invoke(main, list(args))
+    """stdout of the command ``args`` after writing ``files``, name -> text,
+    into the current directory (each test's own empty one), so the report
+    names the same relative paths anywhere."""
+    for name, text in files.items():
+        Path(name).write_text(text)
+    result = invoke(args)
     assert result.exception is None or isinstance(result.exception, SystemExit)
     return result.stdout
 
@@ -81,6 +87,8 @@ def test_radial_homotopy_report_matches_golden():
 
 
 if __name__ == "__main__":
-    cases = [{"files": pair, "stdout": _bottleneck_runs(pair)} for pair in _pairs()]
-    GOLDEN.write_text(json.dumps({"bottleneck": cases, "radial_homotopy": _radial_homotopy()},
-                                 indent=1) + "\n")
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        cases = [{"files": pair, "stdout": _bottleneck_runs(pair)} for pair in _pairs()]
+        GOLDEN.write_text(json.dumps({"bottleneck": cases, "radial_homotopy": _radial_homotopy()},
+                                     indent=1) + "\n")

@@ -9,10 +9,9 @@ import json
 import operator
 from importlib import resources
 
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from floerbar.cli import main
+from conftest import invoke
 
 FIXTURES = ("equator_pair_sphere.json", "equator_pair_annulus.json", "two_great_circles.json")
 BASES = [json.loads(resources.files("floerbar").joinpath("fixtures", name).read_text())
@@ -76,7 +75,7 @@ def test_mutated_diagrams_keep_the_exit_code_contract(tmp_path, data):
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(diagram))
     args = ["combfloer", str(path)] + data.draw(st.sampled_from([[], ["--max-wind", "0"]]))
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         (json.dumps(diagram), repr(result.exception))
@@ -97,7 +96,7 @@ def test_malformed_fields_exit_2(tmp_path):
         (diagram if where == "top" else diagram[where])[key] = value
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(diagram))
-        result = CliRunner().invoke(main, ["combfloer", str(path)])
+        result = invoke(["combfloer", str(path)])
         assert result.exit_code == 2, (where, key, value, result.output)
         assert isinstance(result.exception, SystemExit)
 
@@ -196,7 +195,7 @@ def test_mutated_radial_profiles_keep_the_exit_code_contract(tmp_path, data):
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc))
     args = ["radial", str(path)] + data.draw(st.sampled_from([[], ["--feasible"], ["--homotopy"]]))
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         (json.dumps(doc), args, repr(result.exception))
@@ -268,7 +267,7 @@ def test_mutated_complexes_keep_the_exit_code_contract(tmp_path, data):
     path.write_text(json.dumps(doc))
     args = ["barcode", str(path)] + data.draw(st.sampled_from(
         [[], ["--oracle"], ["--window", "0", "1"]]))
-    _assert_contract(CliRunner().invoke(main, args), doc, args)
+    _assert_contract(invoke(args), doc, args)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
@@ -283,7 +282,7 @@ def test_mutated_barcodes_keep_the_exit_code_contract(tmp_path, data):
     pair = [str(path), other] if data.draw(st.booleans()) else [other, str(path)]
     args = ["bottleneck"] + pair + data.draw(st.sampled_from(
         [[], ["--mod-shift"], ["--degree-blind"]]))
-    _assert_contract(CliRunner().invoke(main, args), doc, args)
+    _assert_contract(invoke(args), doc, args)
 
 
 # rationals that parse into numbers too long to print: one refused before
@@ -307,7 +306,7 @@ def test_rationals_too_long_to_print_exit_2(tmp_path):
                      for flags in ([], ["--mod-shift"], ["--degree-blind"])]
         for doc, args in runs:
             path.write_text(json.dumps(doc))
-            result = CliRunner().invoke(main, args)
+            result = invoke(args)
             assert result.exit_code == 2, (value, args, result.output)
             assert isinstance(result.exception, SystemExit), (value, args, repr(result.exception))
 
@@ -336,4 +335,4 @@ def test_mutated_seidel_params_keep_the_exit_code_contract(data):
         path = data.draw(st.sampled_from([p for p in _paths(doc) if p and p != ("S",)]))
         functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = data.draw(seidel_int)
     args = ["seidel", "--params", json.dumps(doc)]
-    _assert_contract(CliRunner().invoke(main, args), doc, args)
+    _assert_contract(invoke(args), doc, args)
