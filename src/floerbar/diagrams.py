@@ -23,7 +23,10 @@ solve is done once per diagram (``_WindingField``): along a spanning tree of
 the face adjacency graph every face's winding is a signed sum of tree-arc
 counts, tabulated per curve as prefix sums over the arc order.  A monotone
 path then contributes a cyclic range sum plus windings times the full-cycle
-total.  A candidate's index-and-nonnegativity verdict depends on its point
+total.  The validated geometry, the face areas as int keys and the winding
+solve are built once per diagram and kept on it (``_analysis``), however
+many passes read them; ``faces`` and ``areas`` are read-only, so they never
+go stale.  A candidate's index-and-nonnegativity verdict depends on its point
 pair only through a small key (the pair's corner sums and the least base
 winding of each class of faces with equal full-turn windings), so each pass
 takes the verdicts once per key, the first time the key appears, and many
@@ -36,20 +39,23 @@ The filtered complex of a diagram has the crossing points as generators and
 the lunes mod 2, grouped by recapping exponent, as its differential.  One
 walk of the lune graph grades it: degrees from a two-colouring on the sphere
 (an exact grading on the annulus), and actions propagated along the walk's
-spanning forest by "action drop = area + exponent * recap area".  A final
-pass over every lune checks that rule off the forest too.
+spanning forest by "action drop = area + exponent * recap area", as int keys
+over one scale.  A final pass over every lune checks that rule off the
+forest too.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .complexes import FilteredComplex, Generator
+from .complexes import FilteredComplex
 from .novikov import NovikovScalar, NovikovSpec, format_rational, parse_rational
 from .persistence import boundary_depth
 
@@ -98,10 +104,11 @@ class LuneCandidateError(ValueError):
 
 
 # ``enumerate_lunes`` tries m*(m-1)*2*(w+1)*(w+2) candidates for m points at
-# winding cap w.  ``combfloer`` (three passes on a sphere) on the bundled
-# four-point equator pair took 0.8-1.0 s as a whole process at w = 200,
-# 974,448 candidates, just under the cap (Python 3.11, 2-CPU x86-64); a cap
-# of 10**9 would exhaust memory listing the boundary parameters.
+# winding cap w.  ``combfloer`` on the bundled four-point equator pair took
+# 1.0-1.4 s as a whole process at w = 200, 974,448 candidates, just under
+# the cap: three passes on the sphere, and 0.9-1.3 s for two on the annulus
+# (Python 3.11, shared 2-CPU x86-64); a cap of 10**9 would exhaust memory
+# listing the boundary parameters.
 MAX_LUNE_CANDIDATES = 1_000_000
 
 
@@ -110,6 +117,9 @@ Step = Tuple[str, int, int, int]  # (curve "K"/"L", from point, to point, direct
 
 @dataclass(frozen=True)
 class TwoCurveDiagram:
+    """A two-curve diagram; ``faces`` and ``areas`` are read-only mappings,
+    so that the analysis every pass reads (``_analysis``) never goes stale."""
+
     surface: str                       # "sphere" | "annulus"
     order_k: Tuple[int, ...]
     order_l: Tuple[int, ...]
@@ -120,16 +130,21 @@ class TwoCurveDiagram:
     def __post_init__(self) -> None:
         object.__setattr__(self, "order_k", tuple(self.order_k))
         object.__setattr__(self, "order_l", tuple(self.order_l))
-        object.__setattr__(self, "faces",
-                           {name: tuple(tuple(s) for s in walk)
-                            for name, walk in self.faces.items()})
-        object.__setattr__(self, "areas",
-                           {name: Fraction(a) for name, a in self.areas.items()})
+        object.__setattr__(self, "faces", MappingProxyType(
+            {name: tuple(tuple(s) for s in walk) for name, walk in self.faces.items()}))
+        object.__setattr__(self, "areas", MappingProxyType(
+            {name: Fraction(a) for name, a in self.areas.items()}))
         object.__setattr__(self, "boundary_faces", tuple(self.boundary_faces))
 
     @property
     def points(self) -> Tuple[int, ...]:
         return tuple(sorted(self.order_k))
+
+    @functools.cached_property
+    def _analysis(self) -> "_Analysis":
+        """The validated analysis, built on first use.  A diagram that fails
+        validation raises on every read: a failure is never cached."""
+        return _Analysis(self)
 
     def to_json(self) -> dict:
         data = {
@@ -227,7 +242,10 @@ class _Geometry:
     """Arc tables, face incidences and corner lists of a diagram."""
 
     def __init__(self, d: TwoCurveDiagram):
-        self.d = d
+        # the faces, not the diagram: a diagram keeps its analysis, and a
+        # reference back would make a cycle that only the garbage collector
+        # frees
+        self.faces = d.faces
         self.m = len(d.order_k)
         self.pos = {"K": {p: i for i, p in enumerate(d.order_k)},
                     "L": {p: i for i, p in enumerate(d.order_l)}}
@@ -275,7 +293,7 @@ class _Geometry:
 
     def face_components(self, across: str) -> List[FrozenSet[str]]:
         """Connected components of faces glued across arcs of one curve."""
-        parent = {name: name for name in self.d.faces}
+        parent = {name: name for name in self.faces}
 
         def find(x):
             while parent[x] != x:
@@ -292,14 +310,14 @@ class _Geometry:
             if ra != rb:
                 parent[ra] = rb
         groups: Dict[str, set] = {}
-        for name in self.d.faces:
+        for name in self.faces:
             groups.setdefault(find(name), set()).add(name)
         return [frozenset(g) for g in groups.values()]
 
 
 def validate_diagram(d: TwoCurveDiagram) -> None:
     """Check all structural invariants; raise DiagramError on the first failure."""
-    _validated_geometry(d)
+    d._analysis  # built, and so validated, on the first read
 
 
 def _validated_geometry(d: TwoCurveDiagram) -> _Geometry:
@@ -375,20 +393,28 @@ class _WindingField:
 
     The jump conditions ``w(left) - w(right) = n(arc)`` are linear in the arc
     traversal counts n.  Along a spanning tree of the face adjacency graph,
-    rooted at the first face (w = 0 there), each face's winding is the signed
-    sum of the counts of the tree arcs on its root path.  ``prefix[curve][k]``
-    holds those signs per face summed over arcs 0..k-1 of the curve, so a
-    forward arc range contributes a difference of two rows, and a full turn
-    of the curve contributes row m (``total[curve]``).  ``corner_prefix[curve]
-    [p]`` sums the same rows over the four corner faces of point p, which
-    prices a candidate's index in O(1).
+    rooted at the diagram's first face (w = 0 there), each face's winding is
+    the signed sum of the counts of the tree arcs on its root path; faces are
+    indexed in name order.  ``windings[curve]`` holds those signs per face
+    summed over arcs 0..k-1 of the curve as row k, so a forward arc range
+    contributes a difference of two rows, and a full turn of the curve
+    contributes row m (``total[curve]``).  Each row comes with its jump
+    residue (its jumps on every arc less its arc counts, in ``residues``)
+    and its area (in ``areas``), which are linear in the row too.
+    ``corner_prefix[curve][p]`` sums the winding rows over the four corner
+    faces of point p, which prices a candidate's index in O(1).
+    ``turn_residue[curve]`` is a full turn's arc counts less its jumps: zero
+    on every arc where the turn is a consistent boundary.
+
+    Each table maps a curve to its rows and its wrapped rows: a range that
+    wraps past arc m-1 starts a full turn early, at row k less row m.
     """
 
-    def __init__(self, geo: _Geometry):
+    def __init__(self, geo: _Geometry, area_keys: Mapping[str, int]):
         m = geo.m
         self.m = m
         self.pos = geo.pos
-        self.faces = list(geo.d.faces)
+        self.faces = sorted(geo.faces)
         index = {name: i for i, name in enumerate(self.faces)}
         n = len(self.faces)
         # left and right face of every arc, the arcs of K then those of L
@@ -401,8 +427,9 @@ class _WindingField:
             adjacency[lf].append((rf, arc, -1))
         # face -> {arc: sign} over the tree arcs on its root path
         paths: List[Optional[Dict[Tuple[str, int], int]]] = [None] * n
-        paths[0] = {}
-        frontier = [0]
+        root = index[next(iter(geo.faces))]
+        paths[root] = {}
+        frontier = [root]
         while frontier:
             cur = frontier.pop()
             for nbr, arc, sign in adjacency[cur]:
@@ -416,51 +443,91 @@ class _WindingField:
         for f, path in enumerate(paths):
             for arc, sign in path.items():
                 columns.setdefault(arc, []).append((f, sign))
+        self.face_areas = [area_keys[name] for name in self.faces]
         # lists, not tuples: CPython keeps up to 2000 freed tuples of each
         # length below 20 for reuse, and face-length tuples made on every call
         # would hold that memory for the life of the process
-        self.prefix: Dict[str, List[List[int]]] = {}
-        self.wrapped: Dict[str, List[List[int]]] = {}
+        self.windings: Dict[str, Tuple[List[List[int]], List[List[int]]]] = {}
+        self.residues: Dict[str, Tuple[List[List[int]], List[List[int]]]] = {}
+        self.areas: Dict[str, Tuple[List[int], List[int]]] = {}
         self.corner_prefix: Dict[str, Dict[int, List[int]]] = {}
-        for curve in ("K", "L"):
+        for c, curve in enumerate(("K", "L")):
             row = [0] * n
             rows = [list(row)]
             for a in range(m):
                 for f, sign in columns.get((curve, a), ()):
                     row[f] += sign
                 rows.append(list(row))
-            self.prefix[curve] = rows
-            # a range that wraps past arc m-1 starts a full turn early
-            self.wrapped[curve] = [list(map(operator.sub, r, row)) for r in rows]
+            residues = []
+            for k, r in enumerate(rows):
+                counts = [0] * (2 * m)
+                counts[c * m:c * m + k] = [1] * k
+                residues.append(list(map(operator.sub, self.jumps(r), counts)))
+            areas = [sum(map(operator.mul, self.face_areas, r)) for r in rows]
+            self.windings[curve] = rows, [list(map(operator.sub, r, row)) for r in rows]
+            self.residues[curve] = residues, [list(map(operator.sub, r, residues[m]))
+                                              for r in residues]
+            self.areas[curve] = areas, [x - areas[m] for x in areas]
             by_face = list(zip(*rows))
             self.corner_prefix[curve] = {
                 p: list(map(sum, zip(*(by_face[index[f]] for f in names))))
                 for p, names in geo.corners.items()}
-        self.total = {curve: rows[m] for curve, rows in self.prefix.items()}
+        self.total = {curve: rows[m] for curve, (rows, _w) in self.windings.items()}
+        self.turn_residue = {curve: [-x for x in rows[m]]
+                             for curve, (rows, _w) in self.residues.items()}
+
+    def jumps(self, w: List[int]) -> List[int]:
+        """``w(left) - w(right)`` on every arc, the arcs of K then those of L."""
+        return list(map(operator.sub, map(w.__getitem__, self.lefts),
+                        map(w.__getitem__, self.rights)))
+
+    @staticmethod
+    def _ends(table, seg_k: Tuple[int, int], seg_l: Tuple[int, int]) -> tuple:
+        """The end and start rows of ``table`` for the forward arc range
+        ``seg_k`` of K and ``seg_l`` of L, a range (lo, hi) being the arcs
+        lo, lo+1, ..., hi-1 taken cyclically."""
+        (lo_k, hi_k), (lo_l, hi_l) = seg_k, seg_l
+        rows_k, wrapped_k = table["K"]
+        rows_l, wrapped_l = table["L"]
+        return (rows_k[hi_k], (rows_k if lo_k < hi_k else wrapped_k)[lo_k],
+                rows_l[hi_l], (rows_l if lo_l < hi_l else wrapped_l)[lo_l])
 
     def base_vector(self, seg_k: Tuple[int, int], seg_l: Tuple[int, int]) -> List[int]:
-        """Face windings of the forward arc range ``seg_k`` of K plus ``seg_l``
-        of L, a range (lo, hi) being the arcs lo, lo+1, ..., hi-1 taken
-        cyclically."""
-        (lo_k, hi_k), (lo_l, hi_l) = seg_k, seg_l
-        start_k = (self.prefix if lo_k < hi_k else self.wrapped)["K"][lo_k]
-        start_l = (self.prefix if lo_l < hi_l else self.wrapped)["L"][lo_l]
-        return list(map(operator.add, map(operator.sub, self.prefix["K"][hi_k], start_k),
-                        map(operator.sub, self.prefix["L"][hi_l], start_l)))
+        """Face windings of the forward ranges ``seg_k`` of K and ``seg_l``
+        of L."""
+        end_k, start_k, end_l, start_l = self._ends(self.windings, seg_k, seg_l)
+        return list(map(operator.add, map(operator.sub, end_k, start_k),
+                        map(operator.sub, end_l, start_l)))
 
-    def consistent(self, w: List[int], seg_k, turns_k: int, seg_l, turns_l: int) -> bool:
-        """The jump conditions on every arc, tree arcs included: arc counts
-        are one on the forward range plus the full turns."""
-        jumps = list(map(operator.sub, map(w.__getitem__, self.lefts),
-                         map(w.__getitem__, self.rights)))
-        return jumps == self._counts(seg_k, turns_k) + self._counts(seg_l, turns_l)
+    def range_residue(self, seg_k: Tuple[int, int], seg_l: Tuple[int, int]) -> List[int]:
+        """The jumps of ``base_vector(seg_k, seg_l)`` less the arc counts of
+        the two ranges.  Windings, jumps and counts are all linear in the
+        full turns, so the boundary with tk and tl turns meets every jump
+        condition iff this equals ``tk * turn_residue["K"] + tl *
+        turn_residue["L"]``."""
+        end_k, start_k, end_l, start_l = self._ends(self.residues, seg_k, seg_l)
+        return list(map(operator.add, map(operator.sub, end_k, start_k),
+                        map(operator.sub, end_l, start_l)))
 
-    def _counts(self, seg: Tuple[int, int], turns: int) -> List[int]:
-        """Traversal counts of one curve's arcs: the forward range plus turns."""
-        (lo, hi), m = seg, self.m
-        if lo < hi:
-            return [turns] * lo + [turns + 1] * (hi - lo) + [turns] * (m - hi)
-        return [turns + 1] * hi + [turns] * (lo - hi) + [turns + 1] * (m - lo)
+    def range_area(self, seg_k: Tuple[int, int], seg_l: Tuple[int, int]) -> int:
+        """The area of ``base_vector(seg_k, seg_l)``, as an int key."""
+        end_k, start_k, end_l, start_l = self._ends(self.areas, seg_k, seg_l)
+        return end_k - start_k + end_l - start_l
+
+
+class _Analysis:
+    """What every pass over one diagram reads, built once per diagram
+    (``TwoCurveDiagram._analysis``): the validated geometry, the face areas
+    as ints over ``scale`` and, when a pass first asks for it, the winding
+    solve."""
+
+    def __init__(self, d: TwoCurveDiagram):
+        self.geometry = _validated_geometry(d)
+        self.scale, self.area_keys = _area_keys(d)
+
+    @functools.cached_property
+    def field(self) -> _WindingField:
+        return _WindingField(self.geometry, self.area_keys)
 
 
 def _lune_paths(max_wind: int) -> List[Tuple[Tuple[int, int], Tuple[int, int], int, int]]:
@@ -480,7 +547,7 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     K from x to y and one along L back, each direction and winding count
     (``jk + jl <= max_wind``).  Every candidate of a pair has the winding
     function ``base + tk * total_K + tl * total_L + offset``, with ``base``
-    the forward ranges x -> y on K and y -> x on L read from the per-diagram
+    the forward ranges x -> y on K and y -> x on L read from the diagram's
     ``_WindingField`` and (tk, tl) the full turns of its paths.  The index
     is the corner sum ``corner_base + tk * a + tl * b`` over the eight
     corner faces, with (a, b) the pair's corner turn sums; index one fixes
@@ -496,24 +563,26 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     decides every boundary of the pair, and many pairs share a key.  A
     key's surviving boundaries are listed the first time it appears in the
     call, and a pair whose corner residue mod 8 no boundary reaches is
-    skipped before its face vector is built.  Only survivors are built face
-    by face and checked against every jump condition.  More than
-    ``MAX_LUNE_CANDIDATES`` candidates raise :class:`LuneCandidateError`,
-    counted before any is built.
+    skipped before its face vector is built.  Only survivors are checked
+    against every jump condition, as one comparison of the pair's range
+    residue with the residue of the survivor's turns, and built face by
+    face; a survivor's area is the pair's base area plus the area of its
+    turns and offset.  More than ``MAX_LUNE_CANDIDATES`` candidates raise
+    :class:`LuneCandidateError`, counted before any is built.
     """
-    geo = _validated_geometry(d)
+    analysis = d._analysis
     points = len(d.points)
     count = points * (points - 1) * 2 * (max_wind + 1) * (max_wind + 2)
     if count > MAX_LUNE_CANDIDATES:
         raise LuneCandidateError(
             f"lune candidate cap exceeded: {points} points at winding cap {max_wind} give "
             f"{count} candidates, more than {MAX_LUNE_CANDIDATES}")
-    field = _WindingField(geo)
-    m, faces = field.m, field.faces
-    by_name = sorted(range(len(faces)), key=faces.__getitem__)
-    scale, area_keys = _area_keys(d)
-    scaled_areas = [area_keys[name] for name in faces]
+    field = analysis.field
+    m, faces, scale = field.m, field.faces, analysis.scale
+    scaled_areas = field.face_areas
+    total_area = sum(scaled_areas)
     total_k, total_l = field.total["K"], field.total["L"]
+    residue_k, residue_l = field.turn_residue["K"], field.turn_residue["L"]
     # faces with equal full-turn windings move together under the turns
     groups: Dict[Tuple[int, int], List[int]] = {}
     for f, turns in enumerate(zip(total_k, total_l)):
@@ -526,15 +595,19 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     bfaces = [faces.index(name) for name in d.boundary_faces]
     bturns = [(total_k[f], total_l[f]) for f in bfaces]
     boundaries = _lune_paths(max_wind)
-    turn_vectors: Dict[Tuple[int, int], List[int]] = {}
+    # (tk, tl) -> (face windings of the turns, their area, their jump residue)
+    turn_data: Dict[Tuple[int, int], tuple] = {}
 
     def residue_classes(a: int, b: int) -> Dict[int, list]:
-        """The boundaries under corner turn sums (a, b), each with its corner
-        turn sum s, by the residue mod 8 of the corner base they need."""
+        """The boundaries under corner turn sums (a, b), by the residue mod 8
+        of the corner base they need, each with its corner turn sum s and
+        what its turns add to each group's ``T_g`` less s."""
         classes: Dict[int, list] = {}
         for boundary in boundaries:
-            s = boundary[2] * a + boundary[3] * b
-            classes.setdefault((2 - s) % 8, []).append((boundary, s))
+            tk, tl = boundary[2], boundary[3]
+            s = tk * a + tl * b
+            rise = [tk * gk + tl * gl - s for gk, gl in group_turns]
+            classes.setdefault((2 - s) % 8, []).append((boundary, s, rise))
         return classes
 
     def survivors(candidates: list, least: Tuple[int, ...], pinned: Tuple[int, ...]) -> list:
@@ -542,17 +615,20 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
         if pinned:
             corner_base, *bbase = pinned
         out = []
-        for (k_path, l_path, tk, tl), s in candidates:
-            if min([t + tk * gk + tl * gl for t, (gk, gl) in zip(least, group_turns)]) < s:
+        for (k_path, l_path, tk, tl), s, rise in candidates:
+            if min(map(operator.add, least, rise)) < 0:
                 continue
             if pinned:
                 w0, w1 = (v + tk * gk + tl * gl for v, (gk, gl) in zip(bbase, bturns))
                 if w1 != w0 or 8 * w0 != s + corner_base - 2:
                     continue
-            turns = turn_vectors.get((tk, tl))
+            turns = turn_data.get((tk, tl))
             if turns is None:
-                turns = turn_vectors[(tk, tl)] = [tk * gk + tl * gl for gk, gl in zip(total_k, total_l)]
-            out.append((k_path, l_path, tk, tl, s, turns))
+                vector = [tk * gk + tl * gl for gk, gl in zip(total_k, total_l)]
+                turns = turn_data[(tk, tl)] = (
+                    vector, sum(map(operator.mul, scaled_areas, vector)),
+                    [tk * rk + tl * rl for rk, rl in zip(residue_k, residue_l)])
+            out.append((k_path, l_path, s, *turns))
         return out
 
     corners_k, corners_l = field.corner_prefix["K"], field.corner_prefix["L"]
@@ -581,12 +657,16 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
         passed = verdicts.get(key)
         if passed is None:
             passed = verdicts[key] = survivors(reachable, least, pinned)
-        for k_path, l_path, tk, tl, s, turns in passed:
+        if not passed:
+            continue
+        residue = field.range_residue(seg_k, seg_l)
+        base_area = field.range_area(seg_k, seg_l)
+        for k_path, l_path, s, turns, turns_area, turns_residue in passed:
+            if residue != turns_residue:
+                continue
             offset = (2 - corner_base - s) // 8
             w = [v + t + offset for v, t in zip(base, turns)]
-            if not field.consistent(w, seg_k, tk, seg_l, tl):
-                continue
-            support = tuple((faces[f], w[f]) for f in by_name if w[f])
+            support = tuple([(name, v) for name, v in zip(faces, w) if v])
             found = (x, y, support)
             # the winding function determines the boundary traversal,
             # so distinct parameters never collide
@@ -594,7 +674,7 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
                 raise AssertionError(f"duplicate lune candidate {found}")
             seen.add(found)
             # index one forces a nonzero corner, so w is never all zero
-            area = sum(map(operator.mul, scaled_areas, w))
+            area = base_area + turns_area + offset * total_area
             if area <= 0:
                 raise DiagramError("nonzero nonnegative winding with zero area")
             lunes.append((x, y, area, support, Lune(
@@ -612,9 +692,12 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _grade(d: TwoCurveDiagram, lunes: Sequence[Lune]
-           ) -> Tuple[Dict[int, int], Dict[int, Fraction]]:
-    """Degrees and actions of the crossing points in one walk of the lune graph.
+def _grade(d: TwoCurveDiagram, lunes: Sequence[Lune], areas: Sequence[int], step: int
+           ) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Degrees and action keys of the crossing points in one walk of the
+    lune graph.  ``areas`` holds each lune's area and ``step`` the recap
+    area ``SPHERE_ACTION_STEP`` as ints over one scale, and the actions
+    come back as ints over the same scale.
 
     Each component starts at its smallest point, with action 0 and degree
     its label parity on the sphere (the quantum variable has degree two, so
@@ -622,34 +705,30 @@ def _grade(d: TwoCurveDiagram, lunes: Sequence[Lune]
     A newly reached point takes the other colour on the sphere, or on the
     annulus the degree that puts its lune's target one below the source (no
     recapping there), and the action that makes its lune drop by area +
-    exponent * SPHERE_ACTION_STEP.  A point reached before is only checked against the
+    exponent * step.  A point reached before is only checked against the
     degree rule.  Each point takes its lunes by (area, source, target),
     which fixes the spanning forest and with it the actions.  Annulus
     components are shifted at the end so their smallest degree is 0.
     """
     sphere = d.surface == "sphere"
-    adjacency: Dict[int, List[Lune]] = {p: [] for p in d.points}
-    # by (area, source, target), each area compared as an int over the lcm
-    # of the area denominators
-    scale = math.lcm(*(l.area.denominator for l in lunes))
-    for lune in sorted(lunes, key=lambda l: (l.area.numerator * (scale // l.area.denominator),
-                                             l.source, l.target)):
-        adjacency[lune.source].append(lune)
-        adjacency[lune.target].append(lune)
+    adjacency: Dict[int, List[Tuple[int, int, int]]] = {p: [] for p in d.points}
+    for edge in sorted(zip(areas, [l.source for l in lunes], [l.target for l in lunes])):
+        adjacency[edge[1]].append(edge)
+        adjacency[edge[2]].append(edge)
     degree: Dict[int, int] = {}
-    action: Dict[int, Fraction] = {}
+    action: Dict[int, int] = {}
     for start in d.points:
         if start in degree:
             continue
         degree[start] = (start - 1) % 2 if sphere else 0
-        action[start] = Fraction(0)
+        action[start] = 0
         component = [start]
         stack = [start]
         while stack:
             cur = stack.pop()
-            for lune in adjacency[cur]:
-                forward = lune.source == cur
-                nbr = lune.target if forward else lune.source
+            for area, source, target in adjacency[cur]:
+                forward = source == cur
+                nbr = target if forward else source
                 if sphere:
                     val = 1 - degree[cur]
                 else:
@@ -661,9 +740,9 @@ def _grade(d: TwoCurveDiagram, lunes: Sequence[Lune]
                             else "lune degrees are inconsistent around a cycle")
                     continue
                 degree[nbr] = val
-                e = (degree[lune.source] - 1 - degree[lune.target]) // SPHERE_DEGREE_STEP \
+                e = (degree[source] - 1 - degree[target]) // SPHERE_DEGREE_STEP \
                     if sphere else 0
-                drop = lune.area + e * SPHERE_ACTION_STEP
+                drop = area + e * step
                 action[nbr] = action[cur] - drop if forward else action[cur] + drop
                 component.append(nbr)
                 stack.append(nbr)
@@ -678,31 +757,39 @@ def build_complex(d: TwoCurveDiagram, max_wind: int = 2) -> FilteredComplex:
     """Filtered complex of a diagram; raises InadmissibleDiagramError when no
     consistent degree/action/differential assignment exists.
 
-    One walk of the lune graph (``_grade``) fixes the degrees and, along its
-    spanning forest, the actions.  The recapping exponent of a lune is then
-    forced by the grading, ``(deg(source) - 1 - deg(target)) / 2`` on the
-    sphere and 0 on the annulus; a proper two-colouring makes it an integer
-    and a consistent annulus grading makes it 0.  Every lune -- including
-    pairs that cancel mod 2 and lunes off the spanning forest -- must then
-    satisfy "action drop = area + exponent * recap area"; a violation marks
-    the diagram inadmissible rather than producing a skewed complex.
+    The actions, the lune areas and the recap area are ints over one scale,
+    the lcm of the face areas' scale and the denominator of
+    ``SPHERE_ACTION_STEP``.  One walk of the lune graph (``_grade``) fixes
+    the degrees and, along its spanning forest, the actions.  The recapping
+    exponent of a lune is then forced by the grading, ``(deg(source) - 1 -
+    deg(target)) / 2`` on the sphere and 0 on the annulus; a proper
+    two-colouring makes it an integer and a consistent annulus grading
+    makes it 0.  Every lune -- including pairs that cancel mod 2 and lunes
+    off the spanning forest -- must then satisfy "action drop = area +
+    exponent * recap area"; a violation marks the diagram inadmissible
+    rather than producing a skewed complex.  The complex is built from the
+    actions as reduced ratios (``FilteredComplex.from_ratios``).  The
+    Fraction route is kept as the oracle ``fraction_build_complex`` in
+    :mod:`floerbar.oracles`.
     """
     lunes = enumerate_lunes(d, max_wind)
     sphere = d.surface == "sphere"
     spec = sphere_spec() if sphere else None
-    degree, action = _grade(d, lunes)
+    scale = math.lcm(d._analysis.scale, SPHERE_ACTION_STEP.denominator)
+    step = SPHERE_ACTION_STEP.numerator * (scale // SPHERE_ACTION_STEP.denominator)
+    areas = [l.area.numerator * (scale // l.area.denominator) for l in lunes]
+    degree, action = _grade(d, lunes, areas, step)
 
     entries: Dict[Tuple[int, int], int] = {}
     exponents: Dict[Tuple[int, int], int] = {}
-    for lune in lunes:
-        e = (degree[lune.source] - 1 - degree[lune.target]) // SPHERE_DEGREE_STEP \
-            if sphere else 0
-        if action[lune.source] - action[lune.target] != lune.area + e * SPHERE_ACTION_STEP:
+    for lune, area in zip(lunes, areas):
+        key = source, target = lune.source, lune.target
+        e = (degree[source] - 1 - degree[target]) // SPHERE_DEGREE_STEP if sphere else 0
+        if action[source] - action[target] != area + e * step:
             raise InadmissibleDiagramError(
-                f"lune {lune.source}->{lune.target} (area {lune.area}) is"
+                f"lune {source}->{target} (area {lune.area}) is"
                 " incompatible with the action assignment: same-endpoint lunes"
                 " must share their area in each recap class")
-        key = (lune.source, lune.target)
         entries[key] = entries.get(key, 0) ^ 1
         exponents[key] = e
 
@@ -713,9 +800,12 @@ def build_complex(d: TwoCurveDiagram, max_wind: int = 2) -> FilteredComplex:
         coeff = NovikovScalar.monomial(spec, exponents[(src, tgt)])
         differential.setdefault(f"a{src}", []).append((coeff, f"a{tgt}"))
 
-    gens = [Generator(f"a{p}", degree[p], action[p]) for p in d.points]
+    gens = []
+    for p in d.points:
+        g = math.gcd(action[p], scale)
+        gens.append((f"a{p}", degree[p], action[p] // g, scale // g))
     try:
-        return FilteredComplex(spec, gens, differential)
+        return FilteredComplex.from_ratios(spec, gens, differential)
     except ValueError as exc:
         raise InadmissibleDiagramError(f"diagram complex invalid: {exc}") from exc
 

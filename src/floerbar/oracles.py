@@ -47,6 +47,10 @@ both run it; neither has samplers or predicates of its own.
 * ``brute_force_lunes`` solves each lune candidate's winding function from
   scratch, where :func:`floerbar.diagrams.enumerate_lunes` solves once per
   diagram.
+* ``fraction_build_complex`` grades a diagram's complex in Fractions and
+  builds it from :class:`~floerbar.complexes.Generator` objects, where
+  :func:`floerbar.diagrams.build_complex` grades on int keys over one scale
+  and builds it from reduced ratios.
 * ``brute_force_feasible_barcodes`` finds the orbits and their bars in
   ``PiRational`` arithmetic, searches orbits, each partner in both
   orientations, records every matching as a sorted tuple of interned bars
@@ -80,7 +84,7 @@ import math
 import operator
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
                     Set, Tuple)
@@ -88,9 +92,11 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
 from .complexes import (ComplexValidationError, FilteredComplex, Generator,
                         GammaUndefinedError, _UnrolledWindow, _generator_id, barcode,
                         complex_from_json, complex_to_json, gamma, uz_reduce)
-from .diagrams import (DiagramError, Lune, TwoCurveDiagram, _Geometry, _validated_geometry,
-                       annulus_example_areas, diagram_beta, diagram_gamma, enumerate_lunes,
-                       equator_pair_annulus, relabel_diagram, validate_diagram)
+from .diagrams import (SPHERE_ACTION_STEP, SPHERE_DEGREE_STEP, DiagramError,
+                       InadmissibleDiagramError, Lune, TwoCurveDiagram, _Geometry,
+                       _validated_geometry, annulus_example_areas, build_complex, diagram_beta,
+                       diagram_gamma, enumerate_lunes, equator_pair_annulus, relabel_diagram,
+                       sphere_spec, validate_diagram)
 from .exactpi import PiRational, _compare_with_pi
 from .f2 import Echelon
 from .novikov import (LagrangianParams, NovikovScalar, NovikovSpec, format_rational, parse_int,
@@ -123,6 +129,7 @@ __all__ = [
     "brute_force_shifted_bottleneck",
     "scan_shifted_bottleneck",
     "brute_force_lunes",
+    "fraction_build_complex",
     "brute_force_feasible_barcodes",
     "rank_prescriptions",
     "pi_rational_cmp",
@@ -725,7 +732,7 @@ def _path_traversals(geo: _Geometry, curve: str, start: int, end: int,
 def _solve_winding(geo: _Geometry, traversals: Dict[Tuple[str, int], int]
                    ) -> Optional[Dict[str, int]]:
     """Solve w(left) - w(right) = net traversal on every arc; None if inconsistent."""
-    faces = list(geo.d.faces)
+    faces = list(geo.faces)
     w: Dict[str, int] = {faces[0]: 0}
     frontier = [faces[0]]
     adjacency: Dict[str, List[Tuple[str, int]]] = {name: [] for name in faces}
@@ -827,6 +834,89 @@ def _normalize_offset(d: TwoCurveDiagram, geo: _Geometry, w: Dict[str, int],
     if all(c == 0 for c in shifted.values()):
         return None
     return shifted
+
+
+def _fraction_grade(d: TwoCurveDiagram, lunes: Sequence[Lune]
+                    ) -> Tuple[Dict[int, int], Dict[int, Fraction]]:
+    """The degrees and Fraction actions of ``floerbar.diagrams._grade``:
+    the same walk of the lune graph, lunes taken by (area, source, target),
+    each drop ``area + exponent * SPHERE_ACTION_STEP`` in Fractions."""
+    sphere = d.surface == "sphere"
+    adjacency: Dict[int, List[Lune]] = {p: [] for p in d.points}
+    for lune in sorted(lunes, key=lambda l: (l.area, l.source, l.target)):
+        adjacency[lune.source].append(lune)
+        adjacency[lune.target].append(lune)
+    degree: Dict[int, int] = {}
+    action: Dict[int, Fraction] = {}
+    for start in d.points:
+        if start in degree:
+            continue
+        degree[start] = (start - 1) % 2 if sphere else 0
+        action[start] = Fraction(0)
+        component = [start]
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for lune in adjacency[cur]:
+                forward = lune.source == cur
+                nbr = lune.target if forward else lune.source
+                if sphere:
+                    val = 1 - degree[cur]
+                else:
+                    val = degree[cur] - 1 if forward else degree[cur] + 1
+                if nbr in degree:
+                    if degree[nbr] != val:
+                        raise InadmissibleDiagramError(
+                            "lune graph is not bipartite" if sphere
+                            else "lune degrees are inconsistent around a cycle")
+                    continue
+                degree[nbr] = val
+                e = (degree[lune.source] - 1 - degree[lune.target]) // SPHERE_DEGREE_STEP \
+                    if sphere else 0
+                drop = lune.area + e * SPHERE_ACTION_STEP
+                action[nbr] = action[cur] - drop if forward else action[cur] + drop
+                component.append(nbr)
+                stack.append(nbr)
+        if not sphere:
+            base = min(degree[p] for p in component)
+            for p in component:
+                degree[p] -= base
+    return degree, action
+
+
+def fraction_build_complex(d: TwoCurveDiagram, max_wind: int = 2) -> FilteredComplex:
+    """Oracle for ``build_complex``: the lunes of ``enumerate_lunes``
+    graded in Fractions (``_fraction_grade``), every lune checked against
+    "action drop = area + exponent * recap area" in Fractions, and the
+    complex built from :class:`~floerbar.complexes.Generator` objects.
+    Raises what ``build_complex`` raises, with the same messages."""
+    lunes = enumerate_lunes(d, max_wind)
+    sphere = d.surface == "sphere"
+    spec = sphere_spec() if sphere else None
+    degree, action = _fraction_grade(d, lunes)
+    entries: Dict[Tuple[int, int], int] = {}
+    exponents: Dict[Tuple[int, int], int] = {}
+    for lune in lunes:
+        e = (degree[lune.source] - 1 - degree[lune.target]) // SPHERE_DEGREE_STEP \
+            if sphere else 0
+        if action[lune.source] - action[lune.target] != lune.area + e * SPHERE_ACTION_STEP:
+            raise InadmissibleDiagramError(
+                f"lune {lune.source}->{lune.target} (area {lune.area}) is"
+                " incompatible with the action assignment: same-endpoint lunes"
+                " must share their area in each recap class")
+        key = (lune.source, lune.target)
+        entries[key] = entries.get(key, 0) ^ 1
+        exponents[key] = e
+    differential: Dict[str, List[Tuple[NovikovScalar, str]]] = {}
+    for (src, tgt), parity in sorted(entries.items()):
+        if parity:
+            differential.setdefault(f"a{src}", []).append(
+                (NovikovScalar.monomial(spec, exponents[(src, tgt)]), f"a{tgt}"))
+    gens = [Generator(f"a{p}", degree[p], action[p]) for p in d.points]
+    try:
+        return FilteredComplex(spec, gens, differential)
+    except ValueError as exc:
+        raise InadmissibleDiagramError(f"diagram complex invalid: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -1251,6 +1341,28 @@ def _lune_cases(rng: random.Random, n: int):
             case = random_sphere_diagram(rng, rng.choice([2, 4, 4, 6])), rng.randint(0, 4)
         drawn.append(case)
         yield case
+
+
+def _diagram_complex_cases(rng: random.Random, n: int):
+    """The cases of ``_lune_cases``, each followed by a copy with the area
+    of one face doubled, the face taken in name order by the case's
+    position: on the sphere the copy breaks bisection, and on the annulus a
+    doubled square leaves same-endpoint lunes of unequal area."""
+    for i, (d, max_wind) in enumerate(_lune_cases(rng, n)):
+        yield d, max_wind
+        names = sorted(d.areas)
+        face = names[i % len(names)]
+        yield replace(d, areas=dict(d.areas, **{face: 2 * d.areas[face]})), max_wind
+
+
+def _diagram_complexes_agree(d: TwoCurveDiagram, max_wind: int) -> bool:
+    """``build_complex`` and ``fraction_build_complex`` give the same scale,
+    rows and differential, or raise the same exception type and message."""
+    fast, slow = (_parsed(functools.partial(build, max_wind=max_wind), d)
+                  for build in (build_complex, fraction_build_complex))
+    if isinstance(fast, Exception) or isinstance(slow, Exception):
+        return type(fast) is type(slow) and str(fast) == str(slow)
+    return (fast.scale, fast.rows, fast.differential) == (slow.scale, slow.rows, slow.differential)
 
 
 # Twin-heavy tents: dimension 1, Maslov number 2 and a rise slope above 2,
@@ -1700,4 +1812,5 @@ PROPERTIES = (
     Property("bottleneck-window-agreement", _window_cases, _window_agrees),
     Property("barcode-key-agreement", _key_cases, _keys_agree),
     Property("complex-key-agreement", _complex_key_cases, _complex_keys_agree),
+    Property("diagram-complex-agreement", _diagram_complex_cases, _diagram_complexes_agree),
 )

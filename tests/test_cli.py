@@ -1,3 +1,4 @@
+import collections
 import copy
 import functools
 import itertools
@@ -110,6 +111,29 @@ def test_combfloer_oracle_is_opt_in():
     assert result.exit_code == 0
     assert {"name": "oracle-match", "passed": True} in report["checks"]
     assert {"name": "lune-oracle-match", "passed": True} in report["checks"]
+
+
+def _count_calls(monkeypatch, counts, label, owner, name):
+    """``owner.name`` replaced by a wrapper that counts its calls as ``label``."""
+    fn = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[label] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("fixture, passes", [("equator_pair_sphere.json", 3),
+                                             ("equator_pair_annulus.json", 2)])
+def test_combfloer_analyses_the_diagram_once(monkeypatch, fixture, passes):
+    # every lune pass reads one validated geometry and one winding solve
+    counts = collections.Counter()
+    _count_calls(monkeypatch, counts, "geometry", diagrams._Geometry, "__init__")
+    _count_calls(monkeypatch, counts, "field", diagrams._WindingField, "__init__")
+    _count_calls(monkeypatch, counts, "passes", diagrams, "enumerate_lunes")
+    result, _report = run("combfloer", fixture_path(fixture))
+    assert result.exit_code == 0
+    assert counts == {"geometry": 1, "field": 1, "passes": passes}
 
 
 def test_barcode_oracle_cap_is_a_failed_check(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -194,3 +195,34 @@ def test_lunes_equal_the_oracle_on_the_bundled_diagrams():
         for max_wind in range(5):
             for copy in (d, _shuffled_labels(rng, d)):
                 assert enumerate_lunes(copy, max_wind) == brute_force_lunes(copy, max_wind)
+
+
+def test_faces_and_areas_are_read_only():
+    d = bundled_sphere()
+    with pytest.raises(TypeError):
+        d.areas["A2"] = F(1, 3)
+    with pytest.raises(TypeError):
+        d.faces["A2"] = ()
+    assert d.areas == symmetric_equator_areas(F(1, 20))
+
+
+def test_a_replaced_diagram_gets_a_fresh_analysis():
+    d = bundled_sphere()
+    first = d._analysis
+    moved = replace(d, areas=symmetric_equator_areas(F(1, 10)))
+    assert moved._analysis is not first and d._analysis is first
+    assert moved._analysis.area_keys != first.area_keys
+    assert diagram_beta(moved) == F(3, 20) and diagram_beta(d) == F(1, 5)
+
+
+def test_an_invalid_diagram_raises_the_same_error_on_every_call():
+    areas = symmetric_equator_areas(F(1, 20))
+    areas["A2"] += F(1, 100)
+    d = equator_pair_diagram(areas)
+    messages = []
+    for call in (validate_diagram, enumerate_lunes, build_complex, validate_diagram):
+        with pytest.raises(DiagramError, match="bisect") as caught:
+            call(d)
+        messages.append(str(caught.value))
+    assert len(set(messages)) == 1
+    assert "_analysis" not in vars(d)

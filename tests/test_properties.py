@@ -9,6 +9,7 @@ import pytest
 
 from floerbar.complexes import (FilteredComplex, GammaUndefinedError, complex_from_json,
                                 complex_to_json, gamma)
+from floerbar.diagrams import build_complex
 from floerbar.exactpi import PiRational
 from floerbar.oracles import PROPERTIES, _TWIN_TENTS, _parsed, rank_prescriptions
 from floerbar.persistence import INF, bottleneck_distance, shifted_bottleneck
@@ -31,6 +32,7 @@ FLOORS = {
     "bottleneck-window-agreement": (61, 520),
     "barcode-key-agreement": (67, 510),
     "complex-key-agreement": (71, 400),
+    "diagram-complex-agreement": (61, 232),
 }
 
 
@@ -173,3 +175,16 @@ def test_complex_key_cases_cover_every_outcome():
                     ("ComplexValidationError", "d"), ("ValueError", "generator"),
                     ("ValueError", "differential"), ("KeyError", "'id'"),
                     ("TypeError", "list")}
+
+
+def test_diagram_complex_cases_cover_both_surfaces_and_every_error():
+    seen = set()
+    for d, max_wind in cases("diagram-complex-agreement"):
+        cx = _parsed(functools.partial(build_complex, max_wind=max_wind), d)
+        seen.add((d.surface, type(cx).__name__))
+        if isinstance(cx, FilteredComplex) and cx.differential:
+            seen.add((d.surface, "differential"))
+    # complexes with a differential on both surfaces, a broken bisection,
+    # and an annulus whose same-endpoint lunes differ in area
+    assert seen >= {("sphere", "differential"), ("annulus", "differential"),
+                    ("sphere", "DiagramError"), ("annulus", "InadmissibleDiagramError")}
