@@ -392,6 +392,8 @@ def cmd_radial(profile_file, feasible, homotopy):
                 raise SchemaError("'family' must be a nonempty list of profiles")
             profiles = [radial.RadialProfile.from_json(p) for p in data["family"]]
             C = parse_rational(data.get("C", "2"))
+            if C < 1:
+                raise SchemaError("the continuity constant must be at least 1")
         else:
             prof = radial.RadialProfile.from_json(data.get("profile", data))
     except _MALFORMED as exc:

@@ -51,7 +51,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .f2 import Echelon
 from .novikov import NovikovScalar, NovikovSpec, format_rational, parse_int, parse_ratio
-from .persistence import Barcode, NEG_INF, _value
+from .persistence import Barcode, NEG_INF, _typed, _value
 
 __all__ = [
     "Generator",
@@ -621,7 +621,8 @@ def gamma(bc: Barcode, fund_degree: int, point_degree: int) -> Fraction:
                 f"degree {deg} carries {count} infinite bars, need exactly 1")
         return found[0][0]
 
-    return _value(left_endpoint(fund_degree) - left_endpoint(point_degree), bc.scale)
+    fund, point = left_endpoint(fund_degree), left_endpoint(point_degree)
+    return _value(_typed(fund - point, fund, point), bc.scale, bc.code)
 
 
 # ---------------------------------------------------------------------------

@@ -5,37 +5,48 @@ rational multiples of pi, so they live in the module of values ``a + b*pi``
 with ``a, b`` rational.  Addition, subtraction and scaling by rationals are
 componentwise; there is no multiplication of two pi-parts.
 
-Comparisons are exact and use no float.  Each value caches, on first
-use, two integers ``lo <= (a + b*pi) * 2**64 <= hi`` computed from a
-64-bit integer bracket of pi, so most comparisons of two values end on
-disjoint brackets.  When the brackets overlap, the exact sign of the
-difference ``da + db*pi`` is taken from the coefficient differences: it
-follows from their signs alone unless they disagree, and then the rational
-``-da/db`` is compared with pi, first against ``333/106 < pi < 355/113`` and
-then by integer bounds from Machin's formula at doubling binary precision,
-each bracket cached, until the rational falls outside the bracket.  Pi being
-irrational, every comparison terminates.  Equality holds only when both
-coefficients agree; no nonzero element of the module vanishes.
+Comparisons are exact and use no float: the sign of a difference is the
+sign of its key (below), its parts brought to ints.  Equality holds only
+when both coefficients agree; no nonzero element of the module vanishes.
 
-A :class:`PiKey` is a value with int parts, an endpoint of a barcode times
-the barcode's scale: keys add, subtract and compare on brackets carried
-through the arithmetic, with the same exact sign when they overlap.
+Keys: a value with int parts ``a + b*pi`` (an endpoint times its barcode's
+scale) is stored as the one int ``E = a*M + b*P`` of a :class:`PiCode`,
+``P`` the int nearest ``pi*M``.  E is additive, and its sign is the sign of
+``a + b*pi`` whenever ``|b|`` is at most the code's bound ``B``: let ``q``
+be the largest denominator of a continued-fraction convergent of pi with
+``q <= B`` and ``q2`` the next one.  By the best-approximation property of
+convergents (Khinchin, "Continued Fractions", ch. II; Hardy-Wright, ch. X)
+every int ``0 < |b| <= B`` has ``|a + b*pi| >= ||b*pi|| >= ||q*pi|| > 1/(q +
+q2)``, and ``M = B*(q + q2) + 1`` keeps the error ``|b| * |P/M - pi| <=
+B/(2M)`` of ``E/M`` below that, so E is never 0 and never of the wrong sign.
+The convergents are the partial quotients that both ends of a Machin
+bracket share.  ``gcd(M, P) = 1`` and ``M > 2B`` make E invertible: ``b =
+E/P mod M``, taken in ``(-M/2, M/2]``, then ``a = (E - b*P)/M``.  Codes come
+in levels of bound ``2**24``, ``2**48``, ``2**96``, ...; a barcode's
+canonical code (:func:`code_for`) is the least whose bound is ``HEAD``
+times its largest endpoint pi part, and ``PLAIN``, ``E = a``, when every pi
+part is 0, so equal barcodes have equal keys.  A search checks that
+``SPREAD`` times the largest pi part of the keys it compares stays in the
+bound (see :mod:`floerbar.persistence`), and ``encode`` asserts it.
 
-:func:`floerbar.oracles.pi_rational_cmp` keeps the unfiltered route, the
-sign of the difference value through the Machin brackets alone, as the
-oracle the tests compare this order with.
+:func:`floerbar.oracles.pi_rational_cmp` keeps an independent route, the
+sign of the difference value through Machin brackets at doubling
+precision alone, as the oracle the tests compare this order and the keys'
+signs with.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import List, Tuple, Union
 
 from .novikov import format_rational, parse_rational
 
-__all__ = ["PiRational", "PiKey"]
+__all__ = ["PiRational", "PiCode", "PLAIN", "code_for", "key_sign"]
 
 # Binary precision of the first Machin bracket: about 77 decimal digits.
 _MACHIN_START_BITS = 256
@@ -68,53 +79,24 @@ def _machin_bracket(bits: int) -> Tuple[Fraction, Fraction]:
     return Fraction(16 * lo5 - 4 * hi239, one), Fraction(16 * hi5 - 4 * lo239, one)
 
 
-def _compare_with_pi(t: Fraction) -> int:
-    """Return -1 / +1 according to ``t < pi`` / ``t > pi`` (never 0)."""
-    # pi is irrational, so a fine enough bracket excludes every rational
-    bits = _MACHIN_START_BITS
-    while True:
-        low, high = _machin_bracket(bits)
-        if t < low:
-            return -1
-        if t > high:
-            return 1
-        bits *= 2
-
-
-# Each value caches integer bounds on itself times 2**_BRACKET_BITS.
-_BRACKET_BITS = 64
-
-
-def _scaled_pi_bracket() -> Tuple[int, int]:
-    """Integers lo < pi * 2**64 < hi: the first Machin bracket rounded outward."""
-    low, high = _machin_bracket(_MACHIN_START_BITS)
-    return ((low.numerator << _BRACKET_BITS) // low.denominator,
-            -((-high.numerator << _BRACKET_BITS) // high.denominator))
-
-
-_PI_LOW, _PI_HIGH = _scaled_pi_bracket()
-# continued-fraction convergents on either side of pi
-_BELOW_PI = Fraction(333, 106)
-_ABOVE_PI = Fraction(355, 113)
-
-
 def _sign(a: Fraction, b: Fraction) -> int:
-    """Exact sign of ``a + b*pi``."""
-    if not b:
-        return (a > 0) - (a < 0)
-    side = 1 if b > 0 else -1
-    if not a or (a > 0) == (b > 0):
-        return side
-    # a + b*pi = b * (pi - t) with t = -a/b > 0
-    t = -a / b
-    if t < _BELOW_PI:
-        return side
-    if t > _ABOVE_PI:
-        return -side
-    return -side * _compare_with_pi(t)
+    """Exact sign of ``a + b*pi``: of its parts times both denominators."""
+    return key_sign(a.numerator * b.denominator, b.numerator * a.denominator)
 
 
 _NumberLike = Union[int, Fraction, "PiRational"]
+
+
+def _comparison(test):
+    """The rich comparison of a PiRational with a PiRational, an int or a
+    Fraction by ``test`` on the sign of the difference."""
+    def compare(self, other):
+        # PiRational is tested first: Fraction's isinstance check goes
+        # through its abstract base class
+        if not isinstance(other, (PiRational, int, Fraction)):
+            return NotImplemented
+        return test(self._cmp(other), 0)
+    return compare
 
 
 @dataclass(frozen=True)
@@ -133,14 +115,11 @@ class PiRational:
     # a cached_property stores its value in the instance __dict__, which a
     # frozen dataclass leaves writable; neither is a field
     @functools.cached_property
-    def _bracket(self) -> Tuple[int, int]:
-        """Integers ``lo <= (rational + pi_coeff*pi) * 2**64 <= hi``."""
+    def _parts(self) -> Tuple[int, int, int]:
+        """Ints ``(d, a, b)`` with the value ``(a + b*pi)/d``, ``d > 0``."""
         a, b = self.rational, self.pi_coeff
-        den = a.denominator * b.denominator
-        base = (a.numerator * b.denominator) << _BRACKET_BITS
-        scale = b.numerator * a.denominator
-        low, high = (_PI_LOW, _PI_HIGH) if scale >= 0 else (_PI_HIGH, _PI_LOW)
-        return (base + scale * low) // den, -((-base - scale * high) // den)
+        return (a.denominator * b.denominator, a.numerator * b.denominator,
+                b.numerator * a.denominator)
 
     @functools.cached_property
     def _hash(self) -> int:
@@ -212,42 +191,14 @@ class PiRational:
 
     # -- order -------------------------------------------------------------
 
-    # PiRational is tested first: Fraction's isinstance check goes through
-    # its abstract base class
-    @staticmethod
-    def _comparable(other) -> bool:
-        return isinstance(other, (PiRational, int, Fraction))
-
     def _cmp(self, other: _NumberLike) -> int:
         if not isinstance(other, PiRational):
             return _sign(self.rational - other, self.pi_coeff)
-        low, high = self._bracket
-        other_low, other_high = other._bracket
-        if high < other_low:
-            return -1
-        if low > other_high:
-            return 1
-        return _sign(self.rational - other.rational, self.pi_coeff - other.pi_coeff)
+        (d, a, b), (d2, a2, b2) = self._parts, other._parts
+        return key_sign(a * d2 - a2 * d, b * d2 - b2 * d)
 
-    def __lt__(self, other) -> bool:
-        if not self._comparable(other):
-            return NotImplemented
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        if not self._comparable(other):
-            return NotImplemented
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        if not self._comparable(other):
-            return NotImplemented
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        if not self._comparable(other):
-            return NotImplemented
-        return self._cmp(other) >= 0
+    __lt__, __le__, __gt__, __ge__ = map(_comparison, (operator.lt, operator.le, operator.gt,
+                                                       operator.ge))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiRational):
@@ -288,105 +239,92 @@ class PiRational:
     __repr__ = __str__
 
 
-def _key_sign(da: int, db: int) -> int:
-    """Exact sign of ``da + db*pi`` for ints."""
-    return (da > 0) - (da < 0) if not db else _sign(Fraction(da), db)
+class PiCode:
+    """The encoding ``E(a, b) = a*M + b*P`` of ints ``a + b*pi``, exact in
+    sign for ``|b| <= bound``; ``PLAIN`` (``M`` 1, ``P`` 0) encodes ints,
+    ``b`` being 0.  ``least`` is the least pi part whose canonical code
+    (``code_for``) this is."""
+
+    __slots__ = ("M", "P", "inverse", "bound", "least")
+
+    def __init__(self, M: int, P: int, bound: int, least: int) -> None:
+        self.M, self.P, self.bound, self.least = M, P, bound, least
+        self.inverse = pow(P, -1, M) if P else 0
+
+    def encode(self, a: int, b: int) -> int:
+        """The key of ``a + b*pi``, whose pi part leaves room in the bound
+        for the combinations of ``SPREAD`` keys that the searches compare."""
+        assert SPREAD * abs(b) <= self.bound, "pi part past the code's bound"
+        return a * self.M + b * self.P
+
+    def parts(self, e: int) -> Tuple[int, int]:
+        """``(a, b)`` with ``encode(a, b) == e``, ``|b| < M/2``."""
+        b = e * self.inverse % self.M
+        if 2 * b > self.M:
+            b -= self.M
+        return (e - b * self.P) // self.M, b
 
 
-def _new_key(a: int, b: int, lo: int, hi: int, _make=object.__new__) -> "PiKey":
-    key = _make(PiKey)
-    key.a, key.b, key.lo, key.hi = a, b, lo, hi
-    return key
+PLAIN = PiCode(1, 0, 0, 0)
+# The searches compare integer combinations of endpoint keys whose pi parts
+# are at most SPREAD times the largest endpoint's (floerbar.persistence
+# derives it).
+SPREAD = 12
+# Canonical codes leave HEAD / SPREAD of room for the factors that bring two
+# barcodes to a common scale.
+HEAD = 1 << 12
+_FIRST_BOUND = 1 << 24
 
 
-class PiKey:
-    """The value ``a + b*pi`` for ints ``a`` and ``b``: a ``PiRational``
-    endpoint of a barcode times the barcode's scale.
+def _convergents(bits: int) -> List[Tuple[int, int]]:
+    """The continued-fraction convergents ``(p, q)`` of pi that both ends of
+    the Machin bracket at ``bits`` share."""
+    low, high = _machin_bracket(bits)
+    out, (p0, q0), (p1, q1) = [], (0, 1), (1, 0)
+    while low.numerator // low.denominator == high.numerator // high.denominator:
+        a = low.numerator // low.denominator
+        (p0, q0), (p1, q1) = (p1, q1), (a * p1 + p0, a * q1 + q0)
+        out.append((p1, q1))
+        low, high = 1 / (high - a), 1 / (low - a)
+    return out
 
-    Keys add, subtract, negate, scale by ints and divide by ints that divide
-    both parts, and compare exactly with each other and with ints, an int
-    ``n`` being ``n + 0*pi``.  Each carries ints ``lo <= (a + b*pi) * 2**64
-    <= hi``, from the 64-bit bracket of pi when built and carried through
-    the arithmetic, so a comparison takes the exact sign of the difference
-    only when the brackets overlap.  Equal values are equal with equal
-    hashes, an int among them: an int and a key of zero pi part are one
-    number read as a Fraction and as a ``PiRational``, and each keeps its
-    type through the arithmetic as those do.
-    """
 
-    __slots__ = ("a", "b", "lo", "hi")
+@functools.lru_cache(maxsize=None)
+def _level_code(level: int) -> PiCode:
+    """The code of bound ``2**(24 * 2**(level - 1))``, ``M`` and ``P`` as
+    the module docstring derives them."""
+    bound = _FIRST_BOUND ** (1 << (level - 1))
+    bits = _MACHIN_START_BITS
+    while not any(q > bound for _p, q in _convergents(bits)):
+        bits *= 2
+    dens = [q for _p, q in _convergents(bits)]
+    k = sum(q <= bound for q in dens)  # dens[k - 1] <= bound < dens[k]
+    M = bound * (dens[k - 1] + dens[k]) + 1
+    while True:
+        low, high = _machin_bracket(bits)
+        P = round(low * M)
+        if P != round(high * M):
+            bits *= 2
+        elif math.gcd(M, P) != 1:
+            M += 1
+        else:
+            return PiCode(M, P, bound, (_FIRST_BOUND ** (1 << (level - 2)) // HEAD + 1)
+                          if level > 1 else 1)
 
-    def __init__(self, a: int, b: int) -> None:
-        low, high = (_PI_LOW, _PI_HIGH) if b >= 0 else (_PI_HIGH, _PI_LOW)
-        self.a, self.b = a, b
-        self.lo, self.hi = (a << _BRACKET_BITS) + b * low, (a << _BRACKET_BITS) + b * high
 
-    def value(self, scale: int) -> PiRational:
-        """The key divided by ``scale``."""
-        return PiRational(Fraction(self.a, scale), Fraction(self.b, scale))
+def code_for(beta: int, head: int = HEAD) -> PiCode:
+    """The least code whose bound holds ``head`` times the pi part ``beta``;
+    of a barcode whose endpoint keys have pi parts at most ``beta``, its
+    canonical code."""
+    if not beta:
+        return PLAIN
+    level, bound = 1, _FIRST_BOUND
+    while beta * head > bound:
+        level, bound = level + 1, bound * bound
+    return _level_code(level)
 
-    def __add__(self, o) -> "PiKey":
-        if type(o) is int:
-            x = o << _BRACKET_BITS
-            return _new_key(self.a + o, self.b, self.lo + x, self.hi + x)
-        return _new_key(self.a + o.a, self.b + o.b, self.lo + o.lo, self.hi + o.hi)
 
-    __radd__ = __add__
-
-    def __sub__(self, o) -> "PiKey":
-        if type(o) is int:
-            x = o << _BRACKET_BITS
-            return _new_key(self.a - o, self.b, self.lo - x, self.hi - x)
-        return _new_key(self.a - o.a, self.b - o.b, self.lo - o.hi, self.hi - o.lo)
-
-    def __rsub__(self, o: int) -> "PiKey":
-        x = o << _BRACKET_BITS
-        return _new_key(o - self.a, -self.b, x - self.hi, x - self.lo)
-
-    def __neg__(self) -> "PiKey":
-        return _new_key(-self.a, -self.b, -self.hi, -self.lo)
-
-    def __mul__(self, n: int) -> "PiKey":
-        lo, hi = (self.lo, self.hi) if n >= 0 else (self.hi, self.lo)
-        return _new_key(n * self.a, n * self.b, n * lo, n * hi)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, n: int) -> "PiKey":
-        return _new_key(self.a // n, self.b // n, self.lo // n, -(-self.hi // n))
-
-    def __abs__(self) -> "PiKey":
-        return self if self.lo >= 0 or self.hi > 0 and _key_sign(self.a, self.b) >= 0 else -self
-
-    def __bool__(self) -> bool:
-        return bool(self.a or self.b)
-
-    def _cmp(self, o) -> int:
-        if type(o) is int:
-            x = o << _BRACKET_BITS
-            return -1 if self.hi < x else 1 if self.lo > x else _key_sign(self.a - o, self.b)
-        return -1 if self.hi < o.lo else 1 if self.lo > o.hi else \
-            _key_sign(self.a - o.a, self.b - o.b)
-
-    def __lt__(self, o) -> bool:
-        return self._cmp(o) < 0
-
-    def __le__(self, o) -> bool:
-        return self._cmp(o) <= 0
-
-    def __gt__(self, o) -> bool:
-        return self._cmp(o) > 0
-
-    def __ge__(self, o) -> bool:
-        return self._cmp(o) >= 0
-
-    def __eq__(self, o) -> bool:
-        if type(o) is int:
-            return not self.b and self.a == o
-        return type(o) is PiKey and self.a == o.a and self.b == o.b
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b)) if self.b else hash(self.a)
-
-    def __repr__(self) -> str:
-        return f"PiKey({self.a}, {self.b})"
+def key_sign(a: int, b: int) -> int:
+    """Exact sign of ``a + b*pi`` for ints."""
+    e = code_for(abs(b), SPREAD).encode(a, b)
+    return (e > 0) - (e < 0)

@@ -48,7 +48,7 @@ class SpecMismatchError(ValueError):
 # every string the pattern takes reads the same through ``Fraction(text)``.
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # The exponent of a decimal string, as ``Fraction(text)`` reads it.
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
 
 
 def _max_digits() -> int:
@@ -102,7 +102,11 @@ def parse_ratio(text: Union[str, int]) -> Tuple[int, int]:
 
 
 def _parse_other(text: str) -> Fraction:
-    """``Fraction(text.strip())``, refused past the digit limit."""
+    """``Fraction(text.strip())``, refused past the digit limit.  Digit-group
+    underscores are refused as Python 3.10 refuses them: later versions of
+    ``Fraction`` read ``"1_000"`` as 1000."""
+    if "_" in text:
+        raise ValueError(f"Invalid literal for Fraction: {text.strip()!r}")
     limit = _max_digits()
     exponent = _EXPONENT.search(text)
     # a mantissa of at most len(text) digits undoes at most that many of the

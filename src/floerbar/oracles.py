@@ -60,8 +60,11 @@ both run it; neither has samplers or predicates of its own.
   barcode once; ``rank_prescriptions`` lists the rank prescriptions the two
   are compared on.
 * ``pi_rational_cmp`` takes the sign of a difference of values of Q + Q*pi
-  through Machin brackets of pi alone, where ``PiRational`` compares cached
-  integer brackets first.
+  through Machin brackets of pi alone, where ``PiRational`` and the
+  barcode keys take the sign of an int encoding ``a*M + b*P`` from the
+  convergents of pi (:mod:`floerbar.exactpi`); the property
+  ``pi-encoding-agreement`` compares the two on random differences and on
+  the neighbours of every convergent up to each code's bound.
 * ``power_loop_hypotheses`` multiplies out the powers of a ring element one
   by one, where :func:`floerbar.seidel.verify_hypotheses` solves for them in
   closed form.
@@ -97,12 +100,14 @@ from .diagrams import (SPHERE_ACTION_STEP, SPHERE_DEGREE_STEP, DiagramError,
                        _validated_geometry, annulus_example_areas, build_complex, diagram_beta,
                        diagram_gamma, enumerate_lunes, equator_pair_annulus, relabel_diagram,
                        sphere_spec, validate_diagram)
-from .exactpi import PiRational, _compare_with_pi
+from .exactpi import (_MACHIN_START_BITS, SPREAD, PiRational, _convergents, _level_code,
+                      _machin_bracket, code_for)
 from .f2 import Echelon
 from .novikov import (LagrangianParams, NovikovScalar, NovikovSpec, format_rational, parse_int,
                       parse_rational)
 from .persistence import (INF, Bar, Barcode, _abs, _coverable, _degree_groups, _feasible_at,
-                          _halve, _infinite_mismatch, _least_feasible, _matchable_pairs, _rank,
+                          _halve, _infinite_mismatch, _least_feasible, _matchable_pairs, _pair,
+                          _rank,
                           _ShiftCandidates, _transposed, bar_length_spectrum,
                           bar_length_spectrum_json, bottleneck_distance, boundary_depth,
                           brute_force_bottleneck, shift_barcode, shifted_bottleneck)
@@ -1088,6 +1093,19 @@ def brute_force_feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[in
 # ---------------------------------------------------------------------------
 
 
+def _compare_with_pi(t: Fraction) -> int:
+    """Return -1 / +1 according to ``t < pi`` / ``t > pi`` (never 0)."""
+    # pi is irrational, so a fine enough bracket excludes every rational
+    bits = _MACHIN_START_BITS
+    while True:
+        low, high = _machin_bracket(bits)
+        if t < low:
+            return -1
+        if t > high:
+            return 1
+        bits *= 2
+
+
 def pi_rational_cmp(x, y) -> int:
     """-1, 0 or 1 as ``x <, ==, > y`` for ints, Fractions and PiRationals:
     the difference ``a + b*pi`` is built, and for ``b != 0`` the rational
@@ -1099,6 +1117,55 @@ def pi_rational_cmp(x, y) -> int:
     # a + b*pi > 0  <=>  pi > -a/b when b > 0, and pi < -a/b when b < 0
     side = _compare_with_pi(-a / b)
     return -side if b > 0 else side
+
+
+def _encoding_cases(rng: random.Random, n: int):
+    """For each of the first three codes, every convergent ``p/q`` of pi with
+    ``q`` up to the code's bound B, as ``(code, a, b)`` for ``a - q*pi`` and
+    its negation, ``a`` each of ``p - 1``, ``p`` and ``p + 1``; then ``n``
+    drawn pairs of values whose difference is keyed, every third a near tie
+    ``x + eps*(pi - c)`` for a convergent ``c`` and ``eps`` below 2**-20."""
+    for level in (1, 2, 3):
+        code, bits = _level_code(level), 256
+        while max(q for _p, q in _convergents(bits)) <= code.bound:
+            bits *= 2
+        for p, q in _convergents(bits):
+            for a in (p - 1, p, p + 1):
+                if q <= code.bound:
+                    yield code, a, -q
+                    yield code, -a, q
+
+    def value():
+        return PiRational(_random_fraction(rng, -5, 5),
+                          _random_fraction(rng, -5, 5) if rng.random() < 0.7 else 0)
+
+    for i in range(n):
+        x = value()
+        if i % 3:
+            yield x, value()
+        else:
+            c = rng.choice((Fraction(355, 113), Fraction(103993, 33102)))
+            eps = Fraction(rng.choice((-1, 1)) * rng.randint(1, 999), 2 ** rng.randint(20, 90))
+            yield x, PiRational(x.rational - eps * c, x.pi_coeff + eps)
+
+
+def _encoding_agrees(*case) -> bool:
+    """``(code, a, b)``: the sign of ``a*M + b*P`` is that of ``a + b*pi``,
+    for ``|b|`` up to the bound itself.  ``(x, y)``: the keys of ``x`` and
+    ``y`` over their least common scale in the least code that holds their
+    pi parts times ``SPREAD`` differ by a key of the sign of ``x - y`` and
+    the parts of ``x - y``."""
+    if len(case) == 3:
+        code, a, b = case
+        e = a * code.M + b * code.P
+        return (e > 0) - (e < 0) == pi_rational_cmp(PiRational(a, b), 0)
+    x, y = case
+    scale = math.lcm(x.rational.denominator, x.pi_coeff.denominator, y.rational.denominator,
+                     y.pi_coeff.denominator)
+    (ax, bx), (ay, by) = _pair(x, scale), _pair(y, scale)
+    code = code_for(max(abs(bx), abs(by)), SPREAD)
+    e = code.encode(ax, bx) - code.encode(ay, by)
+    return (e > 0) - (e < 0) == pi_rational_cmp(x, y) and code.parts(e) == (ax - ay, bx - by)
 
 
 # ---------------------------------------------------------------------------
@@ -1813,4 +1880,5 @@ PROPERTIES = (
     Property("barcode-key-agreement", _key_cases, _keys_agree),
     Property("complex-key-agreement", _complex_key_cases, _complex_keys_agree),
     Property("diagram-complex-agreement", _diagram_complex_cases, _diagram_complexes_agree),
+    Property("pi-encoding-agreement", _encoding_cases, _encoding_agrees),
 )

@@ -3,11 +3,11 @@
 A barcode is a finite multiset of degree-labelled half-open intervals
 ``(left, right]`` (finite) or ``(left, +inf)``.  Endpoints are exact numbers:
 rationals, or rational-plus-pi values from :mod:`floerbar.exactpi`.  Every
-barcode is stored as rows ``(degree, left, right, mult)`` of keys, its
-endpoints times the least scale that makes their parts ints: an int for a
-Fraction, a :class:`~floerbar.exactpi.PiKey` pair of ints for a
-``PiRational``.  The rows are sorted on the keys, and the ``Bar``s are built
-once, when first read, each endpoint of the type it was given.
+barcode is stored as rows ``(degree, left, right, mult)`` of int keys: its
+endpoints times the least scale that makes their parts ``a + b*pi`` ints,
+encoded as one int each by a :class:`~floerbar.exactpi.PiCode`, plain ``a``
+when every ``b`` is 0.  The rows are sorted on the keys, and the ``Bar``s
+are built once, when first read, each endpoint of the type it was given.
 
 The bottleneck distance is the least tolerance ``delta`` at which, after
 deleting bars of length ``<= 2*delta``, the rest biject so that matched
@@ -22,6 +22,20 @@ theorem.
 The shift-quotient metric minimises the bottleneck distance over global
 translations of one barcode (``_optimal_shift``), on the same keys.
 
+The searches compare keys as ints, which decides every comparison exactly
+while the pi parts compared stay in the code's bound (see
+:mod:`floerbar.exactpi`).  With ``beta`` bounding the pi parts of the
+endpoint keys a search runs on: an endpoint difference or a bar length has
+at most ``2*beta``, half a length ``beta``; ``_window_search``,
+``_first_cost``, ``from_ranks`` and ``least_depth`` compare two of those
+(``4*beta``); ``_optimal_shift`` compares spreads ``top - bottom`` with each
+other and with ``top - span`` (``8*beta``); and ``_ShiftCandidates``
+bisects ``2*t - x`` for a start ``t = top - span/2`` against a difference
+(``12*beta``).  So ``_common_code`` keeps ``SPREAD = 12`` times ``beta`` in
+the bound, and ``PiCode.encode`` asserts it.  The fourfold probes of
+``_window_search`` are ints that the search only cuts the sorted costs at,
+so their pi parts need no bound.
+
 The exhaustive matcher ``brute_force_bottleneck`` is defined here and
 re-exported by :mod:`floerbar.oracles`, which holds the other oracles.
 """
@@ -32,11 +46,12 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .exactpi import PiKey, PiRational
+from .exactpi import HEAD, PLAIN, SPREAD, PiCode, PiRational, code_for
 from .matching import CoverMatching
 from .novikov import format_rational, parse_int, parse_ratio
 
@@ -204,11 +219,27 @@ def _part_to_json(key: int, scale: int) -> str:
     return str(key // g) if g == scale else f"{key // g}/{scale // g}"
 
 
-def _key_to_json(key, scale: int):
-    """An endpoint key over ``scale`` as the JSON of what it reads back as."""
-    if type(key) is int:
-        return _part_to_json(key, scale)
-    return [_part_to_json(key.a, scale), _part_to_json(key.b, scale)]
+class _PiInt(int):
+    """An int key that reads back as a PiRational.  It equals, and hashes
+    like, the plain int key of a Fraction of the same value; arithmetic on
+    it gives plain ints."""
+
+    __slots__ = ()
+
+
+def _typed(key: int, *of: int) -> int:
+    """``key``, a ``_PiInt`` when one of the keys ``of`` it is made from is."""
+    return _PiInt(key) if _PiInt in map(type, of) else key
+
+
+def _key_to_json(key: int, scale: int, code: PiCode = PLAIN):
+    """An endpoint key over ``scale`` as the JSON of what it reads back as:
+    a PiRational's pair for a ``_PiInt``, else a Fraction's string, whose
+    key is its rational part times ``M``."""
+    if type(key) is not _PiInt:
+        return _part_to_json(key // code.M if code.bound else key, scale)
+    a, b = code.parts(key)
+    return [_part_to_json(a, scale), _part_to_json(b, scale)]
 
 
 def _endpoint_from_json(data):
@@ -227,33 +258,55 @@ def _denominators(x) -> Tuple[int, ...]:
     return (x.denominator,)
 
 
-def _key(x, scale: int):
-    """An endpoint times ``scale``: an int for a rational (a Fraction, or
-    parsed as ``(numerator, denominator)``), a PiKey for a PiRational; None
-    for ``INF``."""
-    if x is INF:
-        return None
+def _key(x, scale: int) -> int:
+    """A rational times ``scale``: a Fraction, or parsed as ``(numerator,
+    denominator)``."""
     if type(x) is tuple:
         return x[0] * (scale // x[1])
-    if type(x) is PiRational:
-        return PiKey(_key(x.rational, scale), _key(x.pi_coeff, scale))
     return x.numerator * (scale // x.denominator)
 
 
-def _value(key, scale: int):
-    """What a key over ``scale`` reads back as: a Fraction for an int, a
-    PiRational for a PiKey."""
-    return Fraction(key, scale) if type(key) is int else key.value(scale)
+def _pair(x, scale: int) -> Tuple[int, int]:
+    """An endpoint times ``scale`` as its rational and pi parts, ints: a
+    PiRational, or a rational as ``_key`` reads it."""
+    if type(x) is PiRational:
+        return _key(x.rational, scale), _key(x.pi_coeff, scale)
+    return _key(x, scale), 0
 
 
-def _parts(key) -> Tuple[int, ...]:
-    """The ints of a key: an int itself, a PiKey's two parts."""
-    return (key,) if type(key) is int else (key.a, key.b)
+def _value(key: int, scale: int, code: PiCode = PLAIN):
+    """What a key over ``scale`` reads back as: a PiRational for a
+    ``_PiInt``, else a Fraction, whose key is its rational part times ``M``."""
+    if type(key) is not _PiInt:
+        return Fraction(key // code.M if code.bound else key, scale)
+    a, b = code.parts(key)
+    return PiRational(Fraction(a, scale), Fraction(b, scale))
 
 
 def _row_order(row):
     """Canonical order of ``(degree, left, right, ...)``: infinite last."""
     return row[0], row[1], row[2] is None, row[2]
+
+
+def _keyed(items: List[Tuple]) -> Tuple[int, PiCode, List[Tuple]]:
+    """The least scale, canonical code and key rows of ``(degree, left,
+    right, mult)`` items, each endpoint one that ``_pair`` reads, the key of
+    a PiRational a ``_PiInt``."""
+    scale = math.lcm(*(d for item in items for x in item[1:3] if x is not None
+                       for d in _denominators(x)))
+    code = code_for(max((abs(_key(x.pi_coeff, scale)) for item in items for x in item[1:3]
+                         if type(x) is PiRational), default=0))
+    M = code.M  # a rational endpoint's key is its rational part times M
+    return scale, code, [
+        (d, _PiInt(code.encode(*_pair(l, scale))) if type(l) is PiRational else _key(l, scale) * M,
+         None if r is None else _PiInt(code.encode(*_pair(r, scale))) if type(r) is PiRational
+         else _key(r, scale) * M, m) for d, l, r, m in items]
+
+
+def _recode(key: int, src: PiCode, dst: PiCode) -> int:
+    """A key of the code ``src`` in the code ``dst``, of its type."""
+    return key if src is dst else _typed(
+        key * dst.M if src is PLAIN else dst.encode(*src.parts(key)), key)
 
 
 class _RankedBars:
@@ -262,9 +315,9 @@ class _RankedBars:
     ``k`` picked ``n > 1`` times, for each ``(k, n)`` in ``repeats``.  Their
     bars are the table's, decoded together the first time a pick reads its
     bars, and each repeated rank's, made from its table bar.  A pick over
-    the table's scale holds the row objects of ``rows`` themselves and finds
-    their bars by identity; any other pick finds them by value, its rows
-    brought back to the table's scale."""
+    the table's scale and code holds the row objects of ``rows`` themselves
+    and finds their bars by identity; any other pick finds them by value,
+    its rows brought back to the table's scale and code."""
 
     __slots__ = ("ranked", "rows", "repeats", "_bars", "_by_id", "_by_value")
 
@@ -277,12 +330,13 @@ class _RankedBars:
             bars = self.ranked.bars
             self._bars = bars + tuple(replace(bars[k], multiplicity=n) for k, n in self.repeats)
             self._by_id = {id(row): bar for row, bar in zip(self.rows, self._bars)}
-        f = self.ranked.scale // pick.scale
-        if f == 1:
+        f, src, dst = self.ranked.scale // pick.scale, pick.code, self.ranked.code
+        if f == 1 and src is dst:
             return tuple(map(self._by_id.__getitem__, map(id, pick.rows)))
         if self._by_value is None:
             self._by_value = dict(zip(self.rows, self._bars))
-        return tuple(self._by_value[d, l * f, None if r is None else r * f, m]
+        return tuple(self._by_value[d, _recode(l, src, dst) * f,
+                                    None if r is None else _recode(r, src, dst) * f, m]
                      for d, l, r, m in pick.rows)
 
 
@@ -290,89 +344,93 @@ class Barcode:
     """Canonical multiset of bars: sorted by (degree, left, right), merged.
 
     ``scale`` is the least positive int that makes every endpoint times it
-    a key: an int for a Fraction, a :class:`~floerbar.exactpi.PiKey` of two
-    ints for a ``PiRational``.
-    ``rows`` holds ``(degree, left, right, mult)`` of those keys in
-    canonical order (``right`` None for an infinite bar), and equality and
-    hashing go by them, that is by value.  ``bars`` is read out on first
-    read, each endpoint of the type it was given: a barcode built from bars
-    keeps them (of equal bars the first given), a pick of
-    :meth:`from_ranks` reads its bars out of its table's, which all its
-    picks share, and any other barcode decodes its rows.  The boundary
-    depth's key is taken once per barcode, or handed over by
-    :meth:`from_ranks`.
+    a value ``a + b*pi`` of int parts, a Fraction's ``b`` being 0, and
+    ``code`` the canonical :class:`~floerbar.exactpi.PiCode` of those parts:
+    ``PLAIN`` when every ``b`` is 0.  ``rows`` holds ``(degree, left, right,
+    mult)`` of their int keys ``code.encode(a, b)`` in canonical order
+    (``right`` None for an infinite bar), the key of an endpoint that reads
+    back as a PiRational a ``_PiInt``, and equality and hashing go by scale,
+    code and rows, that is by value.  ``bars`` is read out on first read,
+    each endpoint of the type it was given: a barcode built from bars keeps
+    them (of equal bars the first given), a pick of :meth:`from_ranks` reads
+    its bars out of its table's, which all its picks share, and any other
+    barcode decodes its rows.  The boundary depth's key is taken once per
+    barcode, or handed over by :meth:`from_ranks`.
     """
 
     # ``_bars``: the bars once read; before, None, or for a pick of
     # ``from_ranks`` the ``_RankedBars`` it reads them from
-    __slots__ = ("rows", "scale", "_bars", "_depth")
+    __slots__ = ("rows", "scale", "code", "_bars", "_depth")
 
     def __init__(self, bars: Iterable[Bar] = ()) -> None:
         bars = list(bars)
-        # Fractions are reduced, so the lcm of their denominators is the least
-        scale = math.lcm(*(d for bar in bars for x in (bar.left, bar.right) if x is not INF
-                           for d in _denominators(x)))
+        scale, code, keys = _keyed([(bar.degree, bar.left, None if bar.is_infinite else bar.right,
+                                     bar.multiplicity) for bar in bars])
         merged = {}
-        for bar in bars:
-            key = (bar.degree, _key(bar.left, scale), _key(bar.right, scale))
-            prev = merged.get(key)
+        for bar, (d, l, r, _m) in zip(bars, keys):
+            prev = merged.get((d, l, r))
             # a bar whose multiplicity the merge leaves alone is kept as given
-            merged[key] = bar if prev is None else Bar(
+            merged[d, l, r] = bar if prev is None else Bar(
                 prev.left, prev.right, prev.degree, prev.multiplicity + bar.multiplicity)
         order = sorted(merged.items(), key=lambda item: _row_order(item[0]))
         self.rows = tuple((*key, bar.multiplicity) for key, bar in order)
-        self.scale, self._bars = scale, tuple(bar for _key, bar in order)
+        self.scale, self.code, self._bars = scale, code, tuple(bar for _key, bar in order)
         self._depth = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[Tuple], scale: int) -> "Barcode":
         """The barcode of int rows ``(degree, left, right, mult)`` over
-        ``scale``, in any order and with repeats.  Trusted: merged, sorted and
-        brought to the least scale, never checked."""
+        ``scale``, in any order and with repeats, each endpoint a Fraction.
+        Trusted: merged, sorted and brought to the least scale, never
+        checked."""
         rows = list(rows)
         g = math.gcd(scale, *(x for row in rows for x in row[1:3] if x is not None))
         return cls._least(((d, l // g, None if r is None else r // g, m)
                            for d, l, r, m in rows), scale // g)
 
     @classmethod
-    def _least(cls, rows: Iterable[Tuple], scale: int) -> "Barcode":
-        """``from_rows`` of rows already over their least scale; of equal
-        rows the first keeps its keys."""
+    def _least(cls, rows: Iterable[Tuple], scale: int, code: PiCode = PLAIN) -> "Barcode":
+        """``from_rows`` of rows already over their least scale and in their
+        canonical code; of equal rows the first keeps its keys."""
         merged = {}
         for d, l, r, m in rows:
             merged[d, l, r] = merged.get((d, l, r), 0) + m
         return cls._sorted(tuple((*key, merged[key]) for key in sorted(merged, key=_row_order)),
-                           scale)
+                           scale, code)
 
     @classmethod
-    def _sorted(cls, rows: Tuple[Tuple, ...], scale: int) -> "Barcode":
+    def _sorted(cls, rows: Tuple[Tuple, ...], scale: int, code: PiCode = PLAIN) -> "Barcode":
         """The barcode of distinct rows in canonical order over their least
-        scale.  Trusted: nothing is checked."""
+        scale and in their canonical code.  Trusted: nothing is checked."""
         out = object.__new__(cls)
-        out.rows, out.scale, out._bars, out._depth = rows, scale, None, None
+        out.rows, out.scale, out.code, out._bars, out._depth = rows, scale, code, None, None
         return out
 
     @classmethod
     def from_ranks(cls, ranked: "Barcode", picks: Iterable[Sequence[int]]) -> List["Barcode"]:
         """For each sorted ``ranks`` in ``picks``, the barcode of the rows
         ``ranked.rows[k]`` for ``k`` in ``ranks``, a repeated rank giving a
-        multiplicity, over its least scale.  A pick holds only its rows and
-        the table all picks share: it reads its bars, the first time they
-        are asked for, out of ``ranked.bars``, decoded once for all picks,
-        and its depth key comes from ``ranked``'s row lengths, each taken
-        once per call.  Trusted:
+        multiplicity, over its least scale and in its canonical code.  A pick
+        holds only its rows and the table all picks share: it reads its
+        bars, the first time they are asked for, out of ``ranked.bars``,
+        decoded once for all picks, and its depth key comes from
+        ``ranked``'s row lengths, each taken once per call.  Trusted:
         ``ranked`` has distinct rows of multiplicity one; nothing is
         checked."""
-        rows, scale = ranked.rows, ranked.scale
+        rows, scale, code = ranked.rows, ranked.scale, ranked.code
         # ``gcds[k]``: the gcd of ``scale`` and the key parts of row k; a
-        # pick's least scale is ``scale`` over the gcd of its rows' ``gcds``
-        gcds = [math.gcd(scale, *(p for x in row[1:3] if x is not None for p in _parts(x)))
-                for row in rows]
+        # pick's least scale is ``scale`` over the gcd of its rows' ``gcds``.
+        # ``betas[k]``: the largest pi part of row k; a pick whose largest
+        # over its least scale falls below ``code.least`` takes a lower code
+        parts = [[p for x in row[1:3] if x is not None for p in code.parts(x)] for row in rows] \
+            if code.bound else [row[1:3] if row[2] is not None else row[1:2] for row in rows]
+        gcds = [math.gcd(scale, *row) for row in parts]
+        betas = [max(map(abs, row[1::2])) for row in parts] if code.bound else ()
         # ``lengths`` of the finite rows in increasing order, and ``place[k]``
         # the index of row k's length there (-1 for an infinite row): a
         # pick's depth key is the length at its rows' greatest place
-        finite = sorted(((r - l, k) for k, (_d, l, r, _m) in enumerate(rows) if r is not None),
-                        key=lambda item: item[0])
+        finite = sorted(((_typed(r - l, l, r), k) for k, (_d, l, r, _m) in enumerate(rows)
+                         if r is not None), key=lambda item: item[0])
         lengths = [length for length, _k in finite]
         place = [-1] * len(rows)
         for p, (_length, k) in enumerate(finite):
@@ -391,7 +449,10 @@ class Barcode:
                 table.repeats.append((k, n))
             return repeated[k, n]
 
-        out = []
+        out, new, row_at, gcd_at, place_at, beta_at = \
+            [], object.__new__, rows.__getitem__, gcds.__getitem__, place.__getitem__, \
+            betas.__getitem__
+        least = code.least
         for ranks in picks:
             counts = dict.fromkeys(ranks, 0)  # in canonical order, as ranks is sorted
             if len(counts) == len(ranks):
@@ -400,15 +461,21 @@ class Barcode:
                 for k in ranks:
                     counts[k] += 1
                 picked = [k if n == 1 else repeat(k, n) for k, n in counts.items()]
-            g = math.gcd(scale, *map(gcds.__getitem__, counts))
-            top = max(map(place.__getitem__, counts), default=-1)
-            barcode = object.__new__(cls)
-            barcode.rows = tuple(map(rows.__getitem__, picked)) if g == 1 else tuple(
-                (d, l // g, None if r is None else r // g, m)
-                for d, l, r, m in map(rows.__getitem__, picked))
-            barcode.scale = scale // g
-            barcode._bars = table
-            barcode._depth = 0 if top < 0 else lengths[top] if g == 1 else lengths[top] // g
+            g = math.gcd(scale, *map(gcd_at, counts))
+            top = max(map(place_at, counts), default=-1)
+            barcode = new(cls)
+            barcode.rows = tuple(map(row_at, picked)) if g == 1 else tuple(
+                (d, _typed(l // g, l), None if r is None else _typed(r // g, r), m)
+                for d, l, r, m in map(row_at, picked))
+            barcode.scale, barcode.code, barcode._bars = scale // g, code, table
+            barcode._depth = 0 if top < 0 else lengths[top] if g == 1 else \
+                _typed(lengths[top] // g, lengths[top])
+            if least and max(map(beta_at, counts)) < least * g:
+                barcode.code = dst = code_for(max(map(beta_at, counts)) // g)
+                barcode.rows = tuple((d, _recode(l, code, dst),
+                                      None if r is None else _recode(r, code, dst), m)
+                                     for d, l, r, m in barcode.rows)
+                barcode._depth = _recode(barcode._depth, code, dst)
             out.append(barcode)
         return out
 
@@ -416,9 +483,9 @@ class Barcode:
     def bars(self) -> Tuple[Bar, ...]:
         bars = self._bars
         if bars is None:
-            s = self.scale
-            bars = self._bars = tuple(Bar(_value(l, s), INF if r is None else _value(r, s), d, m)
-                                      for d, l, r, m in self.rows)
+            s, code = self.scale, self.code
+            bars = self._bars = tuple(Bar(_value(l, s, code), INF if r is None else
+                                          _value(r, s, code), d, m) for d, l, r, m in self.rows)
         elif type(bars) is _RankedBars:
             bars = self._bars = bars.read(self)
         return bars
@@ -430,7 +497,8 @@ class Barcode:
         return sum(row[3] for row in self.rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Barcode) and self.scale == other.scale and self.rows == other.rows
+        return isinstance(other, Barcode) and self.scale == other.scale and \
+            self.code is other.code and self.rows == other.rows
 
     def __hash__(self) -> int:
         return hash(self.rows)
@@ -459,9 +527,9 @@ class Barcode:
         return [b for b in self.expand() if b.is_infinite]
 
     def to_json(self) -> dict:
-        s = self.scale
-        return {"bars": [{"left": _key_to_json(l, s),
-                          "right": "inf" if r is None else _key_to_json(r, s),
+        s, code = self.scale, self.code
+        return {"bars": [{"left": _key_to_json(l, s, code),
+                          "right": "inf" if r is None else _key_to_json(r, s, code),
                           "degree": d, "mult": m} for d, l, r, m in self.rows]}
 
     @classmethod
@@ -485,10 +553,8 @@ class Barcode:
                     else _exact(left) < _exact(right)):
                 raise ValueError(f"empty bar ({_exact(left)}, {_exact(right)}]")
             rows.append(row)
-        scale = math.lcm(*(d for row in rows for x in row[1:3] if x is not None
-                           for d in _denominators(x)))
-        return cls._least(((d, _key(l, scale), None if r is None else _key(r, scale), m)
-                           for d, l, r, m in rows), scale)
+        scale, code, keys = _keyed(rows)
+        return cls._least(keys, scale, code)
 
 
 def _exact(x):
@@ -497,42 +563,62 @@ def _exact(x):
     return Fraction(*x) if type(x) is tuple else x
 
 
-def _depth_key(barcode: Barcode):
-    """The boundary depth times the barcode's scale, taken once per barcode."""
+def _depth_key(barcode: Barcode) -> int:
+    """The boundary depth times the barcode's scale, of the type of the
+    first longest row's length; taken once per barcode."""
     key = barcode._depth
     if key is None:
-        key = barcode._depth = max((r - l for _d, l, r, _m in barcode.rows if r is not None),
-                                   default=0)
+        key = barcode._depth = max((r - l if type(l) is type(r) is int else _typed(r - l, l, r)
+                                    for _d, l, r, _m in barcode.rows if r is not None), default=0)
     return key
 
 
 def boundary_depth(barcode: Barcode):
     """Maximal length of a finite bar; 0 when there is none."""
-    return _value(_depth_key(barcode), barcode.scale)
+    return _value(_depth_key(barcode), barcode.scale, barcode.code)
 
 
 def least_depth(barcodes: Iterable[Barcode]):
     """``min(boundary_depth(bc) for bc in barcodes)``, of the same value and
     type, found on keys: each depth key is brought to the lcm of the scales
-    and only the least is read out.  No barcodes raise ValueError."""
-    depths = [(_depth_key(bc), bc.scale) for bc in barcodes]
-    if not depths:
+    in one code and only the least is read out.  No barcodes raise
+    ValueError."""
+    barcodes = list(barcodes)
+    if not barcodes:
         raise ValueError("least_depth of no barcodes")
-    scale = math.lcm(*(s for _key, s in depths))
-    return _value(min(key if s == scale else key * (scale // s) for key, s in depths), scale)
+    depths = [_depth_key(bc) for bc in barcodes]
+    scale = math.lcm(*(bc.scale for bc in barcodes))
+    code = _common_code([(bc, scale // bc.scale) for bc in barcodes])
+    keys = [_recode(key, bc.code, code) * (scale // bc.scale) for bc, key in zip(barcodes, depths)]
+    k = min(range(len(keys)), key=keys.__getitem__)
+    return _value(_typed(keys[k], depths[k]), scale, code)
+
+
+def _common_code(items: Sequence[Tuple[Barcode, int]]) -> PiCode:
+    """A code whose bound holds ``SPREAD`` times the pi parts of the keys of
+    each ``(barcode, factor)`` times the factor: the largest of the
+    barcodes' canonical codes for factors up to ``HEAD // SPREAD``."""
+    code = max({bc.code for bc, _f in items}, key=operator.attrgetter("bound"))
+    if not code.bound:
+        return code  # no key has a pi part
+    big = [(bc, f) for bc, f in items if f > HEAD // SPREAD and bc.code.bound]
+    beta = max((abs(bc.code.parts(x)[1]) * f for bc, f in big
+                for row in bc.rows for x in row[1:3] if x is not None), default=0)
+    return code_for(beta, SPREAD) if beta * SPREAD > code.bound else code
 
 
 def _length_keys(barcode: Barcode) -> Tuple[List, int]:
     """The finite bar lengths times the scale, in increasing order, and the
     number of infinite bars."""
-    finite = sorted(r - l for _d, l, r, m in barcode.rows if r is not None for _ in range(m))
+    finite = sorted(r - l if type(l) is type(r) is int else _typed(r - l, l, r)
+                    for _d, l, r, m in barcode.rows if r is not None for _ in range(m))
     return finite, sum(m for _d, _l, r, m in barcode.rows if r is None)
 
 
 def bar_length_spectrum(barcode: Barcode) -> Tuple:
     """Finite bar lengths in increasing order, then one ``INF`` per infinite bar."""
     finite, infinite = _length_keys(barcode)
-    return tuple(_value(n, barcode.scale) for n in finite) + (INF,) * infinite
+    return tuple(_value(n, barcode.scale, barcode.code) for n in finite) + (INF,) * infinite
 
 
 def bar_length_spectrum_json(barcode: Barcode) -> List:
@@ -540,7 +626,7 @@ def bar_length_spectrum_json(barcode: Barcode) -> List:
     finite length as its endpoints are written, then ``"inf"`` per infinite
     bar."""
     finite, infinite = _length_keys(barcode)
-    return [_key_to_json(n, barcode.scale) for n in finite] + ["inf"] * infinite
+    return [_key_to_json(n, barcode.scale, barcode.code) for n in finite] + ["inf"] * infinite
 
 
 def shift_barcode(barcode: Barcode, c) -> Barcode:
@@ -562,11 +648,12 @@ def collapse_degrees(barcode: Barcode, modulus: int) -> Barcode:
 # ---------------------------------------------------------------------------
 
 
-def _expanded(b1: Barcode, b2: Barcode) -> Tuple[int, List[Tuple], List[Tuple]]:
-    """``(scale, rows1, rows2)``: the bars of both barcodes, repeated by
-    multiplicity, as ``(degree, left, right, length)`` keys over ``scale``,
-    twice the common scale, so that every key and difference of keys halves
-    exactly (``right`` and ``length`` None for an infinite bar).  Counted
+def _expanded(b1: Barcode, b2: Barcode) -> Tuple[int, PiCode, List[Tuple], List[Tuple]]:
+    """``(scale, code, rows1, rows2)``: the bars of both barcodes, repeated
+    by multiplicity, as ``(degree, left, right, length)`` keys over
+    ``scale``, twice the common scale, so that every key and difference of
+    keys halves exactly (``right`` and ``length`` None for an infinite bar),
+    in one code that decides the searches (``_common_code``).  Counted
     first, and refused past ``MAX_EXPANDED_BARS`` on either side; a common
     scale longer than ``MAX_SCALE_BITS`` raises :class:`KeySizeError`."""
     for b in (b1, b2):
@@ -580,14 +667,31 @@ def _expanded(b1: Barcode, b2: Barcode) -> Tuple[int, List[Tuple], List[Tuple]]:
             f"key size cap exceeded: the common scale of the two barcodes has "
             f"{common.bit_length()} bits, at most {MAX_SCALE_BITS}")
     scale = 2 * common
-    return scale, _key_rows(b1, scale // b1.scale), _key_rows(b2, scale // b2.scale)
+    code = _common_code(((b1, scale // b1.scale), (b2, scale // b2.scale)))
+    return scale, code, _key_rows(b1, scale // b1.scale, code), \
+        _key_rows(b2, scale // b2.scale, code)
 
 
-def _key_rows(b: Barcode, f: int) -> List[Tuple]:
-    out = []
-    for d, l, r, m in b.rows:
+def _key_rows(b: Barcode, f: int, code: PiCode) -> List[Tuple]:
+    rows = b.rows if b.code is code else [
+        (d, _recode(l, b.code, code), None if r is None else _recode(r, b.code, code), m)
+        for d, l, r, m in b.rows]
+    out = []  # ``_expanded``'s rows of ``b``
+    for d, l, r, m in rows:
         out += [(d, l * f, None, None) if r is None else (d, l * f, r * f, (r - l) * f)] * m
     return out
+
+
+def _expanded_flags(b: Barcode, shift: bool = False) -> List[Tuple[bool, bool]]:
+    """Whether each endpoint of ``_expanded``'s rows of ``b`` reads back as
+    a PiRational; all do when moved by a ``shift`` that does."""
+    return [(type(l) is _PiInt or shift, type(r) is _PiInt or shift)
+            for _d, l, r, m in b.rows for _ in range(m)]
+
+
+def _any_pi(*barcodes: Barcode) -> bool:
+    """Whether an endpoint of the barcodes reads back as a PiRational."""
+    return any(type(x) is _PiInt for b in barcodes for row in b.rows for x in row[1:3])
 
 
 def _degree_groups(rows1: Sequence[Tuple], rows2: Sequence[Tuple],
@@ -776,27 +880,31 @@ def _window_search(rows1: List[Tuple], rows2: List[Tuple], floor: int) -> int:
     return _least_feasible(rows, cols, del1, del2, sorted(keys))
 
 
-def _first_cost(v, rows1: List[Tuple], rows2: List[Tuple], groups):
-    """The first cost equal to ``v``, a least key of the search, in the
-    order zero, the deletions of ``rows1`` then ``rows2`` (half their
-    lengths), then each matchable pair's left and right endpoint
-    differences, group by group and row-major.  A cost is a PiKey when one
-    of its endpoints is, so the distance reads back as a Fraction or a
+def _first_cost(v: int, rows1: List[Tuple], rows2: List[Tuple], groups, code: PiCode,
+                b1: Barcode, b2: Barcode, shift: bool = False) -> int:
+    """``v``, a least key of the search, of the type it reads back as: that
+    of the first cost equal to it, in the order zero, the
+    deletions of ``rows1`` then ``rows2`` (half their lengths), then each
+    matchable pair's left and right endpoint differences, group by group
+    and row-major, the rows being those of ``b1`` and of ``b2`` moved by a
+    shift (flagged ``shift``).  A cost reads back as a PiRational when one
+    of its endpoints does, so the distance reads back as a Fraction or a
     PiRational by the endpoints of that cost, whichever key the search
     ended on."""
-    keys = [x for rows in (rows1, rows2) for row in rows for x in row[1:3]]
-    if type(v) is PiKey and v.b or not any(type(x) is PiKey for x in keys):
-        return v  # every cost equal to it has its type
+    if code.bound and code.parts(v)[1]:
+        return _PiInt(v)  # every cost equal to it has its type
+    if not (shift or _any_pi(b1, b2)):
+        return v
     if not v:
         return 0
-    for n in [row[3] for row in rows1] + [row[3] for row in rows2]:
-        if n is not None and n // 2 == v:
-            return n // 2
+    flags1, flags2 = _expanded_flags(b1), _expanded_flags(b2, shift)
+    for row, (lf, rf) in zip(rows1 + rows2, flags1 + flags2):
+        if row[3] is not None and row[3] // 2 == v:
+            return _PiInt(v) if lf or rf else v
     for i, j in _matchable_pairs(rows1, rows2, groups):
-        for x, y in zip(rows1[i][1:3], rows2[j][1:3]):
-            # a difference can equal v only when its pi parts cancel
-            if x is not None and getattr(x, "b", 0) == getattr(y, "b", 0) and abs(x - y) == v:
-                return abs(x - y)
+        for x, y, fx, fy in zip(rows1[i][1:3], rows2[j][1:3], flags1[i], flags2[j]):
+            if x is not None and abs(x - y) == v:
+                return _PiInt(v) if fx or fy else v
     raise AssertionError("no cost equals the optimum")
 
 
@@ -812,14 +920,14 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, degree_sensitive: bool = True)
     reads back as a Fraction or a PiRational by the endpoints of the first
     cost equal to it (``_first_cost``).
     """
-    scale, rows1, rows2 = _expanded(b1, b2)
+    scale, code, rows1, rows2 = _expanded(b1, b2)
     groups = _degree_groups(rows1, rows2, degree_sensitive)
     if _infinite_mismatch(rows1, rows2, groups):
         return INF
     best = 0
     for idx1, idx2 in groups:
         best = _window_search([rows1[i] for i in idx1], [rows2[j] for j in idx2], best)
-    return _value(_first_cost(best, rows1, rows2, groups), scale)
+    return _value(_first_cost(best, rows1, rows2, groups, code, b1, b2), scale, code)
 
 
 def interleaving_distance(b1: Barcode, b2: Barcode):
@@ -849,6 +957,7 @@ class _ShiftCandidates:
         self.sorted_diffs = sorted(self.diffs)
         self.zero = e1[0] - e1[0]
         self.half = half
+        self.e1, self.e2 = e1, e2
 
     def least(self):
         return self.first_from(min(self.sorted_diffs[0], self.zero))
@@ -865,18 +974,28 @@ class _ShiftCandidates:
             j = max(i + 1, bisect.bisect_left(ds, 2 * t - x))
             if j < len(ds):
                 found.append(self.half(x + ds[j]))
-        return self._first_equal(min(found))
+        return self._first_equal(min(found))[0]
 
-    def _first_equal(self, v):
-        """The first candidate equal to ``v``: a difference, else the midpoint
-        of the earliest pair, else 0."""
+    def _first_equal(self, v) -> Tuple[object, Tuple]:
+        """The first candidate equal to ``v``, and the differences it is
+        made of: itself, else the two of the earliest midpoint, else none
+        (0)."""
         if v in self.index:
-            return self.diffs[self.index[v]]
+            return v, (v,)
         for x in self.diffs:
             j = self.index.get(2 * v - x)
             if j is not None:
-                return self.half(x + self.diffs[j])
-        return self.zero
+                return self.half(x + self.diffs[j]), (x, self.diffs[j])
+        return self.zero, ()
+
+    def flag(self, v, f1: Sequence[bool], f2: Sequence[bool]) -> bool:
+        """Whether the first candidate equal to ``v`` reads back as a
+        PiRational, ``f1`` and ``f2`` saying which endpoints of ``e1`` and
+        ``e2`` do: a difference does when one of its two endpoints does, a
+        midpoint when one of its two differences does, and 0 as ``e1[0]``."""
+        parts = self._first_equal(v)[1]
+        return any(next(fy or fx for y, fy in zip(self.e2, f2) for x, fx in zip(self.e1, f1)
+                        if y - x == d) for d in parts) if parts else f1[0]
 
 
 def _optimal_shift(rows1: List[Tuple], rows2: List[Tuple], pairs):
@@ -981,14 +1100,24 @@ def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
     Barcodes past the bar count or key size cap raise as in
     ``bottleneck_distance``.
     """
-    scale, rows1, rows2 = _expanded(b1, b2)
+    scale, code, rows1, rows2 = _expanded(b1, b2)
     if not rows1 or not rows2:
         return bottleneck_distance(b1, b2, degree_sensitive), Fraction(0)
     e1, e2 = ([x for row in rows for x in row[1:3] if x is not None] for rows in (rows1, rows2))
     shifts = _ShiftCandidates(e1, e2, lambda x: x // 2)
+
+    def typed(c: int) -> int:
+        """``c``, a ``_PiInt`` when the first candidate equal to it reads
+        back as a PiRational."""
+        if not _any_pi(b1, b2):
+            return c
+        f1, f2 = ([f for row, pair in zip(rows, _expanded_flags(b)) for x, f in zip(row[1:3], pair)
+                   if x is not None] for rows, b in ((rows1, b1), (rows2, b2)))
+        return _PiInt(c) if shifts.flag(c, f1, f2) else c
+
     groups = _degree_groups(rows1, rows2, degree_sensitive)
     if _infinite_mismatch(rows1, rows2, groups):
-        return INF, _value(shifts.least(), scale)
+        return INF, _value(typed(shifts.least()), scale, code)
     span, start = _optimal_shift(rows1, rows2, _matchable_pairs(rows1, rows2, groups))
     # each interval of shifts feasible at delta, [max top - delta, min bottom
     # + delta] over its pairs, holds the candidate midpoint of its two
@@ -996,7 +1125,9 @@ def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
     c = shifts.least() if start is None else shifts.first_from(start)
     moved = [(d, l - c, None if r is None else r - c, None if r is None else (r - c) - (l - c))
              for d, l, r, _n in rows2]
-    return _value(_first_cost(span // 2, rows1, moved, groups), scale), _value(c, scale)
+    c = typed(c)
+    return (_value(_first_cost(span // 2, rows1, moved, groups, code, b1, b2, type(c) is _PiInt),
+                   scale, code), _value(c, scale, code))
 
 
 # ---------------------------------------------------------------------------

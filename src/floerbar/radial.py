@@ -30,23 +30,25 @@ family of profiles using barcode continuity with a caller-supplied constant.
 
 The search works on runs of twins -- orbits of equal degree and action,
 such as the two kink slots in dimension 1 -- because a bar depends only on
-the runs of its orbits.  Every action and the disk area are keyed once per
-call, over one scale, and the orbits, runs and their bars are found on
-those keys: every bar a matching can produce (one infinite bar per run,
-one finite bar per allowed ordered pair of runs) is a key row, and the rows
-sorted in canonical order and brought to their least scale are the bar
-table, each bar named by its rank there.  The search walks the runs in
+the runs of its orbits.  Profiles, actions and the disk area are read as int
+parts over one scale, with no PiRational arithmetic: slopes and the
+spectrum are found on them, and each spectrum keys its actions once as ints
+of one :class:`~floerbar.exactpi.PiCode`, on which the orbits, runs and
+their bars are found: every bar a matching can produce (one infinite bar
+per run, one finite bar per allowed ordered pair of runs) is a key row, and
+the rows sorted in canonical order and brought to their least scale are the
+bar table, each bar named by its rank there.  The search walks the runs in
 order and chooses, for each, how many of its orbits stay free and how many
-of the rest pair with each later run in each orientation, so every
-complete choice is a distinct barcode, reached once, named by the sorted
-tuple of its ranks; ``limit`` counts them.  Counting the orbits left in
-each degree class prunes choices that no pairing can complete.  One
-``Barcode`` is built per tuple after the search, straight from the ranks:
-``Barcode.from_ranks`` picks its rows of the table and hands over its
-depth key, read off the table's row lengths, so no barcode sorts, decodes
-or subtracts endpoints of its own; a barcode's bars are decoded only when
-read, through the table's bars.  ``forced_bar_bound`` compares the
-barcodes' depths on those keys and reads out only the least.
+of the rest pair with each later run in each orientation, so every complete
+choice is a distinct barcode, reached once, named by the sorted tuple of
+its ranks; ``limit`` counts them.  Counting the orbits left in each degree
+class prunes choices that no pairing can complete.  One ``Barcode`` is built
+per tuple after the search, straight from the ranks: ``Barcode.from_ranks``
+picks its rows of the table and hands over its depth key, read off the
+table's row lengths, so no barcode sorts, decodes or subtracts endpoints of
+its own; a barcode's bars are decoded only when read, through the table's
+bars.  ``forced_bar_bound`` compares the barcodes' depths on those keys and
+reads out only the least.
 The search stays exponential in the number of runs.
 ``brute_force_feasible_barcodes`` in :mod:`floerbar.oracles`, the
 per-matching enumerator that searches orbits rather than runs and builds one
@@ -56,14 +58,15 @@ oracle that tests and ``check`` compare against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exactpi import PiRational
-from .novikov import LagrangianParams, parse_int
-from .persistence import (Barcode, INF, _denominators, _key, _parts, _row_order,
+from .exactpi import SPREAD, PiRational, code_for, key_sign
+from .novikov import LagrangianParams, parse_int, parse_ratio
+from .persistence import (INF, Barcode, _denominators, _pair, _PiInt, _row_order, _typed,
                           bottleneck_distance, least_depth)
 
 __all__ = [
@@ -97,50 +100,59 @@ class PruningEmptyError(ValueError):
     """Continuity pruning eliminated every candidate barcode at some sample."""
 
 
-@dataclass(frozen=True)
 class RadialProfile:
     """Piecewise linear profile in the capacity coordinate ``rho = pi*r``.
 
     ``breakpoints`` are ``(rho, value)`` with ``rho`` increasing from 0;
     ``exterior`` lists the Morse indices contributing generators at the
-    outermost value.
+    outermost value.  Profiles are equal when both are.  A profile read from
+    JSON keeps its breakpoints as int parts over one scale (``_keys``) and
+    reads them out as PiRationals only when they are asked for.
     """
 
-    breakpoints: Tuple[Tuple[PiRational, PiRational], ...]
-    exterior: Tuple[int, ...] = ()
+    def __init__(self, breakpoints, exterior=()) -> None:
+        self.breakpoints = tuple((PiRational.of(r), PiRational.of(f)) for r, f in breakpoints)
+        self._checked(exterior)
 
-    def __post_init__(self) -> None:
-        pts = tuple((PiRational.of(r), PiRational.of(f)) for r, f in self.breakpoints)
-        object.__setattr__(self, "breakpoints", pts)
-        object.__setattr__(self, "exterior", tuple(parse_int(j) for j in self.exterior))
-        if len(pts) < 2:
+    def _checked(self, exterior) -> "RadialProfile":
+        self.exterior = tuple(parse_int(j) for j in exterior)
+        keys = self._keys[1]
+        if len(keys) < 2:
             raise ValueError("a profile needs at least two breakpoints")
-        if pts[0][0] != PiRational.of(0):
+        if keys[0][:2] != (0, 0):
             raise ValueError("the first breakpoint must sit at rho = 0")
-        for (r0, _), (r1, _) in zip(pts, pts[1:]):
-            if not (r0 < r1):
+        for (r0, r0pi, _f, _fpi), (r1, r1pi, _f, _fpi) in zip(keys, keys[1:]):
+            if key_sign(r1 - r0, r1pi - r0pi) <= 0:
                 raise ValueError("breakpoint abscissae must strictly increase")
+        return self
 
-    @property
-    def segments(self) -> List[Tuple[PiRational, PiRational]]:
-        """(delta f, delta rho) per linear piece."""
-        out = []
-        for (r0, f0), (r1, f1) in zip(self.breakpoints, self.breakpoints[1:]):
-            out.append((f1 - f0, r1 - r0))
-        return out
+    # each cached_property stores its value in the instance __dict__, where
+    # the other's input already is
+    @functools.cached_property
+    def _keys(self) -> Tuple[int, Tuple[Tuple[int, int, int, int], ...]]:
+        """``(scale, points)``: the least common scale of the breakpoints and
+        each breakpoint times it, ``(rho, rho_pi, f, f_pi)``, the rational
+        and pi parts of both coordinates as ints."""
+        scale = math.lcm(*(d for pt in self.breakpoints for x in pt for d in _denominators(x)))
+        return scale, tuple(_pair(r, scale) + _pair(f, scale) for r, f in self.breakpoints)
 
-    def value_at(self, rho: Fraction) -> PiRational:
-        """Exact evaluation; needs rational abscissae (as all samples here have)."""
-        rho = Fraction(rho)
-        pts = self.breakpoints
-        if rho < pts[0][0].as_fraction() or rho > pts[-1][0].as_fraction():
-            raise ValueError("evaluation point outside the profile domain")
-        for (r0, f0), (r1, f1) in zip(pts, pts[1:]):
-            a, b = r0.as_fraction(), r1.as_fraction()
-            if a <= rho <= b:
-                t = (rho - a) / (b - a)
-                return f0 + (f1 - f0) * t
-        raise AssertionError("unreachable")
+    @functools.cached_property
+    def breakpoints(self) -> Tuple[Tuple[PiRational, PiRational], ...]:
+        scale, points = self._keys
+        return tuple((PiRational(Fraction(r, scale), Fraction(r_pi, scale)),
+                      PiRational(Fraction(f, scale), Fraction(f_pi, scale)))
+                     for r, r_pi, f, f_pi in points)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RadialProfile):
+            return NotImplemented
+        return (self.breakpoints, self.exterior) == (other.breakpoints, other.exterior)
+
+    def __hash__(self) -> int:
+        return hash((self.breakpoints, self.exterior))
+
+    def __repr__(self) -> str:
+        return f"RadialProfile(breakpoints={self.breakpoints!r}, exterior={self.exterior!r})"
 
     def to_json(self) -> dict:
         return {
@@ -151,11 +163,19 @@ class RadialProfile:
 
     @classmethod
     def from_json(cls, data: dict) -> "RadialProfile":
-        return cls(
-            breakpoints=tuple((PiRational.from_json(r), PiRational.from_json(f))
-                              for r, f in data["breakpoints"]),
-            exterior=tuple(data.get("exterior", ())),
-        )
+        """Read the breakpoints straight to int parts, each coordinate a
+        rational or a ``[rational, pi_coeff]`` pair as
+        ``PiRational.from_json`` reads it."""
+        def parts(x) -> Tuple[int, int, int, int]:  # the rational and pi part as ratios
+            return (*parse_ratio(x[0]), *parse_ratio(x[1])) if type(x) is list and len(x) == 2 \
+                else (*parse_ratio(x), 0, 1)
+
+        points = [parts(r) + parts(f) for r, f in data["breakpoints"]]
+        scale = math.lcm(*(d for pt in points for d in pt[1::2]))
+        profile = object.__new__(cls)
+        profile._keys = scale, tuple(tuple(n * (scale // d) for n, d in zip(pt[::2], pt[1::2]))
+                                     for pt in points)
+        return profile._checked(tuple(data.get("exterior", ())))
 
 
 @dataclass(frozen=True)
@@ -171,26 +191,61 @@ class GeneratorSpectrum:
     entries: Tuple[SpectrumEntry, ...]
     params: LagrangianParams
 
+    # a cached_property stores its value in the instance __dict__, which a
+    # frozen dataclass leaves writable; it is not a field
+    @functools.cached_property
+    def _keys(self) -> Tuple[int, Tuple[int, int], List[Tuple[int, int]]]:
+        """``(scale, area, actions)``: the least common scale of the disk area
+        and the actions, and each of them times it as its rational and pi
+        parts, taken once per spectrum."""
+        area = PiRational.of(self.params.disk_area)
+        scale = math.lcm(*_denominators(area),
+                         *(d for e in self.entries for d in _denominators(e.action)))
+        return scale, _pair(area, scale), [_pair(e.action, scale) for e in self.entries]
 
-def _slope_floor(df: PiRational, drho: PiRational) -> int:
-    """floor(df/drho) for drho > 0, raising on exact integer slopes."""
-    lo, hi = -1, 1
-    while not (lo * drho < df):
-        lo *= 2
-    while not (df < hi * drho):
-        if df == hi * drho:
+
+def _slope_floor(df: int, df_pi: int, drho: int, drho_pi: int) -> int:
+    """floor(df/drho) for the int parts of ``df`` and ``drho > 0``, raising
+    on exact integer slopes."""
+    if not drho_pi:
+        # floor(df) is the floor of df's key over M, and floor(df/drho) of
+        # floor(df)/drho
+        if not df_pi and not df % drho:
             raise SlopeDegeneracyError("slope is an integer multiple of pi")
+        code = code_for(abs(df_pi))
+        return code.encode(df, df_pi) // code.M // drho
+
+    def above(l: int) -> int:  # the sign of l*drho - df, increasing in l
+        return key_sign(l * drho - df, l * drho_pi - df_pi)
+
+    lo, hi = -1, 1
+    while above(lo) >= 0:
+        lo *= 2
+    while above(hi) < 0:
         hi *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        prod = mid * drho
-        if prod == df:
-            raise SlopeDegeneracyError("slope is an integer multiple of pi")
-        if prod < df:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if above(mid) < 0 else (lo, mid)
+    if not above(hi):
+        raise SlopeDegeneracyError("slope is an integer multiple of pi")
     return lo
+
+
+def _slope_less(seg_a: Tuple[int, ...], seg_b: Tuple[int, ...]) -> bool:
+    """slope(seg_a) < slope(seg_b) for segments ``(df, df_pi, drho,
+    drho_pi)`` of positive runs.  The runs must be proportional over Q, so
+    that the cross-multiplied comparison stays inside the module."""
+    (fa, fa_pi, ra, ra_pi), (fb, fb_pi, rb, rb_pi) = seg_a, seg_b
+    # drho_b = (p/q) * drho_a
+    if ra and rb_pi * ra == rb * ra_pi:
+        p, q = rb, ra
+    elif not ra and not rb and ra_pi:
+        p, q = rb_pi, ra_pi
+    else:
+        raise ValueError("profile run lengths are not rationally proportional")
+    if q < 0:
+        p, q = -p, -q
+    return key_sign(fa * p - fb * q, fa_pi * p - fb_pi * q) < 0
 
 
 def generators(profile: RadialProfile, params: LagrangianParams,
@@ -199,15 +254,22 @@ def generators(profile: RadialProfile, params: LagrangianParams,
     """Generator spectrum of a profile within explicit level and recap ranges.
 
     ``l_range = None`` takes exactly the levels the slopes require; an
-    explicit range must cover them.
+    explicit range must cover them.  The actions are found on the int parts
+    of the profile and the disk area over one scale, and read out once.
     """
     n = params.dim
     maslov = params.maslov
     area = PiRational.of(params.disk_area)
-    segs = profile.segments
-    floors = [_slope_floor(df, dr) for df, dr in segs]
+    pscale, pts = profile._keys
+    scale = math.lcm(pscale, *_denominators(area))
+    if scale != pscale:
+        pts = [tuple(x * (scale // pscale) for x in pt) for pt in pts]
+    area_a, area_pi = _pair(area, scale)
+    segs = [(f1 - f0, f1pi - f0pi, r1 - r0, r1pi - r0pi)
+            for (r0, r0pi, f0, f0pi), (r1, r1pi, f1, f1pi) in zip(pts, pts[1:])]
+    floors = [_slope_floor(*seg) for seg in segs]
 
-    base: List[SpectrumEntry] = []
+    base: List[Tuple] = []  # (degree, action, action_pi, source)
 
     def require(l: int) -> None:
         if l_range is not None and l not in l_range:
@@ -216,57 +278,32 @@ def generators(profile: RadialProfile, params: LagrangianParams,
     # origin: initial slope bracketed by (l, l+1)
     l0 = floors[0]
     require(l0)
-    base.append(SpectrumEntry(-l0 * n, profile.breakpoints[0][1], ("origin", l0)))
+    base.append((-l0 * n, *pts[0][2:], ("origin", l0)))
 
     # interior kinks
-    for i in range(1, len(profile.breakpoints) - 1):
+    for i in range(1, len(pts) - 1):
         before, after = floors[i - 1], floors[i]
-        sb, sa = segs[i - 1], segs[i]
-        concave_up = _slope_less(sb, sa)
+        concave_up = _slope_less(segs[i - 1], segs[i])
         lo_f, hi_f = (before, after) if concave_up else (after, before)
-        rho_i, f_i = profile.breakpoints[i]
+        rho, rho_pi, f, f_pi = pts[i]
         for l in range(lo_f + 1, hi_f + 1):
             require(l)
-            action = f_i - rho_i * l
-            if concave_up:
-                degs = (-l * n, -l * n + n - 1)
-            else:
-                degs = (-l * n + 1, -l * n + n)
+            degs = (-l * n, -l * n + n - 1) if concave_up else (-l * n + 1, -l * n + n)
             kind = "up" if concave_up else "down"
             for slot, deg in enumerate(degs):
-                base.append(SpectrumEntry(deg, action, ("kink", i, l, kind, slot)))
+                base.append((deg, f - l * rho, f_pi - l * rho_pi, ("kink", i, l, kind, slot)))
 
     # exterior Morse generators at the outermost value
-    f_last = profile.breakpoints[-1][1]
     for j in profile.exterior:
-        base.append(SpectrumEntry(j, f_last, ("exterior", j)))
+        base.append((j, *pts[-1][2:], ("exterior", j)))
 
-    entries = []
-    for k in k_range:
-        # a base entry is its own copy at k = 0
-        entries += base if k == 0 else (
-            SpectrumEntry(e.degree + k * maslov, e.action + area * k, e.source, k) for e in base)
-    entries.sort(key=lambda e: (e.degree, e.action, e.source, e.k))
-    return GeneratorSpectrum(tuple(entries), params)
-
-
-def _run_ratio(drb: PiRational, dra: PiRational) -> Fraction:
-    """The rational ratio drb/dra; run lengths must be proportional over Q so
-    that cross-multiplied slope comparisons stay inside the module."""
-    if dra.rational != 0:
-        r = drb.rational / dra.rational
-        if drb.pi_coeff == r * dra.pi_coeff:
-            return r
-    elif drb.rational == 0 and dra.pi_coeff != 0:
-        return drb.pi_coeff / dra.pi_coeff
-    raise ValueError("profile run lengths are not rationally proportional")
-
-
-def _slope_less(seg_a: Tuple[PiRational, PiRational],
-                seg_b: Tuple[PiRational, PiRational]) -> bool:
-    """slope(seg_a) < slope(seg_b); run lengths are positive."""
-    (dfa, dra), (dfb, drb) = seg_a, seg_b
-    return dfa * _run_ratio(drb, dra) < dfb
+    keyed = [(deg + k * maslov, a + k * area_a, b + k * area_pi, source, k)
+             for k in k_range for deg, a, b, source in base]
+    code = code_for(max((abs(b) for _d, _a, b, _s, _k in keyed), default=0), SPREAD)
+    keyed.sort(key=lambda e: (e[0], code.encode(e[1], e[2]), e[3], e[4]))
+    return GeneratorSpectrum(tuple(
+        SpectrumEntry(deg, PiRational(Fraction(a, scale), Fraction(b, scale)), source, k)
+        for deg, a, b, source, k in keyed), params)
 
 
 def degree_actions(spectrum: GeneratorSpectrum, degree: int) -> Tuple:
@@ -277,10 +314,17 @@ def degree_actions(spectrum: GeneratorSpectrum, degree: int) -> Tuple:
 
 
 def degree_class_actions(spectrum: GeneratorSpectrum, degree: int) -> Tuple:
-    """Distinct actions over the whole degree class mod the Maslov period."""
+    """Distinct actions over the whole degree class mod the Maslov period,
+    ascending; of equal ones the first entry's.  Found on the actions' int
+    parts over one scale."""
     maslov = spectrum.params.maslov
-    acts = {e.action for e in spectrum.entries if (e.degree - degree) % maslov == 0}
-    return tuple(sorted(acts))
+    chosen = [(e.action, pair) for e, pair in zip(spectrum.entries, spectrum._keys[2])
+              if (e.degree - degree) % maslov == 0]
+    code = code_for(max((abs(b) for _x, (_a, b) in chosen), default=0), SPREAD)
+    acts = {}
+    for x, pair in chosen:
+        acts.setdefault(code.encode(*pair), x)
+    return tuple(acts[k] for k in sorted(acts))
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +364,10 @@ def _pairable(to_pair: Sequence[int]) -> bool:
     for d, c in enumerate(to_pair):
         a = c - a
         if d % 2:
-            lo = max(lo, -a)
-        else:
-            hi = min(hi, a)
+            if -a > lo:
+                lo = -a
+        elif a < hi:
+            hi = a
     if len(to_pair) % 2:
         return a % 2 == 0 and lo <= a // 2 <= hi
     return a == 0 and lo <= hi
@@ -346,68 +391,79 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
     """
     maslov = spectrum.params.maslov
     quota = rank_quotas(ranks, maslov)
-    # every action and the disk area as keys over one scale
-    area = PiRational.of(spectrum.params.disk_area)
-    scale = math.lcm(*_denominators(area),
-                     *(d for e in spectrum.entries for d in _denominators(e.action)))
-    area = _key(area, scale)
-    # one orbit per source: the degree of its representative in [0, maslov)
-    # and that representative's action key
+    # every action and the disk area as int parts over one scale
+    scale, (area_a, area_pi), actions = spectrum._keys
+    # one orbit per source: the degree of its representative in [0, maslov),
+    # that representative's action parts, and whether the action reads back
+    # as a PiRational (a recapped one does)
     orbits: Dict[Tuple, Tuple] = {}
-    for e in spectrum.entries:
+    for e, (a, b) in zip(spectrum.entries, actions):
         degree = e.degree % maslov
         shift = (degree - e.degree) // maslov
-        key = _key(e.action, scale)
-        orbit = (degree, key + area * shift if shift else key)
-        if orbits.setdefault(e.source, orbit) != orbit:
+        orbit = (degree, a + area_a * shift, b + area_pi * shift,
+                 shift != 0 or type(e.action) is PiRational)
+        if orbits.setdefault(e.source, orbit)[:3] != orbit[:3]:
             raise ValueError(f"inconsistent recap copies for source {e.source}")
+    # every comparison below is of actions and actions plus the area: one
+    # code decides them all
+    code = code_for(max((abs(b) for _d, _a, b, _pi in orbits.values()), default=0)
+                    + abs(area_pi), SPREAD)
     # sorted by (degree, action), twin orbits are consecutive
-    runs: List[List] = []  # [degree, action key, orbits]
-    for d, a in sorted(orbits.values()):
-        if runs and runs[-1][0] == d and runs[-1][1] == a:
+    runs: List[List] = []  # [degree, action key, orbits, action parts]
+    for d, key, a, b, pi in sorted(((d, code.encode(a, b), a, b, pi)
+                                    for d, a, b, pi in orbits.values()), key=lambda o: o[:2]):
+        if runs and runs[-1][0] == d and runs[-1][1] == key:
             runs[-1][2] += 1
         else:
-            runs.append([d, a, 1])
+            runs.append([d, _PiInt(key) if pi else key, 1, (a, b)])
     counts: Dict[int, int] = {}
-    for d, _a, size in runs:
+    for d, _a, size, _parts in runs:
         counts[d] = counts.get(d, 0) + size
     for d, q in quota.items():
         if counts.get(d, 0) < q:
             raise InfeasibleRanksError(
                 f"degree class {d} has {counts.get(d, 0)} generators but needs {q} infinite bars")
 
-    # every bar a matching can produce, as a key row (degree, left, right, 1):
-    # one infinite bar per run, one finite bar (z, y] per allowed ordered pair
-    # of runs.  Representatives have degrees in [0, maslov), so z sits one
-    # degree below y, or z has degree maslov - 1 and y degree 0 and y is
-    # recapped once (action + disk area) to sit above it; the pair is allowed
-    # when the bar is nonempty.  A bar names the runs of its orbits, so
-    # distinct pairs of runs give distinct rows.
-    rows = [(d, a, None, 1) for d, a, _size in runs]
+    # every bar a matching can produce, as a key row (degree, left, right, 1)
+    # with its endpoints' parts: one infinite bar per run, one
+    # finite bar (z, y] per allowed ordered pair of runs.  Representatives
+    # have degrees in [0, maslov), so z sits one degree below y, or z has
+    # degree maslov - 1 and y degree 0 and y is recapped once (action + disk
+    # area) to sit above it; the pair is allowed when the bar is nonempty.
+    # A bar names the runs of its orbits, so distinct pairs of runs give
+    # distinct rows.
+    rows = [(d, a, None, 1) for d, a, _size, _parts in runs]
+    ends = [(parts, None) for _d, _a, _size, parts in runs]
     n = len(runs)
-    rights = [a + area if d == 0 else a for d, a, _size in runs]
+    rights = [(_PiInt(a + code.encode(area_a, area_pi)), (p[0] + area_a, p[1] + area_pi))
+              if d == 0 else (a, p) for d, a, _size, p in runs]
+    below = [(run[0] - 1) % maslov for run in runs]  # the degree a partner z must have
     partners: List[List[Tuple[int, List[int]]]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             ids = []
             for y, z in ((i, j), (j, i)):
-                dz, az, _size = runs[z]
-                if dz == (runs[y][0] - 1) % maslov and az < rights[y]:
+                if runs[z][0] == below[y] and runs[z][1] < rights[y][0]:
                     ids.append(len(rows))
-                    rows.append((dz, az, rights[y], 1))
+                    rows.append((runs[z][0], runs[z][1], rights[y][0], 1))
+                    ends.append((runs[z][3], rights[y][1]))
             if ids:
                 partners[i].append((j, ids))
 
-    # the rows in canonical order over their least scale are the table every
-    # barcode picks from; rename them by their ranks there, so that a
-    # matching's sorted ids list its barcode's rows in order
+    # the rows in canonical order over their least scale and in their
+    # canonical code are the table every barcode picks from; rename them by
+    # their ranks there, so that a matching's sorted ids list its barcode's
+    # rows in order
     order = sorted(range(len(rows)), key=lambda k: _row_order(rows[k]))
-    g = math.gcd(scale, *(p for row in rows for x in row[1:3] if x is not None
-                          for p in _parts(x)))
+    g = math.gcd(scale, *(p for pair in ends for x in pair if x is not None for p in x))
+    canon = code_for(max((abs(x[1]) for pair in ends for x in pair if x is not None),
+                         default=0) // g)
     table = tuple(map(rows.__getitem__, order))
-    if g != 1:
-        table = tuple((d, l // g, None if r is None else r // g, m) for d, l, r, m in table)
-    ranked = Barcode._sorted(table, scale // g)
+    if g != 1 or canon is not code:
+        table = tuple((d, *(None if x is None else _typed(canon.encode(x[0] // g, x[1] // g), key)
+                            for x, key in zip(ends[k], (l, r))), m)
+                      for k, (d, l, r, m) in zip(order, table))
+    ranked = Barcode._sorted(table, scale // g, canon)
     rank = [0] * len(rows)
     for r, k in enumerate(order):
         rank[k] = r
@@ -420,7 +476,7 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
         tail -= 1
 
     found: List[Tuple[int, ...]] = []
-    remaining = [size for _d, _a, size in runs]  # orbits no earlier run paired
+    remaining = [run[2] for run in runs]  # orbits no earlier run paired
     free_left = [quota.get(d, 0) for d in range(maslov)]  # free bars still owed
     # orbits of each class in runs not yet decided, less those owed free
     to_pair = [counts.get(d, 0) - free_left[d] for d in range(maslov)]
@@ -499,19 +555,29 @@ def forced_bar_bound(spectrum: GeneratorSpectrum, ranks: Mapping[int, int]):
 
 
 def sup_difference(p1: RadialProfile, p2: RadialProfile) -> PiRational:
-    """Exact sup of |p1 - p2| over the common domain (rational abscissae)."""
-    r1 = p1.breakpoints[-1][0]
-    r2 = p2.breakpoints[-1][0]
-    if r1 != r2:
+    """Exact sup of |p1 - p2| over the common domain (rational abscissae),
+    taken at the breakpoints of both on their int parts over one scale."""
+    scale = math.lcm(p1._keys[0], p2._keys[0])
+    curves = [[tuple(x * (scale // p._keys[0]) for x in pt) for pt in p._keys[1]]
+              for p in (p1, p2)]
+    if curves[0][-1][:2] != curves[1][-1][:2]:
         raise ValueError("profiles must share their domain")
-    xs = sorted({r.as_fraction() for r, _ in p1.breakpoints} |
-                {r.as_fraction() for r, _ in p2.breakpoints})
-    best = PiRational.of(0)
-    for x in xs:
-        diff = abs(p1.value_at(x) - p2.value_at(x))
-        if best < diff:
-            best = diff
-    return best
+    for p, curve in zip((p1, p2), curves):
+        for i, pt in enumerate(curve):
+            if pt[1]:
+                raise ValueError(f"{p.breakpoints[i][0]} has a nonzero pi part")
+    best = (0, 0, 1)  # the sup so far, as parts over scale * best[2]
+    for x in sorted({pt[0] for pt in curves[0] + curves[1]}):
+        # each value as parts over scale * d, on the first piece that holds x
+        (a1, b1, d1), (a2, b2, d2) = (next(
+            (f * (r1 - x) + f1 * (x - r), g * (r1 - x) + g1 * (x - r), r1 - r)
+            for (r, _r, f, g), (r1, _r1, f1, g1) in zip(c, c[1:]) if r <= x <= r1) for c in curves)
+        a, b, d = a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2
+        if key_sign(a, b) < 0:
+            a, b = -a, -b
+        if key_sign(best[0] * d - a * best[2], best[1] * d - b * best[2]) < 0:
+            best = a, b, d
+    return PiRational(Fraction(best[0], scale * best[2]), Fraction(best[1], scale * best[2]))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
-from .diagrams import TwoCurveDiagram, _Geometry
+from .diagrams import TwoCurveDiagram
 from .persistence import Barcode
 
 __all__ = ["barcode_svg", "diagram_svg"]
@@ -66,8 +66,9 @@ def barcode_svg(barcode: Barcode, width: int = 640) -> str:
 def diagram_svg(diagram: TwoCurveDiagram, size: int = 420) -> str:
     """Meander-style schematic: the first curve as a horizontal line with the
     crossings in order, the second as arcs above/below, faces listed with
-    their areas."""
-    geo = _Geometry(diagram)
+    their areas.  Reads the diagram's validated geometry, built once per
+    diagram."""
+    geo = diagram._analysis.geometry
     m = geo.m
     pad = 40
     xs = {p: pad + (i * (size - 2 * pad)) // max(m - 1, 1)

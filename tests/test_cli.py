@@ -59,6 +59,19 @@ def test_barcode_command_with_degree_window():
     assert report["outputs"]["gamma"] == "1/5"
 
 
+def test_barcode_refuses_digit_group_underscores(tmp_path):
+    # "1_000" read as 1000 on Python 3.11 and later, and was refused on 3.10
+    cx = json.loads(resources.files("floerbar").joinpath(
+        "fixtures", "equator_pair_complex.json").read_text())
+    cx["generators"][0]["action"] = "1_000"
+    path = tmp_path / "underscore.json"
+    path.write_text(json.dumps(cx))
+    result, report = run("barcode", str(path))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Invalid literal for Fraction: '1_000'" in report["error"]
+
+
 def test_barcode_rejects_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -125,15 +138,19 @@ def _count_calls(monkeypatch, counts, label, owner, name):
 
 @pytest.mark.parametrize("fixture, passes", [("equator_pair_sphere.json", 3),
                                              ("equator_pair_annulus.json", 2)])
-def test_combfloer_analyses_the_diagram_once(monkeypatch, fixture, passes):
-    # every lune pass reads one validated geometry and one winding solve
+def test_combfloer_analyses_the_diagram_once(monkeypatch, tmp_path, fixture, passes):
+    # every lune pass reads one validated geometry and one winding solve,
+    # and so does the schematic --svg writes
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, "geometry", diagrams._Geometry, "__init__")
     _count_calls(monkeypatch, counts, "field", diagrams._WindingField, "__init__")
     _count_calls(monkeypatch, counts, "passes", diagrams, "enumerate_lunes")
-    result, _report = run("combfloer", fixture_path(fixture))
-    assert result.exit_code == 0
-    assert counts == {"geometry": 1, "field": 1, "passes": passes}
+    for flags in ([], ["--svg", str(tmp_path / "diagram.svg")]):
+        counts.clear()
+        result, _report = run("combfloer", fixture_path(fixture), *flags)
+        assert result.exit_code == 0
+        assert counts == {"geometry": 1, "field": 1, "passes": passes}, flags
+    assert (tmp_path / "diagram.svg").read_text().startswith("<svg")
 
 
 def test_barcode_oracle_cap_is_a_failed_check(tmp_path):
@@ -540,6 +557,25 @@ def test_radial_negative_rank_count_is_malformed(tmp_path):
     result, report = run("radial", str(path), "--homotopy")
     assert result.exit_code == 2, result.output
     assert "degree 1 has a negative infinite-bar count -2" in report["error"]
+
+
+def test_radial_continuity_constant_below_one_is_malformed(tmp_path):
+    # these constants used to reach homotopy_filter and exit 1 with "radial
+    # failure"; a constant of 1 still runs
+    family = json.loads(resources.files("floerbar").joinpath(
+        "fixtures", "radial_fold_family.json").read_text())
+    for i, constant in enumerate(("1/2", "0", "-3", "1")):
+        path = tmp_path / f"family_{i}.json"
+        path.write_text(json.dumps(dict(family, C=constant)))
+        result, report = run("radial", str(path), "--homotopy")
+        if constant == "1":
+            assert result.exit_code == 0, result.output
+            assert report["outputs"]["kept_counts"] == [2] * len(family["family"])
+            continue
+        assert result.exit_code == 2, (constant, result.output)
+        assert isinstance(result.exception, SystemExit)
+        assert report == {"command": "radial",
+                          "error": "the continuity constant must be at least 1"}
 
 
 def test_a_disk_area_that_is_not_positive_is_malformed(tmp_path):

@@ -7,9 +7,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from floerbar.exactpi import PiKey, PiRational, _machin_bracket
+from floerbar.exactpi import (HEAD, PLAIN, SPREAD, PiRational, _level_code, _machin_bracket,
+                              code_for, key_sign)
 from floerbar.oracles import pi_rational_cmp
-from floerbar.persistence import _denominators, _key
+from floerbar.persistence import _denominators, _PiInt
+from floerbar.persistence import _pair as _parts_of
 from floerbar.persistence import _value as _read_key
 
 
@@ -135,10 +137,8 @@ def _pair(rng):
     x, kind = _value(rng), rng.random()
     if kind < 0.25:
         y = _near_tie(rng, x)
-        # the brackets overlap, so the exact fallback decides
-        low, high = PiRational.of(x)._bracket
-        other_low, other_high = y._bracket
-        assert low <= other_high and other_low <= high
+        # closer than 2**-64: a 64-bit bracket of pi would not tell them apart
+        assert pi_rational_cmp(abs(PiRational.of(x) - y), F(1, 2 ** 64)) < 0
     elif kind < 0.4:
         y = _copy(x)
     else:
@@ -167,33 +167,42 @@ def _order(c):
 
 
 def test_keys_order_and_add_like_their_values():
-    # a pair as keys over their least common scale, an int for an int or a
-    # Fraction and a PiKey for a PiRational; sums, differences, multiples
-    # and negations carry the brackets, and every comparison is exact
+    # a pair as int keys over their least common scale in its canonical
+    # code, plain ints when neither has a pi part; sums, differences,
+    # multiples and negations are keys of the sums, differences, multiples
+    # and negations, and every comparison is exact
     rng = random.Random(11)
     seen = set()
     for _ in range(5_000):
         x, y = _pair(rng)
         scale = math.lcm(*_denominators(PiRational.of(x)), *_denominators(PiRational.of(y)))
-        kx, ky = _key(x, scale), _key(y, scale)
-        assert (type(kx) is PiKey, type(ky) is PiKey) == (
-            isinstance(x, PiRational), isinstance(y, PiRational))
+        (ax, bx), (ay, by) = _key_pair(x, scale), _key_pair(y, scale)
+        code = code_for(max(abs(bx), abs(by)))
+        assert (code is PLAIN) == (not bx and not by)
+        kx, ky = code.encode(ax, bx), code.encode(ay, by)
+        assert code.parts(kx) == (ax, bx) and code.parts(ky) == (ay, by)
         c = pi_rational_cmp(x, y)
         seen.add(c)
         assert (kx < ky, kx <= ky, kx > ky, kx >= ky, kx == ky, kx != ky) == _order(c), (x, y)
         if c == 0:
             assert hash(kx) == hash(ky)
-        px, tx = PiRational.of(x), type(kx) is PiKey
-        either = tx or type(ky) is PiKey
+        px, tx = PiRational.of(x), isinstance(x, PiRational)
+        either = tx or isinstance(y, PiRational)
         derived = ((kx - ky, px - y, either), (kx + ky, px + y, either),
                    (2 * kx - 3 * ky, 2 * px - 3 * y, either), (-kx, -px, tx),
                    (abs(kx - ky), abs(px - y), either), ((4 * kx) // 2, 2 * px, tx))
         for k, v, pi in derived:
-            read = _read_key(k, scale)
-            assert read == v and isinstance(read, PiRational) == pi, (x, y, k)
+            read = _read_key(_PiInt(k) if pi or code.parts(k)[1] else k, scale, code)
+            assert read == v, (x, y, k)
+            assert isinstance(read, PiRational) == (pi or not v.is_rational), (x, y, k)
             assert (k < kx, k <= kx, k > kx, k >= kx, k == kx, k != kx) == \
                 _order(pi_rational_cmp(v, x))
     assert seen == {-1, 0, 1}
+
+
+def _key_pair(x, scale):
+    """``x`` times ``scale`` as int parts; an int as a Fraction."""
+    return _parts_of(F(x) if type(x) is int else x, scale)
 
 
 def _pi_convergents():
@@ -211,15 +220,44 @@ def _pi_convergents():
 
 def test_keys_decide_ties_closer_than_their_brackets():
     # p - q*pi for a convergent p/q is within 1/q of 0, far inside the
-    # bracket error of about q * 2**-64 once q passes 2**32
-    keys = [(PiKey(p, -q), PiRational(F(p), F(-q))) for p, q in _pi_convergents()]
-    assert keys[-1][0].b < -2 ** 100
+    # bracket error of about q * 2**-64 once q passes 2**32, and each
+    # convergent neighbour p +- 1 is within 1 + 1/q: all are keys of one
+    # code, whose bound holds their largest pi part
+    convergents = _pi_convergents()
+    assert convergents[-1][1] > 2 ** 100
+    code = code_for(convergents[-1][1])
+    values = [(p + dp, -q) for p, q in convergents for dp in (-1, 0, 1)]
+    keys = [(code.encode(a, b), PiRational(F(a), F(b))) for a, b in values]
     for k, v in keys:
         assert (k < 0, k <= 0, k > 0, k >= 0, k == 0, k != 0) == _order(pi_rational_cmp(v, 0))
+        assert key_sign(*code.parts(k)) == pi_rational_cmp(v, 0)
     for (k, v), (k2, v2) in itertools.product(keys, repeat=2):
         c = pi_rational_cmp(v, v2)
         assert (k < k2, k <= k2, k > k2, k >= k2, k == k2, k != k2) == _order(c)
-        assert (abs(k - k2) == 0) == (c == 0) and _read_key(abs(k - k2), 1) == abs(v - v2)
+        assert (abs(k - k2) == 0) == (c == 0)
+        assert _read_key(_PiInt(abs(k - k2)), 1, code) == abs(v - v2)
+
+
+def test_codes_bound_the_error_of_their_pi_approximation():
+    # M = B*(q + q2) + 1 for the convergent denominators q <= B < q2, P the
+    # int nearest pi*M and prime to M; each level squares the bound
+    convergents = _pi_convergents()
+    for level in (1, 2, 3):
+        code = _level_code(level)
+        assert code.bound == 2 ** (24 * 2 ** (level - 1))
+        q = max(q for _p, q in convergents if q <= code.bound)
+        q2 = min(q for _p, q in convergents if q > code.bound)
+        least_M = code.bound * (q + q2) + 1
+        assert code.M == least_M or code.M > least_M and math.gcd(least_M, code.P) > 1
+        assert abs(F(PI_300) * code.M - code.P) < F(1, 2) and math.gcd(code.M, code.P) == 1
+        assert code.parts(code.encode(-3, code.bound // SPREAD)) == (-3, code.bound // SPREAD)
+        with pytest.raises(AssertionError):
+            code.encode(0, code.bound // SPREAD + 1)
+    # a barcode's canonical code leaves HEAD times its largest pi part
+    assert code_for(0) is PLAIN and code_for(1) is _level_code(1)
+    assert code_for(2 ** 24 // HEAD) is _level_code(1)
+    assert code_for(2 ** 24 // HEAD + 1) is _level_code(2)
+    assert _level_code(2).least == 2 ** 24 // HEAD + 1
 
 
 def test_sorted_mixed_lists_match_the_oracle():
@@ -247,7 +285,7 @@ def test_filled_caches_change_no_observable_value():
     before = (repr(x), x.to_json(), [f.name for f in dataclasses.fields(x)])
     assert x < PiRational.pi() and x > -PiRational.pi()
     hash(x)
-    assert {"_bracket", "_hash"} <= set(vars(x))
+    assert {"_parts", "_hash"} <= set(vars(x))
     assert (repr(x), x.to_json(), [f.name for f in dataclasses.fields(x)]) == before
     assert [f.name for f in dataclasses.fields(PiRational)] == ["rational", "pi_coeff"]
     twin = PiRational(F(-9, 40), F(2, 7))

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from floerbar.exactpi import PiKey, PiRational
-from floerbar.oracles import _same, all_pairs_bottleneck, brute_force_bottleneck
-from floerbar.persistence import (Bar, Barcode, INF, bar_length_spectrum,
+from floerbar.exactpi import PLAIN, PiRational
+from floerbar.oracles import (_same, all_pairs_bottleneck, brute_force_bottleneck,
+                              brute_force_shifted_bottleneck)
+from floerbar.persistence import (Bar, Barcode, INF, _PiInt, bar_length_spectrum,
                                   bottleneck_distance, boundary_depth,
-                                  interleaving_distance, shift_barcode,
+                                  interleaving_distance, least_depth, shift_barcode,
                                   shifted_bottleneck)
 from floerbar.sampling import random_barcode
 
@@ -187,7 +188,7 @@ def test_priced_search_matches_reference_on_planted_pairs():
 
 
 def test_priced_search_matches_reference_on_pi_fold_barcodes():
-    from floerbar.exactpi import PiKey, PiRational
+    from floerbar.exactpi import PiRational
     from floerbar.novikov import LagrangianParams
     from floerbar.radial import feasible_barcodes, fold_profile, generators
     barcodes = []
@@ -208,7 +209,7 @@ def test_priced_search_matches_reference_on_pi_fold_barcodes():
 
 
 def test_priced_search_matches_reference_on_random_pairs():
-    from floerbar.exactpi import PiKey, PiRational
+    from floerbar.exactpi import PiRational
     rng = random.Random(43)
     for trial in range(300):
         a = random_barcode(rng, max_bars=5)
@@ -387,13 +388,59 @@ def test_from_json_refuses_what_bar_refuses():
 
 
 def test_equal_int_and_pi_key_endpoints_hash_alike():
-    # a barcode hashes its rows: an int key and a PiKey of zero pi part are
-    # one value, so the Fraction and the PiRational barcode of the same bars
-    # are equal with equal hashes
+    # a barcode hashes its rows: a key of zero pi part is the plain int of
+    # its value in every code, the key of a PiRational of the int subclass
+    # that reads back as one, so the Fraction and the PiRational barcode of
+    # the same bars are equal with equal hashes
     fractions = Barcode([Bar(F(1, 2), F(3, 2), 0), Bar(F(-1, 3), INF, 1)])
     pis = Barcode([Bar(PiRational.of(F(1, 2)), PiRational.of(F(3, 2)), 0),
                    Bar(PiRational.of(F(-1, 3)), INF, 1)])
     assert fractions.rows[0][1] == 3 and type(fractions.rows[0][1]) is int
-    assert type(pis.rows[0][1]) is PiKey and pis.rows[0][1] == PiKey(3, 0)
+    assert type(pis.rows[0][1]) is _PiInt and pis.rows[0][1] == 3
+    assert pis.rows == fractions.rows and pis.code is fractions.code is PLAIN
     assert fractions == pis and hash(fractions) == hash(pis)
     assert len({fractions, pis}) == 1
+
+
+def test_pi_keys_compare_across_scales_far_apart():
+    # a pi barcode over scale 6 against Fraction bars over 10**40: keys
+    # brought up by a factor past HEAD // SPREAD are read off and keyed in
+    # a code whose bound holds their pi parts, for the distance, the shift
+    # and the least depth alike
+    tiny = F(1, 10 ** 40)
+    pis = Barcode([Bar(PiRational(F(1, 2), F(1, 3)), PiRational(F(5, 2), F(1, 3)), 0),
+                   Bar(PiRational(F(-1), F(1, 6)), INF, 1)])
+    near = Barcode([Bar(F(1, 2) + F(355, 339) - tiny, F(5, 2) + F(355, 339) + tiny, 0),
+                    Bar(F(-1) + F(355, 678), INF, 1)])
+    assert pis.scale == 6 and near.scale == 339 * 10 ** 40
+    for sensitive in (True, False):
+        d = bottleneck_distance(pis, near, sensitive)
+        assert _same(d, all_pairs_bottleneck(pis.bars, near.bars, sensitive))
+        assert d == brute_force_bottleneck(pis, near, sensitive)
+        moved, shift = shifted_bottleneck(pis, near, sensitive)
+        assert _same((moved, shift), brute_force_shifted_bottleneck(pis, near, sensitive))
+    depths = [boundary_depth(x) for x in (pis, near)]
+    assert _same(least_depth([near, pis]), min(depths)) and depths[0] < depths[1]
+
+
+def test_from_ranks_picks_take_their_canonical_code():
+    # a table whose pi parts need the second code, over scale 2: a pick of
+    # small pi parts takes the first code, one without pi parts plain ints,
+    # and each equals, with an equal hash, the barcode of its bars
+    big = F(2 ** 30 + 1, 2)
+    bars = [Bar(PiRational(F(0), big), PiRational(F(1), big), 0),
+            Bar(PiRational(F(0), F(1, 2)), PiRational(F(1), F(1, 2)), 0),
+            Bar(PiRational.of(F(1, 2)), PiRational.of(3), 1),
+            Bar(PiRational.of(F(-1)), INF, 1),
+            Bar(PiRational(F(2), F(-3)), INF, 0)]
+    ranked = Barcode(bars)
+    assert ranked.code.bound == 2 ** 48 and all(row[3] == 1 for row in ranked.rows)
+    picks = [(0, 1, 2), (1, 2, 3), (2, 3), (2, 2, 3), (3,), (1, 1, 4), (0, 4, 4)]
+    for ranks, pick in zip(picks, Barcode.from_ranks(ranked, picks)):
+        built = Barcode(pick.bars)
+        assert pick == built and hash(pick) == hash(built), ranks
+        assert (pick.scale, pick.code, pick.rows) == (built.scale, built.code, built.rows), ranks
+        assert _same(boundary_depth(pick), boundary_depth(built))
+        assert pick.to_json() == built.to_json()
+    codes = {pick.code.bound for pick in Barcode.from_ranks(ranked, picks)}
+    assert codes == {0, 2 ** 24, 2 ** 48}

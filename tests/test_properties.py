@@ -33,6 +33,7 @@ FLOORS = {
     "barcode-key-agreement": (67, 510),
     "complex-key-agreement": (71, 400),
     "diagram-complex-agreement": (61, 232),
+    "pi-encoding-agreement": (73, 3000),
 }
 
 

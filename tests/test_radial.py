@@ -394,3 +394,32 @@ def test_odd_maslov_numbers_agree_with_the_oracle():
             continue
         checked += 1
         assert _feasible_agrees(s), s
+
+
+def test_slope_floors_match_the_oracle_on_rational_and_pi_runs():
+    # floor(df/drho) on int parts, by the key over M for a rational run and
+    # by bisection for a run with a pi part, against the Machin oracle
+    from floerbar.oracles import pi_rational_cmp
+    from floerbar.radial import _slope_floor
+    rng = random.Random(5)
+    degenerate = 0
+    for trial in range(2000):
+        df = (rng.randint(-400, 400), rng.randint(-40, 40) if trial % 4 else 0)
+        drho = (rng.randint(1, 60), 0) if trial % 2 else (rng.randint(-5, 5), rng.randint(1, 9))
+        if trial % 7 == 0:
+            l = rng.randint(-9, 9)  # an exact integer slope
+            df = (l * drho[0], l * drho[1])
+        run, value = PiRational(F(drho[0]), F(drho[1])), PiRational(F(df[0]), F(df[1]))
+        if pi_rational_cmp(run, 0) <= 0:
+            continue
+        # df = l * drho for an int l: the slope is an integer
+        l = F(df[1], drho[1]) if drho[1] else F(df[0], drho[0])
+        if l.denominator == 1 and (df[0], df[1]) == (l * drho[0], l * drho[1]):
+            degenerate += 1
+            with pytest.raises(SlopeDegeneracyError):
+                _slope_floor(*df, *drho)
+            continue
+        l = _slope_floor(*df, *drho)
+        assert pi_rational_cmp(run * l, value) < 0 < pi_rational_cmp(run * (l + 1), value), \
+            (df, drho, l)
+    assert degenerate > 100
