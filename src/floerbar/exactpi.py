@@ -133,7 +133,7 @@ class PiRational:
     def of(cls, value: _NumberLike) -> "PiRational":
         if isinstance(value, PiRational):
             return value
-        return cls(Fraction(value), Fraction(0))
+        return cls(value)  # __post_init__ makes it a Fraction
 
     @classmethod
     def pi(cls, coeff: _NumberLike = 1) -> "PiRational":

@@ -229,7 +229,10 @@ class _PiInt(int):
 
 def _typed(key: int, *of: int) -> int:
     """``key``, a ``_PiInt`` when one of the keys ``of`` it is made from is."""
-    return _PiInt(key) if _PiInt in map(type, of) else key
+    for x in of:
+        if type(x) is _PiInt:
+            return _PiInt(key)
+    return key
 
 
 def _key_to_json(key: int, scale: int, code: PiCode = PLAIN):
@@ -294,8 +297,11 @@ def _keyed(items: List[Tuple]) -> Tuple[int, PiCode, List[Tuple]]:
     a PiRational a ``_PiInt``."""
     scale = math.lcm(*(d for item in items for x in item[1:3] if x is not None
                        for d in _denominators(x)))
-    code = code_for(max((abs(_key(x.pi_coeff, scale)) for item in items for x in item[1:3]
-                         if type(x) is PiRational), default=0))
+    pis = [x for item in items for x in item[1:3] if type(x) is PiRational]
+    if not pis:  # every key is the plain int of a rational
+        return scale, PLAIN, [(d, _key(l, scale), None if r is None else _key(r, scale), m)
+                              for d, l, r, m in items]
+    code = code_for(max(abs(_key(x.pi_coeff, scale)) for x in pis))
     M = code.M  # a rational endpoint's key is its rational part times M
     return scale, code, [
         (d, _PiInt(code.encode(*_pair(l, scale))) if type(l) is PiRational else _key(l, scale) * M,
@@ -568,8 +574,8 @@ def _depth_key(barcode: Barcode) -> int:
     first longest row's length; taken once per barcode."""
     key = barcode._depth
     if key is None:
-        key = barcode._depth = max((r - l if type(l) is type(r) is int else _typed(r - l, l, r)
-                                    for _d, l, r, _m in barcode.rows if r is not None), default=0)
+        key = barcode._depth = max((_typed(r - l, l, r) for _d, l, r, _m in barcode.rows
+                                    if r is not None), default=0)
     return key
 
 
@@ -598,7 +604,7 @@ def _common_code(items: Sequence[Tuple[Barcode, int]]) -> PiCode:
     """A code whose bound holds ``SPREAD`` times the pi parts of the keys of
     each ``(barcode, factor)`` times the factor: the largest of the
     barcodes' canonical codes for factors up to ``HEAD // SPREAD``."""
-    code = max({bc.code for bc, _f in items}, key=operator.attrgetter("bound"))
+    code = max((bc.code for bc, _f in items), key=operator.attrgetter("bound"))
     if not code.bound:
         return code  # no key has a pi part
     big = [(bc, f) for bc, f in items if f > HEAD // SPREAD and bc.code.bound]
@@ -610,8 +616,8 @@ def _common_code(items: Sequence[Tuple[Barcode, int]]) -> PiCode:
 def _length_keys(barcode: Barcode) -> Tuple[List, int]:
     """The finite bar lengths times the scale, in increasing order, and the
     number of infinite bars."""
-    finite = sorted(r - l if type(l) is type(r) is int else _typed(r - l, l, r)
-                    for _d, l, r, m in barcode.rows if r is not None for _ in range(m))
+    finite = sorted(_typed(r - l, l, r) for _d, l, r, m in barcode.rows if r is not None
+                    for _ in range(m))
     return finite, sum(m for _d, _l, r, m in barcode.rows if r is None)
 
 
@@ -653,7 +659,8 @@ def _expanded(b1: Barcode, b2: Barcode) -> Tuple[int, PiCode, List[Tuple], List[
     by multiplicity, as ``(degree, left, right, length)`` keys over
     ``scale``, twice the common scale, so that every key and difference of
     keys halves exactly (``right`` and ``length`` None for an infinite bar),
-    in one code that decides the searches (``_common_code``).  Counted
+    in one code that decides the searches (``_common_code``), each endpoint
+    key of its type in the barcode's rows.  Counted
     first, and refused past ``MAX_EXPANDED_BARS`` on either side; a common
     scale longer than ``MAX_SCALE_BITS`` raises :class:`KeySizeError`."""
     for b in (b1, b2):
@@ -676,22 +683,12 @@ def _key_rows(b: Barcode, f: int, code: PiCode) -> List[Tuple]:
     rows = b.rows if b.code is code else [
         (d, _recode(l, b.code, code), None if r is None else _recode(r, b.code, code), m)
         for d, l, r, m in b.rows]
-    out = []  # ``_expanded``'s rows of ``b``
+    out = []  # ``_expanded``'s rows of ``b``, each key of its type: ``_typed`` written out
     for d, l, r, m in rows:
-        out += [(d, l * f, None, None) if r is None else (d, l * f, r * f, (r - l) * f)] * m
+        l2 = l * f if type(l) is int else _PiInt(l * f)
+        out += [(d, l2, None, None) if r is None else
+                (d, l2, r * f if type(r) is int else _PiInt(r * f), (r - l) * f)] * m
     return out
-
-
-def _expanded_flags(b: Barcode, shift: bool = False) -> List[Tuple[bool, bool]]:
-    """Whether each endpoint of ``_expanded``'s rows of ``b`` reads back as
-    a PiRational; all do when moved by a ``shift`` that does."""
-    return [(type(l) is _PiInt or shift, type(r) is _PiInt or shift)
-            for _d, l, r, m in b.rows for _ in range(m)]
-
-
-def _any_pi(*barcodes: Barcode) -> bool:
-    """Whether an endpoint of the barcodes reads back as a PiRational."""
-    return any(type(x) is _PiInt for b in barcodes for row in b.rows for x in row[1:3])
 
 
 def _degree_groups(rows1: Sequence[Tuple], rows2: Sequence[Tuple],
@@ -881,30 +878,28 @@ def _window_search(rows1: List[Tuple], rows2: List[Tuple], floor: int) -> int:
 
 
 def _first_cost(v: int, rows1: List[Tuple], rows2: List[Tuple], groups, code: PiCode,
-                b1: Barcode, b2: Barcode, shift: bool = False) -> int:
+                c: int = 0) -> int:
     """``v``, a least key of the search, of the type it reads back as: that
-    of the first cost equal to it, in the order zero, the
-    deletions of ``rows1`` then ``rows2`` (half their lengths), then each
-    matchable pair's left and right endpoint differences, group by group
-    and row-major, the rows being those of ``b1`` and of ``b2`` moved by a
-    shift (flagged ``shift``).  A cost reads back as a PiRational when one
-    of its endpoints does, so the distance reads back as a Fraction or a
-    PiRational by the endpoints of that cost, whichever key the search
-    ended on."""
+    of the first cost equal to it, in the order zero, the deletions of
+    ``rows1`` then ``rows2`` (half their lengths), then each matchable
+    pair's left and right endpoint differences, group by group and
+    row-major, the second side moved by ``-c``.  A cost is a ``_PiInt`` when
+    one of the keys it is made of (its endpoints, and ``c`` on the second
+    side) is, so the distance reads back as a Fraction or a PiRational by
+    the endpoints of that cost, whichever key the search ended on."""
     if code.bound and code.parts(v)[1]:
         return _PiInt(v)  # every cost equal to it has its type
-    if not (shift or _any_pi(b1, b2)):
-        return v
-    if not v:
-        return 0
-    flags1, flags2 = _expanded_flags(b1), _expanded_flags(b2, shift)
-    for row, (lf, rf) in zip(rows1 + rows2, flags1 + flags2):
-        if row[3] is not None and row[3] // 2 == v:
-            return _PiInt(v) if lf or rf else v
+    keys = [x for rows in (rows1, rows2) for row in rows for x in row[1:3]] + [c]
+    if _PiInt not in map(type, keys) or not v:
+        return v  # every cost is a Fraction's, or v is zero
+    for rows, s in ((rows1, 0), (rows2, c)):
+        for _d, l, r, n in rows:
+            if n is not None and n // 2 == v:
+                return _typed(v, l, r, s)
     for i, j in _matchable_pairs(rows1, rows2, groups):
-        for x, y, fx, fy in zip(rows1[i][1:3], rows2[j][1:3], flags1[i], flags2[j]):
-            if x is not None and abs(x - y) == v:
-                return _PiInt(v) if fx or fy else v
+        for x, y in zip(rows1[i][1:3], rows2[j][1:3]):
+            if x is not None and abs(x - y + c) == v:
+                return _typed(v, x, y, c)
     raise AssertionError("no cost equals the optimum")
 
 
@@ -927,7 +922,7 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, degree_sensitive: bool = True)
     best = 0
     for idx1, idx2 in groups:
         best = _window_search([rows1[i] for i in idx1], [rows2[j] for j in idx2], best)
-    return _value(_first_cost(best, rows1, rows2, groups, code, b1, b2), scale, code)
+    return _value(_first_cost(best, rows1, rows2, groups, code), scale, code)
 
 
 def interleaving_distance(b1: Barcode, b2: Barcode):
@@ -946,18 +941,21 @@ class _ShiftCandidates:
     midpoint of two distinct differences, and 0.
 
     Of several equal candidates the first counts, in that order (differences
-    in ``e2``-major order, midpoints in pair order).  Queries bisect the
-    sorted differences, so the O(E^4) midpoints are never listed.  ``half``
-    halves a sum of two differences exactly.
+    in ``e2``-major order, midpoints in pair order), a ``_PiInt`` when one
+    of the endpoint keys it is made of is (0 when ``e1[0]`` is).  Queries
+    bisect the sorted differences, so the O(E^4) midpoints are never listed.
+    ``half`` halves a sum of two differences exactly.
     """
 
     def __init__(self, e1: Sequence, e2: Sequence, half) -> None:
-        self.diffs = list(dict.fromkeys(y - x for y in e2 for x in e1))
+        # ``_typed`` written out: a call per difference would cost more than
+        # the difference
+        self.diffs = list(dict.fromkeys(_PiInt(y - x) if type(y) is _PiInt or type(x) is _PiInt
+                                        else y - x for y in e2 for x in e1))
         self.index = {d: i for i, d in enumerate(self.diffs)}
         self.sorted_diffs = sorted(self.diffs)
-        self.zero = e1[0] - e1[0]
+        self.zero = _typed(e1[0] - e1[0], e1[0])
         self.half = half
-        self.e1, self.e2 = e1, e2
 
     def least(self):
         return self.first_from(min(self.sorted_diffs[0], self.zero))
@@ -974,28 +972,19 @@ class _ShiftCandidates:
             j = max(i + 1, bisect.bisect_left(ds, 2 * t - x))
             if j < len(ds):
                 found.append(self.half(x + ds[j]))
-        return self._first_equal(min(found))[0]
+        return self._first_equal(min(found))
 
-    def _first_equal(self, v) -> Tuple[object, Tuple]:
-        """The first candidate equal to ``v``, and the differences it is
-        made of: itself, else the two of the earliest midpoint, else none
-        (0)."""
-        if v in self.index:
-            return v, (v,)
+    def _first_equal(self, v):
+        """The first candidate equal to ``v``: a difference, else the
+        earliest midpoint, else 0."""
+        k = self.index.get(v)
+        if k is not None:
+            return self.diffs[k]
         for x in self.diffs:
             j = self.index.get(2 * v - x)
             if j is not None:
-                return self.half(x + self.diffs[j]), (x, self.diffs[j])
-        return self.zero, ()
-
-    def flag(self, v, f1: Sequence[bool], f2: Sequence[bool]) -> bool:
-        """Whether the first candidate equal to ``v`` reads back as a
-        PiRational, ``f1`` and ``f2`` saying which endpoints of ``e1`` and
-        ``e2`` do: a difference does when one of its two endpoints does, a
-        midpoint when one of its two differences does, and 0 as ``e1[0]``."""
-        parts = self._first_equal(v)[1]
-        return any(next(fy or fx for y, fy in zip(self.e2, f2) for x, fx in zip(self.e1, f1)
-                        if y - x == d) for d in parts) if parts else f1[0]
+                return _typed(self.half(x + self.diffs[j]), x, self.diffs[j])
+        return self.zero
 
 
 def _optimal_shift(rows1: List[Tuple], rows2: List[Tuple], pairs):
@@ -1105,29 +1094,16 @@ def shifted_bottleneck(b1: Barcode, b2: Barcode, degree_sensitive: bool = True):
         return bottleneck_distance(b1, b2, degree_sensitive), Fraction(0)
     e1, e2 = ([x for row in rows for x in row[1:3] if x is not None] for rows in (rows1, rows2))
     shifts = _ShiftCandidates(e1, e2, lambda x: x // 2)
-
-    def typed(c: int) -> int:
-        """``c``, a ``_PiInt`` when the first candidate equal to it reads
-        back as a PiRational."""
-        if not _any_pi(b1, b2):
-            return c
-        f1, f2 = ([f for row, pair in zip(rows, _expanded_flags(b)) for x, f in zip(row[1:3], pair)
-                   if x is not None] for rows, b in ((rows1, b1), (rows2, b2)))
-        return _PiInt(c) if shifts.flag(c, f1, f2) else c
-
     groups = _degree_groups(rows1, rows2, degree_sensitive)
     if _infinite_mismatch(rows1, rows2, groups):
-        return INF, _value(typed(shifts.least()), scale, code)
+        return INF, _value(shifts.least(), scale, code)
     span, start = _optimal_shift(rows1, rows2, _matchable_pairs(rows1, rows2, groups))
     # each interval of shifts feasible at delta, [max top - delta, min bottom
     # + delta] over its pairs, holds the candidate midpoint of its two
     # bounds, so the first candidate after the leftmost start is optimal
     c = shifts.least() if start is None else shifts.first_from(start)
-    moved = [(d, l - c, None if r is None else r - c, None if r is None else (r - c) - (l - c))
-             for d, l, r, _n in rows2]
-    c = typed(c)
-    return (_value(_first_cost(span // 2, rows1, moved, groups, code, b1, b2, type(c) is _PiInt),
-                   scale, code), _value(c, scale, code))
+    return _value(_first_cost(span // 2, rows1, rows2, groups, code, c), scale, code), \
+        _value(c, scale, code)
 
 
 # ---------------------------------------------------------------------------

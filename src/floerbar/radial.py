@@ -65,7 +65,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactpi import SPREAD, PiRational, code_for, key_sign
-from .novikov import LagrangianParams, parse_int, parse_ratio
+from .novikov import LagrangianParams, parse_int
 from .persistence import (INF, Barcode, _denominators, _pair, _PiInt, _row_order, _typed,
                           bottleneck_distance, least_depth)
 
@@ -100,23 +100,23 @@ class PruningEmptyError(ValueError):
     """Continuity pruning eliminated every candidate barcode at some sample."""
 
 
+@dataclass(frozen=True)
 class RadialProfile:
     """Piecewise linear profile in the capacity coordinate ``rho = pi*r``.
 
     ``breakpoints`` are ``(rho, value)`` with ``rho`` increasing from 0;
     ``exterior`` lists the Morse indices contributing generators at the
-    outermost value.  Profiles are equal when both are.  A profile read from
-    JSON keeps its breakpoints as int parts over one scale (``_keys``) and
-    reads them out as PiRationals only when they are asked for.
+    outermost value.
     """
 
-    def __init__(self, breakpoints, exterior=()) -> None:
-        self.breakpoints = tuple((PiRational.of(r), PiRational.of(f)) for r, f in breakpoints)
-        self._checked(exterior)
+    breakpoints: Tuple[Tuple[PiRational, PiRational], ...]
+    exterior: Tuple[int, ...] = ()
 
-    def _checked(self, exterior) -> "RadialProfile":
-        self.exterior = tuple(parse_int(j) for j in exterior)
-        keys = self._keys[1]
+    def __post_init__(self) -> None:
+        pts = tuple((PiRational.of(r), PiRational.of(f)) for r, f in self.breakpoints)
+        object.__setattr__(self, "breakpoints", pts)
+        object.__setattr__(self, "exterior", tuple(parse_int(j) for j in self.exterior))
+        keys = self._keys[1]  # checked on the int parts that ``generators`` reads
         if len(keys) < 2:
             raise ValueError("a profile needs at least two breakpoints")
         if keys[0][:2] != (0, 0):
@@ -124,10 +124,9 @@ class RadialProfile:
         for (r0, r0pi, _f, _fpi), (r1, r1pi, _f, _fpi) in zip(keys, keys[1:]):
             if key_sign(r1 - r0, r1pi - r0pi) <= 0:
                 raise ValueError("breakpoint abscissae must strictly increase")
-        return self
 
-    # each cached_property stores its value in the instance __dict__, where
-    # the other's input already is
+    # a cached_property stores its value in the instance __dict__, which a
+    # frozen dataclass leaves writable; it is not a field
     @functools.cached_property
     def _keys(self) -> Tuple[int, Tuple[Tuple[int, int, int, int], ...]]:
         """``(scale, points)``: the least common scale of the breakpoints and
@@ -135,24 +134,6 @@ class RadialProfile:
         and pi parts of both coordinates as ints."""
         scale = math.lcm(*(d for pt in self.breakpoints for x in pt for d in _denominators(x)))
         return scale, tuple(_pair(r, scale) + _pair(f, scale) for r, f in self.breakpoints)
-
-    @functools.cached_property
-    def breakpoints(self) -> Tuple[Tuple[PiRational, PiRational], ...]:
-        scale, points = self._keys
-        return tuple((PiRational(Fraction(r, scale), Fraction(r_pi, scale)),
-                      PiRational(Fraction(f, scale), Fraction(f_pi, scale)))
-                     for r, r_pi, f, f_pi in points)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RadialProfile):
-            return NotImplemented
-        return (self.breakpoints, self.exterior) == (other.breakpoints, other.exterior)
-
-    def __hash__(self) -> int:
-        return hash((self.breakpoints, self.exterior))
-
-    def __repr__(self) -> str:
-        return f"RadialProfile(breakpoints={self.breakpoints!r}, exterior={self.exterior!r})"
 
     def to_json(self) -> dict:
         return {
@@ -163,19 +144,11 @@ class RadialProfile:
 
     @classmethod
     def from_json(cls, data: dict) -> "RadialProfile":
-        """Read the breakpoints straight to int parts, each coordinate a
-        rational or a ``[rational, pi_coeff]`` pair as
-        ``PiRational.from_json`` reads it."""
-        def parts(x) -> Tuple[int, int, int, int]:  # the rational and pi part as ratios
-            return (*parse_ratio(x[0]), *parse_ratio(x[1])) if type(x) is list and len(x) == 2 \
-                else (*parse_ratio(x), 0, 1)
-
-        points = [parts(r) + parts(f) for r, f in data["breakpoints"]]
-        scale = math.lcm(*(d for pt in points for d in pt[1::2]))
-        profile = object.__new__(cls)
-        profile._keys = scale, tuple(tuple(n * (scale // d) for n, d in zip(pt[::2], pt[1::2]))
-                                     for pt in points)
-        return profile._checked(tuple(data.get("exterior", ())))
+        return cls(
+            breakpoints=tuple((PiRational.from_json(r), PiRational.from_json(f))
+                              for r, f in data["breakpoints"]),
+            exterior=tuple(data.get("exterior", ())),
+        )
 
 
 @dataclass(frozen=True)
@@ -207,14 +180,6 @@ class GeneratorSpectrum:
 def _slope_floor(df: int, df_pi: int, drho: int, drho_pi: int) -> int:
     """floor(df/drho) for the int parts of ``df`` and ``drho > 0``, raising
     on exact integer slopes."""
-    if not drho_pi:
-        # floor(df) is the floor of df's key over M, and floor(df/drho) of
-        # floor(df)/drho
-        if not df_pi and not df % drho:
-            raise SlopeDegeneracyError("slope is an integer multiple of pi")
-        code = code_for(abs(df_pi))
-        return code.encode(df, df_pi) // code.M // drho
-
     def above(l: int) -> int:  # the sign of l*drho - df, increasing in l
         return key_sign(l * drho - df, l * drho_pi - df_pi)
 

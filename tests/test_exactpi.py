@@ -10,7 +10,7 @@ import pytest
 from floerbar.exactpi import (HEAD, PLAIN, SPREAD, PiRational, _level_code, _machin_bracket,
                               code_for, key_sign)
 from floerbar.oracles import pi_rational_cmp
-from floerbar.persistence import _denominators, _PiInt
+from floerbar.persistence import _denominators, _PiInt, _typed
 from floerbar.persistence import _pair as _parts_of
 from floerbar.persistence import _value as _read_key
 
@@ -186,15 +186,19 @@ def test_keys_order_and_add_like_their_values():
         assert (kx < ky, kx <= ky, kx > ky, kx >= ky, kx == ky, kx != ky) == _order(c), (x, y)
         if c == 0:
             assert hash(kx) == hash(ky)
-        px, tx = PiRational.of(x), isinstance(x, PiRational)
-        either = tx or isinstance(y, PiRational)
-        derived = ((kx - ky, px - y, either), (kx + ky, px + y, either),
-                   (2 * kx - 3 * ky, 2 * px - 3 * y, either), (-kx, -px, tx),
-                   (abs(kx - ky), abs(px - y), either), ((4 * kx) // 2, 2 * px, tx))
+        # the keys as a barcode holds them, a PiRational's a _PiInt, and the
+        # derived keys typed as the searches type theirs
+        px, tx, ty = PiRational.of(x), isinstance(x, PiRational), isinstance(y, PiRational)
+        ex, ey = _PiInt(kx) if tx else kx, _PiInt(ky) if ty else ky
+        derived = ((_typed(ex - ey, ex, ey), px - y, tx or ty),
+                   (_typed(ex + ey, ex, ey), px + y, tx or ty),
+                   (_typed(2 * ex - 3 * ey, ex, ey), 2 * px - 3 * y, tx or ty),
+                   (_typed(-ex, ex), -px, tx), (_typed(abs(ex - ey), ex, ey), abs(px - y), tx or ty),
+                   (_typed((4 * ex) // 2, ex), 2 * px, tx))
         for k, v, pi in derived:
-            read = _read_key(_PiInt(k) if pi or code.parts(k)[1] else k, scale, code)
+            read = _read_key(k, scale, code)
             assert read == v, (x, y, k)
-            assert isinstance(read, PiRational) == (pi or not v.is_rational), (x, y, k)
+            assert isinstance(read, PiRational) == pi, (x, y, k)
             assert (k < kx, k <= kx, k > kx, k >= kx, k == kx, k != kx) == \
                 _order(pi_rational_cmp(v, x))
     assert seen == {-1, 0, 1}

@@ -266,6 +266,30 @@ def test_shift_search_ties_report_the_smallest_shift():
     assert shifted_bottleneck(a, b) == brute_force_shifted_bottleneck(a, b) == (F(1, 2), -8)
 
 
+def test_shift_candidate_zero_reads_back_as_the_first_endpoint():
+    # every endpoint difference is positive and no shift matches the lone
+    # infinite bar, so the reported shift is the candidate 0, which reads
+    # back as the first endpoint of the first barcode does
+    from floerbar.oracles import scan_shifted_bottleneck
+    b = bc(bar(1, 2))
+    for left in (F(1, 7), PiRational(F(0), F(1, 7))):
+        a = Barcode([Bar(left, INF)])
+        for d, c in (shifted_bottleneck(a, b), scan_shifted_bottleneck(a, b)):
+            assert d is INF and c == 0 and type(c) is type(left)
+
+
+def test_shift_distance_reads_back_as_its_cost_at_the_shift():
+    # the shift 7/2 is first the difference 3 - (-1/2) of two degree-0
+    # endpoints, the second a PiRational; the distance 1/2 is first the
+    # degree-1 cost |0 - (3 - 7/2)|, of two Fraction endpoints, the second
+    # moved by that shift, so both read back as PiRationals
+    a = Barcode([Bar(F(-1, 2), F(35, 2), 0), Bar(F(0), F(10), 1)])
+    b = Barcode([Bar(PiRational(F(3)), PiRational(F(21)), 0), Bar(F(3), F(14), 1)])
+    d, c = shifted_bottleneck(a, b)
+    assert (d, c) == (F(1, 2), F(7, 2))
+    assert type(d) is type(c) is PiRational
+
+
 def test_shift_search_returns_the_distance_at_its_shift():
     """On int keys the search returns its own optimum instead of re-running
     ``bottleneck_distance`` at the reported shift.  On 520 ``random_barcode``
