@@ -5,7 +5,10 @@ the cyclic order of the crossing points along each curve, the faces of the
 arrangement as oriented boundary walks (face on the left of every traversed
 arc), and an exact positive area per face.  On the sphere each curve must
 bisect the total area; on the annulus two designated faces carry the
-boundary circles.
+boundary circles.  Validation checks that the walks glue to a sphere, the
+annulus's boundary faces counted as faces: coherent walks, four corners at
+every point, V - E + F = 2 and a connected face adjacency graph, which
+refuses crossings that only touch.
 
 Lunes -- index-one bigons between the curves -- are enumerated over boundary
 data: a path along K from x to y, a path along L back, each with bounded
@@ -30,10 +33,12 @@ go stale.  A candidate's index-and-nonnegativity verdict depends on its point
 pair only through a small key (the pair's corner sums and the least base
 winding of each class of faces with equal full-turn windings), so each pass
 takes the verdicts once per key, the first time the key appears, and many
-pairs share one.  Per-candidate work -- the face vector, every jump
-condition, the area -- runs only on the survivors.  The per-candidate
-breadth-first solve all this replaces is kept as the oracle
-``brute_force_lunes`` in :mod:`floerbar.oracles`.
+pairs share one.  Per-candidate work -- the face vector and the area -- runs
+only on the survivors.  No candidate is checked against the jump conditions:
+on the sphere that validation makes of the arrangement every boundary meets
+them (the proof is in ``enumerate_lunes``).  The per-candidate breadth-first
+solve all this replaces is kept as the oracle ``brute_force_lunes`` in
+:mod:`floerbar.oracles`, which asserts every jump condition.
 
 The filtered complex of a diagram has the crossing points as generators and
 the lunes mod 2, grouped by recapping exponent, as its differential.  One
@@ -291,8 +296,9 @@ class _Geometry:
             raise DiagramError(f"step {step} has invalid direction")
         return arc
 
-    def face_components(self, across: str) -> List[FrozenSet[str]]:
-        """Connected components of faces glued across arcs of one curve."""
+    def face_components(self, *across: str) -> List[FrozenSet[str]]:
+        """Connected components of faces glued across the arcs of the given
+        curves."""
         parent = {name: name for name in self.faces}
 
         def find(x):
@@ -301,11 +307,10 @@ class _Geometry:
                 x = parent[x]
             return x
 
-        for i in range(self.m):
-            key = (across, i)
-            a, b = self.left.get(key), self.right.get(key)
+        for curve, i in itertools.product(across, range(self.m)):
+            a, b = self.left.get((curve, i)), self.right.get((curve, i))
             if a is None or b is None:
-                raise DiagramError(f"arc {across}{i} missing a side")
+                raise DiagramError(f"arc {curve}{i} missing a side")
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
@@ -360,6 +365,8 @@ def _validated_geometry(d: TwoCurveDiagram) -> _Geometry:
                 raise DiagramError(f"unknown boundary face {bf!r}")
         if m - 2 * m + len(d.faces) - 2 != 0:
             raise DiagramError("Euler count fails for the annulus")
+    if len(geo.face_components("K", "L")) != 1:
+        raise DiagramError("face adjacency graph is disconnected")
     return geo
 
 
@@ -395,16 +402,15 @@ class _WindingField:
     traversal counts n.  Along a spanning tree of the face adjacency graph,
     rooted at the diagram's first face (w = 0 there), each face's winding is
     the signed sum of the counts of the tree arcs on its root path; faces are
-    indexed in name order.  ``windings[curve]`` holds those signs per face
-    summed over arcs 0..k-1 of the curve as row k, so a forward arc range
-    contributes a difference of two rows, and a full turn of the curve
-    contributes row m (``total[curve]``).  Each row comes with its jump
-    residue (its jumps on every arc less its arc counts, in ``residues``)
-    and its area (in ``areas``), which are linear in the row too.
+    indexed in name order.  A validated diagram is a sphere, so this meets
+    the jump condition on the arcs off the tree too whenever the counts form
+    a closed boundary (see ``enumerate_lunes``).  ``windings[curve]`` holds
+    those signs per face summed over arcs 0..k-1 of the curve as row k, so a
+    forward arc range contributes a difference of two rows, and a full turn
+    of the curve contributes row m (``total[curve]``).  Each row comes with
+    its area (in ``areas``), which is linear in the row too.
     ``corner_prefix[curve][p]`` sums the winding rows over the four corner
     faces of point p, which prices a candidate's index in O(1).
-    ``turn_residue[curve]`` is a full turn's arc counts less its jumps: zero
-    on every arc where the turn is a consistent boundary.
 
     Each table maps a curve to its rows and its wrapped rows: a range that
     wraps past arc m-1 starts a full turn early, at row k less row m.
@@ -417,15 +423,13 @@ class _WindingField:
         self.faces = sorted(geo.faces)
         index = {name: i for i, name in enumerate(self.faces)}
         n = len(self.faces)
-        # left and right face of every arc, the arcs of K then those of L
-        self.lefts = [index[geo.left[(curve, a)]] for curve in ("K", "L") for a in range(m)]
-        self.rights = [index[geo.right[(curve, a)]] for curve in ("K", "L") for a in range(m)]
         adjacency: List[List[Tuple[int, Tuple[str, int], int]]] = [[] for _ in range(n)]
-        for i, (lf, rf) in enumerate(zip(self.lefts, self.rights)):
-            arc = ("K", i) if i < m else ("L", i - m)
+        for arc in itertools.product(("K", "L"), range(m)):
+            lf, rf = index[geo.left[arc]], index[geo.right[arc]]
             adjacency[rf].append((lf, arc, 1))
             adjacency[lf].append((rf, arc, -1))
-        # face -> {arc: sign} over the tree arcs on its root path
+        # face -> {arc: sign} over the tree arcs on its root path; validation
+        # makes the adjacency graph connected, so every face is reached
         paths: List[Optional[Dict[Tuple[str, int], int]]] = [None] * n
         root = index[next(iter(geo.faces))]
         paths[root] = {}
@@ -437,8 +441,6 @@ class _WindingField:
                     paths[nbr] = dict(paths[cur])
                     paths[nbr][arc] = sign
                     frontier.append(nbr)
-        if any(path is None for path in paths):
-            raise DiagramError("face adjacency graph is disconnected")
         columns: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
         for f, path in enumerate(paths):
             for arc, sign in path.items():
@@ -448,38 +450,23 @@ class _WindingField:
         # length below 20 for reuse, and face-length tuples made on every call
         # would hold that memory for the life of the process
         self.windings: Dict[str, Tuple[List[List[int]], List[List[int]]]] = {}
-        self.residues: Dict[str, Tuple[List[List[int]], List[List[int]]]] = {}
         self.areas: Dict[str, Tuple[List[int], List[int]]] = {}
         self.corner_prefix: Dict[str, Dict[int, List[int]]] = {}
-        for c, curve in enumerate(("K", "L")):
+        for curve in ("K", "L"):
             row = [0] * n
             rows = [list(row)]
             for a in range(m):
                 for f, sign in columns.get((curve, a), ()):
                     row[f] += sign
                 rows.append(list(row))
-            residues = []
-            for k, r in enumerate(rows):
-                counts = [0] * (2 * m)
-                counts[c * m:c * m + k] = [1] * k
-                residues.append(list(map(operator.sub, self.jumps(r), counts)))
             areas = [sum(map(operator.mul, self.face_areas, r)) for r in rows]
             self.windings[curve] = rows, [list(map(operator.sub, r, row)) for r in rows]
-            self.residues[curve] = residues, [list(map(operator.sub, r, residues[m]))
-                                              for r in residues]
             self.areas[curve] = areas, [x - areas[m] for x in areas]
             by_face = list(zip(*rows))
             self.corner_prefix[curve] = {
                 p: list(map(sum, zip(*(by_face[index[f]] for f in names))))
                 for p, names in geo.corners.items()}
         self.total = {curve: rows[m] for curve, (rows, _w) in self.windings.items()}
-        self.turn_residue = {curve: [-x for x in rows[m]]
-                             for curve, (rows, _w) in self.residues.items()}
-
-    def jumps(self, w: List[int]) -> List[int]:
-        """``w(left) - w(right)`` on every arc, the arcs of K then those of L."""
-        return list(map(operator.sub, map(w.__getitem__, self.lefts),
-                        map(w.__getitem__, self.rights)))
 
     @staticmethod
     def _ends(table, seg_k: Tuple[int, int], seg_l: Tuple[int, int]) -> tuple:
@@ -496,16 +483,6 @@ class _WindingField:
         """Face windings of the forward ranges ``seg_k`` of K and ``seg_l``
         of L."""
         end_k, start_k, end_l, start_l = self._ends(self.windings, seg_k, seg_l)
-        return list(map(operator.add, map(operator.sub, end_k, start_k),
-                        map(operator.sub, end_l, start_l)))
-
-    def range_residue(self, seg_k: Tuple[int, int], seg_l: Tuple[int, int]) -> List[int]:
-        """The jumps of ``base_vector(seg_k, seg_l)`` less the arc counts of
-        the two ranges.  Windings, jumps and counts are all linear in the
-        full turns, so the boundary with tk and tl turns meets every jump
-        condition iff this equals ``tk * turn_residue["K"] + tl *
-        turn_residue["L"]``."""
-        end_k, start_k, end_l, start_l = self._ends(self.residues, seg_k, seg_l)
         return list(map(operator.add, map(operator.sub, end_k, start_k),
                         map(operator.sub, end_l, start_l)))
 
@@ -563,12 +540,40 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     decides every boundary of the pair, and many pairs share a key.  A
     key's surviving boundaries are listed the first time it appears in the
     call, and a pair whose corner residue mod 8 no boundary reaches is
-    skipped before its face vector is built.  Only survivors are checked
-    against every jump condition, as one comparison of the pair's range
-    residue with the residue of the survivor's turns, and built face by
-    face; a survivor's area is the pair's base area plus the area of its
+    skipped before its face vector is built.  Only survivors are built face
+    by face; a survivor's area is the pair's base area plus the area of its
     turns and offset.  More than ``MAX_LUNE_CANDIDATES`` candidates raise
     :class:`LuneCandidateError`, counted before any is built.
+
+    Every candidate meets every jump condition ``w(left) - w(right) =
+    n(arc)``, so none is checked.  Validation guarantees four things:
+
+    - every arc has exactly one left face and one right face: each arc is
+      traversed at most once in each direction, and the 4*m corner slots of
+      the m points are filled by the 4*m steps, so the 2*m arcs have 4*m
+      sides, each taken at most once and so all taken;
+    - the face walks are coherent: each step starts where the one before
+      it ends;
+    - the face adjacency graph (faces sharing an arc of K or of L) is
+      connected;
+    - V - E + F = m - 2*m + F = 2, counting the annulus's two boundary
+      faces.
+
+    Glue the faces along their arcs.  Each point's corners form one or more
+    cycles, each a vertex of the glued surface S; S is closed, connected by
+    the third condition and oriented by the walks, so chi(S) <= 2.  S has at
+    least one vertex per point, so chi(S) >= V - E + F = 2.  Hence chi(S) =
+    2, no point splits into two vertices (a touch), and the arrangement is
+    S, a sphere, where H_1 = 0 and H_2 is spanned by the sum of all faces.
+    A candidate's arc counts n, along K from x to y and along L back, are a
+    closed 1-cycle, and the jump conditions say that the 2-chain w has
+    boundary n.  So n bounds a w that is unique up to a constant.  The
+    spanning-tree solve fixes that constant by w = 0 at the root and agrees
+    with w on the tree arcs, so it is that w and meets every jump condition.
+    The solve is linear in n, and ``base`` and the two full turns are
+    closed cycles each, so the same holds for every ``base + tk * total_K +
+    tl * total_L``.  The oracle ``brute_force_lunes`` asserts it
+    candidate by candidate.
     """
     analysis = d._analysis
     points = len(d.points)
@@ -582,7 +587,6 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     scaled_areas = field.face_areas
     total_area = sum(scaled_areas)
     total_k, total_l = field.total["K"], field.total["L"]
-    residue_k, residue_l = field.turn_residue["K"], field.turn_residue["L"]
     # faces with equal full-turn windings move together under the turns
     groups: Dict[Tuple[int, int], List[int]] = {}
     for f, turns in enumerate(zip(total_k, total_l)):
@@ -595,7 +599,7 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     bfaces = [faces.index(name) for name in d.boundary_faces]
     bturns = [(total_k[f], total_l[f]) for f in bfaces]
     boundaries = _lune_paths(max_wind)
-    # (tk, tl) -> (face windings of the turns, their area, their jump residue)
+    # (tk, tl) -> (face windings of the turns, their area)
     turn_data: Dict[Tuple[int, int], tuple] = {}
 
     def residue_classes(a: int, b: int) -> Dict[int, list]:
@@ -626,8 +630,7 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
             if turns is None:
                 vector = [tk * gk + tl * gl for gk, gl in zip(total_k, total_l)]
                 turns = turn_data[(tk, tl)] = (
-                    vector, sum(map(operator.mul, scaled_areas, vector)),
-                    [tk * rk + tl * rl for rk, rl in zip(residue_k, residue_l)])
+                    vector, sum(map(operator.mul, scaled_areas, vector)))
             out.append((k_path, l_path, s, *turns))
         return out
 
@@ -659,11 +662,8 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
             passed = verdicts[key] = survivors(reachable, least, pinned)
         if not passed:
             continue
-        residue = field.range_residue(seg_k, seg_l)
         base_area = field.range_area(seg_k, seg_l)
-        for k_path, l_path, s, turns, turns_area, turns_residue in passed:
-            if residue != turns_residue:
-                continue
+        for k_path, l_path, s, turns, turns_area in passed:
             offset = (2 - corner_base - s) // 8
             w = [v + t + offset for v, t in zip(base, turns)]
             support = tuple([(name, v) for name, v in zip(faces, w) if v])

@@ -735,8 +735,12 @@ def _path_traversals(geo: _Geometry, curve: str, start: int, end: int,
 
 
 def _solve_winding(geo: _Geometry, traversals: Dict[Tuple[str, int], int]
-                   ) -> Optional[Dict[str, int]]:
-    """Solve w(left) - w(right) = net traversal on every arc; None if inconsistent."""
+                   ) -> Dict[str, int]:
+    """Solve w(left) - w(right) = net traversal on every arc.  The traversals
+    of a candidate boundary are a closed cycle, and a validated diagram is a
+    sphere, so a solution always exists (see ``enumerate_lunes``): an arc
+    whose jump condition fails, or a face the search does not reach, raises
+    AssertionError."""
     faces = list(geo.faces)
     w: Dict[str, int] = {faces[0]: 0}
     frontier = [faces[0]]
@@ -753,12 +757,13 @@ def _solve_winding(geo: _Geometry, traversals: Dict[Tuple[str, int], int]
             val = w[cur] + jump
             if nbr in w:
                 if w[nbr] != val:
-                    return None
+                    raise AssertionError(
+                        f"inconsistent jump between faces {cur} and {nbr}: {traversals}")
             else:
                 w[nbr] = val
                 frontier.append(nbr)
     if len(w) != len(faces):
-        raise DiagramError("face adjacency graph is disconnected")
+        raise AssertionError("face adjacency graph of a validated diagram is disconnected")
     return w
 
 
@@ -775,9 +780,10 @@ def brute_force_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]
     For each ordered point pair and each pair of monotone boundary paths
     (along K from x to y, along L from y to x), the arc traversal counts are
     tabulated, the face winding function is solved from the jump conditions
-    by a search over the face adjacency graph, and the candidate is accepted
-    if a constant offset makes it nonnegative with index one (offset forced
-    to zero on the annulus by the boundary faces).
+    by a search over the face adjacency graph, asserting every one of them,
+    and the candidate is accepted if a constant offset makes it nonnegative
+    with index one (offset forced to zero on the annulus by the boundary
+    faces).
     """
     geo = _validated_geometry(d)
     lunes: List[Lune] = []
@@ -793,8 +799,6 @@ def brute_force_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]
                     for a, c in _path_traversals(geo, "L", y, x, dl, jl).items():
                         traversals[("L", a)] = traversals.get(("L", a), 0) + c
                     w = _solve_winding(geo, traversals)
-                    if w is None:
-                        continue
                     w = _normalize_offset(d, geo, w, x, y)
                     if w is None:
                         continue

@@ -80,7 +80,8 @@ __all__ = [
 class _Infinite:
     """The sentinels ``INF`` (``sign`` 1) and ``NEG_INF`` (-1), above and
     below every exact endpoint; ``NEG_INF`` marks spectral invariants of the
-    zero class."""
+    zero class.  They compare, in both operand orders, but take no
+    arithmetic."""
 
     __slots__ = ("sign",)
 
@@ -104,24 +105,6 @@ class _Infinite:
 
     def __hash__(self):
         return hash("floerbar.INF" if self.sign > 0 else "floerbar.NEG_INF")
-
-    def __neg__(self):
-        return NEG_INF if self.sign > 0 else INF
-
-    def __add__(self, other):
-        if other is -self:
-            raise ArithmeticError("inf + (-inf)")
-        return self
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if other is self:
-            raise ArithmeticError("inf - inf")
-        return self
-
-    def __rsub__(self, other):
-        return -self
 
     def __repr__(self):
         return "inf" if self.sign > 0 else "-inf"

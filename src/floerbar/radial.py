@@ -214,13 +214,12 @@ def _slope_less(seg_a: Tuple[int, ...], seg_b: Tuple[int, ...]) -> bool:
 
 
 def generators(profile: RadialProfile, params: LagrangianParams,
-               l_range: Optional[Sequence[int]] = None,
                k_range: Sequence[int] = (0,)) -> GeneratorSpectrum:
-    """Generator spectrum of a profile within explicit level and recap ranges.
+    """Generator spectrum of a profile at the levels its slopes require,
+    within an explicit recap range.
 
-    ``l_range = None`` takes exactly the levels the slopes require; an
-    explicit range must cover them.  The actions are found on the int parts
-    of the profile and the disk area over one scale, and read out once.
+    The actions are found on the int parts of the profile and the disk area
+    over one scale, and read out once.
     """
     n = params.dim
     maslov = params.maslov
@@ -236,13 +235,8 @@ def generators(profile: RadialProfile, params: LagrangianParams,
 
     base: List[Tuple] = []  # (degree, action, action_pi, source)
 
-    def require(l: int) -> None:
-        if l_range is not None and l not in l_range:
-            raise ValueError(f"l_range does not cover required level {l}")
-
     # origin: initial slope bracketed by (l, l+1)
     l0 = floors[0]
-    require(l0)
     base.append((-l0 * n, *pts[0][2:], ("origin", l0)))
 
     # interior kinks
@@ -252,7 +246,6 @@ def generators(profile: RadialProfile, params: LagrangianParams,
         lo_f, hi_f = (before, after) if concave_up else (after, before)
         rho, rho_pi, f, f_pi = pts[i]
         for l in range(lo_f + 1, hi_f + 1):
-            require(l)
             degs = (-l * n, -l * n + n - 1) if concave_up else (-l * n + 1, -l * n + n)
             kind = "up" if concave_up else "down"
             for slot, deg in enumerate(degs):
@@ -552,8 +545,7 @@ class HomotopyTrace:
 
 
 def homotopy_filter(profiles: Sequence[RadialProfile], params: LagrangianParams,
-                    ranks: Mapping[int, int], continuity_constant,
-                    l_range: Optional[Sequence[int]] = None) -> HomotopyTrace:
+                    ranks: Mapping[int, int], continuity_constant) -> HomotopyTrace:
     """Prune feasible sets along a sampled family by barcode continuity.
 
     At each sample only barcodes within ``continuity_constant * sup-difference``
@@ -569,7 +561,7 @@ def homotopy_filter(profiles: Sequence[RadialProfile], params: LagrangianParams,
     kept: List[frozenset] = []
     diffs: List[PiRational] = []
     for idx, prof in enumerate(profiles):
-        feas = feasible_barcodes(generators(prof, params, l_range=l_range), ranks)
+        feas = feasible_barcodes(generators(prof, params), ranks)
         if idx == 0:
             kept.append(frozenset(feas))
             continue

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +58,44 @@ def test_barcode_command_with_degree_window():
     assert all(b["degree"] == 0 for b in bars)
     # the window misses degree 1, so gamma comes from a reduction of (0, 2)
     assert report["outputs"]["gamma"] == "1/5"
+
+
+_SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _svg_lines(text: str) -> list:
+    root = ElementTree.fromstring(text)
+    assert root.tag == f"{_SVG}svg"
+    return root.findall(f"{_SVG}line")
+
+
+def test_barcode_svg_draws_one_line_per_expanded_bar(tmp_path):
+    path = str(tmp_path / "bars.svg")
+    result, report = run("barcode", fixture_path("equator_pair_complex.json"), "--svg", path)
+    assert result.exit_code == 0, result.output
+    assert report["outputs"]["svg"] == path
+    bars = report["outputs"]["barcode"]["bars"]
+    lines = _svg_lines(Path(path).read_text(encoding="utf-8"))
+    assert len(lines) == sum(b["mult"] for b in bars) == 3
+    # the infinite bars are dashed
+    assert sum("stroke-dasharray" in line.attrib for line in lines) == 2
+
+
+def test_barcode_svg_of_pi_and_empty_barcodes():
+    from floerbar.exactpi import PiRational
+    from floerbar.persistence import INF, Bar, Barcode
+    from floerbar.svgout import barcode_svg
+
+    bc = Barcode([Bar(PiRational(Fraction(0), Fraction(1, 4)),
+                      PiRational(Fraction(1), Fraction(1, 4)), 0, 2),
+                  Bar(PiRational.pi(Fraction(1, 2)), INF, 1)])
+    lines = _svg_lines(barcode_svg(bc, width=400))
+    assert len(lines) == 3
+    assert [("stroke-dasharray" in line.attrib) for line in lines] == [False, False, True]
+    assert all(0 <= int(line.get(x)) <= 400 for line in lines for x in ("x1", "x2"))
+    empty = barcode_svg(Barcode([]))
+    assert _svg_lines(empty) == []
+    assert "empty barcode" in empty
 
 
 def test_barcode_refuses_digit_group_underscores(tmp_path):
@@ -538,6 +577,30 @@ def test_radial_rank_keys_of_one_degree_class_are_malformed(tmp_path):
     result, report = run("radial", str(path), "--homotopy")
     assert result.exit_code == 2, result.output
     assert "degree class 1 mod 2" in report["error"]
+
+
+def test_radial_on_runs_of_pure_pi_length(tmp_path):
+    # runs of length pi/8 each: the kink compares slopes on their pi parts
+    path = tmp_path / "pi_runs.json"
+    path.write_text(json.dumps(_radial_fold(breakpoints=[
+        [["0", "0"], ["-1/4", "0"]], [["0", "1/8"], ["0", "0"]], [["0", "1/4"], ["-1/4", "0"]]])))
+    result, report = run("radial", str(path))
+    assert result.exit_code == 0, result.output
+    # slopes 2/pi then -2/pi: one concave-down kink at level 0
+    kinks = [e["source"] for e in report["outputs"]["spectrum"] if e["source"][0] == "kink"]
+    assert sorted(kinks) == [["kink", "1", "0", "down", "0"], ["kink", "1", "0", "down", "1"]]
+
+
+def test_radial_mixed_run_lengths_fail_without_traceback(tmp_path):
+    # a rational run of 1/4 followed by a pi run of pi/8
+    path = tmp_path / "mixed_runs.json"
+    path.write_text(json.dumps(_radial_fold(breakpoints=[
+        ["0", "-1/4"], ["1/4", "-1/6"], [["1/4", "1/8"], "-1/4"]])))
+    result, report = run("radial", str(path))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert report["outputs"]["error"] == "profile run lengths are not rationally proportional"
+    assert "Traceback" not in result.output
 
 
 def test_radial_negative_rank_count_is_malformed(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -13,9 +15,12 @@ from floerbar.diagrams import (DiagramError, InadmissibleDiagramError,
                                equator_pair_diagram, relabel_diagram,
                                symmetric_equator_areas, two_circle_diagram,
                                validate_diagram)
-from floerbar.oracles import _shuffled_labels, brute_force_barcode, brute_force_lunes
+from floerbar.oracles import (_shuffled_labels, _solve_winding, brute_force_barcode,
+                              brute_force_lunes)
 from floerbar.persistence import bar_length_spectrum, boundary_depth
 from floerbar.sampling import random_admissible_areas, random_sphere_diagram
+
+from conftest import invoke
 
 
 def bundled_sphere(eps=F(1, 20)):
@@ -64,6 +69,59 @@ def test_euler_and_incidence_errors():
         areas={k: v for k, v in list(d.areas.items())[:-1]})
     with pytest.raises(DiagramError):
         validate_diagram(broken)
+
+
+# Two crossings that only touch: the walks split the four corners of each
+# point into two pairs, so the faces form two spheres, {f0, f1} and
+# {f2, f3}, glued at both points.  Every other invariant holds.
+TOUCH_JSON = """{"surface": "sphere", "order_k": [1, 2], "order_l": [1, 2],
+ "faces": {"f0": [["K", 1, 2, 1], ["L", 2, 1, -1]], "f1": [["K", 2, 1, -1], ["L", 1, 2, 1]],
+           "f2": [["K", 2, 1, 1], ["L", 1, 2, -1]], "f3": [["K", 1, 2, -1], ["L", 2, 1, 1]]},
+ "areas": {"f0": "1", "f1": "1", "f2": "1", "f3": "1"}}"""
+
+# The touch arrangement with f0 and f3 merged into one walk: three faces, so
+# V - E + F = 2 - 4 + 3 = 1
+THREE_FACES_JSON = """{"surface": "sphere", "order_k": [1, 2], "order_l": [1, 2],
+ "faces": {"g": [["K", 1, 2, 1], ["L", 2, 1, -1], ["K", 1, 2, -1], ["L", 2, 1, 1]],
+           "f1": [["K", 2, 1, -1], ["L", 1, 2, 1]], "f2": [["K", 2, 1, 1], ["L", 1, 2, -1]]},
+ "areas": {"g": "1", "f1": "1", "f2": "1"}}"""
+
+
+def test_validate_refuses_touching_crossings():
+    d = TwoCurveDiagram.from_json(json.loads(TOUCH_JSON))
+    with pytest.raises(DiagramError, match="^face adjacency graph is disconnected$"):
+        validate_diagram(d)
+    with pytest.raises(DiagramError, match="^face adjacency graph is disconnected$"):
+        brute_force_lunes(d)
+
+
+def test_combfloer_reports_touching_crossings(tmp_path):
+    path = tmp_path / "touch.json"
+    path.write_text(TOUCH_JSON)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    for flags in ([], ["--oracle"]):
+        result = invoke(["combfloer", str(path), *flags])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert json.loads(result.stdout) == {
+            "command": "combfloer", "inputs": {str(path): digest},
+            "outputs": {"error": "face adjacency graph is disconnected"},
+            "checks": [{"name": "diagram-valid", "passed": False}]}
+        assert result.stderr == "inadmissible diagram: face adjacency graph is disconnected\n"
+
+
+def test_the_lune_oracle_asserts_every_jump_condition():
+    # one arc of K alone is no closed boundary, so no winding function has
+    # it as its jumps
+    geo = two_circle_diagram()._analysis.geometry
+    with pytest.raises(AssertionError, match="inconsistent jump"):
+        _solve_winding(geo, {("K", 0): 1})
+
+
+def test_validate_counts_euler_on_the_sphere():
+    d = TwoCurveDiagram.from_json(json.loads(THREE_FACES_JSON))
+    with pytest.raises(DiagramError, match="^Euler count fails for the sphere$"):
+        validate_diagram(d)
 
 
 def test_lune_table_of_bundled_diagram():

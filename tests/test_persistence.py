@@ -7,7 +7,7 @@ import pytest
 from floerbar.exactpi import PLAIN, PiRational
 from floerbar.oracles import (_same, all_pairs_bottleneck, brute_force_bottleneck,
                               brute_force_shifted_bottleneck)
-from floerbar.persistence import (Bar, Barcode, INF, _PiInt, bar_length_spectrum,
+from floerbar.persistence import (Bar, Barcode, INF, NEG_INF, _PiInt, bar_length_spectrum,
                                   bottleneck_distance, boundary_depth,
                                   interleaving_distance, least_depth, shift_barcode,
                                   shifted_bottleneck)
@@ -31,6 +31,31 @@ def test_bar_invariants():
     with pytest.raises(ValueError):
         Bar(F(0), F(1), 0, 0)
     assert bar(0, "inf").length is INF
+
+
+@pytest.mark.parametrize("x", [0, -7, 10 ** 30, F(-5, 3), PiRational(F(1, 2), F(-2)),
+                               PiRational.pi(F(10 ** 9))])
+def test_infinities_bound_every_exact_value_in_both_orders(x):
+    # the reflected orders (x on the left) reach INF's and NEG_INF's own
+    # comparisons, since int, Fraction and PiRational return NotImplemented
+    assert NEG_INF < x < INF and NEG_INF <= x <= INF
+    assert INF > x > NEG_INF and INF >= x >= NEG_INF
+    assert not (INF < x or INF <= x or x > INF or x >= INF)
+    assert not (NEG_INF > x or NEG_INF >= x or x < NEG_INF or x <= NEG_INF)
+    assert INF != x and x != INF and NEG_INF != x and x != NEG_INF
+
+
+def test_infinities_compare_with_each_other_and_take_no_arithmetic():
+    assert NEG_INF < INF and NEG_INF <= INF and INF > NEG_INF and INF >= NEG_INF
+    assert not (INF < NEG_INF or INF <= NEG_INF or NEG_INF > INF or NEG_INF >= INF)
+    for inf in (INF, NEG_INF):
+        assert inf <= inf and inf >= inf and inf == inf
+        assert not (inf < inf or inf > inf or inf != inf)
+    assert INF != NEG_INF
+    for op in (lambda: -INF, lambda: INF + 1, lambda: 1 + INF, lambda: INF - F(1),
+               lambda: F(1) - NEG_INF):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_canonical_form_merges_multiplicities():

@@ -15,7 +15,7 @@ from floerbar.radial import (GeneratorSpectrum, InfeasibleRanksError,
                              SpectrumEntry, degree_actions,
                              degree_class_actions, feasible_barcodes,
                              fold_profile, forced_bar_bound, generators,
-                             _pairable, homotopy_filter, rank_quotas,
+                             _pairable, _slope_less, homotopy_filter, rank_quotas,
                              sup_difference)
 from floerbar.sampling import random_tent_spectrum
 
@@ -52,9 +52,25 @@ def test_slope_degeneracy_detected():
         generators(prof, LP)
 
 
-def test_explicit_l_range_must_cover():
-    with pytest.raises(ValueError, match="l_range"):
-        generators(fold_profile(F(1, 2)), LP, l_range=(5, 6))
+def test_slope_less_on_pure_pi_runs_matches_pi_arithmetic():
+    # segments (df, df_pi, drho, drho_pi) with runs drho_pi * pi > 0: the
+    # slopes compare as df_a * drho_pi_b < df_b * drho_pi_a
+    rng = random.Random(207)
+    for _ in range(500):
+        seg_a, seg_b = ((rng.randint(-9, 9), rng.randint(-9, 9), 0, rng.randint(1, 9))
+                        for _ in range(2))
+        expected = (PiRational(F(seg_a[0]), F(seg_a[1])) * seg_b[3]
+                    < PiRational(F(seg_b[0]), F(seg_b[1])) * seg_a[3])
+        assert _slope_less(seg_a, seg_b) is expected, (seg_a, seg_b)
+    # equal slopes are not less
+    assert not _slope_less((2, -4, 0, 2), (3, -6, 0, 3))
+
+
+def test_slope_less_refuses_runs_not_rationally_proportional():
+    for seg_a, seg_b in (((1, 0, 1, 0), (1, 0, 0, 1)), ((1, 0, 0, 1), (1, 0, 1, 0)),
+                         ((1, 0, 1, 1), (1, 0, 1, 2))):
+        with pytest.raises(ValueError, match="not rationally proportional"):
+            _slope_less(seg_a, seg_b)
 
 
 def test_fold_feasible_families():
