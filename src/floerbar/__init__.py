@@ -1,5 +1,9 @@
 """floerbar: exact-arithmetic toolkit for filtered Floer-type persistence.
 
+The package root re-exports nothing: import each name from its submodule,
+as in ``from floerbar.persistence import Barcode``.  A submodule
+loads on first use, so a command loads only the layers it runs.
+
 Submodules
 ----------
 
@@ -36,30 +40,21 @@ Submodules
     matchers, Hopcroft-Karp, the per-shift scan, the per-candidate lune solve
     and the per-matching feasible enumerator; and ``PROPERTIES``, the one
     table of properties that compare the fast code with them, which
-    ``floerbar check`` and the tests both run.  Not imported here; only
-    tests, ``floerbar check`` and ``--oracle`` load it.
+    ``floerbar check`` and the tests both run.  Only tests, ``floerbar
+    check`` and ``--oracle`` load it.
 """
 
-from .exactpi import PiRational
-from .novikov import (LagrangianParams, NovikovScalar, NovikovSpec, Rational,
-                      format_rational, nov_add, nov_mul, nov_valuation,
-                      parse_rational)
-from .persistence import (Bar, Barcode, INF, NEG_INF, bar_length_spectrum,
-                          bottleneck_distance, boundary_depth,
-                          interleaving_distance, shift_barcode,
-                          shifted_bottleneck)
-from .complexes import (FilteredComplex, Generator, barcode,
-                        complex_from_json, complex_to_json, gamma,
-                        spectral_invariant, uz_reduce)
-from .diagrams import (TwoCurveDiagram, build_complex, diagram_beta,
-                       diagram_gamma, enumerate_lunes, equator_pair_annulus,
-                       equator_pair_diagram, two_circle_diagram,
-                       validate_diagram)
-from .radial import (GeneratorSpectrum, RadialProfile, degree_actions,
-                     degree_class_actions, feasible_barcodes, fold_profile,
-                     forced_bar_bound, generators, homotopy_filter)
-from .seidel import (QHPresentation, RingElement, SeidelData, averaging_bound,
-                     example_case, qh_mul, quasimorphism_defect_bound,
-                     telescoping_check, verify_hypotheses)
+import importlib
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import the submodule ``floerbar.<name>`` on its first access, so that
+    ``floerbar.persistence`` works after a bare ``import floerbar`` (PEP 562)."""
+    try:
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None

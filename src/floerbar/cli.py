@@ -23,11 +23,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Tuple
 
-from . import complexes, diagrams, persistence, radial, seidel, svgout
-from . import sampling  # noqa: F401 -- perfbench/workloads.py reaches it as floerbar.sampling
+from . import seidel
 from .exactpi import PiRational
 from .novikov import LagrangianParams, format_rational, parse_int, parse_rational
-from .persistence import Barcode, INF
 
 __all__ = ["main"]
 
@@ -176,16 +174,16 @@ def _fail(command: str, exc: Exception, code: int) -> None:
 
 
 def _value_json(v):
-    if v is INF:
-        return "inf"
     if isinstance(v, Fraction):
         return format_rational(v)
     if isinstance(v, PiRational):
         return v.to_json()
-    return v
+    from .persistence import INF  # after the common cases: an import per call is slow
+
+    return "inf" if v is INF else v
 
 
-def _oracle_check(report: RunReport, cx, bc: Barcode, window=None) -> None:
+def _oracle_check(report: RunReport, cx, bc, window=None) -> None:
     """Cross-check ``bc`` against the rank-function oracle.  A complex past
     the oracle's size cap fails the check ``oracle-size-cap`` instead."""
     from . import oracles
@@ -214,6 +212,8 @@ def _window_cap(report: RunReport, exc: Exception) -> None:
 def cmd_barcode(complex_file, window, oracle, svg_path, fund_degree, point_degree):
     """Barcode, bar-length spectrum, boundary depth and spectral norm of a
     filtered complex."""
+    from . import complexes, persistence, svgout
+
     report = RunReport("barcode")
     try:
         cx = complexes.complex_from_json(_read_input(report, complex_file))
@@ -266,10 +266,12 @@ def cmd_barcode(complex_file, window, oracle, svg_path, fund_degree, point_degre
 
 def cmd_bottleneck(barcode1, barcode2, mod_shift, degree_blind):
     """Bottleneck distance between two barcode files."""
+    from . import persistence
+
     report = RunReport("bottleneck")
     try:
-        b1 = Barcode.from_json(_read_input(report, barcode1))
-        b2 = Barcode.from_json(_read_input(report, barcode2))
+        b1 = persistence.Barcode.from_json(_read_input(report, barcode1))
+        b2 = persistence.Barcode.from_json(_read_input(report, barcode2))
     except _MALFORMED as exc:
         _fail("bottleneck", exc, 2)
     sensitive = not degree_blind
@@ -301,6 +303,8 @@ def cmd_bottleneck(barcode1, barcode2, mod_shift, degree_blind):
 def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
     """Lune table, differential, boundary depth and spectral norm of a
     two-curve diagram."""
+    from . import complexes, diagrams, persistence, svgout
+
     report = RunReport("combfloer")
     try:
         dg = diagrams.TwoCurveDiagram.from_json(_read_input(report, diagram_file))
@@ -367,19 +371,23 @@ def _parse_ranks(data: dict, maslov: int) -> Dict[int, int]:
     """Infinite-bar counts keyed by degree; keys are decimal strings (JSON
     object keys), values JSON integers, and no two keys share a degree class
     mod ``maslov``."""
+    from .radial import rank_quotas
+
     if not isinstance(data, dict):
         raise SchemaError(f"ranks must be an object, not {data!r}")
     for key in data:
         if not re.fullmatch(r"-?[0-9]+", key):
             raise SchemaError(f"a rank key must be a decimal degree, not {key!r}")
     ranks = {int(k): parse_int(v) for k, v in data.items()}
-    radial.rank_quotas(ranks, maslov)
+    rank_quotas(ranks, maslov)
     return ranks
 
 
 def cmd_radial(profile_file, feasible, homotopy):
     """Generator spectrum, feasible barcodes and certified boundary-depth
     bound of a radial profile (or a sampled family with --homotopy)."""
+    from . import persistence, radial
+
     report = RunReport("radial")
     try:
         data = _read_input(report, profile_file)

@@ -60,7 +60,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .complexes import FilteredComplex
+from .complexes import FilteredComplex, barcode, gamma
 from .novikov import NovikovScalar, NovikovSpec, format_rational, parse_rational
 from .persistence import boundary_depth
 
@@ -325,8 +325,9 @@ def validate_diagram(d: TwoCurveDiagram) -> None:
     d._analysis  # built, and so validated, on the first read
 
 
-def _validated_geometry(d: TwoCurveDiagram) -> _Geometry:
-    """``validate_diagram``, returning the geometry it built."""
+def _validated_geometry(d: TwoCurveDiagram, area_keys=None) -> _Geometry:
+    """``validate_diagram``, returning the geometry it built; ``area_keys``
+    is ``_area_keys(d)`` when the caller has it already."""
     m = len(d.order_k)
     if m < 2 or m % 2 != 0:
         raise DiagramError("transverse closed curves cross an even number >= 2 of times")
@@ -356,7 +357,7 @@ def _validated_geometry(d: TwoCurveDiagram) -> _Geometry:
             raise DiagramError("sphere diagrams have no boundary faces")
         if m - 2 * m + len(d.faces) != 2:
             raise DiagramError("Euler count fails for the sphere")
-        _check_bisection(d, geo)
+        _check_bisection(geo, area_keys or _area_keys(d))
     else:
         if len(set(d.boundary_faces)) != 2:
             raise DiagramError("annulus diagrams need two distinct boundary faces")
@@ -376,8 +377,8 @@ def _area_keys(d: TwoCurveDiagram) -> Tuple[int, Dict[str, int]]:
     return scale, {name: a.numerator * (scale // a.denominator) for name, a in d.areas.items()}
 
 
-def _check_bisection(d: TwoCurveDiagram, geo: _Geometry) -> None:
-    scale, keys = _area_keys(d)
+def _check_bisection(geo: _Geometry, area_keys: Tuple[int, Dict[str, int]]) -> None:
+    scale, keys = area_keys
     total = sum(keys.values())
     for curve, across in (("K", "L"), ("L", "K")):
         comps = geo.face_components(across)
@@ -499,8 +500,9 @@ class _Analysis:
     solve."""
 
     def __init__(self, d: TwoCurveDiagram):
-        self.geometry = _validated_geometry(d)
-        self.scale, self.area_keys = _area_keys(d)
+        area_keys = _area_keys(d)
+        self.geometry = _validated_geometry(d, area_keys)
+        self.scale, self.area_keys = area_keys
 
     @functools.cached_property
     def field(self) -> _WindingField:
@@ -812,16 +814,12 @@ def build_complex(d: TwoCurveDiagram, max_wind: int = 2) -> FilteredComplex:
 
 def diagram_beta(d: TwoCurveDiagram, max_wind: int = 2) -> Fraction:
     """Boundary depth of the diagram's filtered complex."""
-    from .complexes import barcode
-
     return boundary_depth(barcode(build_complex(d, max_wind)))
 
 
 def diagram_gamma(d: TwoCurveDiagram, max_wind: int = 2) -> Fraction:
     """Spectral norm of the diagram's complex: infinite-bar gap between the
     fundamental degree 1 and the point degree 0.  Sphere only."""
-    from .complexes import barcode, gamma
-
     if d.surface != "sphere":
         raise InadmissibleDiagramError(
             "the spectral norm needs the sphere theory (actions on the annulus"

@@ -213,9 +213,6 @@ class NovikovScalar:
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
         return nov_mul(self, other)
 
-    def valuation(self) -> Fraction:
-        return nov_valuation(self)
-
     def __str__(self) -> str:
         if not self.exponents:
             return "0"

@@ -541,7 +541,6 @@ def sup_difference(p1: RadialProfile, p2: RadialProfile) -> PiRational:
 @dataclass(frozen=True)
 class HomotopyTrace:
     kept: Tuple[frozenset, ...]
-    sup_diffs: Tuple[PiRational, ...]
 
 
 def homotopy_filter(profiles: Sequence[RadialProfile], params: LagrangianParams,
@@ -559,7 +558,6 @@ def homotopy_filter(profiles: Sequence[RadialProfile], params: LagrangianParams,
         raise ValueError("the continuity constant must be at least 1")
     rank_quotas(ranks, params.maslov)
     kept: List[frozenset] = []
-    diffs: List[PiRational] = []
     for idx, prof in enumerate(profiles):
         feas = feasible_barcodes(generators(prof, params), ranks)
         if idx == 0:
@@ -578,8 +576,7 @@ def homotopy_filter(profiles: Sequence[RadialProfile], params: LagrangianParams,
             raise PruningEmptyError(
                 f"no barcode survives continuity pruning at sample {idx}")
         kept.append(frozenset(survivors))
-        diffs.append(tol)
-    return HomotopyTrace(tuple(kept), tuple(diffs))
+    return HomotopyTrace(tuple(kept))
 
 
 # ---------------------------------------------------------------------------

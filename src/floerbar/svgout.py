@@ -8,10 +8,11 @@ pi; this affects pixel placement only, never any computed value).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from .diagrams import TwoCurveDiagram
-from .persistence import Barcode
+if TYPE_CHECKING:  # annotations only: rendering loads no layer
+    from .diagrams import TwoCurveDiagram
+    from .persistence import Barcode
 
 __all__ = ["barcode_svg", "diagram_svg"]
 

@@ -178,17 +178,18 @@ def _count_calls(monkeypatch, counts, label, owner, name):
 @pytest.mark.parametrize("fixture, passes", [("equator_pair_sphere.json", 3),
                                              ("equator_pair_annulus.json", 2)])
 def test_combfloer_analyses_the_diagram_once(monkeypatch, tmp_path, fixture, passes):
-    # every lune pass reads one validated geometry and one winding solve,
-    # and so does the schematic --svg writes
+    # every lune pass reads one validated geometry, one keying of the face
+    # areas and one winding solve, and so does the schematic --svg writes
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, "geometry", diagrams._Geometry, "__init__")
+    _count_calls(monkeypatch, counts, "area_keys", diagrams, "_area_keys")
     _count_calls(monkeypatch, counts, "field", diagrams._WindingField, "__init__")
     _count_calls(monkeypatch, counts, "passes", diagrams, "enumerate_lunes")
     for flags in ([], ["--svg", str(tmp_path / "diagram.svg")]):
         counts.clear()
         result, _report = run("combfloer", fixture_path(fixture), *flags)
         assert result.exit_code == 0
-        assert counts == {"geometry": 1, "field": 1, "passes": passes}, flags
+        assert counts == {"geometry": 1, "area_keys": 1, "field": 1, "passes": passes}, flags
     assert (tmp_path / "diagram.svg").read_text().startswith("<svg")
 
 
@@ -255,17 +256,18 @@ def test_combfloer_reports_an_inconsistent_annulus_grading(tmp_path):
     assert report["outputs"]["error"] == "lune degrees are inconsistent around a cycle"
 
 
-_ORACLES_LOADED = """
-import contextlib, io, sys
+_MODULES_LOADED = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m[len("floerbar."):] for m in sys.modules if m.startswith("floerbar."))
 import floerbar.cli
-loaded = ["floerbar.oracles" in sys.modules]
+after_import = loaded()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         floerbar.cli.main(sys.argv[1:])
     except SystemExit:
         pass
-loaded.append("floerbar.oracles" in sys.modules)
-print(loaded)
+print(json.dumps([after_import, loaded()]))
 """
 
 
@@ -276,18 +278,34 @@ def _python(*argv, check=False) -> subprocess.CompletedProcess:
                           check=check, timeout=120)
 
 
-def _oracles_loaded(*args) -> str:
-    """Whether a fresh interpreter has loaded ``floerbar.oracles`` after
-    importing the CLI, and after running it on ``args``."""
-    return _python("-c", _ORACLES_LOADED, *args, check=True).stdout.strip()
+def _modules_loaded(*args):
+    """The floerbar submodules a fresh interpreter has loaded after importing
+    the CLI, and after running it on ``args``."""
+    after_import, after_run = json.loads(_python("-c", _MODULES_LOADED, *args, check=True).stdout)
+    return set(after_import), set(after_run)
 
 
 def test_only_oracle_runs_load_the_oracles():
+    # and each command loads only the layers it runs
     sphere = fixture_path("equator_pair_sphere.json")
-    assert _oracles_loaded("combfloer", sphere) == "[False, False]"
-    assert _oracles_loaded("combfloer", sphere, "--oracle") == "[False, True]"
-    assert _oracles_loaded("bottleneck", fixture_path("barcode_pair_a.json"),
-                           fixture_path("barcode_pair_b.json"), "--mod-shift") == "[False, False]"
+    pair = fixture_path("barcode_pair_a.json"), fixture_path("barcode_pair_b.json")
+    after_import, after_run = _modules_loaded("combfloer", sphere)
+    assert "oracles" not in after_import | after_run
+    assert after_import <= {"cli", "exactpi", "novikov", "seidel"}
+    assert "oracles" in _modules_loaded("combfloer", sphere, "--oracle")[1]
+    unused = {"complexes", "diagrams", "radial", "sampling", "svgout", "oracles"}
+    for args, skipped in ((("seidel", "--case", "RPn"), unused | {"persistence"}),
+                          (("bottleneck", *pair), unused),
+                          (("bottleneck", *pair, "--mod-shift"), unused),
+                          (("radial", fixture_path("radial_fold.json")),
+                           unused - {"radial"})):
+        after_run = _modules_loaded(*args)[1]
+        assert {"cli", "seidel"} <= after_run and not after_run & skipped, (args, after_run)
+    # a bare import loads no submodule; each loads on first access
+    bare = ("import sys, floerbar; print([m for m in sys.modules if m.startswith('floerbar.')]);"
+            " print(floerbar.persistence.__name__, hasattr(floerbar, 'nope'))")
+    assert _python("-c", bare, check=True).stdout.split("\n")[:2] == [
+        "[]", "floerbar.persistence False"]
 
 
 def test_radial_command():
@@ -603,6 +621,19 @@ def test_radial_mixed_run_lengths_fail_without_traceback(tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_radial_breakpoints_out_of_order_are_malformed(tmp_path):
+    # a repeated abscissa, and a pi abscissa pi/8 below the 1/2 before it
+    for i, rho in enumerate(("1/2", ["0", "1/8"])):
+        path = tmp_path / f"out_of_order_{i}.json"
+        path.write_text(json.dumps(_radial_fold(breakpoints=[
+            ["0", "-9/40"], ["1/4", "0"], ["1/2", "0"], [rho, "-9/40"]])))
+        result, report = run("radial", str(path))
+        assert result.exit_code == 2, (rho, result.output)
+        assert isinstance(result.exception, SystemExit)
+        assert "breakpoint abscissae must strictly increase" in report["error"]
+        assert "Traceback" not in result.output
+
+
 def test_radial_negative_rank_count_is_malformed(tmp_path):
     # a count of -1 infinite bars used to search and exit 1 with "no
     # matching leaves the prescribed infinite bars"
@@ -868,6 +899,7 @@ USAGE_ERRORS = [
     ["barcode", "{complex}", "--window", "3", "1"],
     ["barcode", "{complex}", "--wind", "0", "1"],
     ["combfloer", "{sphere}", "--max-wind", "-1"],
+    ["combfloer", "{sphere}", "--max-wind", "abc"],
     ["check", "--trials", "0"],
     ["seidel", "--case", "RPn", "--n", "0"],
     ["seidel", "--case", "nope"],

@@ -182,6 +182,8 @@ def test_annulus_example():
     table = {gid: sorted(t for _c, t in terms) for gid, terms in cx.differential.items()}
     assert table == {"a2": ["a3"], "a4": ["a3"]}
     assert diagram_beta(d) == F(3, 10)
+    with pytest.raises(InadmissibleDiagramError, match="needs the sphere theory"):
+        diagram_gamma(d)
 
 
 def test_annulus_formula_and_rejection():
