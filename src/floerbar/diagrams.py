@@ -29,16 +29,16 @@ path then contributes a cyclic range sum plus windings times the full-cycle
 total.  The validated geometry, the face areas as int keys and the winding
 solve are built once per diagram and kept on it (``_analysis``), however
 many passes read them; ``faces`` and ``areas`` are read-only, so they never
-go stale.  A candidate's index-and-nonnegativity verdict depends on its point
-pair only through a small key (the pair's corner sums and the least base
-winding of each class of faces with equal full-turn windings), so each pass
-takes the verdicts once per key, the first time the key appears, and many
-pairs share one.  Per-candidate work -- the face vector and the area -- runs
-only on the survivors.  No candidate is checked against the jump conditions:
-on the sphere that validation makes of the arrangement every boundary meets
-them (the proof is in ``enumerate_lunes``).  The per-candidate breadth-first
-solve all this replaces is kept as the oracle ``brute_force_lunes`` in
-:mod:`floerbar.oracles`, which asserts every jump condition.
+go stale.  A face-winding vector is one int, a lane of bits per face, and
+the prefix rows are packed once per diagram: a pair's base winding is three
+int additions, and a candidate's index-and-nonnegativity test one addition
+of its packed turns, index-one offset folded in, and one mask.  Only
+survivors are decoded face by face.  No candidate is checked against the
+jump conditions: on the sphere that validation makes of the arrangement
+every boundary meets them.  ``enumerate_lunes`` proves that, and that the
+lanes never overflow.  The per-candidate breadth-first solve all this
+replaces is kept as the oracle ``brute_force_lunes`` in
+:mod:`floerbar.oracles`, which asserts both.
 
 The filtered complex of a diagram has the crossing points as generators and
 the lunes mod 2, grouped by recapping exponent, as its differential.  One
@@ -55,6 +55,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
@@ -110,8 +111,8 @@ class LuneCandidateError(ValueError):
 
 # ``enumerate_lunes`` tries m*(m-1)*2*(w+1)*(w+2) candidates for m points at
 # winding cap w.  ``combfloer`` on the bundled four-point equator pair took
-# 1.0-1.4 s as a whole process at w = 200, 974,448 candidates, just under
-# the cap: three passes on the sphere, and 0.9-1.3 s for two on the annulus
+# 0.6-0.9 s as a whole process at w = 200, 974,448 candidates, just under
+# the cap: three passes on the sphere, and 0.5-0.7 s for two on the annulus
 # (Python 3.11, shared 2-CPU x86-64); a cap of 10**9 would exhaust memory
 # listing the boundary parameters.
 MAX_LUNE_CANDIDATES = 1_000_000
@@ -408,13 +409,15 @@ class _WindingField:
     a closed boundary (see ``enumerate_lunes``).  ``windings[curve]`` holds
     those signs per face summed over arcs 0..k-1 of the curve as row k, so a
     forward arc range contributes a difference of two rows, and a full turn
-    of the curve contributes row m (``total[curve]``).  Each row comes with
-    its area (in ``areas``), which is linear in the row too.
-    ``corner_prefix[curve][p]`` sums the winding rows over the four corner
-    faces of point p, which prices a candidate's index in O(1).
+    of the curve contributes row m.  Each row comes with its area (in
+    ``areas``), which is linear in the row too.  ``corner_prefix[curve][p]``
+    sums the winding rows over the four corner faces of point p, which
+    prices a candidate's index in O(1).
 
     Each table maps a curve to its rows and its wrapped rows: a range that
     wraps past arc m-1 starts a full turn early, at row k less row m.
+    ``packed(bits)`` holds the winding rows as ints, face f in bits [bits*f,
+    bits*f + bits), and ``lane_bits`` picks the width.
     """
 
     def __init__(self, geo: _Geometry, area_keys: Mapping[str, int]):
@@ -447,12 +450,10 @@ class _WindingField:
             for arc, sign in path.items():
                 columns.setdefault(arc, []).append((f, sign))
         self.face_areas = [area_keys[name] for name in self.faces]
-        # lists, not tuples: CPython keeps up to 2000 freed tuples of each
-        # length below 20 for reuse, and face-length tuples made on every call
-        # would hold that memory for the life of the process
         self.windings: Dict[str, Tuple[List[List[int]], List[List[int]]]] = {}
         self.areas: Dict[str, Tuple[List[int], List[int]]] = {}
         self.corner_prefix: Dict[str, Dict[int, List[int]]] = {}
+        spreads, turns = [], []
         for curve in ("K", "L"):
             row = [0] * n
             rows = [list(row)]
@@ -467,30 +468,42 @@ class _WindingField:
             self.corner_prefix[curve] = {
                 p: list(map(sum, zip(*(by_face[index[f]] for f in names))))
                 for p, names in geo.corners.items()}
-        self.total = {curve: rows[m] for curve, (rows, _w) in self.windings.items()}
+            # each face's spread over the rows and the wrapped rows
+            spreads.append([max(c) - min(c) + abs(c[m]) for c in by_face])
+            turns += map(abs, row)
+        # B and T of the lane bound of ``enumerate_lunes``
+        self.base_bound, self.turn_bound = max(map(operator.add, *spreads)), max(turns)
+        self._packed: Dict[int, tuple] = {}
 
-    @staticmethod
-    def _ends(table, seg_k: Tuple[int, int], seg_l: Tuple[int, int]) -> tuple:
-        """The end and start rows of ``table`` for the forward arc range
-        ``seg_k`` of K and ``seg_l`` of L, a range (lo, hi) being the arcs
-        lo, lo+1, ..., hi-1 taken cyclically."""
-        (lo_k, hi_k), (lo_l, hi_l) = seg_k, seg_l
-        rows_k, wrapped_k = table["K"]
-        rows_l, wrapped_l = table["L"]
-        return (rows_k[hi_k], (rows_k if lo_k < hi_k else wrapped_k)[lo_k],
-                rows_l[hi_l], (rows_l if lo_l < hi_l else wrapped_l)[lo_l])
+    def lane_bits(self, max_wind: int) -> int:
+        """The least of 8, 16, 32, ... bits whose lanes hold every candidate
+        winding at cap ``max_wind``, by the bound of ``enumerate_lunes``."""
+        bound = 2 * (self.base_bound + (max_wind + 2) * self.turn_bound)
+        bits = 8
+        while bound >= 1 << (bits - 1):
+            bits *= 2
+        return bits
 
-    def base_vector(self, seg_k: Tuple[int, int], seg_l: Tuple[int, int]) -> List[int]:
-        """Face windings of the forward ranges ``seg_k`` of K and ``seg_l``
-        of L."""
-        end_k, start_k, end_l, start_l = self._ends(self.windings, seg_k, seg_l)
-        return list(map(operator.add, map(operator.sub, end_k, start_k),
-                        map(operator.sub, end_l, start_l)))
+    def packed(self, bits: int) -> tuple:
+        """The K rows, wrapped K rows, L rows and wrapped L rows in lanes of
+        ``bits`` bits, and the vector of ones; packed once per lane width."""
+        tables = self._packed.get(bits)
+        if tables is None:
+            shifts = range(0, bits * len(self.faces), bits)
+            tables = self._packed[bits] = (
+                *([sum(map(operator.lshift, r, shifts)) for r in table]
+                  for curve in ("K", "L") for table in self.windings[curve]),
+                sum(1 << s for s in shifts))
+        return tables
 
     def range_area(self, seg_k: Tuple[int, int], seg_l: Tuple[int, int]) -> int:
-        """The area of ``base_vector(seg_k, seg_l)``, as an int key."""
-        end_k, start_k, end_l, start_l = self._ends(self.areas, seg_k, seg_l)
-        return end_k - start_k + end_l - start_l
+        """The area of the forward ranges ``seg_k`` of K and ``seg_l`` of L,
+        as an int key; a range (lo, hi) is the arcs lo, ..., hi-1 cyclically."""
+        (lo_k, hi_k), (lo_l, hi_l) = seg_k, seg_l
+        rows_k, wrapped_k = self.areas["K"]
+        rows_l, wrapped_l = self.areas["L"]
+        return (rows_k[hi_k] - (rows_k if lo_k < hi_k else wrapped_k)[lo_k]
+                + rows_l[hi_l] - (rows_l if lo_l < hi_l else wrapped_l)[lo_l])
 
 
 class _Analysis:
@@ -533,19 +546,36 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     the offset (the corner sum plus eight times the offset is 2), and on the
     annulus the offset must also put the boundary faces at zero.
 
-    The index-and-nonnegativity verdict is taken per key, not per
-    candidate.  Faces with the same full-turn windings (total_K, total_L)
-    move together under the turns, so nonnegativity reads only each
-    group's least base winding; the key ``(a, b, T)`` with ``T_g = 8 *
-    (least base winding of group g) + 2 - corner_base`` (extended on the
-    annulus by the corner base and the boundary faces' base windings)
-    decides every boundary of the pair, and many pairs share a key.  A
-    key's surviving boundaries are listed the first time it appears in the
-    call, and a pair whose corner residue mod 8 no boundary reaches is
-    skipped before its face vector is built.  Only survivors are built face
-    by face; a survivor's area is the pair's base area plus the area of its
-    turns and offset.  More than ``MAX_LUNE_CANDIDATES`` candidates raise
-    :class:`LuneCandidateError`, counted before any is built.
+    The test runs on packed vectors: face f takes bits [L*f, L*f + L) of
+    one int, so adding ints adds vectors.  With corner_base = 8q + r, 0 <= r
+    < 8, and s = tk * a + tl * b, index one needs r = 2 - s mod 8 and gives
+    the offset c - q, c = (2 - r - s) / 8.  So under each (a, b) the
+    boundaries fall into residue classes, each boundary carrying its packed
+    turns plus ``c * ones`` and ``high``, the top bit of every lane.  A pair
+    whose residue no boundary needs is skipped.  Otherwise the pair's packed
+    base less ``q * ones`` plus a boundary's packed turns holds ``w_f +
+    2**(L-1)`` in lane f, so ``& high == high`` tests w >= 0 on every face at
+    once; on the annulus the mask also takes the boundary faces' lanes
+    whole, which must read ``2**(L-1)``: w = 0.  A survivor is decoded from
+    the bytes of that int less ``high``; its area adds the pair's base area
+    and the area of its turns and offset.  More than ``MAX_LUNE_CANDIDATES``
+    candidates raise :class:`LuneCandidateError`, counted before any is built.
+
+    Linear arithmetic on ints is exact, so the lanes read back right, as the
+    base-2**L digits ``w_f + 2**(L-1)``, whenever every ``|w_f| <
+    2**(L-1)``.  Let B bound ``|base|`` on each face by its spread over the
+    rows and wrapped rows of K plus that of L, and T be the largest
+    ``|total_K|`` or ``|total_L|`` of a face.  At cap w, ``|tk| + |tl| <= jk
+    + jl + 2 <= w + 2``, so the turns add at most ``(w + 2) * T`` to a face.
+    Over the eight corner slots ``|corner_base| <= 8 * B`` and ``|s| <= 8 *
+    (w + 2) * T``, so the integer offset is at most ``B + (w + 2) * T`` and
+    ``|w_f| <= 2 * (B + (w + 2) * T)``.  L is the least of 8, 16 and 32 bits
+    above that (``_WindingField.lane_bits``); 32 always do.  Passing the cap,
+    ``m * (m - 1) * 2 * (w + 1) * (w + 2) <= 10**6`` with m >= 2, forces m
+    <= 500 and w <= 498.  A root path has at most F - 1 = m + 1 arcs, and a
+    row entry, wrapped or not, is a signed sum over its arcs of one curve,
+    so B <= 2 * (m + 1), T <= m + 1 and the bound is at most ``2 * (m + 1) *
+    (w + 4) <= 503,004 < 2**31``.  ``brute_force_lunes`` asserts the fit.
 
     Every candidate meets every jump condition ``w(left) - w(right) =
     n(arc)``, so none is checked.  Validation guarantees four things:
@@ -586,60 +616,34 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
             f"{count} candidates, more than {MAX_LUNE_CANDIDATES}")
     field = analysis.field
     m, faces, scale = field.m, field.faces, analysis.scale
-    scaled_areas = field.face_areas
-    total_area = sum(scaled_areas)
-    total_k, total_l = field.total["K"], field.total["L"]
-    # faces with equal full-turn windings move together under the turns
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for f, turns in enumerate(zip(total_k, total_l)):
-        groups.setdefault(turns, []).append(f)
-    # each getter reads one group's faces, its first face twice so that a
-    # one-face group still gives a tuple
-    group_getters = [operator.itemgetter(g[0], *g) for g in groups.values()]
-    group_turns = [(8 * gk, 8 * gl) for gk, gl in groups]
-    annulus = d.surface == "annulus"
-    bfaces = [faces.index(name) for name in d.boundary_faces]
-    bturns = [(total_k[f], total_l[f]) for f in bfaces]
-    boundaries = _lune_paths(max_wind)
-    # (tk, tl) -> (face windings of the turns, their area)
-    turn_data: Dict[Tuple[int, int], tuple] = {}
+    total_area = sum(field.face_areas)
+    area_k, area_l = field.areas["K"][0][m], field.areas["L"][0][m]
+    bits = field.lane_bits(max_wind)
+    rows_k, wrapped_k, rows_l, wrapped_l, ones = field.packed(bits)
+    high = ones << (bits - 1)
+    # the sign bit of every lane, and on the annulus boundary faces' lanes whole
+    mask = high | sum(((1 << bits) - 1) << (bits * faces.index(name))
+                      for name in d.boundary_faces)
+    width, lane_format = bits * len(faces) // 8, {8: "B", 16: "H", 32: "I"}[bits]
+    # native items run up from lane 0 on little-endian machines, down on big
+    step = 1 if sys.byteorder == "little" else -1
+    turns = [(k_path, l_path, tk, tl, tk * rows_k[m] + tl * rows_l[m] + high,
+              tk * area_k + tl * area_l)
+             for k_path, l_path, tk, tl in _lune_paths(max_wind)]
 
-    def residue_classes(a: int, b: int) -> Dict[int, list]:
-        """The boundaries under corner turn sums (a, b), by the residue mod 8
-        of the corner base they need, each with its corner turn sum s and
-        what its turns add to each group's ``T_g`` less s."""
-        classes: Dict[int, list] = {}
-        for boundary in boundaries:
-            tk, tl = boundary[2], boundary[3]
-            s = tk * a + tl * b
-            rise = [tk * gk + tl * gl - s for gk, gl in group_turns]
-            classes.setdefault((2 - s) % 8, []).append((boundary, s, rise))
+    def residue_classes(a: int, b: int) -> Dict[int, Tuple[list, list]]:
+        """Boundaries by the residue of the corner base they need, offsets in."""
+        classes: Dict[int, Tuple[list, list]] = {}
+        for k_path, l_path, tk, tl, packed, area in turns:
+            c, r = divmod(2 - tk * a - tl * b, 8)
+            packed_turns, params = classes.setdefault(r, ([], []))
+            packed_turns.append(packed + c * ones)
+            params.append((k_path, l_path, area + c * total_area))
         return classes
-
-    def survivors(candidates: list, least: Tuple[int, ...], pinned: Tuple[int, ...]) -> list:
-        """The boundaries that pass index one and nonnegativity under a key."""
-        if pinned:
-            corner_base, *bbase = pinned
-        out = []
-        for (k_path, l_path, tk, tl), s, rise in candidates:
-            if min(map(operator.add, least, rise)) < 0:
-                continue
-            if pinned:
-                w0, w1 = (v + tk * gk + tl * gl for v, (gk, gl) in zip(bbase, bturns))
-                if w1 != w0 or 8 * w0 != s + corner_base - 2:
-                    continue
-            turns = turn_data.get((tk, tl))
-            if turns is None:
-                vector = [tk * gk + tl * gl for gk, gl in zip(total_k, total_l)]
-                turns = turn_data[(tk, tl)] = (
-                    vector, sum(map(operator.mul, scaled_areas, vector)))
-            out.append((k_path, l_path, s, *turns))
-        return out
 
     corners_k, corners_l = field.corner_prefix["K"], field.corner_prefix["L"]
     pos_k, pos_l = field.pos["K"], field.pos["L"]
-    residue_tables: Dict[Tuple[int, int], Dict[int, list]] = {}
-    verdicts: Dict[tuple, list] = {}
+    residue_tables: Dict[Tuple[int, int], Dict[int, Tuple[list, list]]] = {}
     lunes: List[Tuple[int, int, int, tuple, Lune]] = []
     seen = set()
     for x, y in itertools.permutations(d.points, 2):
@@ -652,23 +656,21 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
         classes = residue_tables.get((a, b))
         if classes is None:
             classes = residue_tables[(a, b)] = residue_classes(a, b)
-        reachable = classes.get(corner_base % 8)
+        q = corner_base >> 3
+        reachable = classes.get(corner_base & 7)
         if reachable is None:
             continue
-        base = field.base_vector(seg_k, seg_l)
-        least = tuple([8 * min(get(base)) + 2 - corner_base for get in group_getters])
-        pinned = (corner_base, *map(base.__getitem__, bfaces)) if annulus else ()
-        key = (a, b, least, pinned)
-        passed = verdicts.get(key)
-        if passed is None:
-            passed = verdicts[key] = survivors(reachable, least, pinned)
-        if not passed:
-            continue
-        base_area = field.range_area(seg_k, seg_l)
-        for k_path, l_path, s, turns, turns_area in passed:
-            offset = (2 - corner_base - s) // 8
-            w = [v + t + offset for v, t in zip(base, turns)]
-            support = tuple([(name, v) for name, v in zip(faces, w) if v])
+        packed_turns, params = reachable
+        base = (rows_k[hi_k] - (rows_k if lo_k < hi_k else wrapped_k)[lo_k]
+                + rows_l[hi_l] - (rows_l if lo_l < hi_l else wrapped_l)[lo_l] - q * ones)
+        for packed, param in zip(packed_turns, params):
+            w = base + packed
+            if w & mask != high:
+                continue
+            k_path, l_path, turns_area = param
+            lanes = memoryview((w - high).to_bytes(width, sys.byteorder)
+                               ).cast(lane_format).tolist()[::step]
+            support = tuple(zip(itertools.compress(faces, lanes), filter(None, lanes)))
             found = (x, y, support)
             # the winding function determines the boundary traversal,
             # so distinct parameters never collide
@@ -676,14 +678,12 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
                 raise AssertionError(f"duplicate lune candidate {found}")
             seen.add(found)
             # index one forces a nonzero corner, so w is never all zero
-            area = base_area + turns_area + offset * total_area
+            area = field.range_area(seg_k, seg_l) - q * total_area + turns_area
             if area <= 0:
                 raise DiagramError("nonzero nonnegative winding with zero area")
-            lunes.append((x, y, area, support, Lune(
-                source=x, target=y, k_path=k_path, l_path=l_path,
-                w=support,
-                area=Fraction(area, scale),
-            )))
+            lunes.append((x, y, area, support, Lune(source=x, target=y, k_path=k_path,
+                                                    l_path=l_path, w=support,
+                                                    area=Fraction(area, scale))))
     # by (source, target, area, w), the area compared as its int key
     lunes.sort(key=operator.itemgetter(0, 1, 2, 3))
     return tuple(entry[4] for entry in lunes)

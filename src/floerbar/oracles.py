@@ -46,7 +46,7 @@ both run it; neither has samplers or predicates of its own.
   lists the table and repairs two ``CoverMatching``s in one sweep.
 * ``brute_force_lunes`` solves each lune candidate's winding function from
   scratch, where :func:`floerbar.diagrams.enumerate_lunes` solves once per
-  diagram.
+  diagram and tests packed winding vectors.
 * ``fraction_build_complex`` grades a diagram's complex in Fractions and
   builds it from :class:`~floerbar.complexes.Generator` objects, where
   :func:`floerbar.diagrams.build_complex` grades on int keys over one scale
@@ -783,9 +783,11 @@ def brute_force_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]
     by a search over the face adjacency graph, asserting every one of them,
     and the candidate is accepted if a constant offset makes it nonnegative
     with index one (offset forced to zero on the annulus by the boundary
-    faces).
+    faces).  Wherever index one fixes an offset, the winding at that offset
+    is asserted to fit the lanes of the packed test of ``enumerate_lunes``.
     """
     geo = _validated_geometry(d)
+    limit = 1 << (d._analysis.field.lane_bits(max_wind) - 1)
     lunes: List[Lune] = []
     seen = set()
     points = d.points
@@ -799,6 +801,7 @@ def brute_force_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]
                     for a, c in _path_traversals(geo, "L", y, x, dl, jl).items():
                         traversals[("L", a)] = traversals.get(("L", a), 0) + c
                     w = _solve_winding(geo, traversals)
+                    _assert_in_lanes(geo, w, x, y, limit)
                     w = _normalize_offset(d, geo, w, x, y)
                     if w is None:
                         continue
@@ -819,6 +822,16 @@ def brute_force_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]
                     ))
     lunes.sort(key=lambda l: (l.source, l.target, l.area, l.w))
     return tuple(lunes)
+
+
+def _assert_in_lanes(geo: _Geometry, w: Dict[str, int], x: int, y: int, limit: int) -> None:
+    """Assert ``|w + offset| < limit`` on every face for the offset that
+    gives index one, when the corner sum admits one: the windings that the
+    packed test of ``enumerate_lunes`` reads, in lanes of ``limit`` each
+    way."""
+    num = 2 - _lune_index_numerator(geo, w, x, y)
+    if num % 8 == 0 and any(abs(c + num // 8) >= limit for c in w.values()):
+        raise AssertionError(f"windings {w} at offset {num // 8} leave lanes of {limit} each way")
 
 
 def _normalize_offset(d: TwoCurveDiagram, geo: _Geometry, w: Dict[str, int],
@@ -1390,7 +1403,7 @@ def _shuffled_labels(rng: random.Random, d: TwoCurveDiagram) -> TwoCurveDiagram:
 def _lune_cases(rng: random.Random, n: int):
     """Fixed: the bundled annulus at winding caps 0-7, and sphere diagrams
     of 10, 12 and 14 crossings (each drawn from the seed of its crossing
-    number) at caps 3, 4 and 5, where many point pairs share a verdict key
+    number) at caps 3, 4 and 5, where many point pairs share a residue class
     of ``enumerate_lunes``.  Then drawn: 196 small sphere diagrams at
     winding caps 0-4, four of 8, 12, 16 and 20 crossings at cap 2,
     relabelled copies of the first 30 and of the 8- and 12-crossing ones,

@@ -257,6 +257,23 @@ def test_lunes_equal_the_oracle_on_the_bundled_diagrams():
                 assert enumerate_lunes(copy, max_wind) == brute_force_lunes(copy, max_wind)
 
 
+def test_lunes_equal_the_oracle_across_lane_widths():
+    # the two great circles get 8-bit lanes up to winding cap 57 and 16-bit
+    # lanes from 58
+    d = two_circle_diagram()
+    assert [d._analysis.field.lane_bits(w) for w in (57, 58)] == [8, 16]
+    for max_wind in (57, 58):
+        assert enumerate_lunes(d, max_wind) == brute_force_lunes(d, max_wind)
+
+
+def test_the_lune_oracle_asserts_the_lane_range(monkeypatch):
+    # 2-bit lanes hold the windings -2..1 only; the equator pair's lunes
+    # at cap 2 wind further once their turns are counted
+    monkeypatch.setattr(type(bundled_sphere()._analysis.field), "lane_bits", lambda _s, _w: 2)
+    with pytest.raises(AssertionError, match="leave lanes of 2 each way"):
+        brute_force_lunes(bundled_sphere())
+
+
 def test_faces_and_areas_are_read_only():
     d = bundled_sphere()
     with pytest.raises(TypeError):
