@@ -1,18 +1,17 @@
 """Command-line surface: parse JSON inputs, run pipelines, emit JSON reports.
 
-Every command prints one JSON report on stdout (inputs digested by sha256,
-structured outputs, and the list of re-asserted checks) and a short human
-summary on stderr.  Exit codes: 0 success, 1 validation failure or failed
-check, 2 malformed input or a usage error.
+Every command prints its report on stdout as one line of JSON, written by
+``json.dumps`` (inputs digested by sha256, structured outputs, and the list
+of re-asserted checks), and a short human summary on stderr; pipe stdout
+through ``python -m json.tool`` to indent it.  Exit codes: 0 success, 1
+validation failure or failed check, 2 malformed input or a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
-import math
 import os
 import random
 import re
@@ -20,7 +19,6 @@ import stat
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Tuple
 
 from . import seidel
@@ -65,6 +63,8 @@ class RunReport:
 def _read_input(report: RunReport, path: str):
     """Read ``path`` once: record its sha256 digest in ``report`` and return
     its JSON, decoded as a UTF-8 text file with universal newlines."""
+    import hashlib  # only reading an input file digests one
+
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -74,93 +74,9 @@ def _read_input(report: RunReport, path: str):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2)``, the same text: the standard library
-    indents only in its pure-Python encoder, and this walk, which quotes
-    strings with the C ``encode_basestring_ascii``, takes about half its
-    time on a report.  Like ``json.dumps`` it refuses a value or a key of
-    another type with ``TypeError``; it does not detect cycles."""
-    out: List[str] = []
-    _write_json(value, out, "\n")
-    return "".join(out)
-
-
-def _write_json(x, out: List[str], newline: str) -> None:
-    # the type tests of json.encoder._make_iterencode, in its order
-    if isinstance(x, str):
-        out.append(_quote(x))
-    elif x is None:
-        out.append("null")
-    elif x is True:
-        out.append("true")
-    elif x is False:
-        out.append("false")
-    elif isinstance(x, int):
-        out.append(int.__repr__(x))
-    elif isinstance(x, float):
-        out.append(_float_text(x))
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in x:
-            if type(item) is str:
-                out.append(sep + _quote(item))
-            else:
-                out.append(sep)
-                _write_json(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in x.items():
-            head = sep + _quote(key if isinstance(key, str) else _key_text(key)) + ": "
-            if type(item) is str:
-                out.append(head + _quote(item))
-            elif type(item) is int:
-                out.append(head + int.__repr__(item))
-            else:
-                out.append(head)
-                _write_json(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _emit(report: RunReport, summary: str, code: int = 0) -> None:
     """Print the report and terminate the command (exit 1 on failed checks)."""
-    print(_json_text(report.to_json()))
+    print(json.dumps(report.to_json()))
     print(summary, file=sys.stderr)
     if code == 0 and not report.ok:
         code = 1
@@ -168,7 +84,7 @@ def _emit(report: RunReport, summary: str, code: int = 0) -> None:
 
 
 def _fail(command: str, exc: Exception, code: int) -> None:
-    print(_json_text({"command": command, "error": str(exc)}))
+    print(json.dumps({"command": command, "error": str(exc)}))
     print(f"error: {exc}", file=sys.stderr)
     raise SystemExit(code)
 
@@ -346,7 +262,7 @@ def cmd_combfloer(diagram_file, max_wind, oracle, emit_complex, svg_path):
         report.check("lune-oracle-match", oracles.brute_force_lunes(dg, max_wind) == lunes)
     if emit_complex:
         with open(emit_complex, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(complexes.complex_to_json(cx)))
+            print(json.dumps(complexes.complex_to_json(cx)), file=fh)
         report.outputs["complex_file"] = emit_complex
     if svg_path:
         with open(svg_path, "w", encoding="utf-8") as fh:
@@ -429,6 +345,10 @@ def cmd_radial(profile_file, feasible, homotopy):
         bound = radial.forced_bar_bound(spectrum, ranks)
         report.outputs["forced_bar_bound"] = _value_json(bound)
         report.check("bound-is-minimum", not persistence.least_depth(feas) < bound)
+    except radial.FeasibleCountError as exc:
+        report.outputs["feasible_error"] = str(exc)
+        report.check("feasible-count-cap", False)
+        _emit(report, f"too many feasible barcodes: {exc}", 1)
     except (radial.SlopeDegeneracyError, radial.InfeasibleRanksError,
             radial.PruningEmptyError, ValueError) as exc:
         report.outputs["error"] = str(exc)

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 __all__ = [
-    "Rational",
     "parse_rational",
     "parse_int",
     "format_rational",
@@ -36,8 +35,6 @@ __all__ = [
     "nov_mul",
     "nov_valuation",
 ]
-
-Rational = Fraction
 
 
 class SpecMismatchError(ValueError):

@@ -76,6 +76,8 @@ __all__ = [
     "SlopeDegeneracyError",
     "InfeasibleRanksError",
     "PruningEmptyError",
+    "FeasibleCountError",
+    "MAX_FEASIBLE_BARCODES",
     "generators",
     "degree_actions",
     "degree_class_actions",
@@ -98,6 +100,18 @@ class InfeasibleRanksError(ValueError):
 
 class PruningEmptyError(ValueError):
     """Continuity pruning eliminated every candidate barcode at some sample."""
+
+
+class FeasibleCountError(ValueError):
+    """A spectrum has more feasible barcodes than the search accepts."""
+
+
+# The search's time and memory grow with the number of barcodes it finds.
+# The s = 41/10 tent of the CI, ranks (1, 1), has 118,398 of them, found in
+# 1.6 s at 64 MiB peak; the 28-generator tent through (1/2, pi) passes the
+# cap after 2.7 s at 59 MiB peak, where the search without one held 3.9 GiB
+# after 5 minutes (Python 3.11, 2-CPU x86-64).
+MAX_FEASIBLE_BARCODES = 250_000
 
 
 @dataclass(frozen=True)
@@ -332,7 +346,7 @@ def _pairable(to_pair: Sequence[int]) -> bool:
 
 
 def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
-                      limit: Optional[int] = None) -> frozenset:
+                      limit: Optional[int] = MAX_FEASIBLE_BARCODES) -> frozenset:
     """All barcodes of action-decreasing differentials on the spectrum.
 
     ``ranks`` prescribes the number of infinite bars per degree class mod
@@ -344,8 +358,9 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
     walks the runs in order and chooses, for each, how many of its orbits
     stay free and the multiset of its pair bars to later runs: every
     complete choice is a distinct barcode, reached once.  More than
-    ``limit`` distinct barcodes raise ValueError.  Raises
-    InfeasibleRanksError when nothing matches the prescription.
+    ``limit`` distinct barcodes raise FeasibleCountError (``None``: no
+    limit).  Raises InfeasibleRanksError when nothing matches the
+    prescription.
     """
     maslov = spectrum.params.maslov
     quota = rank_quotas(ranks, maslov)
@@ -452,7 +467,8 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
             found.append(tuple(sorted(chosen + [free_bar[j] for j in range(i, n)
                                                 for _ in range(remaining[j])])))
             if limit is not None and len(found) > limit:
-                raise ValueError("feasible barcode enumeration exceeded the limit")
+                raise FeasibleCountError(
+                    f"feasible barcode enumeration exceeded the limit of {limit} barcodes")
             return
         d, r = runs[i][0], remaining[i]
         owed = free_left[d]
@@ -550,7 +566,8 @@ def homotopy_filter(profiles: Sequence[RadialProfile], params: LagrangianParams,
     At each sample only barcodes within ``continuity_constant * sup-difference``
     (bottleneck, degree-sensitive) of some barcode retained at the previous
     sample survive; the first sample keeps its full feasible set.  An empty
-    pruned set raises PruningEmptyError naming the sample.  Ranks that
+    pruned set raises PruningEmptyError naming the sample, and a sample past
+    ``MAX_FEASIBLE_BARCODES`` raises FeasibleCountError.  Ranks that
     ``rank_quotas`` refuses raise ValueError before any sample is searched.
     """
     C = PiRational.of(continuity_constant)

@@ -14,11 +14,10 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import floerbar
-from floerbar import complexes, diagrams, oracles, seidel
-from floerbar.cli import _json_text, main
+from floerbar import complexes, diagrams, oracles, radial, seidel
+from floerbar.cli import main
 from floerbar.novikov import format_rational
 from floerbar.sampling import random_complex
 
@@ -267,7 +266,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         floerbar.cli.main(sys.argv[1:])
     except SystemExit:
         pass
-print(json.dumps([after_import, loaded()]))
+print(json.dumps([after_import, loaded(), "hashlib" in sys.modules]))
 """
 
 
@@ -280,16 +279,18 @@ def _python(*argv, check=False) -> subprocess.CompletedProcess:
 
 def _modules_loaded(*args):
     """The floerbar submodules a fresh interpreter has loaded after importing
-    the CLI, and after running it on ``args``."""
-    after_import, after_run = json.loads(_python("-c", _MODULES_LOADED, *args, check=True).stdout)
-    return set(after_import), set(after_run)
+    the CLI, and after running it on ``args``, and whether ``hashlib`` is
+    loaded then."""
+    after_import, after_run, digests = json.loads(
+        _python("-c", _MODULES_LOADED, *args, check=True).stdout)
+    return set(after_import), set(after_run), digests
 
 
 def test_only_oracle_runs_load_the_oracles():
     # and each command loads only the layers it runs
     sphere = fixture_path("equator_pair_sphere.json")
     pair = fixture_path("barcode_pair_a.json"), fixture_path("barcode_pair_b.json")
-    after_import, after_run = _modules_loaded("combfloer", sphere)
+    after_import, after_run, _digests = _modules_loaded("combfloer", sphere)
     assert "oracles" not in after_import | after_run
     assert after_import <= {"cli", "exactpi", "novikov", "seidel"}
     assert "oracles" in _modules_loaded("combfloer", sphere, "--oracle")[1]
@@ -299,8 +300,10 @@ def test_only_oracle_runs_load_the_oracles():
                           (("bottleneck", *pair, "--mod-shift"), unused),
                           (("radial", fixture_path("radial_fold.json")),
                            unused - {"radial"})):
-        after_run = _modules_loaded(*args)[1]
+        _after_import, after_run, digests = _modules_loaded(*args)
         assert {"cli", "seidel"} <= after_run and not after_run & skipped, (args, after_run)
+        # only reading an input file loads hashlib, to digest it
+        assert digests == (args[0] != "seidel"), args
     # a bare import loads no submodule; each loads on first access
     bare = ("import sys, floerbar; print([m for m in sys.modules if m.startswith('floerbar.')]);"
             " print(floerbar.persistence.__name__, hasattr(floerbar, 'nope'))")
@@ -724,42 +727,6 @@ def test_bottleneck_bar_count_cap_is_a_failed_check(tmp_path):
         assert "distance" not in report["outputs"]
 
 
-# any string, lone surrogates and control characters included
-any_text = st.text(st.characters(blacklist_categories=()))
-json_leaves = st.one_of(st.none(), st.booleans(), st.integers(),
-                        st.integers(-10 ** 1000, 10 ** 1000), st.floats(), any_text)
-json_values = st.recursive(
-    json_leaves,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.tuples(inner, inner),
-        st.dictionaries(st.one_of(any_text, st.integers(), st.floats(), st.booleans(),
-                                  st.none()), inner, max_size=4)),
-    max_leaves=25)
-
-
-def _written(write, value):
-    try:
-        return write(value)
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(json_values)
-def test_the_report_writer_writes_json_dumps_indent_2(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("value", [
-    {}, [], [{}, []], {"": [[]]}, 10 ** 5000, -10 ** 5000, {"a": object()}, [b"bytes"],
-    {(1,): 2}, {True: 1, None: 2, 1.5: 3, float("nan"): 4}, float("-inf"), "\x00\u2028\ud800",
-], ids=lambda value: type(value).__name__)
-def test_the_report_writer_agrees_with_json_dumps_on_edge_cases(value):
-    # an int too long to print (the interpreter's digit limit, where it has
-    # one) and a value or key json cannot write raise the same error
-    assert _written(_json_text, value) == _written(functools.partial(json.dumps, indent=2), value)
-
-
 def _primes(start: int, count: int):
     out, n = [], start
     while len(out) < count:
@@ -808,6 +775,63 @@ def test_combfloer_lune_candidate_cap_is_a_failed_check():
         assert report["checks"] == [{"name": "lune-candidate-cap", "passed": False}]
         assert f"give {count} candidates" in report["outputs"]["lune_error"]
         assert count > diagrams.MAX_LUNE_CANDIDATES
+
+
+def test_radial_feasible_count_cap_is_a_failed_check(tmp_path, monkeypatch):
+    # the 28-generator tent through (1/2, pi) has more feasible barcodes than
+    # the cap; without one the search held gigabytes within minutes
+    tent = tmp_path / "tent.json"
+    tent.write_text(json.dumps({
+        "params": {"n": 1, "N_L": 2, "A_L": "1/2"},
+        "breakpoints": [["0", "0"], ["1/2", ["0", "1"]], ["1", "0"]], "exterior": [0]}))
+    start = time.perf_counter()
+    result, report = run("radial", str(tent))
+    assert time.perf_counter() - start < 30
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert report["checks"] == [{"name": "feasible-count-cap", "passed": False}]
+    assert report["outputs"]["feasible_error"] == (
+        f"feasible barcode enumeration exceeded the limit of "
+        f"{radial.MAX_FEASIBLE_BARCODES} barcodes")
+    assert "feasible_count" not in report["outputs"]
+    # --homotopy searches each sample under the same default cap: at a cap
+    # of 1 the first sample of the bundled fold family, with 2, passes it
+    monkeypatch.setattr(radial.feasible_barcodes, "__defaults__", (1,))
+    result, report = run("radial", fixture_path("radial_fold_family.json"), "--homotopy")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert report["checks"] == [{"name": "feasible-count-cap", "passed": False}]
+    assert "exceeded the limit of 1 barcodes" in report["outputs"]["feasible_error"]
+
+
+def _one_line(text: str) -> None:
+    """``text`` is one line of JSON, as ``json.dumps`` writes it."""
+    assert text == json.dumps(json.loads(text)) + "\n"
+
+
+def test_reports_are_one_line_of_json_dumps(tmp_path, monkeypatch):
+    monkeypatch.setattr(oracles, "PROPERTIES", oracles.PROPERTIES[:1])
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    cx = tmp_path / "cx.json"
+    sphere = fixture_path("equator_pair_sphere.json")
+    pair = fixture_path("barcode_pair_a.json"), fixture_path("barcode_pair_b.json")
+    for args, code in ((("barcode", fixture_path("equator_pair_complex.json")), 0),
+                       (("bottleneck", *pair, "--mod-shift"), 0),
+                       (("combfloer", sphere, "--emit-complex", str(cx)), 0),
+                       (("radial", fixture_path("radial_fold.json"), "--feasible"), 0),
+                       (("radial", fixture_path("radial_fold_family.json"), "--homotopy"), 0),
+                       (("seidel", "--case", "RPn"), 0),
+                       (("check", "--trials", "1"), 0),
+                       (("barcode", str(bad)), 2),
+                       (("combfloer", sphere, "--max-wind", "203"), 1)):
+        result = invoke(args)
+        assert result.exit_code == code, (args, result.output)
+        _one_line(result.stdout)
+        # only malformed input gets the short error report of ``_fail``
+        assert ("error" in json.loads(result.stdout)) == (code == 2), args
+    _one_line(cx.read_text(encoding="utf-8"))
+    assert complexes.complex_from_json(json.loads(cx.read_text(encoding="utf-8"))).generators
 
 
 @pytest.mark.parametrize("args", [("barcode", "{d}"), ("bottleneck", "{d}", "{d}"),

@@ -60,12 +60,14 @@ def _in_tmp_path(tmp_path, monkeypatch):
 def _stdout(files: dict, *args) -> str:
     """stdout of the command ``args`` after writing ``files``, name -> text,
     into the current directory (each test's own empty one), so the report
-    names the same relative paths anywhere."""
+    names the same relative paths anywhere.  The report, one line of JSON,
+    comes back indented by ``json.dumps(..., indent=2)``, the form the golden
+    files record: every key, value and key order is compared as before."""
     for name, text in files.items():
         Path(name).write_text(text)
     result = invoke(args)
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    return result.stdout
+    return json.dumps(json.loads(result.stdout), indent=2) + "\n"
 
 
 def _bottleneck_runs(pair) -> list:

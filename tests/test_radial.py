@@ -10,7 +10,7 @@ from floerbar.novikov import LagrangianParams
 from floerbar.oracles import (_TWIN_TENTS, _feasible_agrees, _twin_tent,
                               brute_force_feasible_barcodes, rank_prescriptions)
 from floerbar.persistence import Barcode, Bar, INF, boundary_depth
-from floerbar.radial import (GeneratorSpectrum, InfeasibleRanksError,
+from floerbar.radial import (FeasibleCountError, GeneratorSpectrum, InfeasibleRanksError,
                              RadialProfile, SlopeDegeneracyError,
                              SpectrumEntry, degree_actions,
                              degree_class_actions, feasible_barcodes,
@@ -252,7 +252,7 @@ def test_twin_orbits_collapse_without_losing_barcodes():
     feas = feasible_barcodes(s, {0: 0, 1: 0})
     assert len(feas) == 10
     assert forced_bar_bound(s, {0: 0, 1: 0}) == pv((21, 40))
-    with pytest.raises(ValueError, match="exceeded the limit"):
+    with pytest.raises(FeasibleCountError, match="exceeded the limit of 9 barcodes"):
         feasible_barcodes(s, {0: 0, 1: 0}, limit=9)
 
 
