@@ -28,9 +28,9 @@ Submodules
 ``radial``
     Generator spectra of piecewise linear radial Hamiltonian profiles;
     feasible-barcode enumeration (over runs of twin orbits, each barcode
-    reached once and built from bars interned by canonical rank), certified
-    boundary-depth bounds read on keys, and continuity pruning along
-    profile families.
+    reached once and built from the slots of one bar table per spectrum,
+    which every pass on it reads), certified boundary-depth bounds read on
+    keys, and continuity pruning along profile families.
 ``seidel``
     One-generator quantum ring arithmetic, power-hypothesis verification,
     the exact averaging bound and its symbolic telescoping certificate.

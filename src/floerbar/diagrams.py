@@ -32,13 +32,15 @@ many passes read them; ``faces`` and ``areas`` are read-only, so they never
 go stale.  A face-winding vector is one int, a lane of bits per face, and
 the prefix rows are packed once per diagram: a pair's base winding is three
 int additions, and a candidate's index-and-nonnegativity test one addition
-of its packed turns, index-one offset folded in, and one mask.  Only
-survivors are decoded face by face.  No candidate is checked against the
-jump conditions: on the sphere that validation makes of the arrangement
-every boundary meets them.  ``enumerate_lunes`` proves that, and that the
-lanes never overflow.  The per-candidate breadth-first solve all this
-replaces is kept as the oracle ``brute_force_lunes`` in
-:mod:`floerbar.oracles`, which asserts both.
+of its packed turns, index-one offset folded in, and one mask.  The
+candidate boundaries of a winding cap, with their packed turns by residue
+class, are built once per diagram and cap, so every later pass at that cap
+only walks the point pairs.  Only survivors are decoded face by face.  No
+candidate is checked against the jump conditions: on the sphere that
+validation makes of the arrangement every boundary meets them.
+``enumerate_lunes`` proves that, and that the lanes never overflow.  The
+per-candidate breadth-first solve all this replaces is kept as the oracle
+``brute_force_lunes`` in :mod:`floerbar.oracles`, which asserts both.
 
 The filtered complex of a diagram has the crossing points as generators and
 the lunes mod 2, grouped by recapping exponent, as its differential.  One
@@ -417,7 +419,9 @@ class _WindingField:
     Each table maps a curve to its rows and its wrapped rows: a range that
     wraps past arc m-1 starts a full turn early, at row k less row m.
     ``packed(bits)`` holds the winding rows as ints, face f in bits [bits*f,
-    bits*f + bits), and ``lane_bits`` picks the width.
+    bits*f + bits), and ``lane_bits`` picks the width.  ``residue_tables``
+    holds the candidate boundaries of each winding cap, which every pass at
+    that cap reads.
     """
 
     def __init__(self, geo: _Geometry, area_keys: Mapping[str, int]):
@@ -474,6 +478,7 @@ class _WindingField:
         # B and T of the lane bound of ``enumerate_lunes``
         self.base_bound, self.turn_bound = max(map(operator.add, *spreads)), max(turns)
         self._packed: Dict[int, tuple] = {}
+        self._residues: Dict[int, _ResidueTables] = {}
 
     def lane_bits(self, max_wind: int) -> int:
         """The least of 8, 16, 32, ... bits whose lanes hold every candidate
@@ -496,6 +501,14 @@ class _WindingField:
                 sum(1 << s for s in shifts))
         return tables
 
+    def residue_tables(self, max_wind: int) -> "_ResidueTables":
+        """The boundaries at cap ``max_wind`` by the corner turn sums of a
+        point pair, kept for every later pass at that cap."""
+        tables = self._residues.get(max_wind)
+        if tables is None:
+            tables = self._residues[max_wind] = _ResidueTables(self, max_wind)
+        return tables
+
     def range_area(self, seg_k: Tuple[int, int], seg_l: Tuple[int, int]) -> int:
         """The area of the forward ranges ``seg_k`` of K and ``seg_l`` of L,
         as an int key; a range (lo, hi) is the arcs lo, ..., hi-1 cyclically."""
@@ -504,6 +517,41 @@ class _WindingField:
         rows_l, wrapped_l = self.areas["L"]
         return (rows_k[hi_k] - (rows_k if lo_k < hi_k else wrapped_k)[lo_k]
                 + rows_l[hi_l] - (rows_l if lo_l < hi_l else wrapped_l)[lo_l])
+
+
+class _ResidueTables(dict):
+    """``(a, b) -> {r: (packed turns, params)}``: the boundaries of one
+    winding field at one cap for a point pair of corner turn sums (a, b), by
+    the residue r mod 8 of the corner base that index one needs, each with
+    its packed turns plus ``c * ones`` and its ``(k_path, l_path, area)``,
+    the offset c in the area too (see ``enumerate_lunes``).  ``turns`` holds
+    each boundary's paths, full turns, packed turns plus the top bit of
+    every lane, and the area of its turns; an entry is built the first time
+    a pair asks for it."""
+
+    __slots__ = ("turns", "ones", "total_area")
+
+    def __init__(self, field: _WindingField, max_wind: int) -> None:
+        super().__init__()
+        m, bits = field.m, field.lane_bits(max_wind)
+        rows_k, _wrapped_k, rows_l, _wrapped_l, self.ones = field.packed(bits)
+        high = self.ones << (bits - 1)
+        area_k, area_l = field.areas["K"][0][m], field.areas["L"][0][m]
+        self.total_area = sum(field.face_areas)
+        self.turns = [(k_path, l_path, tk, tl, tk * rows_k[m] + tl * rows_l[m] + high,
+                       tk * area_k + tl * area_l)
+                      for k_path, l_path, tk, tl in _lune_paths(max_wind)]
+
+    def __missing__(self, key: Tuple[int, int]) -> Dict[int, Tuple[list, list]]:
+        a, b = key
+        classes: Dict[int, Tuple[list, list]] = {}
+        for k_path, l_path, tk, tl, packed, area in self.turns:
+            c, r = divmod(2 - tk * a - tl * b, 8)
+            packed_turns, params = classes.setdefault(r, ([], []))
+            packed_turns.append(packed + c * self.ones)
+            params.append((k_path, l_path, area + c * self.total_area))
+        self[key] = classes
+        return classes
 
 
 class _Analysis:
@@ -617,7 +665,6 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     field = analysis.field
     m, faces, scale = field.m, field.faces, analysis.scale
     total_area = sum(field.face_areas)
-    area_k, area_l = field.areas["K"][0][m], field.areas["L"][0][m]
     bits = field.lane_bits(max_wind)
     rows_k, wrapped_k, rows_l, wrapped_l, ones = field.packed(bits)
     high = ones << (bits - 1)
@@ -627,23 +674,9 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
     width, lane_format = bits * len(faces) // 8, {8: "B", 16: "H", 32: "I"}[bits]
     # native items run up from lane 0 on little-endian machines, down on big
     step = 1 if sys.byteorder == "little" else -1
-    turns = [(k_path, l_path, tk, tl, tk * rows_k[m] + tl * rows_l[m] + high,
-              tk * area_k + tl * area_l)
-             for k_path, l_path, tk, tl in _lune_paths(max_wind)]
-
-    def residue_classes(a: int, b: int) -> Dict[int, Tuple[list, list]]:
-        """Boundaries by the residue of the corner base they need, offsets in."""
-        classes: Dict[int, Tuple[list, list]] = {}
-        for k_path, l_path, tk, tl, packed, area in turns:
-            c, r = divmod(2 - tk * a - tl * b, 8)
-            packed_turns, params = classes.setdefault(r, ([], []))
-            packed_turns.append(packed + c * ones)
-            params.append((k_path, l_path, area + c * total_area))
-        return classes
-
     corners_k, corners_l = field.corner_prefix["K"], field.corner_prefix["L"]
     pos_k, pos_l = field.pos["K"], field.pos["L"]
-    residue_tables: Dict[Tuple[int, int], Dict[int, Tuple[list, list]]] = {}
+    residue_tables = field.residue_tables(max_wind)
     lunes: List[Tuple[int, int, int, tuple, Lune]] = []
     seen = set()
     for x, y in itertools.permutations(d.points, 2):
@@ -653,11 +686,8 @@ def enumerate_lunes(d: TwoCurveDiagram, max_wind: int = 2) -> Tuple[Lune, ...]:
         a, b = ckx[m] + cky[m], clx[m] + cly[m]
         corner_base = (ckx[hi_k] + cky[hi_k] - ckx[lo_k] - cky[lo_k] + (a if lo_k > hi_k else 0)
                        + clx[hi_l] + cly[hi_l] - clx[lo_l] - cly[lo_l] + (b if lo_l > hi_l else 0))
-        classes = residue_tables.get((a, b))
-        if classes is None:
-            classes = residue_tables[(a, b)] = residue_classes(a, b)
         q = corner_base >> 3
-        reachable = classes.get(corner_base & 7)
+        reachable = residue_tables[a, b].get(corner_base & 7)
         if reachable is None:
             continue
         packed_turns, params = reachable

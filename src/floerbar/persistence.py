@@ -49,7 +49,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .exactpi import HEAD, PLAIN, SPREAD, PiCode, PiRational, code_for
 from .matching import CoverMatching
@@ -298,35 +298,68 @@ def _recode(key: int, src: PiCode, dst: PiCode) -> int:
         key * dst.M if src is PLAIN else dst.encode(*src.parts(key)), key)
 
 
-class _RankedBars:
-    """The bars of the picks of one ``Barcode.from_ranks`` call.  ``rows``
-    are the rows it picks from: the ranked table's, then one row per rank
-    ``k`` picked ``n > 1`` times, for each ``(k, n)`` in ``repeats``.  Their
-    bars are the table's, decoded together the first time a pick reads its
-    bars, and each repeated rank's, made from its table bar.  A pick over
-    the table's scale and code holds the row objects of ``rows`` themselves
-    and finds their bars by identity; any other pick finds them by value,
-    its rows brought back to the table's scale and code."""
+class _RankTable:
+    """The bars that the picks of :meth:`Barcode.from_ranks` are made of,
+    with what a pick reads of each, taken once per table.  ``ranked`` has
+    distinct rows of multiplicity one, in canonical order over their least
+    scale and in their canonical code.  Slot ``k * width + n - 1`` names row
+    k at multiplicity n, for ``1 <= n <= width``, so that sorted slots list
+    their rows in canonical order.  Per slot: ``rows``, its row; ``gcds``,
+    the gcd of the scale and the row's key parts (a pick's least scale is
+    the scale over the gcd of its slots'); ``betas``, the row's largest pi
+    part (a pick whose largest over its least scale falls below
+    ``code.least`` takes a lower code); and ``place``, the index of the
+    row's length in ``lengths``, the finite rows' lengths in increasing
+    order, or -1 for an infinite row (a pick's depth key is the length at
+    its greatest place).  A slot's bar is made the first time a pick reads
+    it, row k's at multiplicity one being ``ranked.bars[k]``.  A pick over
+    the table's scale and code holds the slot rows themselves and finds
+    their slots by identity; any other pick finds them by value, its rows
+    brought back to the table's scale and code."""
 
-    __slots__ = ("ranked", "rows", "repeats", "_bars", "_by_id", "_by_value")
+    __slots__ = ("ranked", "width", "rows", "gcds", "betas", "place", "lengths",
+                 "_bars", "_by_id", "_by_value")
 
-    def __init__(self, ranked: "Barcode") -> None:
-        self.ranked, self.rows, self.repeats = ranked, list(ranked.rows), []
+    def __init__(self, ranked: "Barcode", width: int) -> None:
+        scale, code, rows = ranked.scale, ranked.code, ranked.rows
+        parts = [[p for x in row[1:3] if x is not None for p in code.parts(x)] for row in rows] \
+            if code.bound else [row[1:3] if row[2] is not None else row[1:2] for row in rows]
+        finite = sorted(((_typed(r - l, l, r), k) for k, (_d, l, r, _m) in enumerate(rows)
+                         if r is not None), key=operator.itemgetter(0))
+        place = [-1] * len(rows)
+        for p, (_length, k) in enumerate(finite):
+            place[k] = p
+        columns = ([math.gcd(scale, *row) for row in parts],
+                   [max(map(abs, row[1::2])) for row in parts] if code.bound else [], place)
+        self.ranked, self.width, self.lengths = ranked, width, [length for length, _k in finite]
+        self.rows = [None] * (len(rows) * width)
+        self.gcds, self.betas, self.place = by_slot = [[None] * (len(c) * width) for c in columns]
+        for n in range(width):  # slot k * width + n is row k at multiplicity n + 1
+            self.rows[n::width] = [(d, l, r, n + 1) for d, l, r, _m in rows] if n else rows
+            for slots, column in zip(by_slot, columns):
+                slots[n::width] = column
         self._bars = self._by_id = self._by_value = None
 
     def read(self, pick: "Barcode") -> Tuple[Bar, ...]:
         if self._bars is None:
-            bars = self.ranked.bars
-            self._bars = bars + tuple(replace(bars[k], multiplicity=n) for k, n in self.repeats)
-            self._by_id = {id(row): bar for row, bar in zip(self.rows, self._bars)}
+            self._bars = [None] * len(self.rows)
+            self._by_id = {id(row): slot for slot, row in enumerate(self.rows)}
         f, src, dst = self.ranked.scale // pick.scale, pick.code, self.ranked.code
         if f == 1 and src is dst:
-            return tuple(map(self._by_id.__getitem__, map(id, pick.rows)))
+            return tuple(map(self._bar, map(self._by_id.__getitem__, map(id, pick.rows))))
         if self._by_value is None:
-            self._by_value = dict(zip(self.rows, self._bars))
-        return tuple(self._by_value[d, _recode(l, src, dst) * f,
-                                    None if r is None else _recode(r, src, dst) * f, m]
+            self._by_value = {row: slot for slot, row in enumerate(self.rows)}
+        return tuple(self._bar(self._by_value[d, _recode(l, src, dst) * f,
+                                              None if r is None else _recode(r, src, dst) * f, m])
                      for d, l, r, m in pick.rows)
+
+    def _bar(self, slot: int) -> Bar:
+        bar = self._bars[slot]
+        if bar is None:
+            k, n = divmod(slot, self.width)
+            bar = self._bars[slot] = self.ranked.bars[k] if not n else \
+                replace(self.ranked.bars[k], multiplicity=n + 1)
+        return bar
 
 
 class Barcode:
@@ -348,7 +381,7 @@ class Barcode:
     """
 
     # ``_bars``: the bars once read; before, None, or for a pick of
-    # ``from_ranks`` the ``_RankedBars`` it reads them from
+    # ``from_ranks`` the ``_RankTable`` it reads them from
     __slots__ = ("rows", "scale", "code", "_bars", "_depth")
 
     def __init__(self, bars: Iterable[Bar] = ()) -> None:
@@ -396,71 +429,32 @@ class Barcode:
         return out
 
     @classmethod
-    def from_ranks(cls, ranked: "Barcode", picks: Iterable[Sequence[int]]) -> List["Barcode"]:
-        """For each sorted ``ranks`` in ``picks``, the barcode of the rows
-        ``ranked.rows[k]`` for ``k`` in ``ranks``, a repeated rank giving a
-        multiplicity, over its least scale and in its canonical code.  A pick
-        holds only its rows and the table all picks share: it reads its
-        bars, the first time they are asked for, out of ``ranked.bars``,
-        decoded once for all picks, and its depth key comes from
-        ``ranked``'s row lengths, each taken once per call.  Trusted:
-        ``ranked`` has distinct rows of multiplicity one; nothing is
-        checked."""
-        rows, scale, code = ranked.rows, ranked.scale, ranked.code
-        # ``gcds[k]``: the gcd of ``scale`` and the key parts of row k; a
-        # pick's least scale is ``scale`` over the gcd of its rows' ``gcds``.
-        # ``betas[k]``: the largest pi part of row k; a pick whose largest
-        # over its least scale falls below ``code.least`` takes a lower code
-        parts = [[p for x in row[1:3] if x is not None for p in code.parts(x)] for row in rows] \
-            if code.bound else [row[1:3] if row[2] is not None else row[1:2] for row in rows]
-        gcds = [math.gcd(scale, *row) for row in parts]
-        betas = [max(map(abs, row[1::2])) for row in parts] if code.bound else ()
-        # ``lengths`` of the finite rows in increasing order, and ``place[k]``
-        # the index of row k's length there (-1 for an infinite row): a
-        # pick's depth key is the length at its rows' greatest place
-        finite = sorted(((_typed(r - l, l, r), k) for k, (_d, l, r, _m) in enumerate(rows)
-                         if r is not None), key=lambda item: item[0])
-        lengths = [length for length, _k in finite]
-        place = [-1] * len(rows)
-        for p, (_length, k) in enumerate(finite):
-            place[k] = p
-        # a rank k picked n > 1 times reads as one row of multiplicity n,
-        # appended to the table's ``rows`` (at index ``repeated[k, n]``) the
-        # first time and shared by every later pick
-        table = _RankedBars(ranked)
-        rows = table.rows
-        repeated: Dict[Tuple[int, int], int] = {}
-
-        def repeat(k: int, n: int) -> int:
-            if (k, n) not in repeated:
-                repeated[k, n] = len(rows)
-                rows.append((*rows[k][:3], n))
-                table.repeats.append((k, n))
-            return repeated[k, n]
-
-        out, new, row_at, gcd_at, place_at, beta_at = \
-            [], object.__new__, rows.__getitem__, gcds.__getitem__, place.__getitem__, \
-            betas.__getitem__
+    def from_ranks(cls, table: _RankTable, picks: Iterable[Sequence[int]]) -> List["Barcode"]:
+        """For each sorted sequence of slots of ``table`` in ``picks``, the
+        barcode of their rows, over its least scale and in its canonical
+        code.  A pick holds only its rows and the table all picks share: it
+        reads its bars, the first time they are asked for, out of the
+        table's, each made once for all picks, and its scale, code and depth
+        key come from the table's per-slot gcds, pi parts and length places.
+        Trusted: a pick names each row of ``table.ranked`` at most once;
+        nothing is checked."""
+        scale, code, lengths = table.ranked.scale, table.ranked.code, table.lengths
         least = code.least
-        for ranks in picks:
-            counts = dict.fromkeys(ranks, 0)  # in canonical order, as ranks is sorted
-            if len(counts) == len(ranks):
-                picked = ranks
-            else:
-                for k in ranks:
-                    counts[k] += 1
-                picked = [k if n == 1 else repeat(k, n) for k, n in counts.items()]
-            g = math.gcd(scale, *map(gcd_at, counts))
-            top = max(map(place_at, counts), default=-1)
+        out, new, row_at, gcd_at, place_at, beta_at = \
+            [], object.__new__, table.rows.__getitem__, table.gcds.__getitem__, \
+            table.place.__getitem__, table.betas.__getitem__
+        for pick in picks:
+            g = math.gcd(scale, *map(gcd_at, pick))
+            top = max(map(place_at, pick), default=-1)
             barcode = new(cls)
-            barcode.rows = tuple(map(row_at, picked)) if g == 1 else tuple(
+            barcode.rows = tuple(map(row_at, pick)) if g == 1 else tuple(
                 (d, _typed(l // g, l), None if r is None else _typed(r // g, r), m)
-                for d, l, r, m in map(row_at, picked))
+                for d, l, r, m in map(row_at, pick))
             barcode.scale, barcode.code, barcode._bars = scale // g, code, table
             barcode._depth = 0 if top < 0 else lengths[top] if g == 1 else \
                 _typed(lengths[top] // g, lengths[top])
-            if least and max(map(beta_at, counts)) < least * g:
-                barcode.code = dst = code_for(max(map(beta_at, counts)) // g)
+            if least and max(map(beta_at, pick)) < least * g:
+                barcode.code = dst = code_for(max(map(beta_at, pick)) // g)
                 barcode.rows = tuple((d, _recode(l, code, dst),
                                       None if r is None else _recode(r, code, dst), m)
                                      for d, l, r, m in barcode.rows)
@@ -475,7 +469,7 @@ class Barcode:
             s, code = self.scale, self.code
             bars = self._bars = tuple(Bar(_value(l, s, code), INF if r is None else
                                           _value(r, s, code), d, m) for d, l, r, m in self.rows)
-        elif type(bars) is _RankedBars:
+        elif type(bars) is _RankTable:
             bars = self._bars = bars.read(self)
         return bars
 
@@ -576,22 +570,23 @@ def least_depth(barcodes: Iterable[Barcode]):
     if not barcodes:
         raise ValueError("least_depth of no barcodes")
     depths = [_depth_key(bc) for bc in barcodes]
-    scale = math.lcm(*(bc.scale for bc in barcodes))
-    code = _common_code([(bc, scale // bc.scale) for bc in barcodes])
-    keys = [_recode(key, bc.code, code) * (scale // bc.scale) for bc, key in zip(barcodes, depths)]
+    scale = math.lcm(*{bc.scale for bc in barcodes})
+    factors = [scale // bc.scale for bc in barcodes]
+    code = _common_code(barcodes, factors)
+    keys = [_recode(key, bc.code, code) * f for bc, key, f in zip(barcodes, depths, factors)]
     k = min(range(len(keys)), key=keys.__getitem__)
     return _value(_typed(keys[k], depths[k]), scale, code)
 
 
-def _common_code(items: Sequence[Tuple[Barcode, int]]) -> PiCode:
+def _common_code(barcodes: Sequence[Barcode], factors: Sequence[int]) -> PiCode:
     """A code whose bound holds ``SPREAD`` times the pi parts of the keys of
-    each ``(barcode, factor)`` times the factor: the largest of the
-    barcodes' canonical codes for factors up to ``HEAD // SPREAD``."""
-    code = max((bc.code for bc, _f in items), key=operator.attrgetter("bound"))
+    each barcode times its factor: the largest of the barcodes' canonical
+    codes for factors up to ``HEAD // SPREAD``."""
+    code = max((bc.code for bc in barcodes), key=operator.attrgetter("bound"))
     if not code.bound:
         return code  # no key has a pi part
-    big = [(bc, f) for bc, f in items if f > HEAD // SPREAD and bc.code.bound]
-    beta = max((abs(bc.code.parts(x)[1]) * f for bc, f in big
+    beta = max((abs(bc.code.parts(x)[1]) * f for bc, f in zip(barcodes, factors)
+                if f > HEAD // SPREAD and bc.code.bound
                 for row in bc.rows for x in row[1:3] if x is not None), default=0)
     return code_for(beta, SPREAD) if beta * SPREAD > code.bound else code
 
@@ -657,7 +652,7 @@ def _expanded(b1: Barcode, b2: Barcode) -> Tuple[int, PiCode, List[Tuple], List[
             f"key size cap exceeded: the common scale of the two barcodes has "
             f"{common.bit_length()} bits, at most {MAX_SCALE_BITS}")
     scale = 2 * common
-    code = _common_code(((b1, scale // b1.scale), (b2, scale // b2.scale)))
+    code = _common_code((b1, b2), (scale // b1.scale, scale // b2.scale))
     return scale, code, _key_rows(b1, scale // b1.scale, code), \
         _key_rows(b2, scale // b2.scale, code)
 

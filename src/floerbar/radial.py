@@ -37,18 +37,21 @@ of one :class:`~floerbar.exactpi.PiCode`, on which the orbits, runs and
 their bars are found: every bar a matching can produce (one infinite bar
 per run, one finite bar per allowed ordered pair of runs) is a key row, and
 the rows sorted in canonical order and brought to their least scale are the
-bar table, each bar named by its rank there.  The search walks the runs in
-order and chooses, for each, how many of its orbits stay free and how many
-of the rest pair with each later run in each orientation, so every complete
-choice is a distinct barcode, reached once, named by the sorted tuple of
-its ranks; ``limit`` counts them.  Counting the orbits left in each degree
-class prunes choices that no pairing can complete.  One ``Barcode`` is built
-per tuple after the search, straight from the ranks: ``Barcode.from_ranks``
-picks its rows of the table and hands over its depth key, read off the
-table's row lengths, so no barcode sorts, decodes or subtracts endpoints of
-its own; a barcode's bars are decoded only when read, through the table's
-bars.  ``forced_bar_bound`` compares the barcodes' depths on those keys and
-reads out only the least.
+bar table, each bar at each multiplicity named by a slot there.  No rank
+prescription changes any of this, so a spectrum builds it once, on its
+first pass (``GeneratorSpectrum._feasible``), and every later pass reads
+it.  The search walks the runs in order and chooses, for each, how many of
+its orbits stay free and how many of the rest pair with each later run in
+each orientation, so every complete choice is a distinct barcode, reached
+once, named by the sorted tuple of its slots; ``limit`` counts them.
+Counting the orbits left in each degree class prunes choices that no
+pairing can complete.  One ``Barcode`` is built per tuple after the search,
+straight from the slots: ``Barcode.from_ranks`` picks its rows of the table
+and reads its scale, code and depth key off the table's per-slot data, so
+no barcode sorts, merges, decodes or subtracts endpoints of its own; a
+barcode's bars are decoded only when read, through the table's bars.
+``forced_bar_bound`` compares the barcodes' depths on those keys and reads
+out only the least.
 The search stays exponential in the number of runs.
 ``brute_force_feasible_barcodes`` in :mod:`floerbar.oracles`, the
 per-matching enumerator that searches orbits rather than runs and builds one
@@ -66,8 +69,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactpi import SPREAD, PiRational, code_for, key_sign
 from .novikov import LagrangianParams, parse_int
-from .persistence import (INF, Barcode, _denominators, _pair, _PiInt, _row_order, _typed,
-                          bottleneck_distance, least_depth)
+from .persistence import (INF, Barcode, _denominators, _pair, _PiInt, _RankTable, _row_order,
+                          _typed, bottleneck_distance, least_depth)
 
 __all__ = [
     "RadialProfile",
@@ -108,9 +111,9 @@ class FeasibleCountError(ValueError):
 
 # The search's time and memory grow with the number of barcodes it finds.
 # The s = 41/10 tent of the CI, ranks (1, 1), has 118,398 of them, found in
-# 1.6 s at 64 MiB peak; the 28-generator tent through (1/2, pi) passes the
-# cap after 2.7 s at 59 MiB peak, where the search without one held 3.9 GiB
-# after 5 minutes (Python 3.11, 2-CPU x86-64).
+# 1.1 s at 64 MiB peak; the 28-generator tent through (1/2, pi) passes the
+# cap after 1.9 s at 60 MiB peak (the whole process), where the search
+# without one held 3.9 GiB after 5 minutes (Python 3.11, 2-CPU x86-64).
 MAX_FEASIBLE_BARCODES = 250_000
 
 
@@ -189,6 +192,12 @@ class GeneratorSpectrum:
         scale = math.lcm(*_denominators(area),
                          *(d for e in self.entries for d in _denominators(e.action)))
         return scale, _pair(area, scale), [_pair(e.action, scale) for e in self.entries]
+
+    @functools.cached_property
+    def _feasible(self) -> "_BarTable":
+        """The runs, bars and ranked table of the feasible passes, which no
+        rank prescription changes, built on the first pass."""
+        return _BarTable(self)
 
 
 def _slope_floor(df: int, df_pi: int, drho: int, drho_pi: int) -> int:
@@ -345,6 +354,121 @@ def _pairable(to_pair: Sequence[int]) -> bool:
     return a == 0 and lo <= hi
 
 
+class _BarTable:
+    """The part of a feasible pass over one spectrum that no rank
+    prescription changes, built once per spectrum
+    (``GeneratorSpectrum._feasible``).
+
+    One orbit per source: the degree of its representative in [0, maslov),
+    that representative's action as int parts over the spectrum's scale,
+    and whether the action reads back as a PiRational (a recapped one does).
+    Sorted by (degree, action), twin orbits are consecutive and form the
+    runs, each with its ``degrees`` entry and its ``sizes``, the number of
+    its orbits; ``counts`` holds the orbits per degree class.  Every bar a
+    matching can produce is one row of the ranked table ``table``, a
+    :class:`~floerbar.persistence._RankTable` whose slots name a row at a
+    multiplicity up to the largest run size.  Run i's infinite bar at
+    multiplicity f is slot ``free[i] + f``.  ``partners[i]`` lists the
+    later runs j that run i can pair with, each with ``splits``:
+    ``splits[t]`` holds, for each way of splitting t pairs between the (at
+    most two) bars of the pair of runs, in the search's order, the slots it
+    adds; ``around[i]`` lists those runs j alone.  From run ``tail`` on no
+    run has a later partner.
+    """
+
+    __slots__ = ("counts", "degrees", "sizes", "free", "partners", "around", "tail", "table")
+
+    def __init__(self, spectrum: "GeneratorSpectrum") -> None:
+        maslov = spectrum.params.maslov
+        # every action and the disk area as int parts over one scale
+        scale, (area_a, area_pi), actions = spectrum._keys
+        orbits: Dict[Tuple, Tuple] = {}
+        for e, (a, b) in zip(spectrum.entries, actions):
+            degree = e.degree % maslov
+            shift = (degree - e.degree) // maslov
+            orbit = (degree, a + area_a * shift, b + area_pi * shift,
+                     shift != 0 or type(e.action) is PiRational)
+            if orbits.setdefault(e.source, orbit)[:3] != orbit[:3]:
+                raise ValueError(f"inconsistent recap copies for source {e.source}")
+        # every comparison below is of actions and actions plus the area: one
+        # code decides them all
+        code = code_for(max((abs(b) for _d, _a, b, _pi in orbits.values()), default=0)
+                        + abs(area_pi), SPREAD)
+        runs: List[List] = []  # [degree, action key, orbits, action parts]
+        for d, key, a, b, pi in sorted(((d, code.encode(a, b), a, b, pi)
+                                        for d, a, b, pi in orbits.values()),
+                                       key=lambda o: o[:2]):
+            if runs and runs[-1][0] == d and runs[-1][1] == key:
+                runs[-1][2] += 1
+            else:
+                runs.append([d, _PiInt(key) if pi else key, 1, (a, b)])
+        self.degrees = [run[0] for run in runs]
+        self.sizes = [run[2] for run in runs]
+        self.counts = [0] * maslov
+        for d, size in zip(self.degrees, self.sizes):
+            self.counts[d] += size
+
+        # every bar as a key row (degree, left, right, 1) with its endpoints'
+        # parts: one infinite bar per run, one finite bar (z, y] per allowed
+        # ordered pair of runs.  Representatives have degrees in [0, maslov),
+        # so z sits one degree below y, or z has degree maslov - 1 and y
+        # degree 0 and y is recapped once (action + disk area) to sit above
+        # it; the pair is allowed when the bar is nonempty.  A bar names the
+        # runs of its orbits, so distinct pairs of runs give distinct rows.
+        rows = [(d, a, None, 1) for d, a, _size, _parts in runs]
+        ends = [(parts, None) for _d, _a, _size, parts in runs]
+        n = len(runs)
+        rights = [(_PiInt(a + code.encode(area_a, area_pi)), (p[0] + area_a, p[1] + area_pi))
+                  if d == 0 else (a, p) for d, a, _size, p in runs]
+        below = [(run[0] - 1) % maslov for run in runs]  # the degree a partner z must have
+        pairs: List[List[Tuple[int, List[int]]]] = [[] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                ids = []
+                for y, z in ((i, j), (j, i)):
+                    if runs[z][0] == below[y] and runs[z][1] < rights[y][0]:
+                        ids.append(len(rows))
+                        rows.append((runs[z][0], runs[z][1], rights[y][0], 1))
+                        ends.append((runs[z][3], rights[y][1]))
+                if ids:
+                    pairs[i].append((j, ids))
+
+        # the rows in canonical order over their least scale and in their
+        # canonical code are the table every barcode picks from; a bar's
+        # rank there names it, so sorted slots list a barcode's rows in order
+        order = sorted(range(len(rows)), key=lambda k: _row_order(rows[k]))
+        g = math.gcd(scale, *(p for pair in ends for x in pair if x is not None for p in x))
+        canon = code_for(max((abs(x[1]) for pair in ends for x in pair if x is not None),
+                             default=0) // g)
+        ranked = tuple(map(rows.__getitem__, order))
+        if g != 1 or canon is not code:
+            ranked = tuple((d, *(None if x is None else _typed(canon.encode(x[0] // g, x[1] // g),
+                                                                 key)
+                                 for x, key in zip(ends[k], (l, r))), m)
+                           for k, (d, l, r, m) in zip(order, ranked))
+        width = max(self.sizes, default=1)
+        self.table = _RankTable(Barcode._sorted(ranked, scale // g, canon), width)
+        base = [0] * len(rows)  # bar k at multiplicity m is slot base[k] + m
+        for r, k in enumerate(order):
+            base[k] = r * width - 1
+        self.free = base[:n]
+        # t pairs of runs i and j split as a on the first bar and t - a on
+        # the last, in the order the search takes them
+        self.partners = [[(j, [None] + [
+            [[base[k] + c for k, c in zip(ids, (a, t - a)) if c]
+             for a in (range(t + 1) if len(ids) == 2 else (t,))]
+            for t in range(1, min(self.sizes[i], self.sizes[j]) + 1)]) for j, ids in opts]
+            for i, opts in enumerate(pairs)]
+        self.around = [[j for j, _ids in opts] for opts in pairs]
+        tail = n
+        while tail and not pairs[tail - 1]:
+            tail -= 1
+        self.tail = tail
+
+
+_UNSPLIT = ([],)  # the one way to add nothing
+
+
 def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
                       limit: Optional[int] = MAX_FEASIBLE_BARCODES) -> frozenset:
     """All barcodes of action-decreasing differentials on the spectrum.
@@ -354,166 +478,118 @@ def feasible_barcodes(spectrum: GeneratorSpectrum, ranks: Mapping[int, int],
     recapping quotient: each source contributes one orbit; a pair matches a
     degree-(d+1) orbit ``y`` with a degree-d translate of an orbit ``z`` at
     strictly smaller action.  Twin orbits (equal degree and action) form
-    runs, and a bar depends only on the runs of its orbits, so the search
-    walks the runs in order and chooses, for each, how many of its orbits
-    stay free and the multiset of its pair bars to later runs: every
-    complete choice is a distinct barcode, reached once.  More than
-    ``limit`` distinct barcodes raise FeasibleCountError (``None``: no
-    limit).  Raises InfeasibleRanksError when nothing matches the
-    prescription.
+    runs, and a bar depends only on the runs of its orbits.  The runs, the
+    bars and the ranked table are the spectrum's ``_BarTable``, built by its
+    first pass and read by every later one.  The search walks the runs in
+    order and chooses, for each, how many of its orbits stay free and the
+    multiset of its pair bars to later runs: every complete choice is a
+    distinct barcode, reached once, and names each bar it holds once, as a
+    slot of the table at its multiplicity.  A choice that pairs no orbit
+    goes straight on to the next run, and only a choice that pairs some
+    asks whether the orbits left can still pair.  More than ``limit``
+    distinct barcodes raise FeasibleCountError (``None``: no limit).
+    Raises InfeasibleRanksError when nothing matches the prescription.
     """
     maslov = spectrum.params.maslov
     quota = rank_quotas(ranks, maslov)
-    # every action and the disk area as int parts over one scale
-    scale, (area_a, area_pi), actions = spectrum._keys
-    # one orbit per source: the degree of its representative in [0, maslov),
-    # that representative's action parts, and whether the action reads back
-    # as a PiRational (a recapped one does)
-    orbits: Dict[Tuple, Tuple] = {}
-    for e, (a, b) in zip(spectrum.entries, actions):
-        degree = e.degree % maslov
-        shift = (degree - e.degree) // maslov
-        orbit = (degree, a + area_a * shift, b + area_pi * shift,
-                 shift != 0 or type(e.action) is PiRational)
-        if orbits.setdefault(e.source, orbit)[:3] != orbit[:3]:
-            raise ValueError(f"inconsistent recap copies for source {e.source}")
-    # every comparison below is of actions and actions plus the area: one
-    # code decides them all
-    code = code_for(max((abs(b) for _d, _a, b, _pi in orbits.values()), default=0)
-                    + abs(area_pi), SPREAD)
-    # sorted by (degree, action), twin orbits are consecutive
-    runs: List[List] = []  # [degree, action key, orbits, action parts]
-    for d, key, a, b, pi in sorted(((d, code.encode(a, b), a, b, pi)
-                                    for d, a, b, pi in orbits.values()), key=lambda o: o[:2]):
-        if runs and runs[-1][0] == d and runs[-1][1] == key:
-            runs[-1][2] += 1
-        else:
-            runs.append([d, _PiInt(key) if pi else key, 1, (a, b)])
-    counts: Dict[int, int] = {}
-    for d, _a, size, _parts in runs:
-        counts[d] = counts.get(d, 0) + size
+    bars = spectrum._feasible
+    counts = bars.counts
     for d, q in quota.items():
-        if counts.get(d, 0) < q:
+        if counts[d] < q:
             raise InfeasibleRanksError(
-                f"degree class {d} has {counts.get(d, 0)} generators but needs {q} infinite bars")
-
-    # every bar a matching can produce, as a key row (degree, left, right, 1)
-    # with its endpoints' parts: one infinite bar per run, one
-    # finite bar (z, y] per allowed ordered pair of runs.  Representatives
-    # have degrees in [0, maslov), so z sits one degree below y, or z has
-    # degree maslov - 1 and y degree 0 and y is recapped once (action + disk
-    # area) to sit above it; the pair is allowed when the bar is nonempty.
-    # A bar names the runs of its orbits, so distinct pairs of runs give
-    # distinct rows.
-    rows = [(d, a, None, 1) for d, a, _size, _parts in runs]
-    ends = [(parts, None) for _d, _a, _size, parts in runs]
-    n = len(runs)
-    rights = [(_PiInt(a + code.encode(area_a, area_pi)), (p[0] + area_a, p[1] + area_pi))
-              if d == 0 else (a, p) for d, a, _size, p in runs]
-    below = [(run[0] - 1) % maslov for run in runs]  # the degree a partner z must have
-    partners: List[List[Tuple[int, List[int]]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            ids = []
-            for y, z in ((i, j), (j, i)):
-                if runs[z][0] == below[y] and runs[z][1] < rights[y][0]:
-                    ids.append(len(rows))
-                    rows.append((runs[z][0], runs[z][1], rights[y][0], 1))
-                    ends.append((runs[z][3], rights[y][1]))
-            if ids:
-                partners[i].append((j, ids))
-
-    # the rows in canonical order over their least scale and in their
-    # canonical code are the table every barcode picks from; rename them by
-    # their ranks there, so that a matching's sorted ids list its barcode's
-    # rows in order
-    order = sorted(range(len(rows)), key=lambda k: _row_order(rows[k]))
-    g = math.gcd(scale, *(p for pair in ends for x in pair if x is not None for p in x))
-    canon = code_for(max((abs(x[1]) for pair in ends for x in pair if x is not None),
-                         default=0) // g)
-    table = tuple(map(rows.__getitem__, order))
-    if g != 1 or canon is not code:
-        table = tuple((d, *(None if x is None else _typed(canon.encode(x[0] // g, x[1] // g), key)
-                            for x, key in zip(ends[k], (l, r))), m)
-                      for k, (d, l, r, m) in zip(order, table))
-    ranked = Barcode._sorted(table, scale // g, canon)
-    rank = [0] * len(rows)
-    for r, k in enumerate(order):
-        rank[k] = r
-    free_bar = rank[:n]
-    partners = [[(j, [rank[k] for k in ids]) for j, ids in opts] for opts in partners]
-    # from run ``tail`` on no run has a later partner (the last class has
-    # none): what is left of those runs stays free
-    tail = n
-    while tail and not partners[tail - 1]:
-        tail -= 1
+                f"degree class {d} has {counts[d]} generators but needs {q} infinite bars")
+    degrees, free, partners, around, tail = \
+        bars.degrees, bars.free, bars.partners, bars.around, bars.tail
+    last = tail - 1
+    left_free = range(tail, len(degrees))  # runs whose orbits left stay free
+    cap = math.inf if limit is None else limit
 
     found: List[Tuple[int, ...]] = []
-    remaining = [run[2] for run in runs]  # orbits no earlier run paired
+    remaining = list(bars.sizes)  # orbits no earlier run paired
     free_left = [quota.get(d, 0) for d in range(maslov)]  # free bars still owed
     # orbits of each class in runs not yet decided, less those owed free
-    to_pair = [counts.get(d, 0) - free_left[d] for d in range(maslov)]
-    chosen: List[int] = []  # bar ids of the partial matching
+    to_pair = [c - q for c, q in zip(counts, free_left)]
+    chosen: List[int] = []  # slots of the partial matching
+    at = remaining.__getitem__
+
+    def close(splits: Sequence[List[int]]) -> None:
+        """Record the barcode of each of ``splits`` added to the partial
+        matching, once every run before ``tail`` is decided, if each class
+        then owes exactly what its runs have left: those stay free."""
+        if any(to_pair):
+            return
+        rest = chosen + [free[j] + remaining[j] for j in left_free if remaining[j]]
+        found.extend(tuple(sorted(rest + slots)) for slots in splits)
+        if len(found) > cap:
+            raise FeasibleCountError(
+                f"feasible barcode enumeration exceeded the limit of {limit} barcodes")
 
     def decide(i: int) -> None:
         """Choose run i's free orbits, then pair the rest with later runs."""
-        if not _pairable(to_pair):
-            return
-        if i >= tail:
-            # nothing is left to pair: each class must owe exactly what its
-            # runs have left
-            if any(to_pair):
-                return
-            found.append(tuple(sorted(chosen + [free_bar[j] for j in range(i, n)
-                                                for _ in range(remaining[j])])))
-            if limit is not None and len(found) > limit:
-                raise FeasibleCountError(
-                    f"feasible barcode enumeration exceeded the limit of {limit} barcodes")
-            return
-        d, r = runs[i][0], remaining[i]
+        d, r = degrees[i], remaining[i]
         owed = free_left[d]
-        room = sum(remaining[j] for j, _ids in partners[i])
+        room = sum(map(at, around[i]))
         # the partners take at most ``room`` of the orbits not left free
         for f in range(max(0, r - room), min(r, owed) + 1):
             free_left[d] = owed - f
-            chosen.extend([free_bar[i]] * f)
-            pair(i, 0, r - f, room)
-            del chosen[len(chosen) - f:]
+            if f:
+                chosen.append(free[i] + f)
+            if f < r:
+                pair(i, 0, r - f, room)
+            elif i < last:
+                decide(i + 1)
+            else:
+                close(_UNSPLIT)
+            if f:
+                chosen.pop()
         free_left[d] = owed
 
     def pair(i: int, k: int, need: int, room: int) -> None:
-        """Pair ``need`` orbits of run i with its partners from the k-th on,
-        which have ``room >= need`` orbits left, taking the partners in
-        order; then decide run i + 1."""
-        if not need:
-            decide(i + 1)
-            return
-        j, ids = partners[i][k]
-        while not remaining[j]:
+        """Pair ``need > 0`` orbits of run i with its partners from the k-th
+        on, which have ``room >= need`` orbits left: each partner in turn
+        takes some, the partners after it the rest; then decide run i + 1
+        where the orbits left can still pair."""
+        opts, di = partners[i], degrees[i]
+        while True:
+            j, splits = opts[k]
+            left = remaining[j]
+            room -= left  # what the partners after this one can take
             k += 1
-            j, ids = partners[i][k]
-        di, dj, left = runs[i][0], runs[j][0], remaining[j]
-        # the partners after the k-th take at most room - left of the need
-        for t in range(min(need, left), max(0, need - room + left) - 1, -1):
-            remaining[j] = left - t
-            to_pair[di] -= t
-            to_pair[dj] -= t
-            # t pairs with run j, split between its (at most two) bars
-            for a in range(t + 1) if len(ids) == 2 else (t,):
-                chosen.extend([ids[0]] * a + [ids[-1]] * (t - a))
-                pair(i, k + 1, need - t, room - left)
-                del chosen[len(chosen) - t:]
-            to_pair[di] += t
-            to_pair[dj] += t
-        remaining[j] = left
+            if left:
+                dj = degrees[j]
+                for t in range(min(need, left), max(0, need - room - 1), -1):
+                    remaining[j] = left - t
+                    to_pair[di] -= t
+                    to_pair[dj] -= t
+                    # t pairs with run j, split between its (at most two) bars
+                    if t < need:
+                        for slots in splits[t]:
+                            chosen.extend(slots)
+                            pair(i, k, need - t, room)
+                            del chosen[len(chosen) - len(slots):]
+                    elif i == last:
+                        close(splits[t])
+                    elif _pairable(to_pair):
+                        for slots in splits[t]:
+                            chosen.extend(slots)
+                            decide(i + 1)
+                            del chosen[len(chosen) - len(slots):]
+                    to_pair[di] += t
+                    to_pair[dj] += t
+                remaining[j] = left
+            if need > room:
+                return  # the partners after this one cannot take the need
 
     try:
-        decide(0)
+        if not tail:
+            close(_UNSPLIT)
+        elif _pairable(to_pair):
+            decide(0)
     finally:
         del decide, pair  # each refers to the other: break the cycle through their closures
     if not found:
         raise InfeasibleRanksError("no matching leaves the prescribed infinite bars")
-    return frozenset(Barcode.from_ranks(ranked, found))
+    return frozenset(Barcode.from_ranks(bars.table, found))
 
 
 def forced_bar_bound(spectrum: GeneratorSpectrum, ranks: Mapping[int, int]):

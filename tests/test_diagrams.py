@@ -266,6 +266,20 @@ def test_lunes_equal_the_oracle_across_lane_widths():
         assert enumerate_lunes(d, max_wind) == brute_force_lunes(d, max_wind)
 
 
+def test_one_diagram_enumerated_at_changing_caps_equals_fresh_ones():
+    # a winding field keeps the boundary tables of each cap for later
+    # passes: one diagram enumerated at caps 5, 2, 200, 5 and 0 in turn
+    # gives at each cap the lunes of a fresh copy
+    for d in (bundled_sphere(), two_circle_diagram(),
+              equator_pair_annulus(annulus_example_areas(F(1, 10)))):
+        fresh = {}
+        for max_wind in (5, 2, 200, 5, 0):
+            if max_wind not in fresh:
+                fresh[max_wind] = enumerate_lunes(TwoCurveDiagram.from_json(d.to_json()), max_wind)
+            assert enumerate_lunes(d, max_wind) == fresh[max_wind], max_wind
+        assert sorted(d._analysis.field._residues) == [0, 2, 5, 200]
+
+
 def test_the_lune_oracle_asserts_the_lane_range(monkeypatch):
     # 2-bit lanes hold the windings -2..1 only; the equator pair's lunes
     # at cap 2 wind further once their turns are counted

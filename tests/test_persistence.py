@@ -7,8 +7,8 @@ import pytest
 from floerbar.exactpi import PLAIN, PiRational
 from floerbar.oracles import (_same, all_pairs_bottleneck, brute_force_bottleneck,
                               brute_force_shifted_bottleneck)
-from floerbar.persistence import (Bar, Barcode, INF, NEG_INF, _PiInt, bar_length_spectrum,
-                                  bottleneck_distance, boundary_depth,
+from floerbar.persistence import (Bar, Barcode, INF, NEG_INF, _PiInt, _RankTable,
+                                  bar_length_spectrum, bottleneck_distance, boundary_depth,
                                   interleaving_distance, least_depth, shift_barcode,
                                   shifted_bottleneck)
 from floerbar.sampling import random_barcode
@@ -484,12 +484,16 @@ def test_from_ranks_picks_take_their_canonical_code():
             Bar(PiRational(F(2), F(-3)), INF, 0)]
     ranked = Barcode(bars)
     assert ranked.code.bound == 2 ** 48 and all(row[3] == 1 for row in ranked.rows)
+    table = _RankTable(ranked, 2)
     picks = [(0, 1, 2), (1, 2, 3), (2, 3), (2, 2, 3), (3,), (1, 1, 4), (0, 4, 4)]
-    for ranks, pick in zip(picks, Barcode.from_ranks(ranked, picks)):
+    # slot 2k + n - 1 is row k at multiplicity n
+    slots = [sorted(2 * k + ranks.count(k) - 1 for k in set(ranks)) for ranks in picks]
+    for ranks, pick in zip(picks, Barcode.from_ranks(table, slots)):
         built = Barcode(pick.bars)
+        assert built == Barcode([ranked.bars[k] for k in ranks]), ranks
         assert pick == built and hash(pick) == hash(built), ranks
         assert (pick.scale, pick.code, pick.rows) == (built.scale, built.code, built.rows), ranks
         assert _same(boundary_depth(pick), boundary_depth(built))
         assert pick.to_json() == built.to_json()
-    codes = {pick.code.bound for pick in Barcode.from_ranks(ranked, picks)}
+    codes = {pick.code.bound for pick in Barcode.from_ranks(table, slots)}
     assert codes == {0, 2 ** 24, 2 ** 48}

@@ -10,8 +10,8 @@ from floerbar.novikov import LagrangianParams
 from floerbar.oracles import (_TWIN_TENTS, _feasible_agrees, _twin_tent,
                               brute_force_feasible_barcodes, rank_prescriptions)
 from floerbar.persistence import Barcode, Bar, INF, boundary_depth
-from floerbar.radial import (FeasibleCountError, GeneratorSpectrum, InfeasibleRanksError,
-                             RadialProfile, SlopeDegeneracyError,
+from floerbar.radial import (MAX_FEASIBLE_BARCODES, FeasibleCountError, GeneratorSpectrum,
+                             InfeasibleRanksError, RadialProfile, SlopeDegeneracyError,
                              SpectrumEntry, degree_actions,
                              degree_class_actions, feasible_barcodes,
                              fold_profile, forced_bar_bound, generators,
@@ -259,7 +259,9 @@ def test_twin_orbits_collapse_without_losing_barcodes():
 def test_feasible_search_leaves_no_garbage_cycle():
     # the nested search functions of the search and of its oracle refer to
     # themselves; unless each call breaks that cycle, its whole search state
-    # waits for the cyclic collector
+    # waits for the cyclic collector.  The bar table a spectrum caches must
+    # refer neither back to it nor to a closure, or dropping the spectrum
+    # would leave it for the collector too
     rng = random.Random(5)
     spectra = [random_tent_spectrum(rng) for _ in range(6)]
     gc.collect()
@@ -273,20 +275,61 @@ def test_feasible_search_leaves_no_garbage_cycle():
                     except InfeasibleRanksError:
                         pass
                     assert gc.collect() == 0, search
+        assert all("_feasible" in vars(spectrum) for spectrum in spectra)
+        del spectra, spectrum
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
 
+def test_one_spectrum_answers_every_prescription_as_a_fresh_one():
+    # a spectrum's first pass builds its bar table and every later pass
+    # reads it: under every rank prescription, in forward and then reversed
+    # order, one spectrum gives what a fresh equal spectrum gives, the same
+    # barcodes (read out the same) or the same error and message, and a
+    # limit still counts distinct barcodes
+    def outcome(spectrum, ranks, limit=MAX_FEASIBLE_BARCODES):
+        try:
+            result = feasible_barcodes(spectrum, ranks, limit)
+        except (InfeasibleRanksError, FeasibleCountError) as exc:
+            return type(exc), str(exc)
+        return result, sorted(map(repr, result))
+
+    rng = random.Random(37)
+    spectra = [_twin_tent(*tent) for tent in _TWIN_TENTS]
+    spectra += [random_tent_spectrum(rng) for _ in range(50)]
+    kinds = set()
+    for spectrum in spectra:
+        prescriptions = list(rank_prescriptions(spectrum))
+        expected = {}
+        for ranks in prescriptions + prescriptions[::-1]:
+            key = tuple(sorted(ranks.items()))
+            if key not in expected:
+                expected[key] = outcome(GeneratorSpectrum(spectrum.entries, spectrum.params),
+                                        ranks)
+            got = outcome(spectrum, ranks)
+            assert got == expected[key], (spectrum, ranks)
+            kinds.add(got[0] if type(got[0]) is type else frozenset)
+            if type(got[0]) is frozenset:
+                count = len(got[0])
+                assert outcome(spectrum, ranks, count) == got, (spectrum, ranks)
+                fresh = GeneratorSpectrum(spectrum.entries, spectrum.params)
+                assert outcome(spectrum, ranks, count - 1) == outcome(fresh, ranks, count - 1) \
+                    == (FeasibleCountError, "feasible barcode enumeration exceeded the limit "
+                                            f"of {count - 1} barcodes"), (spectrum, ranks)
+    assert kinds == {frozenset, InfeasibleRanksError}
+
+
 def test_each_feasible_barcode_is_reached_once(monkeypatch):
     # the search over runs of twins ends at one leaf per barcode: it hands
-    # Barcode.from_ranks exactly as many rank tuples as barcodes come back
+    # Barcode.from_ranks exactly as many slot tuples as barcodes come back
     leaves = []
     from_ranks = Barcode.from_ranks.__func__
 
-    def counted(cls, ranked, picks):
+    def counted(cls, table, picks):
         picks = list(picks)
         leaves.append(len(picks))
-        return from_ranks(cls, ranked, picks)
+        return from_ranks(cls, table, picks)
 
     monkeypatch.setattr(Barcode, "from_ranks", classmethod(counted))
     rng = random.Random(19)
@@ -312,9 +355,9 @@ def test_picks_read_out_as_the_barcodes_of_their_bars(monkeypatch):
     tables = []
     from_ranks = Barcode.from_ranks.__func__
 
-    def recorded(cls, ranked, picks):
-        tables.append(ranked.scale)
-        return from_ranks(cls, ranked, picks)
+    def recorded(cls, table, picks):
+        tables.append(table.ranked.scale)
+        return from_ranks(cls, table, picks)
 
     monkeypatch.setattr(Barcode, "from_ranks", classmethod(recorded))
     rng = random.Random(29)
